@@ -33,14 +33,14 @@ import numpy as np
 
 from . import metrics
 from .imagio import GrayscaleImage, ImageFormatError, load_image, pad_to_pow2, write_pgm
-from .jpegcore import classical_reference_decode, sparsity_stats
-from .pipeline import run_jqpie, run_qf_jqpie, run_qpie_direct
+from .jpegcore import SparsityStats, classical_reference_decode, sparsity_stats
+from .pipeline import (METHODS, PipelineResult, hybrid_circuit, run_jqpie, run_qf_jqpie,
+                       run_qpie_direct)
 from .qcircuit import export_qasm
+from .qsim import log2_exact
 from .synth import DATA_QUBITS, closed_form_resources
 
 log = logging.getLogger("jqpie.bench")
-
-METHODS = ("jqpie", "qf_jqpie")
 
 CSV_COLUMNS = ("image", "method", "r", "S", "psnr", "ssim", "delta_psnr",
                "delta_ssim", "success_prob", "cx_total", "depth_total",
@@ -103,15 +103,25 @@ def ingest_dataset(directory, allow_png: bool = False) -> list[tuple[str, Graysc
     return images
 
 
-def _collect_inputs(cfg: SweepConfig) -> list[tuple[str, GrayscaleImage]]:
+def _collect_inputs(inputs, allow_png: bool) -> list[tuple[str, GrayscaleImage]]:
     images = []
-    for entry in cfg.inputs:
+    for entry in inputs:
         path = Path(entry)
         if path.is_dir():
-            images.extend(ingest_dataset(path, cfg.allow_png))
+            images.extend(ingest_dataset(path, allow_png))
         else:
-            images.append((path.name, load_image(path, cfg.allow_png)))
+            images.append((path.name, load_image(path, allow_png)))
     return images
+
+
+def _run_method(img: GrayscaleImage, method: str, r: int, scale: float, backend: str,
+                norm_mode: str) -> PipelineResult:
+    """One pipeline run; ``qpie`` is the direct-encoding baseline."""
+    if method == "jqpie":
+        return run_jqpie(img, r, scale=scale, backend=backend, norm_mode=norm_mode)
+    if method == "qf_jqpie":
+        return run_qf_jqpie(img, r, backend=backend, norm_mode=norm_mode)
+    return run_qpie_direct(pad_to_pow2(img), backend=backend)
 
 
 def _fmt(value: float) -> str:
@@ -143,12 +153,7 @@ def _sweep_one_image(args) -> list[dict]:
         for r in sorted(cfg.r_set):
             row = {"image": label, "method": method, "r": r, "S": cfg.scale, "error": ""}
             try:
-                if method == "jqpie":
-                    result = run_jqpie(img, r, scale=cfg.scale, backend=cfg.backend,
-                                       norm_mode=cfg.norm_mode)
-                else:
-                    result = run_qf_jqpie(img, r, backend=cfg.backend,
-                                          norm_mode=cfg.norm_mode)
+                result = _run_method(img, method, r, cfg.scale, cfg.backend, cfg.norm_mode)
                 report = metrics.quality_report(img, result.reconstructed, baseline,
                                                 baseline_id, ssim_mode=cfg.ssim_mode)
                 row.update({
@@ -167,9 +172,7 @@ def _sweep_one_image(args) -> list[dict]:
     return rows
 
 
-def run_sweep(cfg: SweepConfig) -> list[dict]:
-    """One row per (image, method, r); failures become error rows."""
-    images = _collect_inputs(cfg)
+def _sweep_images(images: list[tuple[str, GrayscaleImage]], cfg: SweepConfig) -> list[dict]:
     tasks = [(label, img, cfg) for label, img in images]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -177,6 +180,11 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
     else:
         per_image = [_sweep_one_image(t) for t in tasks]
     return [row for rows in per_image for row in rows]
+
+
+def run_sweep(cfg: SweepConfig) -> list[dict]:
+    """One row per (image, method, r); failures become error rows."""
+    return _sweep_images(_collect_inputs(cfg.inputs, cfg.allow_png), cfg)
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -200,17 +208,29 @@ def _category_of(label: str) -> str:
     return parts[0] if len(parts) > 1 else "root"
 
 
-def summarize(rows: list[dict], images: list[tuple[str, GrayscaleImage]],
-              scale: float) -> dict:
+def collect_stats(images: list[tuple[str, GrayscaleImage]],
+                  scale: float) -> list[tuple[str, SparsityStats]]:
+    """Sparsity statistics per image, computed once for every report.
+
+    An image whose quantized coefficients are all zero has no compression
+    ratio; it is skipped with a warning.
+    """
+    stats = []
+    for label, img in images:
+        try:
+            stats.append((label, sparsity_stats(img, scale)))
+        except ValueError as exc:
+            log.warning("skipping %s in the statistics: %s", label, exc)
+    return stats
+
+
+def summarize(rows: list[dict], stats: list[tuple[str, SparsityStats]]) -> dict:
     """JSON summary: per-category compression-ratio ranges and the fraction
     of images within the quality tolerances for each (method, r)."""
     cr_by_category: dict[str, list[float]] = {}
-    for label, img in images:
-        try:
-            stats = sparsity_stats(img, scale)
-        except ValueError:
-            continue
-        cr_by_category.setdefault(_category_of(label), []).append(stats.compression_ratio)
+    for label, image_stats in stats:
+        cr_by_category.setdefault(_category_of(label), []).append(
+            image_stats.compression_ratio)
     summary = {
         "compression_ratio": {
             cat: {"min": min(v), "max": max(v), "count": len(v)}
@@ -250,25 +270,25 @@ def emit_report(rows: list[dict], summary: dict, histogram: np.ndarray | None,
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(json_path)
     if histogram is not None:
-        hist_path = out_base.parent / (out_base.name + "_histogram.csv")
-        lines = ["zigzag_index,nonzero_fraction"]
-        lines += [f"{k},{v:.6f}" for k, v in enumerate(histogram)]
-        hist_path.write_text("\n".join(lines) + "\n")
-        written.append(hist_path)
+        written.append(_write_histogram(histogram, out_base))
     return written
 
 
-def aggregate_histogram(images: list[tuple[str, GrayscaleImage]], scale: float) -> np.ndarray:
+def _write_histogram(histogram: np.ndarray, out_base: Path) -> Path:
+    hist_path = out_base.parent / (out_base.name + "_histogram.csv")
+    lines = ["zigzag_index,nonzero_fraction"]
+    lines += [f"{k},{v:.6f}" for k, v in enumerate(histogram)]
+    hist_path.write_text("\n".join(lines) + "\n")
+    return hist_path
+
+
+def aggregate_histogram(stats: list[tuple[str, SparsityStats]]) -> np.ndarray:
     """Block-weighted zigzag occupancy aggregated over a set of images."""
     total = np.zeros(64)
     blocks = 0
-    for _, img in images:
-        try:
-            stats = sparsity_stats(img, scale)
-        except ValueError:
-            continue
-        total += stats.histogram * stats.block_count
-        blocks += stats.block_count
+    for _, image_stats in stats:
+        total += image_stats.histogram * image_stats.block_count
+        blocks += image_stats.block_count
     if blocks == 0:
         raise ValueError("no nonzero coefficients anywhere in the dataset")
     return total / blocks
@@ -333,27 +353,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stats(args) -> int:
-    path = Path(args.input)
-    if path.is_dir():
-        images = ingest_dataset(path, args.png)
-    else:
-        images = [(path.name, load_image(path, args.png))]
-    payload = {}
-    for label, img in images:
-        stats = sparsity_stats(img, args.scale)
-        payload[label] = {
-            "nonzero_coefficients": stats.nonzero_count,
-            "pixel_count": stats.pixel_count,
-            "compression_ratio": stats.compression_ratio,
+    stats = collect_stats(_collect_inputs([args.input], args.png), args.scale)
+    histogram = aggregate_histogram(stats)
+    payload = {
+        label: {
+            "nonzero_coefficients": image_stats.nonzero_count,
+            "pixel_count": image_stats.pixel_count,
+            "compression_ratio": image_stats.compression_ratio,
         }
-    histogram = aggregate_histogram(images, args.scale)
+        for label, image_stats in stats
+    }
     if args.out:
         out_base = Path(args.out)
         out_base.parent.mkdir(parents=True, exist_ok=True)
         out_base.with_suffix(".json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        lines = ["zigzag_index,nonzero_fraction"]
-        lines += [f"{k},{v:.6f}" for k, v in enumerate(histogram)]
-        (out_base.parent / (out_base.name + "_histogram.csv")).write_text("\n".join(lines) + "\n")
+        _write_histogram(histogram, out_base)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -361,13 +375,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_simulate(args) -> int:
     img = load_image(args.input, args.png)
-    if args.method == "jqpie":
-        result = run_jqpie(img, args.r, scale=args.scale, backend=args.backend,
-                           norm_mode=args.norm_mode)
-    elif args.method == "qf_jqpie":
-        result = run_qf_jqpie(img, args.r, backend=args.backend, norm_mode=args.norm_mode)
-    else:
-        result = run_qpie_direct(pad_to_pow2(img), backend=args.backend)
+    result = _run_method(img, args.method, args.r, args.scale, args.backend, args.norm_mode)
     baseline = classical_reference_decode(img, "jpeg", scale=args.scale)
     report = metrics.quality_report(img, result.reconstructed, baseline,
                                     f"jpeg S={args.scale:g}")
@@ -396,11 +404,12 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         allow_png=args.png,
     )
-    images = _collect_inputs(cfg)
-    rows = run_sweep(cfg)
-    summary = summarize(rows, images, cfg.scale)
+    images = _collect_inputs(cfg.inputs, cfg.allow_png)
+    rows = _sweep_images(images, cfg)
+    stats = collect_stats(images, cfg.scale)
+    summary = summarize(rows, stats)
     try:
-        histogram = aggregate_histogram(images, cfg.scale)
+        histogram = aggregate_histogram(stats)
     except ValueError:
         histogram = None   # every image degenerate: rows still carry the errors
     written = emit_report(rows, summary, histogram, args.out)
@@ -414,9 +423,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_resources(args) -> int:
-    h = int(math.log2(args.height))
-    w = int(math.log2(args.width))
-    if 2 ** h != args.height or 2 ** w != args.width:
+    try:
+        h = log2_exact(args.height, "height")
+        w = log2_exact(args.width, "width")
+    except ValueError:
         print("height and width must be powers of two", file=sys.stderr)
         return 2
     table = {}
@@ -437,23 +447,8 @@ def _cmd_resources(args) -> int:
 
 
 def _cmd_export_circuit(args) -> int:
-    from .pipeline import _decompression_circuit, _normalize_rows, _prepare_state
-    from .imagio import pad_and_partition
-    from .jpegcore import QuantTable, truncate_zigzag, zigzag_coefficients
-    from .qcircuit import compose
-
     img = load_image(args.input, args.png)
-    padded = pad_to_pow2(img)
-    h = int(math.log2(padded.height))
-    w = int(math.log2(padded.width))
-    grid = pad_and_partition(padded)
-    table = QuantTable(args.scale) if args.method == "jqpie" else None
-    zz = truncate_zigzag(zigzag_coefficients(grid, table=table), args.r)
-    amp_matrix, _, _ = _normalize_rows(zz, "global")
-    _, prep = _prepare_state(amp_matrix, h, w, args.r,
-                             ancilla=table is not None,
-                             backend="gate_exact", direct_load=False)
-    circuit = compose(prep, _decompression_circuit(h, w, args.r, table, "gate_exact"))
+    circuit = hybrid_circuit(img, args.method, args.r, scale=args.scale)
     Path(args.out).write_text(export_qasm(circuit))
     print(f"wrote {args.out}: {circuit.n_qubits} qubits, {len(circuit.gates)} gates")
     return 0

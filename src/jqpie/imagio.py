@@ -287,10 +287,3 @@ def assemble_image(grid: BlockGrid, original_dims: tuple[int, int] | None = None
     if clamp:
         pixels = np.clip(pixels, 0.0, float(2 ** grid.bit_depth - 1))
     return GrayscaleImage(pixels, grid.bit_depth, (oh, ow))
-
-
-def blocks_from_matrix(pixels: np.ndarray, nbx: int, nby: int) -> np.ndarray:
-    """Reshape a padded (8*nbx, 8*nby) pixel array into (n_blocks, 8, 8)."""
-    return (pixels.reshape(nbx, BLOCK, nby, BLOCK)
-            .transpose(0, 2, 1, 3)
-            .reshape(nbx * nby, BLOCK, BLOCK))

@@ -1,13 +1,22 @@
 """End-to-end hybrid image preparation pipelines and classical readout.
 
-Three entry points:
+Entry points:
 
   * :func:`run_qpie_direct` - plain amplitude encoding of the padded image;
   * :func:`run_jqpie` - quantized truncated coefficients loaded on the active
     qubits, then inverse zigzag, block-encoded inverse quantization with one
     ancilla, inverse 2D DCT, and post-selection of the ancilla-0 branch;
   * :func:`run_qf_jqpie` - the quantization-free variant: unquantized
-    truncated coefficients, no ancilla, no post-selection, fully unitary.
+    truncated coefficients, no ancilla, no post-selection, fully unitary;
+  * :func:`hybrid_circuit` - the full gate-level circuit of either hybrid
+    method (state-preparation cascade plus lowered decompression), built
+    without simulating it, for export.
+
+The two hybrid methods run through one body. They share the classical front
+end (pad to powers of two, partition, 2D DCT, zigzag, truncate, normalize),
+the state load, the decompression and the readout; passing a quantization
+table is the only difference, and it adds the quantization step, the ancilla
+with the block-encoded rescaler, and the post-selection.
 
 Images are zero-padded to power-of-two dimensions (at least 8) so pixels can
 be addressed by binary registers; the original dimensions are cropped back at
@@ -39,19 +48,28 @@ import numpy as np
 from .imagio import (BLOCK, BlockGrid, GrayscaleImage, assemble_image,
                      pad_and_partition, pad_to_pow2)
 from .jpegcore import QuantTable, truncate_zigzag, zigzag_coefficients
-from .qcircuit import Circuit, ResourceReport
-from .qsim import StateVector, apply_circuit, from_amplitudes, postselect_ancilla, zero_state
+from .qcircuit import Circuit, ResourceReport, compose
+from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
+                   postselect_ancilla, zero_state)
 from .synth import (DATA_QUBITS, block_encoded_rescaler, closed_form_resources,
                     lower_circuit, lower_multiplexed_ry, synth_inverse_qdct_gates,
                     synth_state_prep, synth_truncated_zigzag)
 
+METHODS = ("jqpie", "qf_jqpie")
 NORM_MODES = ("global", "per_block")
 READOUT_MODELS = ("amplitude", "measurement")
 
 
 @dataclass(frozen=True)
 class NormalizationRecord:
-    """Classical scaling data needed to turn amplitudes back into pixels."""
+    """Classical scaling data needed to turn amplitudes back into pixels.
+
+    In ``global`` mode ``global_norm`` is the norm of the truncated
+    coefficient vector. In ``per_block`` mode it is not a norm: it holds
+    sqrt(n_active), n_active being the number of blocks with nonzero
+    truncated coefficients, because each such block is loaded with weight
+    1/sqrt(n_active); the block norms are in ``per_block_norms``.
+    """
 
     global_norm: float
     lam: float | None
@@ -100,13 +118,6 @@ class PipelineResult:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def _log2_exact(value: int, what: str) -> int:
-    bits = int(value).bit_length() - 1
-    if 2 ** bits != value:
-        raise ValueError(f"{what} must be a power of two, got {value}")
-    return bits
-
-
 def registers_for(h: int, w: int, ancilla: bool):
     regs = [("index", h + w - DATA_QUBITS), ("data", DATA_QUBITS)]
     if ancilla:
@@ -133,35 +144,63 @@ def _normalize_rows(zz: np.ndarray, mode: str) -> tuple[np.ndarray, float, np.nd
     return amps, math.sqrt(n_active), row_norms
 
 
-def _prepare_state(amp_matrix: np.ndarray, h: int, w: int, r: int, ancilla: bool,
-                   backend: str, direct_load: bool | None) -> tuple[StateVector, Circuit | None]:
-    """Load the slot-ordered coefficient amplitudes onto the register.
+def _encode(img: GrayscaleImage, r: int, table: QuantTable | None,
+            norm_mode: str) -> tuple[int, int, np.ndarray, NormalizationRecord]:
+    """The classical front end shared by both hybrid methods.
 
-    ``amp_matrix`` is (n_blocks, 64) with columns >= 2^r zero. The
-    preparation circuit acts on the index register plus the low r data
-    qubits; the remaining data qubits stay |0>. Under the operator backend
-    the verified cascade may be bypassed and the amplitudes injected
-    directly (default for large registers), which is what makes
-    megapixel-scale simulations feasible.
+    Pads to power-of-two dimensions, blocks, transforms (quantizing when a
+    table is given), zigzags and keeps the first 2^r slots, then normalizes.
+    Returns the register sizes h and w (log2 of the padded dimensions), the
+    (n_blocks, 64) amplitude matrix and the record that undoes the scaling.
+    """
+    padded = pad_to_pow2(img)
+    h = log2_exact(padded.height, "padded height")
+    w = log2_exact(padded.width, "padded width")
+    grid = pad_and_partition(padded)
+    zz = truncate_zigzag(zigzag_coefficients(grid, table=table), r)
+    amp_matrix, global_norm, per_block = _normalize_rows(zz, norm_mode)
+    record = NormalizationRecord(global_norm, None if table is None else table.max_entry,
+                                 norm_mode, per_block, (padded.height, padded.width),
+                                 img.bit_depth)
+    return h, w, amp_matrix, record
+
+
+def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
+                        ancilla: bool) -> Circuit:
+    """Cascade loading the slot-ordered coefficient amplitudes.
+
+    ``amp_matrix`` is (n_blocks, 64) with columns >= 2^r zero. The circuit
+    acts on the index register plus the low r data qubits; the remaining
+    data qubits (and the ancilla) stay |0>.
+    """
+    index_qubits = list(range(h + w - 1, DATA_QUBITS - 1, -1))
+    data_low = list(range(r - 1, -1, -1))
+    return synth_state_prep(amp_matrix[:, :2 ** r].reshape(-1),
+                            targets=index_qubits + data_low,
+                            n_qubits=h + w + (1 if ancilla else 0),
+                            registers=registers_for(h, w, ancilla))
+
+
+def _load_state(amp_matrix: np.ndarray, h: int, w: int, r: int, ancilla: bool,
+                backend: str, direct_load: bool | None) -> StateVector:
+    """Load the amplitudes onto the register, by cascade or directly.
+
+    Under the operator backend the verified cascade may be bypassed and the
+    amplitudes injected directly (default for large registers), which is
+    what makes megapixel-scale simulations feasible.
     """
     n = h + w + (1 if ancilla else 0)
-    regs = registers_for(h, w, ancilla)
     active = h + w - (DATA_QUBITS - r)
     if direct_load is None:
         direct_load = backend == "operator" and active > 14
-    flat_full = amp_matrix.reshape(-1)
     if direct_load:
         if backend != "operator":
             raise ValueError("direct amplitude loading requires the operator backend")
         amps = np.zeros(2 ** n, dtype=np.complex128)
-        amps[:2 ** (h + w)] = flat_full
-        return from_amplitudes(amps), None
-    target_vec = amp_matrix[:, :2 ** r].reshape(-1)
-    index_qubits = list(range(h + w - 1, DATA_QUBITS - 1, -1))
-    data_low = list(range(r - 1, -1, -1))
-    prep = synth_state_prep(target_vec, targets=index_qubits + data_low,
-                            n_qubits=n, registers=regs)
-    return apply_circuit(zero_state(n), prep, backend="gate_exact"), prep
+        amps[:2 ** (h + w)] = amp_matrix.reshape(-1)
+        return from_amplitudes(amps)
+    prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla)
+    return apply_circuit(zero_state(n), prep, backend="gate_exact")
 
 
 def _decompression_circuit(h: int, w: int, r: int, table: QuantTable | None,
@@ -183,6 +222,23 @@ def _decompression_circuit(h: int, w: int, r: int, table: QuantTable | None,
     return circuit
 
 
+def _run_hybrid(img: GrayscaleImage, r: int, table: QuantTable | None, backend: str,
+                norm_mode: str, direct_load: bool | None) -> PipelineResult:
+    """Both hybrid methods; a quantization table selects JQPIE."""
+    h, w, amp_matrix, record = _encode(img, r, table, norm_mode)
+    ancilla = table is not None
+    sv = _load_state(amp_matrix, h, w, r, ancilla, backend, direct_load)
+    sv = apply_circuit(sv, _decompression_circuit(h, w, r, table, backend),
+                       backend=backend)
+    probability = 1.0
+    if ancilla:
+        post = postselect_ancilla(sv, qubit=h + w, outcome=0)
+        sv, probability = post.state, post.probability
+    resources = closed_form_resources(h, w, r, method="jqpie" if ancilla else "qf_jqpie")
+    recon = readout_image(sv, record, img.original_dims, success_probability=probability)
+    return PipelineResult(sv, probability, record, resources, recon)
+
+
 def run_jqpie(img: GrayscaleImage, r: int, scale: float = 1.0,
               backend: str = "operator", norm_mode: str = "global",
               direct_load: bool | None = None) -> PipelineResult:
@@ -194,24 +250,7 @@ def run_jqpie(img: GrayscaleImage, r: int, scale: float = 1.0,
     inverse 2D DCT, then post-select the ancilla-0 branch. The recorded
     success probability is the simulated branch weight.
     """
-    padded = pad_to_pow2(img)
-    h = _log2_exact(padded.height, "padded height")
-    w = _log2_exact(padded.width, "padded width")
-    grid = pad_and_partition(padded)
-    table = QuantTable(scale)
-    zz = truncate_zigzag(zigzag_coefficients(grid, table=table), r)
-    amp_matrix, global_norm, per_block = _normalize_rows(zz, norm_mode)
-    sv, _ = _prepare_state(amp_matrix, h, w, r, ancilla=True,
-                           backend=backend, direct_load=direct_load)
-    sv = apply_circuit(sv, _decompression_circuit(h, w, r, table, backend),
-                       backend=backend)
-    post = postselect_ancilla(sv, qubit=h + w, outcome=0)
-    record = NormalizationRecord(global_norm, table.max_entry, norm_mode, per_block,
-                                 (padded.height, padded.width), img.bit_depth)
-    resources = closed_form_resources(h, w, r, method="jqpie")
-    recon = readout_image(post.state, record, img.original_dims,
-                          success_probability=post.probability)
-    return PipelineResult(post.state, post.probability, record, resources, recon)
+    return _run_hybrid(img, r, QuantTable(scale), backend, norm_mode, direct_load)
 
 
 def run_qf_jqpie(img: GrayscaleImage, r: int, backend: str = "operator",
@@ -223,21 +262,22 @@ def run_qf_jqpie(img: GrayscaleImage, r: int, backend: str = "operator",
     truncated inverse zigzag and the inverse 2D DCT. No ancilla, no block
     encoding, and the success probability is exactly 1.
     """
-    padded = pad_to_pow2(img)
-    h = _log2_exact(padded.height, "padded height")
-    w = _log2_exact(padded.width, "padded width")
-    grid = pad_and_partition(padded)
-    zz = truncate_zigzag(zigzag_coefficients(grid, table=None), r)
-    amp_matrix, global_norm, per_block = _normalize_rows(zz, norm_mode)
-    sv, _ = _prepare_state(amp_matrix, h, w, r, ancilla=False,
-                           backend=backend, direct_load=direct_load)
-    sv = apply_circuit(sv, _decompression_circuit(h, w, r, None, backend),
-                       backend=backend)
-    record = NormalizationRecord(global_norm, None, norm_mode, per_block,
-                                 (padded.height, padded.width), img.bit_depth)
-    resources = closed_form_resources(h, w, r, method="qf_jqpie")
-    recon = readout_image(sv, record, img.original_dims)
-    return PipelineResult(sv, 1.0, record, resources, recon)
+    return _run_hybrid(img, r, None, backend, norm_mode, direct_load)
+
+
+def hybrid_circuit(img: GrayscaleImage, method: str, r: int, scale: float = 1.0) -> Circuit:
+    """Full gate-level circuit of a hybrid run, built without simulating it.
+
+    The state-preparation cascade for the globally normalized coefficients,
+    followed by the decompression lowered to RY/CX/X gates; ``scale`` only
+    matters for ``jqpie``.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    table = QuantTable(scale) if method == "jqpie" else None
+    h, w, amp_matrix, _ = _encode(img, r, table, "global")
+    prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=table is not None)
+    return compose(prep, _decompression_circuit(h, w, r, table, "gate_exact"))
 
 
 def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
@@ -249,8 +289,8 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
     it is directly comparable with the hybrid pipelines; smaller images fall
     back to a plain row-major flattening.
     """
-    h = _log2_exact(img.height, "image height")
-    w = _log2_exact(img.width, "image width")
+    h = log2_exact(img.height, "image height")
+    w = log2_exact(img.width, "image width")
     pixels = img.pixels
     norm = float(np.linalg.norm(pixels))
     if norm == 0.0:
@@ -291,7 +331,7 @@ def readout_image(state: StateVector, norm_record: NormalizationRecord,
     if model not in READOUT_MODELS:
         raise ValueError(f"model must be one of {READOUT_MODELS}")
     ph, pw = norm_record.padded_dims
-    if state.n != _log2_exact(ph, "padded height") + _log2_exact(pw, "padded width"):
+    if state.n != log2_exact(ph, "padded height") + log2_exact(pw, "padded width"):
         raise ValueError("state size does not match the recorded padded dimensions")
     amps = state.amplitudes
     if model == "amplitude":

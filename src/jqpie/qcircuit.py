@@ -119,24 +119,6 @@ def ublock(targets, matrix, cost=(0, 0, 0), tag: str | None = None) -> Gate:
     return Gate("ublock", tuple(targets), matrix=matrix, cost=tuple(cost), tag=tag)
 
 
-def gates_equal(a: Gate, b: Gate, atol: float = 1e-12) -> bool:
-    if a.kind != b.kind or a.qubits != b.qubits:
-        return False
-    if a.angle is None and b.angle is None:
-        angle_ok = True
-    elif a.angle is None or b.angle is None:
-        angle_ok = False
-    else:
-        angle_ok = abs(a.angle - b.angle) <= atol
-    if a.perm != b.perm:
-        return False
-    if (a.matrix is None) != (b.matrix is None):
-        return False
-    if a.matrix is not None and not np.allclose(a.matrix, b.matrix, atol=atol):
-        return False
-    return angle_ok
-
-
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate sequence over named qubit registers."""
@@ -170,14 +152,6 @@ class Circuit:
     @property
     def has_operator_gates(self) -> bool:
         return any(not g.is_elementary for g in self.gates)
-
-    def tagged(self, tag: str) -> "Circuit":
-        """Copy with every untagged gate labelled ``tag``."""
-        gates = tuple(
-            g if g.tag is not None else Gate(g.kind, g.qubits, g.angle, g.matrix, g.perm, g.cost, tag)
-            for g in self.gates
-        )
-        return Circuit(self.n_qubits, gates, self.registers)
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:

@@ -14,7 +14,10 @@ Project basis convention (single source of truth, consumed by every module):
 
 Backends: ``gate_exact`` applies every elementary gate and rejects
 operator-level entries; ``operator`` additionally applies PERM/UBLOCK gates
-directly on their target subspace. Both are double precision and unitary to
+directly on their target subspace. :func:`apply_circuit` is the only way to
+apply an operator: a permutation, a dense unitary or a block encoding is
+wrapped in a PERM or UBLOCK gate of a :class:`~jqpie.qcircuit.Circuit`, whose
+construction validates it. Both backends are double precision and unitary to
 machine accuracy.
 
 A statevector is owned by one simulation at a time; all functions return new
@@ -29,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from .qcircuit import Circuit, Gate, UnloweredGateError
-from .synth import BlockEncodedDiag
 
 BACKENDS = ("gate_exact", "operator")
 
@@ -62,6 +64,14 @@ class PostSelectResult:
     probability: float
 
 
+def log2_exact(value: int, what: str) -> int:
+    """Exact base-2 logarithm of a positive power of two, else ValueError."""
+    bits = int(value).bit_length() - 1
+    if 2 ** bits != value:
+        raise ValueError(f"{what} must be a power of two, got {value}")
+    return bits
+
+
 def zero_state(n: int) -> StateVector:
     amps = np.zeros(2 ** n, dtype=np.complex128)
     amps[0] = 1.0
@@ -76,9 +86,7 @@ def basis_state(n: int, index: int) -> StateVector:
 
 def from_amplitudes(vector, normalized: bool = True) -> StateVector:
     amps = np.asarray(vector, dtype=np.complex128)
-    n = int(np.log2(len(amps)))
-    if 2 ** n != len(amps):
-        raise ValueError("amplitude count must be a power of two")
+    n = log2_exact(len(amps), "amplitude count")
     if normalized and abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise ValueError("state is not normalized within 1e-9")
     return StateVector(amps, n)
@@ -195,34 +203,6 @@ def apply_circuit(sv: StateVector, circuit: Circuit,
     return StateVector(amps, sv.n)
 
 
-def apply_operator_block(sv: StateVector, op, targets) -> StateVector:
-    """Apply a PERM map, dense unitary, or diagonal block encoding directly.
-
-    ``op`` may be a square ndarray (UBLOCK), a sequence of ints (PERM), or a
-    :class:`BlockEncodedDiag`, whose embedding unitary acts on
-    [ancilla] + data targets with the ancilla listed first.
-    """
-    targets = [int(q) for q in targets]
-    if any(not 0 <= q < sv.n for q in targets) or len(set(targets)) != len(targets):
-        raise ValueError("targets must be distinct and in range")
-    amps = sv.amplitudes.copy()
-    if isinstance(op, BlockEncodedDiag):
-        amps = _apply_dense(amps, sv.n, op.unitary().astype(np.complex128), targets)
-    elif isinstance(op, np.ndarray):
-        dim = 2 ** len(targets)
-        if op.shape != (dim, dim):
-            raise ValueError(f"operator must be {dim}x{dim} for {len(targets)} targets")
-        if not np.allclose(op @ op.conj().T, np.eye(dim), atol=1e-10):
-            raise ValueError("operator is not unitary within 1e-10")
-        amps = _apply_dense(amps, sv.n, op.astype(np.complex128), targets)
-    else:
-        perm = [int(p) for p in op]
-        if sorted(perm) != list(range(2 ** len(targets))):
-            raise ValueError("permutation must be a bijection on the target subspace")
-        amps = _apply_perm(amps, sv.n, perm, targets)
-    return StateVector(amps, sv.n)
-
-
 def postselect_ancilla(sv: StateVector, qubit: int, outcome: int) -> PostSelectResult:
     """Project a qubit onto an outcome, dropping it from the register.
 
@@ -261,7 +241,5 @@ def load_statevector(path) -> StateVector:
     """Read a statevector written by :func:`dump_statevector`."""
     raw = np.frombuffer(Path(path).read_bytes(), dtype="<f8")
     amps = raw[0::2] + 1j * raw[1::2]
-    n = int(np.log2(len(amps)))
-    if 2 ** n != len(amps):
-        raise ValueError("dump length is not a power of two")
+    n = log2_exact(len(amps), "dump length")
     return StateVector(amps, n)

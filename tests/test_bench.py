@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from jqpie.bench import (SweepConfig, aggregate_histogram, emit_report, ingest_dataset,
-                         main, rows_to_csv, run_sweep, summarize)
+from jqpie import bench
+from jqpie.bench import (SweepConfig, aggregate_histogram, collect_stats, emit_report,
+                         ingest_dataset, main, rows_to_csv, run_sweep, summarize)
 from jqpie.imagio import GrayscaleImage, write_pgm
 from jqpie.jpegcore import sparsity_stats
 
@@ -113,8 +114,9 @@ def test_emit_report_files(tmp_path, rng):
     cfg = SweepConfig(inputs=(str(directory),), methods=("qf_jqpie",), r_set=(6,))
     images = ingest_dataset(directory)
     rows = run_sweep(cfg)
-    summary = summarize(rows, images, cfg.scale)
-    histogram = aggregate_histogram(images, cfg.scale)
+    stats = collect_stats(images, cfg.scale)
+    summary = summarize(rows, stats)
+    histogram = aggregate_histogram(stats)
     written = emit_report(rows, summary, histogram, tmp_path / "out" / "report")
     csv_text = written[0].read_text()
     assert len(csv_text.splitlines()) == 1 + len(rows)
@@ -132,7 +134,7 @@ def test_emit_report_requires_rows(tmp_path):
 
 def test_histogram_matches_sparsity_convention(tmp_path, rng):
     img = random_image(rng, 16, 16)
-    hist = aggregate_histogram([("i", img)], 1.0)
+    hist = aggregate_histogram(collect_stats([("i", img)], 1.0))
     stats = sparsity_stats(img, 1.0)
     assert np.allclose(hist, stats.histogram)
     assert np.sum(hist) == pytest.approx(stats.nonzero_count / stats.block_count)
@@ -145,7 +147,7 @@ def test_summary_cr_ranges_by_category(tmp_path, rng):
     write_pgm(random_image(rng, 16, 16), root / "textures" / "t.pgm")
     write_pgm(gradient_image(16, 16), root / "aerials" / "a.pgm")
     images = ingest_dataset(root)
-    summary = summarize([], images, 1.0)
+    summary = summarize([], collect_stats(images, 1.0))
     assert set(summary["compression_ratio"]) == {"textures", "aerials"}
     for entry in summary["compression_ratio"].values():
         assert entry["min"] <= entry["max"]
@@ -159,6 +161,18 @@ def test_cli_stats(tmp_path, rng, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert "z.pgm" in payload
     assert payload["z.pgm"]["compression_ratio"] > 1.0
+
+
+def test_cli_stats_skips_all_zero_image(tmp_path, rng, capsys, caplog):
+    directory = make_dataset(tmp_path, rng, names=("normal.pgm",))
+    write_pgm(GrayscaleImage(np.zeros((8, 8))), directory / "zero.pgm")
+    with caplog.at_level("WARNING"):
+        assert main(["stats", str(directory)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["normal.pgm"]
+    assert any("zero.pgm" in r.message for r in caplog.records)
+    # only degenerate images left: nothing to report
+    (directory / "normal.pgm").unlink()
+    assert main(["stats", str(directory)]) == 2
 
 
 def test_cli_simulate_writes_outputs(tmp_path, rng):
@@ -194,26 +208,55 @@ def test_cli_sweep_and_exit_codes(tmp_path, rng):
     assert code3 == 0
 
 
+def test_cli_sweep_loads_and_stats_each_image_once(tmp_path, rng, monkeypatch):
+    directory = make_dataset(tmp_path, rng, names=("a.pgm", "b.pgm"))
+    calls = {"load_image": 0, "sparsity_stats": 0}
+
+    def counted(name):
+        fn = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bench, name, counted(name))
+    assert main(["sweep", str(directory), "--method", "qf_jqpie", "--r", "6",
+                 "--out", str(tmp_path / "rows")]) == 0
+    assert calls == {"load_image": 2, "sparsity_stats": 2}
+
+
 def test_cli_resources(tmp_path, capsys):
     assert main(["resources", "--height", "256", "--width", "256",
                  "--method", "jqpie"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["r=5"]["state_prep_cx_reduction_pct"] == pytest.approx(50.0, abs=0.1)
     assert payload["r=4"]["state_prep_cx_reduction_pct"] == pytest.approx(75.0, abs=0.1)
-    assert main(["resources", "--height", "100", "--width", "256"]) == 2
+    capsys.readouterr()
+    for height in ("100", "0", "-8"):
+        assert main(["resources", "--height", height, "--width", "256"]) == 2
+        assert "height and width must be powers of two" in capsys.readouterr().err
 
 
-def test_cli_export_circuit_roundtrips(tmp_path, rng):
+def test_cli_export_circuit_roundtrips(tmp_path, rng, monkeypatch):
+    from jqpie import pipeline
     from jqpie.qcircuit import parse_qasm
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("export-circuit must not simulate the circuit")
+
+    monkeypatch.setattr(pipeline, "apply_circuit", no_simulation)
     img_path = tmp_path / "img.pgm"
     write_pgm(random_image(rng, 8, 8), img_path)
-    out = tmp_path / "circuit.qasm"
-    code = main(["export-circuit", str(img_path), "--method", "qf_jqpie",
-                 "--r", "3", "--out", str(out)])
-    assert code == 0
-    circuit = parse_qasm(out.read_text())
-    assert circuit.n_qubits == 6
-    assert len(circuit.gates) > 0
+    for method, n_qubits in (("qf_jqpie", 6), ("jqpie", 7)):
+        out = tmp_path / f"{method}.qasm"
+        code = main(["export-circuit", str(img_path), "--method", method,
+                     "--r", "3", "--out", str(out)])
+        assert code == 0
+        circuit = parse_qasm(out.read_text())
+        assert circuit.n_qubits == n_qubits
+        assert len(circuit.gates) > 0
 
 
 def test_cli_error_reporting(tmp_path, capsys):

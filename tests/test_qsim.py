@@ -5,9 +5,9 @@ import pytest
 
 from jqpie.jpegcore import QuantTable
 from jqpie.qcircuit import Circuit, UnloweredGateError, cx, perm_gate, ry, rz, ublock, x
-from jqpie.qsim import (StateVector, apply_circuit, apply_operator_block, basis_state,
-                        dump_statevector, from_amplitudes, load_statevector,
-                        postselect_ancilla, state_fidelity, zero_state)
+from jqpie.qsim import (StateVector, apply_circuit, basis_state, dump_statevector,
+                        from_amplitudes, load_statevector, postselect_ancilla,
+                        state_fidelity, zero_state)
 from jqpie.synth import block_encoded_rescaler, lower_circuit, qdct_operator
 
 
@@ -18,6 +18,11 @@ def test_statevector_validation():
     assert sv.norm == 1.0
     with pytest.raises(ValueError):
         from_amplitudes(np.ones(4))
+
+
+def test_from_amplitudes_rejects_empty():
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="power of two"):
+        from_amplitudes([])
 
 
 def test_cx_flips_target_when_control_set():
@@ -96,22 +101,22 @@ def test_lowered_vs_operator_gate_for_ublock(rng):
 def test_perm_swap_on_subspace():
     # swap a single qubit's basis values: |01> -> |10> on that qubit
     sv = basis_state(2, 0b01)
-    out = apply_operator_block(sv, [1, 0], targets=[0])
+    out = apply_circuit(sv, Circuit(2, (perm_gate([0], [1, 0]),)))
     assert out.amplitudes[0b00] == 1.0
     sv2 = basis_state(2, 0b00)
-    out2 = apply_operator_block(sv2, [1, 0], targets=[1])
+    out2 = apply_circuit(sv2, Circuit(2, (perm_gate([1], [1, 0]),)))
     assert out2.amplitudes[0b10] == 1.0
 
 
 def test_perm_on_multi_qubit_subspace(rng):
     perm = list(rng.permutation(8))
     sv = from_amplitudes(_random_state(rng, 5))
-    out = apply_operator_block(sv, perm, targets=[4, 2, 0])
+    out = apply_circuit(sv, Circuit(5, (perm_gate([4, 2, 0], perm),)))
     # oracle: dense matrix on the kron-extended space
     mat = np.zeros((8, 8))
     for k, v in enumerate(perm):
         mat[v, k] = 1.0
-    expected = apply_operator_block(sv, mat, targets=[4, 2, 0])
+    expected = apply_circuit(sv, Circuit(5, (ublock([4, 2, 0], mat),)))
     assert np.linalg.norm(out.amplitudes - expected.amplitudes) < 1e-12
 
 
@@ -119,7 +124,7 @@ def test_block_encoding_identity_branch():
     diag = block_encoded_rescaler(QuantTable())
     k_max = int(np.argmax(diag.diagonal))   # entry with d_k = 1
     sv = basis_state(7, k_max)              # ancilla (qubit 6) clear
-    out = apply_operator_block(sv, diag, targets=[6, 5, 4, 3, 2, 1, 0])
+    out = apply_circuit(sv, Circuit(7, (ublock([6, 5, 4, 3, 2, 1, 0], diag.unitary()),)))
     assert out.amplitudes[k_max] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -130,8 +135,8 @@ def test_block_encoding_all_ones_is_identity(rng):
     payload /= np.linalg.norm(payload)
     amps = np.zeros(128, dtype=complex)
     amps[:64] = payload                     # ancilla |0>
-    out = apply_operator_block(StateVector(amps, 7), trivial,
-                               targets=[6, 5, 4, 3, 2, 1, 0])
+    out = apply_circuit(StateVector(amps, 7),
+                        Circuit(7, (ublock([6, 5, 4, 3, 2, 1, 0], trivial.unitary()),)))
     assert np.max(np.abs(out.amplitudes[:64] - payload)) < 1e-12
     assert np.max(np.abs(out.amplitudes[64:])) < 1e-12
 
@@ -140,22 +145,21 @@ def test_ublock_matches_dense_kron_oracle(rng):
     # 8x8 operator on the low data qubits of a 10-qubit product state
     op = qdct_operator().matrix
     sv = from_amplitudes(_random_state(rng, 10))
-    out = apply_operator_block(sv, op, targets=[2, 1, 0])
+    out = apply_circuit(sv, Circuit(10, (ublock([2, 1, 0], op),)))
     dense = np.kron(np.eye(2 ** 7), op)
     expected = dense @ sv.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
 
 
-def test_apply_operator_block_validation(rng):
-    sv = zero_state(3)
+def test_operator_gate_validation():
     with pytest.raises(ValueError):
-        apply_operator_block(sv, np.eye(4), targets=[0, 0])
+        ublock([0, 0], np.eye(4))
     with pytest.raises(ValueError):
-        apply_operator_block(sv, np.eye(4), targets=[0, 5])
+        Circuit(3, (ublock([0, 5], np.eye(4)),))
     with pytest.raises(ValueError):
-        apply_operator_block(sv, np.ones((4, 4)), targets=[1, 0])
+        ublock([1, 0], np.ones((4, 4)))
     with pytest.raises(ValueError):
-        apply_operator_block(sv, [0, 0, 1, 1], targets=[1, 0])
+        perm_gate([1, 0], [0, 0, 1, 1])
 
 
 def test_postselect_product_state():
@@ -225,3 +229,10 @@ def test_statevector_dump_roundtrip(tmp_path, rng):
     assert first[1] == sv.amplitudes[0].imag
     back = load_statevector(path)
     assert np.array_equal(back.amplitudes, sv.amplitudes)
+
+
+def test_load_statevector_rejects_empty_dump(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="power of two"):
+        load_statevector(path)
