@@ -125,11 +125,14 @@ def _run_method(img: GrayscaleImage, method: str, r: int, scale: float, backend:
 
 
 def _fmt(value: float) -> str:
+    """Six decimals; a value that rounds to zero prints unsigned, because
+    the sign of rounding noise depends on the order of evaluation."""
     if value is None:
         return ""
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
-    return f"{value:.6f}"
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 def _model_reduction_pct(r: int) -> float:
@@ -141,8 +144,9 @@ def _sweep_one_image(args) -> list[dict]:
     label, img, cfg = args
     rows = []
     try:
-        baseline = classical_reference_decode(img, "jpeg", scale=cfg.scale)
-        baseline_id = f"jpeg S={cfg.scale:g}"
+        baseline = metrics.baseline_report(
+            img, classical_reference_decode(img, "jpeg", scale=cfg.scale),
+            f"jpeg S={cfg.scale:g}", ssim_mode=cfg.ssim_mode)
     except Exception as exc:   # degenerate image: every combination errors
         for method in cfg.methods:
             for r in cfg.r_set:
@@ -154,8 +158,8 @@ def _sweep_one_image(args) -> list[dict]:
             row = {"image": label, "method": method, "r": r, "S": cfg.scale, "error": ""}
             try:
                 result = _run_method(img, method, r, cfg.scale, cfg.backend, cfg.norm_mode)
-                report = metrics.quality_report(img, result.reconstructed, baseline,
-                                                baseline_id, ssim_mode=cfg.ssim_mode)
+                report = metrics.relative_report(img, result.reconstructed, baseline,
+                                                 ssim_mode=cfg.ssim_mode)
                 row.update({
                     "psnr": report.psnr,
                     "ssim": report.ssim,

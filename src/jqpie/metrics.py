@@ -94,18 +94,31 @@ def ssim(a, b, mode: str = "global", c1: float | None = None,
     return float(np.mean(scores))
 
 
-def quality_report(reference, reconstruction, baseline, baseline_id: str,
-                   ssim_mode: str = "global") -> QualityReport:
-    """Score a reconstruction and its deltas against a baseline decode.
+def baseline_report(reference, baseline, baseline_id: str,
+                    ssim_mode: str = "global") -> QualityReport:
+    """Score a baseline decode once; its deltas against itself are zero."""
+    return QualityReport(psnr(reference, baseline), ssim(reference, baseline, mode=ssim_mode),
+                         0.0, 0.0, baseline_id)
+
+
+def relative_report(reference, reconstruction, baseline: QualityReport,
+                    ssim_mode: str = "global") -> QualityReport:
+    """Score a reconstruction and its deltas against a scored baseline.
 
     Deltas of two infinite PSNR values are reported as zero (both exact).
     """
     p = psnr(reference, reconstruction)
     s = ssim(reference, reconstruction, mode=ssim_mode)
-    pb = psnr(reference, baseline)
-    sb = ssim(reference, baseline, mode=ssim_mode)
-    if math.isinf(p) and math.isinf(pb):
+    if math.isinf(p) and math.isinf(baseline.psnr):
         dp = 0.0
     else:
-        dp = p - pb
-    return QualityReport(p, s, dp, s - sb, baseline_id)
+        dp = p - baseline.psnr
+    return QualityReport(p, s, dp, s - baseline.ssim, baseline.baseline_id)
+
+
+def quality_report(reference, reconstruction, baseline, baseline_id: str,
+                   ssim_mode: str = "global") -> QualityReport:
+    """Score a reconstruction and its deltas against a baseline decode."""
+    return relative_report(reference, reconstruction,
+                           baseline_report(reference, baseline, baseline_id, ssim_mode),
+                           ssim_mode)

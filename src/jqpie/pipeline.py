@@ -15,8 +15,21 @@ Entry points:
 The two hybrid methods run through one body. They share the classical front
 end (pad to powers of two, partition, 2D DCT, zigzag, truncate, normalize),
 the state load, the decompression and the readout; passing a quantization
-table is the only difference, and it adds the quantization step, the ancilla
+scale is the only difference, and it adds the quantization step, the ancilla
 with the block-encoded rescaler, and the post-selection.
+
+Backends:
+
+  * ``operator`` - the decompression touches only the 6 data qubits and the
+    ancilla, so its ancilla-0 branch is one real 64x64 matrix M(r, S), read
+    off the decompression circuit once and cached. A run loads the
+    (n_blocks, 64) amplitudes on the h + w image qubits (directly, or by the
+    gate-by-gate cascade up to 14 active qubits) and decompresses every
+    block with one product, ``amps @ M.T``; the success probability is the
+    squared norm of the result and the ancilla-1 branch is never built.
+  * ``gate_exact`` - the full-width reference: the cascade and the lowered
+    decompression circuit, ancilla included, applied gate by gate to the
+    2^(h+w+1)-amplitude state, then post-selected.
 
 Images are zero-padded to power-of-two dimensions (at least 8) so pixels can
 be addressed by binary registers; the original dimensions are cropped back at
@@ -42,6 +55,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +65,7 @@ from .jpegcore import QuantTable, truncate_zigzag, zigzag_coefficients
 from .qcircuit import Circuit, ResourceReport, compose
 from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
                    postselect_ancilla, zero_state)
-from .synth import (DATA_QUBITS, block_encoded_rescaler, closed_form_resources,
+from .synth import (DATA_DIM, DATA_QUBITS, block_encoded_rescaler, closed_form_resources,
                     lower_circuit, lower_multiplexed_ry, synth_inverse_qdct_gates,
                     synth_state_prep, synth_truncated_zigzag)
 
@@ -181,26 +195,29 @@ def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
                             registers=registers_for(h, w, ancilla))
 
 
-def _load_state(amp_matrix: np.ndarray, h: int, w: int, r: int, ancilla: bool,
-                backend: str, direct_load: bool | None) -> StateVector:
-    """Load the amplitudes onto the register, by cascade or directly.
+def _direct_load(h: int, w: int, r: int, backend: str, direct_load: bool | None) -> bool:
+    """Whether to skip the state-preparation cascade and load directly.
 
-    Under the operator backend the verified cascade may be bypassed and the
-    amplitudes injected directly (default for large registers), which is
-    what makes megapixel-scale simulations feasible.
+    Only the operator backend may skip it; by default it does so above 14
+    active qubits, where the gate-by-gate cascade (2^active rotations, each
+    a pass over the whole state) stops being affordable.
     """
-    n = h + w + (1 if ancilla else 0)
-    active = h + w - (DATA_QUBITS - r)
     if direct_load is None:
-        direct_load = backend == "operator" and active > 14
-    if direct_load:
-        if backend != "operator":
-            raise ValueError("direct amplitude loading requires the operator backend")
-        amps = np.zeros(2 ** n, dtype=np.complex128)
-        amps[:2 ** (h + w)] = amp_matrix.reshape(-1)
-        return from_amplitudes(amps)
+        return backend == "operator" and h + w - (DATA_QUBITS - r) > 14
+    if direct_load and backend != "operator":
+        raise ValueError("direct amplitude loading requires the operator backend")
+    return direct_load
+
+
+def _load_state(amp_matrix: np.ndarray, h: int, w: int, r: int,
+                ancilla: bool) -> StateVector:
+    """Run the state-preparation cascade gate by gate from |0...0>.
+
+    The ancilla, when present, stays |0>.
+    """
     prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla)
-    return apply_circuit(zero_state(n), prep, backend="gate_exact")
+    return apply_circuit(zero_state(h + w + (1 if ancilla else 0)), prep,
+                         backend="gate_exact")
 
 
 def _decompression_circuit(h: int, w: int, r: int, table: QuantTable | None,
@@ -222,18 +239,81 @@ def _decompression_circuit(h: int, w: int, r: int, table: QuantTable | None,
     return circuit
 
 
-def _run_hybrid(img: GrayscaleImage, r: int, table: QuantTable | None, backend: str,
+@lru_cache(maxsize=64)
+def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
+    """The ancilla-0 branch of the decompression as a real 64x64 matrix M.
+
+    The decompression acts only on the data register and the ancilla, so a
+    block's loaded amplitudes a come out of it as M @ a. M is read off the
+    circuit itself: simulated on a 64-block register whose block j holds
+    the basis vector e_j, block j of the ancilla-0 branch is column j of M.
+    The ancilla-0 and ancilla-1 branches stacked must form a real isometry
+    (for QF-JQPIE, with no ancilla, M itself is orthogonal).
+    """
+    table = None if scale is None else QuantTable(scale)
+    circuit = _decompression_circuit(DATA_QUBITS, DATA_QUBITS, r, table, "operator")
+    probe = np.zeros((1 if table is None else 2, DATA_DIM, DATA_DIM), dtype=np.complex128)
+    probe[0] = np.eye(DATA_DIM) / math.sqrt(DATA_DIM)
+    out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit, backend="operator")
+    branches = out.amplitudes.reshape(-1, DATA_DIM, DATA_DIM) * math.sqrt(DATA_DIM)
+    if np.max(np.abs(branches.imag)) > 1e-12:
+        raise ArithmeticError("decompression operator is not real")
+    stacked = np.concatenate([b.T for b in branches.real])
+    if np.max(np.abs(stacked.T @ stacked - np.eye(DATA_DIM))) > 1e-9:
+        raise ArithmeticError("decompression operator is not an isometry within 1e-9")
+    matrix = np.ascontiguousarray(branches[0].real.T)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _fused_decompression(loaded: np.ndarray, h: int, w: int, r: int,
+                         scale: float | None) -> tuple[StateVector, float]:
+    """Decompress every block with one product and keep the ancilla-0 branch.
+
+    ``loaded`` holds the (n_blocks, 64) real amplitudes. Returns the
+    renormalized image state on h + w qubits and the branch probability;
+    the ancilla-1 branch is never built.
+    """
+    out = loaded @ _decompression_operator(r, scale).T
+    probability = float(np.vdot(out, out))
+    if scale is None:
+        if abs(math.sqrt(probability) - 1.0) > 1e-9:
+            raise ArithmeticError("statevector norm drifted beyond 1e-9")
+        probability = 1.0
+    else:
+        if probability <= 0.0:
+            raise ValueError(f"zero-probability branch: qubit {h + w} never reads 0")
+        if probability > 1.0 + 1e-9:
+            raise ArithmeticError("post-selection probability exceeds 1 beyond 1e-9")
+        out = out / math.sqrt(probability)
+    return StateVector(out.reshape(-1), h + w), probability
+
+
+def _run_hybrid(img: GrayscaleImage, r: int, scale: float | None, backend: str,
                 norm_mode: str, direct_load: bool | None) -> PipelineResult:
-    """Both hybrid methods; a quantization table selects JQPIE."""
+    """Both hybrid methods; a quantization scale selects JQPIE.
+
+    The operator backend loads the h + w image qubits only and decompresses
+    with the fused per-block product; ``gate_exact`` runs the full lowered
+    circuit, ancilla included, gate by gate and post-selects.
+    """
+    table = None if scale is None else QuantTable(scale)
     h, w, amp_matrix, record = _encode(img, r, table, norm_mode)
     ancilla = table is not None
-    sv = _load_state(amp_matrix, h, w, r, ancilla, backend, direct_load)
-    sv = apply_circuit(sv, _decompression_circuit(h, w, r, table, backend),
-                       backend=backend)
-    probability = 1.0
-    if ancilla:
-        post = postselect_ancilla(sv, qubit=h + w, outcome=0)
-        sv, probability = post.state, post.probability
+    direct = _direct_load(h, w, r, backend, direct_load)
+    if backend == "operator":
+        loaded = amp_matrix
+        if not direct:
+            loaded = _load_state(amp_matrix, h, w, r, False).amplitudes.real
+        sv, probability = _fused_decompression(loaded.reshape(-1, DATA_DIM), h, w, r, scale)
+    else:
+        sv = _load_state(amp_matrix, h, w, r, ancilla)
+        sv = apply_circuit(sv, _decompression_circuit(h, w, r, table, backend),
+                           backend=backend)
+        probability = 1.0
+        if ancilla:
+            post = postselect_ancilla(sv, qubit=h + w, outcome=0)
+            sv, probability = post.state, post.probability
     resources = closed_form_resources(h, w, r, method="jqpie" if ancilla else "qf_jqpie")
     recon = readout_image(sv, record, img.original_dims, success_probability=probability)
     return PipelineResult(sv, probability, record, resources, recon)
@@ -249,8 +329,14 @@ def run_jqpie(img: GrayscaleImage, r: int, scale: float = 1.0,
     zigzag, the block-encoded inverse quantization on an ancilla, the
     inverse 2D DCT, then post-select the ancilla-0 branch. The recorded
     success probability is the simulated branch weight.
+
+    The ``operator`` backend evaluates the quantum stage as one fused 64x64
+    product per block on the image qubits; ``gate_exact`` applies the full
+    lowered circuit gate by gate and is the reference it is checked against.
+    ``direct_load`` skips the state-preparation cascade (operator backend
+    only; by default above 14 active qubits).
     """
-    return _run_hybrid(img, r, QuantTable(scale), backend, norm_mode, direct_load)
+    return _run_hybrid(img, r, scale, backend, norm_mode, direct_load)
 
 
 def run_qf_jqpie(img: GrayscaleImage, r: int, backend: str = "operator",

@@ -20,6 +20,13 @@ wrapped in a PERM or UBLOCK gate of a :class:`~jqpie.qcircuit.Circuit`, whose
 construction validates it. Both backends are double precision and unitary to
 machine accuracy.
 
+The pipelines' ``operator`` backend does not run the decompression here gate
+by gate over the whole image state: :mod:`jqpie.pipeline` simulates it once,
+on a 64-block probe register, to read off its 64x64 per-block operator, and
+then applies that operator to every block with one matrix product. The
+``gate_exact`` pipeline backend runs the full gate-level circuit through
+:func:`apply_circuit` and is the reference.
+
 A statevector is owned by one simulation at a time; all functions return new
 values and distinct simulations share nothing.
 """

@@ -28,7 +28,7 @@ from scipy.linalg import cossin
 
 from .jpegcore import QuantTable, TRUNCATION_LEVELS, dct_matrix, zigzag_permutation
 from .qcircuit import (Circuit, Gate, PIPELINE_STAGES, ResourceReport, StageCost,
-                       cx, perm_gate, resource_counts, ry, schedule_depth, ublock, x)
+                       cx, perm_gate, ry, schedule_depth, ublock)
 
 DATA_QUBITS = 6           # 8x8 block -> 6-bit intra-block index
 DATA_DIM = 64

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from jqpie import bench
+from jqpie import bench, metrics
 from jqpie.bench import (SweepConfig, aggregate_histogram, collect_stats, emit_report,
                          ingest_dataset, main, rows_to_csv, run_sweep, summarize)
 from jqpie.imagio import GrayscaleImage, write_pgm
-from jqpie.jpegcore import sparsity_stats
+from jqpie.jpegcore import classical_reference_decode, sparsity_stats
 
 from conftest import gradient_image, random_image
 
@@ -69,6 +69,51 @@ def test_sweep_rows_schema_and_values(tmp_path, rng):
     for row in rows:
         assert row["error"] == ""
         assert np.isfinite(row["delta_psnr"])
+
+
+def test_sweep_scores_baseline_once_per_image(tmp_path, rng, monkeypatch):
+    directory = make_dataset(tmp_path, rng, names=("one.pgm", "two.pgm"))
+    cfg = SweepConfig(inputs=(str(directory),), methods=("jqpie", "qf_jqpie"),
+                      r_set=(3, 6), ssim_mode="windowed")
+    expected = {}
+    for label, img in ingest_dataset(directory):
+        baseline = classical_reference_decode(img, "jpeg", scale=cfg.scale)
+        for method in cfg.methods:
+            for r in cfg.r_set:
+                result = bench._run_method(img, method, r, cfg.scale, cfg.backend,
+                                           cfg.norm_mode)
+                expected[label, method, r] = metrics.quality_report(
+                    img, result.reconstructed, baseline, "jpeg S=1", ssim_mode="windowed")
+    calls = {"psnr": 0, "ssim": 0}
+
+    def counted(name):
+        fn = getattr(metrics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(metrics, name, counted(name))
+    rows = run_sweep(cfg)
+    # 2 images x 4 cells: one score per cell plus one baseline score per image
+    assert calls == {"psnr": 10, "ssim": 10}
+    for row in rows:
+        report = expected[row["image"], row["method"], row["r"]]
+        assert (row["psnr"], row["ssim"], row["delta_psnr"], row["delta_ssim"]) == (
+            report.psnr, report.ssim, report.delta_psnr, report.delta_ssim)
+
+
+def test_fmt_prints_rounding_noise_unsigned():
+    assert bench._fmt(-1e-16) == "0.000000"
+    assert bench._fmt(1e-16) == "0.000000"
+    assert bench._fmt(-0.0) == "0.000000"
+    assert bench._fmt(-4e-7) == "0.000000"
+    assert bench._fmt(-6e-7) == "-0.000001"
+    assert bench._fmt(-1.5) == "-1.500000"
+    assert bench._fmt(-np.inf) == "-inf"
+    assert bench._fmt(None) == ""
 
 
 def test_sweep_reduction_percentages(tmp_path, rng):

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2
+from jqpie import pipeline
+from jqpie.bench import SweepConfig, run_sweep
+from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
 from jqpie.jpegcore import (QuantTable, idct2_block, reference_decode_pixels,
                             truncate_zigzag, zigzag_coefficients)
-from jqpie.pipeline import (NormalizationRecord, readout_image, run_jqpie,
+from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
-from jqpie.qsim import StateVector, apply_circuit, from_amplitudes, state_fidelity
+from jqpie.qsim import (StateVector, apply_circuit, from_amplitudes, postselect_ancilla,
+                        state_fidelity)
 from jqpie.synth import block_encoded_rescaler, synth_truncated_zigzag, truncated_zigzag_map
 
 from conftest import gradient_image, random_image
@@ -283,3 +286,74 @@ def test_large_image_operator_backend(rng):
     result = run_qf_jqpie(img, r=4)
     oracle = reference_decode_pixels(img, "qf_oracle", r=4)
     assert np.max(np.abs(result.reconstructed.pixels - oracle)) <= 1e-6
+
+
+# --- fused per-block decompression (operator backend) -------------------------------
+
+def _gate_by_gate_reference(img, r, scale, norm_mode):
+    """The decompression circuit applied gate by gate to the full register,
+    ancilla included, then post-selected: what the fused product replaces."""
+    table = None if scale is None else QuantTable(scale)
+    h, w, amp_matrix, _ = pipeline._encode(img, r, table, norm_mode)
+    ancilla = table is not None
+    amps = np.zeros(2 ** (h + w + ancilla), dtype=complex)
+    amps[:amp_matrix.size] = amp_matrix.reshape(-1)
+    circuit = pipeline._decompression_circuit(h, w, r, table, "operator")
+    sv = apply_circuit(from_amplitudes(amps), circuit, backend="operator")
+    if not ancilla:
+        return sv.amplitudes, 1.0
+    post = postselect_ancilla(sv, qubit=h + w, outcome=0)
+    return post.state.amplitudes, post.probability
+
+
+@pytest.mark.parametrize("size,direct_load", [((256, 256), True), ((57, 33), None)],
+                         ids=["256x256-direct", "57x33-cascade"])
+def test_fused_decompression_matches_gate_by_gate(rng, size, direct_load):
+    img = random_image(rng, *size)
+    for norm_mode in NORM_MODES:
+        for r in (2, 3, 4, 5, 6):
+            for scale in (None, 0.25, 1.0, 8.0):
+                if scale is None:
+                    result = run_qf_jqpie(img, r, norm_mode=norm_mode, direct_load=direct_load)
+                else:
+                    result = run_jqpie(img, r, scale=scale, norm_mode=norm_mode,
+                                       direct_load=direct_load)
+                amps, probability = _gate_by_gate_reference(img, r, scale, norm_mode)
+                assert np.max(np.abs(result.state.amplitudes - amps)) <= 1e-12
+                assert abs(result.success_probability - probability) <= 1e-12
+
+
+def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(pipeline, "_decompression_operator",
+                        lambda r, scale: np.zeros((64, 64)))
+    img = random_image(rng, 16, 16)
+    with pytest.raises(ValueError, match="zero-probability branch: qubit 8 never reads 0"):
+        run_jqpie(img, r=4)
+    write_pgm(img, tmp_path / "img.pgm")
+    rows = run_sweep(SweepConfig(inputs=(str(tmp_path / "img.pgm"),), methods=("jqpie",),
+                                 r_set=(4,)))
+    assert "zero-probability branch" in rows[0]["error"]
+
+
+@pytest.mark.parametrize("direct_load", [None, True], ids=["cascade", "direct"])
+def test_operator_path_stays_on_image_qubits(rng, monkeypatch, direct_load):
+    img = random_image(rng, 64, 64)
+    for r in (3, 6):
+        for scale in (None, 1.0):
+            pipeline._decompression_operator(r, scale)   # the cached operator build
+    widths = []
+    build = StateVector.__post_init__
+
+    def spy_state(self):
+        widths.append(self.n)
+        build(self)
+
+    def no_postselect(*args, **kwargs):
+        raise AssertionError("postselect_ancilla called on the operator path")
+
+    monkeypatch.setattr(StateVector, "__post_init__", spy_state)
+    monkeypatch.setattr(pipeline, "postselect_ancilla", no_postselect)
+    for r in (3, 6):
+        run_qf_jqpie(img, r, direct_load=direct_load)
+        run_jqpie(img, r, direct_load=direct_load)
+    assert widths and max(widths) == 12
