@@ -23,10 +23,11 @@ Backends:
   * ``operator`` - the decompression touches only the 6 data qubits and the
     ancilla, so its ancilla-0 branch is one real 64x64 matrix M(r, S), read
     off the decompression circuit once and cached. A run loads the
-    (n_blocks, 64) amplitudes on the h + w image qubits (directly, or by the
-    gate-by-gate cascade up to 14 active qubits) and decompresses every
-    block with one product, ``amps @ M.T``; the success probability is the
-    squared norm of the result and the ancilla-1 branch is never built.
+    (n_blocks, 64) amplitudes on the h + w image qubits (directly, or up to
+    14 active qubits by the state-preparation cascade, one fused multiplexed
+    rotation pass per layer) and decompresses every block with one product,
+    ``amps @ M.T``; the success probability is the squared norm of the
+    result and the ancilla-1 branch is never built.
   * ``gate_exact`` - the full-width reference: the cascade and the lowered
     decompression circuit, ancilla included, applied gate by gate to the
     2^(h+w+1)-amplitude state, then post-selected.
@@ -199,8 +200,9 @@ def _direct_load(h: int, w: int, r: int, backend: str, direct_load: bool | None)
     """Whether to skip the state-preparation cascade and load directly.
 
     Only the operator backend may skip it; by default it does so above 14
-    active qubits, where the gate-by-gate cascade (2^active rotations, each
-    a pass over the whole state) stops being affordable.
+    active qubits, where synthesizing the cascade, about 2^(active + 1)
+    ``Gate`` objects, stops being affordable. Applying it is no longer the
+    limit: the operator backend makes one pass per cascade layer.
     """
     if direct_load is None:
         return backend == "operator" and h + w - (DATA_QUBITS - r) > 14
@@ -210,14 +212,16 @@ def _direct_load(h: int, w: int, r: int, backend: str, direct_load: bool | None)
 
 
 def _load_state(amp_matrix: np.ndarray, h: int, w: int, r: int,
-                ancilla: bool) -> StateVector:
-    """Run the state-preparation cascade gate by gate from |0...0>.
+                ancilla: bool, backend: str) -> StateVector:
+    """Run the state-preparation cascade from |0...0> under ``backend``.
 
-    The ancilla, when present, stays |0>.
+    ``operator`` applies each cascade layer, a uniformly controlled RY
+    lowered to an RY/CX run on one target, as one multiplexed rotation;
+    ``gate_exact`` applies the 2^active rotations and CXs one by one. The
+    ancilla, when present, stays |0>.
     """
     prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla)
-    return apply_circuit(zero_state(h + w + (1 if ancilla else 0)), prep,
-                         backend="gate_exact")
+    return apply_circuit(zero_state(h + w + (1 if ancilla else 0)), prep, backend=backend)
 
 
 def _decompression_circuit(h: int, w: int, r: int, table: QuantTable | None,
@@ -304,10 +308,10 @@ def _run_hybrid(img: GrayscaleImage, r: int, scale: float | None, backend: str,
     if backend == "operator":
         loaded = amp_matrix
         if not direct:
-            loaded = _load_state(amp_matrix, h, w, r, False).amplitudes.real
+            loaded = _load_state(amp_matrix, h, w, r, False, backend).amplitudes.real
         sv, probability = _fused_decompression(loaded.reshape(-1, DATA_DIM), h, w, r, scale)
     else:
-        sv = _load_state(amp_matrix, h, w, r, ancilla)
+        sv = _load_state(amp_matrix, h, w, r, ancilla, backend)
         sv = apply_circuit(sv, _decompression_circuit(h, w, r, table, backend),
                            backend=backend)
         probability = 1.0
@@ -373,7 +377,9 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
     For dimensions of at least 8 the state uses the project block-major
     layout (index register = block, data register = intra-block position) so
     it is directly comparable with the hybrid pipelines; smaller images fall
-    back to a plain row-major flattening.
+    back to a plain row-major flattening. Under the operator backend the
+    amplitudes are injected directly unless ``direct_load`` is False, which
+    runs the state-preparation cascade under the chosen backend instead.
     """
     h = log2_exact(img.height, "image height")
     w = log2_exact(img.width, "image width")
@@ -394,7 +400,7 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
         sv = from_amplitudes(flat.astype(np.complex128))
     else:
         prep = synth_state_prep(flat, n_qubits=n)
-        sv = apply_circuit(zero_state(n), prep, backend="gate_exact")
+        sv = apply_circuit(zero_state(n), prep, backend=backend)
     record = NormalizationRecord(norm, None, "global", None,
                                  (img.height, img.width), img.bit_depth)
     resources = closed_form_resources(h, w, r=6, method="qpie")

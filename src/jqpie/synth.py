@@ -28,28 +28,10 @@ from scipy.linalg import cossin
 
 from .jpegcore import QuantTable, TRUNCATION_LEVELS, dct_matrix, zigzag_permutation
 from .qcircuit import (Circuit, Gate, PIPELINE_STAGES, ResourceReport, StageCost,
-                       cx, perm_gate, ry, schedule_depth, ublock)
+                       cx, perm_gate, ry, schedule_depth, ublock, walsh_hadamard)
 
 DATA_QUBITS = 6           # 8x8 block -> 6-bit intra-block index
 DATA_DIM = 64
-
-
-def gray_code(i: int) -> int:
-    return i ^ (i >> 1)
-
-
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform (unnormalized, natural order)."""
-    n = len(a)
-    h = 1
-    while h < n:
-        for i in range(0, n, 2 * h):
-            left = a[i:i + h].copy()
-            right = a[i + h:i + 2 * h]
-            a[i:i + h] = left + right
-            a[i + h:i + 2 * h] = left - right
-        h *= 2
-    return a
 
 
 def multiplexed_ry_angles(alphas: np.ndarray) -> np.ndarray:
@@ -58,12 +40,9 @@ def multiplexed_ry_angles(alphas: np.ndarray) -> np.ndarray:
     theta[i] = 2^-k * sum_j (-1)^(gray(i) . j) alpha[j], computed with a fast
     Walsh-Hadamard transform instead of the dense matrix.
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    n = len(alphas)
-    if n & (n - 1):
-        raise ValueError("angle vector length must be a power of two")
-    spectrum = _fwht(alphas.copy()) / n
-    return spectrum[[gray_code(i) for i in range(n)]]
+    spectrum = walsh_hadamard(alphas) / len(alphas)
+    i = np.arange(len(spectrum))
+    return spectrum[i ^ (i >> 1)]
 
 
 def lower_multiplexed_ry(alphas, controls, target: int, skip_zero: bool = False,

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jqpie.imagio import GrayscaleImage
+
+# Property tests replay the same examples on every run and never time out
+# on a slow host, so the suite stays deterministic.
+settings.register_profile("jqpie", derandomize=True, deadline=None, database=None,
+                          max_examples=100)
+settings.load_profile("jqpie")
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jqpie import pipeline
+from jqpie import pipeline, qsim
 from jqpie.bench import SweepConfig, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
 from jqpie.jpegcore import (QuantTable, idct2_block, reference_decode_pixels,
@@ -333,6 +333,44 @@ def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
     rows = run_sweep(SweepConfig(inputs=(str(tmp_path / "img.pgm"),), methods=("jqpie",),
                                  r_set=(4,)))
     assert "zero-probability branch" in rows[0]["error"]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_decompression_operator_matches_lowered_gate_exact_circuit(r):
+    # M read off the fully lowered circuit under gate_exact: no PERM/UBLOCK
+    # entries and no fused RY/CX runs, so no operator-backend code is involved
+    for scale in (None, 0.25, 1.0, 8.0):
+        table = None if scale is None else QuantTable(scale)
+        circuit = pipeline._decompression_circuit(6, 6, r, table, "gate_exact")
+        probe = np.zeros((1 if table is None else 2, 64, 64))
+        probe[0] = np.eye(64) / 8.0
+        out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit, backend="gate_exact")
+        matrix = out.amplitudes.reshape(-1, 64, 64)[0].T * 8.0
+        assert np.max(np.abs(pipeline._decompression_operator(r, scale) - matrix)) <= 1e-12
+
+
+def test_operator_cascade_folds_each_layer_once(rng, monkeypatch):
+    img = random_image(rng, 64, 64)
+    for r in (2, 6):
+        for scale in (None, 1.0):
+            pipeline._decompression_operator(r, scale)   # the cached operator build
+    runs = []
+    fold = qsim._apply_ry_run
+
+    def spy_fold(amps, n, run):
+        runs.append(run)
+        return fold(amps, n, run)
+
+    monkeypatch.setattr(qsim, "_apply_ry_run", spy_fold)
+    for r in (2, 6):
+        for run_method in (run_qf_jqpie, run_jqpie):
+            runs.clear()
+            run_method(img, r, direct_load=False)
+            layers = 12 - (6 - r)
+            targets = [run[0].qubits[-1] for run in runs]
+            assert 0 < len(runs) <= layers
+            assert len(set(targets)) == len(targets)
+            assert all(g.tag == "state_prep" for run in runs for g in run)
 
 
 @pytest.mark.parametrize("direct_load", [None, True], ids=["cascade", "direct"])

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import ortho_group
 
 from jqpie.jpegcore import QuantTable, zigzag_permutation
-from jqpie.qcircuit import Circuit, resource_counts
+from jqpie.qcircuit import Circuit, resource_counts, walsh_hadamard
 from jqpie.qsim import apply_circuit, basis_state, zero_state
 from jqpie.synth import (block_encoded_rescaler, closed_form_resources, lower_circuit,
                          lower_givens, lower_multiplexed_ry, lower_orthogonal,
@@ -39,6 +39,28 @@ def multiplexed_ry_dense(angles, k):
 
 
 # --- multiplexer --------------------------------------------------------------
+
+def _loop_walsh_hadamard(a):
+    """Butterfly loop reference: the same stages, one slice pair at a time."""
+    a = np.array(a, dtype=np.float64)
+    h = 1
+    while h < len(a):
+        for i in range(0, len(a), 2 * h):
+            left = a[i:i + h].copy()
+            right = a[i + h:i + 2 * h].copy()
+            a[i:i + h] = left + right
+            a[i + h:i + 2 * h] = left - right
+        h *= 2
+    return a
+
+
+def test_walsh_hadamard_matches_loop_butterflies_bit_for_bit(rng):
+    for k in range(0, 11):
+        values = rng.uniform(-4, 4, 2 ** k)
+        assert np.array_equal(walsh_hadamard(values), _loop_walsh_hadamard(values))
+    with pytest.raises(ValueError):
+        walsh_hadamard(np.ones(6))
+
 
 def test_multiplexed_ry_angle_transform_matches_dense_matrix(rng):
     for k in (1, 2, 3, 4):
