@@ -178,8 +178,11 @@ def _sweep_one_image(args) -> list[dict]:
 
 def _sweep_images(images: list[tuple[str, GrayscaleImage]], cfg: SweepConfig) -> list[dict]:
     tasks = [(label, img, cfg) for label, img in images]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # The pool forks all its workers on the first submit, so never ask it
+    # for more than there are images.
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_image = list(pool.map(_sweep_one_image, tasks))
     else:
         per_image = [_sweep_one_image(t) for t in tasks]

@@ -151,6 +151,8 @@ def _load_pnm(data: bytes) -> GrayscaleImage:
     magic = data[:2]
     if magic not in (b"P2", b"P5", b"P3", b"P6"):
         raise ImageFormatError(f"unsupported format: magic {magic!r}")
+    if not (data[2:3].isspace() or data[2:3] == b"#"):
+        raise ImageFormatError(f"corrupt header: magic {magic!r} not followed by whitespace")
     (w, h, maxval), pos = _read_pnm_tokens(data, 3, 2)
     if w <= 0 or h <= 0:
         raise ImageFormatError("corrupt header: non-positive dimensions")
@@ -161,6 +163,8 @@ def _load_pnm(data: bytes) -> GrayscaleImage:
 
     if magic in (b"P5", b"P6"):
         # Binary payload starts after exactly one whitespace byte.
+        if not data[pos:pos + 1].isspace():
+            raise ImageFormatError("corrupt header: maxval not followed by whitespace")
         payload = data[pos + 1:]
         if len(payload) < n_values:
             raise ImageFormatError("corrupt payload: truncated pixel data")
@@ -170,10 +174,9 @@ def _load_pnm(data: bytes) -> GrayscaleImage:
         fields = body.split()
         if len(fields) < n_values:
             raise ImageFormatError("corrupt payload: truncated pixel data")
-        try:
-            values = np.array([int(f) for f in fields[:n_values]], dtype=np.float64)
-        except ValueError as exc:
-            raise ImageFormatError("corrupt payload: non-numeric sample") from exc
+        if not all(f.isdigit() for f in fields[:n_values]):
+            raise ImageFormatError("corrupt payload: sample is not an unsigned integer")
+        values = np.array([int(f) for f in fields[:n_values]], dtype=np.float64)
 
     if np.any(values > maxval):
         raise ImageFormatError("corrupt payload: sample exceeds maxval")

@@ -24,10 +24,10 @@ Backends:
     ancilla, so its ancilla-0 branch is one real 64x64 matrix M(r, S), read
     off the decompression circuit once and cached. A run loads the
     (n_blocks, 64) amplitudes on the h + w image qubits (directly, or up to
-    14 active qubits by the state-preparation cascade, one fused multiplexed
-    rotation pass per layer) and decompresses every block with one product,
-    ``amps @ M.T``; the success probability is the squared norm of the
-    result and the ancilla-1 branch is never built.
+    14 active qubits by the state-preparation cascade, evaluated from its
+    layer angles without building a gate) and decompresses every block with
+    one product, ``amps @ M.T``; the success probability is the squared norm
+    of the result and the ancilla-1 branch is never built.
   * ``gate_exact`` - the full-width reference: the cascade and the lowered
     decompression circuit, ancilla included, applied gate by gate to the
     2^(h+w+1)-amplitude state, then post-selected.
@@ -67,8 +67,8 @@ from .qcircuit import Circuit, ResourceReport, compose
 from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
                    postselect_ancilla, zero_state)
 from .synth import (DATA_DIM, DATA_QUBITS, block_encoded_rescaler, closed_form_resources,
-                    lower_circuit, lower_multiplexed_ry, synth_inverse_qdct_gates,
-                    synth_state_prep, synth_truncated_zigzag)
+                    lower_circuit, lower_multiplexed_ry, state_prep_angles,
+                    synth_inverse_qdct_gates, synth_state_prep, synth_truncated_zigzag)
 
 METHODS = ("jqpie", "qf_jqpie")
 NORM_MODES = ("global", "per_block")
@@ -200,9 +200,11 @@ def _direct_load(h: int, w: int, r: int, backend: str, direct_load: bool | None)
     """Whether to skip the state-preparation cascade and load directly.
 
     Only the operator backend may skip it; by default it does so above 14
-    active qubits, where synthesizing the cascade, about 2^(active + 1)
-    ``Gate`` objects, stops being affordable. Applying it is no longer the
-    limit: the operator backend makes one pass per cascade layer.
+    active qubits. The cascade load (:func:`_load_state`) is O(2^active),
+    but above that cut it costs as much as the rest of the run (1024x1024
+    at r = 6, 20 active qubits, on a 2-CPU host with one BLAS thread: 0.058
+    s of a 0.127 s run, against 0.066 s loading directly), and the cut keeps
+    every input on the loading path it has always taken.
     """
     if direct_load is None:
         return backend == "operator" and h + w - (DATA_QUBITS - r) > 14
@@ -211,17 +213,29 @@ def _direct_load(h: int, w: int, r: int, backend: str, direct_load: bool | None)
     return direct_load
 
 
-def _load_state(amp_matrix: np.ndarray, h: int, w: int, r: int,
-                ancilla: bool, backend: str) -> StateVector:
-    """Run the state-preparation cascade from |0...0> under ``backend``.
+def _load_state(amplitudes: np.ndarray) -> np.ndarray:
+    """The state-preparation cascade applied to |0...0>, from its layer angles.
 
-    ``operator`` applies each cascade layer, a uniformly controlled RY
-    lowered to an RY/CX run on one target, as one multiplexed rotation;
-    ``gate_exact`` applies the 2^active rotations and CXs one by one. The
-    ancilla, when present, stays |0>.
+    ``amplitudes`` is the real unit vector to load, in any shape; its flat
+    row-major order runs over the active qubits most significant first, as
+    the targets of :func:`~jqpie.synth.synth_state_prep`. Layer k rotates
+    the k-th active qubit by ``alphas[c]`` when the qubits above it hold c;
+    on |0...0> only the 2^k patterns already rotated carry weight, so the
+    layer maps v to the interleave of cos(alphas/2) v and sin(alphas/2) v.
+    Returns, in the input's shape, what the cascade circuit leaves on the
+    active qubits, at O(2^active) cost with no gate built or applied. The
+    checks are the circuit path's: the input must be unit within 1e-10 and
+    the loaded norm may not drift beyond 1e-9. The ``gate_exact`` backend
+    runs the circuit itself (:func:`_state_prep_circuit`).
     """
-    prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla)
-    return apply_circuit(zero_state(h + w + (1 if ancilla else 0)), prep, backend=backend)
+    vector = amplitudes.reshape(-1)
+    loaded = np.ones(1)
+    for alphas in state_prep_angles(vector):
+        half = alphas / 2.0
+        loaded = np.stack([np.cos(half) * loaded, np.sin(half) * loaded], -1).reshape(-1)
+    if abs(np.linalg.norm(loaded) - 1.0) > 1e-9:
+        raise ArithmeticError("statevector norm drifted beyond 1e-9")
+    return loaded.reshape(amplitudes.shape)
 
 
 def _decompression_circuit(h: int, w: int, r: int, table: QuantTable | None,
@@ -308,10 +322,12 @@ def _run_hybrid(img: GrayscaleImage, r: int, scale: float | None, backend: str,
     if backend == "operator":
         loaded = amp_matrix
         if not direct:
-            loaded = _load_state(amp_matrix, h, w, r, False, backend).amplitudes.real
-        sv, probability = _fused_decompression(loaded.reshape(-1, DATA_DIM), h, w, r, scale)
+            loaded = np.zeros_like(amp_matrix)
+            loaded[:, :2 ** r] = _load_state(amp_matrix[:, :2 ** r])
+        sv, probability = _fused_decompression(loaded, h, w, r, scale)
     else:
-        sv = _load_state(amp_matrix, h, w, r, ancilla, backend)
+        prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla)
+        sv = apply_circuit(zero_state(prep.n_qubits), prep, backend=backend)
         sv = apply_circuit(sv, _decompression_circuit(h, w, r, table, backend),
                            backend=backend)
         probability = 1.0
@@ -338,7 +354,8 @@ def run_jqpie(img: GrayscaleImage, r: int, scale: float = 1.0,
     product per block on the image qubits; ``gate_exact`` applies the full
     lowered circuit gate by gate and is the reference it is checked against.
     ``direct_load`` skips the state-preparation cascade (operator backend
-    only; by default above 14 active qubits).
+    only; by default above 14 active qubits). Raises ValueError when the
+    truncated coefficients are all zero.
     """
     return _run_hybrid(img, r, scale, backend, norm_mode, direct_load)
 
@@ -350,7 +367,8 @@ def run_qf_jqpie(img: GrayscaleImage, r: int, backend: str = "operator",
 
     Loads the unquantized truncated zigzag coefficients, applies the
     truncated inverse zigzag and the inverse 2D DCT. No ancilla, no block
-    encoding, and the success probability is exactly 1.
+    encoding, and the success probability is exactly 1. Raises ValueError
+    when the truncated coefficients are all zero.
     """
     return _run_hybrid(img, r, None, backend, norm_mode, direct_load)
 
@@ -379,7 +397,8 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
     it is directly comparable with the hybrid pipelines; smaller images fall
     back to a plain row-major flattening. Under the operator backend the
     amplitudes are injected directly unless ``direct_load`` is False, which
-    runs the state-preparation cascade under the chosen backend instead.
+    loads them through the state-preparation cascade (:func:`_load_state`);
+    ``gate_exact`` always runs the cascade circuit.
     """
     h = log2_exact(img.height, "image height")
     w = log2_exact(img.width, "image width")
@@ -394,13 +413,10 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
     else:
         flat = pixels.reshape(-1) / norm
     n = h + w
-    if direct_load is None:
-        direct_load = backend == "operator"
-    if direct_load and backend == "operator":
-        sv = from_amplitudes(flat.astype(np.complex128))
+    if backend == "operator":
+        sv = from_amplitudes(_load_state(flat) if direct_load is False else flat)
     else:
-        prep = synth_state_prep(flat, n_qubits=n)
-        sv = apply_circuit(zero_state(n), prep, backend=backend)
+        sv = apply_circuit(zero_state(n), synth_state_prep(flat, n_qubits=n), backend=backend)
     record = NormalizationRecord(norm, None, "global", None,
                                  (img.height, img.width), img.bit_depth)
     resources = closed_form_resources(h, w, r=6, method="qpie")

@@ -161,29 +161,6 @@ def compose(a: Circuit, b: Circuit) -> Circuit:
     return Circuit(a.n_qubits, a.gates + b.gates, a.registers)
 
 
-def walsh_hadamard(values) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform in natural order.
-
-    ``out[c] = sum_m (-1)^popcount(c & m) * values[m]``, by log2(len)
-    butterfly stages. A uniformly controlled RY and its interleaved RY/CX
-    chain are related by this transform: :mod:`jqpie.synth` uses it to get
-    the chain angles from the per-pattern angles, and :mod:`jqpie.qsim` to
-    fold a chain back into one rotation per control pattern.
-    """
-    out = np.array(values, dtype=np.float64)
-    n = len(out)
-    if n & (n - 1):
-        raise ValueError("Walsh-Hadamard length must be a power of two")
-    h = 1
-    while h < n:
-        view = out.reshape(-1, 2, h)
-        left, right = view[:, 0, :].copy(), view[:, 1, :].copy()
-        view[:, 0, :] = left + right
-        view[:, 1, :] = left - right
-        h *= 2
-    return out
-
-
 @dataclass(frozen=True)
 class StageCost:
     cx: int = 0

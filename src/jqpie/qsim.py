@@ -14,25 +14,21 @@ Project basis convention (single source of truth, consumed by every module):
 
 Backends: ``gate_exact`` applies every elementary gate, one pass over the
 state each, and rejects operator-level entries; it is the reference.
-``operator`` additionally applies PERM/UBLOCK gates directly on their target
-subspace, and applies each maximal run of two or more consecutive RY(t) and
-CX(c -> t) gates sharing a target t as one multiplexed rotation: the net
-rotation angle and X flip for every pattern of the run's controls are folded
-from the run's own gates (X RY(theta) X = RY(-theta), then one
-Walsh-Hadamard transform) and applied in one pass. A uniformly controlled RY
-lowers to exactly such a run, so a state-preparation cascade costs one pass
-per layer instead of one per gate. :func:`apply_circuit` is the only way to
-apply an operator: a permutation, a dense unitary or a block encoding is
-wrapped in a PERM or UBLOCK gate of a :class:`~jqpie.qcircuit.Circuit`, whose
-construction validates it. Both backends are double precision and unitary to
-machine accuracy; they agree to rounding (about 1e-15 per amplitude).
+``operator`` applies the same elementary gates one by one and, in addition,
+PERM/UBLOCK gates directly on their target subspace.
+:func:`apply_circuit` is the only way to apply an operator: a permutation, a
+dense unitary or a block encoding is wrapped in a PERM or UBLOCK gate of a
+:class:`~jqpie.qcircuit.Circuit`, whose construction validates it. Both
+backends are double precision and unitary to machine accuracy; they agree to
+rounding (about 1e-15 per amplitude).
 
-The pipelines' ``operator`` backend does not run the decompression here gate
-by gate over the whole image state: :mod:`jqpie.pipeline` simulates it once,
-on a 64-block probe register, to read off its 64x64 per-block operator, and
-then applies that operator to every block with one matrix product. The
-``gate_exact`` pipeline backend runs the full gate-level circuit through
-:func:`apply_circuit` and is the reference.
+The pipelines' ``operator`` backend runs neither the state-preparation
+cascade nor the decompression here over the whole image state:
+:mod:`jqpie.pipeline` loads the cascade's amplitudes from its layer angles,
+and simulates the decompression once, on a 64-block probe register, to read
+off its 64x64 per-block operator, then applies that operator to every block
+with one matrix product. The ``gate_exact`` pipeline backend runs the full
+gate-level circuit through :func:`apply_circuit` and is the reference.
 
 A statevector is owned by one simulation at a time; all functions return new
 values and distinct simulations share nothing.
@@ -45,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qcircuit import Circuit, Gate, UnloweredGateError, walsh_hadamard
+from .qcircuit import Circuit, Gate, UnloweredGateError
 
 BACKENDS = ("gate_exact", "operator")
 
@@ -175,59 +171,6 @@ def _apply_perm(amps: np.ndarray, n: int, perm, targets) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def _ry_run_end(gates, start: int) -> int:
-    """End of the run of RY(t) and CX(c -> t) gates that starts at ``start``.
-
-    The target t is that of the first gate; a run ends at the first gate of
-    another kind or on another target.
-    """
-    first = gates[start]
-    if first.kind not in ("ry", "cx"):
-        return start + 1
-    target = first.qubits[-1]
-    end = start + 1
-    while (end < len(gates) and gates[end].kind in ("ry", "cx")
-           and gates[end].qubits[-1] == target):
-        end += 1
-    return end
-
-
-def _apply_ry_run(amps: np.ndarray, n: int, run) -> np.ndarray:
-    """Apply a run of RY(t) and CX(c -> t) gates as one multiplexed rotation.
-
-    Since X RY(theta) X = RY(-theta), pushing every CX of the run past the
-    rotations turns RY_i into RY(+-theta_i), the sign being the parity of
-    the control pattern c against m_i, the XOR of the masks of the CXs
-    applied before it. Summing theta_i by m_i and one Walsh-Hadamard
-    transform give the net angle for every c; the X flips left over are
-    parity(c & m_total). One pass over the controls + target subspace then
-    applies RY(angle(c)) followed by X^flip(c).
-    """
-    target = run[0].qubits[-1]
-    controls = sorted({g.qubits[0] for g in run if g.kind == "cx"}, reverse=True)
-    k = len(controls)
-    bit = {q: 1 << (k - 1 - j) for j, q in enumerate(controls)}
-    sums = np.zeros(1 << k)
-    mask = 0
-    for g in run:
-        if g.kind == "cx":
-            mask ^= bit[g.qubits[0]]
-        else:
-            sums[mask] += g.angle
-    half = walsh_hadamard(sums) / 2.0
-    cos, sin = np.cos(half)[:, None], np.sin(half)[:, None]
-    psi, shape, axes = _subspace_view(amps, n, controls + [target])
-    flat = psi.reshape(1 << k, 2, -1)
-    a0, a1 = flat[:, 0, :], flat[:, 1, :]
-    out = np.stack([cos * a0 - sin * a1, sin * a0 + cos * a1], axis=1)
-    unit = np.zeros(1 << k)
-    unit[mask] = 1.0
-    flips = walsh_hadamard(unit) < 0.0      # (-1)^parity(c & mask) per pattern c
-    out[flips] = out[flips, ::-1]
-    psi = np.moveaxis(out.reshape(shape), range(k + 1), axes)
-    return psi.reshape(-1)
-
-
 # --- public operations ----------------------------------------------------------
 
 def apply_gate(amps: np.ndarray, n: int, gate: Gate, operator_ok: bool) -> np.ndarray:
@@ -251,31 +194,19 @@ def apply_gate(amps: np.ndarray, n: int, gate: Gate, operator_ok: bool) -> np.nd
 
 def apply_circuit(sv: StateVector, circuit: Circuit,
                   backend: str = "operator", check_norm: bool = True) -> StateVector:
-    """Apply a circuit to a state, returning the new state.
+    """Apply a circuit to a state gate by gate, returning the new state.
 
-    ``gate_exact`` requires a fully lowered circuit and applies it gate by
-    gate. ``operator`` applies PERM and UBLOCK entries directly on their
-    subspaces, and each maximal run of two or more RY(t)/CX(c -> t) gates
-    sharing a target t as one multiplexed rotation (:func:`_apply_ry_run`).
+    ``gate_exact`` requires a fully lowered circuit. ``operator`` also
+    applies PERM and UBLOCK entries directly on their subspaces.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if sv.n != circuit.n_qubits:
         raise ValueError(f"state has {sv.n} qubits, circuit expects {circuit.n_qubits}")
     amps = sv.amplitudes.copy()
-    gates = circuit.gates
-    if backend == "gate_exact":
-        for gate in gates:
-            amps = apply_gate(amps, sv.n, gate, False)
-    else:
-        start = 0
-        while start < len(gates):
-            end = _ry_run_end(gates, start)
-            if end - start > 1:
-                amps = _apply_ry_run(amps, sv.n, gates[start:end])
-            else:
-                amps = apply_gate(amps, sv.n, gates[start], True)
-            start = end
+    operator_ok = backend == "operator"
+    for gate in circuit.gates:
+        amps = apply_gate(amps, sv.n, gate, operator_ok)
     if check_norm and abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise ArithmeticError("statevector norm drifted beyond 1e-9")
     return StateVector(amps, sv.n)

@@ -28,10 +28,31 @@ from scipy.linalg import cossin
 
 from .jpegcore import QuantTable, TRUNCATION_LEVELS, dct_matrix, zigzag_permutation
 from .qcircuit import (Circuit, Gate, PIPELINE_STAGES, ResourceReport, StageCost,
-                       cx, perm_gate, ry, schedule_depth, ublock, walsh_hadamard)
+                       cx, perm_gate, ry, schedule_depth, ublock)
 
 DATA_QUBITS = 6           # 8x8 block -> 6-bit intra-block index
 DATA_DIM = 64
+
+
+def walsh_hadamard(values) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform in natural order.
+
+    ``out[c] = sum_m (-1)^popcount(c & m) * values[m]``, by log2(len)
+    butterfly stages. A uniformly controlled RY and its interleaved RY/CX
+    chain are related by this transform.
+    """
+    out = np.array(values, dtype=np.float64)
+    n = len(out)
+    if n & (n - 1):
+        raise ValueError("Walsh-Hadamard length must be a power of two")
+    h = 1
+    while h < n:
+        view = out.reshape(-1, 2, h)
+        left, right = view[:, 0, :].copy(), view[:, 1, :].copy()
+        view[:, 0, :] = left + right
+        view[:, 1, :] = left - right
+        h *= 2
+    return out
 
 
 def multiplexed_ry_angles(alphas: np.ndarray) -> np.ndarray:
@@ -83,10 +104,16 @@ def state_prep_angles(vector: np.ndarray) -> list[np.ndarray]:
     Layer k (k = 0..m-1) rotates the k-th most significant qubit conditioned
     on the ones above it. Interior layers split unsigned subtree norms; the
     last layer resolves the signed leaf pairs, which is where RY picks up the
-    signs. Zero-norm subtrees get angle 0.
+    signs. Zero-norm subtrees get angle 0. Raises ValueError unless the
+    vector has a power-of-two length and unit norm within 1e-10.
     """
     vector = np.asarray(vector, dtype=np.float64)
-    m = int(np.log2(len(vector)))
+    n = len(vector)
+    if n < 1 or n & (n - 1):
+        raise ValueError("amplitude vector length must be a power of two")
+    if abs(np.linalg.norm(vector) - 1.0) > 1e-10:
+        raise ValueError("amplitude vector must be L2-normalized within 1e-10")
+    m = n.bit_length() - 1
     levels = [np.abs(vector)]
     while len(levels[-1]) > 1:
         prev = levels[-1]
@@ -108,22 +135,17 @@ def synth_state_prep(amplitudes, targets=None, n_qubits: int | None = None,
     the target amplitudes exactly; layer k contributes 2^k rotations and, for
     k >= 1, 2^k CX gates, totalling 2^m - 1 rotations and 2^m - 2 CX.
     """
-    vec = np.asarray(amplitudes, dtype=np.float64)
-    n = len(vec)
-    if n < 1 or n & (n - 1):
-        raise ValueError("amplitude vector length must be a power of two")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-        raise ValueError("amplitude vector must be L2-normalized within 1e-10")
-    m = n.bit_length() - 1
+    layers = state_prep_angles(amplitudes)
+    m = len(layers)
     if targets is None:
         targets = list(range(m - 1, -1, -1))
     targets = [int(q) for q in targets]
     if len(targets) != m:
-        raise ValueError(f"need {m} target qubits for {n} amplitudes")
+        raise ValueError(f"need {m} target qubits for {2 ** m} amplitudes")
     if n_qubits is None:
         n_qubits = max(targets) + 1 if targets else 1
     gates: list[Gate] = []
-    for k, alphas in enumerate(state_prep_angles(vec)):
+    for k, alphas in enumerate(layers):
         gates.extend(lower_multiplexed_ry(alphas, targets[:k], targets[k], tag=tag))
     return Circuit(n_qubits, tuple(gates), registers)
 

@@ -154,6 +154,36 @@ def test_sweep_parallel_matches_serial(tmp_path, rng):
     assert rows_to_csv(run_sweep(serial)) == rows_to_csv(run_sweep(parallel))
 
 
+def test_sweep_starts_no_more_workers_than_images(tmp_path, rng, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    directory = make_dataset(tmp_path, rng, size=8)
+    images = bench._collect_inputs((str(directory),), False)
+    for n_images, jobs, expected in ((1, 4, []), (2, 4, [2]), (3, 2, [2]), (3, 1, [])):
+        pools.clear()
+        cfg = SweepConfig(inputs=(str(directory),), methods=("qf_jqpie",), r_set=(2,),
+                          jobs=jobs)
+        rows = bench._sweep_images(images[:n_images], cfg)
+        assert pools == expected
+        assert [row["image"] for row in rows] == [label for label, _ in images[:n_images]]
+
+
 def test_emit_report_files(tmp_path, rng):
     directory = make_dataset(tmp_path, rng, names=("p.pgm", "q.pgm"))
     cfg = SweepConfig(inputs=(str(directory),), methods=("qf_jqpie",), r_set=(6,))

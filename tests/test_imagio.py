@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from jqpie.imagio import (BlockGrid, GrayscaleImage, ImageFormatError,
+from jqpie.imagio import (BT601_WEIGHTS, BlockGrid, GrayscaleImage, ImageFormatError, _load_pnm,
                           assemble_image, load_image, pad_and_partition,
                           pad_to_pow2, write_pgm)
 
@@ -61,6 +62,89 @@ def test_truncated_p5_payload_errors(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
     with pytest.raises(ImageFormatError, match="corrupt payload"):
         load_image(path)
+
+
+@pytest.mark.parametrize("data", [b"P2\n2 1\n255\n-7 +3\n", b"P2\n2 1\n255\n1_0 3\n",
+                                  b"P23 1\n255\n1 2 3\n", b"P6", b"P5 ",
+                                  b"P5\n2 1\n255#xy\n\x01\x02"],
+                         ids=["signed", "underscore", "magic-joined", "magic-only", "no-header",
+                              "comment-before-raster"])
+def test_malformed_pnm_errors(data):
+    with pytest.raises(ImageFormatError, match="corrupt"):
+        _load_pnm(data)
+
+
+def test_comment_directly_after_magic():
+    assert np.array_equal(_load_pnm(b"P2# c\n2 1 # d\n255\n7 9\n").pixels, [[7, 9]])
+
+
+_GAPS = st.lists(st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"# note\n", b"#\n"]),
+                 min_size=0, max_size=3).map(b"".join)
+_TOKENS = st.sampled_from([b"-1", b"+2", b"1_0", b"0x1", b"x", b"\xff", b"1.5",
+                           b"99999999999999999999"])
+
+
+@st.composite
+def _pnm_bytes(draw):
+    """A small valid PNM file with comments in odd places, or one corrupted
+    by a single fault: a bad header token or ASCII sample, no separator
+    after the magic, a maxval edge, zero dimensions, a short or long
+    payload, or a cut anywhere.
+
+    Returns the bytes and what loading them must give: the pixels for a
+    valid file, ``None`` for a file that must be rejected, and ``...`` when
+    either outcome is right (a long payload, a cut that leaves a shorter
+    valid file).
+    """
+    fault = draw(st.sampled_from(["none", "header", "sample", "joined", "maxval", "dims",
+                                  "short", "long", "cut"]))
+    magic = draw(st.sampled_from([b"P2", b"P3"] if fault == "sample"
+                                 else [b"P2", b"P3", b"P5", b"P6"]))
+    channels = 3 if magic in (b"P3", b"P6") else 1
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if fault == "dims":
+        w, h = draw(st.sampled_from([(0, h), (w, 0), (0, 0)]))
+    maxval = draw(st.sampled_from([0, 256]) if fault == "maxval"
+                  else st.sampled_from([1, 255]) | st.integers(1, 255))
+    header = [str(w).encode(), str(h).encode(), str(maxval).encode()]
+    n_values = w * h * channels + {"short": -1, "long": 1}.get(fault, 0)
+    samples = draw(st.lists(st.integers(0, min(maxval, 255)), min_size=n_values,
+                            max_size=n_values))
+    tokens = [str(v).encode() for v in samples]
+    if fault in ("header", "sample"):
+        target = header if fault == "header" else tokens
+        target[draw(st.integers(0, len(target) - 1))] = draw(_TOKENS)
+    if fault == "joined":
+        data = magic + b" ".join(header)
+    else:
+        data = magic + draw(_GAPS)
+        for token in header:
+            data += draw(_GAPS) + (b"" if data[-1:] in b" \n\t" else b" ") + token
+    if magic in (b"P5", b"P6"):
+        data += b"\n" + bytes(samples)
+    else:
+        for token in tokens:
+            data += draw(_GAPS) + b" " + token
+    if fault == "cut":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    if fault == "none":
+        values = np.array(samples, dtype=np.float64).reshape(h, w, channels)
+        return data, values[..., 0] if channels == 1 else values @ BT601_WEIGHTS
+    return data, (... if fault in ("long", "cut") else None)
+
+
+@given(_pnm_bytes())
+def test_pnm_parser_raises_only_image_format_error(case):
+    data, expected = case
+    try:
+        img = _load_pnm(data)
+    except ImageFormatError:
+        assert not isinstance(expected, np.ndarray)
+        return
+    assert expected is not None
+    if isinstance(expected, np.ndarray):
+        assert np.allclose(img.pixels, expected, rtol=0, atol=1e-12)
+    assert np.all(img.pixels >= 0) and np.all(img.pixels <= 255)
 
 
 def test_unsupported_format_errors(tmp_path):

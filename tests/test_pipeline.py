@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jqpie import pipeline, qsim
+from jqpie import pipeline
 from jqpie.bench import SweepConfig, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
 from jqpie.jpegcore import (QuantTable, idct2_block, reference_decode_pixels,
@@ -11,8 +12,9 @@ from jqpie.jpegcore import (QuantTable, idct2_block, reference_decode_pixels,
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
 from jqpie.qsim import (StateVector, apply_circuit, from_amplitudes, postselect_ancilla,
-                        state_fidelity)
-from jqpie.synth import block_encoded_rescaler, synth_truncated_zigzag, truncated_zigzag_map
+                        state_fidelity, zero_state)
+from jqpie.synth import (block_encoded_rescaler, synth_state_prep, synth_truncated_zigzag,
+                         truncated_zigzag_map)
 
 from conftest import gradient_image, random_image
 
@@ -184,6 +186,48 @@ def test_non_pow2_images_pad_and_crop(rng):
     assert np.max(np.abs(result.reconstructed.pixels - img.pixels)) <= 1e-8
 
 
+_DIMS = st.sampled_from([1, 7, 8, 9, 63, 64, 80]) | st.integers(1, 80)
+
+
+@st.composite
+def _edge_images(draw):
+    """Odd sizes (1xN, Nx1, non-multiples of 8), low bit depths, and constant,
+    all-zero or partly zero-block images."""
+    h, w = draw(_DIMS), draw(_DIMS)
+    bit_depth = draw(st.integers(1, 8))
+    peak = 2 ** bit_depth - 1
+    kind = draw(st.sampled_from(["random", "constant", "zero", "zero_blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "constant":
+        pixels = np.full((h, w), float(draw(st.integers(0, peak))))
+    elif kind == "zero":
+        pixels = np.zeros((h, w))
+    else:
+        pixels = rng.integers(0, peak + 1, (h, w)).astype(np.float64)
+        if kind == "zero_blocks":
+            keep = rng.random((-(-h // 8), -(-w // 8))) < 0.5
+            pixels *= np.kron(keep, np.ones((8, 8)))[:h, :w]
+    return GrayscaleImage(pixels, bit_depth=bit_depth)
+
+
+@given(_edge_images(), st.sampled_from(pipeline.METHODS), st.integers(2, 6),
+       st.floats(0.05, 50), st.sampled_from(NORM_MODES))
+def test_hybrid_methods_match_oracles_at_the_edges(img, method, r, scale, norm_mode):
+    # the default operator path: every padded size here loads by the cascade
+    if method == "jqpie":
+        table, oracle_mode = QuantTable(scale), "jqpie_oracle"
+        run = lambda: run_jqpie(img, r, scale=scale, norm_mode=norm_mode)
+    else:
+        table, oracle_mode = None, "qf_oracle"
+        run = lambda: run_qf_jqpie(img, r, norm_mode=norm_mode)
+    if not np.any(truncate_zigzag(zigzag_coefficients(pad_and_partition(img), table), r)):
+        with pytest.raises(ValueError, match="truncated coefficient vector is identically zero"):
+            run()
+        return
+    oracle = reference_decode_pixels(img, oracle_mode, r=r, scale=scale)
+    assert np.max(np.abs(run().reconstructed.pixels - oracle)) <= 1e-6
+
+
 # --- stage-state check ---------------------------------------------------------------
 
 def test_zigzag_stage_moves_amplitudes_exhaustively(rng):
@@ -349,28 +393,66 @@ def test_decompression_operator_matches_lowered_gate_exact_circuit(r):
         assert np.max(np.abs(pipeline._decompression_operator(r, scale) - matrix)) <= 1e-12
 
 
-def test_operator_cascade_folds_each_layer_once(rng, monkeypatch):
+# --- angle-level state load (operator backend) ------------------------------------
+
+@st.composite
+def _unit_vectors(draw):
+    """Signed unit vectors on 1..12 active qubits, some with whole zero subtrees."""
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vec = rng.standard_normal(2 ** m)
+    level = draw(st.integers(0, m))
+    subtrees = vec.reshape(2 ** level, -1)
+    zeroed = draw(st.lists(st.integers(0, 2 ** level - 1), max_size=2 ** level - 1,
+                           unique=True))
+    subtrees[zeroed] = 0.0
+    return vec / np.linalg.norm(vec)
+
+
+@settings(max_examples=40)
+@given(_unit_vectors())
+def test_load_state_matches_gate_exact_cascade(vec):
+    m = len(vec).bit_length() - 1
+    reference = apply_circuit(zero_state(m), synth_state_prep(vec), backend="gate_exact")
+    assert np.max(np.abs(pipeline._load_state(vec) - reference.amplitudes)) <= 1e-12
+
+
+def test_load_state_keeps_the_circuit_checks(monkeypatch):
+    with pytest.raises(ValueError, match="L2-normalized within 1e-10"):
+        pipeline._load_state(np.full(4, 0.5 + 1e-9))
+    # a layer of the wrong size stands in for a loader bug that breaks the norm
+    monkeypatch.setattr(pipeline, "state_prep_angles", lambda vec: [np.array([0.0, 0.0])])
+    with pytest.raises(ArithmeticError, match="norm drifted"):
+        pipeline._load_state(np.full(4, 0.5))
+
+
+def test_operator_load_builds_no_circuit(rng, monkeypatch):
     img = random_image(rng, 64, 64)
     for r in (2, 6):
         for scale in (None, 1.0):
             pipeline._decompression_operator(r, scale)   # the cached operator build
-    runs = []
-    fold = qsim._apply_ry_run
+    loads = []
 
-    def spy_fold(amps, n, run):
-        runs.append(run)
-        return fold(amps, n, run)
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            loads.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, wrapped)
 
-    monkeypatch.setattr(qsim, "_apply_ry_run", spy_fold)
+    spy("synth_state_prep", pipeline.synth_state_prep)
+    spy("apply_circuit", pipeline.apply_circuit)
     for r in (2, 6):
         for run_method in (run_qf_jqpie, run_jqpie):
-            runs.clear()
-            run_method(img, r, direct_load=False)
-            layers = 12 - (6 - r)
-            targets = [run[0].qubits[-1] for run in runs]
-            assert 0 < len(runs) <= layers
-            assert len(set(targets)) == len(targets)
-            assert all(g.tag == "state_prep" for run in runs for g in run)
+            expected = run_method(img, r, direct_load=True).state.amplitudes
+            loaded = run_method(img, r, direct_load=False).state.amplitudes
+            assert np.max(np.abs(loaded - expected)) <= 1e-12
+    small = random_image(rng, 16, 16)
+    run_qpie_direct(small, direct_load=False)
+    assert loads == []
+    run_qf_jqpie(small, 3, backend="gate_exact")
+    run_qpie_direct(small, backend="gate_exact")
+    assert loads == ["synth_state_prep", "apply_circuit", "apply_circuit",
+                     "synth_state_prep", "apply_circuit"]
 
 
 @pytest.mark.parametrize("direct_load", [None, True], ids=["cascade", "direct"])

@@ -3,8 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from scipy.stats import ortho_group
 
 from jqpie import qsim
 from jqpie.jpegcore import QuantTable
@@ -107,72 +105,7 @@ def _random_state(rng, n):
     return vec / np.linalg.norm(vec)
 
 
-# --- fused RY/CX runs (operator backend) ------------------------------------------
-
-_ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
-
-
-@st.composite
-def _run(draw, n):
-    """RY(t)/CX(c -> t) gates on one target: RY only, CX only, or mixed."""
-    target = draw(st.integers(0, n - 1))
-    rys = _ANGLES.map(lambda a: ry(target, a))
-    cxs = st.sampled_from([q for q in range(n) if q != target]).map(lambda c: cx(c, target))
-    gate = draw(st.sampled_from([rys, cxs, st.one_of(rys, cxs)]))
-    return target, draw(st.lists(gate, min_size=1, max_size=12))
-
-
-@st.composite
-def _breaker(draw, n, target):
-    """A gate that ends a run on ``target``, or nothing (runs then abut)."""
-    other = st.sampled_from([q for q in range(n) if q != target])
-    subset = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 3), unique=True)
-    kind = draw(st.sampled_from(["none", "x", "rz", "perm", "ublock", "ry_other", "cx_other"]))
-    if kind == "x":
-        return [x(draw(st.integers(0, n - 1)))]
-    if kind == "rz":
-        return [rz(draw(st.integers(0, n - 1)), draw(_ANGLES))]
-    if kind == "perm":
-        qubits = draw(subset)
-        return [perm_gate(qubits, draw(st.permutations(range(2 ** len(qubits)))))]
-    if kind == "ublock":
-        qubits = draw(subset)
-        seed = draw(st.integers(0, 2 ** 32 - 1))
-        dim = 2 ** len(qubits)
-        mat = ortho_group.rvs(dim, random_state=seed) if dim > 1 else np.eye(1)
-        return [ublock(qubits, mat)]
-    if kind == "ry_other":
-        return [ry(draw(other), draw(_ANGLES))]
-    if kind == "cx_other":
-        q = draw(other)
-        return [cx(target, q)]
-    return []
-
-
-@st.composite
-def _run_circuits(draw):
-    n = draw(st.integers(2, 5))
-    gates = []
-    for _ in range(draw(st.integers(1, 5))):
-        target, run = draw(_run(n))
-        gates.extend(run)
-        gates.extend(draw(_breaker(n, target)))
-    return Circuit(n, tuple(gates)), draw(st.integers(0, 2 ** 32 - 1))
-
-
-@given(_run_circuits())
-def test_fused_runs_match_gate_by_gate(case):
-    circuit, seed = case
-    n = circuit.n_qubits
-    sv = from_amplitudes(_random_state(np.random.default_rng(seed), n))
-    amps = sv.amplitudes.copy()
-    for gate in circuit.gates:
-        amps = apply_gate(amps, n, gate, True)
-    fused = apply_circuit(sv, circuit, backend="operator")
-    assert np.max(np.abs(fused.amplitudes - amps)) <= 1e-12
-
-
-def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
+def _applied_gates(rng, monkeypatch, backend):
     vec = rng.standard_normal(2 ** 6)
     circuit = synth_state_prep(vec / np.linalg.norm(vec))
     calls = []
@@ -181,13 +114,20 @@ def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
         calls.append(args[2])
         return apply_gate(*args)
 
-    def no_fold(*args):
-        raise AssertionError("gate_exact folded an RY/CX run")
-
     monkeypatch.setattr(qsim, "apply_gate", counting)
-    monkeypatch.setattr(qsim, "_apply_ry_run", no_fold)
-    apply_circuit(zero_state(6), circuit, backend="gate_exact")
-    assert calls == list(circuit.gates)
+    apply_circuit(zero_state(6), circuit, backend=backend)
+    return calls, list(circuit.gates)
+
+
+def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
+    # one apply_gate call per gate, in order: no run of gates is fused into one pass
+    calls, gates = _applied_gates(rng, monkeypatch, "gate_exact")
+    assert calls == gates
+
+
+def test_operator_applies_every_elementary_gate_once(rng, monkeypatch):
+    calls, gates = _applied_gates(rng, monkeypatch, "operator")
+    assert calls == gates
 
 
 def test_lowered_vs_operator_gate_for_ublock(rng):

@@ -5,13 +5,13 @@ import pytest
 from scipy.stats import ortho_group
 
 from jqpie.jpegcore import QuantTable, zigzag_permutation
-from jqpie.qcircuit import Circuit, resource_counts, walsh_hadamard
+from jqpie.qcircuit import Circuit, resource_counts
 from jqpie.qsim import apply_circuit, basis_state, zero_state
 from jqpie.synth import (block_encoded_rescaler, closed_form_resources, lower_circuit,
                          lower_givens, lower_multiplexed_ry, lower_orthogonal,
                          lower_permutation, multiplexed_ry_angles, qdct_operator,
                          state_prep_cost, synth_inverse_quantization, synth_state_prep,
-                         synth_truncated_zigzag, truncated_zigzag_map)
+                         synth_truncated_zigzag, truncated_zigzag_map, walsh_hadamard)
 
 
 def circuit_matrix(gates, n):
