@@ -174,17 +174,15 @@ def truncate_zigzag(values: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def zigzag_coefficients(grid: BlockGrid, table: QuantTable | None = None,
-                        dc_shift: bool = False) -> np.ndarray:
+def zigzag_coefficients(grid: BlockGrid, table: QuantTable | None = None) -> np.ndarray:
     """Per-block zigzag-ordered DCT coefficients, shape (n_blocks, 64).
 
     With a table the coefficients are quantized first; without one they are
-    the raw transform values. ``dc_shift`` subtracts the conventional 128
-    level offset before the transform (off by default: the raw-intensity
-    convention keeps quantum readout scaling simple).
+    the raw transform values. Pixels are transformed as raw intensities,
+    without JPEG's 128 level shift, which keeps quantum readout scaling
+    simple.
     """
-    blocks = grid.blocks - 128.0 if dc_shift else grid.blocks
-    coeffs = dct2_blocks(blocks)
+    coeffs = dct2_blocks(grid.blocks)
     if table is not None:
         coeffs = round_half_away(coeffs / table.values)
     return coeffs.reshape(-1, BLOCK * BLOCK)[:, _ZIGZAG]
@@ -198,7 +196,7 @@ def blocks_from_zigzag(zz: np.ndarray) -> np.ndarray:
 
 
 def reference_decode_pixels(img: GrayscaleImage, mode: str, r: int = 6,
-                            scale: float = 1.0, dc_shift: bool = False) -> np.ndarray:
+                            scale: float = 1.0) -> np.ndarray:
     """Classical decode path, returning raw pre-clamp pixels (original dims).
 
     jpeg:          DCT -> quantize -> dequantize -> IDCT
@@ -213,27 +211,24 @@ def reference_decode_pixels(img: GrayscaleImage, mode: str, r: int = 6,
     _check_truncation(r)
     grid = pad_and_partition(img)
     if mode == "qf_oracle":
-        zz = zigzag_coefficients(grid, table=None, dc_shift=dc_shift)
+        zz = zigzag_coefficients(grid, table=None)
         zz = truncate_zigzag(zz, r)
         coeffs = blocks_from_zigzag(zz)
     else:
         table = QuantTable(scale)
-        zz = zigzag_coefficients(grid, table=table, dc_shift=dc_shift)
+        zz = zigzag_coefficients(grid, table=table)
         if mode == "jqpie_oracle":
             zz = truncate_zigzag(zz, r)
         coeffs = blocks_from_zigzag(zz) * table.values
     pixels = idct2_blocks(coeffs)
-    if dc_shift:
-        pixels = pixels + 128.0
     recon = BlockGrid(pixels, grid.n_b_x, grid.n_b_y, grid.original_dims, grid.bit_depth)
     return assemble_image(recon, clamp=False).pixels
 
 
 def classical_reference_decode(img: GrayscaleImage, mode: str, r: int = 6,
-                               scale: float = 1.0, clamp: bool = True,
-                               dc_shift: bool = False) -> GrayscaleImage:
+                               scale: float = 1.0, clamp: bool = True) -> GrayscaleImage:
     """Classical decode returning a GrayscaleImage (clamped by default)."""
-    pixels = reference_decode_pixels(img, mode, r=r, scale=scale, dc_shift=dc_shift)
+    pixels = reference_decode_pixels(img, mode, r=r, scale=scale)
     out = GrayscaleImage(pixels, img.bit_depth, img.original_dims)
     return out.clamped() if clamp else out
 

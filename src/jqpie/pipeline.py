@@ -46,9 +46,9 @@ Normalization modes:
     classical side information replayed at readout, and blocks whose
     truncated coefficients vanish are flagged and reconstructed as zeros.
 
-Readout models: the ``amplitude`` model uses the signed simulated amplitudes
-(the simulation privilege, default for oracle checks); the ``measurement``
-model uses square roots of probabilities and therefore loses signs.
+Readout uses the signed simulated amplitudes, a privilege of simulation: the
+real states carry the coefficients' signs, which measured probabilities
+would lose.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from .synth import (DATA_DIM, DATA_QUBITS, block_encoded_rescaler, closed_form_r
 
 METHODS = ("jqpie", "qf_jqpie")
 NORM_MODES = ("global", "per_block")
-READOUT_MODELS = ("amplitude", "measurement")
 
 
 @dataclass(frozen=True)
@@ -196,20 +195,21 @@ def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
                             registers=registers_for(h, w, ancilla))
 
 
-def _direct_load(h: int, w: int, r: int, backend: str, direct_load: bool | None) -> bool:
-    """Whether to skip the state-preparation cascade and load directly.
+def _direct_load(backend: str, direct_load: bool | None, by_default: bool) -> bool:
+    """Whether to skip the state-preparation cascade and inject the amplitudes.
 
-    Only the operator backend may skip it; by default it does so above 14
-    active qubits. The cascade load (:func:`_load_state`) is O(2^active),
-    but above that cut it costs as much as the rest of the run (1024x1024
-    at r = 6, 20 active qubits, on a 2-CPU host with one BLAS thread: 0.058
-    s of a 0.127 s run, against 0.066 s loading directly), and the cut keeps
-    every input on the loading path it has always taken.
+    Only the operator backend may skip it; ``direct_load=None`` skips it
+    there when ``by_default`` holds. The hybrid runs skip it by default above
+    14 active qubits. The cascade load (:func:`_load_state`) is O(2^active),
+    but above that cut it dominates the run: a 1024x1024 :func:`run_jqpie`
+    at r = 5 / 6 (19 / 20 active qubits; 2-CPU host, one BLAS thread, median
+    of 5) takes 0.058 / 0.062 s injecting directly and 0.105 / 0.161 s
+    through the cascade.
     """
-    if direct_load is None:
-        return backend == "operator" and h + w - (DATA_QUBITS - r) > 14
     if direct_load and backend != "operator":
         raise ValueError("direct amplitude loading requires the operator backend")
+    if direct_load is None:
+        return backend == "operator" and by_default
     return direct_load
 
 
@@ -270,16 +270,14 @@ def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
     """
     table = None if scale is None else QuantTable(scale)
     circuit = _decompression_circuit(DATA_QUBITS, DATA_QUBITS, r, table, "operator")
-    probe = np.zeros((1 if table is None else 2, DATA_DIM, DATA_DIM), dtype=np.complex128)
+    probe = np.zeros((1 if table is None else 2, DATA_DIM, DATA_DIM))
     probe[0] = np.eye(DATA_DIM) / math.sqrt(DATA_DIM)
     out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit, backend="operator")
     branches = out.amplitudes.reshape(-1, DATA_DIM, DATA_DIM) * math.sqrt(DATA_DIM)
-    if np.max(np.abs(branches.imag)) > 1e-12:
-        raise ArithmeticError("decompression operator is not real")
-    stacked = np.concatenate([b.T for b in branches.real])
+    stacked = np.concatenate([b.T for b in branches])
     if np.max(np.abs(stacked.T @ stacked - np.eye(DATA_DIM))) > 1e-9:
         raise ArithmeticError("decompression operator is not an isometry within 1e-9")
-    matrix = np.ascontiguousarray(branches[0].real.T)
+    matrix = np.ascontiguousarray(branches[0].T)
     matrix.flags.writeable = False
     return matrix
 
@@ -304,7 +302,7 @@ def _fused_decompression(loaded: np.ndarray, h: int, w: int, r: int,
         if probability > 1.0 + 1e-9:
             raise ArithmeticError("post-selection probability exceeds 1 beyond 1e-9")
         out = out / math.sqrt(probability)
-    return StateVector(out.reshape(-1), h + w), probability
+    return StateVector._owning(out.reshape(-1), h + w), probability
 
 
 def _run_hybrid(img: GrayscaleImage, r: int, scale: float | None, backend: str,
@@ -318,7 +316,7 @@ def _run_hybrid(img: GrayscaleImage, r: int, scale: float | None, backend: str,
     table = None if scale is None else QuantTable(scale)
     h, w, amp_matrix, record = _encode(img, r, table, norm_mode)
     ancilla = table is not None
-    direct = _direct_load(h, w, r, backend, direct_load)
+    direct = _direct_load(backend, direct_load, h + w - (DATA_QUBITS - r) > 14)
     if backend == "operator":
         loaded = amp_matrix
         if not direct:
@@ -398,7 +396,8 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
     back to a plain row-major flattening. Under the operator backend the
     amplitudes are injected directly unless ``direct_load`` is False, which
     loads them through the state-preparation cascade (:func:`_load_state`);
-    ``gate_exact`` always runs the cascade circuit.
+    ``gate_exact`` always runs the cascade circuit and, like the hybrid
+    runs, raises ValueError for ``direct_load=True``.
     """
     h = log2_exact(img.height, "image height")
     w = log2_exact(img.width, "image width")
@@ -413,8 +412,10 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
     else:
         flat = pixels.reshape(-1) / norm
     n = h + w
-    if backend == "operator":
-        sv = from_amplitudes(_load_state(flat) if direct_load is False else flat)
+    if _direct_load(backend, direct_load, by_default=True):
+        sv = from_amplitudes(flat)
+    elif backend == "operator":
+        sv = from_amplitudes(_load_state(flat))
     else:
         sv = apply_circuit(zero_state(n), synth_state_prep(flat, n_qubits=n), backend=backend)
     record = NormalizationRecord(norm, None, "global", None,
@@ -425,28 +426,20 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
 
 
 def readout_image(state: StateVector, norm_record: NormalizationRecord,
-                  original_dims: tuple[int, int], model: str = "amplitude",
+                  original_dims: tuple[int, int],
                   success_probability: float = 1.0) -> GrayscaleImage:
     """Convert a post-selected image state back into (pre-clamp) pixels.
 
-    The amplitude model rescales signed amplitudes by the recorded norms
-    (and, when present, the quantization constant lambda); the measurement
-    model rescales square roots of outcome probabilities, which cannot
-    recover signs. The post-selection probability undoes the renormalization
-    applied when the ancilla branch was projected out. Pixels are cropped to
-    the original dimensions; clamping is left to metric/file-writing time.
+    The signed amplitudes are rescaled by the recorded norms (and, when
+    present, the quantization constant lambda). The post-selection
+    probability undoes the renormalization applied when the ancilla branch
+    was projected out. Pixels are cropped to the original dimensions;
+    clamping is left to metric/file-writing time.
     """
-    if model not in READOUT_MODELS:
-        raise ValueError(f"model must be one of {READOUT_MODELS}")
     ph, pw = norm_record.padded_dims
     if state.n != log2_exact(ph, "padded height") + log2_exact(pw, "padded width"):
         raise ValueError("state size does not match the recorded padded dimensions")
-    amps = state.amplitudes
-    if model == "amplitude":
-        values = amps.real.copy()
-    else:
-        values = np.abs(amps)
-    values *= math.sqrt(success_probability) * norm_record.global_norm
+    values = state.amplitudes * (math.sqrt(success_probability) * norm_record.global_norm)
     if norm_record.lam is not None:
         values *= norm_record.lam
     if ph >= BLOCK and pw >= BLOCK:

@@ -1,8 +1,9 @@
 """Gate-level circuit representation with exact resource accounting.
 
-Gate alphabet: RY/RZ rotations, X, CX, plus two operator-level entries that
+Gate alphabet: RY rotations, X, CX, plus two operator-level entries that
 the simulator can apply directly: PERM (a basis permutation over a qubit
-subset) and UBLOCK (a dense unitary over a qubit subset). Operator-level
+subset) and UBLOCK (a real orthogonal matrix over a qubit subset). Every
+entry is real, so circuits map real states to real states. Operator-level
 gates carry declared cost-model constants (cx, rotations, depth) so resource
 reports stay meaningful without lowering them.
 
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ELEMENTARY_KINDS = ("ry", "rz", "x", "cx")
-BLOCK_KINDS = ("perm", "ublock")
+ELEMENTARY_KINDS = ("ry", "x", "cx")
 
 #: Breakdown keys always present in a resource report.
 PIPELINE_STAGES = ("state_prep", "inverse_zigzag", "inverse_quantization", "inverse_qdct")
@@ -56,9 +56,9 @@ class Gate:
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubits in gate: {self.qubits}")
-        if self.kind in ("ry", "rz"):
+        if self.kind == "ry":
             if len(self.qubits) != 1 or self.angle is None:
-                raise ValueError(f"{self.kind} takes one qubit and an angle")
+                raise ValueError("ry takes one qubit and an angle")
         elif self.kind == "x":
             if len(self.qubits) != 1:
                 raise ValueError("x takes exactly one qubit")
@@ -76,13 +76,14 @@ class Gate:
         elif self.kind == "ublock":
             if self.matrix is None:
                 raise ValueError("ublock gate needs a matrix")
-            mat = np.asarray(self.matrix, dtype=np.complex128)
+            if np.iscomplexobj(self.matrix):
+                raise ValueError("ublock matrix must be real")
+            mat = np.array(self.matrix, dtype=np.float64)
             dim = 2 ** len(self.qubits)
             if mat.shape != (dim, dim):
                 raise ValueError(f"ublock matrix must be {dim}x{dim}")
-            if not np.allclose(mat @ mat.conj().T, np.eye(dim), atol=1e-12):
-                raise ValueError("ublock matrix is not unitary within 1e-12")
-            mat = mat.copy()
+            if not np.allclose(mat @ mat.T, np.eye(dim), atol=1e-12):
+                raise ValueError("ublock matrix is not orthogonal within 1e-12")
             mat.flags.writeable = False
             object.__setattr__(self, "matrix", mat)
         else:
@@ -95,10 +96,6 @@ class Gate:
 
 def ry(qubit: int, angle: float, tag: str | None = None) -> Gate:
     return Gate("ry", (qubit,), angle=float(angle), tag=tag)
-
-
-def rz(qubit: int, angle: float, tag: str | None = None) -> Gate:
-    return Gate("rz", (qubit,), angle=float(angle), tag=tag)
 
 
 def x(qubit: int, tag: str | None = None) -> Gate:
@@ -115,7 +112,7 @@ def perm_gate(targets, mapping, cost=(0, 0, 0), tag: str | None = None) -> Gate:
 
 
 def ublock(targets, matrix, cost=(0, 0, 0), tag: str | None = None) -> Gate:
-    """Dense unitary on ``targets`` (MSB first) with declared cost constants."""
+    """Real orthogonal matrix on ``targets`` (MSB first) with declared cost constants."""
     return Gate("ublock", tuple(targets), matrix=matrix, cost=tuple(cost), tag=tag)
 
 
@@ -204,7 +201,7 @@ def _gate_cost(gate: Gate) -> tuple[int, int, int]:
     """(cx, rotations, time-weight) contributed by one gate."""
     if gate.kind == "cx":
         return 1, 0, 1
-    if gate.kind in ("ry", "rz"):
+    if gate.kind == "ry":
         return 0, 1, 1
     if gate.kind == "x":
         return 0, 0, 1
@@ -270,7 +267,7 @@ def export_qasm(circuit: Circuit) -> str:
         raise UnloweredGateError("circuit contains PERM/UBLOCK gates: lower before export")
     lines = [_QASM_HEADER + f"qubit[{circuit.n_qubits}] q;"]
     for g in circuit.gates:
-        if g.kind in ("ry", "rz"):
+        if g.kind == "ry":
             lines.append(f"{g.kind}({g.angle!r}) q[{g.qubits[0]}];")
         elif g.kind == "x":
             lines.append(f"x q[{g.qubits[0]}];")
@@ -280,7 +277,7 @@ def export_qasm(circuit: Circuit) -> str:
 
 
 _QASM_GATE_RE = re.compile(
-    r"^(?P<kind>ry|rz|x|cx)\s*(?:\((?P<angle>[^)]+)\))?\s*"
+    r"^(?P<kind>ry|x|cx)\s*(?:\((?P<angle>[^)]+)\))?\s*"
     r"q\[(?P<q0>\d+)\]\s*(?:,\s*q\[(?P<q1>\d+)\])?\s*;$"
 )
 _QASM_DECL_RE = re.compile(r"^qubit\[(\d+)\]\s+\w+\s*;$")
@@ -305,7 +302,7 @@ def parse_qasm(text: str) -> Circuit:
             raise ValueError(f"cannot parse QASM statement: {line!r}")
         kind = m.group("kind")
         q0 = int(m.group("q0"))
-        if kind in ("ry", "rz"):
+        if kind == "ry":
             gates.append(Gate(kind, (q0,), angle=float(m.group("angle"))))
         elif kind == "x":
             gates.append(Gate("x", (q0,)))

@@ -17,10 +17,13 @@ state each, and rejects operator-level entries; it is the reference.
 ``operator`` applies the same elementary gates one by one and, in addition,
 PERM/UBLOCK gates directly on their target subspace.
 :func:`apply_circuit` is the only way to apply an operator: a permutation, a
-dense unitary or a block encoding is wrapped in a PERM or UBLOCK gate of a
-:class:`~jqpie.qcircuit.Circuit`, whose construction validates it. Both
-backends are double precision and unitary to machine accuracy; they agree to
-rounding (about 1e-15 per amplitude).
+dense orthogonal matrix or a block encoding is wrapped in a PERM or UBLOCK
+gate of a :class:`~jqpie.qcircuit.Circuit`, whose construction validates it.
+Amplitudes are real float64: every gate (RY, X, CX, PERM, orthogonal UBLOCK)
+maps real states to real states, so the signed JPEG coefficients never need
+a complex type, and complex input is rejected rather than cast. Both
+backends are orthogonal to machine accuracy; they agree to rounding (about
+1e-15 per amplitude).
 
 The pipelines' ``operator`` backend runs neither the state-preparation
 cascade nor the decompression here over the whole image state:
@@ -31,13 +34,14 @@ with one matrix product. The ``gate_exact`` pipeline backend runs the full
 gate-level circuit through :func:`apply_circuit` and is the reference.
 
 A statevector is owned by one simulation at a time; all functions return new
-values and distinct simulations share nothing.
+values and distinct simulations share nothing. Each state is copied once: a
+:class:`StateVector` built from a caller's array copies it, and the
+functions here hand the arrays they make over without another copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,19 +50,50 @@ from .qcircuit import Circuit, Gate, UnloweredGateError
 BACKENDS = ("gate_exact", "operator")
 
 
+def _real_copy(values) -> np.ndarray:
+    """A float64 copy of ``values``; complex input is an error, never cast."""
+    if np.iscomplexobj(values):
+        raise ValueError("amplitudes must be real, got complex input")
+    return np.array(values, dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class _Handover:
+    """A float64 array whose maker keeps no other reference to it."""
+
+    array: np.ndarray
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes over 2^n basis states (qubit 0 = LSB)."""
+    """Real amplitudes over 2^n basis states (qubit 0 = LSB), read-only.
+
+    The amplitudes are a float64 copy of the given values; complex values
+    raise ValueError.
+    """
 
     amplitudes: np.ndarray
     n: int
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        if isinstance(self.amplitudes, _Handover):
+            amps = self.amplitudes.array
+            if amps.dtype != np.float64:
+                raise ValueError(f"handed-over amplitudes must be float64, got {amps.dtype}")
+        else:
+            amps = _real_copy(self.amplitudes)
         if amps.shape != (2 ** self.n,):
             raise ValueError(f"expected 2^{self.n} amplitudes, got shape {amps.shape}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _owning(cls, amps: np.ndarray, n: int) -> "StateVector":
+        """Take over a float64 array the caller just made, without copying it.
+
+        The caller must keep no reference through which it could write.
+        """
+        return cls(_Handover(amps), n)
 
     @property
     def norm(self) -> float:
@@ -82,23 +117,22 @@ def log2_exact(value: int, what: str) -> int:
 
 
 def zero_state(n: int) -> StateVector:
-    amps = np.zeros(2 ** n, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(amps, n)
+    return basis_state(n, 0)
 
 
 def basis_state(n: int, index: int) -> StateVector:
-    amps = np.zeros(2 ** n, dtype=np.complex128)
+    amps = np.zeros(2 ** n)
     amps[index] = 1.0
-    return StateVector(amps, n)
+    return StateVector._owning(amps, n)
 
 
-def from_amplitudes(vector, normalized: bool = True) -> StateVector:
-    amps = np.asarray(vector, dtype=np.complex128)
+def from_amplitudes(vector) -> StateVector:
+    """A unit-norm state from a real vector of power-of-two length."""
+    amps = _real_copy(vector)
     n = log2_exact(len(amps), "amplitude count")
-    if normalized and abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise ValueError("state is not normalized within 1e-9")
-    return StateVector(amps, n)
+    return StateVector._owning(amps, n)
 
 
 # --- in-place kernels on raw arrays -------------------------------------------
@@ -137,10 +171,6 @@ def _ry_matrix(theta: float):
     return ((c, -s), (s, c))
 
 
-def _rz_matrix(theta: float):
-    return ((np.exp(-0.5j * theta), 0.0), (0.0, np.exp(0.5j * theta)))
-
-
 def _subspace_view(amps: np.ndarray, n: int, targets) -> tuple[np.ndarray, tuple, list]:
     """Bring target qubits (MSB-first) to the front axes of a reshaped view."""
     t = len(targets)
@@ -176,8 +206,6 @@ def _apply_perm(amps: np.ndarray, n: int, perm, targets) -> np.ndarray:
 def apply_gate(amps: np.ndarray, n: int, gate: Gate, operator_ok: bool) -> np.ndarray:
     if gate.kind == "ry":
         _apply_1q(amps, gate.qubits[0], _ry_matrix(gate.angle))
-    elif gate.kind == "rz":
-        _apply_1q(amps, gate.qubits[0], _rz_matrix(gate.angle))
     elif gate.kind == "x":
         _apply_x(amps, gate.qubits[0])
     elif gate.kind == "cx":
@@ -209,7 +237,7 @@ def apply_circuit(sv: StateVector, circuit: Circuit,
         amps = apply_gate(amps, sv.n, gate, operator_ok)
     if check_norm and abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise ArithmeticError("statevector norm drifted beyond 1e-9")
-    return StateVector(amps, sv.n)
+    return StateVector._owning(amps, sv.n)
 
 
 def postselect_ancilla(sv: StateVector, qubit: int, outcome: int) -> PostSelectResult:
@@ -224,31 +252,15 @@ def postselect_ancilla(sv: StateVector, qubit: int, outcome: int) -> PostSelectR
         raise ValueError("outcome must be 0 or 1")
     view = sv.amplitudes.reshape(-1, 2, 1 << qubit)
     branch = view[:, outcome, :].reshape(-1)
-    probability = float(np.vdot(branch, branch).real)
+    probability = float(np.vdot(branch, branch))
     if probability <= 0.0:
         raise ValueError(f"zero-probability branch: qubit {qubit} never reads {outcome}")
-    return PostSelectResult(StateVector(branch / np.sqrt(probability), sv.n - 1),
-                            probability)
+    state = StateVector._owning(branch * (1.0 / np.sqrt(probability)), sv.n - 1)
+    return PostSelectResult(state, probability)
 
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 (insensitive to global phase)."""
+    """<a|b>^2 (insensitive to the global sign)."""
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def dump_statevector(sv: StateVector, path) -> None:
-    """Raw binary dump: little-endian float64 pairs (re, im), 2^(n+1) values."""
-    interleaved = np.empty(2 * len(sv.amplitudes), dtype="<f8")
-    interleaved[0::2] = sv.amplitudes.real
-    interleaved[1::2] = sv.amplitudes.imag
-    Path(path).write_bytes(interleaved.tobytes())
-
-
-def load_statevector(path) -> StateVector:
-    """Read a statevector written by :func:`dump_statevector`."""
-    raw = np.frombuffer(Path(path).read_bytes(), dtype="<f8")
-    amps = raw[0::2] + 1j * raw[1::2]
-    n = log2_exact(len(amps), "dump length")
-    return StateVector(amps, n)

@@ -532,9 +532,7 @@ def lower_circuit(circuit: Circuit) -> Circuit:
         if g.kind == "perm":
             gates.extend(lower_permutation(g.perm, list(g.qubits), tag=g.tag))
         elif g.kind == "ublock":
-            if np.abs(g.matrix.imag).max() > 1e-12:
-                raise ValueError("only real orthogonal UBLOCK gates can be lowered")
-            gates.extend(lower_orthogonal(g.matrix.real, list(g.qubits), tag=g.tag))
+            gates.extend(lower_orthogonal(g.matrix, list(g.qubits), tag=g.tag))
         else:
             gates.append(g)
     return Circuit(circuit.n_qubits, tuple(gates), circuit.registers)
@@ -547,7 +545,7 @@ def _zigzag_network_cost(r: int) -> StageCost:
     gates = lower_permutation(_truncated_zigzag_tuple(r),
                               list(range(DATA_QUBITS - 1, -1, -1)))
     cx_n = sum(1 for g in gates if g.kind == "cx")
-    rot_n = sum(1 for g in gates if g.kind in ("ry", "rz"))
+    rot_n = sum(1 for g in gates if g.kind == "ry")
     return StageCost(cx_n, rot_n, schedule_depth(gates))
 
 

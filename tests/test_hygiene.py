@@ -8,6 +8,7 @@ import pytest
 import jqpie
 
 SOURCES = sorted(Path(jqpie.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -50,3 +51,10 @@ def test_scan_detects_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_parses_as_python_310(path):
+    # 3.10 is the oldest interpreter in the CI matrix. This checks syntax only
+    # (e.g. no ``except*``); library APIs added after 3.10 are not caught.
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,7 +233,7 @@ def test_zigzag_stage_moves_amplitudes_exhaustively(rng):
     grid = pad_and_partition(img)
     zz = truncate_zigzag(zigzag_coefficients(grid, table=None), 4)
     amps = zz / np.linalg.norm(zz)
-    state = from_amplitudes(amps.reshape(-1).astype(complex))
+    state = from_amplitudes(amps.reshape(-1))
     perm = synth_truncated_zigzag(4)
     from jqpie.qcircuit import Circuit
     circ = Circuit(8, perm.gates, (("index", 2), ("data", 6)))
@@ -248,19 +246,7 @@ def test_zigzag_stage_moves_amplitudes_exhaustively(rng):
             assert abs(moved - loaded) < 1e-12
 
 
-# --- readout models --------------------------------------------------------------------
-
-def test_measurement_model_loses_signs():
-    record = NormalizationRecord(10.0, None, "global", None, (8, 8))
-    amps = np.zeros(64)
-    amps[0] = math.sqrt(1 - 0.04)
-    amps[9] = -0.2               # reconstructs pixel -2.0 under amplitudes
-    state = StateVector(amps.astype(complex), 6)
-    signed = readout_image(state, record, (8, 8), model="amplitude")
-    unsigned = readout_image(state, record, (8, 8), model="measurement")
-    assert signed.pixels[1, 1] == pytest.approx(-2.0, abs=1e-12)
-    assert unsigned.pixels[1, 1] == pytest.approx(2.0, abs=1e-12)
-
+# --- readout ---------------------------------------------------------------------------
 
 def test_per_block_readout_matches_global_for_equal_energy(rng):
     # tile one block so every block carries identical energy
@@ -273,9 +259,7 @@ def test_per_block_readout_matches_global_for_equal_energy(rng):
 
 def test_readout_validation(rng):
     record = NormalizationRecord(10.0, None, "global", None, (8, 8))
-    state = StateVector(np.zeros(64, dtype=complex), 6)
-    with pytest.raises(ValueError):
-        readout_image(state, record, (8, 8), model="telepathy")
+    state = StateVector(np.zeros(64), 6)
     bad_record = NormalizationRecord(10.0, None, "global", None, (16, 16))
     with pytest.raises(ValueError):
         readout_image(state, bad_record, (16, 16))
@@ -313,8 +297,12 @@ def test_backend_equivalence_full_pipelines(rng):
 
 def test_direct_load_requires_operator_backend(rng):
     img = random_image(rng, 8, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires the operator backend"):
         run_jqpie(img, r=4, backend="gate_exact", direct_load=True)
+    with pytest.raises(ValueError, match="requires the operator backend"):
+        run_qf_jqpie(img, r=4, backend="gate_exact", direct_load=True)
+    with pytest.raises(ValueError, match="requires the operator backend"):
+        run_qpie_direct(img, backend="gate_exact", direct_load=True)
 
 
 def test_direct_load_matches_cascade(rng):
@@ -340,7 +328,7 @@ def _gate_by_gate_reference(img, r, scale, norm_mode):
     table = None if scale is None else QuantTable(scale)
     h, w, amp_matrix, _ = pipeline._encode(img, r, table, norm_mode)
     ancilla = table is not None
-    amps = np.zeros(2 ** (h + w + ancilla), dtype=complex)
+    amps = np.zeros(2 ** (h + w + ancilla))
     amps[:amp_matrix.size] = amp_matrix.reshape(-1)
     circuit = pipeline._decompression_circuit(h, w, r, table, "operator")
     sv = apply_circuit(from_amplitudes(amps), circuit, backend="operator")

@@ -5,13 +5,12 @@ import pytest
 
 from jqpie.jpegcore import QuantTable
 from jqpie.qcircuit import (Circuit, Gate, UnloweredGateError, compose, cx, export_qasm,
-                            parse_qasm, perm_gate, resource_counts, ry, rz,
-                            ublock, x)
+                            parse_qasm, perm_gate, resource_counts, ry, ublock, x)
 from jqpie.synth import qdct_operator, synth_inverse_quantization, synth_state_prep
 
 
 def small_circuit():
-    return Circuit(3, (ry(0, 0.5), cx(1, 0), rz(2, -0.25), x(1)))
+    return Circuit(3, (ry(0, 0.5), cx(1, 0), ry(2, -0.25), x(1)))
 
 
 def test_gate_validation():
@@ -23,6 +22,8 @@ def test_gate_validation():
         perm_gate((0, 1), (0, 0, 1, 1))
     with pytest.raises(ValueError):
         ublock((0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="must be real"):
+        ublock((0,), 1j * np.eye(2))        # unitary, but not real
 
 
 def test_perm_and_ublock_accept_valid_input():
@@ -30,6 +31,7 @@ def test_perm_and_ublock_accept_valid_input():
     assert g.perm == (1, 0, 3, 2)
     u = ublock((0,), np.eye(2), cost=(18, 33, 35))
     assert u.cost == (18, 33, 35)
+    assert u.matrix.dtype == np.float64
 
 
 def test_circuit_register_layout():
@@ -180,13 +182,11 @@ def test_export_rejects_operator_gates():
 def test_qasm_roundtrip(rng):
     gates = []
     for _ in range(40):
-        choice = rng.integers(4)
+        choice = rng.integers(3)
         q = int(rng.integers(5))
         if choice == 0:
             gates.append(ry(q, float(rng.uniform(-2 * math.pi, 2 * math.pi))))
         elif choice == 1:
-            gates.append(rz(q, float(rng.uniform(-2 * math.pi, 2 * math.pi))))
-        elif choice == 2:
             gates.append(x(q))
         else:
             a, b = rng.choice(5, size=2, replace=False)
