@@ -10,29 +10,27 @@ baselines.
 
 from .imagio import GrayscaleImage, BlockGrid, load_image, pad_and_partition, assemble_image
 from .jpegcore import (QuantTable, classical_reference_decode, dct2_block, idct2_block,
-                       quantize_block, dequantize_block, sparsity_stats,
-                       truncate_zigzag, zigzag_permutation)
+                       sparsity_stats, truncate_zigzag, zigzag_permutation)
 from .metrics import QualityReport, psnr, ssim
 from .pipeline import (NormalizationRecord, PipelineResult, readout_image,
                        run_jqpie, run_qf_jqpie, run_qpie_direct)
 from .qcircuit import Circuit, Gate, ResourceReport, compose, export_qasm, resource_counts
 from .qsim import StateVector, apply_circuit, postselect_ancilla, state_fidelity
-from .synth import (closed_form_resources, qdct_operator, synth_inverse_quantization,
-                    synth_state_prep, synth_truncated_zigzag)
+from .synth import (closed_form_resources, synth_inverse_quantization, synth_state_prep,
+                    synth_truncated_zigzag)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GrayscaleImage", "BlockGrid", "load_image", "pad_and_partition", "assemble_image",
     "QuantTable", "classical_reference_decode", "dct2_block", "idct2_block",
-    "quantize_block", "dequantize_block", "sparsity_stats", "truncate_zigzag",
-    "zigzag_permutation",
+    "sparsity_stats", "truncate_zigzag", "zigzag_permutation",
     "QualityReport", "psnr", "ssim",
     "NormalizationRecord", "PipelineResult", "readout_image",
     "run_jqpie", "run_qf_jqpie", "run_qpie_direct",
     "Circuit", "Gate", "ResourceReport", "compose", "export_qasm", "resource_counts",
     "StateVector", "apply_circuit", "postselect_ancilla", "state_fidelity",
-    "closed_form_resources", "qdct_operator", "synth_inverse_quantization",
-    "synth_state_prep", "synth_truncated_zigzag",
+    "closed_form_resources", "synth_inverse_quantization", "synth_state_prep",
+    "synth_truncated_zigzag",
     "__version__",
 ]

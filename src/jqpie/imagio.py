@@ -75,11 +75,6 @@ class GrayscaleImage:
         return GrayscaleImage(np.clip(self.pixels, 0.0, self.max_value),
                               self.bit_depth, self.original_dims)
 
-    def cropped(self) -> "GrayscaleImage":
-        """Copy restricted to the original (pre-padding) dimensions."""
-        oh, ow = self.original_dims
-        return GrayscaleImage(self.pixels[:oh, :ow], self.bit_depth, (oh, ow))
-
 
 @dataclass(frozen=True)
 class BlockGrid:
@@ -213,8 +208,8 @@ def load_image(path, allow_png: bool = False) -> GrayscaleImage:
     raise ImageFormatError(f"unsupported format: {path}")
 
 
-def write_pgm(img: GrayscaleImage, path, binary: bool = True) -> None:
-    """Write an image as PGM (P5 binary by default, P2 ascii otherwise).
+def write_pgm(img: GrayscaleImage, path) -> None:
+    """Write an image as binary PGM (P5).
 
     Pixels are clamped to [0, L] and rounded half away from zero; maxval is
     always 255.
@@ -222,27 +217,22 @@ def write_pgm(img: GrayscaleImage, path, binary: bool = True) -> None:
     px = np.clip(img.pixels, 0.0, 255.0)
     px = np.copysign(np.floor(np.abs(px) + 0.5), px).astype(np.uint8)
     h, w = px.shape
-    path = Path(path)
-    if binary:
-        header = f"P5\n{w} {h}\n255\n".encode("ascii")
-        path.write_bytes(header + px.tobytes())
-    else:
-        lines = [" ".join(str(int(v)) for v in row) for row in px]
-        path.write_text(f"P2\n{w} {h}\n255\n" + "\n".join(lines) + "\n")
+    header = f"P5\n{w} {h}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + px.tobytes())
 
 
-def pad_to_multiple(img: GrayscaleImage, multiple: int = BLOCK) -> GrayscaleImage:
-    """Zero-pad along the bottom and right edges to a dimension multiple."""
+def pad_to_multiple(img: GrayscaleImage) -> GrayscaleImage:
+    """Zero-pad along the bottom and right edges to multiples of 8."""
     h, w = img.pixels.shape
-    ph = (multiple - h % multiple) % multiple
-    pw = (multiple - w % multiple) % multiple
+    ph = (BLOCK - h % BLOCK) % BLOCK
+    pw = (BLOCK - w % BLOCK) % BLOCK
     if ph == 0 and pw == 0:
         return img
     padded = np.pad(img.pixels, ((0, ph), (0, pw)), mode="constant")
     return GrayscaleImage(padded, img.bit_depth, img.original_dims)
 
 
-def pad_to_pow2(img: GrayscaleImage, minimum: int = BLOCK) -> GrayscaleImage:
+def pad_to_pow2(img: GrayscaleImage) -> GrayscaleImage:
     """Zero-pad each dimension up to the next power of two (at least 8).
 
     The quantum register layout addresses pixels with binary indices, so the
@@ -251,8 +241,8 @@ def pad_to_pow2(img: GrayscaleImage, minimum: int = BLOCK) -> GrayscaleImage:
     for cropping at readout.
     """
     h, w = img.pixels.shape
-    th = max(minimum, 1 << (h - 1).bit_length())
-    tw = max(minimum, 1 << (w - 1).bit_length())
+    th = max(BLOCK, 1 << (h - 1).bit_length())
+    tw = max(BLOCK, 1 << (w - 1).bit_length())
     if th == h and tw == w:
         return img
     padded = np.pad(img.pixels, ((0, th - h), (0, tw - w)), mode="constant")

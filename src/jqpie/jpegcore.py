@@ -78,7 +78,7 @@ def idct2_blocks(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantTable:
-    """Quantization divisors Q = scale * base.
+    """Quantization divisors Q = scale * BASE_QUANT.
 
     Entries stay real-valued for non-unit scales; only the quantized
     coefficients are integers. ``max_entry`` is the normalization constant
@@ -87,18 +87,11 @@ class QuantTable:
     """
 
     scale: float = 1.0
-    base: np.ndarray = None
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        base = BASE_QUANT if self.base is None else np.asarray(self.base, dtype=np.float64)
-        if base.shape != (BLOCK, BLOCK) or np.any(base <= 0):
-            raise ValueError("base table must be 8x8 with positive entries")
-        base = base.copy()
-        base.flags.writeable = False
-        object.__setattr__(self, "base", base)
-        values = self.scale * base
+        values = self.scale * BASE_QUANT
         values.flags.writeable = False
         object.__setattr__(self, "_values", values)
 
@@ -115,16 +108,6 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round half away from zero (the usual JPEG encoder convention)."""
     x = np.asarray(x, dtype=np.float64)
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
-def quantize_block(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
-    """Element-wise round(C / Q); returns integer-valued float array."""
-    return round_half_away(np.asarray(coeffs, dtype=np.float64) / table.values)
-
-
-def dequantize_block(qblock: np.ndarray, table: QuantTable) -> np.ndarray:
-    """Element-wise rescaling by the quantization divisors."""
-    return np.asarray(qblock, dtype=np.float64) * table.values
 
 
 def zigzag_permutation() -> np.ndarray:
@@ -144,18 +127,6 @@ def zigzag_permutation() -> np.ndarray:
 
 _ZIGZAG = zigzag_permutation()
 _ZIGZAG.flags.writeable = False
-
-
-def zigzag_scan(block: np.ndarray) -> np.ndarray:
-    """Reorder an 8x8 block into a length-64 vector in zigzag order."""
-    return np.asarray(block, dtype=np.float64).reshape(-1)[_ZIGZAG]
-
-
-def inverse_zigzag(values: np.ndarray) -> np.ndarray:
-    """Place a zigzag vector back into the 8x8 frequency layout."""
-    flat = np.empty(BLOCK * BLOCK, dtype=np.float64)
-    flat[_ZIGZAG] = np.asarray(values, dtype=np.float64)
-    return flat.reshape(BLOCK, BLOCK)
 
 
 def _check_truncation(r: int) -> None:

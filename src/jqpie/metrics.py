@@ -63,15 +63,14 @@ def _ssim_statistic(pa: np.ndarray, pb: np.ndarray, c1: float, c2: float) -> flo
     return num / den
 
 
-def ssim(a, b, mode: str = "global", c1: float | None = None,
-         c2: float | None = None) -> float:
+def ssim(a, b, mode: str = "global") -> float:
     """Structural similarity index.
 
     global:   one statistic over the whole image.
     windowed: mean of the statistic over non-overlapping 8x8 windows
               (partial edge windows included as-is).
 
-    The stability constants default to c1 = (0.01 L)^2, c2 = (0.03 L)^2.
+    The stability constants are c1 = (0.01 L)^2, c2 = (0.03 L)^2.
     """
     if mode not in ("global", "windowed"):
         raise ValueError(f"unknown ssim mode {mode!r}")
@@ -79,10 +78,8 @@ def ssim(a, b, mode: str = "global", c1: float | None = None,
     pa, pb = _clamped_pixels(a, peak), _clamped_pixels(b, peak)
     if pa.shape != pb.shape:
         raise ValueError(f"dimension mismatch: {pa.shape} vs {pb.shape}")
-    if c1 is None:
-        c1 = (0.01 * peak) ** 2
-    if c2 is None:
-        c2 = (0.03 * peak) ** 2
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
     if mode == "global":
         return float(_ssim_statistic(pa, pb, c1, c2))
     h, w = pa.shape

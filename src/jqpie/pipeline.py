@@ -53,7 +53,6 @@ would lose.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -127,9 +126,6 @@ class PipelineResult:
             },
             "resources": self.resources.to_json(),
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def registers_for(h: int, w: int, ancilla: bool):
@@ -375,7 +371,7 @@ def hybrid_circuit(img: GrayscaleImage, method: str, r: int, scale: float = 1.0)
     """Full gate-level circuit of a hybrid run, built without simulating it.
 
     The state-preparation cascade for the globally normalized coefficients,
-    followed by the decompression lowered to RY/CX/X gates; ``scale`` only
+    followed by the decompression lowered to RY/CX gates; ``scale`` only
     matters for ``jqpie``.
     """
     if method not in METHODS:

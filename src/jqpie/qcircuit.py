@@ -1,11 +1,12 @@
 """Gate-level circuit representation with exact resource accounting.
 
-Gate alphabet: RY rotations, X, CX, plus two operator-level entries that
+Gate alphabet: RY rotations and CX, plus two operator-level entries that
 the simulator can apply directly: PERM (a basis permutation over a qubit
 subset) and UBLOCK (a real orthogonal matrix over a qubit subset). Every
 entry is real, so circuits map real states to real states. Operator-level
-gates carry declared cost-model constants (cx, rotations, depth) so resource
-reports stay meaningful without lowering them.
+gates have no gate count of their own: resource reports and QASM export
+take lowered circuits only, and the closed-form model in :mod:`jqpie.synth`
+covers the abstract stages.
 
 Conventions (project-wide):
   * qubit 0 is the least-significant bit of a basis index;
@@ -15,9 +16,8 @@ Conventions (project-wide):
   * PERM/UBLOCK target lists are ordered most-significant-first with respect
     to the operator's own basis index.
 
-Depth model: greedy as-soon-as-possible scheduling where each elementary
-gate occupies one time step on every touched qubit and operator-level gates
-advance their qubits by the declared depth. Consecutive runs of gates with
+Depth model: greedy as-soon-as-possible scheduling where each gate
+occupies one time step on every touched qubit. Consecutive runs of gates with
 different stage tags are scheduled with a barrier in between, so a report's
 total depth is the sum of its per-stage depths.
 
@@ -26,13 +26,12 @@ Circuits are immutable values; resource computation and export are pure.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-ELEMENTARY_KINDS = ("ry", "x", "cx")
+ELEMENTARY_KINDS = ("ry", "cx")
 
 #: Breakdown keys always present in a resource report.
 PIPELINE_STAGES = ("state_prep", "inverse_zigzag", "inverse_quantization", "inverse_qdct")
@@ -49,7 +48,6 @@ class Gate:
     angle: float | None = None
     matrix: np.ndarray | None = None
     perm: tuple[int, ...] | None = None
-    cost: tuple[int, int, int] = (0, 0, 0)   # declared (cx, rotations, depth)
     tag: str | None = None
 
     def __post_init__(self):
@@ -59,9 +57,6 @@ class Gate:
         if self.kind == "ry":
             if len(self.qubits) != 1 or self.angle is None:
                 raise ValueError("ry takes one qubit and an angle")
-        elif self.kind == "x":
-            if len(self.qubits) != 1:
-                raise ValueError("x takes exactly one qubit")
         elif self.kind == "cx":
             if len(self.qubits) != 2:
                 raise ValueError("cx takes a distinct (control, target) pair")
@@ -98,22 +93,18 @@ def ry(qubit: int, angle: float, tag: str | None = None) -> Gate:
     return Gate("ry", (qubit,), angle=float(angle), tag=tag)
 
 
-def x(qubit: int, tag: str | None = None) -> Gate:
-    return Gate("x", (qubit,), tag=tag)
-
-
 def cx(control: int, target: int, tag: str | None = None) -> Gate:
     return Gate("cx", (control, target), tag=tag)
 
 
-def perm_gate(targets, mapping, cost=(0, 0, 0), tag: str | None = None) -> Gate:
+def perm_gate(targets, mapping, tag: str | None = None) -> Gate:
     """Basis permutation |k> -> |mapping[k]> on ``targets`` (MSB first)."""
-    return Gate("perm", tuple(targets), perm=tuple(mapping), cost=tuple(cost), tag=tag)
+    return Gate("perm", tuple(targets), perm=tuple(mapping), tag=tag)
 
 
-def ublock(targets, matrix, cost=(0, 0, 0), tag: str | None = None) -> Gate:
-    """Real orthogonal matrix on ``targets`` (MSB first) with declared cost constants."""
-    return Gate("ublock", tuple(targets), matrix=matrix, cost=tuple(cost), tag=tag)
+def ublock(targets, matrix, tag: str | None = None) -> Gate:
+    """Real orthogonal matrix on ``targets`` (MSB first)."""
+    return Gate("ublock", tuple(targets), matrix=matrix, tag=tag)
 
 
 @dataclass(frozen=True)
@@ -136,15 +127,6 @@ class Circuit:
             for q in g.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ValueError(f"gate references qubit {q} outside 0..{self.n_qubits - 1}")
-
-    def register_qubits(self, name: str) -> list[int]:
-        """Qubit indices of a register, most-significant first."""
-        top = self.n_qubits
-        for reg_name, size in self.registers:
-            if reg_name == name:
-                return list(range(top - 1, top - size - 1, -1))
-            top -= size
-        raise KeyError(f"no register named {name!r}")
 
     @property
     def has_operator_gates(self) -> bool:
@@ -193,29 +175,18 @@ class ResourceReport:
             },
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-
-def _gate_cost(gate: Gate) -> tuple[int, int, int]:
-    """(cx, rotations, time-weight) contributed by one gate."""
-    if gate.kind == "cx":
-        return 1, 0, 1
-    if gate.kind == "ry":
-        return 0, 1, 1
-    if gate.kind == "x":
-        return 0, 0, 1
-    return gate.cost[0], gate.cost[1], gate.cost[2]
-
 
 def schedule_depth(gates) -> int:
-    """ASAP depth of a gate sequence (one step per qubit per elementary gate)."""
+    """ASAP depth of an elementary gate sequence (one step per qubit per gate).
+
+    Raises :class:`UnloweredGateError` on a PERM or UBLOCK gate.
+    """
     front: dict[int, int] = {}
     depth = 0
     for g in gates:
-        _, _, w = _gate_cost(g)
-        start = max((front.get(q, 0) for q in g.qubits), default=0)
-        end = start + w
+        if not g.is_elementary:
+            raise UnloweredGateError(f"{g.kind} gate has no gate count: lower first")
+        end = 1 + max((front.get(q, 0) for q in g.qubits), default=0)
         for q in g.qubits:
             front[q] = end
         depth = max(depth, end)
@@ -225,9 +196,10 @@ def schedule_depth(gates) -> int:
 def resource_counts(circuit: Circuit) -> ResourceReport:
     """Exact gate counts and scheduled depth, broken down by stage tag.
 
-    Counts for PERM/UBLOCK come from their declared cost constants. Stage
-    segments (consecutive gates sharing a tag) are scheduled independently
-    and act as barriers, so the total depth equals the breakdown sum.
+    The circuit must be lowered: a PERM or UBLOCK gate raises
+    :class:`UnloweredGateError`. Stage segments (consecutive gates sharing a
+    tag) are scheduled independently and act as barriers, so the total depth
+    equals the breakdown sum.
     """
     segments: list[tuple[str, list[Gate]]] = []
     for g in circuit.gates:
@@ -239,12 +211,10 @@ def resource_counts(circuit: Circuit) -> ResourceReport:
 
     totals: dict[str, StageCost] = {}
     for tag, gates in segments:
-        cx_n = rot_n = 0
-        for g in gates:
-            c, r, _ = _gate_cost(g)
-            cx_n += c
-            rot_n += r
-        cost = StageCost(cx_n, rot_n, schedule_depth(gates))
+        depth = schedule_depth(gates)
+        cx_n = sum(1 for g in gates if g.kind == "cx")
+        rot_n = sum(1 for g in gates if g.kind == "ry")
+        cost = StageCost(cx_n, rot_n, depth)
         totals[tag] = totals.get(tag, StageCost()) + cost
 
     total = StageCost()
@@ -269,17 +239,13 @@ def export_qasm(circuit: Circuit) -> str:
     for g in circuit.gates:
         if g.kind == "ry":
             lines.append(f"{g.kind}({g.angle!r}) q[{g.qubits[0]}];")
-        elif g.kind == "x":
-            lines.append(f"x q[{g.qubits[0]}];")
         else:
             lines.append(f"cx q[{g.qubits[0]}], q[{g.qubits[1]}];")
     return "\n".join(lines) + "\n"
 
 
-_QASM_GATE_RE = re.compile(
-    r"^(?P<kind>ry|x|cx)\s*(?:\((?P<angle>[^)]+)\))?\s*"
-    r"q\[(?P<q0>\d+)\]\s*(?:,\s*q\[(?P<q1>\d+)\])?\s*;$"
-)
+_QASM_RY_RE = re.compile(r"^ry\s*\((?P<angle>[^)]+)\)\s*q\[(?P<q>\d+)\]\s*;$")
+_QASM_CX_RE = re.compile(r"^cx\s+q\[(?P<c>\d+)\]\s*,\s*q\[(?P<t>\d+)\]\s*;$")
 _QASM_DECL_RE = re.compile(r"^qubit\[(\d+)\]\s+\w+\s*;$")
 
 
@@ -297,19 +263,14 @@ def parse_qasm(text: str) -> Circuit:
         if decl:
             n_qubits = int(decl.group(1))
             continue
-        m = _QASM_GATE_RE.match(line)
+        m = _QASM_RY_RE.match(line)
+        if m:
+            gates.append(ry(int(m.group("q")), float(m.group("angle"))))
+            continue
+        m = _QASM_CX_RE.match(line)
         if not m:
             raise ValueError(f"cannot parse QASM statement: {line!r}")
-        kind = m.group("kind")
-        q0 = int(m.group("q0"))
-        if kind == "ry":
-            gates.append(Gate(kind, (q0,), angle=float(m.group("angle"))))
-        elif kind == "x":
-            gates.append(Gate("x", (q0,)))
-        else:
-            if m.group("q1") is None:
-                raise ValueError(f"cx needs two operands: {line!r}")
-            gates.append(Gate("cx", (q0, int(m.group("q1")))))
+        gates.append(cx(int(m.group("c")), int(m.group("t"))))
     if n_qubits is None:
         raise ValueError("missing qubit declaration")
     return Circuit(n_qubits, tuple(gates))

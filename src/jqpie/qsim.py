@@ -19,7 +19,7 @@ PERM/UBLOCK gates directly on their target subspace.
 :func:`apply_circuit` is the only way to apply an operator: a permutation, a
 dense orthogonal matrix or a block encoding is wrapped in a PERM or UBLOCK
 gate of a :class:`~jqpie.qcircuit.Circuit`, whose construction validates it.
-Amplitudes are real float64: every gate (RY, X, CX, PERM, orthogonal UBLOCK)
+Amplitudes are real float64: every gate (RY, CX, PERM, orthogonal UBLOCK)
 maps real states to real states, so the signed JPEG coefficients never need
 a complex type, and complex input is rejected rather than cast. Both
 backends are orthogonal to machine accuracy; they agree to rounding (about
@@ -95,10 +95,6 @@ class StateVector:
         """
         return cls(_Handover(amps), n)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class PostSelectResult:
@@ -143,13 +139,6 @@ def _apply_1q(amps: np.ndarray, q: int, mat) -> None:
     a1 = view[:, 1, :]
     view[:, 0, :] = mat[0][0] * a0 + mat[0][1] * a1
     view[:, 1, :] = mat[1][0] * a0 + mat[1][1] * a1
-
-
-def _apply_x(amps: np.ndarray, q: int) -> None:
-    view = amps.reshape(-1, 2, 1 << q)
-    tmp = view[:, 0, :].copy()
-    view[:, 0, :] = view[:, 1, :]
-    view[:, 1, :] = tmp
 
 
 def _apply_cx(amps: np.ndarray, control: int, target: int) -> None:
@@ -206,8 +195,6 @@ def _apply_perm(amps: np.ndarray, n: int, perm, targets) -> np.ndarray:
 def apply_gate(amps: np.ndarray, n: int, gate: Gate, operator_ok: bool) -> np.ndarray:
     if gate.kind == "ry":
         _apply_1q(amps, gate.qubits[0], _ry_matrix(gate.angle))
-    elif gate.kind == "x":
-        _apply_x(amps, gate.qubits[0])
     elif gate.kind == "cx":
         _apply_cx(amps, gate.qubits[0], gate.qubits[1])
     elif not operator_ok:
@@ -221,11 +208,12 @@ def apply_gate(amps: np.ndarray, n: int, gate: Gate, operator_ok: bool) -> np.nd
 
 
 def apply_circuit(sv: StateVector, circuit: Circuit,
-                  backend: str = "operator", check_norm: bool = True) -> StateVector:
+                  backend: str = "operator") -> StateVector:
     """Apply a circuit to a state gate by gate, returning the new state.
 
     ``gate_exact`` requires a fully lowered circuit. ``operator`` also
-    applies PERM and UBLOCK entries directly on their subspaces.
+    applies PERM and UBLOCK entries directly on their subspaces. Raises
+    ArithmeticError if the norm drifts beyond 1e-9.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -235,7 +223,7 @@ def apply_circuit(sv: StateVector, circuit: Circuit,
     operator_ok = backend == "operator"
     for gate in circuit.gates:
         amps = apply_gate(amps, sv.n, gate, operator_ok)
-    if check_norm and abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise ArithmeticError("statevector norm drifted beyond 1e-9")
     return StateVector._owning(amps, sv.n)
 

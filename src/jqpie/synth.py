@@ -3,11 +3,11 @@
 * amplitude-encoding state preparation (uniformly controlled RY cascade),
 * truncated inverse zigzag permutation,
 * block-encoded inverse quantization (uniformly controlled RY on an ancilla),
-* the 8-point inverse DCT operator with its cost-model constants,
+* the inverse 2D DCT as two 8-point orthogonal blocks,
 
 plus closed-form resource formulas and exact gate-level lowering of
 operator-level gates (permutations and real orthogonal blocks) into the
-RY/X/CX alphabet.
+RY/CX alphabet.
 
 Everything here targets real signed amplitudes, so RY rotations suffice and
 the synthesized circuits are real orthogonal operators. A basis permutation
@@ -218,22 +218,6 @@ class BlockEncodedDiag:
     def angles(self) -> np.ndarray:
         return 2.0 * np.arccos(np.clip(self.diagonal, -1.0, 1.0))
 
-    def unitary(self) -> np.ndarray:
-        """Dense 2D-block form: [[D, -sqrt(I-D^2)], [sqrt(I-D^2), D]].
-
-        Basis layout (ancilla, data) with the ancilla as the most
-        significant bit.
-        """
-        d = self.diagonal
-        off = np.sqrt(np.clip(1.0 - d * d, 0.0, None))
-        dim = len(d)
-        u = np.zeros((2 * dim, 2 * dim))
-        u[:dim, :dim] = np.diag(d)
-        u[dim:, dim:] = np.diag(d)
-        u[:dim, dim:] = -np.diag(off)
-        u[dim:, :dim] = np.diag(off)
-        return u
-
 
 def block_encoded_rescaler(table: QuantTable) -> BlockEncodedDiag:
     """Normalize the quantization divisors into a block-encodable diagonal."""
@@ -262,43 +246,10 @@ def synth_inverse_quantization(table: QuantTable,
 
 # --- inverse DCT operator ------------------------------------------------------
 
-@dataclass(frozen=True)
-class QdctOperator:
-    """The exact 8-point orthonormal DCT operator and its cost constants.
-
-    The 3-qubit gate sequence realizing it is not reconstructed here; its
-    published resource constants enter the cost model, and simulation applies
-    the operator directly. The separable 2D transform doubles the gate count
-    while the depth is unchanged (row and column registers are disjoint).
-    """
-
-    matrix: np.ndarray
-    cx: int = 18
-    rotations: int = 33
-    depth: int = 35
-
-    @property
-    def cost(self) -> tuple[int, int, int]:
-        return (self.cx, self.rotations, self.depth)
-
-    @property
-    def cost_2d(self) -> tuple[int, int, int]:
-        return (2 * self.cx, 2 * self.rotations, self.depth)
-
-
-def qdct_operator() -> QdctOperator:
-    m = dct_matrix()
-    return QdctOperator(m)
-
-
 def synth_inverse_qdct_gates(row_qubits, col_qubits, tag: str = "inverse_qdct") -> list[Gate]:
     """Inverse 2D DCT as two UBLOCK gates on disjoint 3-qubit registers."""
-    op = qdct_operator()
-    inv = op.matrix.T
-    return [
-        ublock(tuple(row_qubits), inv, cost=op.cost, tag=tag),
-        ublock(tuple(col_qubits), inv, cost=op.cost, tag=tag),
-    ]
+    inv = dct_matrix().T
+    return [ublock(tuple(row_qubits), inv, tag=tag), ublock(tuple(col_qubits), inv, tag=tag)]
 
 
 # --- exact gate-level lowering --------------------------------------------------
@@ -540,6 +491,11 @@ def lower_circuit(circuit: Circuit) -> Circuit:
 
 # --- closed-form resource model -------------------------------------------------
 
+#: Published (cx, rotations, depth) of one 8-point QDCT on 3 qubits. Its gate
+#: sequence is not reconstructed here; the separable 2D transform runs two on
+#: disjoint registers, so it doubles the gate counts at equal depth.
+QDCT_COST = StageCost(18, 33, 35)
+
 @lru_cache(maxsize=None)
 def _zigzag_network_cost(r: int) -> StageCost:
     gates = lower_permutation(_truncated_zigzag_tuple(r),
@@ -559,15 +515,14 @@ def state_prep_cost(m: int) -> StageCost:
     return StageCost(2 ** m - 2, 2 ** m - 1, 2 ** (m + 1) - m - 2)
 
 
-def closed_form_resources(h: int, w: int, r: int, method: str = "jqpie",
-                          zigzag_abstract: bool = False) -> ResourceReport:
+def closed_form_resources(h: int, w: int, r: int, method: str = "jqpie") -> ResourceReport:
     """Stage-by-stage resource model for a 2^h x 2^w image at truncation r.
 
     state_prep covers the h+w-l active qubits (l = 6 - r inactive data
-    qubits); inverse_zigzag counts the lowered truncated permutation network
-    (or zero when kept abstract); inverse_quantization is the 64 CX + 64
-    rotation block encoding (JQPIE only); inverse_qdct uses the published
-    operator constants, doubled for the separable 2D form at equal depth.
+    qubits); inverse_zigzag counts the lowered truncated permutation network;
+    inverse_quantization is the 64 CX + 64 rotation block encoding (JQPIE
+    only); inverse_qdct is :data:`QDCT_COST` doubled for the separable 2D
+    form at equal depth.
     """
     if r not in TRUNCATION_LEVELS:
         raise ValueError(f"truncation level must be one of {TRUNCATION_LEVELS}, got {r}")
@@ -581,11 +536,9 @@ def closed_form_resources(h: int, w: int, r: int, method: str = "jqpie",
             raise ValueError("block pipelines span at least the 6 data qubits (h + w >= 6)")
         ell = DATA_QUBITS - r
         stages["state_prep"] = state_prep_cost(h + w - ell)
-        stages["inverse_zigzag"] = (StageCost() if zigzag_abstract
-                                    else _zigzag_network_cost(r))
-        op = qdct_operator()
-        cx2, rot2, d2 = op.cost_2d
-        stages["inverse_qdct"] = StageCost(cx2, rot2, d2)
+        stages["inverse_zigzag"] = _zigzag_network_cost(r)
+        stages["inverse_qdct"] = StageCost(2 * QDCT_COST.cx, 2 * QDCT_COST.rotations,
+                                           QDCT_COST.depth)
         if method == "jqpie":
             stages["inverse_quantization"] = StageCost(64, 64, 128)
     total = StageCost()

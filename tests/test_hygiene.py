@@ -9,6 +9,12 @@ import jqpie
 
 SOURCES = sorted(Path(jqpie.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+#: Code outside the package whose references keep a public name alive: the
+#: acceptance tests and the benchmark. Unit tests do not count.
+CALLERS = [Path(__file__).parent / "test_acceptance.py",
+           *sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))]
+#: Entry points that are called from outside Python.
+ENTRY_POINTS = {"bench.main"}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -51,6 +57,91 @@ def test_scan_detects_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of public top-level functions and classes and
+    of the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _root_name(node: ast.AST) -> str | None:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _references(tree: ast.Module) -> dict[str, list[tuple[int, bool]]]:
+    """Where each name is read: (line, whether it is read as an attribute).
+
+    Attributes reached from a module bound by a plain ``import`` statement
+    (``np.linalg.norm``, ``json.dumps``) belong to that module and are skipped.
+    """
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    refs: dict[str, list[tuple[int, bool]]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.setdefault(node.id, []).append((node.lineno, False))
+        elif isinstance(node, ast.Attribute) and _root_name(node) not in imported:
+            refs.setdefault(node.attr, []).append((node.lineno, True))
+    return refs
+
+
+def unreachable_definitions(modules: dict[str, str], callers=(), exempt=()) -> list[str]:
+    """Public definitions of ``modules`` (name -> source) that nothing uses.
+
+    A use is a read of the name, outside the definition's own body, in one of
+    ``modules`` or in a ``callers`` source; a method is used only when read as
+    an attribute. Matching is by name, not by type: a method stays alive if
+    any attribute of its name is read on any object.
+    """
+    refs = [(mod, _references(ast.parse(src))) for mod, src in modules.items()]
+    refs += [(None, _references(ast.parse(src))) for src in callers]
+    unused = []
+    for mod, src in modules.items():
+        for qualname, node in _public_definitions(ast.parse(src)):
+            own = range(node.lineno, node.end_lineno + 1)
+            is_method = "." in qualname
+            used = any((as_attr or not is_method) and not (where == mod and line in own)
+                       for where, r in refs for line, as_attr in r.get(node.name, ()))
+            if not used and f"{mod}.{qualname}" not in exempt:
+                unused.append(f"{mod}.{qualname}")
+    return sorted(unused)
+
+
+def test_scan_detects_unreachable_definitions():
+    lib = ("import numpy as np\n\n"
+           "def used():\n    return helper()\n\n"
+           "def helper():\n    return 1\n\n"
+           "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+           "def only_unit_tested():\n    return 2\n\n"
+           "def main():\n    return 0\n\n"
+           "class Box:\n"
+           "    def kept(self):\n        return self.size() + np.linalg.norm([1.0])\n\n"
+           "    def size(self):\n        return 0\n\n"
+           "    def norm(self):\n        return 0\n\n"
+           "    def _private(self):\n        return 3\n\n"
+           "    def only_unit_tested_method(self):\n        return 4\n")
+    app = "from lib import Box, used\nused()\nBox().kept()\n"
+    assert unreachable_definitions({"lib": lib, "app": app}, exempt={"lib.main"}) == [
+        "lib.Box.norm", "lib.Box.only_unit_tested_method", "lib.only_unit_tested",
+        "lib.recursive"]
+    unit_test = "from lib import only_unit_tested\nonly_unit_tested()\n"
+    assert "lib.only_unit_tested" not in unreachable_definitions({"lib": lib}, [unit_test])
+
+
+def test_public_definitions_are_reachable():
+    modules = {p.stem: p.read_text() for p in SOURCES if p.name != "__init__.py"}
+    callers = [p.read_text() for p in CALLERS]
+    assert unreachable_definitions(modules, callers, ENTRY_POINTS) == []
 
 
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -161,11 +161,11 @@ def test_missing_file_errors(tmp_path):
 
 def test_pgm_write_read_roundtrip(tmp_path, rng):
     img = random_image(rng, 9, 13)
-    for binary in (True, False):
-        path = tmp_path / f"rt{binary}.pgm"
-        write_pgm(img, path, binary=binary)
-        back = load_image(path)
-        assert np.array_equal(back.pixels, img.pixels)
+    path = tmp_path / "rt.pgm"
+    write_pgm(img, path)
+    assert path.read_bytes().startswith(b"P5\n13 9\n255\n")
+    back = load_image(path)
+    assert np.array_equal(back.pixels, img.pixels)
 
 
 def test_partition_16x16_no_padding(rng):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from jqpie.imagio import GrayscaleImage
-from jqpie.jpegcore import (QuantTable, classical_reference_decode,
-                            dct2_block, dct2_blocks, dequantize_block, idct2_block,
-                            idct2_blocks, inverse_zigzag, quantize_block,
+from jqpie.imagio import GrayscaleImage, pad_and_partition
+from jqpie.jpegcore import (QuantTable, blocks_from_zigzag, classical_reference_decode,
+                            dct2_block, dct2_blocks, idct2_block, idct2_blocks,
                             reference_decode_pixels, round_half_away, sparsity_stats,
-                            truncate_zigzag, zigzag_permutation, zigzag_scan)
+                            truncate_zigzag, zigzag_coefficients, zigzag_permutation)
 
 from conftest import gradient_image, random_image
 
@@ -115,23 +114,26 @@ def test_batch_transforms_match_single(rng):
     assert np.allclose(idct2_blocks(batched), blocks, atol=1e-10)
 
 
+def _grid_with_coefficients(coeffs):
+    """One 8x8 block whose 2D DCT is ``coeffs`` (to rounding)."""
+    return pad_and_partition(GrayscaleImage(idct2_block(coeffs)))
+
+
 def test_quantize_examples():
-    table = QuantTable()
+    assert round_half_away(np.array([100 / 16, -30 / 11])).tolist() == [6.0, -3.0]
     coeffs = np.zeros((8, 8))
-    coeffs[0, 0] = 100.0   # Q(0,0) = 16
-    assert quantize_block(coeffs, table)[0, 0] == 6       # round(6.25)
-    coeffs = np.zeros((8, 8))
-    coeffs[0, 1] = -30.0   # Q(0,1) = 11
-    assert quantize_block(coeffs, table)[0, 1] == -3      # round(-2.727)
-    table2 = QuantTable(scale=2.0)
-    coeffs = np.zeros((8, 8))
-    coeffs[0, 0] = 100.0
-    assert quantize_block(coeffs, table2)[0, 0] == 3      # round(100/32)
+    coeffs[0, 0] = 100.0   # Q(0,0) = 16, zigzag slot 0
+    coeffs[0, 1] = -30.0   # Q(0,1) = 11, zigzag slot 1
+    grid = _grid_with_coefficients(coeffs)
+    zz = zigzag_coefficients(grid, QuantTable())
+    assert zz[0, 0] == 6       # round(6.25)
+    assert zz[0, 1] == -3      # round(-2.727)
+    assert zigzag_coefficients(grid, QuantTable(scale=2.0))[0, 0] == 3   # round(100/32)
 
 
 def test_quantize_produces_integers(rng):
-    table = QuantTable(scale=0.7)
-    q = quantize_block(rng.uniform(-900, 900, (8, 8)), table)
+    grid = _grid_with_coefficients(rng.uniform(-900, 900, (8, 8)))
+    q = zigzag_coefficients(grid, QuantTable(scale=0.7))
     assert np.array_equal(q, np.round(q))
 
 
@@ -141,23 +143,26 @@ def test_round_half_away_from_zero():
 
 
 def test_dequantize_examples():
-    table = QuantTable()
-    q = np.zeros((8, 8))
-    q[0, 0] = 6
-    assert dequantize_block(q, table)[0, 0] == 96.0
-    assert np.all(dequantize_block(np.zeros((8, 8)), table) == 0)
+    # DC 100 quantizes to 6 and dequantizes to 96, a flat block of 96 / 8
+    coeffs = np.zeros((8, 8))
+    coeffs[0, 0] = 100.0
+    img = GrayscaleImage(idct2_block(coeffs))
+    assert np.allclose(reference_decode_pixels(img, "jpeg"), 12.0, atol=1e-12)
+    zero = GrayscaleImage(np.zeros((8, 8)))
+    assert np.all(reference_decode_pixels(zero, "jpeg") == 0)
 
 
 def test_quantize_roundtrip_bounded_by_half_step(rng):
     table = QuantTable(scale=1.4)
     coeffs = rng.uniform(-800, 800, (8, 8))
-    restored = dequantize_block(quantize_block(coeffs, table), table)
+    zz = zigzag_coefficients(_grid_with_coefficients(coeffs), table)
+    restored = blocks_from_zigzag(zz)[0] * table.values
     assert np.all(np.abs(coeffs - restored) <= table.values / 2 + 1e-9)
 
 
 def test_quant_table_invariants():
     table = QuantTable()
-    assert table.base[0, 0] == 16 and table.base[7, 7] == 99
+    assert table.values[0, 0] == 16 and table.values[7, 7] == 99
     assert table.max_entry == 121.0
     assert QuantTable(scale=2.0).max_entry == 242.0
     with pytest.raises(ValueError):
@@ -177,10 +182,12 @@ def test_zigzag_matches_published_table_and_is_bijective():
 
 
 def test_zigzag_inverse_is_identity(rng):
-    block = rng.uniform(-10, 10, (8, 8))
-    assert np.array_equal(inverse_zigzag(zigzag_scan(block)), block)
-    vec = rng.uniform(-10, 10, 64)
-    assert np.array_equal(zigzag_scan(inverse_zigzag(vec)), vec)
+    grid = pad_and_partition(GrayscaleImage(rng.uniform(-10, 10, (16, 8))))
+    assert np.array_equal(blocks_from_zigzag(zigzag_coefficients(grid)),
+                          dct2_blocks(grid.blocks))
+    vecs = rng.uniform(-10, 10, (3, 64))
+    flat = blocks_from_zigzag(vecs).reshape(3, 64)
+    assert np.array_equal(flat[:, zigzag_permutation()], vecs)
 
 
 def test_truncate_r6_is_identity(rng):
@@ -194,7 +201,7 @@ def test_truncate_r2_keeps_low_frequencies(rng):
     assert np.array_equal(out[:4], vec[:4])
     assert np.all(out[4:] == 0)
     # surviving frequency indices are exactly 0, 1, 8, 16
-    freq = inverse_zigzag(out).reshape(-1)
+    freq = blocks_from_zigzag(out[None, :]).reshape(-1)
     assert set(np.nonzero(freq)[0]) == {0, 1, 8, 16}
 
 

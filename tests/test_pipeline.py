@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,7 +283,7 @@ def test_pipeline_result_serializes(rng):
     assert 0 < payload["success_probability"] <= 1
     assert payload["normalization"]["lambda"] == 121.0
     assert payload["resources"]["breakdown"]["inverse_quantization"]["cx"] == 64
-    assert isinstance(result.dumps(), str)
+    assert json.loads(json.dumps(payload)) == payload
 
 
 def test_backend_equivalence_full_pipelines(rng):

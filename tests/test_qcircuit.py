@@ -5,12 +5,13 @@ import pytest
 
 from jqpie.jpegcore import QuantTable
 from jqpie.qcircuit import (Circuit, Gate, UnloweredGateError, compose, cx, export_qasm,
-                            parse_qasm, perm_gate, resource_counts, ry, ublock, x)
-from jqpie.synth import qdct_operator, synth_inverse_quantization, synth_state_prep
+                            parse_qasm, perm_gate, resource_counts, ry, schedule_depth,
+                            ublock)
+from jqpie.synth import closed_form_resources, synth_inverse_quantization, synth_state_prep
 
 
 def small_circuit():
-    return Circuit(3, (ry(0, 0.5), cx(1, 0), ry(2, -0.25), x(1)))
+    return Circuit(3, (ry(0, 0.5), cx(1, 0), ry(2, -0.25), ry(1, math.pi)))
 
 
 def test_gate_validation():
@@ -29,18 +30,14 @@ def test_gate_validation():
 def test_perm_and_ublock_accept_valid_input():
     g = perm_gate((1, 0), (1, 0, 3, 2))
     assert g.perm == (1, 0, 3, 2)
-    u = ublock((0,), np.eye(2), cost=(18, 33, 35))
-    assert u.cost == (18, 33, 35)
+    u = ublock((0,), np.eye(2))
     assert u.matrix.dtype == np.float64
 
 
 def test_circuit_register_layout():
     circ = Circuit(9, (), (("ancilla", 1), ("index", 2), ("data", 6)))
-    assert circ.register_qubits("data") == [5, 4, 3, 2, 1, 0]
-    assert circ.register_qubits("index") == [7, 6]
-    assert circ.register_qubits("ancilla") == [8]
-    with pytest.raises(KeyError):
-        circ.register_qubits("bogus")
+    assert circ.registers == (("ancilla", 1), ("index", 2), ("data", 6))
+    assert Circuit(3).registers == (("q", 3),)
     with pytest.raises(ValueError):
         Circuit(4, (), (("a", 1), ("b", 2)))
 
@@ -119,26 +116,23 @@ def test_depth_bounds_random_circuits(rng):
         assert depth >= math.ceil(k / n)
 
 
-def test_declared_costs_enter_reports():
-    op = qdct_operator()
-    gate = ublock((2, 1, 0), op.matrix.T, cost=op.cost, tag="inverse_qdct")
-    report = resource_counts(Circuit(3, (gate, )))
-    assert report.cx_count == 18
-    assert report.rotation_count == 33
-    assert report.depth == 35
-    # abstract perm carries zero declared cost
-    report2 = resource_counts(Circuit(3, (perm_gate((2, 1, 0), range(8)),)))
-    assert (report2.cx_count, report2.rotation_count, report2.depth) == (0, 0, 0)
+@pytest.mark.parametrize("gate", [perm_gate((2, 1, 0), range(8)),
+                                  ublock((1, 0), np.eye(4), tag="inverse_qdct")],
+                         ids=["perm", "ublock"])
+def test_resource_counts_rejects_operator_gates(gate):
+    circuit = Circuit(3, (ry(2, 0.1), gate))
+    with pytest.raises(UnloweredGateError, match="lower"):
+        resource_counts(circuit)
+    with pytest.raises(UnloweredGateError, match="lower"):
+        schedule_depth(circuit.gates)
 
 
 def test_two_disjoint_qdct_blocks_share_depth():
-    op = qdct_operator()
-    gates = (ublock((5, 4, 3), op.matrix.T, cost=op.cost, tag="inverse_qdct"),
-             ublock((2, 1, 0), op.matrix.T, cost=op.cost, tag="inverse_qdct"))
-    report = resource_counts(Circuit(6, gates))
-    assert report.cx_count == 36
-    assert report.rotation_count == 66
-    assert report.depth == 35
+    # the row and column 8-point QDCTs act on disjoint registers: the 2D
+    # stage doubles the published 18 CX / 33 rotations at depth 35
+    for method in ("jqpie", "qf_jqpie"):
+        stage = closed_form_resources(4, 4, 3, method=method).breakdown["inverse_qdct"]
+        assert (stage.cx, stage.rotations, stage.depth) == (36, 66, 35)
 
 
 def test_breakdown_sums_to_totals():
@@ -182,12 +176,9 @@ def test_export_rejects_operator_gates():
 def test_qasm_roundtrip(rng):
     gates = []
     for _ in range(40):
-        choice = rng.integers(3)
         q = int(rng.integers(5))
-        if choice == 0:
+        if rng.integers(2) == 0:
             gates.append(ry(q, float(rng.uniform(-2 * math.pi, 2 * math.pi))))
-        elif choice == 1:
-            gates.append(x(q))
         else:
             a, b = rng.choice(5, size=2, replace=False)
             gates.append(cx(int(a), int(b)))
@@ -203,5 +194,12 @@ def test_qasm_roundtrip(rng):
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_qasm('OPENQASM 3.0;\nqubit[2] q;\nhadamard q[0];')
+    for statement in ("hadamard q[0];",
+                      "x q[0];",                   # not in the alphabet
+                      "ry q[0];",                  # angle missing
+                      "ry(0.1) q[0], q[1];",       # extra operand
+                      "ry(abc) q[0];",             # angle not a number
+                      "cx(1.0) q[0], q[1];",       # cx takes no angle
+                      "cx q[0];"):                 # operand missing
+        with pytest.raises(ValueError):
+            parse_qasm(f"OPENQASM 3.0;\nqubit[2] q;\n{statement}")

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from jqpie import qsim
-from jqpie.jpegcore import QuantTable
-from jqpie.qcircuit import Circuit, UnloweredGateError, cx, perm_gate, ry, ublock, x
+from jqpie.jpegcore import QuantTable, dct_matrix
+from jqpie.qcircuit import Circuit, UnloweredGateError, cx, perm_gate, ry, ublock
 from jqpie.qsim import (StateVector, apply_circuit, apply_gate, basis_state,
                         from_amplitudes, postselect_ancilla, state_fidelity, zero_state)
-from jqpie.synth import (block_encoded_rescaler, lower_circuit, qdct_operator,
-                         synth_state_prep)
+from jqpie.synth import (BlockEncodedDiag, block_encoded_rescaler, lower_circuit,
+                         lower_multiplexed_ry, synth_inverse_quantization, synth_state_prep)
 
 
 def test_statevector_validation():
     with pytest.raises(ValueError):
         StateVector(np.zeros(3), 2)
     sv = zero_state(3)
-    assert sv.norm == 1.0
+    assert np.linalg.norm(sv.amplitudes) == 1.0
     with pytest.raises(ValueError):
         from_amplitudes(np.ones(4))
 
@@ -86,14 +86,9 @@ def test_ry_pi_maps_zero_to_one():
     assert abs(out.amplitudes[1]) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_x_gate():
-    out = apply_circuit(basis_state(2, 0), Circuit(2, (x(1),)))
-    assert out.amplitudes[0b10] == 1.0
-
-
 def test_qubit_count_mismatch():
     with pytest.raises(ValueError):
-        apply_circuit(zero_state(2), Circuit(3, (x(0),)))
+        apply_circuit(zero_state(2), Circuit(3, (ry(0, 0.1),)))
 
 
 def test_gate_exact_rejects_operator_gates():
@@ -107,11 +102,8 @@ def test_backends_agree_on_random_circuits(rng):
     for _ in range(5):
         gates = []
         for _ in range(60):
-            kind = rng.integers(3)
-            if kind == 0:
+            if rng.integers(2) == 0:
                 gates.append(ry(int(rng.integers(n)), float(rng.uniform(-3, 3))))
-            elif kind == 1:
-                gates.append(x(int(rng.integers(n))))
             else:
                 a, b = rng.choice(n, size=2, replace=False)
                 gates.append(cx(int(a), int(b)))
@@ -153,7 +145,7 @@ def test_operator_applies_every_elementary_gate_once(rng, monkeypatch):
 
 
 def test_lowered_vs_operator_gate_for_ublock(rng):
-    op = qdct_operator().matrix.T
+    op = dct_matrix().T
     circ = Circuit(4, (ublock((3, 1, 0), op),))
     sv = from_amplitudes(_random_state(rng, 4))
     direct = apply_circuit(sv, circ, backend="operator")
@@ -187,25 +179,25 @@ def test_block_encoding_identity_branch():
     diag = block_encoded_rescaler(QuantTable())
     k_max = int(np.argmax(diag.diagonal))   # entry with d_k = 1
     sv = basis_state(7, k_max)              # ancilla (qubit 6) clear
-    out = apply_circuit(sv, Circuit(7, (ublock([6, 5, 4, 3, 2, 1, 0], diag.unitary()),)))
+    circuit, _ = synth_inverse_quantization(QuantTable())
+    out = apply_circuit(sv, circuit, backend="gate_exact")
     assert out.amplitudes[k_max] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_block_encoding_all_ones_is_identity(rng):
-    from jqpie.synth import BlockEncodedDiag
     trivial = BlockEncodedDiag(np.ones(64), 1.0)
     payload = _random_state(rng, 6)
     amps = np.zeros(128)
     amps[:64] = payload                     # ancilla |0>
-    out = apply_circuit(StateVector(amps, 7),
-                        Circuit(7, (ublock([6, 5, 4, 3, 2, 1, 0], trivial.unitary()),)))
+    gates = lower_multiplexed_ry(trivial.angles, [5, 4, 3, 2, 1, 0], 6)
+    out = apply_circuit(StateVector(amps, 7), Circuit(7, tuple(gates)), backend="gate_exact")
     assert np.max(np.abs(out.amplitudes[:64] - payload)) < 1e-12
     assert np.max(np.abs(out.amplitudes[64:])) < 1e-12
 
 
 def test_ublock_matches_dense_kron_oracle(rng):
     # 8x8 operator on the low data qubits of a 10-qubit product state
-    op = qdct_operator().matrix
+    op = dct_matrix()
     sv = from_amplitudes(_random_state(rng, 10))
     out = apply_circuit(sv, Circuit(10, (ublock([2, 1, 0], op),)))
     dense = np.kron(np.eye(2 ** 7), op)
@@ -268,13 +260,10 @@ def test_fidelity_examples(rng):
 def test_norm_preserved_over_many_operations(rng):
     sv = from_amplitudes(_random_state(rng, 6))
     for _ in range(1000):
-        kind = rng.integers(3)
-        if kind == 0:
+        if rng.integers(2) == 0:
             gate = ry(int(rng.integers(6)), float(rng.uniform(-3, 3)))
-        elif kind == 1:
-            gate = x(int(rng.integers(6)))
         else:
             a, b = rng.choice(6, size=2, replace=False)
             gate = cx(int(a), int(b))
-        sv = apply_circuit(sv, Circuit(6, (gate,)), check_norm=False)
-    assert abs(sv.norm - 1.0) <= 1e-9
+        sv = apply_circuit(sv, Circuit(6, (gate,)))
+    assert abs(np.linalg.norm(sv.amplitudes) - 1.0) <= 1e-9

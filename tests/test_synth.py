@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from jqpie.jpegcore import QuantTable, zigzag_permutation
-from jqpie.qcircuit import Circuit, resource_counts
+from jqpie.jpegcore import QuantTable, dct_matrix, zigzag_permutation
+from jqpie.qcircuit import Circuit, StageCost, resource_counts
 from jqpie.qsim import apply_circuit, basis_state, zero_state
-from jqpie.synth import (block_encoded_rescaler, closed_form_resources, lower_circuit,
-                         lower_givens, lower_multiplexed_ry, lower_orthogonal,
-                         lower_permutation, multiplexed_ry_angles, qdct_operator,
-                         state_prep_cost, synth_inverse_quantization, synth_state_prep,
+from jqpie.synth import (QDCT_COST, block_encoded_rescaler, closed_form_resources,
+                         lower_circuit, lower_givens, lower_multiplexed_ry, lower_orthogonal,
+                         lower_permutation, multiplexed_ry_angles, state_prep_cost,
+                         synth_inverse_quantization, synth_state_prep,
                          synth_truncated_zigzag, truncated_zigzag_map, walsh_hadamard)
 
 
@@ -20,8 +20,7 @@ def circuit_matrix(gates, n):
     mat = np.zeros((dim, dim), dtype=complex)
     circ = Circuit(n, tuple(gates))
     for b in range(dim):
-        out = apply_circuit(basis_state(n, b), circ, backend="gate_exact",
-                            check_norm=False)
+        out = apply_circuit(basis_state(n, b), circ, backend="gate_exact")
         mat[:, b] = out.amplitudes
     return mat
 
@@ -228,7 +227,8 @@ def test_rescaler_scale_invariance():
 
 def test_rescaler_two_by_two_blocks(rng):
     diag = block_encoded_rescaler(QuantTable())
-    u = diag.unitary()
+    circuit, _ = synth_inverse_quantization(QuantTable())
+    u = circuit_matrix(circuit.gates, 7).real
     assert np.allclose(u @ u.T, np.eye(128), atol=1e-12)
     for k in (0, 13, 53):
         d = diag.diagonal[k]
@@ -254,15 +254,14 @@ def test_block_encoding_circuit_counts_and_action():
 # --- inverse DCT operator ---------------------------------------------------------
 
 def test_qdct_matrix_rows():
-    op = qdct_operator()
-    assert np.allclose(op.matrix[0], np.full(8, 1 / math.sqrt(8)), atol=1e-15)
-    assert np.allclose(op.matrix @ op.matrix.T, np.eye(8), atol=1e-12)
+    m = dct_matrix()
+    assert np.allclose(m[0], np.full(8, 1 / math.sqrt(8)), atol=1e-15)
+    assert np.allclose(m @ m.T, np.eye(8), atol=1e-12)
 
 
 def test_qdct_cost_constants():
-    op = qdct_operator()
-    assert op.cost == (18, 33, 35)
-    assert op.cost_2d == (36, 66, 35)
+    # published per 8-point transform; the 2D stage is checked in test_qcircuit
+    assert QDCT_COST == StageCost(18, 33, 35)
 
 
 # --- gate-level lowering -----------------------------------------------------------
@@ -333,7 +332,7 @@ def _cycles(perm):
 
 
 def test_lower_orthogonal_inverse_qdct_exact():
-    inv = qdct_operator().matrix.T
+    inv = dct_matrix().T
     gates = lower_orthogonal(inv, [2, 1, 0])
     got = circuit_matrix(gates, 3).real
     assert np.max(np.abs(got - inv)) < 1e-11
@@ -422,8 +421,6 @@ def test_closed_form_stage_composition():
     assert report.cx_count == sum(c.cx for c in report.breakdown.values())
     qf = closed_form_resources(4, 4, 3, method="qf_jqpie")
     assert qf.breakdown["inverse_quantization"].cx == 0
-    abstract = closed_form_resources(4, 4, 3, zigzag_abstract=True)
-    assert abstract.breakdown["inverse_zigzag"].cx == 0
 
 
 def test_closed_form_zigzag_counts_match_lowered_network():
