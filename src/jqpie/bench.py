@@ -33,9 +33,10 @@ import numpy as np
 
 from . import metrics
 from .imagio import GrayscaleImage, ImageFormatError, load_image, pad_to_pow2, write_pgm
-from .jpegcore import SparsityStats, classical_reference_decode, sparsity_stats
-from .pipeline import (METHODS, PipelineResult, hybrid_circuit, run_jqpie, run_qf_jqpie,
-                       run_qpie_direct)
+from .jpegcore import (QuantTable, SparsityStats, classical_reference_decode, jpeg_decode,
+                       sparsity_stats)
+from .pipeline import (METHODS, ImageEncoding, PipelineResult, encode_image, hybrid_circuit,
+                       method_scale, run_jqpie, run_qf_jqpie, run_qpie_direct)
 from .qcircuit import export_qasm
 from .qsim import log2_exact
 from .synth import DATA_QUBITS, closed_form_resources
@@ -114,14 +115,17 @@ def _collect_inputs(inputs, allow_png: bool) -> list[tuple[str, GrayscaleImage]]
     return images
 
 
-def _run_method(img: GrayscaleImage, method: str, r: int, scale: float, backend: str,
-                norm_mode: str) -> PipelineResult:
-    """One pipeline run; ``qpie`` is the direct-encoding baseline."""
+def _run_method(source: GrayscaleImage | ImageEncoding, method: str, r: int, scale: float,
+                backend: str, norm_mode: str) -> PipelineResult:
+    """One pipeline run; ``qpie`` is the direct-encoding baseline.
+
+    The hybrid methods also take the image's encoding for the method.
+    """
     if method == "jqpie":
-        return run_jqpie(img, r, scale=scale, backend=backend, norm_mode=norm_mode)
+        return run_jqpie(source, r, scale=scale, backend=backend, norm_mode=norm_mode)
     if method == "qf_jqpie":
-        return run_qf_jqpie(img, r, backend=backend, norm_mode=norm_mode)
-    return run_qpie_direct(pad_to_pow2(img), backend=backend)
+        return run_qf_jqpie(source, r, backend=backend, norm_mode=norm_mode)
+    return run_qpie_direct(pad_to_pow2(source), backend=backend)
 
 
 def _fmt(value: float) -> str:
@@ -140,43 +144,72 @@ def _model_reduction_pct(r: int) -> float:
     return 100.0 * (1.0 - 2.0 ** -(DATA_QUBITS - r))
 
 
-def _sweep_one_image(args) -> list[dict]:
+def _sweep_one_image(args) -> tuple[list[dict], SparsityStats | None]:
+    """Every (method, r) row of one image, and the image's sparsity statistics.
+
+    The image is encoded once per method. The first encoding also gives the
+    quantized coefficients that the JPEG baseline and the statistics read,
+    so no other transform of the image is made. Statistics are None (with a
+    warning) when every quantized coefficient is zero.
+    """
     label, img, cfg = args
     rows = []
-    try:
-        baseline = metrics.baseline_report(
-            img, classical_reference_decode(img, "jpeg", scale=cfg.scale),
-            f"jpeg S={cfg.scale:g}", ssim_mode=cfg.ssim_mode)
-    except Exception as exc:   # degenerate image: every combination errors
-        for method in cfg.methods:
-            for r in cfg.r_set:
-                rows.append({"image": label, "method": method, "r": r,
-                             "S": cfg.scale, "error": f"baseline failed: {exc}"})
-        return rows
+    stats = baseline = None
     for method in cfg.methods:
-        for r in sorted(cfg.r_set):
-            row = {"image": label, "method": method, "r": r, "S": cfg.scale, "error": ""}
+        encoding = None   # at most one coefficient matrix alive at a time
+        encoding = encode_image(img, method_scale(method, cfg.scale))
+        if baseline is None:
             try:
-                result = _run_method(img, method, r, cfg.scale, cfg.backend, cfg.norm_mode)
-                report = metrics.relative_report(img, result.reconstructed, baseline,
-                                                 ssim_mode=cfg.ssim_mode)
-                row.update({
-                    "psnr": report.psnr,
-                    "ssim": report.ssim,
-                    "delta_psnr": report.delta_psnr,
-                    "delta_ssim": report.delta_ssim,
-                    "success_prob": result.success_probability,
-                    "cx_total": result.resources.cx_count,
-                    "depth_total": result.resources.depth,
-                    "cx_reduction_pct": _model_reduction_pct(r),
-                })
-            except Exception as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-    return rows
+                stats, baseline = _stats_and_baseline(label, img, encoding, cfg)
+            except Exception as exc:   # degenerate image: every combination errors
+                return [{"image": label, "method": m, "r": r, "S": cfg.scale,
+                         "error": f"baseline failed: {exc}"}
+                        for m in cfg.methods for r in cfg.r_set], stats
+        rows += [_sweep_cell(label, img, encoding, method, r, baseline, cfg)
+                 for r in sorted(cfg.r_set)]
+    return rows, stats
 
 
-def _sweep_images(images: list[tuple[str, GrayscaleImage]], cfg: SweepConfig) -> list[dict]:
+def _stats_and_baseline(label: str, img: GrayscaleImage, encoding: ImageEncoding,
+                        cfg: SweepConfig) -> tuple[SparsityStats | None, metrics.QualityReport]:
+    """Sparsity statistics and the scored JPEG baseline, from one encoding."""
+    zz = encoding.jpeg_coefficients(cfg.scale)
+    try:
+        stats = sparsity_stats(zz)
+    except ValueError as exc:
+        log.warning("skipping %s in the statistics: %s", label, exc)
+        stats = None
+    baseline = metrics.baseline_report(img, jpeg_decode(zz, QuantTable(cfg.scale), img),
+                                       f"jpeg S={cfg.scale:g}", ssim_mode=cfg.ssim_mode)
+    return stats, baseline
+
+
+def _sweep_cell(label: str, img: GrayscaleImage, encoding: ImageEncoding, method: str,
+                r: int, baseline: metrics.QualityReport, cfg: SweepConfig) -> dict:
+    """One row; the run's result is released when the row is made."""
+    row = {"image": label, "method": method, "r": r, "S": cfg.scale, "error": ""}
+    try:
+        result = _run_method(encoding, method, r, cfg.scale, cfg.backend, cfg.norm_mode)
+        report = metrics.relative_report(img, result.reconstructed, baseline,
+                                         ssim_mode=cfg.ssim_mode)
+        row.update({
+            "psnr": report.psnr,
+            "ssim": report.ssim,
+            "delta_psnr": report.delta_psnr,
+            "delta_ssim": report.delta_ssim,
+            "success_prob": result.success_probability,
+            "cx_total": result.resources.cx_count,
+            "depth_total": result.resources.depth,
+            "cx_reduction_pct": _model_reduction_pct(r),
+        })
+    except Exception as exc:
+        row["error"] = str(exc)
+    return row
+
+
+def _sweep_images(images: list[tuple[str, GrayscaleImage]],
+                  cfg: SweepConfig) -> tuple[list[dict], list[tuple[str, SparsityStats]]]:
+    """All rows in input order, and the statistics of each image that has them."""
     tasks = [(label, img, cfg) for label, img in images]
     # The pool forks all its workers on the first submit, so never ask it
     # for more than there are images.
@@ -186,12 +219,15 @@ def _sweep_images(images: list[tuple[str, GrayscaleImage]], cfg: SweepConfig) ->
             per_image = list(pool.map(_sweep_one_image, tasks))
     else:
         per_image = [_sweep_one_image(t) for t in tasks]
-    return [row for rows in per_image for row in rows]
+    rows = [row for image_rows, _ in per_image for row in image_rows]
+    stats = [(label, image_stats) for (label, _), (_, image_stats) in zip(images, per_image)
+             if image_stats is not None]
+    return rows, stats
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
     """One row per (image, method, r); failures become error rows."""
-    return _sweep_images(_collect_inputs(cfg.inputs, cfg.allow_png), cfg)
+    return _sweep_images(_collect_inputs(cfg.inputs, cfg.allow_png), cfg)[0]
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -411,9 +447,7 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         allow_png=args.png,
     )
-    images = _collect_inputs(cfg.inputs, cfg.allow_png)
-    rows = _sweep_images(images, cfg)
-    stats = collect_stats(images, cfg.scale)
+    rows, stats = _sweep_images(_collect_inputs(cfg.inputs, cfg.allow_png), cfg)
     summary = summarize(rows, stats)
     try:
         histogram = aggregate_histogram(stats)

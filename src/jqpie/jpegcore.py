@@ -153,10 +153,17 @@ def zigzag_coefficients(grid: BlockGrid, table: QuantTable | None = None) -> np.
     without JPEG's 128 level shift, which keeps quantum readout scaling
     simple.
     """
-    coeffs = dct2_blocks(grid.blocks)
-    if table is not None:
-        coeffs = round_half_away(coeffs / table.values)
-    return coeffs.reshape(-1, BLOCK * BLOCK)[:, _ZIGZAG]
+    zz = dct2_blocks(grid.blocks).reshape(-1, BLOCK * BLOCK)[:, _ZIGZAG]
+    return zz if table is None else quantize_zigzag(zz, table)
+
+
+def quantize_zigzag(zz: np.ndarray, table: QuantTable) -> np.ndarray:
+    """Quantize zigzag-ordered coefficient rows, slot by slot, at ``table``.
+
+    Element for element the same division and rounding as quantizing the
+    8x8 blocks before the zigzag reordering, so the result is identical.
+    """
+    return round_half_away(zz / table.values.reshape(-1)[_ZIGZAG])
 
 
 def blocks_from_zigzag(zz: np.ndarray) -> np.ndarray:
@@ -204,6 +211,20 @@ def classical_reference_decode(img: GrayscaleImage, mode: str, r: int = 6,
     return out.clamped() if clamp else out
 
 
+def jpeg_decode(zz: np.ndarray, table: QuantTable, img: GrayscaleImage) -> GrayscaleImage:
+    """Classical JPEG decode of ``img`` from its quantized zigzag matrix.
+
+    ``zz`` holds the quantized rows of ``img``'s own block grid
+    (:func:`~jqpie.imagio.pad_and_partition`); they are dequantized,
+    inverse transformed, cropped to the original dimensions and clamped.
+    The same steps as :func:`classical_reference_decode` in ``jpeg`` mode,
+    which stays a separate oracle that computes its own coefficients.
+    """
+    nbx, nby = -(-img.height // BLOCK), -(-img.width // BLOCK)
+    pixels = idct2_blocks(blocks_from_zigzag(zz) * table.values)
+    return assemble_image(BlockGrid(pixels, nbx, nby, img.original_dims, img.bit_depth))
+
+
 @dataclass(frozen=True)
 class SparsityStats:
     """Nonzero structure of the quantized coefficients of one image.
@@ -220,15 +241,19 @@ class SparsityStats:
     block_count: int
 
 
-def sparsity_stats(img: GrayscaleImage, scale: float = 1.0) -> SparsityStats:
-    """Count nonzero quantized coefficients and their zigzag occupancy."""
-    grid = pad_and_partition(img)
-    table = QuantTable(scale)
-    zz = zigzag_coefficients(grid, table=table)
-    nonzero = zz != 0
+def sparsity_stats(source: GrayscaleImage | np.ndarray, scale: float = 1.0) -> SparsityStats:
+    """Count nonzero quantized coefficients and their zigzag occupancy.
+
+    ``source`` is an image, quantized here at ``scale``, or the (n_blocks,
+    64) quantized zigzag matrix of an image's own block grid
+    (:func:`~jqpie.imagio.pad_and_partition`), which already fixes the scale.
+    """
+    if isinstance(source, GrayscaleImage):
+        source = zigzag_coefficients(pad_and_partition(source), QuantTable(scale))
+    nonzero = source != 0
     d = int(nonzero.sum())
-    n = grid.padded_dims[0] * grid.padded_dims[1]
+    n = nonzero.size
     if d == 0:
         raise ValueError("all quantized coefficients are zero; compression ratio undefined")
     hist = nonzero.mean(axis=0)
-    return SparsityStats(d, n / d, hist, n, zz.shape[0])
+    return SparsityStats(d, n / d, hist, n, nonzero.shape[0])

@@ -2,6 +2,10 @@
 
 Entry points:
 
+  * :func:`encode_image` - the classical front end of one image (pad to
+    powers of two, block, 2D DCT, quantize at S or not, zigzag) as a
+    reusable :class:`ImageEncoding`; a sweep encodes each image once per
+    method and hands the encoding to every r;
   * :func:`run_qpie_direct` - plain amplitude encoding of the padded image;
   * :func:`run_jqpie` - quantized truncated coefficients loaded on the active
     qubits, then inverse zigzag, block-encoded inverse quantization with one
@@ -13,10 +17,11 @@ Entry points:
     without simulating it, for export.
 
 The two hybrid methods run through one body. They share the classical front
-end (pad to powers of two, partition, 2D DCT, zigzag, truncate, normalize),
-the state load, the decompression and the readout; passing a quantization
-scale is the only difference, and it adds the quantization step, the ancilla
-with the block-encoded rescaler, and the post-selection.
+end (:func:`encode_image`, then truncate and normalize per run), the state
+load, the decompression and the readout; passing a quantization scale is the
+only difference, and it adds the quantization step, the ancilla with the
+block-encoded rescaler, and the post-selection. Either run takes the image
+or its encoding; given the image, it encodes it first.
 
 Backends:
 
@@ -61,7 +66,7 @@ import numpy as np
 
 from .imagio import (BLOCK, BlockGrid, GrayscaleImage, assemble_image,
                      pad_and_partition, pad_to_pow2)
-from .jpegcore import QuantTable, truncate_zigzag, zigzag_coefficients
+from .jpegcore import QuantTable, quantize_zigzag, truncate_zigzag, zigzag_coefficients
 from .qcircuit import Circuit, ResourceReport, compose
 from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
                    postselect_ancilla, zero_state)
@@ -154,25 +159,92 @@ def _normalize_rows(zz: np.ndarray, mode: str) -> tuple[np.ndarray, float, np.nd
     return amps, math.sqrt(n_active), row_norms
 
 
-def _encode(img: GrayscaleImage, r: int, table: QuantTable | None,
-            norm_mode: str) -> tuple[int, int, np.ndarray, NormalizationRecord]:
-    """The classical front end shared by both hybrid methods.
+@dataclass(frozen=True)
+class ImageEncoding:
+    """The classical front end of one image, shared by every run on it.
 
-    Pads to power-of-two dimensions, blocks, transforms (quantizing when a
-    table is given), zigzags and keeps the first 2^r slots, then normalizes.
-    Returns the register sizes h and w (log2 of the padded dimensions), the
-    (n_blocks, 64) amplitude matrix and the record that undoes the scaling.
+    ``coefficients`` is the read-only (n_blocks, 64) zigzag matrix of the
+    image zero-padded to 2^h x 2^w pixels, blocks in row-major order:
+    quantized at ``scale`` for JQPIE, unquantized (``scale`` None) for
+    QF-JQPIE. It depends on neither r nor the normalization mode, so a run
+    at any of them only truncates and normalizes it.
+    """
+
+    image: GrayscaleImage
+    scale: float | None
+    h: int
+    w: int
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        self.coefficients.flags.writeable = False
+
+    @property
+    def table(self) -> QuantTable | None:
+        return None if self.scale is None else QuantTable(self.scale)
+
+    def jpeg_coefficients(self, scale: float) -> np.ndarray:
+        """Quantized zigzag rows of the image's own block grid.
+
+        The rows of the blocks :func:`~jqpie.imagio.pad_and_partition` makes
+        of the image (padded to multiples of 8 only), quantized at ``scale``:
+        unquantized coefficients are quantized here, quantized ones must
+        already be at ``scale``. This is the input of the classical JPEG
+        baseline and of the sparsity statistics.
+        """
+        nbx, nby = -(-self.image.height // BLOCK), -(-self.image.width // BLOCK)
+        grid = self.coefficients.reshape(2 ** self.h // BLOCK, 2 ** self.w // BLOCK, -1)
+        rows = grid[:nbx, :nby].reshape(nbx * nby, -1)
+        if self.scale is None:
+            return quantize_zigzag(rows, QuantTable(scale))
+        _check_scale(self, scale)
+        return rows
+
+
+def encode_image(img: GrayscaleImage, scale: float | None) -> ImageEncoding:
+    """The classical front end: pad to powers of two, block, 2D DCT, zigzag.
+
+    Quantizes at ``scale`` (JQPIE); ``scale=None`` keeps the raw transform
+    values (QF-JQPIE). The result feeds :func:`run_jqpie` or
+    :func:`run_qf_jqpie` at every r and normalization mode.
     """
     padded = pad_to_pow2(img)
     h = log2_exact(padded.height, "padded height")
     w = log2_exact(padded.width, "padded width")
-    grid = pad_and_partition(padded)
-    zz = truncate_zigzag(zigzag_coefficients(grid, table=table), r)
+    table = None if scale is None else QuantTable(scale)
+    coefficients = zigzag_coefficients(pad_and_partition(padded), table=table)
+    return ImageEncoding(img, scale, h, w, coefficients)
+
+
+def _check_scale(encoding: ImageEncoding, scale: float | None) -> None:
+    if encoding.scale != scale:
+        def kind(s):
+            return "unquantized" if s is None else f"quantized at S={s:g}"
+        raise ValueError(f"encoding is {kind(encoding.scale)}, not {kind(scale)}")
+
+
+def _encoding(source: GrayscaleImage | ImageEncoding, scale: float | None) -> ImageEncoding:
+    """``source`` itself when it is an encoding at ``scale``, else its encoding."""
+    if isinstance(source, ImageEncoding):
+        _check_scale(source, scale)
+        return source
+    return encode_image(source, scale)
+
+
+def _amplitudes(encoding: ImageEncoding, r: int,
+                norm_mode: str) -> tuple[np.ndarray, NormalizationRecord]:
+    """Truncate an encoding to its first 2^r zigzag slots and normalize.
+
+    Returns the (n_blocks, 64) amplitude matrix and the record that undoes
+    the scaling.
+    """
+    zz = truncate_zigzag(encoding.coefficients, r)
     amp_matrix, global_norm, per_block = _normalize_rows(zz, norm_mode)
+    table = encoding.table
     record = NormalizationRecord(global_norm, None if table is None else table.max_entry,
-                                 norm_mode, per_block, (padded.height, padded.width),
-                                 img.bit_depth)
-    return h, w, amp_matrix, record
+                                 norm_mode, per_block, (2 ** encoding.h, 2 ** encoding.w),
+                                 encoding.image.bit_depth)
+    return amp_matrix, record
 
 
 def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
@@ -301,16 +373,17 @@ def _fused_decompression(loaded: np.ndarray, h: int, w: int, r: int,
     return StateVector._owning(out.reshape(-1), h + w), probability
 
 
-def _run_hybrid(img: GrayscaleImage, r: int, scale: float | None, backend: str,
-                norm_mode: str, direct_load: bool | None) -> PipelineResult:
+def _run_hybrid(source: GrayscaleImage | ImageEncoding, r: int, scale: float | None,
+                backend: str, norm_mode: str, direct_load: bool | None) -> PipelineResult:
     """Both hybrid methods; a quantization scale selects JQPIE.
 
     The operator backend loads the h + w image qubits only and decompresses
     with the fused per-block product; ``gate_exact`` runs the full lowered
     circuit, ancilla included, gate by gate and post-selects.
     """
-    table = None if scale is None else QuantTable(scale)
-    h, w, amp_matrix, record = _encode(img, r, table, norm_mode)
+    encoding = _encoding(source, scale)
+    amp_matrix, record = _amplitudes(encoding, r, norm_mode)
+    h, w, table = encoding.h, encoding.w, encoding.table
     ancilla = table is not None
     direct = _direct_load(backend, direct_load, h + w - (DATA_QUBITS - r) > 14)
     if backend == "operator":
@@ -329,11 +402,12 @@ def _run_hybrid(img: GrayscaleImage, r: int, scale: float | None, backend: str,
             post = postselect_ancilla(sv, qubit=h + w, outcome=0)
             sv, probability = post.state, post.probability
     resources = closed_form_resources(h, w, r, method="jqpie" if ancilla else "qf_jqpie")
-    recon = readout_image(sv, record, img.original_dims, success_probability=probability)
+    recon = readout_image(sv, record, encoding.image.original_dims,
+                          success_probability=probability)
     return PipelineResult(sv, probability, record, resources, recon)
 
 
-def run_jqpie(img: GrayscaleImage, r: int, scale: float = 1.0,
+def run_jqpie(source: GrayscaleImage | ImageEncoding, r: int, scale: float = 1.0,
               backend: str = "operator", norm_mode: str = "global",
               direct_load: bool | None = None) -> PipelineResult:
     """Quantized hybrid preparation with coherent decompression.
@@ -348,36 +422,47 @@ def run_jqpie(img: GrayscaleImage, r: int, scale: float = 1.0,
     product per block on the image qubits; ``gate_exact`` applies the full
     lowered circuit gate by gate and is the reference it is checked against.
     ``direct_load`` skips the state-preparation cascade (operator backend
-    only; by default above 14 active qubits). Raises ValueError when the
-    truncated coefficients are all zero.
+    only; by default above 14 active qubits). ``source`` is the image or
+    its :func:`encode_image` at ``scale``, which skips the classical
+    transform. Raises ValueError when the truncated coefficients are all
+    zero or the encoding is not quantized at ``scale``.
     """
-    return _run_hybrid(img, r, scale, backend, norm_mode, direct_load)
+    return _run_hybrid(source, r, scale, backend, norm_mode, direct_load)
 
 
-def run_qf_jqpie(img: GrayscaleImage, r: int, backend: str = "operator",
+def run_qf_jqpie(source: GrayscaleImage | ImageEncoding, r: int, backend: str = "operator",
                  norm_mode: str = "global",
                  direct_load: bool | None = None) -> PipelineResult:
     """Quantization-free hybrid preparation: truncation only, fully unitary.
 
     Loads the unquantized truncated zigzag coefficients, applies the
     truncated inverse zigzag and the inverse 2D DCT. No ancilla, no block
-    encoding, and the success probability is exactly 1. Raises ValueError
-    when the truncated coefficients are all zero.
+    encoding, and the success probability is exactly 1. ``source`` is the
+    image or its unquantized :func:`encode_image`. Raises ValueError when
+    the truncated coefficients are all zero or the encoding is quantized.
     """
-    return _run_hybrid(img, r, None, backend, norm_mode, direct_load)
+    return _run_hybrid(source, r, None, backend, norm_mode, direct_load)
 
 
-def hybrid_circuit(img: GrayscaleImage, method: str, r: int, scale: float = 1.0) -> Circuit:
+def method_scale(method: str, scale: float) -> float | None:
+    """The quantization scale a hybrid method encodes at: None for QF-JQPIE."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    return scale if method == "jqpie" else None
+
+
+def hybrid_circuit(source: GrayscaleImage | ImageEncoding, method: str, r: int,
+                   scale: float = 1.0) -> Circuit:
     """Full gate-level circuit of a hybrid run, built without simulating it.
 
     The state-preparation cascade for the globally normalized coefficients,
     followed by the decompression lowered to RY/CX gates; ``scale`` only
-    matters for ``jqpie``.
+    matters for ``jqpie``. ``source`` is the image or its encoding for the
+    method, as for the runs.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    table = QuantTable(scale) if method == "jqpie" else None
-    h, w, amp_matrix, _ = _encode(img, r, table, "global")
+    encoding = _encoding(source, method_scale(method, scale))
+    amp_matrix, _ = _amplitudes(encoding, r, "global")
+    h, w, table = encoding.h, encoding.w, encoding.table
     prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=table is not None)
     return compose(prep, _decompression_circuit(h, w, r, table, "gate_exact"))
 

@@ -28,7 +28,7 @@ from scipy.linalg import cossin
 
 from .jpegcore import QuantTable, TRUNCATION_LEVELS, dct_matrix, zigzag_permutation
 from .qcircuit import (Circuit, Gate, PIPELINE_STAGES, ResourceReport, StageCost,
-                       cx, perm_gate, ry, schedule_depth, ublock)
+                       cx, perm_gate, resource_counts, ry, ublock)
 
 DATA_QUBITS = 6           # 8x8 block -> 6-bit intra-block index
 DATA_DIM = 64
@@ -498,11 +498,10 @@ QDCT_COST = StageCost(18, 33, 35)
 
 @lru_cache(maxsize=None)
 def _zigzag_network_cost(r: int) -> StageCost:
-    gates = lower_permutation(_truncated_zigzag_tuple(r),
-                              list(range(DATA_QUBITS - 1, -1, -1)))
-    cx_n = sum(1 for g in gates if g.kind == "cx")
-    rot_n = sum(1 for g in gates if g.kind == "ry")
-    return StageCost(cx_n, rot_n, schedule_depth(gates))
+    """Counted by :func:`~jqpie.qcircuit.resource_counts` on the lowered
+    network, the rule every other gate count follows."""
+    report = resource_counts(lower_circuit(synth_truncated_zigzag(r)))
+    return StageCost(report.cx_count, report.rotation_count, report.depth)
 
 
 def state_prep_cost(m: int) -> StageCost:

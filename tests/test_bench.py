@@ -179,7 +179,7 @@ def test_sweep_starts_no_more_workers_than_images(tmp_path, rng, monkeypatch):
         pools.clear()
         cfg = SweepConfig(inputs=(str(directory),), methods=("qf_jqpie",), r_set=(2,),
                           jobs=jobs)
-        rows = bench._sweep_images(images[:n_images], cfg)
+        rows, _ = bench._sweep_images(images[:n_images], cfg)
         assert pools == expected
         assert [row["image"] for row in rows] == [label for label, _ in images[:n_images]]
 
@@ -300,6 +300,66 @@ def test_cli_sweep_loads_and_stats_each_image_once(tmp_path, rng, monkeypatch):
     assert main(["sweep", str(directory), "--method", "qf_jqpie", "--r", "6",
                  "--out", str(tmp_path / "rows")]) == 0
     assert calls == {"load_image": 2, "sparsity_stats": 2}
+
+
+@pytest.mark.parametrize("methods,per_image", [(("jqpie",), 1), (("qf_jqpie",), 1),
+                                                (("jqpie", "qf_jqpie"), 2),
+                                                (("qf_jqpie", "jqpie"), 2)],
+                         ids=["jqpie", "qf_jqpie", "both", "both-reversed"])
+def test_sweep_transforms_each_image_once_per_method(tmp_path, rng, monkeypatch,
+                                                     methods, per_image):
+    from jqpie import jpegcore, pipeline
+    directory = make_dataset(tmp_path, rng, names=("a.pgm", "b.pgm"), size=24)
+    calls = {"zigzag_coefficients": 0, "dct2_blocks": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(pipeline, "zigzag_coefficients")
+    counted(jpegcore, "dct2_blocks")   # every forward transform, baseline and stats included
+    argv = ["sweep", str(directory), "--r", "3", "--r", "6", "--out", str(tmp_path / "rows")]
+    for method in methods:
+        argv += ["--method", method]
+    assert main(argv) == 0
+    assert calls == {"zigzag_coefficients": 2 * per_image, "dct2_blocks": 2 * per_image}
+
+
+def test_parallel_sweep_reports_match_serial(tmp_path, rng):
+    directory = make_dataset(tmp_path, rng, names=("a.pgm", "b.pgm"))
+    write_pgm(GrayscaleImage(np.zeros((8, 8))), directory / "zero.pgm")
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}" / "rows"
+        assert main(["sweep", str(directory), "--r", "4", "--jobs", jobs, "--keep-going",
+                     "--out", str(out)]) == 0
+        outputs.append([p.read_text() for p in (out.with_suffix(".csv"), out.with_suffix(".json"),
+                                                out.parent / "rows_histogram.csv")])
+    assert outputs[0] == outputs[1]
+    # the all-zero image has error rows and no statistics
+    assert json.loads(outputs[0][1])["compression_ratio"]["root"]["count"] == 2
+
+
+def test_sweep_peak_memory_1024(tmp_path, rng):
+    """A 1024x1024 jqpie sweep at r = 5, 6 holds at most 8.5 image-sized
+    float64 arrays at once: one coefficient matrix, the running cell's
+    state and reconstruction, and no earlier cell's result."""
+    import tracemalloc
+    path = tmp_path / "big.pgm"
+    write_pgm(random_image(rng, 1024, 1024), path)
+    argv = ["sweep", str(path), "--method", "jqpie", "--r", "5", "--r", "6",
+            "--out", str(tmp_path / "rows")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 1024 * 1024 * 8
 
 
 def test_cli_resources(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,10 @@ CALLERS = [Path(__file__).parent / "test_acceptance.py",
            *sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))]
 #: Entry points that are called from outside Python.
 ENTRY_POINTS = {"bench.main"}
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+#: Leading parameters the benchmark tracer's hooks read by name.
+HOOK_PARAMETERS = {("jqpie.bench", "load_image"): ("path",),
+                   ("jqpie.pipeline", "apply_circuit"): ("sv", "circuit")}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -149,3 +157,45 @@ def test_parses_as_python_310(path):
     # 3.10 is the oldest interpreter in the CI matrix. This checks syntax only
     # (e.g. no ``except*``); library APIs added after 3.10 are not caught.
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def tracer_contract_problems(wraps) -> list[str]:
+    """Names the benchmark tracer wraps that no longer resolve to a callable,
+    and hooked callables whose leading parameters were renamed. Either makes
+    the tracer report its metrics as absent."""
+    problems = []
+    for module_name, attr, *_ in wraps:
+        fn = getattr(importlib.import_module(module_name), attr, None)
+        if not callable(fn):
+            problems.append(f"{module_name}.{attr} is not callable")
+            continue
+        expected = HOOK_PARAMETERS.get((module_name, attr))
+        if expected:
+            leading = tuple(inspect.signature(fn).parameters)[:len(expected)]
+            if leading != expected:
+                problems.append(f"{module_name}.{attr} takes {leading}, hook reads {expected}")
+    return problems
+
+
+def test_tracer_wraps_resolve():
+    wraps = _load_tracing().WRAPS
+    assert {(m, a) for m, a, *_ in wraps} >= set(HOOK_PARAMETERS)
+    assert tracer_contract_problems(wraps) == []
+
+
+def test_tracer_contract_detects_a_removed_name(monkeypatch):
+    from jqpie import bench, pipeline
+    wraps = _load_tracing().WRAPS
+    monkeypatch.delattr(bench, "sparsity_stats")
+    assert tracer_contract_problems(wraps) == ["jqpie.bench.sparsity_stats is not callable"]
+    monkeypatch.setattr(pipeline, "apply_circuit", lambda state, circuit: state)
+    assert tracer_contract_problems(wraps)[1:] == [
+        "jqpie.pipeline.apply_circuit takes ('state', 'circuit'), hook reads ('sv', 'circuit')"]

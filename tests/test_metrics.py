@@ -89,6 +89,30 @@ def test_ssim_rejects_unknown_mode(rng):
         ssim(random_image(rng, 8, 8), random_image(rng, 8, 8), mode="boxes")
 
 
+def _windowed_ssim_loop(a, b):
+    """Windowed SSIM as one statistic per 8x8 window, window by window."""
+    c1, c2 = (0.01 * 255) ** 2, (0.03 * 255) ** 2
+    scores = []
+    for i in range(0, a.shape[0], 8):
+        for j in range(0, a.shape[1], 8):
+            wa, wb = a[i:i + 8, j:j + 8], b[i:i + 8, j:j + 8]
+            mu_a, mu_b = wa.mean(), wb.mean()
+            cov = np.mean((wa - mu_a) * (wb - mu_b))
+            scores.append((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                          / ((mu_a**2 + mu_b**2 + c1) * (wa.var() + wb.var() + c2)))
+    return float(np.mean(scores))
+
+
+@pytest.mark.parametrize("size", [(37, 61), (1, 80), (9, 9), (8, 8), (1, 1), (64, 64)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_windowed_ssim_matches_window_by_window(rng, size):
+    for noise in (0.5, 8.0, 60.0):
+        a = rng.integers(0, 256, size).astype(np.float64)
+        b = np.clip(a + rng.normal(0.0, noise, size), 0.0, 255.0)
+        assert ssim(a, b, mode="windowed") == pytest.approx(_windowed_ssim_loop(a, b),
+                                                            rel=0, abs=1e-12)
+
+
 def test_quality_report_deltas(rng):
     ref = random_image(rng, 16, 16)
     recon = GrayscaleImage(ref.pixels + 2.0, original_dims=ref.original_dims)

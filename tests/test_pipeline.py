@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from jqpie import pipeline
 from jqpie.bench import SweepConfig, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
-from jqpie.jpegcore import (QuantTable, idct2_block, reference_decode_pixels,
-                            truncate_zigzag, zigzag_coefficients)
+from jqpie.jpegcore import (QuantTable, classical_reference_decode, idct2_block, jpeg_decode,
+                            reference_decode_pixels, sparsity_stats, truncate_zigzag,
+                            zigzag_coefficients)
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
+from jqpie.qcircuit import export_qasm
 from jqpie.qsim import (StateVector, apply_circuit, from_amplitudes, postselect_ancilla,
                         state_fidelity, zero_state)
 from jqpie.synth import (block_encoded_rescaler, synth_state_prep, synth_truncated_zigzag,
@@ -327,8 +329,9 @@ def test_large_image_operator_backend(rng):
 def _gate_by_gate_reference(img, r, scale, norm_mode):
     """The decompression circuit applied gate by gate to the full register,
     ancilla included, then post-selected: what the fused product replaces."""
-    table = None if scale is None else QuantTable(scale)
-    h, w, amp_matrix, _ = pipeline._encode(img, r, table, norm_mode)
+    encoding = pipeline.encode_image(img, scale)
+    amp_matrix, _ = pipeline._amplitudes(encoding, r, norm_mode)
+    h, w, table = encoding.h, encoding.w, encoding.table
     ancilla = table is not None
     amps = np.zeros(2 ** (h + w + ancilla))
     amps[:amp_matrix.size] = amp_matrix.reshape(-1)
@@ -467,3 +470,59 @@ def test_operator_path_stays_on_image_qubits(rng, monkeypatch, direct_load):
         run_qf_jqpie(img, r, direct_load=direct_load)
         run_jqpie(img, r, direct_load=direct_load)
     assert widths and max(widths) == 12
+
+
+# --- one classical front end per image ----------------------------------------------
+
+@pytest.mark.parametrize("size", [(37, 61), (1, 80), (9, 9), (200, 130)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_encoding_holds_the_jpeg_grid_exactly(rng, size):
+    img = random_image(rng, *size)
+    for scale in (1.0, 3.5):
+        table = QuantTable(scale)
+        expected = zigzag_coefficients(pad_and_partition(img), table)
+        for encoding in (pipeline.encode_image(img, scale), pipeline.encode_image(img, None)):
+            zz = encoding.jpeg_coefficients(scale)
+            assert np.array_equal(zz, expected)
+        assert np.array_equal(jpeg_decode(zz, table, img).pixels,
+                              classical_reference_decode(img, "jpeg", scale=scale).pixels)
+        from_matrix, from_image = sparsity_stats(zz), sparsity_stats(img, scale)
+        assert np.array_equal(from_matrix.histogram, from_image.histogram)
+        assert ((from_matrix.nonzero_count, from_matrix.compression_ratio,
+                 from_matrix.pixel_count, from_matrix.block_count)
+                == (from_image.nonzero_count, from_image.compression_ratio,
+                    from_image.pixel_count, from_image.block_count))
+
+
+def test_runs_from_an_encoding_match_runs_from_the_image(rng):
+    img = random_image(rng, 37, 61)
+    quantized, raw = pipeline.encode_image(img, 3.5), pipeline.encode_image(img, None)
+    assert not quantized.coefficients.flags.writeable
+    for r in (2, 5):
+        for norm_mode in NORM_MODES:
+            pairs = [(run_jqpie(img, r, scale=3.5, norm_mode=norm_mode),
+                      run_jqpie(quantized, r, scale=3.5, norm_mode=norm_mode)),
+                     (run_qf_jqpie(img, r, norm_mode=norm_mode),
+                      run_qf_jqpie(raw, r, norm_mode=norm_mode))]
+            for from_image, from_encoding in pairs:
+                assert np.array_equal(from_image.reconstructed.pixels,
+                                      from_encoding.reconstructed.pixels)
+                assert from_image.to_json() == from_encoding.to_json()
+    for method, encoding in (("jqpie", quantized), ("qf_jqpie", raw)):
+        assert (export_qasm(pipeline.hybrid_circuit(encoding, method, 3, scale=3.5))
+                == export_qasm(pipeline.hybrid_circuit(img, method, 3, scale=3.5)))
+
+
+def test_runs_reject_an_encoding_of_the_other_kind(rng):
+    img = random_image(rng, 16, 16)
+    quantized, raw = pipeline.encode_image(img, 3.5), pipeline.encode_image(img, None)
+    with pytest.raises(ValueError, match="encoding is quantized at S=3.5, not quantized at S=1"):
+        run_jqpie(quantized, 4)
+    with pytest.raises(ValueError, match="encoding is unquantized, not quantized at S=3.5"):
+        run_jqpie(raw, 4, scale=3.5)
+    with pytest.raises(ValueError, match="encoding is quantized at S=3.5, not unquantized"):
+        run_qf_jqpie(quantized, 4)
+    with pytest.raises(ValueError, match="encoding is unquantized"):
+        pipeline.hybrid_circuit(raw, "jqpie", 3)
+    with pytest.raises(ValueError, match="encoding is quantized at S=3.5, not quantized at S=1"):
+        quantized.jpeg_coefficients(1.0)
