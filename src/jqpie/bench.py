@@ -5,7 +5,7 @@ Subcommands:
   stats           compression ratio and zigzag occupancy histogram
   simulate        run one image through one pipeline, report JSON (+PGM)
   sweep           (image x method x r) grid -> CSV rows + JSON summary
-  resources       closed-form resource table for a register configuration
+  resources       resource table per r for a register configuration
   export-circuit  fully lowered pipeline circuit as OpenQASM 3
 
 Sweep outputs are deterministic: images are processed in lexicographic
@@ -33,12 +33,12 @@ import numpy as np
 
 from . import metrics
 from .imagio import GrayscaleImage, ImageFormatError, load_image, pad_to_pow2, write_pgm
-from .jpegcore import (QuantTable, SparsityStats, classical_reference_decode, jpeg_decode,
-                       sparsity_stats)
-from .pipeline import (METHODS, ImageEncoding, PipelineResult, encode_image, hybrid_circuit,
-                       method_scale, run_jqpie, run_qf_jqpie, run_qpie_direct)
+from .jpegcore import (TRUNCATION_LEVELS, QuantTable, SparsityStats, classical_reference_decode,
+                       jpeg_decode, sparsity_stats)
+from .pipeline import (METHODS, NORM_MODES, ImageEncoding, PipelineResult, encode_image,
+                       hybrid_circuit, method_scale, run_jqpie, run_qf_jqpie, run_qpie_direct)
 from .qcircuit import export_qasm
-from .qsim import log2_exact
+from .qsim import BACKENDS, log2_exact
 from .synth import DATA_QUBITS, closed_form_resources
 
 log = logging.getLogger("jqpie.bench")
@@ -58,7 +58,7 @@ _IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm", ".png")
 class SweepConfig:
     inputs: tuple[str, ...]
     methods: tuple[str, ...] = METHODS
-    r_set: tuple[int, ...] = (2, 3, 4, 5, 6)
+    r_set: tuple[int, ...] = TRUNCATION_LEVELS
     scale: float = 1.0
     norm_mode: str = "global"
     backend: str = "operator"
@@ -359,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("input", help="image file")
     p_sim.add_argument("--method", choices=METHODS + ("qpie",), default="qf_jqpie")
     p_sim.add_argument("--r", type=int, default=5, help="truncation level (2..6)")
-    p_sim.add_argument("--backend", choices=("operator", "gate_exact"), default="operator")
-    p_sim.add_argument("--norm-mode", choices=("global", "per_block"), default="global")
+    p_sim.add_argument("--backend", choices=BACKENDS, default="operator")
+    p_sim.add_argument("--norm-mode", choices=NORM_MODES, default="global")
     p_sim.add_argument("--out", help="base path for JSON report and PGM reconstruction")
     add_common(p_sim)
 
@@ -370,16 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict to a method (repeatable; default both)")
     p_sweep.add_argument("--r", type=int, action="append", dest="r_set",
                          help="truncation level (repeatable; default 2..6)")
-    p_sweep.add_argument("--backend", choices=("operator", "gate_exact"), default="operator")
-    p_sweep.add_argument("--norm-mode", choices=("global", "per_block"), default="global")
-    p_sweep.add_argument("--ssim-mode", choices=("global", "windowed"), default="global")
+    p_sweep.add_argument("--backend", choices=BACKENDS, default="operator")
+    p_sweep.add_argument("--norm-mode", choices=NORM_MODES, default="global")
+    p_sweep.add_argument("--ssim-mode", choices=metrics.SSIM_MODES, default="global")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel image workers")
     p_sweep.add_argument("--out", required=True, help="output base path")
     p_sweep.add_argument("--keep-going", action="store_true",
                          help="exit 0 even if some rows are error rows")
     add_common(p_sweep)
 
-    p_res = sub.add_parser("resources", help="closed-form resource table")
+    p_res = sub.add_parser("resources", help="resource table per r")
     p_res.add_argument("--height", type=int, default=256, help="padded image height")
     p_res.add_argument("--width", type=int, default=256, help="padded image width")
     p_res.add_argument("--method", choices=METHODS + ("qpie",), default="jqpie")
@@ -439,7 +439,7 @@ def _cmd_sweep(args) -> int:
     cfg = SweepConfig(
         inputs=tuple(args.inputs),
         methods=tuple(args.methods) if args.methods else METHODS,
-        r_set=tuple(sorted(set(args.r_set))) if args.r_set else (2, 3, 4, 5, 6),
+        r_set=tuple(sorted(set(args.r_set))) if args.r_set else TRUNCATION_LEVELS,
         scale=args.scale,
         norm_mode=args.norm_mode,
         backend=args.backend,
@@ -471,7 +471,7 @@ def _cmd_resources(args) -> int:
         print("height and width must be powers of two", file=sys.stderr)
         return 2
     table = {}
-    for r in (2, 3, 4, 5, 6):
+    for r in TRUNCATION_LEVELS:
         report = closed_form_resources(h, w, r, method=args.method)
         entry = report.to_json()
         baseline = closed_form_resources(h, w, 6, method=args.method)

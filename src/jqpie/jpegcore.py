@@ -129,7 +129,7 @@ _ZIGZAG = zigzag_permutation()
 _ZIGZAG.flags.writeable = False
 
 
-def _check_truncation(r: int) -> None:
+def check_truncation(r: int) -> None:
     if r not in TRUNCATION_LEVELS:
         raise ValueError(f"truncation level must be one of {TRUNCATION_LEVELS}, got {r}")
 
@@ -139,7 +139,7 @@ def truncate_zigzag(values: np.ndarray, r: int) -> np.ndarray:
 
     Works on a single vector or on a (n_blocks, 64) matrix of vectors.
     """
-    _check_truncation(r)
+    check_truncation(r)
     out = np.array(values, dtype=np.float64)
     out[..., 2 ** r:] = 0.0
     return out
@@ -186,7 +186,7 @@ def reference_decode_pixels(img: GrayscaleImage, mode: str, r: int = 6,
     """
     if mode not in DECODE_MODES:
         raise ValueError(f"mode must be one of {DECODE_MODES}, got {mode!r}")
-    _check_truncation(r)
+    check_truncation(r)
     grid = pad_and_partition(img)
     if mode == "qf_oracle":
         zz = zigzag_coefficients(grid, table=None)

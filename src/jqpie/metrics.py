@@ -16,6 +16,8 @@ import numpy as np
 
 from .imagio import GrayscaleImage
 
+SSIM_MODES = ("global", "windowed")
+
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -101,7 +103,7 @@ def ssim(a, b, mode: str = "global") -> float:
 
     The stability constants are c1 = (0.01 L)^2, c2 = (0.03 L)^2.
     """
-    if mode not in ("global", "windowed"):
+    if mode not in SSIM_MODES:
         raise ValueError(f"unknown ssim mode {mode!r}")
     peak = _peak(a, b)
     pa, pb = _clamped_pixels(a, peak), _clamped_pixels(b, peak)

@@ -318,7 +318,7 @@ def _decompression_circuit(h: int, w: int, r: int, table: QuantTable | None,
         controls = list(range(DATA_QUBITS - 1, -1, -1))
         gates.extend(lower_multiplexed_ry(diag.angles, controls, n - 1,
                                           tag="inverse_quantization"))
-    gates.extend(synth_inverse_qdct_gates(row_qubits=(5, 4, 3), col_qubits=(2, 1, 0)))
+    gates.extend(synth_inverse_qdct_gates())
     circuit = Circuit(n, tuple(gates), regs)
     if backend == "gate_exact":
         circuit = lower_circuit(circuit)

@@ -5,8 +5,9 @@ the simulator can apply directly: PERM (a basis permutation over a qubit
 subset) and UBLOCK (a real orthogonal matrix over a qubit subset). Every
 entry is real, so circuits map real states to real states. Operator-level
 gates have no gate count of their own: resource reports and QASM export
-take lowered circuits only, and the closed-form model in :mod:`jqpie.synth`
-covers the abstract stages.
+take lowered circuits only. The resource model in :mod:`jqpie.synth` counts
+the decompression stages on their lowered circuits with
+:func:`resource_counts`, so its counts are those of the exported gates.
 
 Conventions (project-wide):
   * qubit 0 is the least-significant bit of a basis index;

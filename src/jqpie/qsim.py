@@ -47,7 +47,7 @@ import numpy as np
 
 from .qcircuit import Circuit, Gate, UnloweredGateError
 
-BACKENDS = ("gate_exact", "operator")
+BACKENDS = ("operator", "gate_exact")
 
 
 def _real_copy(values) -> np.ndarray:

@@ -5,9 +5,9 @@
 * block-encoded inverse quantization (uniformly controlled RY on an ancilla),
 * the inverse 2D DCT as two 8-point orthogonal blocks,
 
-plus closed-form resource formulas and exact gate-level lowering of
-operator-level gates (permutations and real orthogonal blocks) into the
-RY/CX alphabet.
+plus exact gate-level lowering of operator-level gates (permutations and
+real orthogonal blocks) into the RY/CX alphabet, and a resource model that
+counts the lowered stages (the image-sized cascade in closed form).
 
 Everything here targets real signed amplitudes, so RY rotations suffice and
 the synthesized circuits are real orthogonal operators. A basis permutation
@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import cossin
 
-from .jpegcore import QuantTable, TRUNCATION_LEVELS, dct_matrix, zigzag_permutation
+from .jpegcore import QuantTable, check_truncation, dct_matrix, zigzag_permutation
 from .qcircuit import (Circuit, Gate, PIPELINE_STAGES, ResourceReport, StageCost,
                        cx, perm_gate, resource_counts, ry, ublock)
 
@@ -154,8 +154,7 @@ def synth_state_prep(amplitudes, targets=None, n_qubits: int | None = None,
 
 @lru_cache(maxsize=None)
 def _truncated_zigzag_tuple(r: int) -> tuple[int, ...]:
-    if r not in TRUNCATION_LEVELS:
-        raise ValueError(f"truncation level must be one of {TRUNCATION_LEVELS}, got {r}")
+    check_truncation(r)
     pi = zigzag_permutation()
     kept = 2 ** r
     sigma = {k: int(pi[k]) for k in range(kept)}
@@ -246,10 +245,11 @@ def synth_inverse_quantization(table: QuantTable,
 
 # --- inverse DCT operator ------------------------------------------------------
 
-def synth_inverse_qdct_gates(row_qubits, col_qubits, tag: str = "inverse_qdct") -> list[Gate]:
-    """Inverse 2D DCT as two UBLOCK gates on disjoint 3-qubit registers."""
+def synth_inverse_qdct_gates(tag: str = "inverse_qdct") -> list[Gate]:
+    """Inverse 2D DCT as two UBLOCK gates on the data register: one on the
+    row qubits (5, 4, 3) of u, one on the column qubits (2, 1, 0) of v."""
     inv = dct_matrix().T
-    return [ublock(tuple(row_qubits), inv, tag=tag), ublock(tuple(col_qubits), inv, tag=tag)]
+    return [ublock((5, 4, 3), inv, tag=tag), ublock((2, 1, 0), inv, tag=tag)]
 
 
 # --- exact gate-level lowering --------------------------------------------------
@@ -489,19 +489,20 @@ def lower_circuit(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, tuple(gates), circuit.registers)
 
 
-# --- closed-form resource model -------------------------------------------------
-
-#: Published (cx, rotations, depth) of one 8-point QDCT on 3 qubits. Its gate
-#: sequence is not reconstructed here; the separable 2D transform runs two on
-#: disjoint registers, so it doubles the gate counts at equal depth.
-QDCT_COST = StageCost(18, 33, 35)
+# --- resource model -------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _zigzag_network_cost(r: int) -> StageCost:
-    """Counted by :func:`~jqpie.qcircuit.resource_counts` on the lowered
-    network, the rule every other gate count follows."""
-    report = resource_counts(lower_circuit(synth_truncated_zigzag(r)))
-    return StageCost(report.cx_count, report.rotation_count, report.depth)
+def _emitted_stage_cost(stage: str, r: int | None = None) -> StageCost:
+    """Gate counts of one lowered decompression stage: the inverse zigzag at
+    truncation ``r``, the inverse quantization (its counts do not depend on
+    the table) or the inverse 2D QDCT."""
+    if stage == "inverse_zigzag":
+        circuit = lower_circuit(synth_truncated_zigzag(r))
+    elif stage == "inverse_quantization":
+        circuit, _ = synth_inverse_quantization(QuantTable())
+    else:
+        circuit = lower_circuit(Circuit(DATA_QUBITS, tuple(synth_inverse_qdct_gates())))
+    return resource_counts(circuit).breakdown[stage]
 
 
 def state_prep_cost(m: int) -> StageCost:
@@ -515,16 +516,14 @@ def state_prep_cost(m: int) -> StageCost:
 
 
 def closed_form_resources(h: int, w: int, r: int, method: str = "jqpie") -> ResourceReport:
-    """Stage-by-stage resource model for a 2^h x 2^w image at truncation r.
+    """Stage-by-stage resources of a 2^h x 2^w image at truncation r.
 
-    state_prep covers the h+w-l active qubits (l = 6 - r inactive data
-    qubits); inverse_zigzag counts the lowered truncated permutation network;
-    inverse_quantization is the 64 CX + 64 rotation block encoding (JQPIE
-    only); inverse_qdct is :data:`QDCT_COST` doubled for the separable 2D
-    form at equal depth.
+    state_prep is the closed-form cost of the cascade on the h+w-l active
+    qubits (l = 6 - r inactive data qubits). The other stages (inverse
+    quantization for JQPIE only) are the counts of their lowered circuits,
+    the gates that ``export-circuit`` writes.
     """
-    if r not in TRUNCATION_LEVELS:
-        raise ValueError(f"truncation level must be one of {TRUNCATION_LEVELS}, got {r}")
+    check_truncation(r)
     if method not in ("jqpie", "qf_jqpie", "qpie"):
         raise ValueError(f"unknown method {method!r}")
     stages: dict[str, StageCost] = {name: StageCost() for name in PIPELINE_STAGES}
@@ -535,12 +534,9 @@ def closed_form_resources(h: int, w: int, r: int, method: str = "jqpie") -> Reso
             raise ValueError("block pipelines span at least the 6 data qubits (h + w >= 6)")
         ell = DATA_QUBITS - r
         stages["state_prep"] = state_prep_cost(h + w - ell)
-        stages["inverse_zigzag"] = _zigzag_network_cost(r)
-        stages["inverse_qdct"] = StageCost(2 * QDCT_COST.cx, 2 * QDCT_COST.rotations,
-                                           QDCT_COST.depth)
+        stages["inverse_zigzag"] = _emitted_stage_cost("inverse_zigzag", r)
+        stages["inverse_qdct"] = _emitted_stage_cost("inverse_qdct")
         if method == "jqpie":
-            stages["inverse_quantization"] = StageCost(64, 64, 128)
-    total = StageCost()
-    for cost in stages.values():
-        total = total + cost
+            stages["inverse_quantization"] = _emitted_stage_cost("inverse_quantization")
+    total = sum(stages.values(), StageCost())
     return ResourceReport(total.cx, total.rotations, total.depth, stages)

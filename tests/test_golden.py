@@ -24,6 +24,7 @@ import pytest
 
 from jqpie import bench
 from jqpie.imagio import GrayscaleImage, write_pgm
+from jqpie.metrics import SSIM_MODES
 from jqpie.pipeline import METHODS, NORM_MODES
 from jqpie.qsim import BACKENDS
 
@@ -39,7 +40,6 @@ RESOURCE_SIZES = ((64, 64), (256, 512))
 FLOAT_TOLERANCE = 1e-9
 PSNR_NOISE_FLOOR_DB = 120.0
 SECTIONS = ("sweep", "resources", "qasm_sha256", "stats")
-SSIM_MODES = ("global", "windowed")
 
 
 def write_inputs(directory: Path) -> Path:

@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 from jqpie import pipeline
 from jqpie.bench import SweepConfig, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
-from jqpie.jpegcore import (QuantTable, classical_reference_decode, idct2_block, jpeg_decode,
-                            reference_decode_pixels, sparsity_stats, truncate_zigzag,
-                            zigzag_coefficients)
+from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, classical_reference_decode,
+                            idct2_block, jpeg_decode, reference_decode_pixels, sparsity_stats,
+                            truncate_zigzag, zigzag_coefficients)
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
-from jqpie.qcircuit import export_qasm
+from jqpie.qcircuit import export_qasm, resource_counts
 from jqpie.qsim import (StateVector, apply_circuit, from_amplitudes, postselect_ancilla,
                         state_fidelity, zero_state)
-from jqpie.synth import (block_encoded_rescaler, synth_state_prep, synth_truncated_zigzag,
-                         truncated_zigzag_map)
+from jqpie.synth import (block_encoded_rescaler, closed_form_resources, synth_state_prep,
+                         synth_truncated_zigzag, truncated_zigzag_map)
 
 from conftest import gradient_image, random_image
 
@@ -61,7 +61,6 @@ def test_qpie_resources_full_register():
     report = run_qpie_direct(GrayscaleImage(np.ones((16, 16)))).resources
     assert report.breakdown["state_prep"].cx == 2 ** 8 - 2
     # 256x256 configuration, straight from the closed form
-    from jqpie.synth import closed_form_resources
     big = closed_form_resources(8, 8, 6, method="qpie")
     assert big.breakdown["state_prep"].cx == 2 ** 16 - 2
 
@@ -526,3 +525,19 @@ def test_runs_reject_an_encoding_of_the_other_kind(rng):
         pipeline.hybrid_circuit(raw, "jqpie", 3)
     with pytest.raises(ValueError, match="encoding is quantized at S=3.5, not quantized at S=1"):
         quantized.jpeg_coefficients(1.0)
+
+
+@pytest.mark.parametrize("height, width", [(8, 8), (16, 24)])
+def test_resource_model_counts_the_emitted_circuit(rng, height, width):
+    # every stage and total the runs report is the count of the gates that
+    # export-circuit writes, at any r and quantization scale
+    img = random_image(rng, height, width)
+    encoding = pipeline.encode_image(img, None)
+    for method in pipeline.METHODS:
+        for r in TRUNCATION_LEVELS:
+            model = closed_form_resources(encoding.h, encoding.w, r, method)
+            for scale in (0.5, 1.0, 3.5):
+                emitted = resource_counts(pipeline.hybrid_circuit(img, method, r, scale=scale))
+                assert emitted.breakdown == model.breakdown
+                assert ((emitted.cx_count, emitted.rotation_count, emitted.depth)
+                        == (model.cx_count, model.rotation_count, model.depth))

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from jqpie.jpegcore import QuantTable
+from jqpie.jpegcore import QuantTable, dct_matrix
 from jqpie.qcircuit import (Circuit, Gate, UnloweredGateError, compose, cx, export_qasm,
                             parse_qasm, perm_gate, resource_counts, ry, schedule_depth,
                             ublock)
-from jqpie.synth import closed_form_resources, synth_inverse_quantization, synth_state_prep
+from jqpie.synth import (closed_form_resources, lower_orthogonal, synth_inverse_quantization,
+                         synth_state_prep)
 
 
 def small_circuit():
@@ -129,10 +130,13 @@ def test_resource_counts_rejects_operator_gates(gate):
 
 def test_two_disjoint_qdct_blocks_share_depth():
     # the row and column 8-point QDCTs act on disjoint registers: the 2D
-    # stage doubles the published 18 CX / 33 rotations at depth 35
+    # stage doubles the gate counts of one 1D lowering at its depth
+    one = resource_counts(Circuit(3, tuple(lower_orthogonal(dct_matrix().T, [2, 1, 0]))))
     for method in ("jqpie", "qf_jqpie"):
         stage = closed_form_resources(4, 4, 3, method=method).breakdown["inverse_qdct"]
-        assert (stage.cx, stage.rotations, stage.depth) == (36, 66, 35)
+        assert (stage.cx, stage.rotations, stage.depth) == (56, 52, 49)
+        assert stage.depth == one.depth
+        assert stage.cx == 2 * one.cx_count
 
 
 def test_breakdown_sums_to_totals():

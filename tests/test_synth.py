@@ -5,9 +5,9 @@ import pytest
 from scipy.stats import ortho_group
 
 from jqpie.jpegcore import QuantTable, dct_matrix, zigzag_permutation
-from jqpie.qcircuit import Circuit, StageCost, resource_counts
+from jqpie.qcircuit import Circuit, resource_counts
 from jqpie.qsim import apply_circuit, basis_state, zero_state
-from jqpie.synth import (QDCT_COST, block_encoded_rescaler, closed_form_resources,
+from jqpie.synth import (block_encoded_rescaler, closed_form_resources,
                          lower_circuit, lower_givens, lower_multiplexed_ry, lower_orthogonal,
                          lower_permutation, multiplexed_ry_angles, state_prep_cost,
                          synth_inverse_quantization, synth_state_prep,
@@ -259,9 +259,14 @@ def test_qdct_matrix_rows():
     assert np.allclose(m @ m.T, np.eye(8), atol=1e-12)
 
 
-def test_qdct_cost_constants():
-    # published per 8-point transform; the 2D stage is checked in test_qcircuit
-    assert QDCT_COST == StageCost(18, 33, 35)
+def test_emitted_1d_qdct_cost_against_published():
+    # The model counts the emitted lowering of one 8-point inverse QDCT. The
+    # published 18 CX / 33 rotations / depth 35 per pass is not reached by
+    # the cosine-sine lowering and is recorded as a discrepancy, not asserted.
+    report = resource_counts(Circuit(3, tuple(lower_orthogonal(dct_matrix().T, [2, 1, 0]))))
+    assert (report.cx_count, report.rotation_count, report.depth) == (28, 26, 49)
+    print(f"note: emitted 1D inverse QDCT {report.cx_count} CX / {report.rotation_count} "
+          f"rotations / depth {report.depth} (published: 18 CX / 33 rotations / depth 35)")
 
 
 # --- gate-level lowering -----------------------------------------------------------
@@ -416,8 +421,8 @@ def test_closed_form_reduction_ratios():
 def test_closed_form_stage_composition():
     report = closed_form_resources(4, 4, 3, method="jqpie")
     assert report.breakdown["inverse_quantization"].cx == 64
-    assert report.breakdown["inverse_qdct"].cx == 36
-    assert report.breakdown["inverse_qdct"].depth == 35
+    assert report.breakdown["inverse_qdct"].cx == 56
+    assert report.breakdown["inverse_qdct"].depth == 49
     assert report.cx_count == sum(c.cx for c in report.breakdown.values())
     qf = closed_form_resources(4, 4, 3, method="qf_jqpie")
     assert qf.breakdown["inverse_quantization"].cx == 0
