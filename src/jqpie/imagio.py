@@ -209,15 +209,19 @@ def load_image(path, allow_png: bool = False) -> GrayscaleImage:
 
 
 def write_pgm(img: GrayscaleImage, path) -> None:
-    """Write an image as binary PGM (P5).
+    """Write an image as binary PGM (P5) with maxval L = 2^bit_depth - 1.
 
-    Pixels are clamped to [0, L] and rounded half away from zero; maxval is
-    always 255.
+    Pixels are clamped to [0, L] and rounded half away from zero, so the
+    file loads back at the image's bit depth. Bit depths above 8 raise
+    ValueError, like maxvals above 255 on loading.
     """
-    px = np.clip(img.pixels, 0.0, 255.0)
+    if not 1 <= img.bit_depth <= 8:
+        raise ValueError(f"PGM output supports bit depths 1..8, got {img.bit_depth}")
+    maxval = 2 ** img.bit_depth - 1
+    px = np.clip(img.pixels, 0.0, maxval)
     px = np.copysign(np.floor(np.abs(px) + 0.5), px).astype(np.uint8)
     h, w = px.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
+    header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
     Path(path).write_bytes(header + px.tobytes())
 
 

@@ -8,8 +8,10 @@ Entry points:
     method and hands the encoding to every r;
   * :func:`run_qpie_direct` - plain amplitude encoding of the padded image;
   * :func:`run_jqpie` - quantized truncated coefficients loaded on the active
-    qubits, then inverse zigzag, block-encoded inverse quantization with one
-    ancilla, inverse 2D DCT, and post-selection of the ancilla-0 branch;
+    qubits in the load order of :func:`~jqpie.synth.load_order`, then the
+    inverse zigzag (a few signed swaps), block-encoded inverse quantization
+    with one ancilla, inverse 2D DCT, and post-selection of the ancilla-0
+    branch;
   * :func:`run_qf_jqpie` - the quantization-free variant: unquantized
     truncated coefficients, no ancilla, no post-selection, fully unitary;
   * :func:`hybrid_circuit` - the full gate-level circuit of either hybrid
@@ -17,7 +19,7 @@ Entry points:
     without simulating it, for export.
 
 The two hybrid methods run through one body. They share the classical front
-end (:func:`encode_image`, then truncate and normalize per run), the state
+end (:func:`encode_image`, then gather and normalize per run), the state
 load, the decompression and the readout; passing a quantization scale is the
 only difference, and it adds the quantization step, the ancilla with the
 block-encoded rescaler, and the post-selection. Either run takes the image
@@ -26,16 +28,18 @@ or its encoding; given the image, it encodes it first.
 Backends:
 
   * ``operator`` - the decompression touches only the 6 data qubits and the
-    ancilla, so its ancilla-0 branch is one real 64x64 matrix M(r, S), read
-    off the decompression circuit once and cached. A run loads the
-    (n_blocks, 64) amplitudes on the h + w image qubits (directly, or up to
+    ancilla, and only the 2^r low slots of a block are loaded, so its
+    ancilla-0 branch is one real 64 x 2^r matrix M(r, S), read off the
+    decompression circuit once and cached. A run loads the (n_blocks, 2^r)
+    amplitudes on the h + w image qubits (directly, or up to
     14 active qubits by the state-preparation cascade, evaluated from its
     layer angles without building a gate) and decompresses every block with
     one product, ``amps @ M.T``; the success probability is the squared norm
     of the result and the ancilla-1 branch is never built.
   * ``gate_exact`` - the full-width reference: the cascade and the lowered
     decompression circuit, ancilla included, applied gate by gate to the
-    2^(h+w+1)-amplitude state, then post-selected.
+    2^(h+w+1)-amplitude state, then post-selected. The lowered circuit is
+    built once per (h, w, r, S) and cached.
 
 Images are zero-padded to power-of-two dimensions (at least 8) so pixels can
 be addressed by binary registers; the original dimensions are cropped back at
@@ -66,16 +70,18 @@ import numpy as np
 
 from .imagio import (BLOCK, BlockGrid, GrayscaleImage, assemble_image,
                      pad_and_partition, pad_to_pow2)
-from .jpegcore import QuantTable, quantize_zigzag, truncate_zigzag, zigzag_coefficients
+from .jpegcore import QuantTable, quantize_zigzag, zigzag_coefficients, zigzag_permutation
 from .qcircuit import Circuit, ResourceReport, compose
 from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
                    postselect_ancilla, zero_state)
 from .synth import (DATA_DIM, DATA_QUBITS, block_encoded_rescaler, closed_form_resources,
-                    lower_circuit, lower_multiplexed_ry, state_prep_angles,
+                    load_order, lower_circuit, lower_multiplexed_ry, state_prep_angles,
                     synth_inverse_qdct_gates, synth_state_prep, synth_truncated_zigzag)
 
 METHODS = ("jqpie", "qf_jqpie")
 NORM_MODES = ("global", "per_block")
+#: Zigzag slot of each frequency index 8u+v.
+_ZIGZAG_SLOT = np.argsort(zigzag_permutation())
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,7 @@ def registers_for(h: int, w: int, ancilla: bool):
 
 
 def _normalize_rows(zz: np.ndarray, mode: str) -> tuple[np.ndarray, float, np.ndarray | None]:
-    """Scale a (n_blocks, 64) coefficient matrix into unit amplitudes."""
+    """Scale a (n_blocks, 2^r) coefficient matrix into unit amplitudes."""
     if mode not in NORM_MODES:
         raise ValueError(f"norm_mode must be one of {NORM_MODES}")
     if mode == "global":
@@ -167,7 +173,7 @@ class ImageEncoding:
     image zero-padded to 2^h x 2^w pixels, blocks in row-major order:
     quantized at ``scale`` for JQPIE, unquantized (``scale`` None) for
     QF-JQPIE. It depends on neither r nor the normalization mode, so a run
-    at any of them only truncates and normalizes it.
+    at any of them only gathers its kept coefficients and normalizes them.
     """
 
     image: GrayscaleImage
@@ -233,12 +239,13 @@ def _encoding(source: GrayscaleImage | ImageEncoding, scale: float | None) -> Im
 
 def _amplitudes(encoding: ImageEncoding, r: int,
                 norm_mode: str) -> tuple[np.ndarray, NormalizationRecord]:
-    """Truncate an encoding to its first 2^r zigzag slots and normalize.
+    """Gather an encoding's first 2^r zigzag coefficients in load order and normalize.
 
-    Returns the (n_blocks, 64) amplitude matrix and the record that undoes
-    the scaling.
+    Column s of the returned (n_blocks, 2^r) amplitude matrix holds the
+    coefficient of frequency ``load_order(r)[s]``; the record undoes the
+    scaling.
     """
-    zz = truncate_zigzag(encoding.coefficients, r)
+    zz = encoding.coefficients[:, _ZIGZAG_SLOT[load_order(r)]]
     amp_matrix, global_norm, per_block = _normalize_rows(zz, norm_mode)
     table = encoding.table
     record = NormalizationRecord(global_norm, None if table is None else table.max_entry,
@@ -249,15 +256,14 @@ def _amplitudes(encoding: ImageEncoding, r: int,
 
 def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
                         ancilla: bool) -> Circuit:
-    """Cascade loading the slot-ordered coefficient amplitudes.
+    """Cascade loading the (n_blocks, 2^r) load-ordered amplitudes.
 
-    ``amp_matrix`` is (n_blocks, 64) with columns >= 2^r zero. The circuit
-    acts on the index register plus the low r data qubits; the remaining
-    data qubits (and the ancilla) stay |0>.
+    The circuit acts on the index register plus the low r data qubits; the
+    remaining data qubits (and the ancilla) stay |0>.
     """
     index_qubits = list(range(h + w - 1, DATA_QUBITS - 1, -1))
     data_low = list(range(r - 1, -1, -1))
-    return synth_state_prep(amp_matrix[:, :2 ** r].reshape(-1),
+    return synth_state_prep(amp_matrix.reshape(-1),
                             targets=index_qubits + data_low,
                             n_qubits=h + w + (1 if ancilla else 0),
                             registers=registers_for(h, w, ancilla))
@@ -306,15 +312,17 @@ def _load_state(amplitudes: np.ndarray) -> np.ndarray:
     return loaded.reshape(amplitudes.shape)
 
 
-def _decompression_circuit(h: int, w: int, r: int, table: QuantTable | None,
+@lru_cache(maxsize=64)
+def _decompression_circuit(h: int, w: int, r: int, scale: float | None,
                            backend: str) -> Circuit:
-    """Inverse zigzag, optional block-encoded rescaling, inverse 2D DCT."""
-    ancilla = table is not None
+    """Inverse zigzag, block-encoded rescaling at ``scale`` (none for None),
+    inverse 2D DCT; lowered to RY/CX gates for ``gate_exact``."""
+    ancilla = scale is not None
     n = h + w + (1 if ancilla else 0)
     regs = registers_for(h, w, ancilla)
     gates = list(synth_truncated_zigzag(r).gates)
     if ancilla:
-        diag = block_encoded_rescaler(table)
+        diag = block_encoded_rescaler(QuantTable(scale))
         controls = list(range(DATA_QUBITS - 1, -1, -1))
         gates.extend(lower_multiplexed_ry(diag.angles, controls, n - 1,
                                           tag="inverse_quantization"))
@@ -327,23 +335,25 @@ def _decompression_circuit(h: int, w: int, r: int, table: QuantTable | None,
 
 @lru_cache(maxsize=64)
 def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
-    """The ancilla-0 branch of the decompression as a real 64x64 matrix M.
+    """The ancilla-0 branch of the decompression as a real 64 x 2^r matrix M.
 
-    The decompression acts only on the data register and the ancilla, so a
-    block's loaded amplitudes a come out of it as M @ a. M is read off the
-    circuit itself: simulated on a 64-block register whose block j holds
-    the basis vector e_j, block j of the ancilla-0 branch is column j of M.
-    The ancilla-0 and ancilla-1 branches stacked must form a real isometry
-    (for QF-JQPIE, with no ancilla, M itself is orthogonal).
+    The decompression acts only on the data register and the ancilla, and a
+    block's 2^r loaded amplitudes a sit in its low slots, so they come out
+    of it as M @ a. M is read off the circuit itself: simulated on a
+    2^r-block register whose block s holds the basis vector e_s, block s of
+    the ancilla-0 branch is column s of M. The ancilla-0 and ancilla-1
+    branches stacked must form a real isometry (for QF-JQPIE, with no
+    ancilla, M itself has orthonormal columns).
     """
-    table = None if scale is None else QuantTable(scale)
-    circuit = _decompression_circuit(DATA_QUBITS, DATA_QUBITS, r, table, "operator")
-    probe = np.zeros((1 if table is None else 2, DATA_DIM, DATA_DIM))
-    probe[0] = np.eye(DATA_DIM) / math.sqrt(DATA_DIM)
+    kept = 2 ** r
+    # h + w = 6 + r: an r-qubit index register, one block per loaded slot
+    circuit = _decompression_circuit(DATA_QUBITS, r, r, scale, "operator")
+    probe = np.zeros((1 if scale is None else 2, kept, DATA_DIM))
+    probe[0, :, :kept] = np.eye(kept) / math.sqrt(kept)
     out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit, backend="operator")
-    branches = out.amplitudes.reshape(-1, DATA_DIM, DATA_DIM) * math.sqrt(DATA_DIM)
+    branches = out.amplitudes.reshape(-1, kept, DATA_DIM) * math.sqrt(kept)
     stacked = np.concatenate([b.T for b in branches])
-    if np.max(np.abs(stacked.T @ stacked - np.eye(DATA_DIM))) > 1e-9:
+    if np.max(np.abs(stacked.T @ stacked - np.eye(kept))) > 1e-9:
         raise ArithmeticError("decompression operator is not an isometry within 1e-9")
     matrix = np.ascontiguousarray(branches[0].T)
     matrix.flags.writeable = False
@@ -354,7 +364,7 @@ def _fused_decompression(loaded: np.ndarray, h: int, w: int, r: int,
                          scale: float | None) -> tuple[StateVector, float]:
     """Decompress every block with one product and keep the ancilla-0 branch.
 
-    ``loaded`` holds the (n_blocks, 64) real amplitudes. Returns the
+    ``loaded`` holds the (n_blocks, 2^r) real amplitudes. Returns the
     renormalized image state on h + w qubits and the branch probability;
     the ancilla-1 branch is never built.
     """
@@ -383,19 +393,16 @@ def _run_hybrid(source: GrayscaleImage | ImageEncoding, r: int, scale: float | N
     """
     encoding = _encoding(source, scale)
     amp_matrix, record = _amplitudes(encoding, r, norm_mode)
-    h, w, table = encoding.h, encoding.w, encoding.table
-    ancilla = table is not None
+    h, w = encoding.h, encoding.w
+    ancilla = scale is not None
     direct = _direct_load(backend, direct_load, h + w - (DATA_QUBITS - r) > 14)
     if backend == "operator":
-        loaded = amp_matrix
-        if not direct:
-            loaded = np.zeros_like(amp_matrix)
-            loaded[:, :2 ** r] = _load_state(amp_matrix[:, :2 ** r])
+        loaded = amp_matrix if direct else _load_state(amp_matrix)
         sv, probability = _fused_decompression(loaded, h, w, r, scale)
     else:
         prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla)
         sv = apply_circuit(zero_state(prep.n_qubits), prep, backend=backend)
-        sv = apply_circuit(sv, _decompression_circuit(h, w, r, table, backend),
+        sv = apply_circuit(sv, _decompression_circuit(h, w, r, scale, backend),
                            backend=backend)
         probability = 1.0
         if ancilla:
@@ -413,7 +420,7 @@ def run_jqpie(source: GrayscaleImage | ImageEncoding, r: int, scale: float = 1.0
     """Quantized hybrid preparation with coherent decompression.
 
     Classical stage: pad, block, 2D DCT, quantize at ``scale``, zigzag, keep
-    the first 2^r slots. Quantum stage: load, apply the truncated inverse
+    the first 2^r slots in load order. Quantum stage: load, apply the truncated inverse
     zigzag, the block-encoded inverse quantization on an ancilla, the
     inverse 2D DCT, then post-select the ancilla-0 branch. The recorded
     success probability is the simulated branch weight.
@@ -460,11 +467,12 @@ def hybrid_circuit(source: GrayscaleImage | ImageEncoding, method: str, r: int,
     matters for ``jqpie``. ``source`` is the image or its encoding for the
     method, as for the runs.
     """
-    encoding = _encoding(source, method_scale(method, scale))
+    scale = method_scale(method, scale)
+    encoding = _encoding(source, scale)
     amp_matrix, _ = _amplitudes(encoding, r, "global")
-    h, w, table = encoding.h, encoding.w, encoding.table
-    prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=table is not None)
-    return compose(prep, _decompression_circuit(h, w, r, table, "gate_exact"))
+    h, w = encoding.h, encoding.w
+    prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=scale is not None)
+    return compose(prep, _decompression_circuit(h, w, r, scale, "gate_exact"))
 
 
 def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",

@@ -1,10 +1,9 @@
 """Gate-level circuit representation with exact resource accounting.
 
-Gate alphabet: RY rotations and CX, plus two operator-level entries that
-the simulator can apply directly: PERM (a basis permutation over a qubit
-subset) and UBLOCK (a real orthogonal matrix over a qubit subset). Every
-entry is real, so circuits map real states to real states. Operator-level
-gates have no gate count of their own: resource reports and QASM export
+Gate alphabet: RY rotations and CX, plus one operator-level entry that the
+simulator can apply directly: UBLOCK (a real orthogonal matrix over a qubit
+subset). Every entry is real, so circuits map real states to real states.
+A UBLOCK has no gate count of its own: resource reports and QASM export
 take lowered circuits only. The resource model in :mod:`jqpie.synth` counts
 the decompression stages on their lowered circuits with
 :func:`resource_counts`, so its counts are those of the exported gates.
@@ -14,8 +13,8 @@ Conventions (project-wide):
   * registers are listed most-significant first, e.g.
     (("ancilla", 1), ("index", k), ("data", 6)) puts the data register in
     qubits 0..5 and the ancilla at the top;
-  * PERM/UBLOCK target lists are ordered most-significant-first with respect
-    to the operator's own basis index.
+  * UBLOCK target lists are ordered most-significant-first with respect to
+    the operator's own basis index.
 
 Depth model: greedy as-soon-as-possible scheduling where each gate
 occupies one time step on every touched qubit. Consecutive runs of gates with
@@ -48,7 +47,6 @@ class Gate:
     qubits: tuple[int, ...]
     angle: float | None = None
     matrix: np.ndarray | None = None
-    perm: tuple[int, ...] | None = None
     tag: str | None = None
 
     def __post_init__(self):
@@ -61,14 +59,6 @@ class Gate:
         elif self.kind == "cx":
             if len(self.qubits) != 2:
                 raise ValueError("cx takes a distinct (control, target) pair")
-        elif self.kind == "perm":
-            if self.perm is None:
-                raise ValueError("perm gate needs an index map")
-            perm = tuple(int(p) for p in self.perm)
-            dim = 2 ** len(self.qubits)
-            if sorted(perm) != list(range(dim)):
-                raise ValueError("perm map must be a bijection on the target subspace")
-            object.__setattr__(self, "perm", perm)
         elif self.kind == "ublock":
             if self.matrix is None:
                 raise ValueError("ublock gate needs a matrix")
@@ -96,11 +86,6 @@ def ry(qubit: int, angle: float, tag: str | None = None) -> Gate:
 
 def cx(control: int, target: int, tag: str | None = None) -> Gate:
     return Gate("cx", (control, target), tag=tag)
-
-
-def perm_gate(targets, mapping, tag: str | None = None) -> Gate:
-    """Basis permutation |k> -> |mapping[k]> on ``targets`` (MSB first)."""
-    return Gate("perm", tuple(targets), perm=tuple(mapping), tag=tag)
 
 
 def ublock(targets, matrix, tag: str | None = None) -> Gate:
@@ -180,7 +165,7 @@ class ResourceReport:
 def schedule_depth(gates) -> int:
     """ASAP depth of an elementary gate sequence (one step per qubit per gate).
 
-    Raises :class:`UnloweredGateError` on a PERM or UBLOCK gate.
+    Raises :class:`UnloweredGateError` on a UBLOCK gate.
     """
     front: dict[int, int] = {}
     depth = 0
@@ -197,7 +182,7 @@ def schedule_depth(gates) -> int:
 def resource_counts(circuit: Circuit) -> ResourceReport:
     """Exact gate counts and scheduled depth, broken down by stage tag.
 
-    The circuit must be lowered: a PERM or UBLOCK gate raises
+    The circuit must be lowered: a UBLOCK gate raises
     :class:`UnloweredGateError`. Stage segments (consecutive gates sharing a
     tag) are scheduled independently and act as barriers, so the total depth
     equals the breakdown sum.
@@ -232,10 +217,10 @@ _QASM_HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
 def export_qasm(circuit: Circuit) -> str:
     """Serialize an elementary-gate circuit to OpenQASM 3 text.
 
-    Operator-level gates have no textual form here; lower them first.
+    UBLOCK gates have no textual form here; lower them first.
     """
     if circuit.has_operator_gates:
-        raise UnloweredGateError("circuit contains PERM/UBLOCK gates: lower before export")
+        raise UnloweredGateError("circuit contains UBLOCK gates: lower before export")
     lines = [_QASM_HEADER + f"qubit[{circuit.n_qubits}] q;"]
     for g in circuit.gates:
         if g.kind == "ry":

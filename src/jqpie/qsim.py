@@ -13,13 +13,12 @@ Project basis convention (single source of truth, consumed by every module):
     + block_col, i.e. blocks enumerate row-major.
 
 Backends: ``gate_exact`` applies every elementary gate, one pass over the
-state each, and rejects operator-level entries; it is the reference.
-``operator`` applies the same elementary gates one by one and, in addition,
-PERM/UBLOCK gates directly on their target subspace.
-:func:`apply_circuit` is the only way to apply an operator: a permutation, a
-dense orthogonal matrix or a block encoding is wrapped in a PERM or UBLOCK
-gate of a :class:`~jqpie.qcircuit.Circuit`, whose construction validates it.
-Amplitudes are real float64: every gate (RY, CX, PERM, orthogonal UBLOCK)
+state each, and rejects UBLOCK entries; it is the reference. ``operator``
+applies the same elementary gates one by one and, in addition, UBLOCK gates
+directly on their target subspace. :func:`apply_circuit` is the only way to
+apply an operator: a dense orthogonal matrix is wrapped in a UBLOCK gate of
+a :class:`~jqpie.qcircuit.Circuit`, whose construction validates it.
+Amplitudes are real float64: every gate (RY, CX, orthogonal UBLOCK)
 maps real states to real states, so the signed JPEG coefficients never need
 a complex type, and complex input is rejected rather than cast. Both
 backends are orthogonal to machine accuracy; they agree to rounding (about
@@ -28,10 +27,11 @@ backends are orthogonal to machine accuracy; they agree to rounding (about
 The pipelines' ``operator`` backend runs neither the state-preparation
 cascade nor the decompression here over the whole image state:
 :mod:`jqpie.pipeline` loads the cascade's amplitudes from its layer angles,
-and simulates the decompression once, on a 64-block probe register, to read
-off its 64x64 per-block operator, then applies that operator to every block
-with one matrix product. The ``gate_exact`` pipeline backend runs the full
-gate-level circuit through :func:`apply_circuit` and is the reference.
+and simulates the decompression once, on a probe register of one block per
+loaded slot, to read off its 64 x 2^r per-block operator, then applies that
+operator to every block with one matrix product. The ``gate_exact``
+pipeline backend runs the full gate-level circuit through
+:func:`apply_circuit` and is the reference.
 
 A statevector is owned by one simulation at a time; all functions return new
 values and distinct simulations share nothing. Each state is copied once: a
@@ -160,34 +160,14 @@ def _ry_matrix(theta: float):
     return ((c, -s), (s, c))
 
 
-def _subspace_view(amps: np.ndarray, n: int, targets) -> tuple[np.ndarray, tuple, list]:
-    """Bring target qubits (MSB-first) to the front axes of a reshaped view."""
+def _apply_dense(amps: np.ndarray, n: int, matrix: np.ndarray, targets) -> np.ndarray:
+    """Apply a matrix on target qubits (MSB-first) by moving them to the front axes."""
     t = len(targets)
     axes = [n - 1 - q for q in targets]
-    psi = amps.reshape([2] * n)
-    psi = np.moveaxis(psi, axes, range(t))
-    return psi, psi.shape, axes
-
-
-def _apply_dense(amps: np.ndarray, n: int, matrix: np.ndarray, targets) -> np.ndarray:
-    t = len(targets)
-    psi, shape, axes = _subspace_view(amps, n, targets)
-    flat = psi.reshape(2 ** t, -1)
-    flat = matrix @ flat
-    psi = flat.reshape(shape)
-    psi = np.moveaxis(psi, range(t), axes)
-    return psi.reshape(-1)
-
-
-def _apply_perm(amps: np.ndarray, n: int, perm, targets) -> np.ndarray:
-    t = len(targets)
-    psi, shape, axes = _subspace_view(amps, n, targets)
-    flat = psi.reshape(2 ** t, -1)
-    out = np.empty_like(flat)
-    out[np.asarray(perm, dtype=np.int64)] = flat
-    psi = out.reshape(shape)
-    psi = np.moveaxis(psi, range(t), axes)
-    return psi.reshape(-1)
+    psi = np.moveaxis(amps.reshape([2] * n), axes, range(t))
+    shape = psi.shape
+    psi = (matrix @ psi.reshape(2 ** t, -1)).reshape(shape)
+    return np.moveaxis(psi, range(t), axes).reshape(-1)
 
 
 # --- public operations ----------------------------------------------------------
@@ -200,8 +180,6 @@ def apply_gate(amps: np.ndarray, n: int, gate: Gate, operator_ok: bool) -> np.nd
     elif not operator_ok:
         raise UnloweredGateError(
             f"{gate.kind} gate is not valid under the gate_exact backend; lower first")
-    elif gate.kind == "perm":
-        amps = _apply_perm(amps, n, gate.perm, gate.qubits)
     else:
         amps = _apply_dense(amps, n, gate.matrix, gate.qubits)
     return amps
@@ -212,7 +190,7 @@ def apply_circuit(sv: StateVector, circuit: Circuit,
     """Apply a circuit to a state gate by gate, returning the new state.
 
     ``gate_exact`` requires a fully lowered circuit. ``operator`` also
-    applies PERM and UBLOCK entries directly on their subspaces. Raises
+    applies UBLOCK entries directly on their subspaces. Raises
     ArithmeticError if the norm drifts beyond 1e-9.
     """
     if backend not in BACKENDS:

@@ -1,20 +1,21 @@
 """Circuit synthesis for the four pipeline stages.
 
 * amplitude-encoding state preparation (uniformly controlled RY cascade),
-* truncated inverse zigzag permutation,
+* truncated inverse zigzag as a few signed plane swaps,
 * block-encoded inverse quantization (uniformly controlled RY on an ancilla),
 * the inverse 2D DCT as two 8-point orthogonal blocks,
 
-plus exact gate-level lowering of operator-level gates (permutations and
-real orthogonal blocks) into the RY/CX alphabet, and a resource model that
-counts the lowered stages (the image-sized cascade in closed form).
+plus exact gate-level lowering of real orthogonal UBLOCK gates into the RY/CX
+alphabet, and a resource model that counts the lowered stages (the
+image-sized cascade in closed form).
 
 Everything here targets real signed amplitudes, so RY rotations suffice and
-the synthesized circuits are real orthogonal operators. A basis permutation
-is exactly realizable on its own qubits only when it is an even permutation
-(every gate in the alphabet acts as a determinant +1 operator on three or
-more qubits); all truncated zigzag permutations are even, and odd ones are
-rejected with instructions to add a helper qubit.
+the synthesized circuits are real orthogonal operators.
+
+The load order of the kept coefficients is a classical choice, made here
+once per r and read by both sides: the front end loads slot s < 2^r with
+the coefficient of frequency ``load_order(r)[s]``, and the inverse zigzag
+only has to move the frequencies it placed away from their own index.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from scipy.linalg import cossin
 
 from .jpegcore import QuantTable, check_truncation, dct_matrix, zigzag_permutation
 from .qcircuit import (Circuit, Gate, PIPELINE_STAGES, ResourceReport, StageCost,
-                       cx, perm_gate, resource_counts, ry, ublock)
+                       cx, resource_counts, ry, ublock)
 
 DATA_QUBITS = 6           # 8x8 block -> 6-bit intra-block index
 DATA_DIM = 64
@@ -152,28 +153,6 @@ def synth_state_prep(amplitudes, targets=None, n_qubits: int | None = None,
 
 # --- truncated inverse zigzag -------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _truncated_zigzag_tuple(r: int) -> tuple[int, ...]:
-    check_truncation(r)
-    pi = zigzag_permutation()
-    kept = 2 ** r
-    sigma = {k: int(pi[k]) for k in range(kept)}
-    retained = set(range(kept))
-    targets = set(sigma.values())
-    # Close each open chain: a displaced target (image outside the retained
-    # slots) maps back to the chain's free starting slot. For r=2 this yields
-    # exactly the pairing 2<->8, 3<->16; indices not touched stay fixed.
-    for start in sorted(retained - targets):
-        cur = start
-        while sigma[cur] in retained:
-            cur = sigma[cur]
-        sigma[sigma[cur]] = start
-    full = tuple(sigma.get(k, k) for k in range(DATA_DIM))
-    if sorted(full) != list(range(DATA_DIM)):
-        raise AssertionError("truncated zigzag completion failed to produce a bijection")
-    return full
-
-
 def truncated_zigzag_map(r: int) -> np.ndarray:
     """Bijection on 0..63 equal to the zigzag map on the first 2^r slots.
 
@@ -181,14 +160,71 @@ def truncated_zigzag_map(r: int) -> np.ndarray:
     are fixed except where a chain of displaced targets must be closed to
     keep the map a permutation.
     """
-    return np.array(_truncated_zigzag_tuple(r), dtype=np.int64)
+    check_truncation(r)
+    pi = zigzag_permutation()
+    kept = 2 ** r
+    sigma = {k: int(pi[k]) for k in range(kept)}
+    retained = set(range(kept))
+    # Close each open chain: a displaced target (image outside the retained
+    # slots) maps back to the chain's free starting slot. For r=2 this yields
+    # exactly the pairing 2<->8, 3<->16; indices not touched stay fixed.
+    for start in sorted(retained - set(sigma.values())):
+        cur = start
+        while sigma[cur] in retained:
+            cur = sigma[cur]
+        sigma[sigma[cur]] = start
+    return np.array([sigma.get(k, k) for k in range(DATA_DIM)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _swap_pairs(r: int) -> tuple[tuple[int, int], ...]:
+    """(s, o) for each low slot s < 2^r whose own frequency is not kept.
+
+    The kept frequencies are pi(0..2^r-1), those of the first 2^r zigzag
+    slots; a kept frequency o >= 2^r has no low slot of its own index, so it
+    is loaded into a free low slot s and swapped to o. Slots are paired in ascending
+    order, each with the lowest-Hamming-distance o left (then the lowest o),
+    which keeps the CX conjugation of each swap short.
+    """
+    check_truncation(r)
+    kept = 2 ** r
+    frequencies = {int(f) for f in zigzag_permutation()[:kept]}
+    high = sorted(f for f in frequencies if f >= kept)
+    pairs = []
+    for s in (s for s in range(kept) if s not in frequencies):
+        o = min(high, key=lambda f: (bin(s ^ f).count("1"), f))
+        high.remove(o)
+        pairs.append((s, o))
+    return tuple(pairs)
+
+
+def load_order(r: int) -> np.ndarray:
+    """Frequency index 8u+v whose coefficient is loaded into slot s < 2^r.
+
+    A slot whose own index is a kept frequency holds that frequency; every
+    other slot holds the kept frequency it is paired with in
+    :func:`synth_truncated_zigzag`. The 2^r entries are exactly the kept
+    frequencies pi(0..2^r-1).
+    """
+    order = np.arange(2 ** r)
+    for s, o in _swap_pairs(r):
+        order[s] = o
+    return order
 
 
 def synth_truncated_zigzag(r: int, tag: str = "inverse_zigzag") -> Circuit:
-    """Truncated inverse zigzag as a PERM gate over the 6-qubit data register."""
-    mapping = _truncated_zigzag_tuple(r)
-    gate = perm_gate(list(range(DATA_QUBITS - 1, -1, -1)), mapping, tag=tag)
-    return Circuit(DATA_QUBITS, (gate,), (("data", DATA_QUBITS),))
+    """Truncated inverse zigzag over the 6-qubit data register.
+
+    One signed swap ``lower_givens(s, o, pi)`` per pair of
+    :func:`load_order`: it sends the loaded |s> to +|o> and |o> to -|s>.
+    No |o> >= 2^r is loaded, so the -1 never acts and the network maps every
+    loaded slot s to +|load_order(r)[s]>. Empty at r = 6, where the load
+    order is the identity.
+    """
+    qubits = list(range(DATA_QUBITS - 1, -1, -1))
+    gates = [g for s, o in _swap_pairs(r)
+             for g in lower_givens(s, o, math.pi, qubits, tag=tag)]
+    return Circuit(DATA_QUBITS, tuple(gates), (("data", DATA_QUBITS),))
 
 
 # --- block-encoded inverse quantization ---------------------------------------
@@ -298,75 +334,6 @@ def lower_givens(i: int, j: int, theta: float, qubits, skip_zero: bool = True,
     return conj + mux + conj[::-1]
 
 
-def _givens_dense(dim: int, i: int, j: int, theta: float) -> np.ndarray:
-    g = np.eye(dim)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    g[i, i] = c
-    g[j, i] = s
-    g[i, j] = -s
-    g[j, j] = c
-    return g
-
-
-def permutation_cycles(mapping) -> list[list[int]]:
-    mapping = list(int(v) for v in mapping)
-    seen = [False] * len(mapping)
-    cycles = []
-    for start in range(len(mapping)):
-        if seen[start] or mapping[start] == start:
-            seen[start] = True
-            continue
-        cycle = []
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cycle.append(cur)
-            cur = mapping[cur]
-        cycles.append(cycle)
-    return cycles
-
-
-def lower_permutation(mapping, qubits, tag: str | None = None) -> list[Gate]:
-    """Exact RY/CX network realizing a basis permutation |k> -> |mapping[k]>.
-
-    Each transposition becomes a signed plane swap (Givens at pi); the
-    residual +-1 diagonal left over from the signs is cancelled by full-turn
-    rotations in pairs. Only even permutations are realizable on their own
-    qubits; odd ones raise (extend the qubit set by one inert helper and
-    double the permutation to make it even).
-    """
-    mapping = [int(v) for v in mapping]
-    dim = len(mapping)
-    if dim != 2 ** len(qubits):
-        raise ValueError("permutation size must be 2^len(qubits)")
-    transpositions: list[tuple[int, int]] = []
-    for cycle in permutation_cycles(mapping):
-        anchor = cycle[0]
-        for other in cycle[1:]:
-            transpositions.append((anchor, other))
-    if not transpositions:
-        return []
-    if len(transpositions) % 2:
-        raise ValueError(
-            "odd permutation: not exactly realizable over RY/CX on its own "
-            "qubits; add a helper qubit and double the permutation")
-    gates: list[Gate] = []
-    achieved = np.eye(dim)
-    for a, b in transpositions:
-        gates.extend(lower_givens(a, b, math.pi, qubits, tag=tag))
-        achieved = _givens_dense(dim, a, b, math.pi) @ achieved
-    target = np.zeros((dim, dim))
-    for src, dst in enumerate(mapping):
-        target[dst, src] = 1.0
-    residual = np.diag(target @ achieved.T)
-    flipped = [k for k in range(dim) if residual[k] < 0]
-    if len(flipped) % 2:
-        raise AssertionError("sign residual of an even permutation must be even")
-    for p, q in zip(flipped[0::2], flipped[1::2]):
-        gates.extend(lower_givens(p, q, 2.0 * math.pi, qubits, tag=tag))
-    return gates
-
-
 def _reflection_angle(g: np.ndarray) -> float:
     # det -1 blocks factor as RY(theta) . X with X applied first.
     return 2.0 * math.atan2(-g[0, 0], g[0, 1])
@@ -473,16 +440,14 @@ def lower_orthogonal(matrix: np.ndarray, qubits, tag: str | None = None) -> list
 
 
 def lower_circuit(circuit: Circuit) -> Circuit:
-    """Replace every PERM/UBLOCK gate with an exact elementary network.
+    """Replace every UBLOCK gate with an exact elementary network.
 
     UBLOCK lowering supports the real orthogonal det +1 operators this
     project produces; stage tags are preserved.
     """
     gates: list[Gate] = []
     for g in circuit.gates:
-        if g.kind == "perm":
-            gates.extend(lower_permutation(g.perm, list(g.qubits), tag=g.tag))
-        elif g.kind == "ublock":
+        if g.kind == "ublock":
             gates.extend(lower_orthogonal(g.matrix, list(g.qubits), tag=g.tag))
         else:
             gates.append(g)
@@ -497,7 +462,7 @@ def _emitted_stage_cost(stage: str, r: int | None = None) -> StageCost:
     truncation ``r``, the inverse quantization (its counts do not depend on
     the table) or the inverse 2D QDCT."""
     if stage == "inverse_zigzag":
-        circuit = lower_circuit(synth_truncated_zigzag(r))
+        circuit = synth_truncated_zigzag(r)
     elif stage == "inverse_quantization":
         circuit, _ = synth_inverse_quantization(QuantTable())
     else:

@@ -159,13 +159,24 @@ def test_missing_file_errors(tmp_path):
         load_image(tmp_path / "nope.pgm")
 
 
-def test_pgm_write_read_roundtrip(tmp_path, rng):
-    img = random_image(rng, 9, 13)
+@pytest.mark.parametrize("bit_depth", range(1, 9))
+def test_pgm_write_read_roundtrip(tmp_path, rng, bit_depth):
+    maxval = 2 ** bit_depth - 1
+    img = GrayscaleImage(rng.integers(0, maxval + 1, (9, 13)).astype(np.float64), bit_depth)
     path = tmp_path / "rt.pgm"
     write_pgm(img, path)
-    assert path.read_bytes().startswith(b"P5\n13 9\n255\n")
+    assert path.read_bytes().startswith(f"P5\n13 9\n{maxval}\n".encode())
     back = load_image(path)
+    assert back.bit_depth == bit_depth
     assert np.array_equal(back.pixels, img.pixels)
+
+
+def test_pgm_write_clamps_to_the_bit_depth(tmp_path):
+    path = tmp_path / "clamped.pgm"
+    write_pgm(GrayscaleImage(np.array([[-3.0, 2.4, 2.5, 99.0]]), bit_depth=2), path)
+    assert path.read_bytes() == b"P5\n4 1\n3\n" + bytes([0, 2, 3, 3])
+    with pytest.raises(ValueError, match="bit depths 1..8"):
+        write_pgm(GrayscaleImage(np.zeros((1, 1)), bit_depth=9), path)
 
 
 def test_partition_16x16_no_padding(rng):

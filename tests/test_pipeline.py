@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 from jqpie import pipeline
 from jqpie.bench import SweepConfig, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
-from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, classical_reference_decode,
-                            idct2_block, jpeg_decode, reference_decode_pixels, sparsity_stats,
-                            truncate_zigzag, zigzag_coefficients)
+from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, blocks_from_zigzag,
+                            classical_reference_decode, dct_matrix, idct2_block, jpeg_decode,
+                            reference_decode_pixels, sparsity_stats, truncate_zigzag,
+                            zigzag_coefficients)
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
-from jqpie.qcircuit import export_qasm, resource_counts
+from jqpie.qcircuit import Circuit, export_qasm, resource_counts
 from jqpie.qsim import (StateVector, apply_circuit, from_amplitudes, postselect_ancilla,
                         state_fidelity, zero_state)
-from jqpie.synth import (block_encoded_rescaler, closed_form_resources, synth_state_prep,
-                         synth_truncated_zigzag, truncated_zigzag_map)
+from jqpie.synth import (block_encoded_rescaler, closed_form_resources, load_order,
+                         synth_state_prep, synth_truncated_zigzag, truncated_zigzag_map)
 
 from conftest import gradient_image, random_image
 
@@ -232,21 +233,19 @@ def test_hybrid_methods_match_oracles_at_the_edges(img, method, r, scale, norm_m
 # --- stage-state check ---------------------------------------------------------------
 
 def test_zigzag_stage_moves_amplitudes_exhaustively(rng):
+    # the load-ordered amplitudes in the low slots of each block come out of
+    # the zigzag stage as the truncated coefficients in frequency order
     img = random_image(rng, 16, 16)
-    grid = pad_and_partition(img)
-    zz = truncate_zigzag(zigzag_coefficients(grid, table=None), 4)
-    amps = zz / np.linalg.norm(zz)
-    state = from_amplitudes(amps.reshape(-1))
-    perm = synth_truncated_zigzag(4)
-    from jqpie.qcircuit import Circuit
-    circ = Circuit(8, perm.gates, (("index", 2), ("data", 6)))
-    out = apply_circuit(state, circ)
-    sigma = truncated_zigzag_map(4)
-    for j in range(4):
-        for k in range(64):
-            loaded = amps[j, k]
-            moved = out.amplitudes[j * 64 + sigma[k]].real
-            assert abs(moved - loaded) < 1e-12
+    encoding = pipeline.encode_image(img, None)
+    for r in TRUNCATION_LEVELS:
+        amp_matrix, record = pipeline._amplitudes(encoding, r, "global")
+        amps = np.zeros((4, 64))
+        amps[:, :2 ** r] = amp_matrix
+        circ = Circuit(8, synth_truncated_zigzag(r).gates, (("index", 2), ("data", 6)))
+        out = apply_circuit(from_amplitudes(amps.reshape(-1)), circ, backend="gate_exact")
+        zz = truncate_zigzag(encoding.coefficients, r)
+        expected = blocks_from_zigzag(zz).reshape(4, 64) / record.global_norm
+        assert np.max(np.abs(out.amplitudes.reshape(4, 64) - expected)) <= 1e-12
 
 
 # --- readout ---------------------------------------------------------------------------
@@ -330,12 +329,12 @@ def _gate_by_gate_reference(img, r, scale, norm_mode):
     ancilla included, then post-selected: what the fused product replaces."""
     encoding = pipeline.encode_image(img, scale)
     amp_matrix, _ = pipeline._amplitudes(encoding, r, norm_mode)
-    h, w, table = encoding.h, encoding.w, encoding.table
-    ancilla = table is not None
-    amps = np.zeros(2 ** (h + w + ancilla))
-    amps[:amp_matrix.size] = amp_matrix.reshape(-1)
-    circuit = pipeline._decompression_circuit(h, w, r, table, "operator")
-    sv = apply_circuit(from_amplitudes(amps), circuit, backend="operator")
+    h, w = encoding.h, encoding.w
+    ancilla = scale is not None
+    amps = np.zeros((2 if ancilla else 1, len(amp_matrix), 64))
+    amps[0, :, :2 ** r] = amp_matrix
+    circuit = pipeline._decompression_circuit(h, w, r, scale, "operator")
+    sv = apply_circuit(from_amplitudes(amps.reshape(-1)), circuit, backend="operator")
     if not ancilla:
         return sv.amplitudes, 1.0
     post = postselect_ancilla(sv, qubit=h + w, outcome=0)
@@ -361,7 +360,7 @@ def test_fused_decompression_matches_gate_by_gate(rng, size, direct_load):
 
 def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
     monkeypatch.setattr(pipeline, "_decompression_operator",
-                        lambda r, scale: np.zeros((64, 64)))
+                        lambda r, scale: np.zeros((64, 2 ** r)))
     img = random_image(rng, 16, 16)
     with pytest.raises(ValueError, match="zero-probability branch: qubit 8 never reads 0"):
         run_jqpie(img, r=4)
@@ -373,16 +372,23 @@ def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_decompression_operator_matches_lowered_gate_exact_circuit(r):
-    # M read off the fully lowered circuit under gate_exact: no PERM/UBLOCK
-    # entries and no fused RY/CX runs, so no operator-backend code is involved
+    # M read off the fully lowered circuit under gate_exact: no UBLOCK entry,
+    # so no operator-backend code is involved. Column s of M is also the
+    # inverse 2D DCT of frequency f = load_order(r)[s], rescaled by d_f.
+    kept = 2 ** r
+    inverse_dct = np.kron(dct_matrix().T, dct_matrix().T)
     for scale in (None, 0.25, 1.0, 8.0):
-        table = None if scale is None else QuantTable(scale)
-        circuit = pipeline._decompression_circuit(6, 6, r, table, "gate_exact")
-        probe = np.zeros((1 if table is None else 2, 64, 64))
-        probe[0] = np.eye(64) / 8.0
+        circuit = pipeline._decompression_circuit(6, 6, r, scale, "gate_exact")
+        probe = np.zeros((1 if scale is None else 2, 64, 64))
+        probe[0, :kept, :kept] = np.eye(kept) / np.sqrt(kept)
         out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit, backend="gate_exact")
-        matrix = out.amplitudes.reshape(-1, 64, 64)[0].T * 8.0
-        assert np.max(np.abs(pipeline._decompression_operator(r, scale) - matrix)) <= 1e-12
+        matrix = out.amplitudes.reshape(-1, 64, 64)[0, :kept].T * np.sqrt(kept)
+        operator = pipeline._decompression_operator(r, scale)
+        assert operator.shape == (64, kept)
+        assert np.max(np.abs(operator - matrix)) <= 1e-12
+        d = np.ones(64) if scale is None else block_encoded_rescaler(QuantTable(scale)).diagonal
+        f = load_order(r)
+        assert np.max(np.abs(operator - inverse_dct[:, f] * d[f])) <= 1e-12
 
 
 # --- angle-level state load (operator backend) ------------------------------------
@@ -541,3 +547,35 @@ def test_resource_model_counts_the_emitted_circuit(rng, height, width):
                 assert emitted.breakdown == model.breakdown
                 assert ((emitted.cx_count, emitted.rotation_count, emitted.depth)
                         == (model.cx_count, model.rotation_count, model.depth))
+
+
+@pytest.mark.parametrize("height, width", [(64, 64), (256, 512)])
+def test_r6_costs_qpie_plus_the_decompression_tail(height, width):
+    # at r=6 the load order is the zigzag itself and the inverse zigzag is
+    # empty: jqpie adds only the rescaler and the QDCT to direct QPIE
+    h, w = height.bit_length() - 1, width.bit_length() - 1
+    qpie = closed_form_resources(h, w, 6, "qpie")
+    jqpie = closed_form_resources(h, w, 6, "jqpie")
+    qf = closed_form_resources(h, w, 6, "qf_jqpie")
+    tail = jqpie.breakdown["inverse_quantization"].cx + jqpie.breakdown["inverse_qdct"].cx
+    assert jqpie.breakdown["inverse_zigzag"].cx == 0
+    assert jqpie.cx_count == qpie.cx_count + tail == qpie.cx_count + 120
+    assert qf.cx_count == qpie.cx_count + qf.breakdown["inverse_qdct"].cx == qpie.cx_count + 56
+
+
+def test_gate_exact_lowers_each_decompression_once(tmp_path, rng, monkeypatch):
+    for name in ("a.pgm", "b.pgm"):
+        write_pgm(random_image(rng, 16, 16), tmp_path / name)
+    pipeline._decompression_circuit.cache_clear()
+    lowered = []
+
+    def spy(circuit):
+        lowered.append(circuit)
+        return lower(circuit)
+
+    lower = pipeline.lower_circuit
+    monkeypatch.setattr(pipeline, "lower_circuit", spy)
+    rows = run_sweep(SweepConfig(inputs=(str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")),
+                                 r_set=(3, 6), backend="gate_exact"))
+    assert len(rows) == 8 and not any(row["error"] for row in rows)
+    assert len(lowered) == 4   # one per (r, S): r in {3, 6}, S in {1, none}

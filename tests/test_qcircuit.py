@@ -5,8 +5,7 @@ import pytest
 
 from jqpie.jpegcore import QuantTable, dct_matrix
 from jqpie.qcircuit import (Circuit, Gate, UnloweredGateError, compose, cx, export_qasm,
-                            parse_qasm, perm_gate, resource_counts, ry, schedule_depth,
-                            ublock)
+                            parse_qasm, resource_counts, ry, schedule_depth, ublock)
 from jqpie.synth import (closed_form_resources, lower_orthogonal, synth_inverse_quantization,
                          synth_state_prep)
 
@@ -20,17 +19,15 @@ def test_gate_validation():
         Gate("cx", (1, 1))
     with pytest.raises(ValueError):
         Gate("ry", (0,))            # missing angle
-    with pytest.raises(ValueError):
-        perm_gate((0, 1), (0, 0, 1, 1))
+    with pytest.raises(ValueError, match="unknown gate kind 'perm'"):
+        Gate("perm", (0, 1))
     with pytest.raises(ValueError):
         ublock((0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="must be real"):
         ublock((0,), 1j * np.eye(2))        # unitary, but not real
 
 
-def test_perm_and_ublock_accept_valid_input():
-    g = perm_gate((1, 0), (1, 0, 3, 2))
-    assert g.perm == (1, 0, 3, 2)
+def test_ublock_accepts_valid_input():
     u = ublock((0,), np.eye(2))
     assert u.matrix.dtype == np.float64
 
@@ -117,9 +114,8 @@ def test_depth_bounds_random_circuits(rng):
         assert depth >= math.ceil(k / n)
 
 
-@pytest.mark.parametrize("gate", [perm_gate((2, 1, 0), range(8)),
-                                  ublock((1, 0), np.eye(4), tag="inverse_qdct")],
-                         ids=["perm", "ublock"])
+@pytest.mark.parametrize("gate", [ublock((1, 0), np.eye(4), tag="inverse_qdct")],
+                         ids=["ublock"])
 def test_resource_counts_rejects_operator_gates(gate):
     circuit = Circuit(3, (ry(2, 0.1), gate))
     with pytest.raises(UnloweredGateError, match="lower"):
@@ -172,8 +168,8 @@ def test_export_single_rotation():
 
 
 def test_export_rejects_operator_gates():
-    circ = Circuit(3, (perm_gate((2, 1, 0), range(8)),))
-    with pytest.raises(UnloweredGateError, match="lower"):
+    circ = Circuit(3, (ublock((2, 1, 0), np.eye(8)),))
+    with pytest.raises(UnloweredGateError, match="UBLOCK gates: lower"):
         export_qasm(circ)
 
 
@@ -191,7 +187,7 @@ def test_qasm_roundtrip(rng):
     assert back.n_qubits == 5
     assert len(back.gates) == len(circ.gates)
     for g1, g2 in zip(circ.gates, back.gates):
-        assert (g2.kind, g2.qubits, g2.perm, g2.matrix) == (g1.kind, g1.qubits, g1.perm, g1.matrix)
+        assert (g2.kind, g2.qubits, g2.matrix) == (g1.kind, g1.qubits, g1.matrix)
         assert (g2.angle is None) == (g1.angle is None)
         if g1.angle is not None:
             assert abs(g2.angle - g1.angle) <= 1e-12

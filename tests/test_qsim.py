@@ -6,7 +6,7 @@ import pytest
 
 from jqpie import qsim
 from jqpie.jpegcore import QuantTable, dct_matrix
-from jqpie.qcircuit import Circuit, UnloweredGateError, cx, perm_gate, ry, ublock
+from jqpie.qcircuit import Circuit, UnloweredGateError, cx, ry, ublock
 from jqpie.qsim import (StateVector, apply_circuit, apply_gate, basis_state,
                         from_amplitudes, postselect_ancilla, state_fidelity, zero_state)
 from jqpie.synth import (BlockEncodedDiag, block_encoded_rescaler, lower_circuit,
@@ -92,8 +92,8 @@ def test_qubit_count_mismatch():
 
 
 def test_gate_exact_rejects_operator_gates():
-    circ = Circuit(3, (perm_gate((2, 1, 0), range(8)),))
-    with pytest.raises(UnloweredGateError):
+    circ = Circuit(3, (ublock((2, 1, 0), np.eye(8)),))
+    with pytest.raises(UnloweredGateError, match="ublock gate is not valid"):
         apply_circuit(zero_state(3), circ, backend="gate_exact")
 
 
@@ -153,26 +153,33 @@ def test_lowered_vs_operator_gate_for_ublock(rng):
     assert np.linalg.norm(direct.amplitudes - lowered.amplitudes) <= 1e-10
 
 
+def _permutation_matrix(perm):
+    mat = np.zeros((len(perm), len(perm)))
+    mat[perm, np.arange(len(perm))] = 1.0
+    return mat
+
+
 def test_perm_swap_on_subspace():
-    # swap a single qubit's basis values: |01> -> |10> on that qubit
-    sv = basis_state(2, 0b01)
-    out = apply_circuit(sv, Circuit(2, (perm_gate([0], [1, 0]),)))
+    # a basis permutation is a UBLOCK; swap a single qubit's basis values
+    swap = ublock([0], _permutation_matrix([1, 0]))
+    out = apply_circuit(basis_state(2, 0b01), Circuit(2, (swap,)))
     assert out.amplitudes[0b00] == 1.0
-    sv2 = basis_state(2, 0b00)
-    out2 = apply_circuit(sv2, Circuit(2, (perm_gate([1], [1, 0]),)))
+    out2 = apply_circuit(basis_state(2, 0b00), Circuit(2, (ublock([1], swap.matrix),)))
     assert out2.amplitudes[0b10] == 1.0
 
 
 def test_perm_on_multi_qubit_subspace(rng):
-    perm = list(rng.permutation(8))
+    # |k> -> |perm[k]> on scattered targets, against index arithmetic
+    perm = rng.permutation(8)
     sv = from_amplitudes(_random_state(rng, 5))
-    out = apply_circuit(sv, Circuit(5, (perm_gate([4, 2, 0], perm),)))
-    # oracle: dense matrix on the kron-extended space
-    mat = np.zeros((8, 8))
-    for k, v in enumerate(perm):
-        mat[v, k] = 1.0
-    expected = apply_circuit(sv, Circuit(5, (ublock([4, 2, 0], mat),)))
-    assert np.linalg.norm(out.amplitudes - expected.amplitudes) < 1e-12
+    out = apply_circuit(sv, Circuit(5, (ublock([4, 2, 0], _permutation_matrix(perm)),)))
+    expected = np.empty(32)
+    for index in range(32):
+        k = (index >> 4 & 1) << 2 | (index >> 2 & 1) << 1 | (index & 1)
+        v = perm[k]
+        moved = index & 0b01010 | (v >> 2 & 1) << 4 | (v >> 1 & 1) << 2 | (v & 1)
+        expected[moved] = sv.amplitudes[index]
+    assert np.array_equal(out.amplitudes, expected)
 
 
 def test_block_encoding_identity_branch():
@@ -212,8 +219,6 @@ def test_operator_gate_validation():
         Circuit(3, (ublock([0, 5], np.eye(4)),))
     with pytest.raises(ValueError):
         ublock([1, 0], np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        perm_gate([1, 0], [0, 0, 1, 1])
 
 
 def test_postselect_product_state():

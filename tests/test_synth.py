@@ -5,12 +5,12 @@ import pytest
 from scipy.stats import ortho_group
 
 from jqpie.jpegcore import QuantTable, dct_matrix, zigzag_permutation
-from jqpie.qcircuit import Circuit, resource_counts
+from jqpie.qcircuit import Circuit, resource_counts, ry
 from jqpie.qsim import apply_circuit, basis_state, zero_state
-from jqpie.synth import (block_encoded_rescaler, closed_form_resources,
+from jqpie.synth import (block_encoded_rescaler, closed_form_resources, load_order,
                          lower_circuit, lower_givens, lower_multiplexed_ry, lower_orthogonal,
-                         lower_permutation, multiplexed_ry_angles, state_prep_cost,
-                         synth_inverse_quantization, synth_state_prep,
+                         multiplexed_ry_angles, state_prep_cost,
+                         synth_inverse_qdct_gates, synth_inverse_quantization, synth_state_prep,
                          synth_truncated_zigzag, truncated_zigzag_map, walsh_hadamard)
 
 
@@ -183,9 +183,10 @@ def test_truncated_zigzag_r6_is_full_zigzag():
 
 
 def test_truncated_zigzag_circuit_fixes_untouched_states():
+    # slot 5 is kept as itself at r=2 and is in no swap
     circuit = synth_truncated_zigzag(2)
-    out = apply_circuit(basis_state(6, 5), circuit)
-    assert out.amplitudes[5] == 1.0
+    out = apply_circuit(basis_state(6, 5), circuit, backend="gate_exact")
+    assert abs(out.amplitudes[5] - 1.0) <= 1e-12
 
 
 def test_truncated_zigzag_unitary_roundtrip():
@@ -199,6 +200,39 @@ def test_truncated_zigzag_unitary_roundtrip():
 def test_truncated_zigzag_invalid_level():
     with pytest.raises(ValueError):
         synth_truncated_zigzag(1)
+    with pytest.raises(ValueError):
+        load_order(7)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_load_order_holds_the_kept_frequencies(r):
+    order = load_order(r)
+    kept = zigzag_permutation()[:2 ** r]
+    assert sorted(order.tolist()) == sorted(kept.tolist())
+    for s in range(2 ** r):
+        if s in kept:
+            assert order[s] == s
+
+
+def test_load_order_pairs_at_low_r():
+    # a displaced slot s holds the kept frequency o >= 2^r closest in
+    # Hamming distance (then the lowest o); r=6 keeps every slot as itself
+    moved = {r: {s: int(o) for s, o in enumerate(load_order(r)) if s != o} for r in (2, 3, 6)}
+    assert moved == {2: {2: 8, 3: 16}, 3: {4: 8, 5: 9, 6: 10, 7: 16}, 6: {}}
+    assert [sum(load_order(r) != np.arange(2 ** r)) for r in (4, 5)] == [6, 6]
+
+
+def test_zigzag_network_maps_loaded_slots_to_their_frequencies():
+    # no sign fix-up: the -1 of each signed swap lands on an unloaded slot
+    for r in (2, 3, 4, 5, 6):
+        circuit = synth_truncated_zigzag(r)
+        assert not circuit.has_operator_gates
+        assert all(g.tag == "inverse_zigzag" for g in circuit.gates)
+        for s, f in enumerate(load_order(r)):
+            out = apply_circuit(basis_state(6, s), circuit, backend="gate_exact").amplitudes
+            expected = np.zeros(64)
+            expected[f] = 1.0
+            assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 # --- block encoding --------------------------------------------------------------
@@ -287,55 +321,6 @@ def test_lower_givens_rotates_exactly_one_plane(rng):
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
-def test_lower_permutation_truncated_zigzag_exact():
-    for r in (2, 3, 4, 5, 6):
-        mapping = truncated_zigzag_map(r)
-        gates = lower_permutation(mapping, [5, 4, 3, 2, 1, 0])
-        got = circuit_matrix(gates, 6).real
-        expected = np.zeros((64, 64))
-        for k, v in enumerate(mapping):
-            expected[v, k] = 1.0
-        assert np.max(np.abs(got - expected)) < 1e-10
-
-
-def test_lower_permutation_rejects_odd():
-    swap = list(range(8))
-    swap[0], swap[1] = 1, 0
-    with pytest.raises(ValueError, match="odd permutation"):
-        lower_permutation(swap, [2, 1, 0])
-
-
-def test_lower_permutation_random_even(rng):
-    for _ in range(5):
-        perm = rng.permutation(16)
-        cycles_parity = sum(len(c) - 1 for c in _cycles(perm)) % 2
-        if cycles_parity:
-            perm[[0, 1]] = perm[[1, 0]]   # force even
-        gates = lower_permutation(perm, [3, 2, 1, 0])
-        got = circuit_matrix(gates, 4).real
-        expected = np.zeros((16, 16))
-        for k, v in enumerate(perm):
-            expected[v, k] = 1.0
-        assert np.max(np.abs(got - expected)) < 1e-11
-
-
-def _cycles(perm):
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = perm[j]
-        if len(cyc) > 1:
-            out.append(cyc)
-    return out
-
-
 def test_lower_orthogonal_inverse_qdct_exact():
     inv = dct_matrix().T
     gates = lower_orthogonal(inv, [2, 1, 0])
@@ -362,16 +347,14 @@ def test_lower_orthogonal_rejects_reflections():
 
 
 def test_lower_circuit_preserves_semantics_and_tags():
-    circuit = synth_truncated_zigzag(3)
+    inv = dct_matrix().T
+    circuit = Circuit(6, (ry(4, 0.3, tag="state_prep"), *synth_inverse_qdct_gates()))
     lowered = lower_circuit(circuit)
     assert not lowered.has_operator_gates
-    assert all(g.tag == "inverse_zigzag" for g in lowered.gates)
-    got = circuit_matrix(lowered.gates, 6).real
-    mapping = truncated_zigzag_map(3)
-    expected = np.zeros((64, 64))
-    for k, v in enumerate(mapping):
-        expected[v, k] = 1.0
-    assert np.max(np.abs(got - expected)) < 1e-10
+    assert lowered.gates[0] is circuit.gates[0]
+    assert all(g.tag == "inverse_qdct" for g in lowered.gates[1:])
+    got = circuit_matrix(lowered.gates[1:], 6).real
+    assert np.max(np.abs(got - np.kron(inv, inv))) < 1e-10
 
 
 # --- synthesized-circuit unitarity (6 to 8 qubits) ---------------------------------
@@ -385,7 +368,7 @@ def test_synthesized_circuits_are_unitary(rng):
     blockenc, _ = synth_inverse_quantization(QuantTable())
     u2 = circuit_matrix(blockenc.gates, 7)
     assert np.max(np.abs(u2.conj().T @ u2 - np.eye(128))) < 1e-10
-    zig = lower_circuit(synth_truncated_zigzag(4))
+    zig = synth_truncated_zigzag(4)
     u3 = circuit_matrix(zig.gates, 6)
     assert np.max(np.abs(u3.conj().T @ u3 - np.eye(64))) < 1e-10
 
@@ -429,9 +412,14 @@ def test_closed_form_stage_composition():
 
 
 def test_closed_form_zigzag_counts_match_lowered_network():
-    report = closed_form_resources(5, 5, 4)
-    gates = lower_permutation(truncated_zigzag_map(4), [5, 4, 3, 2, 1, 0])
-    assert report.breakdown["inverse_zigzag"].cx == sum(1 for g in gates if g.kind == "cx")
+    # one signed swap per displaced slot: 2 / 4 / 6 / 6 / 0 swaps at r = 2..6
+    counts = []
+    for r in (2, 3, 4, 5, 6):
+        stage = closed_form_resources(5, 5, r).breakdown["inverse_zigzag"]
+        emitted = resource_counts(synth_truncated_zigzag(r)).breakdown["inverse_zigzag"]
+        assert stage == emitted
+        counts.append((stage.cx, stage.depth))
+    assert counts == [(70, 134), (140, 267), (216, 408), (228, 420), (0, 0)]
 
 
 def test_closed_form_validation():
