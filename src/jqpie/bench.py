@@ -149,28 +149,31 @@ def _sweep_one_image(args) -> tuple[list[dict], SparsityStats | None]:
 
     The image is encoded once per method. The first encoding also gives the
     quantized coefficients that the JPEG baseline and the statistics read,
-    so no other transform of the image is made. Statistics are None (with a
-    warning) when every quantized coefficient is zero.
+    so no other transform of the image is made. The reference is prepared
+    for scoring once (:func:`~jqpie.metrics.prepare`), with its global-SSIM
+    moments. Statistics are None (with a warning) when every quantized
+    coefficient is zero.
     """
     label, img, cfg = args
     rows = []
     stats = baseline = None
+    reference = metrics.prepare(img, moments=True)
     for method in cfg.methods:
         encoding = None   # at most one coefficient matrix alive at a time
         encoding = encode_image(img, method_scale(method, cfg.scale))
         if baseline is None:
             try:
-                stats, baseline = _stats_and_baseline(label, img, encoding, cfg)
+                stats, baseline = _stats_and_baseline(label, reference, encoding, cfg)
             except Exception as exc:   # degenerate image: every combination errors
                 return [{"image": label, "method": m, "r": r, "S": cfg.scale,
                          "error": f"baseline failed: {exc}"}
                         for m in cfg.methods for r in cfg.r_set], stats
-        rows += [_sweep_cell(label, img, encoding, method, r, baseline, cfg)
+        rows += [_sweep_cell(label, reference, encoding, method, r, baseline, cfg)
                  for r in sorted(cfg.r_set)]
     return rows, stats
 
 
-def _stats_and_baseline(label: str, img: GrayscaleImage, encoding: ImageEncoding,
+def _stats_and_baseline(label: str, reference: metrics.PreparedImage, encoding: ImageEncoding,
                         cfg: SweepConfig) -> tuple[SparsityStats | None, metrics.QualityReport]:
     """Sparsity statistics and the scored JPEG baseline, from one encoding."""
     zz = encoding.jpeg_coefficients(cfg.scale)
@@ -179,19 +182,20 @@ def _stats_and_baseline(label: str, img: GrayscaleImage, encoding: ImageEncoding
     except ValueError as exc:
         log.warning("skipping %s in the statistics: %s", label, exc)
         stats = None
-    baseline = metrics.baseline_report(img, jpeg_decode(zz, QuantTable(cfg.scale), img),
-                                       f"jpeg S={cfg.scale:g}", ssim_mode=cfg.ssim_mode)
+    decoded = metrics.prepare(jpeg_decode(zz, QuantTable(cfg.scale), encoding.image))
+    baseline = metrics.baseline_report(reference, decoded, f"jpeg S={cfg.scale:g}",
+                                       ssim_mode=cfg.ssim_mode)
     return stats, baseline
 
 
-def _sweep_cell(label: str, img: GrayscaleImage, encoding: ImageEncoding, method: str,
-                r: int, baseline: metrics.QualityReport, cfg: SweepConfig) -> dict:
+def _sweep_cell(label: str, reference: metrics.PreparedImage, encoding: ImageEncoding,
+                method: str, r: int, baseline: metrics.QualityReport, cfg: SweepConfig) -> dict:
     """One row; the run's result is released when the row is made."""
     row = {"image": label, "method": method, "r": r, "S": cfg.scale, "error": ""}
     try:
         result = _run_method(encoding, method, r, cfg.scale, cfg.backend, cfg.norm_mode)
-        report = metrics.relative_report(img, result.reconstructed, baseline,
-                                         ssim_mode=cfg.ssim_mode)
+        report = metrics.relative_report(reference, metrics.prepare(result.reconstructed),
+                                         baseline, ssim_mode=cfg.ssim_mode)
         row.update({
             "psnr": report.psnr,
             "ssim": report.ssim,

@@ -10,7 +10,10 @@ Supported formats: PGM (P2 ascii / P5 binary, maxval <= 255) and PPM
 available behind the ``allow_png`` switch and uses Pillow when installed.
 
 All types are immutable after construction and all operations are pure,
-so images can be processed in parallel without shared state.
+so images can be processed in parallel without shared state. Each pixel
+array is copied once: an image or grid built from a caller's array copies
+it, and the functions here hand the arrays they make over without another
+copy (``_owning``).
 """
 
 from __future__ import annotations
@@ -32,6 +35,33 @@ class ImageFormatError(ValueError):
 
 
 @dataclass(frozen=True)
+class _Handover:
+    """A float64 array whose maker keeps no other reference to it."""
+
+    array: np.ndarray
+
+
+def _owned(value, copy) -> np.ndarray:
+    """The read-only array an immutable holder keeps.
+
+    A :class:`_Handover` gives its array itself, which must be float64;
+    any other value is copied with ``copy``.
+    """
+    if isinstance(value, _Handover):
+        array = value.array
+        if array.dtype != np.float64:
+            raise ValueError(f"handed-over array must be float64, got {array.dtype}")
+    else:
+        array = copy(value)
+    array.flags.writeable = False
+    return array
+
+
+def _float_copy(value) -> np.ndarray:
+    return np.array(value, dtype=np.float64)
+
+
+@dataclass(frozen=True)
 class GrayscaleImage:
     """A 2D grid of real-valued intensities.
 
@@ -45,17 +75,24 @@ class GrayscaleImage:
     original_dims: tuple[int, int] = None
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = _owned(self.pixels, _float_copy)
         if px.ndim != 2 or px.size == 0:
             raise ValueError("pixels must be a non-empty 2D array")
-        px = px.copy()
-        px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
         if self.original_dims is None:
             object.__setattr__(self, "original_dims", px.shape)
         oh, ow = self.original_dims
         if oh > px.shape[0] or ow > px.shape[1]:
             raise ValueError("original_dims exceed pixel dimensions")
+
+    @classmethod
+    def _owning(cls, pixels: np.ndarray, bit_depth: int = 8,
+                original_dims: tuple[int, int] | None = None) -> "GrayscaleImage":
+        """Take over a float64 array the caller just made, without copying it.
+
+        The caller must keep no reference through which it could write.
+        """
+        return cls(_Handover(pixels), bit_depth, original_dims)
 
     @property
     def height(self) -> int:
@@ -72,8 +109,8 @@ class GrayscaleImage:
 
     def clamped(self) -> "GrayscaleImage":
         """Copy with pixels clipped into [0, L]."""
-        return GrayscaleImage(np.clip(self.pixels, 0.0, self.max_value),
-                              self.bit_depth, self.original_dims)
+        return GrayscaleImage._owning(np.clip(self.pixels, 0.0, self.max_value),
+                                      self.bit_depth, self.original_dims)
 
 
 @dataclass(frozen=True)
@@ -92,12 +129,19 @@ class BlockGrid:
     bit_depth: int = 8
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=np.float64)
+        blocks = _owned(self.blocks, _float_copy)
         if blocks.shape != (self.n_b_x * self.n_b_y, BLOCK, BLOCK):
             raise ValueError("blocks shape inconsistent with block counts")
-        blocks = blocks.copy()
-        blocks.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
+
+    @classmethod
+    def _owning(cls, blocks: np.ndarray, n_b_x: int, n_b_y: int,
+                original_dims: tuple[int, int], bit_depth: int = 8) -> "BlockGrid":
+        """Take over a float64 array the caller just made, without copying it.
+
+        The caller must keep no reference through which it could write.
+        """
+        return cls(_Handover(blocks), n_b_x, n_b_y, original_dims, bit_depth)
 
     @property
     def padded_dims(self) -> tuple[int, int]:
@@ -179,7 +223,7 @@ def _load_pnm(data: bytes) -> GrayscaleImage:
         pixels = luminance(values.reshape(h, w, 3))
     else:
         pixels = values.reshape(h, w)
-    return GrayscaleImage(pixels, bit_depth=_bit_depth_for(maxval))
+    return GrayscaleImage._owning(pixels, bit_depth=_bit_depth_for(maxval))
 
 
 def load_image(path, allow_png: bool = False) -> GrayscaleImage:
@@ -204,7 +248,7 @@ def load_image(path, allow_png: bool = False) -> GrayscaleImage:
             raise ImageFormatError("PNG support requires Pillow") from exc
         with Image.open(path) as im:
             arr = np.asarray(im.convert("RGB"), dtype=np.float64)
-        return GrayscaleImage(luminance(arr), bit_depth=8)
+        return GrayscaleImage._owning(luminance(arr), bit_depth=8)
     raise ImageFormatError(f"unsupported format: {path}")
 
 
@@ -233,7 +277,7 @@ def pad_to_multiple(img: GrayscaleImage) -> GrayscaleImage:
     if ph == 0 and pw == 0:
         return img
     padded = np.pad(img.pixels, ((0, ph), (0, pw)), mode="constant")
-    return GrayscaleImage(padded, img.bit_depth, img.original_dims)
+    return GrayscaleImage._owning(padded, img.bit_depth, img.original_dims)
 
 
 def pad_to_pow2(img: GrayscaleImage) -> GrayscaleImage:
@@ -250,7 +294,7 @@ def pad_to_pow2(img: GrayscaleImage) -> GrayscaleImage:
     if th == h and tw == w:
         return img
     padded = np.pad(img.pixels, ((0, th - h), (0, tw - w)), mode="constant")
-    return GrayscaleImage(padded, img.bit_depth, img.original_dims)
+    return GrayscaleImage._owning(padded, img.bit_depth, img.original_dims)
 
 
 def pad_and_partition(img: GrayscaleImage) -> BlockGrid:
@@ -261,7 +305,7 @@ def pad_and_partition(img: GrayscaleImage) -> BlockGrid:
     blocks = (padded.pixels.reshape(nbx, BLOCK, nby, BLOCK)
               .transpose(0, 2, 1, 3)
               .reshape(nbx * nby, BLOCK, BLOCK))
-    return BlockGrid(blocks, nbx, nby, img.original_dims, img.bit_depth)
+    return BlockGrid._owning(blocks, nbx, nby, img.original_dims, img.bit_depth)
 
 
 def assemble_image(grid: BlockGrid, original_dims: tuple[int, int] | None = None,
@@ -280,7 +324,10 @@ def assemble_image(grid: BlockGrid, original_dims: tuple[int, int] | None = None
         raise ValueError(f"original dims {original_dims} exceed padded grid {grid.padded_dims}")
     pixels = (grid.blocks.reshape(grid.n_b_x, grid.n_b_y, BLOCK, BLOCK)
               .transpose(0, 2, 1, 3)
-              .reshape(ph, pw))[:oh, :ow]
+              .reshape(ph, pw))
+    # A cropped image gets its own array rather than a view of the padded one.
     if clamp:
-        pixels = np.clip(pixels, 0.0, float(2 ** grid.bit_depth - 1))
-    return GrayscaleImage(pixels, grid.bit_depth, (oh, ow))
+        pixels = np.clip(pixels[:oh, :ow], 0.0, float(2 ** grid.bit_depth - 1))
+    elif (oh, ow) != (ph, pw):
+        pixels = pixels[:oh, :ow].copy()
+    return GrayscaleImage._owning(pixels, grid.bit_depth, (oh, ow))

@@ -105,9 +105,16 @@ class QuantTable:
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round half away from zero (the usual JPEG encoder convention)."""
+    """Round half away from zero (the usual JPEG encoder convention).
+
+    copysign(floor(|x| + 0.5), x), computed in one new buffer; ``x`` is
+    not written.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    out = np.abs(x, out=np.empty_like(x))
+    out += 0.5
+    np.floor(out, out=out)
+    return np.copysign(out, x, out=out)
 
 
 def zigzag_permutation() -> np.ndarray:
@@ -199,7 +206,8 @@ def reference_decode_pixels(img: GrayscaleImage, mode: str, r: int = 6,
             zz = truncate_zigzag(zz, r)
         coeffs = blocks_from_zigzag(zz) * table.values
     pixels = idct2_blocks(coeffs)
-    recon = BlockGrid(pixels, grid.n_b_x, grid.n_b_y, grid.original_dims, grid.bit_depth)
+    recon = BlockGrid._owning(pixels, grid.n_b_x, grid.n_b_y, grid.original_dims,
+                              grid.bit_depth)
     return assemble_image(recon, clamp=False).pixels
 
 
@@ -222,7 +230,8 @@ def jpeg_decode(zz: np.ndarray, table: QuantTable, img: GrayscaleImage) -> Grays
     """
     nbx, nby = -(-img.height // BLOCK), -(-img.width // BLOCK)
     pixels = idct2_blocks(blocks_from_zigzag(zz) * table.values)
-    return assemble_image(BlockGrid(pixels, nbx, nby, img.original_dims, img.bit_depth))
+    return assemble_image(BlockGrid._owning(pixels, nbx, nby, img.original_dims,
+                                            img.bit_depth))
 
 
 @dataclass(frozen=True)

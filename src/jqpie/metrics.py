@@ -5,6 +5,18 @@ SSIM defaults to the single global statistic; ``mode="windowed"`` averages
 the statistic over non-overlapping 8x8 windows for comparability with common
 tooling. Variances use the population (1/N) convention so results are
 bit-comparable across implementations.
+
+Every score reads :class:`PreparedImage` values: pixels clamped into
+[0, L] and the peak L. :func:`prepare` makes one; ``psnr`` and ``ssim``
+accept a prepared or a raw image on either side and prepare a raw one
+themselves, so both paths give the same bits. An image scored against many
+others is prepared once: the sweep prepares its reference once per image,
+with the global-SSIM moments (mean, population variance), and each baseline
+or reconstruction once per score. A :class:`~jqpie.imagio.GrayscaleImage`
+already inside [0, L], as every loaded image and clamped decode is, is not
+clipped: the prepared image shares its array. That is safe because an
+image's array is read-only and nothing else writes it: a caller's array is
+copied, and the library's makers hand their fresh arrays over uncopied.
 """
 
 from __future__ import annotations
@@ -31,29 +43,71 @@ class QualityReport:
         return asdict(self)
 
 
-def _clamped_pixels(img, peak: float) -> np.ndarray:
+@dataclass(frozen=True)
+class PreparedImage:
+    """Read-only pixels clamped into [0, peak], ready to be scored.
+
+    ``moments`` holds the (mean, population variance) that global SSIM
+    reads, when :func:`prepare` was asked for them; otherwise ``ssim``
+    measures them on each call.
+    """
+
+    pixels: np.ndarray
+    peak: float
+    moments: tuple[float, float] | None = None
+
+
+def prepare(img, peak: float | None = None, moments: bool = False) -> PreparedImage:
+    """Clamp an image (or a pixel array) into [0, peak] once, for scoring.
+
+    ``peak`` defaults to the image's L, or 255 for an array; a prepared
+    image is returned as it is, and scoring it at another peak is an
+    error. ``moments`` also measures the global-SSIM mean and variance,
+    for an image that is scored against many others.
+    """
+    if isinstance(img, PreparedImage):
+        if peak is not None and peak != img.peak:
+            raise ValueError(f"image prepared at peak {img.peak:g}, scored at {peak:g}")
+        return img
+    if peak is None:
+        peak = _peak(img)
     if isinstance(img, GrayscaleImage):
-        img = img.pixels
-    return np.clip(np.asarray(img, dtype=np.float64), 0.0, peak)
+        pixels = img.pixels
+        if not (0.0 <= pixels.min() and pixels.max() <= peak):
+            pixels = np.clip(pixels, 0.0, peak)
+    else:
+        pixels = np.clip(np.asarray(img, dtype=np.float64), 0.0, peak)
+    pixels.flags.writeable = False
+    return PreparedImage(pixels, peak, (pixels.mean(), pixels.var()) if moments else None)
 
 
-def _peak(a, b) -> float:
-    for img in (a, b):
+def _peak(*images) -> float:
+    """The peak of the first image that carries one, else 255."""
+    for img in images:
         if isinstance(img, GrayscaleImage):
             return img.max_value
+        if isinstance(img, PreparedImage):
+            return img.peak
     return 255.0
+
+
+def _prepared_pair(a, b) -> tuple[PreparedImage, PreparedImage]:
+    peak = _peak(a, b)
+    pa, pb = prepare(a, peak), prepare(b, peak)
+    if pa.pixels.shape != pb.pixels.shape:
+        raise ValueError(f"dimension mismatch: {pa.pixels.shape} vs {pb.pixels.shape}")
+    return pa, pb
 
 
 def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB; +inf when the images are identical."""
-    peak = _peak(a, b)
-    pa, pb = _clamped_pixels(a, peak), _clamped_pixels(b, peak)
-    if pa.shape != pb.shape:
-        raise ValueError(f"dimension mismatch: {pa.shape} vs {pb.shape}")
-    mse = np.mean((pa - pb) ** 2)
+    pa, pb = _prepared_pair(a, b)
+    diff = pa.pixels - pb.pixels
+    diff *= diff
+    mse = diff.mean()
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(pa.peak * pa.peak / mse)
 
 
 def _ssim_statistic(mu_a, mu_b, var_a, var_b, cov, c1: float, c2: float):
@@ -94,6 +148,23 @@ def _windowed_ssim(pa: np.ndarray, pb: np.ndarray, c1: float, c2: float) -> floa
     return float(np.mean(_ssim_statistic(mu_a, mu_b, var_a, var_b, cov, c1, c2)))
 
 
+def _global_ssim(pa: PreparedImage, pb: PreparedImage, c1: float, c2: float) -> float:
+    """One SSIM statistic over the whole image.
+
+    Each side's deviation from its mean is made once. The covariance
+    product overwrites the deviation of a side with measured moments; a
+    side without them reads its variance off its deviation afterwards.
+    """
+    sides = (pa, pb)
+    means = [p.pixels.mean() if p.moments is None else p.moments[0] for p in sides]
+    devs = [p.pixels - mu for p, mu in zip(sides, means)]
+    spare = next((dev for p, dev in zip(sides, devs) if p.moments is not None), None)
+    cov = np.multiply(*devs, out=spare).mean()
+    variances = [np.square(dev, out=dev).sum() / dev.size if p.moments is None
+                 else p.moments[1] for p, dev in zip(sides, devs)]
+    return float(_ssim_statistic(*means, *variances, cov, c1, c2))
+
+
 def ssim(a, b, mode: str = "global") -> float:
     """Structural similarity index.
 
@@ -105,17 +176,12 @@ def ssim(a, b, mode: str = "global") -> float:
     """
     if mode not in SSIM_MODES:
         raise ValueError(f"unknown ssim mode {mode!r}")
-    peak = _peak(a, b)
-    pa, pb = _clamped_pixels(a, peak), _clamped_pixels(b, peak)
-    if pa.shape != pb.shape:
-        raise ValueError(f"dimension mismatch: {pa.shape} vs {pb.shape}")
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
+    pa, pb = _prepared_pair(a, b)
+    c1 = (0.01 * pa.peak) ** 2
+    c2 = (0.03 * pa.peak) ** 2
     if mode == "windowed":
-        return _windowed_ssim(pa, pb, c1, c2)
-    mu_a, mu_b = pa.mean(), pb.mean()
-    cov = np.mean((pa - mu_a) * (pb - mu_b))
-    return float(_ssim_statistic(mu_a, mu_b, pa.var(), pb.var(), cov, c1, c2))
+        return _windowed_ssim(pa.pixels, pb.pixels, c1, c2)
+    return _global_ssim(pa, pb, c1, c2)
 
 
 def baseline_report(reference, baseline, baseline_id: str,

@@ -379,7 +379,7 @@ def _fused_decompression(loaded: np.ndarray, h: int, w: int, r: int,
             raise ValueError(f"zero-probability branch: qubit {h + w} never reads 0")
         if probability > 1.0 + 1e-9:
             raise ArithmeticError("post-selection probability exceeds 1 beyond 1e-9")
-        out = out / math.sqrt(probability)
+        out /= math.sqrt(probability)
     return StateVector._owning(out.reshape(-1), h + w), probability
 
 
@@ -537,7 +537,7 @@ def readout_image(state: StateVector, norm_record: NormalizationRecord,
         if norm_record.per_block_norms is not None:
             matrix = matrix * norm_record.per_block_norms[:, None]
         blocks = matrix.reshape(-1, BLOCK, BLOCK)
-        grid = BlockGrid(blocks, nbx, nby, original_dims, norm_record.bit_depth)
+        grid = BlockGrid._owning(blocks, nbx, nby, original_dims, norm_record.bit_depth)
         return assemble_image(grid, original_dims, clamp=False)
-    pixels = values.reshape(ph, pw)[:original_dims[0], :original_dims[1]]
-    return GrayscaleImage(pixels, norm_record.bit_depth, original_dims)
+    pixels = values.reshape(ph, pw)[:original_dims[0], :original_dims[1]].copy()
+    return GrayscaleImage._owning(pixels, norm_record.bit_depth, original_dims)

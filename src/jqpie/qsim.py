@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imagio import _Handover, _owned
 from .qcircuit import Circuit, Gate, UnloweredGateError
 
 BACKENDS = ("operator", "gate_exact")
@@ -55,13 +56,6 @@ def _real_copy(values) -> np.ndarray:
     if np.iscomplexobj(values):
         raise ValueError("amplitudes must be real, got complex input")
     return np.array(values, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class _Handover:
-    """A float64 array whose maker keeps no other reference to it."""
-
-    array: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,15 +70,9 @@ class StateVector:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.amplitudes, _Handover):
-            amps = self.amplitudes.array
-            if amps.dtype != np.float64:
-                raise ValueError(f"handed-over amplitudes must be float64, got {amps.dtype}")
-        else:
-            amps = _real_copy(self.amplitudes)
+        amps = _owned(self.amplitudes, _real_copy)
         if amps.shape != (2 ** self.n,):
             raise ValueError(f"expected 2^{self.n} amplitudes, got shape {amps.shape}")
-        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod

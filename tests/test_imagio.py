@@ -261,3 +261,50 @@ def test_images_are_immutable(rng):
     img = random_image(rng, 8, 8)
     with pytest.raises(ValueError):
         img.pixels[0, 0] = 1.0
+
+
+def test_a_callers_array_is_copied(rng):
+    pixels = rng.uniform(0, 255, (16, 8))
+    img = GrayscaleImage(pixels)
+    blocks = rng.uniform(0, 255, (2, 8, 8))
+    grid = BlockGrid(blocks, 2, 1, (16, 8))
+    kept_pixels, kept_blocks = pixels.copy(), blocks.copy()
+    pixels[:] = -1.0
+    blocks[:] = -1.0
+    assert np.array_equal(img.pixels, kept_pixels)
+    assert np.array_equal(grid.blocks, kept_blocks)
+    assert not img.pixels.flags.writeable and not grid.blocks.flags.writeable
+
+
+def test_a_handover_must_be_float64():
+    with pytest.raises(ValueError, match="float64"):
+        GrayscaleImage._owning(np.zeros((8, 8), dtype=np.float32))
+    with pytest.raises(ValueError, match="float64"):
+        BlockGrid._owning(np.zeros((1, 8, 8), dtype=np.int64), 1, 1, (8, 8))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (9, 13), (1, 64), (3, 5)], ids=str)
+def test_made_images_and_grids_are_read_only(tmp_path, rng, shape):
+    from jqpie.jpegcore import QuantTable, jpeg_decode, zigzag_coefficients
+    from jqpie.pipeline import run_jqpie
+
+    path = tmp_path / "img.pgm"
+    write_pgm(random_image(rng, *shape), path)
+    img = load_image(path)
+    grid = pad_and_partition(img)
+    table = QuantTable(1.0)
+    made = {
+        "load_image": img.pixels,
+        "pad_to_pow2": pad_to_pow2(img).pixels,
+        "pad_and_partition": grid.blocks,
+        "assemble_image": assemble_image(grid).pixels,
+        "assemble_image (unclamped)": assemble_image(grid, clamp=False).pixels,
+        "clamped": GrayscaleImage(img.pixels * 2.0).clamped().pixels,
+        "jpeg_decode": jpeg_decode(zigzag_coefficients(grid, table), table, img).pixels,
+        "readout_image": run_jqpie(img, 6).reconstructed.pixels,
+    }
+    for name, array in made.items():
+        assert array.dtype == np.float64, name
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0

@@ -142,6 +142,22 @@ def test_round_half_away_from_zero():
         1.0, -1.0, 2.0, -2.0, 2.0]
 
 
+def test_round_half_away_matches_the_formula_bit_for_bit(rng):
+    big = 2.0 ** 52
+    x = np.array([0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.0, -0.0, 0.49999999999999994,
+                  -0.49999999999999994, big - 0.5, big + 1.0, -(big - 0.5), np.nextafter(big, 0),
+                  -np.nextafter(big, 0), 2.0 * big + 2.0, 1e300, -1e-300, *rng.normal(0, 50, 64)])
+    before = x.copy()
+    expected = np.copysign(np.floor(np.abs(x) + 0.5), x)
+    got = round_half_away(x)
+    assert got.tobytes() == expected.tobytes()
+    assert x.tobytes() == before.tobytes()
+    assert np.signbit(got[7]) and not np.signbit(got[6])
+    matrix = rng.normal(0, 20, (5, 64))
+    assert round_half_away(matrix).tobytes() == np.copysign(
+        np.floor(np.abs(matrix) + 0.5), matrix).tobytes()
+
+
 def test_dequantize_examples():
     # DC 100 quantizes to 6 and dequantizes to 96, a flat block of 96 / 8
     coeffs = np.zeros((8, 8))

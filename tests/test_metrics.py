@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from jqpie.imagio import GrayscaleImage
-from jqpie.metrics import psnr, quality_report, ssim
+from jqpie import bench, metrics
+from jqpie.imagio import GrayscaleImage, write_pgm
+from jqpie.metrics import PreparedImage, prepare, psnr, quality_report, ssim
 
 from conftest import random_image
 
@@ -124,3 +125,84 @@ def test_quality_report_deltas(rng):
     assert same.delta_psnr == 0.0 and same.delta_ssim == 0.0
     payload = report.to_json()
     assert set(payload) == {"psnr", "ssim", "delta_psnr", "delta_ssim", "baseline_id"}
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("size", [(1, 37), (57, 33), (1024, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("bit_depth", range(1, 9))
+def test_prepared_and_raw_inputs_score_the_same_bits(rng, size, bit_depth):
+    peak = 2 ** bit_depth - 1
+    loaded = random_image(rng, *size, bit_depth=bit_depth)
+    # a float reference reaching outside [0, L] on both sides
+    wide = GrayscaleImage(rng.uniform(-0.5 * peak, 1.5 * peak, size), bit_depth)
+    recon = GrayscaleImage(loaded.pixels + rng.normal(0.0, 0.2 * peak + 0.1, size), bit_depth)
+    for ref in (loaded, wide):
+        for a, b in ((ref, recon), (recon, ref), (ref, ref)):
+            for prepared_a, prepared_b in ((prepare(a), prepare(b)),
+                                           (prepare(a, moments=True), b),
+                                           (a, prepare(b, moments=True)),
+                                           (prepare(a, moments=True), prepare(b, moments=True))):
+                assert _bits(psnr(prepared_a, prepared_b)) == _bits(psnr(a, b))
+                for mode in metrics.SSIM_MODES:
+                    assert (_bits(ssim(prepared_a, prepared_b, mode=mode))
+                            == _bits(ssim(a, b, mode=mode)))
+    clamped = prepare(wide)
+    assert np.array_equal(clamped.pixels, np.clip(wide.pixels, 0.0, peak))
+    assert _bits(psnr(wide, loaded)) == _bits(psnr(wide.clamped(), loaded))
+    assert math.isinf(psnr(prepare(wide), wide.clamped()))
+    assert math.isinf(psnr(prepare(loaded), prepare(loaded, moments=True)))
+
+
+def test_prepare_shares_an_in_range_image_and_copies_the_rest(rng):
+    img = random_image(rng, 16, 16)
+    prepared = prepare(img, moments=True)
+    assert prepared.pixels is img.pixels and prepared.peak == 255.0
+    assert prepared.moments == (img.pixels.mean(), img.pixels.var())
+    assert prepare(prepared) is prepared
+    raw = img.pixels + 1.0
+    from_array = prepare(raw)
+    assert not from_array.pixels.flags.writeable and from_array.moments is None
+    raw[0, 0] = -5.0
+    assert from_array.pixels[0, 0] == img.pixels[0, 0] + 1.0
+
+
+def test_prepared_image_keeps_its_peak(rng):
+    four_bit = random_image(rng, 8, 8, bit_depth=4)
+    assert prepare(four_bit).peak == 15.0
+    assert prepare(four_bit.pixels).peak == 255.0
+    with pytest.raises(ValueError, match="prepared at peak 15"):
+        psnr(random_image(rng, 8, 8), prepare(four_bit))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ssim(prepare(four_bit), random_image(rng, 8, 16, bit_depth=4))
+
+
+def test_sweep_clamps_each_image_once(tmp_path, rng, monkeypatch):
+    directory = tmp_path / "data"
+    directory.mkdir()
+    for name in ("one.pgm", "two.pgm"):
+        write_pgm(random_image(rng, 24, 16), directory / name)
+    cfg = bench.SweepConfig(inputs=(str(directory),), methods=("jqpie", "qf_jqpie"),
+                            r_set=(3, 6))
+    prepared = []
+    real_prepare = metrics.prepare
+
+    def counted_prepare(img, *args, **kwargs):
+        out = real_prepare(img, *args, **kwargs)
+        if not isinstance(img, PreparedImage):
+            prepared.append((img, out))
+        return out
+
+    monkeypatch.setattr(metrics, "prepare", counted_prepare)
+    rows = bench.run_sweep(cfg)
+    assert not any(row["error"] for row in rows)
+    # per image: the reference, the JPEG baseline and one reconstruction per
+    # cell, each prepared once; psnr and ssim only ever see prepared images
+    assert len(prepared) == 2 * (2 + len(rows) // 2)
+    assert len({id(img) for img, _ in prepared}) == len(prepared)
+    references = [(img, out) for img, out in prepared if out.moments is not None]
+    assert len(references) == 2
+    # a loaded reference lies inside [0, L], so it is shared, never clipped
+    assert all(out.pixels is img.pixels for img, out in references)
