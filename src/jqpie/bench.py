@@ -33,8 +33,8 @@ import numpy as np
 
 from . import metrics
 from .imagio import GrayscaleImage, ImageFormatError, load_image, pad_to_pow2, write_pgm
-from .jpegcore import (TRUNCATION_LEVELS, QuantTable, SparsityStats, classical_reference_decode,
-                       jpeg_decode, sparsity_stats)
+from .jpegcore import (TRUNCATION_LEVELS, QuantTable, SparsityStats, check_scale,
+                       classical_reference_decode, jpeg_decode, sparsity_stats)
 from .pipeline import (METHODS, NORM_MODES, ImageEncoding, PipelineResult, encode_image,
                        hybrid_circuit, method_scale, run_jqpie, run_qf_jqpie, run_qpie_direct)
 from .qcircuit import export_qasm
@@ -69,8 +69,7 @@ class SweepConfig:
     def __post_init__(self):
         if not self.r_set:
             raise ValueError("r_set must be non-empty")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        check_scale(self.scale)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValueError(f"unknown methods: {bad}")
@@ -190,20 +189,24 @@ def _stats_and_baseline(label: str, reference: metrics.PreparedImage, encoding: 
 
 def _sweep_cell(label: str, reference: metrics.PreparedImage, encoding: ImageEncoding,
                 method: str, r: int, baseline: metrics.QualityReport, cfg: SweepConfig) -> dict:
-    """One row; the run's result is released when the row is made."""
+    """One row. Only the run's reconstruction, probability and resources
+    outlive the run: its image-sized state is released before scoring."""
     row = {"image": label, "method": method, "r": r, "S": cfg.scale, "error": ""}
     try:
         result = _run_method(encoding, method, r, cfg.scale, cfg.backend, cfg.norm_mode)
-        report = metrics.relative_report(reference, metrics.prepare(result.reconstructed),
+        recon, probability = result.reconstructed, result.success_probability
+        resources = result.resources
+        del result
+        report = metrics.relative_report(reference, metrics.prepare(recon),
                                          baseline, ssim_mode=cfg.ssim_mode)
         row.update({
             "psnr": report.psnr,
             "ssim": report.ssim,
             "delta_psnr": report.delta_psnr,
             "delta_ssim": report.delta_ssim,
-            "success_prob": result.success_probability,
-            "cx_total": result.resources.cx_count,
-            "depth_total": result.resources.depth,
+            "success_prob": probability,
+            "cx_total": resources.cx_count,
+            "depth_total": resources.depth,
             "cx_reduction_pct": _model_reduction_pct(r),
         })
     except Exception as exc:
@@ -510,6 +513,8 @@ def main(argv=None) -> int:
         "export-circuit": _cmd_export_circuit,
     }
     try:
+        if "scale" in vars(args):
+            check_scale(args.scale)
         return handlers[args.command](args)
     except (ValueError, ImageFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

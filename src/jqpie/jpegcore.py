@@ -13,6 +13,7 @@ fixed-dimensional coefficient vectors, not variable-length bitstreams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,12 @@ def idct2_blocks(coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("ux,nuv,vy->nxy", _DCT, coeffs, _DCT, optimize=True)
 
 
+def check_scale(scale: float) -> None:
+    """Raise ValueError unless the quantization scale is positive and finite."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a positive finite number, got {scale!r}")
+
+
 @dataclass(frozen=True)
 class QuantTable:
     """Quantization divisors Q = scale * BASE_QUANT.
@@ -89,8 +96,7 @@ class QuantTable:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        check_scale(self.scale)
         values = self.scale * BASE_QUANT
         values.flags.writeable = False
         object.__setattr__(self, "_values", values)
@@ -134,6 +140,9 @@ def zigzag_permutation() -> np.ndarray:
 
 _ZIGZAG = zigzag_permutation()
 _ZIGZAG.flags.writeable = False
+#: Zigzag slot of each frequency index 8u+v.
+_ZIGZAG_SLOT = np.argsort(_ZIGZAG)
+_ZIGZAG_SLOT.flags.writeable = False
 
 
 def check_truncation(r: int) -> None:
@@ -227,11 +236,24 @@ def jpeg_decode(zz: np.ndarray, table: QuantTable, img: GrayscaleImage) -> Grays
     inverse transformed, cropped to the original dimensions and clamped.
     The same steps as :func:`classical_reference_decode` in ``jpeg`` mode,
     which stays a separate oracle that computes its own coefficients.
+
+    The decode works in the image's own layout: the dequantized coefficients
+    fill an (H, W) array of 8x8 tiles, each tile row is contracted over u
+    (the pixel rows), then each run of 8 values over v into the same array,
+    so the decode holds two image-sized arrays besides ``zz``.
     """
     nbx, nby = -(-img.height // BLOCK), -(-img.width // BLOCK)
-    pixels = idct2_blocks(blocks_from_zigzag(zz) * table.values)
-    return assemble_image(BlockGrid._owning(pixels, nbx, nby, img.original_dims,
-                                            img.bit_depth))
+    pixels = np.empty((nbx * BLOCK, nby * BLOCK))
+    np.multiply(zz[:, _ZIGZAG_SLOT].reshape(nbx, nby, BLOCK, BLOCK), table.values,
+                out=pixels.reshape(nbx, BLOCK, nby, BLOCK).transpose(0, 2, 1, 3))
+    rows = np.matmul(_DCT.T, pixels.reshape(nbx, BLOCK, -1))
+    np.matmul(rows.reshape(-1, BLOCK), _DCT, out=pixels.reshape(-1, BLOCK))
+    del rows
+    np.clip(pixels, 0.0, float(2 ** img.bit_depth - 1), out=pixels)
+    oh, ow = img.original_dims
+    if pixels.shape != (oh, ow):
+        pixels = pixels[:oh, :ow].copy()
+    return GrayscaleImage._owning(pixels, img.bit_depth, (oh, ow))
 
 
 @dataclass(frozen=True)

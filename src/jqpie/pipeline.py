@@ -70,7 +70,7 @@ import numpy as np
 
 from .imagio import (BLOCK, BlockGrid, GrayscaleImage, assemble_image,
                      pad_and_partition, pad_to_pow2)
-from .jpegcore import QuantTable, quantize_zigzag, zigzag_coefficients, zigzag_permutation
+from .jpegcore import _ZIGZAG_SLOT, QuantTable, quantize_zigzag, zigzag_coefficients
 from .qcircuit import Circuit, ResourceReport, compose
 from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
                    postselect_ancilla, zero_state)
@@ -80,8 +80,6 @@ from .synth import (DATA_DIM, DATA_QUBITS, block_encoded_rescaler, closed_form_r
 
 METHODS = ("jqpie", "qf_jqpie")
 NORM_MODES = ("global", "per_block")
-#: Zigzag slot of each frequency index 8u+v.
-_ZIGZAG_SLOT = np.argsort(zigzag_permutation())
 
 
 @dataclass(frozen=True)
@@ -316,7 +314,9 @@ def _load_state(amplitudes: np.ndarray) -> np.ndarray:
 def _decompression_circuit(h: int, w: int, r: int, scale: float | None,
                            backend: str) -> Circuit:
     """Inverse zigzag, block-encoded rescaling at ``scale`` (none for None),
-    inverse 2D DCT; lowered to RY/CX gates for ``gate_exact``."""
+    inverse 2D DCT, every stage built as RY/CX gates. ``gate_exact`` still
+    passes the circuit through :func:`~jqpie.synth.lower_circuit`, which
+    finds nothing to lower; perfbench's tracer times that step."""
     ancilla = scale is not None
     n = h + w + (1 if ancilla else 0)
     regs = registers_for(h, w, ancilla)

@@ -2,11 +2,13 @@
 
 Gate alphabet: RY rotations and CX, plus one operator-level entry that the
 simulator can apply directly: UBLOCK (a real orthogonal matrix over a qubit
-subset). Every entry is real, so circuits map real states to real states.
-A UBLOCK has no gate count of its own: resource reports and QASM export
-take lowered circuits only. The resource model in :mod:`jqpie.synth` counts
-the decompression stages on their lowered circuits with
-:func:`resource_counts`, so its counts are those of the exported gates.
+subset, built as ``Gate("ublock", targets, matrix=...)``). Every entry is
+real, so circuits map real states to real states. A UBLOCK has no gate
+count of its own: resource reports and QASM export take lowered circuits
+only. The pipeline builds none: every decompression stage, the inverse QDCT
+included, is synthesized as RY/CX gates, and the resource model in
+:mod:`jqpie.synth` counts them with :func:`resource_counts`, so its counts
+are those of the exported gates.
 
 Conventions (project-wide):
   * qubit 0 is the least-significant bit of a basis index;
@@ -86,11 +88,6 @@ def ry(qubit: int, angle: float, tag: str | None = None) -> Gate:
 
 def cx(control: int, target: int, tag: str | None = None) -> Gate:
     return Gate("cx", (control, target), tag=tag)
-
-
-def ublock(targets, matrix, tag: str | None = None) -> Gate:
-    """Real orthogonal matrix on ``targets`` (MSB first)."""
-    return Gate("ublock", tuple(targets), matrix=matrix, tag=tag)
 
 
 @dataclass(frozen=True)

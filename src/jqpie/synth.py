@@ -3,11 +3,14 @@
 * amplitude-encoding state preparation (uniformly controlled RY cascade),
 * truncated inverse zigzag as a few signed plane swaps,
 * block-encoded inverse quantization (uniformly controlled RY on an ancilla),
-* the inverse 2D DCT as two 8-point orthogonal blocks,
+* the inverse 2D DCT as two fixed 8-point passes, built from the DCT's
+  even/odd split with closed-form angles (16 CX per pass),
 
 plus exact gate-level lowering of real orthogonal UBLOCK gates into the RY/CX
 alphabet, and a resource model that counts the lowered stages (the
-image-sized cascade in closed form).
+image-sized cascade in closed form). Every split of a two-qubit operator is
+closed form; only an operator over three or more qubits needs LAPACK's
+cosine-sine decomposition, so scipy is imported there and nowhere else.
 
 Everything here targets real signed amplitudes, so RY rotations suffice and
 the synthesized circuits are real orthogonal operators.
@@ -25,11 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cossin
 
 from .jpegcore import QuantTable, check_truncation, dct_matrix, zigzag_permutation
 from .qcircuit import (Circuit, Gate, PIPELINE_STAGES, ResourceReport, StageCost,
-                       cx, resource_counts, ry, ublock)
+                       cx, resource_counts, ry)
 
 DATA_QUBITS = 6           # 8x8 block -> 6-bit intra-block index
 DATA_DIM = 64
@@ -281,11 +283,32 @@ def synth_inverse_quantization(table: QuantTable,
 
 # --- inverse DCT operator ------------------------------------------------------
 
+def _inverse_qdct_pass(qubits, tag: str) -> list[Gate]:
+    """The 8-point inverse DCT on ``qubits`` (a, b, c), most significant first.
+
+    The even/odd split of the DCT (Chen, Smith & Fralick 1977): frequency
+    k = 2m + c holds the 4-point DCT-II row m (c = 0) or DCT-IV row m (c = 1)
+    of the sample pair (n, 7 - n), scaled by 1/sqrt(2). So the inverse first
+    applies C4^T or -C4^IV^T to m on (a, b), multiplexed by c: 12 CX by the
+    closed-form cosine-sine split. RY(pi/2) on c then forms (e + o, e - o) /
+    sqrt(2), the samples n and 7 - n, and four CX move (n, c) to the index
+    n or 7 - n: (a, b, c) -> (c, a ^ c, b ^ c). Both blocks have det +1, so
+    no sign fix-up is needed: 16 CX and 13 RY per pass.
+    """
+    a, b, c = qubits
+    half = dct_matrix()[:, :4] * math.sqrt(2.0)
+    blocks = [half[0::2].T, -half[1::2].T]
+    gates = _lower_blockdiag_orthogonal(blocks, [c], [a, b], tag)
+    gates.append(ry(c, math.pi / 2, tag=tag))
+    gates += [cx(b, c, tag=tag), cx(c, b, tag=tag), cx(a, b, tag=tag), cx(b, a, tag=tag)]
+    return gates
+
+
 def synth_inverse_qdct_gates(tag: str = "inverse_qdct") -> list[Gate]:
-    """Inverse 2D DCT as two UBLOCK gates on the data register: one on the
-    row qubits (5, 4, 3) of u, one on the column qubits (2, 1, 0) of v."""
-    inv = dct_matrix().T
-    return [ublock((5, 4, 3), inv, tag=tag), ublock((2, 1, 0), inv, tag=tag)]
+    """Inverse 2D DCT on the data register as RY/CX gates: one 8-point pass
+    (:func:`_inverse_qdct_pass`) on the row qubits (5, 4, 3) of u, one on the
+    column qubits (2, 1, 0) of v. Every angle is closed form."""
+    return _inverse_qdct_pass((5, 4, 3), tag) + _inverse_qdct_pass((2, 1, 0), tag)
 
 
 # --- exact gate-level lowering --------------------------------------------------
@@ -344,7 +367,7 @@ def _emit_multiplexed_o2(blocks, controls, target: int, tag: str | None) -> list
     thetas = np.empty(len(blocks))
     reflections = []
     for c, g in enumerate(blocks):
-        if np.linalg.det(g) < 0:
+        if g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] < 0:   # det, without LAPACK
             reflections.append(c)
             thetas[c] = _reflection_angle(g)
         else:
@@ -365,6 +388,85 @@ def _emit_multiplexed_o2(blocks, controls, target: int, tag: str | None) -> list
     return gates
 
 
+def _rotation(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def _svd_2x2(m: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(phi, sigma, theta) with m = R(phi) diag(sigma) R(theta), in closed form.
+
+    Splits m into its rotation part (e, h) and reflection part (f, g); sigma
+    is signed (sigma[0] >= |sigma[1]|), so both factors are rotations.
+    """
+    e, f = (m[0, 0] + m[1, 1]) / 2, (m[0, 0] - m[1, 1]) / 2
+    g, h = (m[1, 0] + m[0, 1]) / 2, (m[1, 0] - m[0, 1]) / 2
+    q, r = math.hypot(e, h), math.hypot(f, g)
+    a1, a2 = math.atan2(g, f), math.atan2(h, e)
+    return (a2 + a1) / 2, np.array([q + r, q - r]), (a2 - a1) / 2
+
+
+def _column_rotation(m: np.ndarray) -> np.ndarray:
+    """The rotation whose columns are parallel to the orthogonal columns of
+    m, read off the longer one (the positive multiple of it)."""
+    if math.hypot(m[0, 1], m[1, 1]) >= math.hypot(m[0, 0], m[1, 0]):
+        return _rotation(math.atan2(-m[0, 1], m[1, 1]))
+    return _rotation(math.atan2(m[1, 0], m[0, 0]))
+
+
+def _cs_split_4x4(b: np.ndarray):
+    """Closed-form cosine-sine split of a 4x4 orthogonal matrix with det +1.
+
+    b = diag(u1, u2) [[C, -S], [S, C]] diag(v1h, v2h) with C = diag(c),
+    S = diag(s) and every corner a rotation, so no det fix-up follows. The
+    middle factor is returned as the rotations [[c_i, -s_i], [s_i, c_i]].
+    The shared right factor v1h comes from the 2x2 SVD of whichever left
+    block, b11 = u1 C v1h or b21 = u2 S v1h, has the smaller norm: the
+    other block's singular values lie nearer 1, where they can coincide to
+    rounding and leave its singular vectors undetermined. The other left
+    factor is read off the other block's (orthogonal) columns. v2h is the
+    rotation nearest K = -S u1^T b12 + C u2^T b22, which equals v2h.
+    """
+    b11, b21 = b[:2, :2], b[2:, :2]
+    if np.sum(b11 * b11) <= np.sum(b21 * b21):
+        phi, c, theta = _svd_2x2(b11)
+        u1, v1h = _rotation(phi), _rotation(theta)
+        t = b21 @ v1h.T
+        u2 = _column_rotation(t)
+        s = np.diag(u2.T @ t)
+    else:
+        phi, s, theta = _svd_2x2(b21)
+        u2, v1h = _rotation(phi), _rotation(theta)
+        x = b11 @ v1h.T
+        u1 = _column_rotation(x)
+        c = np.diag(u1.T @ x)
+    k = -s[:, None] * (u1.T @ b[:2, 2:]) + c[:, None] * (u2.T @ b[2:, 2:])
+    v2h = _rotation(math.atan2(k[1, 0] - k[0, 1], k[0, 0] + k[1, 1]))
+    return (u1, u2), [np.array([[ci, -si], [si, ci]]) for ci, si in zip(c, s)], (v1h, v2h)
+
+
+def _cs_split(b: np.ndarray, half: int):
+    """Cosine-sine split of an orthogonal matrix with det +1 over three or
+    more qubits, by LAPACK. Any det -1 corner is flipped back into SO, and
+    the flip goes into the last middle block as a reflection."""
+    from scipy.linalg import cossin
+    (u1, u2), theta, (v1h, v2h) = cossin(b, p=half, q=half, separate=True)
+    mids = [_rotation(th) for th in theta]
+    if np.linalg.det(u1) < 0:
+        u1 = _flip_last_column(u1)
+        mids[-1] = np.diag([-1.0, 1.0]) @ mids[-1]
+    if np.linalg.det(u2) < 0:
+        u2 = _flip_last_column(u2)
+        mids[-1] = np.diag([1.0, -1.0]) @ mids[-1]
+    if np.linalg.det(v1h) < 0:
+        v1h = _flip_last_row(v1h)
+        mids[-1] = mids[-1] @ np.diag([-1.0, 1.0])
+    if np.linalg.det(v2h) < 0:
+        v2h = _flip_last_row(v2h)
+        mids[-1] = mids[-1] @ np.diag([1.0, -1.0])
+    return (u1, u2), mids, (v1h, v2h)
+
+
 def _flip_last_column(mat: np.ndarray) -> np.ndarray:
     out = mat.copy()
     out[:, -1] = -out[:, -1]
@@ -381,9 +483,10 @@ def _lower_blockdiag_orthogonal(blocks, controls, targets, tag) -> list[Gate]:
     """Recursive cosine-sine lowering of multiplexed orthogonal operators.
 
     ``blocks[c]`` (each det +1) acts on ``targets`` when ``controls`` hold c.
-    Every split keeps the corner factors in SO by absorbing any det -1 into
-    the middle multiplexer, which then carries an even number of reflection
-    patterns that :func:`_emit_multiplexed_o2` realizes exactly.
+    A split over two targets is closed form (:func:`_cs_split_4x4`); a wider
+    one uses :func:`_cs_split`. Every split keeps the corner factors in SO,
+    so the middle multiplexer carries an even number of reflection patterns
+    that :func:`_emit_multiplexed_o2` realizes exactly.
     """
     t = len(targets)
     if t == 1:
@@ -393,24 +496,10 @@ def _lower_blockdiag_orthogonal(blocks, controls, targets, tag) -> list[Gate]:
     u_blocks: list[np.ndarray] = []
     v_blocks: list[np.ndarray] = []
     for b in blocks:
-        (u1, u2), theta, (v1h, v2h) = cossin(b, p=half, q=half, separate=True)
-        mids = [np.array([[math.cos(th), -math.sin(th)],
-                          [math.sin(th), math.cos(th)]]) for th in theta]
-        if np.linalg.det(u1) < 0:
-            u1 = _flip_last_column(u1)
-            mids[-1] = np.diag([-1.0, 1.0]) @ mids[-1]
-        if np.linalg.det(u2) < 0:
-            u2 = _flip_last_column(u2)
-            mids[-1] = np.diag([1.0, -1.0]) @ mids[-1]
-        if np.linalg.det(v1h) < 0:
-            v1h = _flip_last_row(v1h)
-            mids[-1] = mids[-1] @ np.diag([-1.0, 1.0])
-        if np.linalg.det(v2h) < 0:
-            v2h = _flip_last_row(v2h)
-            mids[-1] = mids[-1] @ np.diag([1.0, -1.0])
+        us, mids, vs = _cs_split_4x4(b) if t == 2 else _cs_split(b, half)
         mid_blocks.extend(mids)
-        u_blocks.extend([u1, u2])
-        v_blocks.extend([v1h, v2h])
+        u_blocks.extend(us)
+        v_blocks.extend(vs)
     msb = targets[0]
     rest = list(targets[1:])
     gates = _lower_blockdiag_orthogonal(v_blocks, list(controls) + [msb], rest, tag)
@@ -466,7 +555,7 @@ def _emitted_stage_cost(stage: str, r: int | None = None) -> StageCost:
     elif stage == "inverse_quantization":
         circuit, _ = synth_inverse_quantization(QuantTable())
     else:
-        circuit = lower_circuit(Circuit(DATA_QUBITS, tuple(synth_inverse_qdct_gates())))
+        circuit = Circuit(DATA_QUBITS, tuple(synth_inverse_qdct_gates()))
     return resource_counts(circuit).breakdown[stage]
 
 

@@ -181,8 +181,9 @@ def test_quant_table_invariants():
     assert table.values[0, 0] == 16 and table.values[7, 7] == 99
     assert table.max_entry == 121.0
     assert QuantTable(scale=2.0).max_entry == 242.0
-    with pytest.raises(ValueError):
-        QuantTable(scale=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="scale must be a positive finite number"):
+            QuantTable(scale=bad)
 
 
 def test_zigzag_anchor_values():

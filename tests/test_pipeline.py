@@ -559,8 +559,8 @@ def test_r6_costs_qpie_plus_the_decompression_tail(height, width):
     qf = closed_form_resources(h, w, 6, "qf_jqpie")
     tail = jqpie.breakdown["inverse_quantization"].cx + jqpie.breakdown["inverse_qdct"].cx
     assert jqpie.breakdown["inverse_zigzag"].cx == 0
-    assert jqpie.cx_count == qpie.cx_count + tail == qpie.cx_count + 120
-    assert qf.cx_count == qpie.cx_count + qf.breakdown["inverse_qdct"].cx == qpie.cx_count + 56
+    assert jqpie.cx_count == qpie.cx_count + tail == qpie.cx_count + 96
+    assert qf.cx_count == qpie.cx_count + qf.breakdown["inverse_qdct"].cx == qpie.cx_count + 32
 
 
 def test_gate_exact_lowers_each_decompression_once(tmp_path, rng, monkeypatch):

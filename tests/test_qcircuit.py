@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from jqpie.jpegcore import QuantTable, dct_matrix
+from jqpie.jpegcore import QuantTable
 from jqpie.qcircuit import (Circuit, Gate, UnloweredGateError, compose, cx, export_qasm,
-                            parse_qasm, resource_counts, ry, schedule_depth, ublock)
-from jqpie.synth import (closed_form_resources, lower_orthogonal, synth_inverse_quantization,
-                         synth_state_prep)
+                            parse_qasm, resource_counts, ry, schedule_depth)
+from jqpie.synth import (closed_form_resources, synth_inverse_qdct_gates,
+                         synth_inverse_quantization, synth_state_prep)
 
 
 def small_circuit():
@@ -22,13 +22,13 @@ def test_gate_validation():
     with pytest.raises(ValueError, match="unknown gate kind 'perm'"):
         Gate("perm", (0, 1))
     with pytest.raises(ValueError):
-        ublock((0,), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        Gate("ublock", (0,), matrix=np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="must be real"):
-        ublock((0,), 1j * np.eye(2))        # unitary, but not real
+        Gate("ublock", (0,), matrix=1j * np.eye(2))        # unitary, but not real
 
 
 def test_ublock_accepts_valid_input():
-    u = ublock((0,), np.eye(2))
+    u = Gate("ublock", (0,), matrix=np.eye(2))
     assert u.matrix.dtype == np.float64
 
 
@@ -114,7 +114,7 @@ def test_depth_bounds_random_circuits(rng):
         assert depth >= math.ceil(k / n)
 
 
-@pytest.mark.parametrize("gate", [ublock((1, 0), np.eye(4), tag="inverse_qdct")],
+@pytest.mark.parametrize("gate", [Gate("ublock", (1, 0), matrix=np.eye(4), tag="inverse_qdct")],
                          ids=["ublock"])
 def test_resource_counts_rejects_operator_gates(gate):
     circuit = Circuit(3, (ry(2, 0.1), gate))
@@ -126,11 +126,12 @@ def test_resource_counts_rejects_operator_gates(gate):
 
 def test_two_disjoint_qdct_blocks_share_depth():
     # the row and column 8-point QDCTs act on disjoint registers: the 2D
-    # stage doubles the gate counts of one 1D lowering at its depth
-    one = resource_counts(Circuit(3, tuple(lower_orthogonal(dct_matrix().T, [2, 1, 0]))))
+    # stage doubles the gate counts of one 1D pass at its depth
+    gates = synth_inverse_qdct_gates()
+    one = resource_counts(Circuit(3, tuple(g for g in gates if max(g.qubits) < 3)))
     for method in ("jqpie", "qf_jqpie"):
         stage = closed_form_resources(4, 4, 3, method=method).breakdown["inverse_qdct"]
-        assert (stage.cx, stage.rotations, stage.depth) == (56, 52, 49)
+        assert (stage.cx, stage.rotations, stage.depth) == (32, 26, 27)
         assert stage.depth == one.depth
         assert stage.cx == 2 * one.cx_count
 
@@ -168,7 +169,7 @@ def test_export_single_rotation():
 
 
 def test_export_rejects_operator_gates():
-    circ = Circuit(3, (ublock((2, 1, 0), np.eye(8)),))
+    circ = Circuit(3, (Gate("ublock", (2, 1, 0), matrix=np.eye(8)),))
     with pytest.raises(UnloweredGateError, match="UBLOCK gates: lower"):
         export_qasm(circ)
 

@@ -6,7 +6,7 @@ import pytest
 
 from jqpie import qsim
 from jqpie.jpegcore import QuantTable, dct_matrix
-from jqpie.qcircuit import Circuit, UnloweredGateError, cx, ry, ublock
+from jqpie.qcircuit import Circuit, Gate, UnloweredGateError, cx, ry
 from jqpie.qsim import (StateVector, apply_circuit, apply_gate, basis_state,
                         from_amplitudes, postselect_ancilla, state_fidelity, zero_state)
 from jqpie.synth import (BlockEncodedDiag, block_encoded_rescaler, lower_circuit,
@@ -92,7 +92,7 @@ def test_qubit_count_mismatch():
 
 
 def test_gate_exact_rejects_operator_gates():
-    circ = Circuit(3, (ublock((2, 1, 0), np.eye(8)),))
+    circ = Circuit(3, (Gate("ublock", (2, 1, 0), matrix=np.eye(8)),))
     with pytest.raises(UnloweredGateError, match="ublock gate is not valid"):
         apply_circuit(zero_state(3), circ, backend="gate_exact")
 
@@ -146,7 +146,7 @@ def test_operator_applies_every_elementary_gate_once(rng, monkeypatch):
 
 def test_lowered_vs_operator_gate_for_ublock(rng):
     op = dct_matrix().T
-    circ = Circuit(4, (ublock((3, 1, 0), op),))
+    circ = Circuit(4, (Gate("ublock", (3, 1, 0), matrix=op),))
     sv = from_amplitudes(_random_state(rng, 4))
     direct = apply_circuit(sv, circ, backend="operator")
     lowered = apply_circuit(sv, lower_circuit(circ), backend="gate_exact")
@@ -161,10 +161,11 @@ def _permutation_matrix(perm):
 
 def test_perm_swap_on_subspace():
     # a basis permutation is a UBLOCK; swap a single qubit's basis values
-    swap = ublock([0], _permutation_matrix([1, 0]))
+    swap = Gate("ublock", [0], matrix=_permutation_matrix([1, 0]))
     out = apply_circuit(basis_state(2, 0b01), Circuit(2, (swap,)))
     assert out.amplitudes[0b00] == 1.0
-    out2 = apply_circuit(basis_state(2, 0b00), Circuit(2, (ublock([1], swap.matrix),)))
+    high = Gate("ublock", [1], matrix=swap.matrix)
+    out2 = apply_circuit(basis_state(2, 0b00), Circuit(2, (high,)))
     assert out2.amplitudes[0b10] == 1.0
 
 
@@ -172,7 +173,8 @@ def test_perm_on_multi_qubit_subspace(rng):
     # |k> -> |perm[k]> on scattered targets, against index arithmetic
     perm = rng.permutation(8)
     sv = from_amplitudes(_random_state(rng, 5))
-    out = apply_circuit(sv, Circuit(5, (ublock([4, 2, 0], _permutation_matrix(perm)),)))
+    gate = Gate("ublock", [4, 2, 0], matrix=_permutation_matrix(perm))
+    out = apply_circuit(sv, Circuit(5, (gate,)))
     expected = np.empty(32)
     for index in range(32):
         k = (index >> 4 & 1) << 2 | (index >> 2 & 1) << 1 | (index & 1)
@@ -206,7 +208,7 @@ def test_ublock_matches_dense_kron_oracle(rng):
     # 8x8 operator on the low data qubits of a 10-qubit product state
     op = dct_matrix()
     sv = from_amplitudes(_random_state(rng, 10))
-    out = apply_circuit(sv, Circuit(10, (ublock([2, 1, 0], op),)))
+    out = apply_circuit(sv, Circuit(10, (Gate("ublock", [2, 1, 0], matrix=op),)))
     dense = np.kron(np.eye(2 ** 7), op)
     expected = dense @ sv.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
@@ -214,11 +216,11 @@ def test_ublock_matches_dense_kron_oracle(rng):
 
 def test_operator_gate_validation():
     with pytest.raises(ValueError):
-        ublock([0, 0], np.eye(4))
+        Gate("ublock", [0, 0], matrix=np.eye(4))
     with pytest.raises(ValueError):
-        Circuit(3, (ublock([0, 5], np.eye(4)),))
+        Circuit(3, (Gate("ublock", [0, 5], matrix=np.eye(4)),))
     with pytest.raises(ValueError):
-        ublock([1, 0], np.ones((4, 4)))
+        Gate("ublock", [1, 0], matrix=np.ones((4, 4)))
 
 
 def test_postselect_product_state():
