@@ -15,7 +15,7 @@ Entry points:
   * :func:`run_qf_jqpie` - the quantization-free variant: unquantized
     truncated coefficients, no ancilla, no post-selection, fully unitary;
   * :func:`hybrid_circuit` - the full gate-level circuit of either hybrid
-    method (state-preparation cascade plus lowered decompression), built
+    method (state-preparation cascade plus decompression, all RY/CX), built
     without simulating it, for export.
 
 The two hybrid methods run through one body. They share the classical front
@@ -36,10 +36,12 @@ Backends:
     layer angles without building a gate) and decompresses every block with
     one product, ``amps @ M.T``; the success probability is the squared norm
     of the result and the ancilla-1 branch is never built.
-  * ``gate_exact`` - the full-width reference: the cascade and the lowered
+  * ``gate_exact`` - the full-width reference: the cascade and the
     decompression circuit, ancilla included, applied gate by gate to the
-    2^(h+w+1)-amplitude state, then post-selected. The lowered circuit is
-    built once per (h, w, r, S) and cached.
+    2^(h+w+1)-amplitude state, then post-selected.
+
+The decompression circuit is built once per (h, w, r, S) and cached; the
+operator probe, ``gate_exact`` and export all read that one circuit.
 
 Images are zero-padded to power-of-two dimensions (at least 8) so pixels can
 be addressed by binary registers; the original dimensions are cropped back at
@@ -311,12 +313,11 @@ def _load_state(amplitudes: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _decompression_circuit(h: int, w: int, r: int, scale: float | None,
-                           backend: str) -> Circuit:
+def _decompression_circuit(h: int, w: int, r: int, scale: float | None) -> Circuit:
     """Inverse zigzag, block-encoded rescaling at ``scale`` (none for None),
-    inverse 2D DCT, every stage built as RY/CX gates. ``gate_exact`` still
-    passes the circuit through :func:`~jqpie.synth.lower_circuit`, which
-    finds nothing to lower; perfbench's tracer times that step."""
+    inverse 2D DCT, every stage built as RY/CX gates: the one circuit the
+    operator probe, ``gate_exact`` and export read. It passes through
+    :func:`~jqpie.synth.lower_circuit`, which returns it unchanged."""
     ancilla = scale is not None
     n = h + w + (1 if ancilla else 0)
     regs = registers_for(h, w, ancilla)
@@ -327,10 +328,7 @@ def _decompression_circuit(h: int, w: int, r: int, scale: float | None,
         gates.extend(lower_multiplexed_ry(diag.angles, controls, n - 1,
                                           tag="inverse_quantization"))
     gates.extend(synth_inverse_qdct_gates())
-    circuit = Circuit(n, tuple(gates), regs)
-    if backend == "gate_exact":
-        circuit = lower_circuit(circuit)
-    return circuit
+    return lower_circuit(Circuit(n, tuple(gates), regs))
 
 
 @lru_cache(maxsize=64)
@@ -347,7 +345,7 @@ def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
     """
     kept = 2 ** r
     # h + w = 6 + r: an r-qubit index register, one block per loaded slot
-    circuit = _decompression_circuit(DATA_QUBITS, r, r, scale, "operator")
+    circuit = _decompression_circuit(DATA_QUBITS, r, r, scale)
     probe = np.zeros((1 if scale is None else 2, kept, DATA_DIM))
     probe[0, :, :kept] = np.eye(kept) / math.sqrt(kept)
     out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit, backend="operator")
@@ -388,7 +386,7 @@ def _run_hybrid(source: GrayscaleImage | ImageEncoding, r: int, scale: float | N
     """Both hybrid methods; a quantization scale selects JQPIE.
 
     The operator backend loads the h + w image qubits only and decompresses
-    with the fused per-block product; ``gate_exact`` runs the full lowered
+    with the fused per-block product; ``gate_exact`` runs the full gate-level
     circuit, ancilla included, gate by gate and post-selects.
     """
     encoding = _encoding(source, scale)
@@ -402,8 +400,7 @@ def _run_hybrid(source: GrayscaleImage | ImageEncoding, r: int, scale: float | N
     else:
         prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla)
         sv = apply_circuit(zero_state(prep.n_qubits), prep, backend=backend)
-        sv = apply_circuit(sv, _decompression_circuit(h, w, r, scale, backend),
-                           backend=backend)
+        sv = apply_circuit(sv, _decompression_circuit(h, w, r, scale), backend=backend)
         probability = 1.0
         if ancilla:
             post = postselect_ancilla(sv, qubit=h + w, outcome=0)
@@ -427,7 +424,7 @@ def run_jqpie(source: GrayscaleImage | ImageEncoding, r: int, scale: float = 1.0
 
     The ``operator`` backend evaluates the quantum stage as one fused 64x64
     product per block on the image qubits; ``gate_exact`` applies the full
-    lowered circuit gate by gate and is the reference it is checked against.
+    gate-level circuit gate by gate and is the reference it is checked against.
     ``direct_load`` skips the state-preparation cascade (operator backend
     only; by default above 14 active qubits). ``source`` is the image or
     its :func:`encode_image` at ``scale``, which skips the classical
@@ -463,7 +460,7 @@ def hybrid_circuit(source: GrayscaleImage | ImageEncoding, method: str, r: int,
     """Full gate-level circuit of a hybrid run, built without simulating it.
 
     The state-preparation cascade for the globally normalized coefficients,
-    followed by the decompression lowered to RY/CX gates; ``scale`` only
+    followed by the decompression as RY/CX gates; ``scale`` only
     matters for ``jqpie``. ``source`` is the image or its encoding for the
     method, as for the runs.
     """
@@ -472,7 +469,7 @@ def hybrid_circuit(source: GrayscaleImage | ImageEncoding, method: str, r: int,
     amp_matrix, _ = _amplitudes(encoding, r, "global")
     h, w = encoding.h, encoding.w
     prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=scale is not None)
-    return compose(prep, _decompression_circuit(h, w, r, scale, "gate_exact"))
+    return compose(prep, _decompression_circuit(h, w, r, scale))
 
 
 def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",

@@ -1,22 +1,16 @@
 """Gate-level circuit representation with exact resource accounting.
 
-Gate alphabet: RY rotations and CX, plus one operator-level entry that the
-simulator can apply directly: UBLOCK (a real orthogonal matrix over a qubit
-subset, built as ``Gate("ublock", targets, matrix=...)``). Every entry is
-real, so circuits map real states to real states. A UBLOCK has no gate
-count of its own: resource reports and QASM export take lowered circuits
-only. The pipeline builds none: every decompression stage, the inverse QDCT
-included, is synthesized as RY/CX gates, and the resource model in
-:mod:`jqpie.synth` counts them with :func:`resource_counts`, so its counts
-are those of the exported gates.
+Gate alphabet: RY rotations and CX, nothing else (:data:`ELEMENTARY_KINDS`).
+Both are real, so circuits map real states to real states. Every pipeline
+stage, the inverse QDCT included, is synthesized in this alphabet, and the
+resource model in :mod:`jqpie.synth` counts the stages with
+:func:`resource_counts`, so its counts are those of the exported gates.
 
 Conventions (project-wide):
   * qubit 0 is the least-significant bit of a basis index;
   * registers are listed most-significant first, e.g.
     (("ancilla", 1), ("index", k), ("data", 6)) puts the data register in
-    qubits 0..5 and the ancilla at the top;
-  * UBLOCK target lists are ordered most-significant-first with respect to
-    the operator's own basis index.
+    qubits 0..5 and the ancilla at the top.
 
 Depth model: greedy as-soon-as-possible scheduling where each gate
 occupies one time step on every touched qubit. Consecutive runs of gates with
@@ -31,16 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 ELEMENTARY_KINDS = ("ry", "cx")
 
 #: Breakdown keys always present in a resource report.
 PIPELINE_STAGES = ("state_prep", "inverse_zigzag", "inverse_quantization", "inverse_qdct")
-
-
-class UnloweredGateError(ValueError):
-    """An operator-level gate appeared where only elementary gates are valid."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +36,6 @@ class Gate:
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
-    matrix: np.ndarray | None = None
     tag: str | None = None
 
     def __post_init__(self):
@@ -61,25 +48,8 @@ class Gate:
         elif self.kind == "cx":
             if len(self.qubits) != 2:
                 raise ValueError("cx takes a distinct (control, target) pair")
-        elif self.kind == "ublock":
-            if self.matrix is None:
-                raise ValueError("ublock gate needs a matrix")
-            if np.iscomplexobj(self.matrix):
-                raise ValueError("ublock matrix must be real")
-            mat = np.array(self.matrix, dtype=np.float64)
-            dim = 2 ** len(self.qubits)
-            if mat.shape != (dim, dim):
-                raise ValueError(f"ublock matrix must be {dim}x{dim}")
-            if not np.allclose(mat @ mat.T, np.eye(dim), atol=1e-12):
-                raise ValueError("ublock matrix is not orthogonal within 1e-12")
-            mat.flags.writeable = False
-            object.__setattr__(self, "matrix", mat)
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-
-    @property
-    def is_elementary(self) -> bool:
-        return self.kind in ELEMENTARY_KINDS
 
 
 def ry(qubit: int, angle: float, tag: str | None = None) -> Gate:
@@ -110,10 +80,6 @@ class Circuit:
             for q in g.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ValueError(f"gate references qubit {q} outside 0..{self.n_qubits - 1}")
-
-    @property
-    def has_operator_gates(self) -> bool:
-        return any(not g.is_elementary for g in self.gates)
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
@@ -160,15 +126,10 @@ class ResourceReport:
 
 
 def schedule_depth(gates) -> int:
-    """ASAP depth of an elementary gate sequence (one step per qubit per gate).
-
-    Raises :class:`UnloweredGateError` on a UBLOCK gate.
-    """
+    """ASAP depth of a gate sequence (one step per qubit per gate)."""
     front: dict[int, int] = {}
     depth = 0
     for g in gates:
-        if not g.is_elementary:
-            raise UnloweredGateError(f"{g.kind} gate has no gate count: lower first")
         end = 1 + max((front.get(q, 0) for q in g.qubits), default=0)
         for q in g.qubits:
             front[q] = end
@@ -179,10 +140,9 @@ def schedule_depth(gates) -> int:
 def resource_counts(circuit: Circuit) -> ResourceReport:
     """Exact gate counts and scheduled depth, broken down by stage tag.
 
-    The circuit must be lowered: a UBLOCK gate raises
-    :class:`UnloweredGateError`. Stage segments (consecutive gates sharing a
-    tag) are scheduled independently and act as barriers, so the total depth
-    equals the breakdown sum.
+    Stage segments (consecutive gates sharing a tag) are scheduled
+    independently and act as barriers, so the total depth equals the
+    breakdown sum.
     """
     segments: list[tuple[str, list[Gate]]] = []
     for g in circuit.gates:
@@ -206,18 +166,13 @@ def resource_counts(circuit: Circuit) -> ResourceReport:
     return ResourceReport(total.cx, total.rotations, total.depth, totals)
 
 
-# --- OpenQASM 3 export / import (elementary subset) -------------------------
+# --- OpenQASM 3 export / import -------------------------------------------------
 
 _QASM_HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
 
 
 def export_qasm(circuit: Circuit) -> str:
-    """Serialize an elementary-gate circuit to OpenQASM 3 text.
-
-    UBLOCK gates have no textual form here; lower them first.
-    """
-    if circuit.has_operator_gates:
-        raise UnloweredGateError("circuit contains UBLOCK gates: lower before export")
+    """Serialize a circuit to OpenQASM 3 text."""
     lines = [_QASM_HEADER + f"qubit[{circuit.n_qubits}] q;"]
     for g in circuit.gates:
         if g.kind == "ry":

@@ -1,4 +1,4 @@
-"""Dense statevector simulation with gate-exact and operator-level backends.
+"""Dense real statevector simulation of RY/CX circuits.
 
 Project basis convention (single source of truth, consumed by every module):
 
@@ -12,17 +12,12 @@ Project basis convention (single source of truth, consumed by every module):
   * the index register value is j = block_row * (padded_width / 8)
     + block_col, i.e. blocks enumerate row-major.
 
-Backends: ``gate_exact`` applies every elementary gate, one pass over the
-state each, and rejects UBLOCK entries; it is the reference. ``operator``
-applies the same elementary gates one by one and, in addition, UBLOCK gates
-directly on their target subspace. :func:`apply_circuit` is the only way to
-apply an operator: a dense orthogonal matrix is wrapped in a UBLOCK gate of
-a :class:`~jqpie.qcircuit.Circuit`, whose construction validates it.
-Amplitudes are real float64: every gate (RY, CX, orthogonal UBLOCK)
-maps real states to real states, so the signed JPEG coefficients never need
-a complex type, and complex input is rejected rather than cast. Both
-backends are orthogonal to machine accuracy; they agree to rounding (about
-1e-15 per amplitude).
+:func:`apply_circuit` applies every gate, one pass over the state each. Its
+``backend`` names the pipeline backend a caller runs under; both run the
+same gates here, because the gate alphabet is RY and CX only. Amplitudes
+are real float64: both gates map real states to real states, so the signed
+JPEG coefficients never need a complex type, and complex input is rejected
+rather than cast.
 
 The pipelines' ``operator`` backend runs neither the state-preparation
 cascade nor the decompression here over the whole image state:
@@ -46,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imagio import _Handover, _owned
-from .qcircuit import Circuit, Gate, UnloweredGateError
+from .qcircuit import Circuit, Gate
 
 BACKENDS = ("operator", "gate_exact")
 
@@ -148,47 +143,30 @@ def _ry_matrix(theta: float):
     return ((c, -s), (s, c))
 
 
-def _apply_dense(amps: np.ndarray, n: int, matrix: np.ndarray, targets) -> np.ndarray:
-    """Apply a matrix on target qubits (MSB-first) by moving them to the front axes."""
-    t = len(targets)
-    axes = [n - 1 - q for q in targets]
-    psi = np.moveaxis(amps.reshape([2] * n), axes, range(t))
-    shape = psi.shape
-    psi = (matrix @ psi.reshape(2 ** t, -1)).reshape(shape)
-    return np.moveaxis(psi, range(t), axes).reshape(-1)
-
-
 # --- public operations ----------------------------------------------------------
 
-def apply_gate(amps: np.ndarray, n: int, gate: Gate, operator_ok: bool) -> np.ndarray:
+def apply_gate(amps: np.ndarray, gate: Gate) -> None:
+    """Apply one RY or CX gate to ``amps`` in place."""
     if gate.kind == "ry":
         _apply_1q(amps, gate.qubits[0], _ry_matrix(gate.angle))
-    elif gate.kind == "cx":
-        _apply_cx(amps, gate.qubits[0], gate.qubits[1])
-    elif not operator_ok:
-        raise UnloweredGateError(
-            f"{gate.kind} gate is not valid under the gate_exact backend; lower first")
     else:
-        amps = _apply_dense(amps, n, gate.matrix, gate.qubits)
-    return amps
+        _apply_cx(amps, gate.qubits[0], gate.qubits[1])
 
 
 def apply_circuit(sv: StateVector, circuit: Circuit,
                   backend: str = "operator") -> StateVector:
     """Apply a circuit to a state gate by gate, returning the new state.
 
-    ``gate_exact`` requires a fully lowered circuit. ``operator`` also
-    applies UBLOCK entries directly on their subspaces. Raises
-    ArithmeticError if the norm drifts beyond 1e-9.
+    ``backend`` must be one of :data:`BACKENDS`; both apply the same gates.
+    Raises ArithmeticError if the norm drifts beyond 1e-9.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if sv.n != circuit.n_qubits:
         raise ValueError(f"state has {sv.n} qubits, circuit expects {circuit.n_qubits}")
     amps = sv.amplitudes.copy()
-    operator_ok = backend == "operator"
     for gate in circuit.gates:
-        amps = apply_gate(amps, sv.n, gate, operator_ok)
+        apply_gate(amps, gate)
     if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise ArithmeticError("statevector norm drifted beyond 1e-9")
     return StateVector._owning(amps, sv.n)

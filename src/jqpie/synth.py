@@ -6,11 +6,9 @@
 * the inverse 2D DCT as two fixed 8-point passes, built from the DCT's
   even/odd split with closed-form angles (16 CX per pass),
 
-plus exact gate-level lowering of real orthogonal UBLOCK gates into the RY/CX
-alphabet, and a resource model that counts the lowered stages (the
-image-sized cascade in closed form). Every split of a two-qubit operator is
-closed form; only an operator over three or more qubits needs LAPACK's
-cosine-sine decomposition, so scipy is imported there and nowhere else.
+plus a resource model that counts the emitted stages (the image-sized
+cascade in closed form). Every stage is emitted directly as RY/CX gates
+from closed-form angles; no numerical decomposition is needed.
 
 Everything here targets real signed amplitudes, so RY rotations suffice and
 the synthesized circuits are real orthogonal operators.
@@ -290,15 +288,16 @@ def _inverse_qdct_pass(qubits, tag: str) -> list[Gate]:
     k = 2m + c holds the 4-point DCT-II row m (c = 0) or DCT-IV row m (c = 1)
     of the sample pair (n, 7 - n), scaled by 1/sqrt(2). So the inverse first
     applies C4^T or -C4^IV^T to m on (a, b), multiplexed by c: 12 CX by the
-    closed-form cosine-sine split. RY(pi/2) on c then forms (e + o, e - o) /
-    sqrt(2), the samples n and 7 - n, and four CX move (n, c) to the index
-    n or 7 - n: (a, b, c) -> (c, a ^ c, b ^ c). Both blocks have det +1, so
+    closed-form cosine-sine split (:func:`_lower_multiplexed_so4`). RY(pi/2)
+    on c then forms (e + o, e - o) / sqrt(2), the samples n and 7 - n, and
+    four CX move (n, c) to the index n or 7 - n: (a, b, c) -> (c, a ^ c,
+    b ^ c). Both blocks have det +1, so
     no sign fix-up is needed: 16 CX and 13 RY per pass.
     """
     a, b, c = qubits
     half = dct_matrix()[:, :4] * math.sqrt(2.0)
     blocks = [half[0::2].T, -half[1::2].T]
-    gates = _lower_blockdiag_orthogonal(blocks, [c], [a, b], tag)
+    gates = _lower_multiplexed_so4(blocks, c, (a, b), tag)
     gates.append(ry(c, math.pi / 2, tag=tag))
     gates += [cx(b, c, tag=tag), cx(c, b, tag=tag), cx(a, b, tag=tag), cx(b, a, tag=tag)]
     return gates
@@ -355,37 +354,6 @@ def lower_givens(i: int, j: int, theta: float, qubits, skip_zero: bool = True,
     mux = lower_multiplexed_ry(alphas, controls, qubits[t - 1 - pivot],
                                skip_zero=skip_zero, tag=tag)
     return conj + mux + conj[::-1]
-
-
-def _reflection_angle(g: np.ndarray) -> float:
-    # det -1 blocks factor as RY(theta) . X with X applied first.
-    return 2.0 * math.atan2(-g[0, 0], g[0, 1])
-
-
-def _emit_multiplexed_o2(blocks, controls, target: int, tag: str | None) -> list[Gate]:
-    """Multiplexed 2x2 orthogonal blocks: rotations plus paired reflections."""
-    thetas = np.empty(len(blocks))
-    reflections = []
-    for c, g in enumerate(blocks):
-        if g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] < 0:   # det, without LAPACK
-            reflections.append(c)
-            thetas[c] = _reflection_angle(g)
-        else:
-            thetas[c] = 2.0 * math.atan2(g[1, 0], g[0, 0])
-    if len(reflections) % 2:
-        raise AssertionError("reflection count must be even in a det +1 lowering")
-    gates: list[Gate] = []
-    qubits = list(controls) + [target]
-    if reflections:
-        # X on the flagged patterns, applied before the rotations: signed
-        # swaps (c,0)<->(c,1) then a diagonal fix of -1 at each (c,0).
-        for c in reflections:
-            gates.extend(lower_givens(2 * c, 2 * c + 1, math.pi, qubits, tag=tag))
-        for c1, c2 in zip(reflections[0::2], reflections[1::2]):
-            gates.extend(lower_givens(2 * c1, 2 * c2, 2.0 * math.pi, qubits, tag=tag))
-    gates.extend(lower_multiplexed_ry(thetas, list(controls), target,
-                                      skip_zero=True, tag=tag))
-    return gates
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -445,102 +413,31 @@ def _cs_split_4x4(b: np.ndarray):
     return (u1, u2), [np.array([[ci, -si], [si, ci]]) for ci, si in zip(c, s)], (v1h, v2h)
 
 
-def _cs_split(b: np.ndarray, half: int):
-    """Cosine-sine split of an orthogonal matrix with det +1 over three or
-    more qubits, by LAPACK. Any det -1 corner is flipped back into SO, and
-    the flip goes into the last middle block as a reflection."""
-    from scipy.linalg import cossin
-    (u1, u2), theta, (v1h, v2h) = cossin(b, p=half, q=half, separate=True)
-    mids = [_rotation(th) for th in theta]
-    if np.linalg.det(u1) < 0:
-        u1 = _flip_last_column(u1)
-        mids[-1] = np.diag([-1.0, 1.0]) @ mids[-1]
-    if np.linalg.det(u2) < 0:
-        u2 = _flip_last_column(u2)
-        mids[-1] = np.diag([1.0, -1.0]) @ mids[-1]
-    if np.linalg.det(v1h) < 0:
-        v1h = _flip_last_row(v1h)
-        mids[-1] = mids[-1] @ np.diag([-1.0, 1.0])
-    if np.linalg.det(v2h) < 0:
-        v2h = _flip_last_row(v2h)
-        mids[-1] = mids[-1] @ np.diag([1.0, -1.0])
-    return (u1, u2), mids, (v1h, v2h)
+def _lower_multiplexed_so4(blocks, control: int, targets, tag: str) -> list[Gate]:
+    """``blocks[c]`` (4x4, det +1) on ``targets`` (a, b), most significant
+    first, when ``control`` holds c, as three uniformly controlled RY layers.
 
-
-def _flip_last_column(mat: np.ndarray) -> np.ndarray:
-    out = mat.copy()
-    out[:, -1] = -out[:, -1]
-    return out
-
-
-def _flip_last_row(mat: np.ndarray) -> np.ndarray:
-    out = mat.copy()
-    out[-1, :] = -out[-1, :]
-    return out
-
-
-def _lower_blockdiag_orthogonal(blocks, controls, targets, tag) -> list[Gate]:
-    """Recursive cosine-sine lowering of multiplexed orthogonal operators.
-
-    ``blocks[c]`` (each det +1) acts on ``targets`` when ``controls`` hold c.
-    A split over two targets is closed form (:func:`_cs_split_4x4`); a wider
-    one uses :func:`_cs_split`. Every split keeps the corner factors in SO,
-    so the middle multiplexer carries an even number of reflection patterns
-    that :func:`_emit_multiplexed_o2` realizes exactly.
+    Each block splits by :func:`_cs_split_4x4` into rotations, so
+    diag(B0, B1) = U M V with V and U multiplexed rotations of b under
+    (control, a) and the middle M one of a under (control, b): 12 CX.
     """
-    t = len(targets)
-    if t == 1:
-        return _emit_multiplexed_o2(blocks, controls, targets[0], tag)
-    half = 2 ** (t - 1)
-    mid_blocks: list[np.ndarray] = []
-    u_blocks: list[np.ndarray] = []
-    v_blocks: list[np.ndarray] = []
-    for b in blocks:
-        us, mids, vs = _cs_split_4x4(b) if t == 2 else _cs_split(b, half)
-        mid_blocks.extend(mids)
-        u_blocks.extend(us)
-        v_blocks.extend(vs)
-    msb = targets[0]
-    rest = list(targets[1:])
-    gates = _lower_blockdiag_orthogonal(v_blocks, list(controls) + [msb], rest, tag)
-    gates += _emit_multiplexed_o2(mid_blocks, list(controls) + rest, msb, tag)
-    gates += _lower_blockdiag_orthogonal(u_blocks, list(controls) + [msb], rest, tag)
-    return gates
+    a, b = targets
+    splits = [_cs_split_4x4(m) for m in blocks]
 
+    def layer(rotations, controls, target):
+        thetas = [2.0 * math.atan2(g[1, 0], g[0, 0]) for g in rotations]
+        return lower_multiplexed_ry(thetas, controls, target, skip_zero=True, tag=tag)
 
-def lower_orthogonal(matrix: np.ndarray, qubits, tag: str | None = None) -> list[Gate]:
-    """Exact RY/CX network for a real orthogonal operator with det +1.
-
-    Recursive real cosine-sine decomposition; reflections that appear inside
-    the splits are paired up and realized exactly, so the resulting circuit
-    equals the operator with no global phase.
-    """
-    mat = np.asarray(matrix, dtype=np.float64)
-    dim = 2 ** len(qubits)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"matrix must be {dim}x{dim} for {len(qubits)} qubits")
-    if not np.allclose(mat @ mat.T, np.eye(dim), atol=1e-10):
-        raise ValueError("matrix is not orthogonal within 1e-10")
-    if np.linalg.det(mat) < 0:
-        raise ValueError(
-            "det -1 operators are not exactly realizable over RY/CX on their "
-            "own qubits; lower the operator jointly with another register")
-    return _lower_blockdiag_orthogonal([mat], [], list(qubits), tag)
+    return (layer([v for _, _, vs in splits for v in vs], [control, a], b)
+            + layer([m for _, mids, _ in splits for m in mids], [control, b], a)
+            + layer([u for us, _, _ in splits for u in us], [control, a], b))
 
 
 def lower_circuit(circuit: Circuit) -> Circuit:
-    """Replace every UBLOCK gate with an exact elementary network.
-
-    UBLOCK lowering supports the real orthogonal det +1 operators this
-    project produces; stage tags are preserved.
-    """
-    gates: list[Gate] = []
-    for g in circuit.gates:
-        if g.kind == "ublock":
-            gates.extend(lower_orthogonal(g.matrix, list(g.qubits), tag=g.tag))
-        else:
-            gates.append(g)
-    return Circuit(circuit.n_qubits, tuple(gates), circuit.registers)
+    """The circuit itself: every stage is emitted as RY/CX gates, so there is
+    nothing to lower. Kept only because the benchmark tracer
+    (``perfbench/tracing.py``) binds ``jqpie.pipeline.lower_circuit``."""
+    return circuit
 
 
 # --- resource model -------------------------------------------------------------

@@ -428,26 +428,26 @@ def test_cli_rejects_a_non_finite_scale(tmp_path, rng, capsys, scale):
 
 
 def test_cli_runs_import_no_scipy(tmp_path, rng):
-    # scipy only lowers operators over three or more qubits, and no run,
-    # resource report or export builds one; each command runs in a fresh
-    # process so that nothing pytest itself imported counts
+    # numpy is the only run-time dependency: each command runs in a fresh
+    # process in which any import of scipy fails
     path = tmp_path / "img.pgm"
     write_pgm(random_image(rng, 16, 24), path)
     commands = [
         ["resources", "--height", "64", "--width", "64", "--method", "jqpie"],
         ["sweep", str(path), "--r", "3", "--out", str(tmp_path / "op")],
         ["sweep", str(path), "--r", "3", "--backend", "gate_exact", "--out", str(tmp_path / "ge")],
+        ["simulate", str(path), "--r", "3", "--backend", "gate_exact",
+         "--out", str(tmp_path / "sim")],
         ["export-circuit", str(path), "--method", "jqpie", "--r", "3",
          "--out", str(tmp_path / "c.qasm")],
     ]
-    script = ("import json, sys\nfrom jqpie.bench import main\n"
-              "assert main(json.loads(sys.argv[1])) == 0\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
+    script = ("import json, sys\nsys.modules['scipy'] = None\n"
+              "from jqpie.bench import main\n"
+              "assert main(json.loads(sys.argv[1])) == 0\n")
     src = str(Path(jqpie.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     for argv in commands:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [], argv[0]
+        assert proc.returncode == 0, (argv[0], proc.stderr)

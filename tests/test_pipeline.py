@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jqpie import pipeline
-from jqpie.bench import SweepConfig, run_sweep
+from jqpie.bench import SweepConfig, main, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
 from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, blocks_from_zigzag,
                             classical_reference_decode, dct_matrix, idct2_block, jpeg_decode,
@@ -333,7 +333,7 @@ def _gate_by_gate_reference(img, r, scale, norm_mode):
     ancilla = scale is not None
     amps = np.zeros((2 if ancilla else 1, len(amp_matrix), 64))
     amps[0, :, :2 ** r] = amp_matrix
-    circuit = pipeline._decompression_circuit(h, w, r, scale, "operator")
+    circuit = pipeline._decompression_circuit(h, w, r, scale)
     sv = apply_circuit(from_amplitudes(amps.reshape(-1)), circuit, backend="operator")
     if not ancilla:
         return sv.amplitudes, 1.0
@@ -372,13 +372,13 @@ def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_decompression_operator_matches_lowered_gate_exact_circuit(r):
-    # M read off the fully lowered circuit under gate_exact: no UBLOCK entry,
-    # so no operator-backend code is involved. Column s of M is also the
-    # inverse 2D DCT of frequency f = load_order(r)[s], rescaled by d_f.
+    # M read off the full decompression circuit under gate_exact. Column s
+    # of M is also the inverse 2D DCT of frequency f = load_order(r)[s],
+    # rescaled by d_f.
     kept = 2 ** r
     inverse_dct = np.kron(dct_matrix().T, dct_matrix().T)
     for scale in (None, 0.25, 1.0, 8.0):
-        circuit = pipeline._decompression_circuit(6, 6, r, scale, "gate_exact")
+        circuit = pipeline._decompression_circuit(6, 6, r, scale)
         probe = np.zeros((1 if scale is None else 2, 64, 64))
         probe[0, :kept, :kept] = np.eye(kept) / np.sqrt(kept)
         out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit, backend="gate_exact")
@@ -564,18 +564,25 @@ def test_r6_costs_qpie_plus_the_decompression_tail(height, width):
 
 
 def test_gate_exact_lowers_each_decompression_once(tmp_path, rng, monkeypatch):
-    for name in ("a.pgm", "b.pgm"):
-        write_pgm(random_image(rng, 16, 16), tmp_path / name)
+    # the operator probe, gate_exact and export-circuit read one decompression
+    # circuit per (h, w, r, S); a 64 x 8 image at r = 3 has the probe's (6, 3)
+    paths = [str(tmp_path / name) for name in ("a.pgm", "b.pgm")]
+    for path in paths:
+        write_pgm(random_image(rng, 64, 8), path)
     pipeline._decompression_circuit.cache_clear()
-    lowered = []
+    pipeline._decompression_operator.cache_clear()
+    builds = []
 
-    def spy(circuit):
-        lowered.append(circuit)
-        return lower(circuit)
+    def spy():
+        builds.append(1)
+        return qdct()
 
-    lower = pipeline.lower_circuit
-    monkeypatch.setattr(pipeline, "lower_circuit", spy)
-    rows = run_sweep(SweepConfig(inputs=(str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")),
-                                 r_set=(3, 6), backend="gate_exact"))
-    assert len(rows) == 8 and not any(row["error"] for row in rows)
-    assert len(lowered) == 4   # one per (r, S): r in {3, 6}, S in {1, none}
+    qdct = pipeline.synth_inverse_qdct_gates
+    monkeypatch.setattr(pipeline, "synth_inverse_qdct_gates", spy)
+    for backend in ("operator", "gate_exact"):
+        rows = run_sweep(SweepConfig(inputs=tuple(paths), r_set=(3,), backend=backend))
+        assert len(rows) == 4 and not any(row["error"] for row in rows)
+    for method in pipeline.METHODS:
+        assert main(["export-circuit", paths[0], "--method", method, "--r", "3",
+                     "--out", str(tmp_path / f"{method}.qasm")]) == 0
+    assert len(builds) == 2   # one per S in {1, none}

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from jqpie import qsim
-from jqpie.jpegcore import QuantTable, dct_matrix
-from jqpie.qcircuit import Circuit, Gate, UnloweredGateError, cx, ry
+from jqpie.jpegcore import QuantTable
+from jqpie.qcircuit import Circuit, cx, ry
 from jqpie.qsim import (StateVector, apply_circuit, apply_gate, basis_state,
                         from_amplitudes, postselect_ancilla, state_fidelity, zero_state)
-from jqpie.synth import (BlockEncodedDiag, block_encoded_rescaler, lower_circuit,
-                         lower_multiplexed_ry, synth_inverse_quantization, synth_state_prep)
+from jqpie.synth import (BlockEncodedDiag, block_encoded_rescaler, lower_multiplexed_ry,
+                         synth_inverse_quantization, synth_state_prep)
 
 
 def test_statevector_validation():
@@ -91,12 +91,6 @@ def test_qubit_count_mismatch():
         apply_circuit(zero_state(2), Circuit(3, (ry(0, 0.1),)))
 
 
-def test_gate_exact_rejects_operator_gates():
-    circ = Circuit(3, (Gate("ublock", (2, 1, 0), matrix=np.eye(8)),))
-    with pytest.raises(UnloweredGateError, match="ublock gate is not valid"):
-        apply_circuit(zero_state(3), circ, backend="gate_exact")
-
-
 def test_backends_agree_on_random_circuits(rng):
     n = 8
     for _ in range(5):
@@ -124,9 +118,9 @@ def _applied_gates(rng, monkeypatch, backend):
     circuit = synth_state_prep(vec / np.linalg.norm(vec))
     calls = []
 
-    def counting(*args):
-        calls.append(args[2])
-        return apply_gate(*args)
+    def counting(amps, gate):
+        calls.append(gate)
+        apply_gate(amps, gate)
 
     monkeypatch.setattr(qsim, "apply_gate", counting)
     apply_circuit(zero_state(6), circuit, backend=backend)
@@ -142,46 +136,6 @@ def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
 def test_operator_applies_every_elementary_gate_once(rng, monkeypatch):
     calls, gates = _applied_gates(rng, monkeypatch, "operator")
     assert calls == gates
-
-
-def test_lowered_vs_operator_gate_for_ublock(rng):
-    op = dct_matrix().T
-    circ = Circuit(4, (Gate("ublock", (3, 1, 0), matrix=op),))
-    sv = from_amplitudes(_random_state(rng, 4))
-    direct = apply_circuit(sv, circ, backend="operator")
-    lowered = apply_circuit(sv, lower_circuit(circ), backend="gate_exact")
-    assert np.linalg.norm(direct.amplitudes - lowered.amplitudes) <= 1e-10
-
-
-def _permutation_matrix(perm):
-    mat = np.zeros((len(perm), len(perm)))
-    mat[perm, np.arange(len(perm))] = 1.0
-    return mat
-
-
-def test_perm_swap_on_subspace():
-    # a basis permutation is a UBLOCK; swap a single qubit's basis values
-    swap = Gate("ublock", [0], matrix=_permutation_matrix([1, 0]))
-    out = apply_circuit(basis_state(2, 0b01), Circuit(2, (swap,)))
-    assert out.amplitudes[0b00] == 1.0
-    high = Gate("ublock", [1], matrix=swap.matrix)
-    out2 = apply_circuit(basis_state(2, 0b00), Circuit(2, (high,)))
-    assert out2.amplitudes[0b10] == 1.0
-
-
-def test_perm_on_multi_qubit_subspace(rng):
-    # |k> -> |perm[k]> on scattered targets, against index arithmetic
-    perm = rng.permutation(8)
-    sv = from_amplitudes(_random_state(rng, 5))
-    gate = Gate("ublock", [4, 2, 0], matrix=_permutation_matrix(perm))
-    out = apply_circuit(sv, Circuit(5, (gate,)))
-    expected = np.empty(32)
-    for index in range(32):
-        k = (index >> 4 & 1) << 2 | (index >> 2 & 1) << 1 | (index & 1)
-        v = perm[k]
-        moved = index & 0b01010 | (v >> 2 & 1) << 4 | (v >> 1 & 1) << 2 | (v & 1)
-        expected[moved] = sv.amplitudes[index]
-    assert np.array_equal(out.amplitudes, expected)
 
 
 def test_block_encoding_identity_branch():
@@ -202,25 +156,6 @@ def test_block_encoding_all_ones_is_identity(rng):
     out = apply_circuit(StateVector(amps, 7), Circuit(7, tuple(gates)), backend="gate_exact")
     assert np.max(np.abs(out.amplitudes[:64] - payload)) < 1e-12
     assert np.max(np.abs(out.amplitudes[64:])) < 1e-12
-
-
-def test_ublock_matches_dense_kron_oracle(rng):
-    # 8x8 operator on the low data qubits of a 10-qubit product state
-    op = dct_matrix()
-    sv = from_amplitudes(_random_state(rng, 10))
-    out = apply_circuit(sv, Circuit(10, (Gate("ublock", [2, 1, 0], matrix=op),)))
-    dense = np.kron(np.eye(2 ** 7), op)
-    expected = dense @ sv.amplitudes
-    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
-
-
-def test_operator_gate_validation():
-    with pytest.raises(ValueError):
-        Gate("ublock", [0, 0], matrix=np.eye(4))
-    with pytest.raises(ValueError):
-        Circuit(3, (Gate("ublock", [0, 5], matrix=np.eye(4)),))
-    with pytest.raises(ValueError):
-        Gate("ublock", [1, 0], matrix=np.ones((4, 4)))
 
 
 def test_postselect_product_state():

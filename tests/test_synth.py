@@ -3,15 +3,14 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.stats import ortho_group
 
 from jqpie import synth
 from jqpie.jpegcore import QuantTable, dct_matrix, zigzag_permutation
-from jqpie.qcircuit import Circuit, Gate, resource_counts, ry
+from jqpie.qcircuit import Circuit, resource_counts, ry
 from jqpie.qsim import apply_circuit, basis_state, zero_state
 from jqpie.synth import (block_encoded_rescaler, closed_form_resources, load_order,
-                         lower_circuit, lower_givens, lower_multiplexed_ry, lower_orthogonal,
+                         lower_circuit, lower_givens, lower_multiplexed_ry,
                          multiplexed_ry_angles, state_prep_cost,
                          synth_inverse_qdct_gates, synth_inverse_quantization, synth_state_prep,
                          synth_truncated_zigzag, truncated_zigzag_map, walsh_hadamard)
@@ -229,7 +228,6 @@ def test_zigzag_network_maps_loaded_slots_to_their_frequencies():
     # no sign fix-up: the -1 of each signed swap lands on an unloaded slot
     for r in (2, 3, 4, 5, 6):
         circuit = synth_truncated_zigzag(r)
-        assert not circuit.has_operator_gates
         assert all(g.tag == "inverse_zigzag" for g in circuit.gates)
         for s, f in enumerate(load_order(r)):
             out = apply_circuit(basis_state(6, s), circuit, backend="gate_exact").amplitudes
@@ -322,13 +320,12 @@ def test_emitted_qdct_pass_is_the_inverse_dct():
 
 
 def test_qdct_angles_are_closed_form(monkeypatch):
-    # no SVD, determinant, other LAPACK call or scipy builds a pass
+    # no SVD, determinant or other LAPACK call builds a pass
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK call while building the QDCT")
 
     for name in ("svd", "det", "qr", "eig", "eigh", "solve", "inv", "slogdet"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    monkeypatch.setattr(scipy.linalg, "cossin", refuse)
     gates = synth._inverse_qdct_pass((2, 1, 0), "inverse_qdct")
     monkeypatch.undo()
     got = circuit_matrix(gates, 3).real
@@ -400,42 +397,33 @@ def test_lower_givens_rotates_exactly_one_plane(rng):
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
-def test_lower_orthogonal_inverse_qdct_exact():
-    inv = dct_matrix().T
-    gates = lower_orthogonal(inv, [2, 1, 0])
-    got = circuit_matrix(gates, 3).real
-    assert np.max(np.abs(got - inv)) < 1e-11
+def _random_so4(rng):
+    q = ortho_group.rvs(4, random_state=rng)
+    if np.linalg.det(q) < 0:
+        q[:, [0, 1]] = q[:, [1, 0]]
+    return q
 
 
-def test_lower_orthogonal_random_so(rng):
-    for trial in range(3):
-        for nq in (2, 3, 4):
-            q = ortho_group.rvs(2 ** nq, random_state=100 * trial + nq)
-            if np.linalg.det(q) < 0:
-                q[:, [0, 1]] = q[:, [1, 0]]
-            gates = lower_orthogonal(q, list(range(nq - 1, -1, -1)))
-            got = circuit_matrix(gates, nq).real
-            assert np.max(np.abs(got - q)) < 1e-10
-
-
-def test_lower_orthogonal_rejects_reflections():
-    refl = np.eye(8)
-    refl[0, 0] = -1.0
-    with pytest.raises(ValueError, match="det"):
-        lower_orthogonal(refl, [2, 1, 0])
+def test_multiplexed_so4_lowering_matches_block_diagonal_oracle(rng):
+    # 4x4 blocks with det +1 on targets (a, b) = (1, 0) under control 2
+    permutations = list(_signed_permutations())
+    pairs = [(_random_so4(rng), _random_so4(rng)) for _ in range(20)]
+    pairs += [(permutations[i], permutations[j])
+              for i, j in rng.integers(len(permutations), size=(20, 2))]
+    pairs += [(np.eye(4), _random_so4(rng)), (_random_so4(rng), np.eye(4))]
+    zero = np.zeros((4, 4))
+    for blocks in pairs:
+        gates = synth._lower_multiplexed_so4(blocks, 2, (1, 0), "inverse_qdct")
+        assert sum(g.kind == "cx" for g in gates) == 12
+        got = circuit_matrix(gates, 3).real
+        expected = np.block([[blocks[0], zero], [zero, blocks[1]]])
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_lower_circuit_preserves_semantics_and_tags():
-    inv = dct_matrix().T
-    blocks = tuple(Gate("ublock", q, matrix=inv, tag="inverse_qdct")
-                   for q in ((5, 4, 3), (2, 1, 0)))
-    circuit = Circuit(6, (ry(4, 0.3, tag="state_prep"), *blocks))
-    lowered = lower_circuit(circuit)
-    assert not lowered.has_operator_gates
-    assert lowered.gates[0] is circuit.gates[0]
-    assert all(g.tag == "inverse_qdct" for g in lowered.gates[1:])
-    got = circuit_matrix(lowered.gates[1:], 6).real
-    assert np.max(np.abs(got - np.kron(inv, inv))) < 1e-10
+    # every stage is emitted as RY/CX gates: nothing is left to lower
+    circuit = Circuit(6, (ry(4, 0.3, tag="state_prep"), *synth_inverse_qdct_gates()))
+    assert lower_circuit(circuit) is circuit
 
 
 # --- synthesized-circuit unitarity (6 to 8 qubits) ---------------------------------
