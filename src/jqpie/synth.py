@@ -74,20 +74,21 @@ def lower_multiplexed_ry(alphas, controls, target: int, skip_zero: bool = False,
     ``alphas[c]`` is the rotation applied to ``target`` when the controls
     (listed most-significant first) hold the basis value c. A k-control
     multiplexer lowers to 2^k rotations and 2^k CX gates. With ``skip_zero``
-    exactly-zero rotations are dropped (the CX skeleton always remains).
+    rotations of |angle| <= 1e-12, zero up to rounding, are dropped (the CX
+    skeleton always remains).
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     k = len(controls)
     if len(alphas) != 2 ** k:
         raise ValueError(f"need {2 ** k} angles for {k} controls, got {len(alphas)}")
     if k == 0:
-        if skip_zero and alphas[0] == 0.0:
+        if skip_zero and abs(alphas[0]) <= 1e-12:
             return []
         return [ry(target, alphas[0], tag=tag)]
     thetas = multiplexed_ry_angles(alphas)
     gates: list[Gate] = []
     for i in range(2 ** k):
-        if not (skip_zero and thetas[i] == 0.0):
+        if not (skip_zero and abs(thetas[i]) <= 1e-12):
             gates.append(ry(target, thetas[i], tag=tag))
         if i == 2 ** k - 1:
             bit = k - 1
@@ -291,8 +292,8 @@ def _inverse_qdct_pass(qubits, tag: str) -> list[Gate]:
     closed-form cosine-sine split (:func:`_lower_multiplexed_so4`). RY(pi/2)
     on c then forms (e + o, e - o) / sqrt(2), the samples n and 7 - n, and
     four CX move (n, c) to the index n or 7 - n: (a, b, c) -> (c, a ^ c,
-    b ^ c). Both blocks have det +1, so
-    no sign fix-up is needed: 16 CX and 13 RY per pass.
+    b ^ c). Both blocks have det +1, so no sign fix-up is needed: 16 CX and
+    12 RY per pass (one multiplexer angle is zero up to rounding).
     """
     a, b, c = qubits
     half = dct_matrix()[:, :4] * math.sqrt(2.0)

@@ -304,7 +304,7 @@ def test_emitted_1d_qdct_cost_against_published():
     # 4-point blocks (12 CX) and its butterfly (RY(pi/2) + 4 CX). It must
     # cost no more than the published 18 CX / 33 rotations / depth 35.
     report = resource_counts(_one_qdct_pass())
-    assert (report.cx_count, report.rotation_count, report.depth) == (16, 13, 27)
+    assert (report.cx_count, report.rotation_count, report.depth) == (16, 12, 26)
     assert report.cx_count <= 18 and report.rotation_count <= 33 and report.depth <= 35
     print(f"note: emitted 1D inverse QDCT {report.cx_count} CX / {report.rotation_count} "
           f"rotations / depth {report.depth} (published: 18 CX / 33 rotations / depth 35)")
@@ -474,7 +474,7 @@ def test_closed_form_stage_composition():
     report = closed_form_resources(4, 4, 3, method="jqpie")
     assert report.breakdown["inverse_quantization"].cx == 64
     assert report.breakdown["inverse_qdct"].cx == 32
-    assert report.breakdown["inverse_qdct"].depth == 27
+    assert report.breakdown["inverse_qdct"].depth == 26
     assert report.cx_count == sum(c.cx for c in report.breakdown.values())
     qf = closed_form_resources(4, 4, 3, method="qf_jqpie")
     assert qf.breakdown["inverse_quantization"].cx == 0
