@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -346,7 +347,11 @@ def aggregate_histogram(stats: list[tuple[str, SparsityStats]]) -> np.ndarray:
 
 # --- CLI -------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing never changes it,
+    and each parse starts a new namespace, so repeatable options such as
+    ``--r`` collect nothing from an earlier call."""
     parser = argparse.ArgumentParser(
         prog="jqpie",
         description="Hybrid classical-quantum image preparation toolkit")

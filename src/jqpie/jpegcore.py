@@ -9,6 +9,17 @@ The 2D transform is orthonormal (energy preserving); the fast implementation
 uses the separable matrix form and is validated elsewhere against the naive
 quadruple-sum definition. Entropy coding is out of scope: the pipeline needs
 fixed-dimensional coefficient vectors, not variable-length bitstreams.
+
+Both production transforms work in the padded image's own (H, W) layout and
+never cut it into a stack of blocks. :func:`zigzag_coefficients` contracts
+the pixel rows (x) of each tile row first and then each run of 8 columns
+(y), the order the block path's ``einsum`` in :func:`dct2_blocks` uses, so
+its values are bit for bit those of the block path; its (n_blocks, 64)
+result is slot-major (F-contiguous), so one zigzag slot of every block is
+contiguous memory. :func:`jpeg_decode` undoes it the same way. The classical
+oracles (:func:`reference_decode_pixels`) keep the block path of
+:func:`~jqpie.imagio.pad_and_partition`, :func:`dct2_blocks` and
+:func:`quantize_zigzag`, so they stay an independent reference.
 """
 
 from __future__ import annotations
@@ -18,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagio import BLOCK, BlockGrid, GrayscaleImage, assemble_image, pad_and_partition
+from .imagio import (BLOCK, BlockGrid, GrayscaleImage, assemble_image, pad_and_partition,
+                     pad_to_multiple)
 
 #: Standard luminance quantization matrix (scaled by S at table construction).
 BASE_QUANT = np.array([
@@ -161,13 +173,57 @@ def truncate_zigzag(values: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def zigzag_coefficients(grid: BlockGrid, table: QuantTable | None = None) -> np.ndarray:
+def zigzag_coefficients(source: GrayscaleImage | BlockGrid,
+                        table: QuantTable | None = None) -> np.ndarray:
     """Per-block zigzag-ordered DCT coefficients, shape (n_blocks, 64).
 
-    With a table the coefficients are quantized first; without one they are
-    the raw transform values. Pixels are transformed as raw intensities,
-    without JPEG's 128 level shift, which keeps quantum readout scaling
-    simple.
+    ``source`` is an image, zero-padded here to multiples of 8, or the block
+    grid :func:`~jqpie.imagio.pad_and_partition` makes of one, which is laid
+    back out as its padded image; rows follow the row-major block order
+    either way. With a table the coefficients are quantized first; without
+    one they are the raw transform values. Pixels are transformed as raw
+    intensities, without JPEG's 128 level shift, which keeps quantum readout
+    scaling simple.
+
+    The transform works in the padded (H, W) layout: one product contracts
+    the 8 pixel rows (x) of every tile row, a second each run of 8 columns
+    (y). Rows go first, as in :func:`dct2_blocks`, so every value is bit for
+    bit the block path's. One transposed copy, dividing by Q when
+    quantizing, makes a frequency-major (64, n_blocks) array; a take of its
+    rows in zigzag order fills the second buffer, where the quotients are
+    rounded half away from zero in place as trunc(x + copysign(0.5, x)),
+    bit for bit :func:`round_half_away`. The result is that buffer
+    transposed: slot-major (F-contiguous), so a slot of every block, the
+    unit the pipeline and the decoder gather, is contiguous memory.
+    """
+    if isinstance(source, BlockGrid):
+        pixels = assemble_image(source, source.padded_dims, clamp=False).pixels
+    else:
+        pixels = pad_to_multiple(source).pixels
+    nbx, nby = pixels.shape[0] // BLOCK, pixels.shape[1] // BLOCK
+    rows = np.matmul(_DCT, pixels.reshape(nbx, BLOCK, -1))
+    coeffs = np.matmul(rows.reshape(-1, BLOCK), _DCT.T)
+    # rows is spent: its buffer takes the frequency-major copy
+    freq = rows.reshape(BLOCK, BLOCK, nbx, nby)
+    tiles = coeffs.reshape(nbx, BLOCK, nby, BLOCK).transpose(1, 3, 0, 2)
+    if table is None:
+        np.copyto(freq, tiles)
+    else:
+        np.divide(tiles, table.values[:, :, None, None], out=freq)
+    freq = freq.reshape(BLOCK * BLOCK, -1)
+    # an unbuffered take (mode="clip"; every index is in range) into coeffs
+    zz = np.take(freq, _ZIGZAG, axis=0, out=coeffs.reshape(freq.shape), mode="clip")
+    if table is not None:
+        zz += np.copysign(0.5, zz, out=freq)
+        np.trunc(zz, out=zz)
+    return zz.T
+
+
+def _block_zigzag(grid: BlockGrid, table: QuantTable | None) -> np.ndarray:
+    """The oracles' zigzag matrix, from the block stack of ``grid``.
+
+    The block path :func:`zigzag_coefficients` is checked against:
+    :func:`dct2_blocks`, the zigzag gather, then :func:`quantize_zigzag`.
     """
     zz = dct2_blocks(grid.blocks).reshape(-1, BLOCK * BLOCK)[:, _ZIGZAG]
     return zz if table is None else quantize_zigzag(zz, table)
@@ -205,12 +261,12 @@ def reference_decode_pixels(img: GrayscaleImage, mode: str, r: int = 6,
     check_truncation(r)
     grid = pad_and_partition(img)
     if mode == "qf_oracle":
-        zz = zigzag_coefficients(grid, table=None)
+        zz = _block_zigzag(grid, table=None)
         zz = truncate_zigzag(zz, r)
         coeffs = blocks_from_zigzag(zz)
     else:
         table = QuantTable(scale)
-        zz = zigzag_coefficients(grid, table=table)
+        zz = _block_zigzag(grid, table=table)
         if mode == "jqpie_oracle":
             zz = truncate_zigzag(zz, r)
         coeffs = blocks_from_zigzag(zz) * table.values
@@ -232,7 +288,7 @@ def jpeg_decode(zz: np.ndarray, table: QuantTable, img: GrayscaleImage) -> Grays
     """Classical JPEG decode of ``img`` from its quantized zigzag matrix.
 
     ``zz`` holds the quantized rows of ``img``'s own block grid
-    (:func:`~jqpie.imagio.pad_and_partition`); they are dequantized,
+    (:func:`zigzag_coefficients` of ``img``); they are dequantized,
     inverse transformed, cropped to the original dimensions and clamped.
     The same steps as :func:`classical_reference_decode` in ``jpeg`` mode,
     which stays a separate oracle that computes its own coefficients.
@@ -277,10 +333,10 @@ def sparsity_stats(source: GrayscaleImage | np.ndarray, scale: float = 1.0) -> S
 
     ``source`` is an image, quantized here at ``scale``, or the (n_blocks,
     64) quantized zigzag matrix of an image's own block grid
-    (:func:`~jqpie.imagio.pad_and_partition`), which already fixes the scale.
+    (:func:`zigzag_coefficients` of the image), which already fixes the scale.
     """
     if isinstance(source, GrayscaleImage):
-        source = zigzag_coefficients(pad_and_partition(source), QuantTable(scale))
+        source = zigzag_coefficients(source, QuantTable(scale))
     nonzero = source != 0
     d = int(nonzero.sum())
     n = nonzero.size

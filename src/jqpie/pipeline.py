@@ -70,8 +70,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .imagio import (BLOCK, BlockGrid, GrayscaleImage, assemble_image,
-                     pad_and_partition, pad_to_pow2)
+from .imagio import BLOCK, GrayscaleImage, pad_to_pow2
 from .jpegcore import _ZIGZAG_SLOT, QuantTable, quantize_zigzag, zigzag_coefficients
 from .qcircuit import Circuit, ResourceReport, compose
 from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
@@ -174,6 +173,10 @@ class ImageEncoding:
     quantized at ``scale`` for JQPIE, unquantized (``scale`` None) for
     QF-JQPIE. It depends on neither r nor the normalization mode, so a run
     at any of them only gathers its kept coefficients and normalizes them.
+    It is slot-major (F-contiguous), as :func:`~jqpie.jpegcore.zigzag_coefficients`
+    makes it: the column gathers of a run and of the JPEG baseline read
+    contiguous slots, and the norms of the gathered matrix sum in the same
+    order on every run.
     """
 
     image: GrayscaleImage
@@ -192,10 +195,10 @@ class ImageEncoding:
     def jpeg_coefficients(self, scale: float) -> np.ndarray:
         """Quantized zigzag rows of the image's own block grid.
 
-        The rows of the blocks :func:`~jqpie.imagio.pad_and_partition` makes
-        of the image (padded to multiples of 8 only), quantized at ``scale``:
-        unquantized coefficients are quantized here, quantized ones must
-        already be at ``scale``. This is the input of the classical JPEG
+        The rows of the blocks of the image padded to multiples of 8 only,
+        as :func:`~jqpie.jpegcore.zigzag_coefficients` pads it, quantized at
+        ``scale``: unquantized coefficients are quantized here, quantized
+        ones must already be at ``scale``. This is the input of the classical JPEG
         baseline and of the sparsity statistics.
         """
         nbx, nby = -(-self.image.height // BLOCK), -(-self.image.width // BLOCK)
@@ -218,7 +221,7 @@ def encode_image(img: GrayscaleImage, scale: float | None) -> ImageEncoding:
     h = log2_exact(padded.height, "padded height")
     w = log2_exact(padded.width, "padded width")
     table = None if scale is None else QuantTable(scale)
-    coefficients = zigzag_coefficients(pad_and_partition(padded), table=table)
+    coefficients = zigzag_coefficients(padded, table=table)
     return ImageEncoding(img, scale, h, w, coefficients)
 
 
@@ -525,16 +528,19 @@ def readout_image(state: StateVector, norm_record: NormalizationRecord,
     ph, pw = norm_record.padded_dims
     if state.n != log2_exact(ph, "padded height") + log2_exact(pw, "padded width"):
         raise ValueError("state size does not match the recorded padded dimensions")
-    values = state.amplitudes * (math.sqrt(success_probability) * norm_record.global_norm)
+    factor = math.sqrt(success_probability) * norm_record.global_norm
+    # The block-major amplitudes are multiplied straight into the 8x8 tiles
+    # of the pixel array; an image with a side under 8 is one row-major tile.
+    th, tw = (BLOCK, BLOCK) if ph >= BLOCK and pw >= BLOCK else (ph, pw)
+    nbx, nby = ph // th, pw // tw
+    pixels = np.empty((ph, pw))
+    tiles = pixels.reshape(nbx, th, nby, tw).transpose(0, 2, 1, 3)
+    np.multiply(state.amplitudes.reshape(nbx, nby, th, tw), factor, out=tiles)
     if norm_record.lam is not None:
-        values *= norm_record.lam
-    if ph >= BLOCK and pw >= BLOCK:
-        nbx, nby = ph // BLOCK, pw // BLOCK
-        matrix = values.reshape(nbx * nby, BLOCK * BLOCK)
-        if norm_record.per_block_norms is not None:
-            matrix = matrix * norm_record.per_block_norms[:, None]
-        blocks = matrix.reshape(-1, BLOCK, BLOCK)
-        grid = BlockGrid._owning(blocks, nbx, nby, original_dims, norm_record.bit_depth)
-        return assemble_image(grid, original_dims, clamp=False)
-    pixels = values.reshape(ph, pw)[:original_dims[0], :original_dims[1]].copy()
-    return GrayscaleImage._owning(pixels, norm_record.bit_depth, original_dims)
+        tiles *= norm_record.lam
+    if norm_record.per_block_norms is not None:
+        tiles *= norm_record.per_block_norms.reshape(nbx, nby, 1, 1)
+    oh, ow = original_dims
+    if (oh, ow) != (ph, pw):
+        pixels = pixels[:oh, :ow].copy()
+    return GrayscaleImage._owning(pixels, norm_record.bit_depth, (oh, ow))

@@ -326,13 +326,13 @@ def test_sweep_transforms_each_image_once_per_method(tmp_path, rng, monkeypatch,
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(pipeline, "zigzag_coefficients")
-    counted(jpegcore, "dct2_blocks")   # every forward transform, baseline and stats included
+    counted(pipeline, "zigzag_coefficients")   # the front end, which the baseline and stats reuse
+    counted(jpegcore, "dct2_blocks")   # the oracles' block path, which a sweep never takes
     argv = ["sweep", str(directory), "--r", "3", "--r", "6", "--out", str(tmp_path / "rows")]
     for method in methods:
         argv += ["--method", method]
     assert main(argv) == 0
-    assert calls == {"zigzag_coefficients": 2 * per_image, "dct2_blocks": 2 * per_image}
+    assert calls == {"zigzag_coefficients": 2 * per_image, "dct2_blocks": 0}
 
 
 def test_parallel_sweep_reports_match_serial(tmp_path, rng):
@@ -350,16 +350,34 @@ def test_parallel_sweep_reports_match_serial(tmp_path, rng):
     assert json.loads(outputs[0][1])["compression_ratio"]["root"]["count"] == 2
 
 
+def test_cli_calls_share_no_parser_state(tmp_path, rng):
+    """The parser is built once per process; a second sweep without --r or
+    --method gets the defaults, not the first call's repeatable options."""
+    directory = make_dataset(tmp_path, rng, names=("a.pgm",), size=8)
+    assert bench.build_parser() is bench.build_parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["sweep", str(directory), "--r", "3", "--method", "jqpie",
+                 "--out", str(first)]) == 0
+    assert main(["sweep", str(directory), "--out", str(second)]) == 0
+    cells = []
+    for out in (first, second):
+        lines = out.with_suffix(".csv").read_text().splitlines()[1:]
+        cells.append([tuple(line.split(",")[1:3]) for line in lines])
+    assert cells[0] == [("jqpie", "3")]
+    assert cells[1] == [(m, str(r)) for m in ("jqpie", "qf_jqpie") for r in range(2, 7)]
+
+
 def test_sweep_peak_memory_1024(tmp_path, rng):
     """A 1024x1024 jqpie sweep at r = 5, 6 holds at most 6.5 image-sized
-    float64 arrays at once. The peak, 6.0 arrays, is reached twice. In
-    global SSIM on a cell: the loaded image (also the prepared reference),
-    one coefficient matrix, the cell's reconstruction and its clamped copy,
-    and the two deviation arrays, the covariance product written over the
-    reference's. In the r = 6 run: the image, the coefficient matrix, the
-    loaded amplitudes, the decompressed state, its rescaled copy and the
-    assembled reconstruction. A cell's state is released before it is
-    scored, and no earlier cell's result is alive."""
+    float64 arrays at once. The peak, 6.0 arrays, is reached in global SSIM
+    on a cell: the loaded image (also the prepared reference), one
+    coefficient matrix, the cell's reconstruction and its clamped copy, and
+    the two deviation arrays, the covariance product written over the
+    reference's. The r = 6 run holds 5.0: the image, the coefficient matrix,
+    the loaded amplitudes, the decompressed state and the reconstruction,
+    which readout writes straight into the pixel layout; encoding holds
+    3.0: the image and the transform's two buffers. A cell's state is
+    released before it is scored, and no earlier cell's result is alive."""
     import tracemalloc
     path = tmp_path / "big.pgm"
     write_pgm(random_image(rng, 1024, 1024), path)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from jqpie import pipeline
 from jqpie.bench import SweepConfig, main, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
-from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, blocks_from_zigzag,
-                            classical_reference_decode, dct_matrix, idct2_block, jpeg_decode,
-                            reference_decode_pixels, sparsity_stats, truncate_zigzag,
-                            zigzag_coefficients)
+from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, _block_zigzag, blocks_from_zigzag,
+                            classical_reference_decode, dct2_block, dct_matrix, idct2_block,
+                            jpeg_decode, reference_decode_pixels, sparsity_stats,
+                            truncate_zigzag, zigzag_coefficients)
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
 from jqpie.qcircuit import Circuit, export_qasm, resource_counts
@@ -497,6 +498,79 @@ def test_encoding_holds_the_jpeg_grid_exactly(rng, size):
                  from_matrix.pixel_count, from_matrix.block_count)
                 == (from_image.nonzero_count, from_image.compression_ratio,
                     from_image.pixel_count, from_image.block_count))
+
+
+def _block_path(img, table):
+    """The oracles' zigzag matrix of ``img``, from its block stack."""
+    return _block_zigzag(pad_and_partition(img), table)
+
+
+def _tie_image():
+    """Constant 8x8 tiles whose quantized DC at S=1 is exactly +-(k + 0.5).
+
+    The DC of a constant tile c is 8c up to rounding and Q(0,0) = 16; odd
+    values of c whose computed DC is exactly 8c land on a tie. Negative
+    values are out-of-range pixels."""
+    values = [c for c in range(-255, 256, 2)
+              if dct2_block(np.full((8, 8), float(c)))[0, 0] == 8 * c][:64]
+    tiles = np.repeat(np.repeat(np.reshape(values, (8, 8)), 8, axis=0), 8, axis=1)
+    return GrayscaleImage(tiles)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("size", [(1, 1), (1, 64), (9, 17), (37, 61), (64, 40), (512, 256)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_front_end_is_bit_for_bit_the_block_path(rng, size):
+    """The image-layout transform gives the oracles' block-path values exactly,
+    signed zeros included, for the encoding, the image's own grid and a
+    grid passed in; the encoding is read-only and slot-major."""
+    images = [random_image(rng, *size, bit_depth=bits) for bits in (1, 8)]
+    images.append(GrayscaleImage(rng.uniform(-300.0, 600.0, size)))   # out of range
+    for img in images:
+        for scale in (None, 0.25, 1.0, 50.0):
+            table = None if scale is None else QuantTable(scale)
+            coefficients = pipeline.encode_image(img, scale).coefficients
+            assert not coefficients.flags.writeable
+            assert coefficients.flags.f_contiguous
+            assert _same_bits(coefficients, _block_path(pad_to_pow2(img), table))
+            expected = _block_path(img, table)
+            assert _same_bits(zigzag_coefficients(img, table), expected)
+            assert _same_bits(zigzag_coefficients(pad_and_partition(img), table), expected)
+
+
+def test_front_end_rounds_ties_like_the_block_path():
+    img = _tie_image()
+    dc = _block_path(img, None)[:, 0] / 16.0
+    assert np.all(np.abs(dc) % 1.0 == 0.5) and np.any(dc < 0) and np.any(dc > 0)
+    coefficients = pipeline.encode_image(img, 1.0).coefficients
+    assert _same_bits(coefficients, _block_path(img, QuantTable(1.0)))
+    assert np.array_equal(coefficients[:, 0], np.sign(dc) * np.floor(np.abs(dc) + 0.5))
+
+
+def test_readout_multiplies_in_the_image_layout(rng):
+    """Bit for bit the block-major product laid out by blocks, then cropped."""
+    amps = rng.normal(size=2 ** 9)
+    norms = rng.uniform(0.5, 2.0, 8)
+    for lam, per_block in ((None, None), (121.0, None), (242.0, norms)):
+        mode = "global" if per_block is None else "per_block"
+        record = NormalizationRecord(3.7, lam, mode, per_block, (16, 32))
+        got = readout_image(StateVector(amps, 9), record, (13, 30), success_probability=0.3)
+        values = amps * (math.sqrt(0.3) * 3.7)
+        if lam is not None:
+            values *= lam
+        matrix = values.reshape(8, 64)
+        if per_block is not None:
+            matrix = matrix * per_block[:, None]
+        expected = matrix.reshape(2, 4, 8, 8).transpose(0, 2, 1, 3).reshape(16, 32)[:13, :30]
+        assert got.pixels.tobytes() == expected.tobytes()
+        assert got.original_dims == (13, 30)
+    # a side under 8: one row-major tile
+    small = NormalizationRecord(3.7, 121.0, "global", None, (4, 2))
+    got = readout_image(StateVector(amps[:8], 3), small, (3, 2))
+    assert got.pixels.tobytes() == (amps[:8] * 3.7 * 121.0).reshape(4, 2)[:3].tobytes()
 
 
 def test_runs_from_an_encoding_match_runs_from_the_image(rng):
