@@ -36,10 +36,11 @@ from . import metrics
 from .imagio import GrayscaleImage, ImageFormatError, load_image, pad_to_pow2, write_pgm
 from .jpegcore import (TRUNCATION_LEVELS, QuantTable, SparsityStats, check_scale,
                        classical_reference_decode, jpeg_decode, sparsity_stats)
-from .pipeline import (METHODS, NORM_MODES, ImageEncoding, PipelineResult, encode_image,
-                       hybrid_circuit, method_scale, run_jqpie, run_qf_jqpie, run_qpie_direct)
+from .pipeline import (BACKENDS, METHODS, NORM_MODES, ImageEncoding, PipelineResult,
+                       encode_image, hybrid_circuit, method_scale, run_jqpie, run_qf_jqpie,
+                       run_qpie_direct)
 from .qcircuit import export_qasm
-from .qsim import BACKENDS, log2_exact
+from .qsim import log2_exact
 from .synth import DATA_QUBITS, closed_form_resources
 
 log = logging.getLogger("jqpie.bench")
@@ -74,6 +75,11 @@ class SweepConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValueError(f"unknown methods: {bad}")
+        for name, value, allowed in (("backend", self.backend, BACKENDS),
+                                     ("norm_mode", self.norm_mode, NORM_MODES),
+                                     ("ssim_mode", self.ssim_mode, metrics.SSIM_MODES)):
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}, expected one of {allowed}")
 
 
 def ingest_dataset(directory, allow_png: bool = False) -> list[tuple[str, GrayscaleImage]]:

@@ -30,13 +30,14 @@ Backends:
   * ``operator`` - the decompression touches only the 6 data qubits and the
     ancilla, and only the 2^r low slots of a block are loaded, so its
     ancilla-0 branch is one real 64 x 2^r matrix M(r, S), read off the
-    decompression circuit once and cached. A run loads the (n_blocks, 2^r)
-    amplitudes on the h + w image qubits (directly, or up to
-    14 active qubits by the state-preparation cascade, evaluated from its
-    layer angles without building a gate) and decompresses every block with
-    one product, ``amps @ M.T``; the success probability is the squared norm
-    of the result and the ancilla-1 branch is never built.
-  * ``gate_exact`` - the full-width reference: the cascade and the
+    decompression circuit once and cached. A run takes the normalized
+    (n_blocks, 2^r) coefficients as the amplitudes on the h + w image
+    qubits, exactly what the state-preparation cascade would load, without
+    building it, and decompresses every block with one product,
+    ``amps @ M.T``; the success probability is the squared norm of the
+    result and the ancilla-1 branch is never built.
+  * ``gate_exact`` - the full-width reference and the only backend that
+    builds and runs the state-preparation cascade: the cascade and the
     decompression circuit, ancilla included, applied gate by gate to the
     2^(h+w+1)-amplitude state, then post-selected.
 
@@ -76,11 +77,12 @@ from .qcircuit import Circuit, ResourceReport, compose
 from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
                    postselect_ancilla, zero_state)
 from .synth import (DATA_DIM, DATA_QUBITS, block_encoded_rescaler, closed_form_resources,
-                    load_order, lower_circuit, lower_multiplexed_ry, state_prep_angles,
-                    synth_inverse_qdct_gates, synth_state_prep, synth_truncated_zigzag)
+                    load_order, lower_circuit, lower_multiplexed_ry, synth_inverse_qdct_gates,
+                    synth_state_prep, synth_truncated_zigzag)
 
 METHODS = ("jqpie", "qf_jqpie")
 NORM_MODES = ("global", "per_block")
+BACKENDS = ("operator", "gate_exact")
 
 
 @dataclass(frozen=True)
@@ -272,49 +274,6 @@ def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
                             registers=registers_for(h, w, ancilla))
 
 
-def _direct_load(backend: str, direct_load: bool | None, by_default: bool) -> bool:
-    """Whether to skip the state-preparation cascade and inject the amplitudes.
-
-    Only the operator backend may skip it; ``direct_load=None`` skips it
-    there when ``by_default`` holds. The hybrid runs skip it by default above
-    14 active qubits. The cascade load (:func:`_load_state`) is O(2^active),
-    but above that cut it dominates the run: a 1024x1024 :func:`run_jqpie`
-    at r = 5 / 6 (19 / 20 active qubits; 2-CPU host, one BLAS thread, median
-    of 5) takes 0.058 / 0.062 s injecting directly and 0.105 / 0.161 s
-    through the cascade.
-    """
-    if direct_load and backend != "operator":
-        raise ValueError("direct amplitude loading requires the operator backend")
-    if direct_load is None:
-        return backend == "operator" and by_default
-    return direct_load
-
-
-def _load_state(amplitudes: np.ndarray) -> np.ndarray:
-    """The state-preparation cascade applied to |0...0>, from its layer angles.
-
-    ``amplitudes`` is the real unit vector to load, in any shape; its flat
-    row-major order runs over the active qubits most significant first, as
-    the targets of :func:`~jqpie.synth.synth_state_prep`. Layer k rotates
-    the k-th active qubit by ``alphas[c]`` when the qubits above it hold c;
-    on |0...0> only the 2^k patterns already rotated carry weight, so the
-    layer maps v to the interleave of cos(alphas/2) v and sin(alphas/2) v.
-    Returns, in the input's shape, what the cascade circuit leaves on the
-    active qubits, at O(2^active) cost with no gate built or applied. The
-    checks are the circuit path's: the input must be unit within 1e-10 and
-    the loaded norm may not drift beyond 1e-9. The ``gate_exact`` backend
-    runs the circuit itself (:func:`_state_prep_circuit`).
-    """
-    vector = amplitudes.reshape(-1)
-    loaded = np.ones(1)
-    for alphas in state_prep_angles(vector):
-        half = alphas / 2.0
-        loaded = np.stack([np.cos(half) * loaded, np.sin(half) * loaded], -1).reshape(-1)
-    if abs(np.linalg.norm(loaded) - 1.0) > 1e-9:
-        raise ArithmeticError("statevector norm drifted beyond 1e-9")
-    return loaded.reshape(amplitudes.shape)
-
-
 @lru_cache(maxsize=64)
 def _decompression_circuit(h: int, w: int, r: int, scale: float | None) -> Circuit:
     """Inverse zigzag, block-encoded rescaling at ``scale`` (none for None),
@@ -351,7 +310,7 @@ def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
     circuit = _decompression_circuit(DATA_QUBITS, r, r, scale)
     probe = np.zeros((1 if scale is None else 2, kept, DATA_DIM))
     probe[0, :, :kept] = np.eye(kept) / math.sqrt(kept)
-    out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit, backend="operator")
+    out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit)
     branches = out.amplitudes.reshape(-1, kept, DATA_DIM) * math.sqrt(kept)
     stacked = np.concatenate([b.T for b in branches])
     if np.max(np.abs(stacked.T @ stacked - np.eye(kept))) > 1e-9:
@@ -365,9 +324,10 @@ def _fused_decompression(loaded: np.ndarray, h: int, w: int, r: int,
                          scale: float | None) -> tuple[StateVector, float]:
     """Decompress every block with one product and keep the ancilla-0 branch.
 
-    ``loaded`` holds the (n_blocks, 2^r) real amplitudes. Returns the
-    renormalized image state on h + w qubits and the branch probability;
-    the ancilla-1 branch is never built.
+    ``loaded`` holds the (n_blocks, 2^r) unit-norm amplitudes, the matrix
+    :func:`_amplitudes` returns, unchanged. Returns the renormalized image
+    state on h + w qubits and the branch probability; the ancilla-1 branch
+    is never built.
     """
     out = loaded @ _decompression_operator(r, scale).T
     probability = float(np.vdot(out, out))
@@ -385,25 +345,26 @@ def _fused_decompression(loaded: np.ndarray, h: int, w: int, r: int,
 
 
 def _run_hybrid(source: GrayscaleImage | ImageEncoding, r: int, scale: float | None,
-                backend: str, norm_mode: str, direct_load: bool | None) -> PipelineResult:
+                backend: str, norm_mode: str) -> PipelineResult:
     """Both hybrid methods; a quantization scale selects JQPIE.
 
-    The operator backend loads the h + w image qubits only and decompresses
-    with the fused per-block product; ``gate_exact`` runs the full gate-level
-    circuit, ancilla included, gate by gate and post-selects.
+    The operator backend hands the normalized coefficients to the fused
+    per-block product on the h + w image qubits; ``gate_exact`` runs the
+    full gate-level circuit, cascade and ancilla included, gate by gate and
+    post-selects.
     """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     encoding = _encoding(source, scale)
     amp_matrix, record = _amplitudes(encoding, r, norm_mode)
     h, w = encoding.h, encoding.w
     ancilla = scale is not None
-    direct = _direct_load(backend, direct_load, h + w - (DATA_QUBITS - r) > 14)
     if backend == "operator":
-        loaded = amp_matrix if direct else _load_state(amp_matrix)
-        sv, probability = _fused_decompression(loaded, h, w, r, scale)
+        sv, probability = _fused_decompression(amp_matrix, h, w, r, scale)
     else:
         prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla)
-        sv = apply_circuit(zero_state(prep.n_qubits), prep, backend=backend)
-        sv = apply_circuit(sv, _decompression_circuit(h, w, r, scale), backend=backend)
+        sv = apply_circuit(zero_state(prep.n_qubits), prep)
+        sv = apply_circuit(sv, _decompression_circuit(h, w, r, scale))
         probability = 1.0
         if ancilla:
             post = postselect_ancilla(sv, qubit=h + w, outcome=0)
@@ -415,8 +376,7 @@ def _run_hybrid(source: GrayscaleImage | ImageEncoding, r: int, scale: float | N
 
 
 def run_jqpie(source: GrayscaleImage | ImageEncoding, r: int, scale: float = 1.0,
-              backend: str = "operator", norm_mode: str = "global",
-              direct_load: bool | None = None) -> PipelineResult:
+              backend: str = "operator", norm_mode: str = "global") -> PipelineResult:
     """Quantized hybrid preparation with coherent decompression.
 
     Classical stage: pad, block, 2D DCT, quantize at ``scale``, zigzag, keep
@@ -425,30 +385,31 @@ def run_jqpie(source: GrayscaleImage | ImageEncoding, r: int, scale: float = 1.0
     inverse 2D DCT, then post-select the ancilla-0 branch. The recorded
     success probability is the simulated branch weight.
 
-    The ``operator`` backend evaluates the quantum stage as one fused 64x64
-    product per block on the image qubits; ``gate_exact`` applies the full
-    gate-level circuit gate by gate and is the reference it is checked against.
-    ``direct_load`` skips the state-preparation cascade (operator backend
-    only; by default above 14 active qubits). ``source`` is the image or
-    its :func:`encode_image` at ``scale``, which skips the classical
-    transform. Raises ValueError when the truncated coefficients are all
-    zero or the encoding is not quantized at ``scale``.
+    The ``operator`` backend takes the normalized coefficients as the loaded
+    amplitudes and evaluates the decompression as one fused 64 x 2^r
+    product per block on the image qubits; ``gate_exact`` builds the
+    state-preparation cascade and applies the full gate-level circuit gate
+    by gate, the reference the operator backend is checked against.
+    ``source`` is the image or its :func:`encode_image` at ``scale``, which
+    skips the classical transform. Raises ValueError for an unknown
+    backend, when the truncated coefficients are all zero or when the
+    encoding is not quantized at ``scale``.
     """
-    return _run_hybrid(source, r, scale, backend, norm_mode, direct_load)
+    return _run_hybrid(source, r, scale, backend, norm_mode)
 
 
 def run_qf_jqpie(source: GrayscaleImage | ImageEncoding, r: int, backend: str = "operator",
-                 norm_mode: str = "global",
-                 direct_load: bool | None = None) -> PipelineResult:
+                 norm_mode: str = "global") -> PipelineResult:
     """Quantization-free hybrid preparation: truncation only, fully unitary.
 
     Loads the unquantized truncated zigzag coefficients, applies the
     truncated inverse zigzag and the inverse 2D DCT. No ancilla, no block
     encoding, and the success probability is exactly 1. ``source`` is the
-    image or its unquantized :func:`encode_image`. Raises ValueError when
-    the truncated coefficients are all zero or the encoding is quantized.
+    image or its unquantized :func:`encode_image`. The backends load as in
+    :func:`run_jqpie`. Raises ValueError for an unknown backend, when the
+    truncated coefficients are all zero or when the encoding is quantized.
     """
-    return _run_hybrid(source, r, None, backend, norm_mode, direct_load)
+    return _run_hybrid(source, r, None, backend, norm_mode)
 
 
 def method_scale(method: str, scale: float) -> float | None:
@@ -475,19 +436,19 @@ def hybrid_circuit(source: GrayscaleImage | ImageEncoding, method: str, r: int,
     return compose(prep, _decompression_circuit(h, w, r, scale))
 
 
-def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
-                    direct_load: bool | None = None) -> PipelineResult:
+def run_qpie_direct(img: GrayscaleImage, backend: str = "operator") -> PipelineResult:
     """Direct amplitude encoding of the (already power-of-two) pixel grid.
 
     For dimensions of at least 8 the state uses the project block-major
     layout (index register = block, data register = intra-block position) so
     it is directly comparable with the hybrid pipelines; smaller images fall
-    back to a plain row-major flattening. Under the operator backend the
-    amplitudes are injected directly unless ``direct_load`` is False, which
-    loads them through the state-preparation cascade (:func:`_load_state`);
-    ``gate_exact`` always runs the cascade circuit and, like the hybrid
-    runs, raises ValueError for ``direct_load=True``.
+    back to a plain row-major flattening. The operator backend takes the
+    normalized pixels as the state; ``gate_exact`` builds the
+    state-preparation cascade and runs it. Raises ValueError for an unknown
+    backend.
     """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     h = log2_exact(img.height, "image height")
     w = log2_exact(img.width, "image width")
     pixels = img.pixels
@@ -501,12 +462,10 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator",
     else:
         flat = pixels.reshape(-1) / norm
     n = h + w
-    if _direct_load(backend, direct_load, by_default=True):
+    if backend == "operator":
         sv = from_amplitudes(flat)
-    elif backend == "operator":
-        sv = from_amplitudes(_load_state(flat))
     else:
-        sv = apply_circuit(zero_state(n), synth_state_prep(flat, n_qubits=n), backend=backend)
+        sv = apply_circuit(zero_state(n), synth_state_prep(flat, n_qubits=n))
     record = NormalizationRecord(norm, None, "global", None,
                                  (img.height, img.width), img.bit_depth)
     resources = closed_form_resources(h, w, r=6, method="qpie")

@@ -12,21 +12,19 @@ Project basis convention (single source of truth, consumed by every module):
   * the index register value is j = block_row * (padded_width / 8)
     + block_col, i.e. blocks enumerate row-major.
 
-:func:`apply_circuit` applies every gate, one pass over the state each. Its
-``backend`` names the pipeline backend a caller runs under; both run the
-same gates here, because the gate alphabet is RY and CX only. Amplitudes
-are real float64: both gates map real states to real states, so the signed
-JPEG coefficients never need a complex type, and complex input is rejected
-rather than cast.
+:func:`apply_circuit` applies every gate, one pass over the state each.
+Amplitudes are real float64: RY and CX map real states to real states, so
+the signed JPEG coefficients never need a complex type, and complex input
+is rejected rather than cast.
 
 The pipelines' ``operator`` backend runs neither the state-preparation
 cascade nor the decompression here over the whole image state:
-:mod:`jqpie.pipeline` loads the cascade's amplitudes from its layer angles,
-and simulates the decompression once, on a probe register of one block per
-loaded slot, to read off its 64 x 2^r per-block operator, then applies that
-operator to every block with one matrix product. The ``gate_exact``
-pipeline backend runs the full gate-level circuit through
-:func:`apply_circuit` and is the reference.
+:mod:`jqpie.pipeline` takes the normalized coefficients as the loaded
+amplitudes, and simulates the decompression once, on a probe register of
+one block per loaded slot, to read off its 64 x 2^r per-block operator,
+then applies that operator to every block with one matrix product. The
+``gate_exact`` pipeline backend runs the full gate-level circuit, cascade
+included, through :func:`apply_circuit` and is the reference.
 
 A statevector is owned by one simulation at a time; all functions return new
 values and distinct simulations share nothing. Each state is copied once: a
@@ -42,8 +40,6 @@ import numpy as np
 
 from .imagio import _Handover, _owned
 from .qcircuit import Circuit, Gate
-
-BACKENDS = ("operator", "gate_exact")
 
 
 def _real_copy(values) -> np.ndarray:
@@ -153,15 +149,11 @@ def apply_gate(amps: np.ndarray, gate: Gate) -> None:
         _apply_cx(amps, gate.qubits[0], gate.qubits[1])
 
 
-def apply_circuit(sv: StateVector, circuit: Circuit,
-                  backend: str = "operator") -> StateVector:
+def apply_circuit(sv: StateVector, circuit: Circuit) -> StateVector:
     """Apply a circuit to a state gate by gate, returning the new state.
 
-    ``backend`` must be one of :data:`BACKENDS`; both apply the same gates.
     Raises ArithmeticError if the norm drifts beyond 1e-9.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
     if sv.n != circuit.n_qubits:
         raise ValueError(f"state has {sv.n} qubits, circuit expects {circuit.n_qubits}")
     amps = sv.amplitudes.copy()

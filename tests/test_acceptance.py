@@ -70,7 +70,7 @@ def test_criterion_04_block_encoding_correctness():
         circuit, _ = synth_inverse_quantization(QuantTable())
         diag = block_encoded_rescaler(QuantTable()).diagonal
         for k in range(64):
-            out = apply_circuit(basis_state(7, k), circuit, backend="gate_exact")
+            out = apply_circuit(basis_state(7, k), circuit)
             assert abs(out.amplitudes[k].real - diag[k]) <= 1e-10
         assert time.perf_counter() - start < 1.0
 
@@ -118,11 +118,11 @@ def test_criterion_08_backend_equivalence(rng):
         start = time.perf_counter()
         img = random_image(rng, 16, 16)
         for r in (2, 3, 4, 5, 6):
-            a = run_jqpie(img, r=r, backend="gate_exact", direct_load=False)
-            b = run_jqpie(img, r=r, backend="operator", direct_load=False)
+            a = run_jqpie(img, r=r, backend="gate_exact")
+            b = run_jqpie(img, r=r, backend="operator")
             assert np.linalg.norm(a.state.amplitudes - b.state.amplitudes) <= 1e-8
-            qa = run_qf_jqpie(img, r=r, backend="gate_exact", direct_load=False)
-            qb = run_qf_jqpie(img, r=r, backend="operator", direct_load=False)
+            qa = run_qf_jqpie(img, r=r, backend="gate_exact")
+            qb = run_qf_jqpie(img, r=r, backend="operator")
             assert np.linalg.norm(qa.state.amplitudes - qb.state.amplitudes) <= 1e-8
         assert time.perf_counter() - start < 60.0
 

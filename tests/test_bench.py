@@ -56,6 +56,9 @@ def test_sweep_config_validation():
             SweepConfig(inputs=("x",), scale=bad)
     with pytest.raises(ValueError):
         SweepConfig(inputs=("x",), methods=("warp",))
+    for field in ("backend", "norm_mode", "ssim_mode"):
+        with pytest.raises(ValueError, match=f"unknown {field} 'warp'"):
+            SweepConfig(inputs=("x",), **{field: "warp"})
 
 
 def test_sweep_rows_schema_and_values(tmp_path, rng):

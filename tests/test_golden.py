@@ -25,8 +25,7 @@ import pytest
 from jqpie import bench
 from jqpie.imagio import GrayscaleImage, write_pgm
 from jqpie.metrics import SSIM_MODES
-from jqpie.pipeline import METHODS, NORM_MODES
-from jqpie.qsim import BACKENDS
+from jqpie.pipeline import BACKENDS, METHODS, NORM_MODES
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
 SEED = 20260601

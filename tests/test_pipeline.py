@@ -54,7 +54,7 @@ def test_qpie_rejects_non_pow2_and_zero():
 
 def test_qpie_gate_backend_matches_direct_injection(rng):
     img = random_image(rng, 8, 8)
-    a = run_qpie_direct(img, backend="gate_exact", direct_load=False)
+    a = run_qpie_direct(img, backend="gate_exact")
     b = run_qpie_direct(img, backend="operator")
     assert np.linalg.norm(a.state.amplitudes - b.state.amplitudes) <= 1e-10
 
@@ -243,7 +243,7 @@ def test_zigzag_stage_moves_amplitudes_exhaustively(rng):
         amps = np.zeros((4, 64))
         amps[:, :2 ** r] = amp_matrix
         circ = Circuit(8, synth_truncated_zigzag(r).gates, (("index", 2), ("data", 6)))
-        out = apply_circuit(from_amplitudes(amps.reshape(-1)), circ, backend="gate_exact")
+        out = apply_circuit(from_amplitudes(amps.reshape(-1)), circ)
         zz = truncate_zigzag(encoding.coefficients, r)
         expected = blocks_from_zigzag(zz).reshape(4, 64) / record.global_norm
         assert np.max(np.abs(out.amplitudes.reshape(4, 64) - expected)) <= 1e-12
@@ -290,33 +290,31 @@ def test_pipeline_result_serializes(rng):
 def test_backend_equivalence_full_pipelines(rng):
     img = random_image(rng, 16, 16)
     for r in (2, 4, 6):
-        a = run_jqpie(img, r=r, backend="gate_exact", direct_load=False)
-        b = run_jqpie(img, r=r, backend="operator", direct_load=False)
+        a = run_jqpie(img, r=r, backend="gate_exact")
+        b = run_jqpie(img, r=r, backend="operator")
         assert np.linalg.norm(a.state.amplitudes - b.state.amplitudes) <= 1e-8
-        qa = run_qf_jqpie(img, r=r, backend="gate_exact", direct_load=False)
-        qb = run_qf_jqpie(img, r=r, backend="operator", direct_load=False)
+        qa = run_qf_jqpie(img, r=r, backend="gate_exact")
+        qb = run_qf_jqpie(img, r=r, backend="operator")
         assert np.linalg.norm(qa.state.amplitudes - qb.state.amplitudes) <= 1e-8
 
 
-def test_direct_load_requires_operator_backend(rng):
+def test_runs_reject_an_unknown_backend(rng, monkeypatch):
     img = random_image(rng, 8, 8)
-    with pytest.raises(ValueError, match="requires the operator backend"):
-        run_jqpie(img, r=4, backend="gate_exact", direct_load=True)
-    with pytest.raises(ValueError, match="requires the operator backend"):
-        run_qf_jqpie(img, r=4, backend="gate_exact", direct_load=True)
-    with pytest.raises(ValueError, match="requires the operator backend"):
-        run_qpie_direct(img, backend="gate_exact", direct_load=True)
 
+    def encoded(*args, **kwargs):
+        raise AssertionError("encoded before the backend was checked")
 
-def test_direct_load_matches_cascade(rng):
-    img = random_image(rng, 16, 16)
-    a = run_jqpie(img, r=5, direct_load=True)
-    b = run_jqpie(img, r=5, direct_load=False)
-    assert np.linalg.norm(a.state.amplitudes - b.state.amplitudes) <= 1e-10
+    monkeypatch.setattr(pipeline, "encode_image", encoded)
+    monkeypatch.setattr(pipeline, "log2_exact", encoded)
+    for run in (lambda: run_jqpie(img, r=4, backend="bogus"),
+                lambda: run_qf_jqpie(img, r=4, backend="bogus"),
+                lambda: run_qpie_direct(img, backend="bogus")):
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            run()
 
 
 def test_large_image_operator_backend(rng):
-    # direct loading keeps megapixel-free large cases fast
+    # the fused per-block product keeps large cases fast
     img = random_image(rng, 128, 128)
     result = run_qf_jqpie(img, r=4)
     oracle = reference_decode_pixels(img, "qf_oracle", r=4)
@@ -335,25 +333,23 @@ def _gate_by_gate_reference(img, r, scale, norm_mode):
     amps = np.zeros((2 if ancilla else 1, len(amp_matrix), 64))
     amps[0, :, :2 ** r] = amp_matrix
     circuit = pipeline._decompression_circuit(h, w, r, scale)
-    sv = apply_circuit(from_amplitudes(amps.reshape(-1)), circuit, backend="operator")
+    sv = apply_circuit(from_amplitudes(amps.reshape(-1)), circuit)
     if not ancilla:
         return sv.amplitudes, 1.0
     post = postselect_ancilla(sv, qubit=h + w, outcome=0)
     return post.state.amplitudes, post.probability
 
 
-@pytest.mark.parametrize("size,direct_load", [((256, 256), True), ((57, 33), None)],
-                         ids=["256x256-direct", "57x33-cascade"])
-def test_fused_decompression_matches_gate_by_gate(rng, size, direct_load):
+@pytest.mark.parametrize("size", [(256, 256), (57, 33)], ids=["256x256", "57x33"])
+def test_fused_decompression_matches_gate_by_gate(rng, size):
     img = random_image(rng, *size)
     for norm_mode in NORM_MODES:
         for r in (2, 3, 4, 5, 6):
             for scale in (None, 0.25, 1.0, 8.0):
                 if scale is None:
-                    result = run_qf_jqpie(img, r, norm_mode=norm_mode, direct_load=direct_load)
+                    result = run_qf_jqpie(img, r, norm_mode=norm_mode)
                 else:
-                    result = run_jqpie(img, r, scale=scale, norm_mode=norm_mode,
-                                       direct_load=direct_load)
+                    result = run_jqpie(img, r, scale=scale, norm_mode=norm_mode)
                 amps, probability = _gate_by_gate_reference(img, r, scale, norm_mode)
                 assert np.max(np.abs(result.state.amplitudes - amps)) <= 1e-12
                 assert abs(result.success_probability - probability) <= 1e-12
@@ -382,7 +378,7 @@ def test_decompression_operator_matches_lowered_gate_exact_circuit(r):
         circuit = pipeline._decompression_circuit(6, 6, r, scale)
         probe = np.zeros((1 if scale is None else 2, 64, 64))
         probe[0, :kept, :kept] = np.eye(kept) / np.sqrt(kept)
-        out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit, backend="gate_exact")
+        out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit)
         matrix = out.amplitudes.reshape(-1, 64, 64)[0, :kept].T * np.sqrt(kept)
         operator = pipeline._decompression_operator(r, scale)
         assert operator.shape == (64, kept)
@@ -392,7 +388,7 @@ def test_decompression_operator_matches_lowered_gate_exact_circuit(r):
         assert np.max(np.abs(operator - inverse_dct[:, f] * d[f])) <= 1e-12
 
 
-# --- angle-level state load (operator backend) ------------------------------------
+# --- state load -------------------------------------------------------------------
 
 @st.composite
 def _unit_vectors(draw):
@@ -410,52 +406,53 @@ def _unit_vectors(draw):
 
 @settings(max_examples=40)
 @given(_unit_vectors())
-def test_load_state_matches_gate_exact_cascade(vec):
+def test_state_prep_cascade_loads_the_vector(vec):
+    # the gate_exact load: the cascade run from |0...0> leaves the vector itself
     m = len(vec).bit_length() - 1
-    reference = apply_circuit(zero_state(m), synth_state_prep(vec), backend="gate_exact")
-    assert np.max(np.abs(pipeline._load_state(vec) - reference.amplitudes)) <= 1e-12
-
-
-def test_load_state_keeps_the_circuit_checks(monkeypatch):
-    with pytest.raises(ValueError, match="L2-normalized within 1e-10"):
-        pipeline._load_state(np.full(4, 0.5 + 1e-9))
-    # a layer of the wrong size stands in for a loader bug that breaks the norm
-    monkeypatch.setattr(pipeline, "state_prep_angles", lambda vec: [np.array([0.0, 0.0])])
-    with pytest.raises(ArithmeticError, match="norm drifted"):
-        pipeline._load_state(np.full(4, 0.5))
+    loaded = apply_circuit(zero_state(m), synth_state_prep(vec))
+    assert np.max(np.abs(loaded.amplitudes - vec)) <= 1e-12
 
 
 def test_operator_load_builds_no_circuit(rng, monkeypatch):
-    img = random_image(rng, 64, 64)
+    # the operator backend hands the normalized coefficients, unrounded, to
+    # the fused decompression; only gate_exact builds and runs the cascade
+    images = (random_image(rng, 16, 16), random_image(rng, 57, 33))
     for r in (2, 6):
         for scale in (None, 1.0):
             pipeline._decompression_operator(r, scale)   # the cached operator build
-    loads = []
+    calls = []
 
-    def spy(name, fn):
+    def spy(name):
+        fn = getattr(pipeline, name)
+
         def wrapped(*args, **kwargs):
-            loads.append(name)
+            calls.append((name, args))
             return fn(*args, **kwargs)
         monkeypatch.setattr(pipeline, name, wrapped)
 
-    spy("synth_state_prep", pipeline.synth_state_prep)
-    spy("apply_circuit", pipeline.apply_circuit)
-    for r in (2, 6):
-        for run_method in (run_qf_jqpie, run_jqpie):
-            expected = run_method(img, r, direct_load=True).state.amplitudes
-            loaded = run_method(img, r, direct_load=False).state.amplitudes
-            assert np.max(np.abs(loaded - expected)) <= 1e-12
-    small = random_image(rng, 16, 16)
-    run_qpie_direct(small, direct_load=False)
-    assert loads == []
-    run_qf_jqpie(small, 3, backend="gate_exact")
-    run_qpie_direct(small, backend="gate_exact")
-    assert loads == ["synth_state_prep", "apply_circuit", "apply_circuit",
-                     "synth_state_prep", "apply_circuit"]
+    for name in ("synth_state_prep", "apply_circuit", "_fused_decompression"):
+        spy(name)
+    for img in images:
+        for scale, run_method in ((None, run_qf_jqpie), (1.0, run_jqpie)):
+            encoding = pipeline.encode_image(img, scale)
+            for norm_mode in NORM_MODES:
+                for r in (2, 6):
+                    calls.clear()
+                    run_method(img, r, norm_mode=norm_mode)
+                    [(name, (loaded, *_))] = calls
+                    assert name == "_fused_decompression"
+                    expected, _ = pipeline._amplitudes(encoding, r, norm_mode)
+                    assert np.array_equal(loaded, expected)
+    calls.clear()
+    run_qpie_direct(images[0])
+    assert calls == []
+    run_qf_jqpie(images[0], 3, backend="gate_exact")
+    run_qpie_direct(images[0], backend="gate_exact")
+    assert [name for name, _ in calls] == ["synth_state_prep", "apply_circuit", "apply_circuit",
+                                           "synth_state_prep", "apply_circuit"]
 
 
-@pytest.mark.parametrize("direct_load", [None, True], ids=["cascade", "direct"])
-def test_operator_path_stays_on_image_qubits(rng, monkeypatch, direct_load):
+def test_operator_path_stays_on_image_qubits(rng, monkeypatch):
     img = random_image(rng, 64, 64)
     for r in (3, 6):
         for scale in (None, 1.0):
@@ -473,8 +470,8 @@ def test_operator_path_stays_on_image_qubits(rng, monkeypatch, direct_load):
     monkeypatch.setattr(StateVector, "__post_init__", spy_state)
     monkeypatch.setattr(pipeline, "postselect_ancilla", no_postselect)
     for r in (3, 6):
-        run_qf_jqpie(img, r, direct_load=direct_load)
-        run_jqpie(img, r, direct_load=direct_load)
+        run_qf_jqpie(img, r)
+        run_jqpie(img, r)
     assert widths and max(widths) == 12
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jqpie import qsim
+from jqpie import pipeline, qsim
 from jqpie.jpegcore import QuantTable
 from jqpie.qcircuit import Circuit, cx, ry
 from jqpie.qsim import (StateVector, apply_circuit, apply_gate, basis_state,
@@ -91,31 +91,13 @@ def test_qubit_count_mismatch():
         apply_circuit(zero_state(2), Circuit(3, (ry(0, 0.1),)))
 
 
-def test_backends_agree_on_random_circuits(rng):
-    n = 8
-    for _ in range(5):
-        gates = []
-        for _ in range(60):
-            if rng.integers(2) == 0:
-                gates.append(ry(int(rng.integers(n)), float(rng.uniform(-3, 3))))
-            else:
-                a, b = rng.choice(n, size=2, replace=False)
-                gates.append(cx(int(a), int(b)))
-        circ = Circuit(n, tuple(gates))
-        sv = from_amplitudes(_random_state(rng, n))
-        out1 = apply_circuit(sv, circ, backend="gate_exact")
-        out2 = apply_circuit(sv, circ, backend="operator")
-        assert np.linalg.norm(out1.amplitudes - out2.amplitudes) <= 1e-10
-
-
 def _random_state(rng, n):
     vec = rng.standard_normal(2 ** n)
     return vec / np.linalg.norm(vec)
 
 
-def _applied_gates(rng, monkeypatch, backend):
-    vec = rng.standard_normal(2 ** 6)
-    circuit = synth_state_prep(vec / np.linalg.norm(vec))
+def _applied_gates(monkeypatch):
+    """The gates passed to apply_gate from now on, in order."""
     calls = []
 
     def counting(amps, gate):
@@ -123,19 +105,25 @@ def _applied_gates(rng, monkeypatch, backend):
         apply_gate(amps, gate)
 
     monkeypatch.setattr(qsim, "apply_gate", counting)
-    apply_circuit(zero_state(6), circuit, backend=backend)
-    return calls, list(circuit.gates)
+    return calls
 
 
 def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
     # one apply_gate call per gate, in order: no run of gates is fused into one pass
-    calls, gates = _applied_gates(rng, monkeypatch, "gate_exact")
-    assert calls == gates
+    vec = rng.standard_normal(2 ** 6)
+    circuit = synth_state_prep(vec / np.linalg.norm(vec))
+    calls = _applied_gates(monkeypatch)
+    apply_circuit(zero_state(6), circuit)
+    assert calls == list(circuit.gates)
 
 
-def test_operator_applies_every_elementary_gate_once(rng, monkeypatch):
-    calls, gates = _applied_gates(rng, monkeypatch, "operator")
-    assert calls == gates
+def test_operator_applies_every_elementary_gate_once(monkeypatch):
+    # the operator backend's one simulation is the probe its per-block
+    # decompression operator is read off: every gate of the circuit, once
+    circuit = pipeline._decompression_circuit(6, 3, 3, 1.0)
+    calls = _applied_gates(monkeypatch)
+    pipeline._decompression_operator.__wrapped__(3, 1.0)
+    assert calls == list(circuit.gates)
 
 
 def test_block_encoding_identity_branch():
@@ -143,7 +131,7 @@ def test_block_encoding_identity_branch():
     k_max = int(np.argmax(diag.diagonal))   # entry with d_k = 1
     sv = basis_state(7, k_max)              # ancilla (qubit 6) clear
     circuit, _ = synth_inverse_quantization(QuantTable())
-    out = apply_circuit(sv, circuit, backend="gate_exact")
+    out = apply_circuit(sv, circuit)
     assert out.amplitudes[k_max] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -153,7 +141,7 @@ def test_block_encoding_all_ones_is_identity(rng):
     amps = np.zeros(128)
     amps[:64] = payload                     # ancilla |0>
     gates = lower_multiplexed_ry(trivial.angles, [5, 4, 3, 2, 1, 0], 6)
-    out = apply_circuit(StateVector(amps, 7), Circuit(7, tuple(gates)), backend="gate_exact")
+    out = apply_circuit(StateVector(amps, 7), Circuit(7, tuple(gates)))
     assert np.max(np.abs(out.amplitudes[:64] - payload)) < 1e-12
     assert np.max(np.abs(out.amplitudes[64:])) < 1e-12
 

@@ -22,7 +22,7 @@ def circuit_matrix(gates, n):
     mat = np.zeros((dim, dim), dtype=complex)
     circ = Circuit(n, tuple(gates))
     for b in range(dim):
-        out = apply_circuit(basis_state(n, b), circ, backend="gate_exact")
+        out = apply_circuit(basis_state(n, b), circ)
         mat[:, b] = out.amplitudes
     return mat
 
@@ -115,13 +115,13 @@ def test_state_prep_single_qubit_example():
     circuit = synth_state_prep([0.6, 0.8])
     assert len(circuit.gates) == 1
     assert circuit.gates[0].angle == pytest.approx(2 * math.atan2(0.8, 0.6), abs=1e-15)
-    out = apply_circuit(zero_state(1), circuit, backend="gate_exact")
+    out = apply_circuit(zero_state(1), circuit)
     assert np.allclose(out.amplitudes.real, [0.6, 0.8], atol=1e-15)
 
 
 def test_state_prep_uniform_vector():
     vec = np.full(4, 0.5)
-    out = apply_circuit(zero_state(2), synth_state_prep(vec), backend="gate_exact")
+    out = apply_circuit(zero_state(2), synth_state_prep(vec))
     assert np.max(np.abs(out.amplitudes - vec)) < 1e-12
 
 
@@ -138,7 +138,7 @@ def test_state_prep_random_vectors_high_accuracy(rng):
         m = int(rng.integers(1, 9))
         vec = rng.standard_normal(2 ** m)
         vec /= np.linalg.norm(vec)
-        out = apply_circuit(zero_state(m), synth_state_prep(vec), backend="gate_exact")
+        out = apply_circuit(zero_state(m), synth_state_prep(vec))
         assert np.max(np.abs(out.amplitudes.real - vec)) < 1e-9
         assert np.max(np.abs(out.amplitudes.imag)) == 0.0
 
@@ -147,7 +147,7 @@ def test_state_prep_sparse_vectors(rng):
     # zero-norm subtrees take the angle-0 tie-break
     vec = np.zeros(16)
     vec[3] = -1.0
-    out = apply_circuit(zero_state(4), synth_state_prep(vec), backend="gate_exact")
+    out = apply_circuit(zero_state(4), synth_state_prep(vec))
     assert np.max(np.abs(out.amplitudes.real - vec)) < 1e-12
 
 
@@ -155,7 +155,7 @@ def test_state_prep_on_scattered_targets(rng):
     vec = rng.standard_normal(4)
     vec /= np.linalg.norm(vec)
     circuit = synth_state_prep(vec, targets=[3, 1], n_qubits=4)
-    out = apply_circuit(zero_state(4), circuit, backend="gate_exact")
+    out = apply_circuit(zero_state(4), circuit)
     expected = np.zeros(16)
     for v in range(4):
         idx = ((v >> 1) << 3) | ((v & 1) << 1)
@@ -187,7 +187,7 @@ def test_truncated_zigzag_r6_is_full_zigzag():
 def test_truncated_zigzag_circuit_fixes_untouched_states():
     # slot 5 is kept as itself at r=2 and is in no swap
     circuit = synth_truncated_zigzag(2)
-    out = apply_circuit(basis_state(6, 5), circuit, backend="gate_exact")
+    out = apply_circuit(basis_state(6, 5), circuit)
     assert abs(out.amplitudes[5] - 1.0) <= 1e-12
 
 
@@ -230,7 +230,7 @@ def test_zigzag_network_maps_loaded_slots_to_their_frequencies():
         circuit = synth_truncated_zigzag(r)
         assert all(g.tag == "inverse_zigzag" for g in circuit.gates)
         for s, f in enumerate(load_order(r)):
-            out = apply_circuit(basis_state(6, s), circuit, backend="gate_exact").amplitudes
+            out = apply_circuit(basis_state(6, s), circuit).amplitudes
             expected = np.zeros(64)
             expected[f] = 1.0
             assert np.max(np.abs(out - expected)) <= 1e-12
@@ -279,7 +279,7 @@ def test_block_encoding_circuit_counts_and_action():
     assert (report.cx_count, report.rotation_count) == (64, 64)
     diag = block_encoded_rescaler(QuantTable())
     for k in range(64):
-        out = apply_circuit(basis_state(7, k), circuit, backend="gate_exact")
+        out = apply_circuit(basis_state(7, k), circuit)
         amp0 = out.amplitudes[k]
         amp1 = out.amplitudes[64 + k]
         assert abs(amp0.real - diag.diagonal[k]) < 1e-10
