@@ -452,7 +452,17 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
                                            "synth_state_prep", "apply_circuit"]
 
 
-def test_operator_path_stays_on_image_qubits(rng, monkeypatch):
+def _hybrid_operator_runs(img):
+    for r in (3, 6):
+        run_qf_jqpie(img, r)
+        run_jqpie(img, r)
+
+
+# "cascade": the hybrid runs, whose operator load stands in for the state-prep
+# cascade; "direct": QPIE direct injection of the pixels.
+@pytest.mark.parametrize("runs", [_hybrid_operator_runs, run_qpie_direct],
+                         ids=["cascade", "direct"])
+def test_operator_path_stays_on_image_qubits(rng, monkeypatch, runs):
     img = random_image(rng, 64, 64)
     for r in (3, 6):
         for scale in (None, 1.0):
@@ -469,9 +479,7 @@ def test_operator_path_stays_on_image_qubits(rng, monkeypatch):
 
     monkeypatch.setattr(StateVector, "__post_init__", spy_state)
     monkeypatch.setattr(pipeline, "postselect_ancilla", no_postselect)
-    for r in (3, 6):
-        run_qf_jqpie(img, r)
-        run_jqpie(img, r)
+    runs(img)
     assert widths and max(widths) == 12
 
 
