@@ -8,6 +8,13 @@ Subcommands:
   resources       resource table per r for a register configuration
   export-circuit  fully lowered pipeline circuit as OpenQASM 3
 
+Every command takes one classical path per image: the image is encoded by
+:func:`~jqpie.pipeline.encode_image` (once per method in a sweep), and the
+JPEG baseline and the sparsity statistics read that encoding's quantized
+rows (:meth:`~jqpie.pipeline.ImageEncoding.jpeg_coefficients`), decoded by
+:func:`~jqpie.jpegcore.classical_reference_decode`. ``simulate`` scores its
+run as a sweep scores a cell, against the same baseline.
+
 Sweep outputs are deterministic: images are processed in lexicographic
 order, CSV floats are fixed at six decimals, and rows are merged in input
 order even when a worker pool is used. A failing (image, method, r)
@@ -35,7 +42,7 @@ import numpy as np
 from . import metrics
 from .imagio import GrayscaleImage, ImageFormatError, load_image, pad_to_pow2, write_pgm
 from .jpegcore import (TRUNCATION_LEVELS, QuantTable, SparsityStats, check_scale,
-                       classical_reference_decode, jpeg_decode, sparsity_stats)
+                       check_truncation, classical_reference_decode, sparsity_stats)
 from .pipeline import (BACKENDS, METHODS, NORM_MODES, ImageEncoding, PipelineResult,
                        encode_image, hybrid_circuit, method_scale, run_jqpie, run_qf_jqpie,
                        run_qpie_direct)
@@ -71,6 +78,10 @@ class SweepConfig:
     def __post_init__(self):
         if not self.r_set:
             raise ValueError("r_set must be non-empty")
+        for r in self.r_set:
+            check_truncation(r)
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         check_scale(self.scale)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
@@ -179,18 +190,25 @@ def _sweep_one_image(args) -> tuple[list[dict], SparsityStats | None]:
     return rows, stats
 
 
+def _jpeg_baseline(reference: metrics.PreparedImage, encoding: ImageEncoding, scale: float,
+                   ssim_mode: str) -> tuple[np.ndarray, metrics.QualityReport]:
+    """The scored JPEG baseline of an encoded image at S, and the quantized
+    matrix it decodes (:meth:`~jqpie.pipeline.ImageEncoding.jpeg_coefficients`)."""
+    zz = encoding.jpeg_coefficients(scale)
+    decoded = metrics.prepare(classical_reference_decode(zz, QuantTable(scale), encoding.image))
+    return zz, metrics.baseline_report(reference, decoded, f"jpeg S={scale:g}",
+                                       ssim_mode=ssim_mode)
+
+
 def _stats_and_baseline(label: str, reference: metrics.PreparedImage, encoding: ImageEncoding,
                         cfg: SweepConfig) -> tuple[SparsityStats | None, metrics.QualityReport]:
     """Sparsity statistics and the scored JPEG baseline, from one encoding."""
-    zz = encoding.jpeg_coefficients(cfg.scale)
+    zz, baseline = _jpeg_baseline(reference, encoding, cfg.scale, cfg.ssim_mode)
     try:
         stats = sparsity_stats(zz)
     except ValueError as exc:
         log.warning("skipping %s in the statistics: %s", label, exc)
         stats = None
-    decoded = metrics.prepare(jpeg_decode(zz, QuantTable(cfg.scale), encoding.image))
-    baseline = metrics.baseline_report(reference, decoded, f"jpeg S={cfg.scale:g}",
-                                       ssim_mode=cfg.ssim_mode)
     return stats, baseline
 
 
@@ -269,13 +287,15 @@ def collect_stats(images: list[tuple[str, GrayscaleImage]],
                   scale: float) -> list[tuple[str, SparsityStats]]:
     """Sparsity statistics per image, computed once for every report.
 
-    An image whose quantized coefficients are all zero has no compression
-    ratio; it is skipped with a warning.
+    Each image's statistics count the matrix a sweep counts: the quantized
+    rows of its encoding at ``scale``. An image whose quantized coefficients
+    are all zero has no compression ratio; it is skipped with a warning.
     """
     stats = []
     for label, img in images:
         try:
-            stats.append((label, sparsity_stats(img, scale)))
+            zz = encode_image(img, scale).jpeg_coefficients(scale)
+            stats.append((label, sparsity_stats(zz)))
         except ValueError as exc:
             log.warning("skipping %s in the statistics: %s", label, exc)
     return stats
@@ -435,11 +455,16 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    """One run, scored as a sweep cell is. The image is encoded once; for
+    ``qpie`` the encoding, at S, serves only the JPEG baseline."""
     img = load_image(args.input, args.png)
-    result = _run_method(img, args.method, args.r, args.scale, args.backend, args.norm_mode)
-    baseline = classical_reference_decode(img, "jpeg", scale=args.scale)
-    report = metrics.quality_report(img, result.reconstructed, baseline,
-                                    f"jpeg S={args.scale:g}")
+    hybrid = args.method in METHODS
+    encoding = encode_image(img, method_scale(args.method, args.scale) if hybrid else args.scale)
+    result = _run_method(encoding if hybrid else img, args.method, args.r, args.scale,
+                         args.backend, args.norm_mode)
+    reference = metrics.prepare(img, moments=True)
+    _, baseline = _jpeg_baseline(reference, encoding, args.scale, "global")
+    report = metrics.relative_report(reference, metrics.prepare(result.reconstructed), baseline)
     payload = result.to_json()
     payload["quality"] = report.to_json()
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -107,11 +107,6 @@ class GrayscaleImage:
         """Intensity ceiling L."""
         return float(2 ** self.bit_depth - 1)
 
-    def clamped(self) -> "GrayscaleImage":
-        """Copy with pixels clipped into [0, L]."""
-        return GrayscaleImage._owning(np.clip(self.pixels, 0.0, self.max_value),
-                                      self.bit_depth, self.original_dims)
-
 
 @dataclass(frozen=True)
 class BlockGrid:

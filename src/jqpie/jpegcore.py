@@ -16,8 +16,10 @@ the pixel rows (x) of each tile row first and then each run of 8 columns
 (y), the order the block path's ``einsum`` in :func:`dct2_blocks` uses, so
 its values are bit for bit those of the block path; its (n_blocks, 64)
 result is slot-major (F-contiguous), so one zigzag slot of every block is
-contiguous memory. :func:`jpeg_decode` undoes it the same way. The classical
-oracles (:func:`reference_decode_pixels`) keep the block path of
+contiguous memory. :func:`classical_reference_decode`, the JPEG baseline
+every CLI command scores against, undoes it the same way from that matrix,
+and :func:`sparsity_stats` counts the same matrix. The classical oracles
+(:func:`reference_decode_pixels`) keep the block path of
 :func:`~jqpie.imagio.pad_and_partition`, :func:`dct2_blocks` and
 :func:`quantize_zigzag`, so they stay an independent reference.
 """
@@ -276,22 +278,16 @@ def reference_decode_pixels(img: GrayscaleImage, mode: str, r: int = 6,
     return assemble_image(recon, clamp=False).pixels
 
 
-def classical_reference_decode(img: GrayscaleImage, mode: str, r: int = 6,
-                               scale: float = 1.0, clamp: bool = True) -> GrayscaleImage:
-    """Classical decode returning a GrayscaleImage (clamped by default)."""
-    pixels = reference_decode_pixels(img, mode, r=r, scale=scale)
-    out = GrayscaleImage(pixels, img.bit_depth, img.original_dims)
-    return out.clamped() if clamp else out
-
-
-def jpeg_decode(zz: np.ndarray, table: QuantTable, img: GrayscaleImage) -> GrayscaleImage:
-    """Classical JPEG decode of ``img`` from its quantized zigzag matrix.
+def classical_reference_decode(zz: np.ndarray, table: QuantTable,
+                               img: GrayscaleImage) -> GrayscaleImage:
+    """The classical JPEG baseline: decode ``img`` from its quantized zigzag matrix.
 
     ``zz`` holds the quantized rows of ``img``'s own block grid
     (:func:`zigzag_coefficients` of ``img``); they are dequantized,
     inverse transformed, cropped to the original dimensions and clamped.
-    The same steps as :func:`classical_reference_decode` in ``jpeg`` mode,
-    which stays a separate oracle that computes its own coefficients.
+    The same steps as :func:`reference_decode_pixels` in ``jpeg`` mode,
+    which stays a separate oracle that computes its own coefficients and
+    leaves the pixels unclamped.
 
     The decode works in the image's own layout: the dequantized coefficients
     fill an (H, W) array of 8x8 tiles, each tile row is contracted over u
@@ -328,16 +324,13 @@ class SparsityStats:
     block_count: int
 
 
-def sparsity_stats(source: GrayscaleImage | np.ndarray, scale: float = 1.0) -> SparsityStats:
+def sparsity_stats(zz: np.ndarray) -> SparsityStats:
     """Count nonzero quantized coefficients and their zigzag occupancy.
 
-    ``source`` is an image, quantized here at ``scale``, or the (n_blocks,
-    64) quantized zigzag matrix of an image's own block grid
-    (:func:`zigzag_coefficients` of the image), which already fixes the scale.
+    ``zz`` is the (n_blocks, 64) quantized zigzag matrix of an image's own
+    block grid (:func:`zigzag_coefficients` of the image at a table).
     """
-    if isinstance(source, GrayscaleImage):
-        source = zigzag_coefficients(source, QuantTable(scale))
-    nonzero = source != 0
+    nonzero = zz != 0
     d = int(nonzero.sum())
     n = nonzero.size
     if d == 0:

@@ -10,13 +10,15 @@ Every score reads :class:`PreparedImage` values: pixels clamped into
 [0, L] and the peak L. :func:`prepare` makes one; ``psnr`` and ``ssim``
 accept a prepared or a raw image on either side and prepare a raw one
 themselves, so both paths give the same bits. An image scored against many
-others is prepared once: the sweep prepares its reference once per image,
-with the global-SSIM moments (mean, population variance), and each baseline
-or reconstruction once per score. A :class:`~jqpie.imagio.GrayscaleImage`
-already inside [0, L], as every loaded image and clamped decode is, is not
-clipped: the prepared image shares its array. That is safe because an
-image's array is read-only and nothing else writes it: a caller's array is
-copied, and the library's makers hand their fresh arrays over uncopied.
+others is prepared once: ``sweep`` and ``simulate`` prepare their reference
+once per image, with the global-SSIM moments (mean, population variance),
+score the JPEG baseline once with :func:`baseline_report` and each
+reconstruction against it with :func:`relative_report`. A
+:class:`~jqpie.imagio.GrayscaleImage` already inside [0, L], as every loaded
+image and clamped decode is, is not clipped: the prepared image shares its
+array. That is safe because an image's array is read-only and nothing else
+writes it: a caller's array is copied, and the library's makers hand their
+fresh arrays over uncopied.
 """
 
 from __future__ import annotations
@@ -205,10 +207,3 @@ def relative_report(reference, reconstruction, baseline: QualityReport,
         dp = p - baseline.psnr
     return QualityReport(p, s, dp, s - baseline.ssim, baseline.baseline_id)
 
-
-def quality_report(reference, reconstruction, baseline, baseline_id: str,
-                   ssim_mode: str = "global") -> QualityReport:
-    """Score a reconstruction and its deltas against a baseline decode."""
-    return relative_report(reference, reconstruction,
-                           baseline_report(reference, baseline, baseline_id, ssim_mode),
-                           ssim_mode)

@@ -140,13 +140,6 @@ class PipelineResult:
         }
 
 
-def registers_for(h: int, w: int, ancilla: bool):
-    regs = [("index", h + w - DATA_QUBITS), ("data", DATA_QUBITS)]
-    if ancilla:
-        regs.insert(0, ("ancilla", 1))
-    return tuple(regs)
-
-
 def _normalize_rows(zz: np.ndarray, mode: str) -> tuple[np.ndarray, float, np.ndarray | None]:
     """Scale a (n_blocks, 2^r) coefficient matrix into unit amplitudes."""
     if mode not in NORM_MODES:
@@ -270,8 +263,7 @@ def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
     data_low = list(range(r - 1, -1, -1))
     return synth_state_prep(amp_matrix.reshape(-1),
                             targets=index_qubits + data_low,
-                            n_qubits=h + w + (1 if ancilla else 0),
-                            registers=registers_for(h, w, ancilla))
+                            n_qubits=h + w + (1 if ancilla else 0))
 
 
 @lru_cache(maxsize=64)
@@ -282,7 +274,6 @@ def _decompression_circuit(h: int, w: int, r: int, scale: float | None) -> Circu
     :func:`~jqpie.synth.lower_circuit`, which returns it unchanged."""
     ancilla = scale is not None
     n = h + w + (1 if ancilla else 0)
-    regs = registers_for(h, w, ancilla)
     gates = list(synth_truncated_zigzag(r).gates)
     if ancilla:
         diag = block_encoded_rescaler(QuantTable(scale))
@@ -290,7 +281,7 @@ def _decompression_circuit(h: int, w: int, r: int, scale: float | None) -> Circu
         gates.extend(lower_multiplexed_ry(diag.angles, controls, n - 1,
                                           tag="inverse_quantization"))
     gates.extend(synth_inverse_qdct_gates())
-    return lower_circuit(Circuit(n, tuple(gates), regs))
+    return lower_circuit(Circuit(n, tuple(gates)))
 
 
 @lru_cache(maxsize=64)

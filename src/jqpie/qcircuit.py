@@ -6,11 +6,10 @@ stage, the inverse QDCT included, is synthesized in this alphabet, and the
 resource model in :mod:`jqpie.synth` counts the stages with
 :func:`resource_counts`, so its counts are those of the exported gates.
 
-Conventions (project-wide):
-  * qubit 0 is the least-significant bit of a basis index;
-  * registers are listed most-significant first, e.g.
-    (("ancilla", 1), ("index", k), ("data", 6)) puts the data register in
-    qubits 0..5 and the ancilla at the top.
+Convention (project-wide): qubit 0 is the least-significant bit of a basis
+index. The pipeline's register layout (data register in qubits 0..5, the
+block index above it, the ancilla at the top) is documented in
+:mod:`jqpie.qsim`.
 
 Depth model: greedy as-soon-as-possible scheduling where each gate
 occupies one time step on every touched qubit. Consecutive runs of gates with
@@ -62,20 +61,13 @@ def cx(control: int, target: int, tag: str | None = None) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate sequence over named qubit registers."""
+    """An ordered gate sequence on ``n_qubits`` qubits."""
 
     n_qubits: int
     gates: tuple[Gate, ...] = ()
-    registers: tuple[tuple[str, int], ...] = ()   # most-significant first
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        regs = tuple((str(n), int(s)) for n, s in self.registers)
-        if not regs:
-            regs = (("q", self.n_qubits),)
-        if sum(s for _, s in regs) != self.n_qubits:
-            raise ValueError("register sizes must sum to the qubit count")
-        object.__setattr__(self, "registers", regs)
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < self.n_qubits:
@@ -83,10 +75,10 @@ class Circuit:
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
-    """Concatenate two circuits over the identical register layout."""
-    if a.n_qubits != b.n_qubits or a.registers != b.registers:
-        raise ValueError("register layouts do not match")
-    return Circuit(a.n_qubits, a.gates + b.gates, a.registers)
+    """Concatenate two circuits on the same number of qubits."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(f"qubit counts do not match: {a.n_qubits} and {b.n_qubits}")
+    return Circuit(a.n_qubits, a.gates + b.gates)
 
 
 @dataclass(frozen=True)

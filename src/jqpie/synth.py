@@ -128,8 +128,7 @@ def state_prep_angles(vector: np.ndarray) -> list[np.ndarray]:
     return layers
 
 
-def synth_state_prep(amplitudes, targets=None, n_qubits: int | None = None,
-                     registers=(), tag: str = "state_prep") -> Circuit:
+def synth_state_prep(amplitudes, targets=None, n_qubits: int | None = None) -> Circuit:
     """Circuit of uniformly controlled RY layers preparing a real unit vector.
 
     ``targets`` lists the active qubits most-significant first (default: the
@@ -148,8 +147,8 @@ def synth_state_prep(amplitudes, targets=None, n_qubits: int | None = None,
         n_qubits = max(targets) + 1 if targets else 1
     gates: list[Gate] = []
     for k, alphas in enumerate(layers):
-        gates.extend(lower_multiplexed_ry(alphas, targets[:k], targets[k], tag=tag))
-    return Circuit(n_qubits, tuple(gates), registers)
+        gates.extend(lower_multiplexed_ry(alphas, targets[:k], targets[k], tag="state_prep"))
+    return Circuit(n_qubits, tuple(gates))
 
 
 # --- truncated inverse zigzag -------------------------------------------------
@@ -213,7 +212,7 @@ def load_order(r: int) -> np.ndarray:
     return order
 
 
-def synth_truncated_zigzag(r: int, tag: str = "inverse_zigzag") -> Circuit:
+def synth_truncated_zigzag(r: int) -> Circuit:
     """Truncated inverse zigzag over the 6-qubit data register.
 
     One signed swap ``lower_givens(s, o, pi)`` per pair of
@@ -224,8 +223,8 @@ def synth_truncated_zigzag(r: int, tag: str = "inverse_zigzag") -> Circuit:
     """
     qubits = list(range(DATA_QUBITS - 1, -1, -1))
     gates = [g for s, o in _swap_pairs(r)
-             for g in lower_givens(s, o, math.pi, qubits, tag=tag)]
-    return Circuit(DATA_QUBITS, tuple(gates), (("data", DATA_QUBITS),))
+             for g in lower_givens(s, o, math.pi, qubits, tag="inverse_zigzag")]
+    return Circuit(DATA_QUBITS, tuple(gates))
 
 
 # --- block-encoded inverse quantization ---------------------------------------
@@ -262,8 +261,7 @@ def block_encoded_rescaler(table: QuantTable) -> BlockEncodedDiag:
     return BlockEncodedDiag(q / lam, lam)
 
 
-def synth_inverse_quantization(table: QuantTable,
-                               tag: str = "inverse_quantization") -> tuple[Circuit, float]:
+def synth_inverse_quantization(table: QuantTable) -> tuple[Circuit, float]:
     """Block-encoded inverse quantization over data register + ancilla.
 
     A 6-control uniformly controlled RY on the ancilla, lowered to exactly
@@ -274,10 +272,8 @@ def synth_inverse_quantization(table: QuantTable,
     diag = block_encoded_rescaler(table)
     ancilla = DATA_QUBITS
     controls = list(range(DATA_QUBITS - 1, -1, -1))
-    gates = lower_multiplexed_ry(diag.angles, controls, ancilla, tag=tag)
-    circuit = Circuit(DATA_QUBITS + 1, tuple(gates),
-                      (("ancilla", 1), ("data", DATA_QUBITS)))
-    return circuit, diag.lam
+    gates = lower_multiplexed_ry(diag.angles, controls, ancilla, tag="inverse_quantization")
+    return Circuit(DATA_QUBITS + 1, tuple(gates)), diag.lam
 
 
 # --- inverse DCT operator ------------------------------------------------------
@@ -304,11 +300,12 @@ def _inverse_qdct_pass(qubits, tag: str) -> list[Gate]:
     return gates
 
 
-def synth_inverse_qdct_gates(tag: str = "inverse_qdct") -> list[Gate]:
+def synth_inverse_qdct_gates() -> list[Gate]:
     """Inverse 2D DCT on the data register as RY/CX gates: one 8-point pass
     (:func:`_inverse_qdct_pass`) on the row qubits (5, 4, 3) of u, one on the
     column qubits (2, 1, 0) of v. Every angle is closed form."""
-    return _inverse_qdct_pass((5, 4, 3), tag) + _inverse_qdct_pass((2, 1, 0), tag)
+    return (_inverse_qdct_pass((5, 4, 3), "inverse_qdct")
+            + _inverse_qdct_pass((2, 1, 0), "inverse_qdct"))
 
 
 # --- exact gate-level lowering --------------------------------------------------
@@ -320,15 +317,14 @@ def _pattern_without_bit(index: int, bit: int, width: int) -> int:
     return (high << bit) | low
 
 
-def lower_givens(i: int, j: int, theta: float, qubits, skip_zero: bool = True,
-                 tag: str | None = None) -> list[Gate]:
+def lower_givens(i: int, j: int, theta: float, qubits, tag: str | None = None) -> list[Gate]:
     """Plane rotation between basis states i and j of a qubit subset.
 
     ``qubits`` lists the subset most-significant first; i and j index its
     2^t-dimensional subspace. The pair is first collapsed onto a single-bit
     difference with CX conjugation, then rotated with a one-hot uniformly
-    controlled RY. Orientation: amplitude at i transforms as
-    cos(theta/2) a_i - sin(theta/2) a_j.
+    controlled RY, whose zero rotations are not emitted. Orientation:
+    amplitude at i transforms as cos(theta/2) a_i - sin(theta/2) a_j.
     """
     if i == j:
         raise ValueError("Givens rotation needs two distinct basis states")
@@ -353,7 +349,7 @@ def lower_givens(i: int, j: int, theta: float, qubits, skip_zero: bool = True,
     alphas = np.zeros(2 ** (t - 1))
     alphas[pattern] = theta
     mux = lower_multiplexed_ry(alphas, controls, qubits[t - 1 - pivot],
-                               skip_zero=skip_zero, tag=tag)
+                               skip_zero=True, tag=tag)
     return conj + mux + conj[::-1]
 
 

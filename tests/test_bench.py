@@ -11,8 +11,8 @@ import jqpie
 from jqpie import bench, metrics
 from jqpie.bench import (SweepConfig, aggregate_histogram, collect_stats, emit_report,
                          ingest_dataset, main, rows_to_csv, run_sweep, summarize)
-from jqpie.imagio import GrayscaleImage, write_pgm
-from jqpie.jpegcore import classical_reference_decode, sparsity_stats
+from jqpie.imagio import GrayscaleImage, load_image, write_pgm
+from jqpie.jpegcore import QuantTable, reference_decode_pixels, sparsity_stats, zigzag_coefficients
 
 from conftest import gradient_image, random_image
 
@@ -59,6 +59,17 @@ def test_sweep_config_validation():
     for field in ("backend", "norm_mode", "ssim_mode"):
         with pytest.raises(ValueError, match=f"unknown {field} 'warp'"):
             SweepConfig(inputs=("x",), **{field: "warp"})
+    with pytest.raises(ValueError, match="truncation level must be one of"):
+        SweepConfig(inputs=("x",), r_set=(5, 7))
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            SweepConfig(inputs=("x",), jobs=jobs)
+
+
+def _oracle_baseline(img, scale, ssim_mode="global"):
+    """The JPEG baseline scored from the block-path oracle, clipped to [0, L]."""
+    oracle = np.clip(reference_decode_pixels(img, "jpeg", scale=scale), 0.0, img.max_value)
+    return metrics.baseline_report(img, oracle, f"jpeg S={scale:g}", ssim_mode=ssim_mode)
 
 
 def test_sweep_rows_schema_and_values(tmp_path, rng):
@@ -86,13 +97,13 @@ def test_sweep_scores_baseline_once_per_image(tmp_path, rng, monkeypatch):
                       r_set=(3, 6), ssim_mode="windowed")
     expected = {}
     for label, img in ingest_dataset(directory):
-        baseline = classical_reference_decode(img, "jpeg", scale=cfg.scale)
+        baseline = _oracle_baseline(img, cfg.scale, "windowed")
         for method in cfg.methods:
             for r in cfg.r_set:
                 result = bench._run_method(img, method, r, cfg.scale, cfg.backend,
                                            cfg.norm_mode)
-                expected[label, method, r] = metrics.quality_report(
-                    img, result.reconstructed, baseline, "jpeg S=1", ssim_mode="windowed")
+                expected[label, method, r] = metrics.relative_report(
+                    img, result.reconstructed, baseline, ssim_mode="windowed")
     calls = {"psnr": 0, "ssim": 0}
 
     def counted(name):
@@ -219,7 +230,7 @@ def test_emit_report_requires_rows(tmp_path):
 def test_histogram_matches_sparsity_convention(tmp_path, rng):
     img = random_image(rng, 16, 16)
     hist = aggregate_histogram(collect_stats([("i", img)], 1.0))
-    stats = sparsity_stats(img, 1.0)
+    stats = sparsity_stats(zigzag_coefficients(img, QuantTable(1.0)))
     assert np.allclose(hist, stats.histogram)
     assert np.sum(hist) == pytest.approx(stats.nonzero_count / stats.block_count)
 
@@ -290,6 +301,72 @@ def test_cli_sweep_and_exit_codes(tmp_path, rng):
     code3 = main(["sweep", str(bad_dir), "--method", "jqpie", "--r", "2",
                   "--scale", "100", "--out", str(out2), "--keep-going"])
     assert code3 == 0
+
+
+def test_cli_sweep_rejects_a_bad_r_before_any_work(tmp_path, rng, capsys):
+    directory = make_dataset(tmp_path, rng, names=("a.pgm",))
+    out = tmp_path / "rows"
+    assert main(["sweep", str(directory), "--r", "7", "--out", str(out)]) == 2
+    assert "truncation level must be one of" in capsys.readouterr().err
+    assert main(["sweep", str(directory), "--jobs", "-3", "--out", str(out)]) == 2
+    assert "jobs must be at least 1, got -3" in capsys.readouterr().err
+    assert not out.with_suffix(".csv").exists()
+
+
+def test_sweep_decodes_the_baseline_once_per_image(tmp_path, rng, monkeypatch):
+    directory = make_dataset(tmp_path, rng, names=("a.pgm", "b.pgm"))
+    decoded = []
+    decode = bench.classical_reference_decode
+
+    def counted(zz, table, img):
+        decoded.append(img.original_dims)
+        return decode(zz, table, img)
+
+    monkeypatch.setattr(bench, "classical_reference_decode", counted)
+    assert main(["sweep", str(directory), "--r", "4", "--out", str(tmp_path / "rows")]) == 0
+    assert decoded == [(16, 16), (16, 16)]
+
+
+@pytest.mark.parametrize("method", ["jqpie", "qf_jqpie", "qpie"])
+def test_simulate_transforms_the_image_once(tmp_path, rng, monkeypatch, method):
+    from jqpie import jpegcore, pipeline
+    path = tmp_path / "img.pgm"
+    write_pgm(random_image(rng, 20, 12), path)
+    calls = {"zigzag_coefficients": 0, "dct2_blocks": 0, "reference_decode_pixels": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(pipeline, "zigzag_coefficients")   # the one front end
+    counted(jpegcore, "dct2_blocks")   # the oracles' block path
+    counted(jpegcore, "reference_decode_pixels")
+    assert main(["simulate", str(path), "--method", method, "--r", "3"]) == 0
+    assert calls == {"zigzag_coefficients": 1, "dct2_blocks": 0, "reference_decode_pixels": 0}
+
+
+@pytest.mark.parametrize("size", [(9, 17), (1, 37), (57, 33)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("bit_depth", [1, 8])
+def test_simulate_quality_equals_the_oracle_baseline(tmp_path, rng, size, bit_depth):
+    """``simulate`` scores against the JPEG baseline that the block-path
+    oracle gives, clipped to [0, L], to the bit."""
+    path = tmp_path / "img.pgm"
+    write_pgm(random_image(rng, *size, bit_depth=bit_depth), path)
+    img = load_image(path)
+    scale = 0.05
+    baseline = _oracle_baseline(img, scale)
+    for method in ("jqpie", "qf_jqpie", "qpie"):
+        out = tmp_path / method
+        assert main(["simulate", str(path), "--method", method, "--r", "4",
+                     "--scale", str(scale), "--out", str(out)]) == 0
+        result = bench._run_method(img, method, 4, scale, "operator", "global")
+        expected = metrics.relative_report(img, result.reconstructed, baseline)
+        quality = json.loads(out.with_suffix(".json").read_text())["quality"]
+        assert quality == expected.to_json(), method
 
 
 def test_cli_sweep_loads_and_stats_each_image_once(tmp_path, rng, monkeypatch):
@@ -461,6 +538,7 @@ def test_cli_runs_import_no_scipy(tmp_path, rng):
          "--out", str(tmp_path / "sim")],
         ["export-circuit", str(path), "--method", "jqpie", "--r", "3",
          "--out", str(tmp_path / "c.qasm")],
+        ["stats", str(path)],
     ]
     script = ("import json, sys\nsys.modules['scipy'] = None\n"
               "from jqpie.bench import main\n"

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -150,6 +151,98 @@ def test_public_definitions_are_reachable():
     modules = {p.stem: p.read_text() for p in SOURCES if p.name != "__init__.py"}
     callers = [p.read_text() for p in CALLERS]
     assert unreachable_definitions(modules, callers, ENTRY_POINTS) == []
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, parameter, call position or None) of every parameter
+    with a default, in every function and method of a module. The position
+    counts call arguments, so a method's ``self`` is not one; a keyword-only
+    parameter has none."""
+    def visit(body, prefix, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = in_class and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                             for d in node.decorator_list)
+                first = len(positional) - len(args.defaults)
+                for index in range(first, len(positional)):
+                    yield (f"{prefix}{node.name}", positional[index].arg,
+                           index - (1 if bound else 0))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield f"{prefix}{node.name}", arg.arg, None
+                yield from visit(node.body, f"{prefix}{node.name}.", False)
+    yield from visit(tree.body, "", False)
+
+
+def _calls(tree: ast.Module) -> dict[str, list[tuple[float, set[str] | None]]]:
+    """For each called name (a plain name or an attribute): per call, the
+    number of positional arguments and the keywords passed. A ``*`` argument
+    counts as every position, a ``**`` argument (None) as every keyword."""
+    calls: dict[str, list[tuple[float, set[str] | None]]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        n_positional = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                        else len(node.args))
+        keywords = {k.arg for k in node.keywords}
+        calls.setdefault(name, []).append((n_positional, None if None in keywords else keywords))
+    return calls
+
+
+def unpassed_defaults(modules: dict[str, str], callers=()) -> list[str]:
+    """Defaulted parameters of ``modules`` (name -> source) that no call passes.
+
+    A parameter is passed when a call of its function's name, in one of
+    ``modules`` or in a ``callers`` source, gives it by keyword or reaches
+    its position. Matching is by name, not by type, as in
+    :func:`unreachable_definitions`.
+    """
+    calls: dict[str, list] = {}
+    for src in (*modules.values(), *callers):
+        for name, found in _calls(ast.parse(src)).items():
+            calls.setdefault(name, []).extend(found)
+    unpassed = []
+    for mod, src in modules.items():
+        for qualname, param, position in _defaulted_parameters(ast.parse(src)):
+            passed = any((position is not None and n_positional > position)
+                         or keywords is None or param in keywords
+                         for n_positional, keywords in calls.get(qualname.rsplit(".", 1)[-1], ()))
+            if not passed:
+                unpassed.append(f"{mod}.{qualname}({param})")
+    return sorted(unpassed)
+
+
+def test_scan_detects_unpassed_defaults():
+    lib = ("def load(path, mode='r', *, strict=False, cache=True):\n    return path\n\n"
+           "def spread(a, b=1, c=2):\n    return a\n\n"
+           "def splat(a, b=1):\n    return a\n\n"
+           "class Box:\n"
+           "    def fill(self, value=0, twice=False):\n        return value\n\n"
+           "    @staticmethod\n"
+           "    def make(size=1, kind='a'):\n        return size\n\n"
+           "def outer(x=1):\n"
+           "    def inner(y=2):\n        return y\n"
+           "    return inner()\n")
+    app = ("from lib import Box, load, spread, splat\n"
+           "load('p', 'w', cache=False)\nspread(*[1, 2])\nsplat(1, **{})\n"
+           "Box().fill(3)\nBox.make(2)\nouter()\n")
+    assert unpassed_defaults({"lib": lib}, [app]) == [
+        "lib.Box.fill(twice)", "lib.Box.make(kind)", "lib.load(strict)",
+        "lib.outer(x)", "lib.outer.inner(y)"]
+
+
+def test_defaulted_parameters_are_passed():
+    """A default that no caller overrides is a constant, not a parameter."""
+    modules = {p.stem: p.read_text() for p in SOURCES if p.name != "__init__.py"}
+    assert unpassed_defaults(modules, [p.read_text() for p in CALLERS]) == []
 
 
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -257,9 +257,12 @@ def test_decode_unknown_mode():
 
 
 def test_decode_clamps_by_default(rng):
-    img = random_image(rng, 16, 16)
-    out = classical_reference_decode(img, "jpeg", scale=8.0)
-    assert out.pixels.min() >= 0.0 and out.pixels.max() <= 255.0
+    img = GrayscaleImage(255.0 * rng.integers(0, 2, (16, 16)))   # ringing overshoots [0, L]
+    table = QuantTable(8.0)
+    out = classical_reference_decode(zigzag_coefficients(img, table), table, img)
+    raw = reference_decode_pixels(img, "jpeg", scale=8.0)
+    assert raw.min() < 0.0 and raw.max() > 255.0
+    assert np.array_equal(out.pixels, np.clip(raw, 0.0, 255.0))
 
 
 def test_decode_converges_as_scale_vanishes(rng):
@@ -268,10 +271,14 @@ def test_decode_converges_as_scale_vanishes(rng):
     assert np.max(np.abs(out - img.pixels)) <= 0.5
 
 
+def _stats(img, scale=1.0):
+    return sparsity_stats(zigzag_coefficients(img, QuantTable(scale)))
+
+
 def test_sparsity_dc_only_image_reaches_cr_64():
     # constant blocks quantize to a single DC coefficient each
     pixels = np.kron(np.arange(1, 17).reshape(4, 4), np.ones((8, 8))) * 8.0
-    stats = sparsity_stats(GrayscaleImage(pixels))
+    stats = _stats(GrayscaleImage(pixels))
     assert stats.nonzero_count == 16
     assert stats.compression_ratio == 64.0
     assert stats.histogram[0] == 1.0
@@ -280,7 +287,7 @@ def test_sparsity_dc_only_image_reaches_cr_64():
 
 def test_sparsity_cr_formula(rng):
     img = random_image(rng, 32, 24)
-    stats = sparsity_stats(img)
+    stats = _stats(img)
     assert stats.pixel_count == 32 * 24
     assert stats.compression_ratio == pytest.approx(stats.pixel_count / stats.nonzero_count)
     assert 1.0 <= stats.compression_ratio <= 64.0
@@ -288,23 +295,22 @@ def test_sparsity_cr_formula(rng):
 
 def test_sparsity_all_zero_image_errors():
     with pytest.raises(ValueError):
-        sparsity_stats(GrayscaleImage(np.zeros((16, 16))))
+        _stats(GrayscaleImage(np.zeros((16, 16))))
 
 
 def test_sparsity_histogram_sums_to_block_average(rng):
     img = random_image(rng, 16, 16)
-    stats = sparsity_stats(img)
+    stats = _stats(img)
     assert np.sum(stats.histogram) == pytest.approx(stats.nonzero_count / stats.block_count)
 
 
 def test_sparsity_monotone_in_scale(rng):
     img = random_image(rng, 32, 32)
-    counts = [sparsity_stats(img, s).nonzero_count for s in (0.5, 1.0, 2.0, 4.0)]
+    counts = [_stats(img, s).nonzero_count for s in (0.5, 1.0, 2.0, 4.0)]
     assert counts == sorted(counts, reverse=True)
 
 
 def test_smooth_image_compresses_harder_than_noise(rng):
     noise = random_image(rng, 32, 32)
     smooth = gradient_image(32, 32)
-    assert (sparsity_stats(smooth).compression_ratio
-            > sparsity_stats(noise).compression_ratio)
+    assert _stats(smooth).compression_ratio > _stats(noise).compression_ratio

@@ -5,7 +5,7 @@ import pytest
 
 from jqpie import bench, metrics
 from jqpie.imagio import GrayscaleImage, write_pgm
-from jqpie.metrics import PreparedImage, prepare, psnr, quality_report, ssim
+from jqpie.metrics import PreparedImage, baseline_report, prepare, psnr, relative_report, ssim
 
 from conftest import random_image
 
@@ -118,10 +118,12 @@ def test_quality_report_deltas(rng):
     ref = random_image(rng, 16, 16)
     recon = GrayscaleImage(ref.pixels + 2.0, original_dims=ref.original_dims)
     baseline = GrayscaleImage(ref.pixels + 4.0, original_dims=ref.original_dims)
-    report = quality_report(ref, recon, baseline, "jpeg S=1")
+    scored = baseline_report(ref, baseline, "jpeg S=1")
+    assert (scored.delta_psnr, scored.delta_ssim) == (0.0, 0.0)
+    report = relative_report(ref, recon, scored)
     assert report.delta_psnr > 0
     assert report.baseline_id == "jpeg S=1"
-    same = quality_report(ref, ref, ref, "self")
+    same = relative_report(ref, ref, baseline_report(ref, ref, "self"))
     assert same.delta_psnr == 0.0 and same.delta_ssim == 0.0
     payload = report.to_json()
     assert set(payload) == {"psnr", "ssim", "delta_psnr", "delta_ssim", "baseline_id"}
@@ -151,8 +153,9 @@ def test_prepared_and_raw_inputs_score_the_same_bits(rng, size, bit_depth):
                             == _bits(ssim(a, b, mode=mode)))
     clamped = prepare(wide)
     assert np.array_equal(clamped.pixels, np.clip(wide.pixels, 0.0, peak))
-    assert _bits(psnr(wide, loaded)) == _bits(psnr(wide.clamped(), loaded))
-    assert math.isinf(psnr(prepare(wide), wide.clamped()))
+    clipped = GrayscaleImage(np.clip(wide.pixels, 0.0, peak), bit_depth)
+    assert _bits(psnr(wide, loaded)) == _bits(psnr(clipped, loaded))
+    assert math.isinf(psnr(prepare(wide), clipped))
     assert math.isinf(psnr(prepare(loaded), prepare(loaded, moments=True)))
 
 

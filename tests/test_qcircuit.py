@@ -25,14 +25,6 @@ def test_gate_validation():
             Gate(kind, (0, 1))
 
 
-def test_circuit_register_layout():
-    circ = Circuit(9, (), (("ancilla", 1), ("index", 2), ("data", 6)))
-    assert circ.registers == (("ancilla", 1), ("index", 2), ("data", 6))
-    assert Circuit(3).registers == (("q", 3),)
-    with pytest.raises(ValueError):
-        Circuit(4, (), (("a", 1), ("b", 2)))
-
-
 def test_circuit_rejects_out_of_range_qubits():
     with pytest.raises(ValueError):
         Circuit(2, (ry(5, 0.1),))
@@ -47,13 +39,11 @@ def test_compose_identities():
     assert len(both.gates) == 2 * len(c.gates)
 
 
-def test_compose_rejects_register_mismatch():
-    a = Circuit(3, (), (("q", 3),))
-    b = Circuit(3, (), (("data", 3),))
-    with pytest.raises(ValueError):
-        compose(a, b)
-    with pytest.raises(ValueError):
-        compose(a, Circuit(4))
+def test_compose_rejects_a_qubit_count_mismatch():
+    with pytest.raises(ValueError, match="qubit counts do not match: 3 and 4"):
+        compose(Circuit(3), Circuit(4))
+    with pytest.raises(ValueError, match="qubit counts do not match: 7 and 6"):
+        compose(synth_inverse_quantization(QuantTable())[0], Circuit(6))
 
 
 def test_resource_counts_single_cx():
@@ -121,8 +111,7 @@ def test_two_disjoint_qdct_blocks_share_depth():
 
 def test_breakdown_sums_to_totals():
     circuit, _ = synth_inverse_quantization(QuantTable())
-    extra = Circuit(7, (ry(0, 0.3, tag="state_prep"), cx(1, 0, tag="state_prep")),
-                    circuit.registers)
+    extra = Circuit(7, (ry(0, 0.3, tag="state_prep"), cx(1, 0, tag="state_prep")))
     report = resource_counts(compose(extra, circuit))
     assert report.cx_count == sum(c.cx for c in report.breakdown.values())
     assert report.rotation_count == sum(c.rotations for c in report.breakdown.values())
