@@ -33,7 +33,6 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,9 +42,9 @@ from . import metrics
 from .imagio import GrayscaleImage, ImageFormatError, load_image, pad_to_pow2, write_pgm
 from .jpegcore import (TRUNCATION_LEVELS, QuantTable, SparsityStats, check_scale,
                        check_truncation, classical_reference_decode, sparsity_stats)
-from .pipeline import (BACKENDS, METHODS, NORM_MODES, ImageEncoding, PipelineResult,
-                       encode_image, hybrid_circuit, method_scale, run_jqpie, run_qf_jqpie,
-                       run_qpie_direct)
+from .pipeline import (BACKENDS, METHODS, NORM_MODES, HybridRun, ImageEncoding,
+                       PipelineResult, encode_image, hybrid_circuit, method_scale, run_jqpie,
+                       run_qf_jqpie, run_qpie_direct)
 from .qcircuit import export_qasm
 from .qsim import log2_exact
 from .synth import DATA_QUBITS, closed_form_resources
@@ -214,22 +213,25 @@ def _stats_and_baseline(label: str, reference: metrics.PreparedImage, encoding: 
 
 def _sweep_cell(label: str, reference: metrics.PreparedImage, encoding: ImageEncoding,
                 method: str, r: int, baseline: metrics.QualityReport, cfg: SweepConfig) -> dict:
-    """One row. Only the run's reconstruction, probability and resources
-    outlive the run: its image-sized state is released before scoring."""
+    """One row, scored strip by strip: each strip of the run's
+    reconstruction (:meth:`~jqpie.pipeline.HybridRun.strips`) is clamped in
+    place and added to the scores (:class:`~jqpie.metrics.Scores`), so the
+    cell makes no image-sized array under the operator backend."""
     row = {"image": label, "method": method, "r": r, "S": cfg.scale, "error": ""}
     try:
-        result = _run_method(encoding, method, r, cfg.scale, cfg.backend, cfg.norm_mode)
-        recon, probability = result.reconstructed, result.success_probability
-        resources = result.resources
-        del result
-        report = metrics.relative_report(reference, metrics.prepare(recon),
-                                         baseline, ssim_mode=cfg.ssim_mode)
+        run = HybridRun(encoding, r, cfg.backend, cfg.norm_mode)
+        scores = metrics.Scores(reference, cfg.ssim_mode)
+        for first_row, _, _, pixels in run.strips():
+            np.clip(pixels, 0.0, reference.peak, out=pixels)
+            scores.add(first_row, pixels)
+        report = scores.report(baseline)
+        resources = run.resources()
         row.update({
             "psnr": report.psnr,
             "ssim": report.ssim,
             "delta_psnr": report.delta_psnr,
             "delta_ssim": report.delta_ssim,
-            "success_prob": probability,
+            "success_prob": run.success_probability,
             "cx_total": resources.cx_count,
             "depth_total": resources.depth,
             "cx_reduction_pct": _model_reduction_pct(r),
@@ -247,6 +249,9 @@ def _sweep_images(images: list[tuple[str, GrayscaleImage]],
     # for more than there are images.
     workers = min(cfg.jobs, len(tasks))
     if workers > 1:
+        # imported here: the pool's modules (multiprocessing, socket) cost
+        # every process that never starts one about 14 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_image = list(pool.map(_sweep_one_image, tasks))
     else:
@@ -340,10 +345,10 @@ def emit_report(rows: list[dict], summary: dict, histogram: np.ndarray | None,
     out_base = Path(out_base)
     out_base.parent.mkdir(parents=True, exist_ok=True)
     written = []
-    csv_path = out_base.with_suffix(".csv")
+    csv_path = _out_path(out_base, ".csv")
     csv_path.write_text(rows_to_csv(rows))
     written.append(csv_path)
-    json_path = out_base.with_suffix(".json")
+    json_path = _out_path(out_base, ".json")
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     written.append(json_path)
     if histogram is not None:
@@ -351,8 +356,14 @@ def emit_report(rows: list[dict], summary: dict, histogram: np.ndarray | None,
     return written
 
 
+def _out_path(out_base: Path, tail: str) -> Path:
+    """An output file of a base path: the tail appended to the base's name,
+    so a dot in the base (``run_S0.25``) is kept, never taken as a suffix."""
+    return out_base.parent / (out_base.name + tail)
+
+
 def _write_histogram(histogram: np.ndarray, out_base: Path) -> Path:
-    hist_path = out_base.parent / (out_base.name + "_histogram.csv")
+    hist_path = _out_path(out_base, "_histogram.csv")
     lines = ["zigzag_index,nonzero_fraction"]
     lines += [f"{k},{v:.6f}" for k, v in enumerate(histogram)]
     hist_path.write_text("\n".join(lines) + "\n")
@@ -447,7 +458,7 @@ def _cmd_stats(args) -> int:
     if args.out:
         out_base = Path(args.out)
         out_base.parent.mkdir(parents=True, exist_ok=True)
-        out_base.with_suffix(".json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _out_path(out_base, ".json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         _write_histogram(histogram, out_base)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -464,15 +475,15 @@ def _cmd_simulate(args) -> int:
                          args.backend, args.norm_mode)
     reference = metrics.prepare(img, moments=True)
     _, baseline = _jpeg_baseline(reference, encoding, args.scale, "global")
-    report = metrics.relative_report(reference, metrics.prepare(result.reconstructed), baseline)
+    report = metrics.relative_report(reference, result.reconstructed, baseline, "global")
     payload = result.to_json()
     payload["quality"] = report.to_json()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         out_base = Path(args.out)
         out_base.parent.mkdir(parents=True, exist_ok=True)
-        out_base.with_suffix(".json").write_text(text + "\n")
-        write_pgm(result.reconstructed, out_base.with_suffix(".pgm"))
+        _out_path(out_base, ".json").write_text(text + "\n")
+        write_pgm(result.reconstructed, _out_path(out_base, ".pgm"))
     else:
         print(text)
     return 0

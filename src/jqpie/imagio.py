@@ -25,6 +25,9 @@ from pathlib import Path
 import numpy as np
 
 BLOCK = 8
+#: Pixel rows in one strip of a run's readout and of its scores: 8 block rows
+#: (8 rows of 8x8 SSIM windows).
+STRIP_ROWS = 8 * BLOCK
 
 #: BT.601 luminance weights for RGB -> grayscale reduction.
 BT601_WEIGHTS = (0.299, 0.587, 0.114)

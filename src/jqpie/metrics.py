@@ -6,6 +6,13 @@ the statistic over non-overlapping 8x8 windows for comparability with common
 tooling. Variances use the population (1/N) convention so results are
 bit-comparable across implementations.
 
+Every score is finished from one accumulator, :class:`Scores`, fed row
+strips of a reconstruction (:data:`~jqpie.imagio.STRIP_ROWS` rows, whole
+8x8 windows) with the matching rows of the reference, so no score makes an
+image-sized temporary. ``psnr`` and ``ssim`` walk two whole images through
+it; a sweep feeds it each strip of a run's reconstruction as the run
+decodes it (:class:`~jqpie.pipeline.HybridRun`), so both give the same bits.
+
 Every score reads :class:`PreparedImage` values: pixels clamped into
 [0, L] and the peak L. :func:`prepare` makes one; ``psnr`` and ``ssim``
 accept a prepared or a raw image on either side and prepare a raw one
@@ -13,7 +20,7 @@ themselves, so both paths give the same bits. An image scored against many
 others is prepared once: ``sweep`` and ``simulate`` prepare their reference
 once per image, with the global-SSIM moments (mean, population variance),
 score the JPEG baseline once with :func:`baseline_report` and each
-reconstruction against it with :func:`relative_report`. A
+reconstruction against it. A
 :class:`~jqpie.imagio.GrayscaleImage` already inside [0, L], as every loaded
 image and clamped decode is, is not clipped: the prepared image shares its
 array. That is safe because an image's array is read-only and nothing else
@@ -28,7 +35,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .imagio import GrayscaleImage
+from .imagio import STRIP_ROWS, GrayscaleImage
 
 SSIM_MODES = ("global", "windowed")
 
@@ -80,7 +87,12 @@ def prepare(img, peak: float | None = None, moments: bool = False) -> PreparedIm
     else:
         pixels = np.clip(np.asarray(img, dtype=np.float64), 0.0, peak)
     pixels.flags.writeable = False
-    return PreparedImage(pixels, peak, (pixels.mean(), pixels.var()) if moments else None)
+    return PreparedImage(pixels, peak, _moments(pixels) if moments else None)
+
+
+def _moments(pixels: np.ndarray) -> tuple[float, float]:
+    """The global-SSIM mean and population variance of prepared pixels."""
+    return pixels.mean(), pixels.var()
 
 
 def _peak(*images) -> float:
@@ -101,15 +113,95 @@ def _prepared_pair(a, b) -> tuple[PreparedImage, PreparedImage]:
     return pa, pb
 
 
+class Scores:
+    """PSNR and SSIM of one reconstruction against a prepared reference,
+    summed over row strips.
+
+    Feed the reconstruction's rows to :meth:`add` in strips that start on a
+    multiple of 8 rows, so every SSIM window lies inside one strip, with
+    pixels clamped into [0, peak]; then read :meth:`psnr`, :meth:`ssim` or
+    :meth:`report`. ``ssim_mode`` None sums for PSNR alone.
+
+    PSNR sums the squared differences. Global SSIM sums the reconstruction's
+    deviations d = b - mu from the reference's mean mu (its ``moments``, or
+    measured once), their squares and their products with the reference:
+    the covariance is (sum a*d - mu * sum d) / N, so no deviation array of
+    the reference is made. Windowed SSIM sums the statistic of each window.
+    """
+
+    def __init__(self, reference: PreparedImage, ssim_mode: str | None):
+        if ssim_mode not in SSIM_MODES + (None,):
+            raise ValueError(f"unknown ssim mode {ssim_mode!r}")
+        self.reference = reference
+        self.ssim_mode = ssim_mode
+        self._c1 = (0.01 * reference.peak) ** 2
+        self._c2 = (0.03 * reference.peak) ** 2
+        if ssim_mode == "global":
+            self._moments = reference.moments or _moments(reference.pixels)
+        self._squared_error = 0.0
+        self._deviation = self._deviation_sq = self._cross = 0.0
+        self._window_sum = 0.0
+        self._windows = 0
+
+    def add(self, row: int, pixels: np.ndarray) -> None:
+        """Score the reconstruction's rows from ``row`` on."""
+        ref = self.reference.pixels[row:row + len(pixels)]
+        if ref.shape != pixels.shape:
+            raise ValueError(f"dimension mismatch: {ref.shape} vs {pixels.shape}")
+        scratch = ref - pixels
+        flat = scratch.reshape(-1)
+        self._squared_error += float(flat @ flat)
+        if self.ssim_mode == "global":
+            np.subtract(pixels, self._moments[0], out=scratch)
+            self._deviation += float(flat.sum())
+            self._deviation_sq += float(flat @ flat)
+            self._cross += float(ref.reshape(-1) @ flat)
+        elif self.ssim_mode == "windowed":
+            statistics = _window_statistics(ref, pixels, self._c1, self._c2)
+            self._window_sum += float(statistics.sum())
+            self._windows += statistics.size
+
+    def psnr(self) -> float:
+        """Peak signal-to-noise ratio in dB; +inf when the images are identical."""
+        mse = self._squared_error / self.reference.pixels.size
+        if mse == 0.0:
+            return math.inf
+        peak = self.reference.peak
+        return 10.0 * math.log10(peak * peak / mse)
+
+    def ssim(self) -> float:
+        """The SSIM of the mode the scores were summed for."""
+        if self.ssim_mode == "windowed":
+            return self._window_sum / self._windows
+        n = self.reference.pixels.size
+        mu, var = self._moments
+        shift = self._deviation / n
+        var_b = self._deviation_sq / n - shift * shift
+        cov = (self._cross - mu * self._deviation) / n
+        return float(_ssim_statistic(mu, mu + shift, var, var_b, cov, self._c1, self._c2))
+
+    def report(self, baseline: QualityReport) -> QualityReport:
+        """The scores and their deltas against a scored baseline.
+
+        Deltas of two infinite PSNR values are reported as zero (both exact).
+        """
+        p, s = self.psnr(), self.ssim()
+        dp = 0.0 if math.isinf(p) and math.isinf(baseline.psnr) else p - baseline.psnr
+        return QualityReport(p, s, dp, s - baseline.ssim, baseline.baseline_id)
+
+
+def _scores(a, b, ssim_mode: str | None) -> Scores:
+    """Two whole images walked through one :class:`Scores`, strip by strip."""
+    pa, pb = _prepared_pair(a, b)
+    scores = Scores(pa, ssim_mode)
+    for row in range(0, len(pb.pixels), STRIP_ROWS):
+        scores.add(row, pb.pixels[row:row + STRIP_ROWS])
+    return scores
+
+
 def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB; +inf when the images are identical."""
-    pa, pb = _prepared_pair(a, b)
-    diff = pa.pixels - pb.pixels
-    diff *= diff
-    mse = diff.mean()
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(pa.peak * pa.peak / mse)
+    return _scores(a, b, None).psnr()
 
 
 def _ssim_statistic(mu_a, mu_b, var_a, var_b, cov, c1: float, c2: float):
@@ -120,13 +212,13 @@ def _ssim_statistic(mu_a, mu_b, var_a, var_b, cov, c1: float, c2: float):
     return num / den
 
 
-def _windowed_ssim(pa: np.ndarray, pb: np.ndarray, c1: float, c2: float) -> float:
-    """Mean SSIM over the non-overlapping 8x8 windows, all at once.
+def _window_statistics(pa: np.ndarray, pb: np.ndarray, c1: float, c2: float) -> np.ndarray:
+    """The SSIM statistic of each non-overlapping 8x8 window of some rows.
 
-    Both images are zero-padded to whole windows and viewed as (nbx, 8,
-    nby, 8); a mask keeps the padding out of every sum, and each window's
-    moments divide by its own pixel count, so a partial edge window is
-    scored on its pixels alone. Variances are centred (two-pass).
+    Both sides are zero-padded to whole windows and viewed as (nbx, 8, nby,
+    8); a mask keeps the padding out of every sum, and each window's moments
+    divide by its own pixel count, so a partial edge window is scored on its
+    pixels alone. Variances are centred (two-pass).
     """
     h, w = pa.shape
     nbx, nby = -(-h // 8), -(-w // 8)
@@ -147,24 +239,7 @@ def _windowed_ssim(pa: np.ndarray, pb: np.ndarray, c1: float, c2: float) -> floa
     var_a = (dev_a * dev_a).sum(axis=(1, 3)) / count
     var_b = (dev_b * dev_b).sum(axis=(1, 3)) / count
     cov = (dev_a * dev_b).sum(axis=(1, 3)) / count
-    return float(np.mean(_ssim_statistic(mu_a, mu_b, var_a, var_b, cov, c1, c2)))
-
-
-def _global_ssim(pa: PreparedImage, pb: PreparedImage, c1: float, c2: float) -> float:
-    """One SSIM statistic over the whole image.
-
-    Each side's deviation from its mean is made once. The covariance
-    product overwrites the deviation of a side with measured moments; a
-    side without them reads its variance off its deviation afterwards.
-    """
-    sides = (pa, pb)
-    means = [p.pixels.mean() if p.moments is None else p.moments[0] for p in sides]
-    devs = [p.pixels - mu for p, mu in zip(sides, means)]
-    spare = next((dev for p, dev in zip(sides, devs) if p.moments is not None), None)
-    cov = np.multiply(*devs, out=spare).mean()
-    variances = [np.square(dev, out=dev).sum() / dev.size if p.moments is None
-                 else p.moments[1] for p, dev in zip(sides, devs)]
-    return float(_ssim_statistic(*means, *variances, cov, c1, c2))
+    return _ssim_statistic(mu_a, mu_b, var_a, var_b, cov, c1, c2)
 
 
 def ssim(a, b, mode: str = "global") -> float:
@@ -178,12 +253,7 @@ def ssim(a, b, mode: str = "global") -> float:
     """
     if mode not in SSIM_MODES:
         raise ValueError(f"unknown ssim mode {mode!r}")
-    pa, pb = _prepared_pair(a, b)
-    c1 = (0.01 * pa.peak) ** 2
-    c2 = (0.03 * pa.peak) ** 2
-    if mode == "windowed":
-        return _windowed_ssim(pa.pixels, pb.pixels, c1, c2)
-    return _global_ssim(pa, pb, c1, c2)
+    return _scores(a, b, mode).ssim()
 
 
 def baseline_report(reference, baseline, baseline_id: str,
@@ -195,15 +265,6 @@ def baseline_report(reference, baseline, baseline_id: str,
 
 def relative_report(reference, reconstruction, baseline: QualityReport,
                     ssim_mode: str = "global") -> QualityReport:
-    """Score a reconstruction and its deltas against a scored baseline.
-
-    Deltas of two infinite PSNR values are reported as zero (both exact).
-    """
-    p = psnr(reference, reconstruction)
-    s = ssim(reference, reconstruction, mode=ssim_mode)
-    if math.isinf(p) and math.isinf(baseline.psnr):
-        dp = 0.0
-    else:
-        dp = p - baseline.psnr
-    return QualityReport(p, s, dp, s - baseline.ssim, baseline.baseline_id)
-
+    """Score a reconstruction and its deltas against a scored baseline
+    (:meth:`Scores.report`), in one walk over both images."""
+    return _scores(reference, reconstruction, ssim_mode).report(baseline)

@@ -14,6 +14,11 @@ Entry points:
     branch;
   * :func:`run_qf_jqpie` - the quantization-free variant: unquantized
     truncated coefficients, no ancilla, no post-selection, fully unitary;
+  * :class:`HybridRun` - one hybrid run of an encoding whose reconstruction
+    is walked in strips of 8 block rows (64 pixel rows), the strips a sweep
+    scores (:class:`~jqpie.metrics.Scores`) without making an image-sized
+    array; the runs above assemble their state and reconstruction from the
+    same strips, and :func:`readout_image` reads a state out through them;
   * :func:`hybrid_circuit` - the full gate-level circuit of either hybrid
     method (state-preparation cascade plus decompression, all RY/CX), built
     without simulating it, for export.
@@ -33,9 +38,13 @@ Backends:
     decompression circuit once and cached. A run takes the normalized
     (n_blocks, 2^r) coefficients as the amplitudes on the h + w image
     qubits, exactly what the state-preparation cascade would load, without
-    building it, and decompresses every block with one product,
-    ``amps @ M.T``; the success probability is the squared norm of the
-    result and the ancilla-1 branch is never built.
+    building it, and decompresses them 8 block rows at a time: each strip's
+    kept coefficients are gathered, divided by the norms known up front
+    and multiplied by M, ``strip @ M.T``, then read out into the strip's
+    pixel rows. The success probability is the squared norm of all the
+    strips' products, checked after the last one, and the ancilla-1 branch
+    is never built. Block rows below the original height hold only zero
+    padding and are skipped.
   * ``gate_exact`` - the full-width reference and the only backend that
     builds and runs the state-preparation cascade: the cascade and the
     decompression circuit, ancilla included, applied gate by gate to the
@@ -66,12 +75,13 @@ would lose.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .imagio import BLOCK, GrayscaleImage, pad_to_pow2
+from .imagio import BLOCK, STRIP_ROWS, GrayscaleImage, pad_to_pow2
 from .jpegcore import _ZIGZAG_SLOT, QuantTable, quantize_zigzag, zigzag_coefficients
 from .qcircuit import Circuit, ResourceReport, compose
 from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
@@ -235,21 +245,61 @@ def _encoding(source: GrayscaleImage | ImageEncoding, scale: float | None) -> Im
     return encode_image(source, scale)
 
 
+def _record(encoding: ImageEncoding, global_norm: float, mode: str,
+            per_block_norms: np.ndarray | None) -> NormalizationRecord:
+    table = encoding.table
+    return NormalizationRecord(global_norm, None if table is None else table.max_entry, mode,
+                               per_block_norms, (2 ** encoding.h, 2 ** encoding.w),
+                               encoding.image.bit_depth)
+
+
 def _amplitudes(encoding: ImageEncoding, r: int,
                 norm_mode: str) -> tuple[np.ndarray, NormalizationRecord]:
     """Gather an encoding's first 2^r zigzag coefficients in load order and normalize.
 
     Column s of the returned (n_blocks, 2^r) amplitude matrix holds the
     coefficient of frequency ``load_order(r)[s]``; the record undoes the
-    scaling.
+    scaling. This is the cascade's input (``gate_exact``, export); the
+    operator backend gathers and normalizes the same rows strip by strip
+    (:func:`_load_norms`).
     """
     zz = encoding.coefficients[:, _ZIGZAG_SLOT[load_order(r)]]
     amp_matrix, global_norm, per_block = _normalize_rows(zz, norm_mode)
-    table = encoding.table
-    record = NormalizationRecord(global_norm, None if table is None else table.max_entry,
-                                 norm_mode, per_block, (2 ** encoding.h, 2 ** encoding.w),
-                                 encoding.image.bit_depth)
-    return amp_matrix, record
+    return amp_matrix, _record(encoding, global_norm, norm_mode, per_block)
+
+
+def _load_norms(encoding: ImageEncoding, r: int,
+                mode: str) -> tuple[NormalizationRecord, np.ndarray]:
+    """The normalization of :func:`_amplitudes`, read off the encoding
+    before any kept coefficient is gathered.
+
+    Returns the record and the divisor that turns a block's gathered
+    coefficients into its loaded amplitudes, as an (n_blocks, 1) column: the
+    global norm for every block, or a block's norm times sqrt(n_active),
+    infinite for a block whose kept coefficients vanish (its amplitudes are
+    zeros). The block norms are those of :func:`_amplitudes`, taken over
+    chunks of 8 block rows. The global norm sums the slots' energies in one
+    pass over the matrix, so it may differ from the gathered matrix's norm
+    in the last bit.
+    """
+    if mode not in NORM_MODES:
+        raise ValueError(f"norm_mode must be one of {NORM_MODES}")
+    coefficients, slots = encoding.coefficients, _ZIGZAG_SLOT[load_order(r)]
+    n_blocks = len(coefficients)
+    per_block = None
+    if mode == "global":
+        norm = math.sqrt(np.einsum("ij,ij->j", coefficients, coefficients)[slots].sum())
+        divisor = np.full((n_blocks, 1), norm)
+    else:
+        chunk = STRIP_ROWS * 2 ** encoding.w // (BLOCK * BLOCK)
+        per_block = np.concatenate([np.linalg.norm(coefficients[first:first + chunk, slots],
+                                                   axis=1)
+                                    for first in range(0, n_blocks, chunk)])
+        norm = math.sqrt(np.count_nonzero(per_block))
+        divisor = np.where(per_block > 0.0, per_block * norm, np.inf)[:, None]
+    if norm == 0.0:
+        raise ValueError("truncated coefficient vector is identically zero")
+    return _record(encoding, norm, mode, per_block), divisor
 
 
 def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
@@ -311,59 +361,134 @@ def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
     return matrix
 
 
-def _fused_decompression(loaded: np.ndarray, h: int, w: int, r: int,
-                         scale: float | None) -> tuple[StateVector, float]:
-    """Decompress every block with one product and keep the ancilla-0 branch.
+def _fused_decompression(loaded: np.ndarray, r: int, scale: float | None) -> np.ndarray:
+    """Decompress some blocks with one product: their ancilla-0 branch.
 
-    ``loaded`` holds the (n_blocks, 2^r) unit-norm amplitudes, the matrix
-    :func:`_amplitudes` returns, unchanged. Returns the renormalized image
-    state on h + w qubits and the branch probability; the ancilla-1 branch
-    is never built.
+    ``loaded`` holds the blocks' rows of the (n_blocks, 2^r) unit-norm
+    amplitudes, unchanged: their gathered coefficients over the divisor of
+    :func:`_load_norms`. The branch is not renormalized and the ancilla-1
+    branch is never built.
     """
-    out = loaded @ _decompression_operator(r, scale).T
-    probability = float(np.vdot(out, out))
+    return loaded @ _decompression_operator(r, scale).T
+
+
+def _branch_probability(squared_norm: float, n_image_qubits: int, scale: float | None) -> float:
+    """The success probability of a fused decompression, from the squared
+    norm of its whole ancilla-0 branch; 1 for QF-JQPIE, which has no ancilla."""
     if scale is None:
-        if abs(math.sqrt(probability) - 1.0) > 1e-9:
+        if abs(math.sqrt(squared_norm) - 1.0) > 1e-9:
             raise ArithmeticError("statevector norm drifted beyond 1e-9")
+        return 1.0
+    if squared_norm <= 0.0:
+        raise ValueError(f"zero-probability branch: qubit {n_image_qubits} never reads 0")
+    if squared_norm > 1.0 + 1e-9:
+        raise ArithmeticError("post-selection probability exceeds 1 beyond 1e-9")
+    return squared_norm
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+
+
+class HybridRun:
+    """One hybrid run of an encoding, its reconstruction decoded in strips.
+
+    :meth:`strips` walks the block rows that hold original pixels, 8 at a
+    time (:data:`~jqpie.imagio.STRIP_ROWS` pixel rows); the block rows below
+    the original height hold only zero padding and are skipped. For each
+    strip it yields the first pixel row, the strip's blocks (a slice of the
+    row-major block index), their decompressed amplitudes and the strip's
+    pixels, cropped to the original width and not clamped. The pixel array
+    is overwritten by the next strip; a caller may change it.
+
+    Under ``operator`` the run is made strip by strip: each strip's kept
+    coefficients are gathered in load order, divided by the norms known up
+    front (:func:`_load_norms`) and decompressed with one product. Its
+    amplitudes are the ancilla-0 branch before the renormalization, and its
+    readout multiplies them by the norms and lambda alone: post-selection's
+    1/sqrt(p) and the readout's sqrt(p) cancel. ``success_probability`` is
+    the branch's squared norm summed over the strips, set and checked once
+    the last strip is done. Under ``gate_exact`` the full circuit runs gate
+    by gate when the run is made, and the strips read the post-selected
+    ``state`` as :func:`readout_image` does.
+    """
+
+    def __init__(self, encoding: ImageEncoding, r: int, backend: str, norm_mode: str):
+        _check_backend(backend)
+        self.encoding, self.r = encoding, r
+        self.state: StateVector | None = None
+        self.success_probability: float | None = None
+        if backend == "operator":
+            self.record, self._divisor = _load_norms(encoding, r, norm_mode)
+            return
+        amp_matrix, self.record = _amplitudes(encoding, r, norm_mode)
+        h, w, scale = encoding.h, encoding.w, encoding.scale
+        prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=scale is not None)
+        sv = apply_circuit(zero_state(prep.n_qubits), prep)
+        sv = apply_circuit(sv, _decompression_circuit(h, w, r, scale))
         probability = 1.0
-    else:
-        if probability <= 0.0:
-            raise ValueError(f"zero-probability branch: qubit {h + w} never reads 0")
-        if probability > 1.0 + 1e-9:
-            raise ArithmeticError("post-selection probability exceeds 1 beyond 1e-9")
-        out /= math.sqrt(probability)
-    return StateVector._owning(out.reshape(-1), h + w), probability
+        if scale is not None:
+            post = postselect_ancilla(sv, qubit=h + w, outcome=0)
+            sv, probability = post.state, post.probability
+        self.state, self.success_probability = sv, probability
+
+    def strips(self) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
+        """(first pixel row, blocks, amplitudes, pixels) of each strip, in order."""
+        if self.state is not None:
+            return _state_strips(self.state, self.record, self.encoding.image.original_dims,
+                                 self.success_probability)
+        return self._operator_strips()
+
+    def _operator_strips(self):
+        encoding, r, scale = self.encoding, self.r, self.encoding.scale
+        slots, divisor = _ZIGZAG_SLOT[load_order(r)], self._divisor
+        squared_norm = 0.0
+
+        def decompressed(blocks: slice) -> np.ndarray:
+            nonlocal squared_norm
+            loaded = encoding.coefficients[blocks, slots]
+            loaded /= divisor[blocks]
+            out = _fused_decompression(loaded, r, scale)
+            flat = out.reshape(-1)
+            squared_norm += float(flat @ flat)
+            return out
+
+        yield from _readout_strips(self.record, encoding.image.original_dims,
+                                   self.record.global_norm, decompressed)
+        self.success_probability = _branch_probability(squared_norm, encoding.h + encoding.w,
+                                                       scale)
+
+    def resources(self) -> ResourceReport:
+        """The run's resource model, :func:`~jqpie.synth.closed_form_resources`."""
+        method = "qf_jqpie" if self.encoding.scale is None else "jqpie"
+        return closed_form_resources(self.encoding.h, self.encoding.w, self.r, method=method)
 
 
 def _run_hybrid(source: GrayscaleImage | ImageEncoding, r: int, scale: float | None,
                 backend: str, norm_mode: str) -> PipelineResult:
     """Both hybrid methods; a quantization scale selects JQPIE.
 
-    The operator backend hands the normalized coefficients to the fused
-    per-block product on the h + w image qubits; ``gate_exact`` runs the
-    full gate-level circuit, cascade and ancilla included, gate by gate and
-    post-selects.
+    Under ``operator`` the state and the reconstruction are assembled from
+    the strips of one :class:`HybridRun`: the state is the strips' ancilla-0
+    branch, renormalized once the success probability is known. Under
+    ``gate_exact`` the run's post-selected state is read out by
+    :func:`readout_image`, which reads the same strips.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    encoding = _encoding(source, scale)
-    amp_matrix, record = _amplitudes(encoding, r, norm_mode)
-    h, w = encoding.h, encoding.w
-    ancilla = scale is not None
-    if backend == "operator":
-        sv, probability = _fused_decompression(amp_matrix, h, w, r, scale)
+    _check_backend(backend)
+    run = HybridRun(_encoding(source, scale), r, backend, norm_mode)
+    image, h, w = run.encoding.image, run.encoding.h, run.encoding.w
+    if run.state is not None:
+        state, probability = run.state, run.success_probability
+        recon = readout_image(state, run.record, image.original_dims, probability)
     else:
-        prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla)
-        sv = apply_circuit(zero_state(prep.n_qubits), prep)
-        sv = apply_circuit(sv, _decompression_circuit(h, w, r, scale))
-        probability = 1.0
-        if ancilla:
-            post = postselect_ancilla(sv, qubit=h + w, outcome=0)
-            sv, probability = post.state, post.probability
-    resources = closed_form_resources(h, w, r, method="jqpie" if ancilla else "qf_jqpie")
-    recon = readout_image(sv, record, encoding.image.original_dims,
-                          success_probability=probability)
-    return PipelineResult(sv, probability, record, resources, recon)
+        branch = np.zeros((len(run.encoding.coefficients), DATA_DIM))
+        recon = _assemble(run.strips(), image.original_dims, image.bit_depth, branch)
+        probability = run.success_probability
+        if scale is not None:
+            branch /= math.sqrt(probability)
+        state = StateVector._owning(branch.reshape(-1), h + w)
+    return PipelineResult(state, probability, run.record, run.resources(), recon)
 
 
 def run_jqpie(source: GrayscaleImage | ImageEncoding, r: int, scale: float = 1.0,
@@ -438,8 +563,7 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator") -> PipelineR
     state-preparation cascade and runs it. Raises ValueError for an unknown
     backend.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
+    _check_backend(backend)
     h = log2_exact(img.height, "image height")
     w = log2_exact(img.width, "image width")
     pixels = img.pixels
@@ -464,6 +588,65 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator") -> PipelineR
     return PipelineResult(sv, 1.0, record, resources, recon)
 
 
+def _tile(padded_dims: tuple[int, int]) -> tuple[int, int]:
+    """The pixel tile of one block: 8x8, or the whole image when a side is under 8."""
+    ph, pw = padded_dims
+    return (BLOCK, BLOCK) if ph >= BLOCK and pw >= BLOCK else (ph, pw)
+
+
+def _readout_strips(record: NormalizationRecord, original_dims: tuple[int, int], factor: float,
+                    amplitudes) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
+    """The readout, 8 block rows at a time: the strips of :meth:`HybridRun.strips`.
+
+    ``amplitudes(blocks)`` gives the (blocks, tile) amplitudes of a slice of
+    the row-major block index. They are multiplied by ``factor``, then by
+    lambda and the block norms when the record has them, straight into the
+    tiles of the strip's pixel rows, and cropped to the original dimensions.
+    """
+    th, tw = _tile(record.padded_dims)
+    nby = record.padded_dims[1] // tw
+    oh, ow = original_dims
+    used = -(-oh // th)   # block rows that hold original pixels
+    per_strip = STRIP_ROWS // BLOCK
+    pixels = np.empty((min(per_strip, used) * th, record.padded_dims[1]))
+    for first in range(0, used, per_strip):
+        k = min(per_strip, used - first)
+        blocks = slice(first * nby, (first + k) * nby)
+        amps = amplitudes(blocks)
+        tiles = pixels[:k * th].reshape(k, th, nby, tw).transpose(0, 2, 1, 3)
+        np.multiply(amps.reshape(k, nby, th, tw), factor, out=tiles)
+        if record.lam is not None:
+            tiles *= record.lam
+        if record.per_block_norms is not None:
+            tiles *= record.per_block_norms[blocks].reshape(k, nby, 1, 1)
+        row = first * th
+        yield row, blocks, amps, pixels[:min(k * th, oh - row), :ow]
+
+
+def _state_strips(state: StateVector, record: NormalizationRecord,
+                  original_dims: tuple[int, int], success_probability: float):
+    """The readout strips of a post-selected state; checks its size first."""
+    ph, pw = record.padded_dims
+    if state.n != log2_exact(ph, "padded height") + log2_exact(pw, "padded width"):
+        raise ValueError("state size does not match the recorded padded dimensions")
+    th, tw = _tile(record.padded_dims)
+    factor = math.sqrt(success_probability) * record.global_norm
+    return _readout_strips(record, original_dims, factor,
+                           state.amplitudes.reshape(-1, th * tw).__getitem__)
+
+
+def _assemble(strips, original_dims: tuple[int, int], bit_depth: int,
+              branch: np.ndarray | None = None) -> GrayscaleImage:
+    """One image of every strip's pixels; ``branch``, when given, receives
+    each strip's amplitudes by block."""
+    pixels = np.empty(original_dims)
+    for row, blocks, amps, rows in strips:
+        pixels[row:row + len(rows)] = rows
+        if branch is not None:
+            branch[blocks] = amps
+    return GrayscaleImage._owning(pixels, bit_depth, original_dims)
+
+
 def readout_image(state: StateVector, norm_record: NormalizationRecord,
                   original_dims: tuple[int, int],
                   success_probability: float = 1.0) -> GrayscaleImage:
@@ -473,24 +656,8 @@ def readout_image(state: StateVector, norm_record: NormalizationRecord,
     present, the quantization constant lambda). The post-selection
     probability undoes the renormalization applied when the ancilla branch
     was projected out. Pixels are cropped to the original dimensions;
-    clamping is left to metric/file-writing time.
+    clamping is left to metric/file-writing time. The pixels are assembled
+    from the strips a sweep scores (:meth:`HybridRun.strips`).
     """
-    ph, pw = norm_record.padded_dims
-    if state.n != log2_exact(ph, "padded height") + log2_exact(pw, "padded width"):
-        raise ValueError("state size does not match the recorded padded dimensions")
-    factor = math.sqrt(success_probability) * norm_record.global_norm
-    # The block-major amplitudes are multiplied straight into the 8x8 tiles
-    # of the pixel array; an image with a side under 8 is one row-major tile.
-    th, tw = (BLOCK, BLOCK) if ph >= BLOCK and pw >= BLOCK else (ph, pw)
-    nbx, nby = ph // th, pw // tw
-    pixels = np.empty((ph, pw))
-    tiles = pixels.reshape(nbx, th, nby, tw).transpose(0, 2, 1, 3)
-    np.multiply(state.amplitudes.reshape(nbx, nby, th, tw), factor, out=tiles)
-    if norm_record.lam is not None:
-        tiles *= norm_record.lam
-    if norm_record.per_block_norms is not None:
-        tiles *= norm_record.per_block_norms.reshape(nbx, nby, 1, 1)
-    oh, ow = original_dims
-    if (oh, ow) != (ph, pw):
-        pixels = pixels[:oh, :ow].copy()
-    return GrayscaleImage._owning(pixels, norm_record.bit_depth, (oh, ow))
+    return _assemble(_state_strips(state, norm_record, original_dims, success_probability),
+                     original_dims, norm_record.bit_depth)

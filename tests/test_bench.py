@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from jqpie.bench import (SweepConfig, aggregate_histogram, collect_stats, emit_r
                          ingest_dataset, main, rows_to_csv, run_sweep, summarize)
 from jqpie.imagio import GrayscaleImage, load_image, write_pgm
 from jqpie.jpegcore import QuantTable, reference_decode_pixels, sparsity_stats, zigzag_coefficients
+from jqpie.pipeline import METHODS, NORM_MODES
 
 from conftest import gradient_image, random_image
 
@@ -117,8 +119,9 @@ def test_sweep_scores_baseline_once_per_image(tmp_path, rng, monkeypatch):
     for name in calls:
         monkeypatch.setattr(metrics, name, counted(name))
     rows = run_sweep(cfg)
-    # 2 images x 4 cells: one score per cell plus one baseline score per image
-    assert calls == {"psnr": 10, "ssim": 10}
+    # one baseline score per image; the 4 cells of each image are scored
+    # strip by strip through metrics.Scores, which psnr and ssim also use
+    assert calls == {"psnr": 2, "ssim": 2}
     for row in rows:
         report = expected[row["image"], row["method"], row["r"]]
         assert (row["psnr"], row["ssim"], row["delta_psnr"], row["delta_ssim"]) == (
@@ -192,7 +195,7 @@ def test_sweep_starts_no_more_workers_than_images(tmp_path, rng, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     directory = make_dataset(tmp_path, rng, size=8)
     images = bench._collect_inputs((str(directory),), False)
     for n_images, jobs, expected in ((1, 4, []), (2, 4, [2]), (3, 2, [2]), (3, 1, [])):
@@ -220,6 +223,38 @@ def test_emit_report_files(tmp_path, rng):
     assert payload["error_rows"] == 0
     hist_lines = written[2].read_text().splitlines()
     assert len(hist_lines) == 1 + 64
+
+
+def test_importing_the_cli_starts_no_process_machinery():
+    # the process pool and its modules are imported only by a sweep with
+    # --jobs > 1
+    script = "import sys, jqpie.bench\nprint('multiprocessing' in sys.modules)\n"
+    src = str(Path(jqpie.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_dotted_out_bases_keep_their_dots(tmp_path, rng):
+    path = tmp_path / "img.pgm"
+    write_pgm(random_image(rng, 16, 16), path)
+    out = tmp_path / "out"
+    for scale in ("0.25", "0.5"):
+        assert main(["sweep", str(path), "--r", "3", "--scale", scale,
+                     "--out", str(out / f"run_S{scale}")]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == [f"run_S{scale}{tail}" for scale in ("0.25", "0.5")
+                     for tail in (".csv", ".json", "_histogram.csv")]
+    for scale in ("0.25", "0.5"):
+        rows = (out / f"run_S{scale}.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[3] for row in rows} == {f"{float(scale):g}"}
+    for command in (["simulate", str(path), "--r", "3"], ["stats", str(path)]):
+        assert main([*command, "--out", str(out / f"{command[0]}_S0.5")]) == 0
+    assert (out / "simulate_S0.5.json").is_file() and (out / "simulate_S0.5.pgm").is_file()
+    assert (out / "stats_S0.5.json").is_file()
 
 
 def test_emit_report_requires_rows(tmp_path):
@@ -447,17 +482,97 @@ def test_cli_calls_share_no_parser_state(tmp_path, rng):
     assert cells[1] == [(m, str(r)) for m in ("jqpie", "qf_jqpie") for r in range(2, 7)]
 
 
+def _whole_array_scores(reference: np.ndarray, recon: np.ndarray, ssim_mode: str):
+    """PSNR and SSIM of a reconstruction computed on whole arrays: the
+    squared-error mean, the two-pass global moments, and the windowed
+    statistic window by window (partial edge windows on their own pixels)."""
+    a, b = reference, np.clip(recon, 0.0, 255.0)
+    c1, c2 = (0.01 * 255) ** 2, (0.03 * 255) ** 2
+
+    def statistic(wa, wb):
+        mu_a, mu_b = wa.mean(), wb.mean()
+        cov = np.mean((wa - mu_a) * (wb - mu_b))
+        return ((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                / ((mu_a ** 2 + mu_b ** 2 + c1) * (wa.var() + wb.var() + c2)))
+
+    mse = np.mean((a - b) ** 2)
+    psnr = np.inf if mse == 0.0 else 10 * np.log10(255.0 ** 2 / mse)
+    if ssim_mode == "global":
+        return psnr, statistic(a, b)
+    windows = [statistic(a[i:i + 8, j:j + 8], b[i:i + 8, j:j + 8])
+               for i in range(0, a.shape[0], 8) for j in range(0, a.shape[1], 8)]
+    return psnr, np.mean(windows)
+
+
+_STRIP_SIZES = [(1, 64), (9, 17), (37, 61), (72, 40), (512, 256)]
+
+
+@pytest.mark.parametrize("size", _STRIP_SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_strip_scores_match_whole_array_scores(rng, size):
+    """A cell scored strip by strip (8 block rows at a time; 72 rows are a
+    full strip and one block row) equals the whole-array scores of the
+    run's reconstruction to 1e-12 relative, and its success probability the
+    run's, under both methods, SSIM modes and norm modes; ``gate_exact``
+    too up to 64x64."""
+    img = random_image(rng, *size)
+    reference = metrics.prepare(img, moments=True)
+    cells = [(backend, r) for backend in ("operator", "gate_exact") for r in
+             ((2, 4, 6) if backend == "operator" else (3,) if max(size) <= 64 else ())]
+    checked = 0
+    for method in METHODS:
+        encoding = bench.encode_image(img, bench.method_scale(method, 1.0))
+        baselines = {mode: bench._jpeg_baseline(reference, encoding, 1.0, mode)[1]
+                     for mode in metrics.SSIM_MODES}
+        for backend, r in cells:
+            for norm_mode in NORM_MODES:
+                result = bench._run_method(encoding, method, r, 1.0, backend, norm_mode)
+                for ssim_mode in metrics.SSIM_MODES:
+                    cfg = SweepConfig(inputs=("x",), backend=backend, norm_mode=norm_mode,
+                                      ssim_mode=ssim_mode)
+                    row = bench._sweep_cell("x", reference, encoding, method, r,
+                                            baselines[ssim_mode], cfg)
+                    assert row["error"] == ""
+                    psnr, ssim = _whole_array_scores(img.pixels, result.reconstructed.pixels,
+                                                     ssim_mode)
+                    if psnr < 120.0:   # above, the digits are rounding noise
+                        assert abs(row["psnr"] - psnr) <= 1e-12 * psnr
+                    assert abs(row["ssim"] - ssim) <= 1e-12 * abs(ssim)
+                    assert abs(row["success_prob"] - result.success_probability) <= 1e-12
+                    checked += 1
+    assert checked == len(METHODS) * len(cells) * len(NORM_MODES) * len(metrics.SSIM_MODES)
+
+
+def test_sweep_cell_allocates_no_image_sized_array(rng):
+    """A warm 1024x1024 jqpie r=6 cell holds one strip of 8 block rows at a
+    time (512 KiB per array; 2.1 MiB in all), so its peak stays below half
+    of one image-sized float64 array (8 MiB)."""
+    import tracemalloc
+    img = random_image(rng, 1024, 1024)
+    cfg = SweepConfig(inputs=("big",), methods=("jqpie",), r_set=(6,))
+    reference = metrics.prepare(img, moments=True)
+    encoding = bench.encode_image(img, cfg.scale)
+    _, baseline = bench._jpeg_baseline(reference, encoding, cfg.scale, cfg.ssim_mode)
+    cell = ("big", reference, encoding, "jqpie", 6, baseline, cfg)
+    bench._sweep_cell(*cell)   # builds and caches the decompression operator
+    tracemalloc.start()
+    try:
+        row = bench._sweep_cell(*cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["error"] == ""
+    assert peak < 0.5 * 1024 * 1024 * 8, peak
+
+
 def test_sweep_peak_memory_1024(tmp_path, rng):
     """A 1024x1024 jqpie sweep at r = 5, 6 holds at most 6.5 image-sized
-    float64 arrays at once. The peak, 6.0 arrays, is reached in global SSIM
-    on a cell: the loaded image (also the prepared reference), one
-    coefficient matrix, the cell's reconstruction and its clamped copy, and
-    the two deviation arrays, the covariance product written over the
-    reference's. The r = 6 run holds 5.0: the image, the coefficient matrix,
-    the loaded amplitudes, the decompressed state and the reconstruction,
-    which readout writes straight into the pixel layout; encoding holds
-    3.0: the image and the transform's two buffers. A cell's state is
-    released before it is scored, and no earlier cell's result is alive."""
+    float64 arrays at once. The peak, 4.0 arrays, is reached in the JPEG
+    baseline decode: the loaded image (also the prepared reference), the
+    coefficient matrix, the decoded baseline and one buffer of its
+    transform; encoding holds 3.0: the image and the transform's two
+    buffers. A cell holds about 2.3: the image, the coefficient matrix and
+    one strip of 8 block rows at a time (2.1 MiB at r = 6), and no earlier
+    cell's result is alive."""
     import tracemalloc
     path = tmp_path / "big.pgm"
     write_pgm(random_image(rng, 1024, 1024), path)

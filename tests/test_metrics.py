@@ -201,9 +201,11 @@ def test_sweep_clamps_each_image_once(tmp_path, rng, monkeypatch):
     monkeypatch.setattr(metrics, "prepare", counted_prepare)
     rows = bench.run_sweep(cfg)
     assert not any(row["error"] for row in rows)
-    # per image: the reference, the JPEG baseline and one reconstruction per
-    # cell, each prepared once; psnr and ssim only ever see prepared images
-    assert len(prepared) == 2 * (2 + len(rows) // 2)
+    # per image: the reference and the JPEG baseline, each prepared once;
+    # psnr and ssim only ever see prepared images, and the cells clamp each
+    # strip of their reconstruction in place instead of preparing it
+    assert len(rows) == 8
+    assert len(prepared) == 2 * 2
     assert len({id(img) for img, _ in prepared}) == len(prepared)
     references = [(img, out) for img, out in prepared if out.moments is not None]
     assert len(references) == 2

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from jqpie import pipeline
 from jqpie.bench import SweepConfig, main, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
-from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, _block_zigzag, blocks_from_zigzag,
-                            classical_reference_decode, dct2_block, dct_matrix, idct2_block,
-                            reference_decode_pixels, sparsity_stats,
+from jqpie.jpegcore import (_ZIGZAG_SLOT, TRUNCATION_LEVELS, QuantTable, _block_zigzag,
+                            blocks_from_zigzag, classical_reference_decode, dct2_block,
+                            dct_matrix, idct2_block, reference_decode_pixels, sparsity_stats,
                             truncate_zigzag, zigzag_coefficients)
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
@@ -415,7 +415,11 @@ def test_state_prep_cascade_loads_the_vector(vec):
 
 def test_operator_load_builds_no_circuit(rng, monkeypatch):
     # the operator backend hands the normalized coefficients, unrounded, to
-    # the fused decompression; only gate_exact builds and runs the cascade
+    # the fused decompression; only gate_exact builds and runs the cascade.
+    # Each image here is one strip of 8 block rows, so one product. The
+    # block norms are the cascade's to the bit; the global norm sums the
+    # slots' energies, in another order than the gathered matrix's norm, so
+    # it may differ from the cascade's in the last bits.
     images = (random_image(rng, 16, 16), random_image(rng, 57, 33))
     for r in (2, 6):
         for scale in (None, 1.0):
@@ -438,10 +442,13 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
             for norm_mode in NORM_MODES:
                 for r in (2, 6):
                     calls.clear()
-                    run_method(img, r, norm_mode=norm_mode)
+                    norm = run_method(img, r, norm_mode=norm_mode).norm_record.global_norm
                     [(name, (loaded, *_))] = calls
                     assert name == "_fused_decompression"
-                    expected, _ = pipeline._amplitudes(encoding, r, norm_mode)
+                    expected, record = pipeline._amplitudes(encoding, r, norm_mode)
+                    if norm_mode == "global":
+                        assert abs(norm - record.global_norm) <= 2 * np.finfo(float).eps * norm
+                        expected = encoding.coefficients[:, _ZIGZAG_SLOT[load_order(r)]] / norm
                     assert np.array_equal(loaded, expected)
     calls.clear()
     run_qpie_direct(images[0])
@@ -553,6 +560,45 @@ def test_front_end_rounds_ties_like_the_block_path():
     coefficients = pipeline.encode_image(img, 1.0).coefficients
     assert _same_bits(coefficients, _block_path(img, QuantTable(1.0)))
     assert np.array_equal(coefficients[:, 0], np.sign(dc) * np.floor(np.abs(dc) + 0.5))
+
+
+def _whole_array_run(encoding, r, norm_mode):
+    """The operator run on whole arrays: every block decompressed with one
+    product, the branch renormalized, then read out in the pixel layout."""
+    scale = encoding.scale
+    amps, record = pipeline._amplitudes(encoding, r, norm_mode)
+    out = amps @ pipeline._decompression_operator(r, scale).T
+    probability = 1.0 if scale is None else float(np.vdot(out, out))
+    out /= math.sqrt(probability)
+    (ph, pw), (oh, ow) = record.padded_dims, encoding.image.original_dims
+    blocks = out * (math.sqrt(probability) * record.global_norm)
+    if record.lam is not None:
+        blocks *= record.lam
+    if record.per_block_norms is not None:
+        blocks *= record.per_block_norms[:, None]
+    pixels = blocks.reshape(ph // 8, pw // 8, 8, 8).transpose(0, 2, 1, 3).reshape(ph, pw)
+    return out.reshape(-1), probability, pixels[:oh, :ow]
+
+
+@pytest.mark.parametrize("size", [(1, 64), (9, 17), (72, 40), (200, 130)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_strip_runs_match_the_whole_array_run(rng, size):
+    """Runs assemble their state and reconstruction from strips of 8 block
+    rows (72 and 200 rows end in a partial strip, the block rows past the
+    original height are skipped); both equal the whole-array run to 1e-12."""
+    img = random_image(rng, *size)
+    for scale in (None, 1.0, 8.0):
+        encoding = pipeline.encode_image(img, scale)
+        for norm_mode in NORM_MODES:
+            for r in (2, 5, 6):
+                result = (run_qf_jqpie(encoding, r, norm_mode=norm_mode) if scale is None
+                          else run_jqpie(encoding, r, scale=scale, norm_mode=norm_mode))
+                state, probability, pixels = _whole_array_run(encoding, r, norm_mode)
+                assert np.max(np.abs(result.state.amplitudes - state)) <= 1e-12
+                assert abs(result.success_probability - probability) <= 1e-12
+                got = result.reconstructed.pixels
+                assert got.shape == size
+                assert np.max(np.abs(got - pixels)) <= 1e-12 * np.max(np.abs(pixels))
 
 
 def test_readout_multiplies_in_the_image_layout(rng):
