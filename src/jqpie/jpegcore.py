@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imagio import (BLOCK, BlockGrid, GrayscaleImage, assemble_image, pad_and_partition,
-                     pad_to_multiple)
+from .imagio import (BLOCK, STRIP_ROWS, BlockGrid, GrayscaleImage, assemble_image,
+                     pad_and_partition, pad_to_multiple)
 
 #: Standard luminance quantization matrix (scaled by S at table construction).
 BASE_QUANT = np.array([
@@ -289,23 +289,32 @@ def classical_reference_decode(zz: np.ndarray, table: QuantTable,
     which stays a separate oracle that computes its own coefficients and
     leaves the pixels unclamped.
 
-    The decode works in the image's own layout: the dequantized coefficients
-    fill an (H, W) array of 8x8 tiles, each tile row is contracted over u
-    (the pixel rows), then each run of 8 values over v into the same array,
-    so the decode holds two image-sized arrays besides ``zz``.
+    The decode works in the image's own layout, 8 block rows
+    (:data:`~jqpie.imagio.STRIP_ROWS` pixel rows) at a time: a strip's
+    dequantized coefficients fill a strip of 8x8 tiles, each tile row is
+    contracted over u (the pixel rows), then each run of 8 values over v
+    into the same strip, which is clamped into the output's rows. So the
+    decode holds the output and strip-sized temporaries besides ``zz``.
+    Block rows below the original height are not decoded.
     """
     nbx, nby = -(-img.height // BLOCK), -(-img.width // BLOCK)
-    pixels = np.empty((nbx * BLOCK, nby * BLOCK))
-    np.multiply(zz[:, _ZIGZAG_SLOT].reshape(nbx, nby, BLOCK, BLOCK), table.values,
-                out=pixels.reshape(nbx, BLOCK, nby, BLOCK).transpose(0, 2, 1, 3))
-    rows = np.matmul(_DCT.T, pixels.reshape(nbx, BLOCK, -1))
-    np.matmul(rows.reshape(-1, BLOCK), _DCT, out=pixels.reshape(-1, BLOCK))
-    del rows
-    np.clip(pixels, 0.0, float(2 ** img.bit_depth - 1), out=pixels)
     oh, ow = img.original_dims
-    if pixels.shape != (oh, ow):
-        pixels = pixels[:oh, :ow].copy()
-    return GrayscaleImage._owning(pixels, img.bit_depth, (oh, ow))
+    peak = float(2 ** img.bit_depth - 1)
+    out = np.empty((oh, ow))
+    per_strip = STRIP_ROWS // BLOCK
+    strip = np.empty((min(per_strip, nbx) * BLOCK, nby * BLOCK))
+    for first in range(0, -(-oh // BLOCK), per_strip):
+        k = min(per_strip, nbx - first)
+        pixels = strip[:k * BLOCK]
+        coefficients = zz[first * nby:(first + k) * nby][:, _ZIGZAG_SLOT]
+        np.multiply(coefficients.reshape(k, nby, BLOCK, BLOCK), table.values,
+                    out=pixels.reshape(k, BLOCK, nby, BLOCK).transpose(0, 2, 1, 3))
+        rows = np.matmul(_DCT.T, pixels.reshape(k, BLOCK, -1))
+        np.matmul(rows.reshape(-1, BLOCK), _DCT, out=pixels.reshape(-1, BLOCK))
+        row = first * BLOCK
+        n = min(k * BLOCK, oh - row)
+        np.clip(pixels[:n, :ow], 0.0, peak, out=out[row:row + n])
+    return GrayscaleImage._owning(out, img.bit_depth, (oh, ow))
 
 
 @dataclass(frozen=True)

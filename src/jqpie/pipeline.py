@@ -45,10 +45,14 @@ Backends:
     strips' products, checked after the last one, and the ancilla-1 branch
     is never built. Block rows below the original height hold only zero
     padding and are skipped.
-  * ``gate_exact`` - the full-width reference and the only backend that
-    builds and runs the state-preparation cascade: the cascade and the
-    decompression circuit, ancilla included, applied gate by gate to the
-    2^(h+w+1)-amplitude state, then post-selected.
+  * ``gate_exact`` - the reference and the only backend that builds and
+    runs the state-preparation cascade: every gate of the cascade and the
+    decompression circuit, once and in order. The cascade never touches
+    the ancilla, so it runs on the 2^(h+w) amplitudes of the image qubits;
+    for JQPIE the ancilla then joins in |0>, as a zero upper half of the
+    state, and the decompression runs on the 2^(h+w+1)-amplitude state,
+    which is post-selected. :func:`hybrid_circuit` and export keep the
+    full-width circuit, the cascade with the ancilla idle.
 
 The decompression circuit is built once per (h, w, r, S) and cached; the
 operator probe, ``gate_exact`` and export all read that one circuit.
@@ -114,7 +118,7 @@ class NormalizationRecord:
     bit_depth: int = 8
 
     def __post_init__(self):
-        if self.global_norm <= 0:
+        if not self.global_norm > 0:
             raise ValueError("global_norm must be positive")
         if self.mode not in NORM_MODES:
             raise ValueError(f"mode must be one of {NORM_MODES}")
@@ -307,7 +311,9 @@ def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
     """Cascade loading the (n_blocks, 2^r) load-ordered amplitudes.
 
     The circuit acts on the index register plus the low r data qubits; the
-    remaining data qubits (and the ancilla) stay |0>.
+    remaining data qubits stay |0>. With ``ancilla`` it is declared on the
+    full width, the ancilla idle above them (export); without, on the h + w
+    image qubits alone (the ``gate_exact`` run). The gates are the same.
     """
     index_qubits = list(range(h + w - 1, DATA_QUBITS - 1, -1))
     data_low = list(range(r - 1, -1, -1))
@@ -354,7 +360,7 @@ def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
     out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit)
     branches = out.amplitudes.reshape(-1, kept, DATA_DIM) * math.sqrt(kept)
     stacked = np.concatenate([b.T for b in branches])
-    if np.max(np.abs(stacked.T @ stacked - np.eye(kept))) > 1e-9:
+    if not np.max(np.abs(stacked.T @ stacked - np.eye(kept))) <= 1e-9:   # NaN fails too
         raise ArithmeticError("decompression operator is not an isometry within 1e-9")
     matrix = np.ascontiguousarray(branches[0].T)
     matrix.flags.writeable = False
@@ -375,6 +381,8 @@ def _fused_decompression(loaded: np.ndarray, r: int, scale: float | None) -> np.
 def _branch_probability(squared_norm: float, n_image_qubits: int, scale: float | None) -> float:
     """The success probability of a fused decompression, from the squared
     norm of its whole ancilla-0 branch; 1 for QF-JQPIE, which has no ancilla."""
+    if not math.isfinite(squared_norm):
+        raise ArithmeticError(f"decompressed branch has squared norm {squared_norm}")
     if scale is None:
         if abs(math.sqrt(squared_norm) - 1.0) > 1e-9:
             raise ArithmeticError("statevector norm drifted beyond 1e-9")
@@ -409,9 +417,11 @@ class HybridRun:
     readout multiplies them by the norms and lambda alone: post-selection's
     1/sqrt(p) and the readout's sqrt(p) cancel. ``success_probability`` is
     the branch's squared norm summed over the strips, set and checked once
-    the last strip is done. Under ``gate_exact`` the full circuit runs gate
-    by gate when the run is made, and the strips read the post-selected
-    ``state`` as :func:`readout_image` does.
+    the last strip is done. Under ``gate_exact`` the circuit runs gate by
+    gate when the run is made: the cascade on the h + w image qubits, then,
+    with the ancilla joined in |0> above them for JQPIE, the decompression
+    on h + w + 1. The strips read the post-selected ``state`` as
+    :func:`readout_image` does.
     """
 
     def __init__(self, encoding: ImageEncoding, r: int, backend: str, norm_mode: str):
@@ -424,8 +434,11 @@ class HybridRun:
             return
         amp_matrix, self.record = _amplitudes(encoding, r, norm_mode)
         h, w, scale = encoding.h, encoding.w, encoding.scale
-        prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=scale is not None)
-        sv = apply_circuit(zero_state(prep.n_qubits), prep)
+        prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=False)
+        sv = apply_circuit(zero_state(h + w), prep)
+        if scale is not None:   # the ancilla joins in |0>: a zero ancilla-1 half
+            sv = StateVector._owning(np.concatenate((sv.amplitudes, np.zeros(2 ** (h + w)))),
+                                     h + w + 1)
         sv = apply_circuit(sv, _decompression_circuit(h, w, r, scale))
         probability = 1.0
         if scale is not None:

@@ -21,8 +21,12 @@ Circuits are immutable values; resource computation and export are pure.
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 ELEMENTARY_KINDS = ("ry", "cx")
 
@@ -38,14 +42,17 @@ class Gate:
     tag: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubits in gate: {self.qubits}")
+        qubits = tuple(map(int, self.qubits))
+        object.__setattr__(self, "qubits", qubits)
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"duplicate qubits in gate: {qubits}")
         if self.kind == "ry":
-            if len(self.qubits) != 1 or self.angle is None:
+            if len(qubits) != 1 or self.angle is None:
                 raise ValueError("ry takes one qubit and an angle")
+            if not math.isfinite(self.angle):
+                raise ValueError(f"ry angle must be finite, got {self.angle!r}")
         elif self.kind == "cx":
-            if len(self.qubits) != 2:
+            if len(qubits) != 2:
                 raise ValueError("cx takes a distinct (control, target) pair")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
@@ -55,7 +62,10 @@ def ry(qubit: int, angle: float, tag: str | None = None) -> Gate:
     return Gate("ry", (qubit,), angle=float(angle), tag=tag)
 
 
+@lru_cache(maxsize=None)
 def cx(control: int, target: int, tag: str | None = None) -> Gate:
+    """A CX gate. Gates are immutable, so every CX on one (control, target,
+    tag) is the same object, made once."""
     return Gate("cx", (control, target), tag=tag)
 
 
@@ -94,16 +104,20 @@ class StageCost:
 
 @dataclass(frozen=True)
 class ResourceReport:
+    """Gate counts and depth, with a read-only per-stage ``breakdown``:
+    a report may be shared (:func:`~jqpie.synth.closed_form_resources`
+    caches its reports), so nothing in it can change."""
+
     cx_count: int
     rotation_count: int
     depth: int
-    breakdown: dict
+    breakdown: Mapping[str, StageCost]
 
     def __post_init__(self):
         bd = dict(self.breakdown)
         for stage in PIPELINE_STAGES:
             bd.setdefault(stage, StageCost())
-        object.__setattr__(self, "breakdown", bd)
+        object.__setattr__(self, "breakdown", MappingProxyType(bd))
 
     def to_json(self) -> dict:
         return {

@@ -12,10 +12,17 @@ Project basis convention (single source of truth, consumed by every module):
   * the index register value is j = block_row * (padded_width / 8)
     + block_col, i.e. blocks enumerate row-major.
 
-:func:`apply_circuit` applies every gate, one pass over the state each.
-Amplitudes are real float64: RY and CX map real states to real states, so
-the signed JPEG coefficients never need a complex type, and complex input
-is rejected rather than cast.
+:func:`apply_circuit` applies every gate, once and in order, one pass
+over the state each; no gates are fused. An RY is one BLAS matrix product
+written back into the state (:func:`_apply_1q`): the 2x2 rotation times
+the state's pairs of 2^q-amplitude rows on qubit q >= 4, or the state in
+rows of 16 amplitudes times a 16x16 kron(I, R^T, I) on qubits 0..3, whose
+2^q-amplitude rows are too short for a fast product. A CX between two of
+qubits 0..3 is one product of those rows with a 16x16 permutation; any
+other CX swaps two slices of the state. Amplitudes are real float64: RY
+and CX map real states to real states, so the signed JPEG coefficients
+never need a complex type, and complex input is rejected rather than
+cast. Every norm and probability check also fails on NaN.
 
 The pipelines' ``operator`` backend runs neither the state-preparation
 cascade nor the decompression here over the whole image state:
@@ -23,8 +30,9 @@ cascade nor the decompression here over the whole image state:
 amplitudes, and simulates the decompression once, on a probe register of
 one block per loaded slot, to read off its 64 x 2^r per-block operator,
 then applies that operator to every block with one matrix product. The
-``gate_exact`` pipeline backend runs the full gate-level circuit, cascade
-included, through :func:`apply_circuit` and is the reference.
+``gate_exact`` pipeline backend runs every gate of the circuit, cascade
+included, through :func:`apply_circuit` and is the reference: the cascade
+on the image qubits, the decompression with the ancilla joined above them.
 
 A statevector is owned by one simulation at a time; all functions return new
 values and distinct simulations share nothing. Each state is copied once: a
@@ -34,7 +42,9 @@ functions here hand the arrays they make over without another copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,23 +115,81 @@ def from_amplitudes(vector) -> StateVector:
     """A unit-norm state from a real vector of power-of-two length."""
     amps = _real_copy(vector)
     n = log2_exact(len(amps), "amplitude count")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:   # NaN fails too
         raise ValueError("state is not normalized within 1e-9")
     return StateVector._owning(amps, n)
 
 
 # --- in-place kernels on raw arrays -------------------------------------------
 
-def _apply_1q(amps: np.ndarray, q: int, mat) -> None:
-    view = amps.reshape(-1, 2, 1 << q)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = mat[0][0] * a0 + mat[0][1] * a1
-    view[:, 1, :] = mat[1][0] * a0 + mat[1][1] * a1
+#: Row width of the one product that applies a gate on the low qubits.
+_LOW_WIDTH = 16
+
+
+@lru_cache(maxsize=None)
+def _low_qubit_basis(width: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """I and J, width x width, with J = kron(I, [[0, 1], [-1, 0]], I) on
+    bit q: c*I + s*J is kron(I, R^T, I) for the rotation R = [[c, -s],
+    [s, c]], the matrix that applies R on bit q of each row it multiplies."""
+    index = np.arange(width)
+    low = index[index & (1 << q) == 0]
+    basis = np.zeros((width, width))
+    basis[low, low | (1 << q)] = 1.0
+    basis[low | (1 << q), low] = -1.0
+    identity = np.eye(width)
+    identity.flags.writeable = basis.flags.writeable = False
+    return identity, basis
+
+
+@lru_cache(maxsize=None)
+def _low_cx_permutation(width: int, control: int, target: int) -> np.ndarray:
+    """The width x width 0/1 matrix P with row @ P = the row after a CX
+    on its bits ``control`` and ``target``."""
+    index = np.arange(width)
+    source = np.where(index >> control & 1, index ^ (1 << target), index)
+    permutation = np.zeros((width, width))
+    permutation[source, index] = 1.0
+    permutation.flags.writeable = False
+    return permutation
+
+
+def _low_rows(amps: np.ndarray) -> np.ndarray:
+    """The state as rows of 16 amplitudes, qubits 0..3 (or one row, when
+    the state is shorter)."""
+    return amps.reshape(-1, min(_LOW_WIDTH, amps.size))
+
+
+def _apply_1q(amps: np.ndarray, q: int, c: float, s: float) -> None:
+    """The rotation R = [[c, -s], [s, c]] on qubit q, as one matrix product
+    written back into ``amps``: still one pass over the state per gate.
+
+    On a qubit q >= 4 the state viewed (-1, 2, 2^q) is multiplied by R from
+    the left, one product per pair of 2^q-amplitude rows. On a lower qubit
+    those rows are too short for a fast product, so the state's rows of 16
+    amplitudes (:func:`_low_rows`) are multiplied from the right by
+    kron(I, R^T, I) on bit q of a row (:func:`_low_qubit_basis`). Either
+    way each new amplitude is c*a - s*b or s*a + c*b of its pair.
+    """
+    if (1 << q) >= _LOW_WIDTH:
+        view = amps.reshape(-1, 2, 1 << q)
+        np.matmul(np.array(((c, -s), (s, c))), view, out=view)
+        return
+    rows = _low_rows(amps)
+    identity, basis = _low_qubit_basis(rows.shape[1], q)
+    np.matmul(rows, c * identity + s * basis, out=rows)
 
 
 def _apply_cx(amps: np.ndarray, control: int, target: int) -> None:
+    """CX in place, one pass over the state. Between two of the qubits
+    0..3 it is one product of the state's rows of 16 amplitudes with a
+    permutation matrix (:func:`_low_cx_permutation`), exact because every
+    output is one amplitude times 1 plus zeros; otherwise the two slices
+    it exchanges are swapped."""
     hi, lo = max(control, target), min(control, target)
+    if (1 << hi) < _LOW_WIDTH:
+        rows = _low_rows(amps)
+        np.matmul(rows, _low_cx_permutation(rows.shape[1], control, target), out=rows)
+        return
     view = amps.reshape(-1, 2, 1 << (hi - lo) >> 1, 2, 1 << lo)
     if control == hi:
         sel0 = (slice(None), 1, slice(None), 0, slice(None))
@@ -134,17 +202,13 @@ def _apply_cx(amps: np.ndarray, control: int, target: int) -> None:
     view[sel1] = tmp
 
 
-def _ry_matrix(theta: float):
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return ((c, -s), (s, c))
-
-
 # --- public operations ----------------------------------------------------------
 
 def apply_gate(amps: np.ndarray, gate: Gate) -> None:
     """Apply one RY or CX gate to ``amps`` in place."""
     if gate.kind == "ry":
-        _apply_1q(amps, gate.qubits[0], _ry_matrix(gate.angle))
+        half = gate.angle / 2.0
+        _apply_1q(amps, gate.qubits[0], math.cos(half), math.sin(half))
     else:
         _apply_cx(amps, gate.qubits[0], gate.qubits[1])
 
@@ -159,7 +223,7 @@ def apply_circuit(sv: StateVector, circuit: Circuit) -> StateVector:
     amps = sv.amplitudes.copy()
     for gate in circuit.gates:
         apply_gate(amps, gate)
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:   # NaN fails too
         raise ArithmeticError("statevector norm drifted beyond 1e-9")
     return StateVector._owning(amps, sv.n)
 
@@ -177,6 +241,8 @@ def postselect_ancilla(sv: StateVector, qubit: int, outcome: int) -> PostSelectR
     view = sv.amplitudes.reshape(-1, 2, 1 << qubit)
     branch = view[:, outcome, :].reshape(-1)
     probability = float(np.vdot(branch, branch))
+    if not math.isfinite(probability):
+        raise ArithmeticError(f"branch probability is {probability}")
     if probability <= 0.0:
         raise ValueError(f"zero-probability branch: qubit {qubit} never reads {outcome}")
     state = StateVector._owning(branch * (1.0 / np.sqrt(probability)), sv.n - 1)

@@ -85,7 +85,7 @@ def lower_multiplexed_ry(alphas, controls, target: int, skip_zero: bool = False,
         if skip_zero and abs(alphas[0]) <= 1e-12:
             return []
         return [ry(target, alphas[0], tag=tag)]
-    thetas = multiplexed_ry_angles(alphas)
+    thetas = multiplexed_ry_angles(alphas).tolist()
     gates: list[Gate] = []
     for i in range(2 ** k):
         if not (skip_zero and abs(thetas[i]) <= 1e-12):
@@ -113,7 +113,7 @@ def state_prep_angles(vector: np.ndarray) -> list[np.ndarray]:
     n = len(vector)
     if n < 1 or n & (n - 1):
         raise ValueError("amplitude vector length must be a power of two")
-    if abs(np.linalg.norm(vector) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(vector) - 1.0) <= 1e-10:   # NaN fails too
         raise ValueError("amplitude vector must be L2-normalized within 1e-10")
     m = n.bit_length() - 1
     levels = [np.abs(vector)]
@@ -244,7 +244,7 @@ class BlockEncodedDiag:
 
     def __post_init__(self):
         d = np.asarray(self.diagonal, dtype=np.float64).copy()
-        if np.any(d <= 0) or np.any(d > 1.0 + 1e-12) or abs(d.max() - 1.0) > 1e-12:
+        if not (np.all(d > 0) and np.all(d <= 1.0 + 1e-12) and abs(d.max() - 1.0) <= 1e-12):
             raise ValueError("diagonal entries must lie in (0, 1] with max exactly 1")
         d.flags.writeable = False
         object.__setattr__(self, "diagonal", d)
@@ -463,13 +463,15 @@ def state_prep_cost(m: int) -> StageCost:
     return StageCost(2 ** m - 2, 2 ** m - 1, 2 ** (m + 1) - m - 2)
 
 
+@lru_cache(maxsize=None)
 def closed_form_resources(h: int, w: int, r: int, method: str = "jqpie") -> ResourceReport:
     """Stage-by-stage resources of a 2^h x 2^w image at truncation r.
 
     state_prep is the closed-form cost of the cascade on the h+w-l active
     qubits (l = 6 - r inactive data qubits). The other stages (inverse
     quantization for JQPIE only) are the counts of their lowered circuits,
-    the gates that ``export-circuit`` writes.
+    the gates that ``export-circuit`` writes. A report is made once per
+    (h, w, r, method) and shared; reports are immutable.
     """
     check_truncation(r)
     if method not in ("jqpie", "qf_jqpie", "qpie"):

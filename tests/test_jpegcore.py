@@ -265,6 +265,25 @@ def test_decode_clamps_by_default(rng):
     assert np.array_equal(out.pixels, np.clip(raw, 0.0, 255.0))
 
 
+def test_decode_holds_strip_sized_temporaries(rng):
+    """The 1024x1024 baseline decode works 8 block rows at a time: besides
+    its output it holds a few 64-row strips (0.0625 of the image each), so
+    its peak stays under 1.5 image-sized float64 arrays; a whole-image
+    decode held about 2."""
+    import tracemalloc
+    img = random_image(rng, 1024, 1024)
+    table = QuantTable(1.0)
+    zz = zigzag_coefficients(img, table)
+    tracemalloc.start()
+    try:
+        out = classical_reference_decode(zz, table, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.pixels, np.clip(reference_decode_pixels(img, "jpeg"), 0.0, 255.0))
+    assert peak <= 1.5 * img.pixels.nbytes, peak / img.pixels.nbytes
+
+
 def test_decode_converges_as_scale_vanishes(rng):
     img = random_image(rng, 16, 16)
     out = reference_decode_pixels(img, "jpeg", scale=1e-4)

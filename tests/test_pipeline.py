@@ -367,6 +367,17 @@ def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
     assert "zero-probability branch" in rows[0]["error"]
 
 
+@pytest.mark.parametrize("scale", [None, 1.0], ids=["qf_jqpie", "jqpie"])
+def test_branch_probability_rejects_a_nan_norm(scale):
+    with pytest.raises(ArithmeticError, match="squared norm nan"):
+        pipeline._branch_probability(math.nan, 8, scale)
+
+
+def test_normalization_record_rejects_a_nan_norm():
+    with pytest.raises(ValueError, match="global_norm must be positive"):
+        NormalizationRecord(math.nan, None, "global", None, (8, 8))
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_decompression_operator_matches_lowered_gate_exact_circuit(r):
     # M read off the full decompression circuit under gate_exact. Column s
@@ -457,6 +468,30 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
     run_qpie_direct(images[0], backend="gate_exact")
     assert [name for name, _ in calls] == ["synth_state_prep", "apply_circuit", "apply_circuit",
                                            "synth_state_prep", "apply_circuit"]
+
+
+def test_gate_exact_cascade_runs_without_the_ancilla(rng, monkeypatch):
+    # the cascade acts on the h + w image qubits only; the ancilla joins as a
+    # zero upper half before the decompression, and the post-selected state
+    # is that of the exported full-width circuit run from |0...0>
+    img = random_image(rng, 64, 64)
+    apply = pipeline.apply_circuit
+    widths = []
+
+    def spy(sv, circuit):
+        widths.append((sv.n, circuit.n_qubits))
+        return apply(sv, circuit)
+
+    monkeypatch.setattr(pipeline, "apply_circuit", spy)
+    for r in (3, 6):
+        widths.clear()
+        result = run_jqpie(img, r, backend="gate_exact")
+        assert widths == [(12, 12), (13, 13)]
+        full = pipeline.hybrid_circuit(img, "jqpie", r)
+        assert full.n_qubits == 13
+        post = postselect_ancilla(apply(zero_state(13), full), qubit=12, outcome=0)
+        assert np.max(np.abs(result.state.amplitudes - post.state.amplitudes)) <= 1e-12
+        assert abs(result.success_probability - post.probability) <= 1e-12
 
 
 def _hybrid_operator_runs(img):

@@ -25,6 +25,16 @@ def test_gate_validation():
             Gate(kind, (0, 1))
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_ry_rejects_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="ry angle must be finite"):
+        ry(0, angle)
+    with pytest.raises(ValueError, match="ry angle must be finite"):
+        Gate("ry", (0,), angle=angle)
+    with pytest.raises(ValueError, match="ry angle must be finite"):
+        parse_qasm(f"OPENQASM 3.0;\nqubit[1] q;\nry({angle}) q[0];\n")
+
+
 def test_circuit_rejects_out_of_range_qubits():
     with pytest.raises(ValueError):
         Circuit(2, (ry(5, 0.1),))

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jqpie import pipeline, qsim
 from jqpie.jpegcore import QuantTable
@@ -197,3 +198,84 @@ def test_norm_preserved_over_many_operations(rng):
             gate = cx(int(a), int(b))
         sv = apply_circuit(sv, Circuit(6, (gate,)))
     assert abs(np.linalg.norm(sv.amplitudes) - 1.0) <= 1e-9
+
+
+# --- the gate kernels against dense kron oracles -----------------------------------
+
+#: RY angles, the edges 0, +-pi and 2 pi among them.
+_ANGLES = st.one_of(st.sampled_from([0.0, math.pi, -math.pi, 2 * math.pi]),
+                    st.floats(-4 * math.pi, 4 * math.pi))
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _ry_oracle(vec, q, theta):
+    """RY(theta) on qubit q by a dense kron product on the shorter side of
+    q: kron(R, I) on the rows of the state holding qubits q..0, or
+    kron(I, R) on its columns above qubit q, so no operator is wider than
+    2^7 on 13 qubits."""
+    n = len(vec).bit_length() - 1
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    rot = np.array([[c, -s], [s, c]])
+    if 2 * q < n:
+        rows = vec.reshape(-1, 2 ** (q + 1))
+        return (rows @ np.kron(rot, np.eye(2 ** q)).T).reshape(-1)
+    return (np.kron(np.eye(2 ** (n - 1 - q)), rot) @ vec.reshape(-1, 2 ** q)).reshape(-1)
+
+
+def _cx_oracle(n, control, target):
+    """The dense 2^n x 2^n CX: |0><0| on the control plus |1><1| on the
+    control times X on the target, each a kron over qubits n-1..0."""
+    def on(ops):
+        out = np.ones((1, 1))
+        for q in range(n - 1, -1, -1):
+            out = np.kron(out, ops.get(q, np.eye(2)))
+        return out
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return (on({control: np.diag([1.0, 0.0])})
+            + on({control: np.diag([0.0, 1.0]), target: x}))
+
+
+@given(st.integers(1, 13), _ANGLES, _SEEDS)
+def test_ry_kernel_matches_the_kron_oracle_on_every_target(n, theta, seed):
+    vec = _random_state(np.random.default_rng(seed), n)
+    for q in range(n):
+        buffer = vec.copy()
+        alias = buffer[:]
+        assert apply_gate(buffer, ry(q, theta)) is None
+        # written into the caller's buffer, seen through every view of it
+        assert np.max(np.abs(alias - _ry_oracle(vec, q, theta))) <= 1e-14
+
+
+@settings(max_examples=20)
+@given(st.integers(2, 8), _SEEDS)
+def test_cx_kernel_matches_the_kron_oracle_on_every_pair(n, seed):
+    vec = _random_state(np.random.default_rng(seed), n)
+    for control in range(n):
+        for target in range(n):
+            if control == target:
+                continue
+            buffer = vec.copy()
+            alias = buffer[:]
+            assert apply_gate(buffer, cx(control, target)) is None
+            assert np.max(np.abs(alias - _cx_oracle(n, control, target) @ vec)) <= 1e-14
+
+
+# --- non-finite values never pass a check -------------------------------------------
+
+def test_apply_circuit_rejects_a_kernel_that_writes_nan(monkeypatch):
+    monkeypatch.setattr(qsim, "_apply_1q", lambda amps, q, c, s: amps.fill(np.nan))
+    with pytest.raises(ArithmeticError, match="norm drifted"):
+        apply_circuit(zero_state(3), Circuit(3, (ry(0, 0.5),)))
+    with pytest.raises(ArithmeticError, match="norm drifted"):
+        apply_circuit(StateVector([np.nan, 0.0], 1), Circuit(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_amplitudes_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        from_amplitudes([bad, 0.0])
+
+
+def test_postselect_rejects_a_nan_branch():
+    with pytest.raises(ArithmeticError, match="branch probability is nan"):
+        postselect_ancilla(StateVector([np.nan, 0.0, 0.0, 0.0], 2), qubit=1, outcome=0)

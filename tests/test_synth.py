@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ from scipy.stats import ortho_group
 
 from jqpie import synth
 from jqpie.jpegcore import QuantTable, dct_matrix, zigzag_permutation
-from jqpie.qcircuit import Circuit, resource_counts, ry
+from jqpie.qcircuit import Circuit, StageCost, resource_counts, ry
 from jqpie.qsim import apply_circuit, basis_state, zero_state
 from jqpie.synth import (block_encoded_rescaler, closed_form_resources, load_order,
                          lower_circuit, lower_givens, lower_multiplexed_ry,
@@ -130,6 +131,12 @@ def test_state_prep_rejects_bad_input(rng):
         synth_state_prep([0.5, 0.5])           # not normalized
     with pytest.raises(ValueError):
         synth_state_prep(rng.standard_normal(6) / 10)   # not a power of two
+
+
+def test_state_prep_rejects_non_finite_amplitudes():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="L2-normalized"):
+            synth.state_prep_angles([bad, 0.0])
 
 
 def test_state_prep_random_vectors_high_accuracy(rng):
@@ -489,6 +496,16 @@ def test_closed_form_zigzag_counts_match_lowered_network():
         assert stage == emitted
         counts.append((stage.cx, stage.depth))
     assert counts == [(70, 134), (140, 267), (216, 408), (228, 420), (0, 0)]
+
+
+def test_closed_form_reports_are_shared_and_read_only():
+    report = closed_form_resources(7, 5, 4, "jqpie")
+    assert closed_form_resources(7, 5, 4, "jqpie") is report
+    with pytest.raises(TypeError):
+        report.breakdown["state_prep"] = StageCost()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.cx_count = 0
+    assert closed_form_resources(7, 5, 4, "jqpie").to_json() == report.to_json()
 
 
 def test_closed_form_validation():
