@@ -28,13 +28,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
+import numpy as np
+
 ELEMENTARY_KINDS = ("ry", "cx")
 
 #: Breakdown keys always present in a resource report.
 PIPELINE_STAGES = ("state_prep", "inverse_zigzag", "inverse_quantization", "inverse_qdct")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Gate:
     kind: str
     qubits: tuple[int, ...]
@@ -60,6 +62,35 @@ class Gate:
 
 def ry(qubit: int, angle: float, tag: str | None = None) -> Gate:
     return Gate("ry", (qubit,), angle=float(angle), tag=tag)
+
+
+#: Gate's slot setters, which fill a gate made without ``__init__``.
+_SET_KIND, _SET_QUBITS, _SET_ANGLE, _SET_TAG = (
+    Gate.__dict__[name].__set__ for name in ("kind", "qubits", "angle", "tag"))
+
+
+def rys(qubit: int, angles: np.ndarray, tag: str | None) -> list[Gate]:
+    """One RY on ``qubit`` per angle, each equal in every field to
+    ``ry(qubit, angle, tag)``.
+
+    The checks ``Gate`` makes run once for the batch: the qubit through one
+    :func:`ry`, the angles with one numpy call. Each gate is then filled in
+    without ``__post_init__``, which would repeat them.
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    bad = ~np.isfinite(angles)
+    if bad.any():
+        raise ValueError(f"ry angle must be finite, got {float(angles[bad][0])!r}")
+    qubits = ry(qubit, 0.0, tag).qubits
+    gates = []
+    for angle in angles.tolist():
+        gate = object.__new__(Gate)
+        _SET_KIND(gate, "ry")
+        _SET_QUBITS(gate, qubits)
+        _SET_ANGLE(gate, angle)
+        _SET_TAG(gate, tag)
+        gates.append(gate)
+    return gates
 
 
 @lru_cache(maxsize=None)

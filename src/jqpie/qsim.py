@@ -13,16 +13,21 @@ Project basis convention (single source of truth, consumed by every module):
     + block_col, i.e. blocks enumerate row-major.
 
 :func:`apply_circuit` applies every gate, once and in order, one pass
-over the state each; no gates are fused. An RY is one BLAS matrix product
-written back into the state (:func:`_apply_1q`): the 2x2 rotation times
-the state's pairs of 2^q-amplitude rows on qubit q >= 4, or the state in
-rows of 16 amplitudes times a 16x16 kron(I, R^T, I) on qubits 0..3, whose
-2^q-amplitude rows are too short for a fast product. A CX between two of
-qubits 0..3 is one product of those rows with a 16x16 permutation; any
-other CX swaps two slices of the state. Amplitudes are real float64: RY
-and CX map real states to real states, so the signed JPEG coefficients
-never need a complex type, and complex input is rejected rather than
-cast. Every norm and probability check also fails on NaN.
+over the state each; no gate is fused or relabelled. While a circuit runs
+the state is held in a working layout with the bit order reversed, qubit q
+at memory bit n-1-q (:func:`_reverse_qubit_order`, n//2 slice swaps in
+place on entry and again on exit), so the low qubits, which carry most of
+the state-preparation cascade and the whole data register, have long
+contiguous pair rows. An RY is one BLAS matrix product written into a
+scratch state (:func:`_apply_ry`): the 2x2 rotation times each pair of
+2^k-amplitude rows on memory bit k >= 4, or the state's rows of 2^(k+1)
+amplitudes times kron(R^T, I) on the short rows of memory bits 0..3. The
+scratch array is made at a circuit's first RY, and the two arrays swap
+roles after each RY, so no RY allocates a state. A CX swaps two
+quarter-state slices in place. Amplitudes are real float64: RY and CX map real
+states to real states, so the signed JPEG coefficients never need a
+complex type, and complex input is rejected rather than cast. Every norm
+and probability check also fails on NaN.
 
 The pipelines' ``operator`` backend runs neither the state-preparation
 cascade nor the decompression here over the whole image state:
@@ -120,98 +125,94 @@ def from_amplitudes(vector) -> StateVector:
     return StateVector._owning(amps, n)
 
 
-# --- in-place kernels on raw arrays -------------------------------------------
+# --- kernels on the working layout ---------------------------------------------
 
-#: Row width of the one product that applies a gate on the low qubits.
-_LOW_WIDTH = 16
+#: Pair rows shorter than 2^_SHORT_BITS amplitudes are too short for a fast
+#: product of the 2x2 rotation with each pair.
+_SHORT_BITS = 4
+
+
+def _swap(a: np.ndarray, b: np.ndarray) -> None:
+    """Exchange the contents of two disjoint views of one array."""
+    held = a.copy()
+    a[...] = b
+    b[...] = held
+
+
+def _reverse_qubit_order(amps: np.ndarray, n: int) -> None:
+    """Reverse the bit order of the state's index in place, so the amplitude
+    of qubit q moves from memory bit q to memory bit n-1-q: one slice swap
+    per bit pair (b, n-1-b), b < n // 2, exchanging the amplitudes whose two
+    bits differ. The pairs are disjoint, so this is its own inverse."""
+    for low in range(n // 2):
+        view = amps.reshape(-1, 2, 1 << (n - 2 - 2 * low), 2, 1 << low)
+        _swap(view[:, 1, :, 0, :], view[:, 0, :, 1, :])
 
 
 @lru_cache(maxsize=None)
-def _low_qubit_basis(width: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """I and J, width x width, with J = kron(I, [[0, 1], [-1, 0]], I) on
-    bit q: c*I + s*J is kron(I, R^T, I) for the rotation R = [[c, -s],
-    [s, c]], the matrix that applies R on bit q of each row it multiplies."""
-    index = np.arange(width)
-    low = index[index & (1 << q) == 0]
-    basis = np.zeros((width, width))
-    basis[low, low | (1 << q)] = 1.0
-    basis[low | (1 << q), low] = -1.0
-    identity = np.eye(width)
+def _short_pair_basis(bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """I and J, 2^(bit+1) square, with J = kron([[0, 1], [-1, 0]], I):
+    c*I + s*J is kron(R^T, I) for the rotation R = [[c, -s], [s, c]], the
+    matrix that applies R to memory bit ``bit`` of each row it multiplies."""
+    basis = np.kron(np.array(((0.0, 1.0), (-1.0, 0.0))), np.eye(1 << bit))
+    identity = np.eye(2 << bit)
     identity.flags.writeable = basis.flags.writeable = False
     return identity, basis
 
 
-@lru_cache(maxsize=None)
-def _low_cx_permutation(width: int, control: int, target: int) -> np.ndarray:
-    """The width x width 0/1 matrix P with row @ P = the row after a CX
-    on its bits ``control`` and ``target``."""
-    index = np.arange(width)
-    source = np.where(index >> control & 1, index ^ (1 << target), index)
-    permutation = np.zeros((width, width))
-    permutation[source, index] = 1.0
-    permutation.flags.writeable = False
-    return permutation
+def _apply_ry(amps: np.ndarray, out: np.ndarray, bit: int, c: float, s: float) -> None:
+    """The rotation R = [[c, -s], [s, c]] on memory bit ``bit`` of ``amps``,
+    written into ``out``: one matrix product, one pass over the state.
 
-
-def _low_rows(amps: np.ndarray) -> np.ndarray:
-    """The state as rows of 16 amplitudes, qubits 0..3 (or one row, when
-    the state is shorter)."""
-    return amps.reshape(-1, min(_LOW_WIDTH, amps.size))
-
-
-def _apply_1q(amps: np.ndarray, q: int, c: float, s: float) -> None:
-    """The rotation R = [[c, -s], [s, c]] on qubit q, as one matrix product
-    written back into ``amps``: still one pass over the state per gate.
-
-    On a qubit q >= 4 the state viewed (-1, 2, 2^q) is multiplied by R from
-    the left, one product per pair of 2^q-amplitude rows. On a lower qubit
-    those rows are too short for a fast product, so the state's rows of 16
-    amplitudes (:func:`_low_rows`) are multiplied from the right by
-    kron(I, R^T, I) on bit q of a row (:func:`_low_qubit_basis`). Either
-    way each new amplitude is c*a - s*b or s*a + c*b of its pair.
+    With bit >= 4 the state viewed (-1, 2, 2^bit) is multiplied by R from
+    the left, one product per pair of 2^bit-amplitude rows. On a lower bit
+    those rows are too short for a fast product, so the state's rows of
+    2^(bit+1) amplitudes are multiplied from the right by kron(R^T, I)
+    (:func:`_short_pair_basis`). Either way each new amplitude is c*a - s*b
+    or s*a + c*b of its pair.
     """
-    if (1 << q) >= _LOW_WIDTH:
-        view = amps.reshape(-1, 2, 1 << q)
-        np.matmul(np.array(((c, -s), (s, c))), view, out=view)
+    if bit >= _SHORT_BITS:
+        rows = amps.reshape(-1, 2, 1 << bit)
+        np.matmul(np.array(((c, -s), (s, c))), rows, out=out.reshape(rows.shape))
         return
-    rows = _low_rows(amps)
-    identity, basis = _low_qubit_basis(rows.shape[1], q)
-    np.matmul(rows, c * identity + s * basis, out=rows)
+    identity, basis = _short_pair_basis(bit)
+    rows = amps.reshape(-1, 2 << bit)
+    np.matmul(rows, c * identity + s * basis, out=out.reshape(rows.shape))
 
 
 def _apply_cx(amps: np.ndarray, control: int, target: int) -> None:
-    """CX in place, one pass over the state. Between two of the qubits
-    0..3 it is one product of the state's rows of 16 amplitudes with a
-    permutation matrix (:func:`_low_cx_permutation`), exact because every
-    output is one amplitude times 1 plus zeros; otherwise the two slices
-    it exchanges are swapped."""
+    """CX on memory bits ``control`` and ``target`` in place, one pass over
+    the state: the slices with the control set and the target clear or set
+    are swapped."""
     hi, lo = max(control, target), min(control, target)
-    if (1 << hi) < _LOW_WIDTH:
-        rows = _low_rows(amps)
-        np.matmul(rows, _low_cx_permutation(rows.shape[1], control, target), out=rows)
-        return
     view = amps.reshape(-1, 2, 1 << (hi - lo) >> 1, 2, 1 << lo)
     if control == hi:
-        sel0 = (slice(None), 1, slice(None), 0, slice(None))
-        sel1 = (slice(None), 1, slice(None), 1, slice(None))
+        _swap(view[:, 1, :, 0, :], view[:, 1, :, 1, :])
     else:
-        sel0 = (slice(None), 0, slice(None), 1, slice(None))
-        sel1 = (slice(None), 1, slice(None), 1, slice(None))
-    tmp = view[sel0].copy()
-    view[sel0] = view[sel1]
-    view[sel1] = tmp
+        _swap(view[:, 0, :, 1, :], view[:, 1, :, 1, :])
+
+
+def _apply_gate(amps: np.ndarray, spare: np.ndarray | None,
+                gate: Gate) -> tuple[np.ndarray, np.ndarray | None]:
+    """Apply one gate to a state in the working layout (qubit q at memory
+    bit n-1-q), with ``spare`` a state-sized scratch array or None.
+
+    Returns (state, scratch): an RY writes its product into the scratch
+    array, made here on the first RY, and the two swap roles; a CX works in
+    place.
+    """
+    top = amps.size.bit_length() - 2   # n - 1
+    if gate.kind == "cx":
+        _apply_cx(amps, top - gate.qubits[0], top - gate.qubits[1])
+        return amps, spare
+    if spare is None:
+        spare = np.empty_like(amps)
+    half = gate.angle / 2.0
+    _apply_ry(amps, spare, top - gate.qubits[0], math.cos(half), math.sin(half))
+    return spare, amps
 
 
 # --- public operations ----------------------------------------------------------
-
-def apply_gate(amps: np.ndarray, gate: Gate) -> None:
-    """Apply one RY or CX gate to ``amps`` in place."""
-    if gate.kind == "ry":
-        half = gate.angle / 2.0
-        _apply_1q(amps, gate.qubits[0], math.cos(half), math.sin(half))
-    else:
-        _apply_cx(amps, gate.qubits[0], gate.qubits[1])
-
 
 def apply_circuit(sv: StateVector, circuit: Circuit) -> StateVector:
     """Apply a circuit to a state gate by gate, returning the new state.
@@ -220,9 +221,12 @@ def apply_circuit(sv: StateVector, circuit: Circuit) -> StateVector:
     """
     if sv.n != circuit.n_qubits:
         raise ValueError(f"state has {sv.n} qubits, circuit expects {circuit.n_qubits}")
-    amps = sv.amplitudes.copy()
+    amps, spare = sv.amplitudes.copy(), None
+    _reverse_qubit_order(amps, sv.n)
     for gate in circuit.gates:
-        apply_gate(amps, gate)
+        amps, spare = _apply_gate(amps, spare, gate)
+    del spare   # freed before the conversion back makes its temporaries
+    _reverse_qubit_order(amps, sv.n)
     if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:   # NaN fails too
         raise ArithmeticError("statevector norm drifted beyond 1e-9")
     return StateVector._owning(amps, sv.n)

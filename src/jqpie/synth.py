@@ -29,7 +29,7 @@ import numpy as np
 
 from .jpegcore import QuantTable, check_truncation, dct_matrix, zigzag_permutation
 from .qcircuit import (Circuit, Gate, PIPELINE_STAGES, ResourceReport, StageCost,
-                       cx, resource_counts, ry)
+                       cx, resource_counts, ry, rys)
 
 DATA_QUBITS = 6           # 8x8 block -> 6-bit intra-block index
 DATA_DIM = 64
@@ -85,17 +85,21 @@ def lower_multiplexed_ry(alphas, controls, target: int, skip_zero: bool = False,
         if skip_zero and abs(alphas[0]) <= 1e-12:
             return []
         return [ry(target, alphas[0], tag=tag)]
-    thetas = multiplexed_ry_angles(alphas).tolist()
+    links = [cx(control, target, tag=tag) for control in reversed(controls)]
     gates: list[Gate] = []
-    for i in range(2 ** k):
-        if not (skip_zero and abs(thetas[i]) <= 1e-12):
-            gates.append(ry(target, thetas[i], tag=tag))
-        if i == 2 ** k - 1:
-            bit = k - 1
-        else:
-            bit = ((i + 1) & -(i + 1)).bit_length() - 1
-        gates.append(cx(controls[k - 1 - bit], target, tag=tag))
+    for rotation, bit in zip(rys(target, multiplexed_ry_angles(alphas), tag), _chain_bits(k)):
+        if not (skip_zero and abs(rotation.angle) <= 1e-12):
+            gates.append(rotation)
+        gates.append(links[bit])
     return gates
+
+
+@lru_cache(maxsize=None)
+def _chain_bits(k: int) -> tuple[int, ...]:
+    """Per RY of a k-control chain, the control bit of the CX after it: the
+    Gray-code bit that flips between step i and i + 1, and bit k - 1 for the
+    last CX, which closes the chain."""
+    return tuple(((i + 1) & -(i + 1)).bit_length() - 1 for i in range(2 ** k - 1)) + (k - 1,)
 
 
 # --- amplitude-encoding state preparation ------------------------------------

@@ -298,6 +298,21 @@ def test_backend_equivalence_full_pipelines(rng):
         assert np.linalg.norm(qa.state.amplitudes - qb.state.amplitudes) <= 1e-8
 
 
+@pytest.mark.parametrize("r", [2, 6])
+def test_backend_equivalence_per_block(rng, r):
+    # 24 x 40 pads to 32 x 64, so padding blocks join an all-zero block
+    # and a constant block, whose per-block norms are 0 and the DC alone
+    pixels = rng.integers(0, 256, (24, 40)).astype(np.float64)
+    pixels[:8, :8] = 0.0
+    pixels[8:16, 16:24] = 93.0
+    img = GrayscaleImage(pixels)
+    for method in (run_jqpie, run_qf_jqpie):
+        a = method(img, r, backend="gate_exact", norm_mode="per_block")
+        b = method(img, r, backend="operator", norm_mode="per_block")
+        assert abs(a.success_probability - b.success_probability) <= 1e-12
+        assert np.max(np.abs(a.reconstructed.pixels - b.reconstructed.pixels)) <= 1e-9
+
+
 def test_runs_reject_an_unknown_backend(rng, monkeypatch):
     img = random_image(rng, 8, 8)
 

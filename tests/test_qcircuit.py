@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from jqpie.jpegcore import QuantTable
 from jqpie.qcircuit import (Circuit, Gate, compose, cx, export_qasm, parse_qasm,
-                            resource_counts, ry)
+                            resource_counts, ry, rys)
 from jqpie.synth import (closed_form_resources, synth_inverse_qdct_gates,
                          synth_inverse_quantization, synth_state_prep)
 
@@ -33,6 +34,25 @@ def test_ry_rejects_a_non_finite_angle(angle):
         Gate("ry", (0,), angle=angle)
     with pytest.raises(ValueError, match="ry angle must be finite"):
         parse_qasm(f"OPENQASM 3.0;\nqubit[1] q;\nry({angle}) q[0];\n")
+
+
+def test_batched_rys_equal_validated_gates():
+    angles = np.array([0.5, -0.0, math.pi, 1e-300])
+    gates = rys(4, angles, "inverse_quantization")
+    for gate, angle in zip(gates, angles):
+        expected = ry(4, angle, tag="inverse_quantization")
+        assert (gate.kind, gate.qubits, gate.angle, gate.tag) == (
+            expected.kind, expected.qubits, expected.angle, expected.tag)
+        assert type(gate.angle) is float and type(gate.qubits[0]) is int
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gates[0].angle = 0.0
+    # no attribute can be added either (a slotted frozen dataclass raises
+    # TypeError for a new name on Python 3.10 and 3.11)
+    with pytest.raises((AttributeError, TypeError)):
+        gates[0].note = "none"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="ry angle must be finite"):
+            rys(0, np.array([0.1, bad]), None)
 
 
 def test_circuit_rejects_out_of_range_qubits():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from jqpie import pipeline, qsim
 from jqpie.jpegcore import QuantTable
 from jqpie.qcircuit import Circuit, cx, ry
-from jqpie.qsim import (StateVector, apply_circuit, apply_gate, basis_state,
-                        from_amplitudes, postselect_ancilla, state_fidelity, zero_state)
+from jqpie.qsim import (StateVector, apply_circuit, basis_state, from_amplitudes,
+                        postselect_ancilla, state_fidelity, zero_state)
 from jqpie.synth import (BlockEncodedDiag, block_encoded_rescaler, lower_multiplexed_ry,
                          synth_inverse_quantization, synth_state_prep)
 
@@ -57,6 +57,22 @@ def test_apply_circuit_copies_the_state_once():
     assert peak <= 1.6 * sv.amplitudes.nbytes
 
 
+def test_apply_circuit_holds_at_most_one_scratch_state():
+    # RYs on both sides of the working layout's short-row threshold, both ends included
+    sv = from_amplitudes(np.full(2 ** 16, 2.0 ** -8))
+    gates = tuple(ry(q, 0.3) for q in (0, 3, 4, 15))
+    _, peak = _peak_bytes(lambda: apply_circuit(sv, Circuit(16, gates)))
+    assert peak <= 2.1 * sv.amplitudes.nbytes
+
+
+def test_apply_circuit_allocates_nothing_per_gate():
+    sv = from_amplitudes(np.full(2 ** 16, 2.0 ** -8))
+    peaks = [_peak_bytes(lambda: apply_circuit(sv, Circuit(16, tuple(ry(i % 16, 0.1 * i)
+                                                                  for i in range(count)))))[1]
+             for count in (1, 64)]
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
 @pytest.mark.parametrize("values", [np.array([1.0 + 0j, 0.0]), np.array([0.6, 0.8j]),
                                     [1j, 0.0]], ids=["zero-imag", "array", "list"])
 def test_complex_amplitudes_are_rejected(values):
@@ -98,19 +114,20 @@ def _random_state(rng, n):
 
 
 def _applied_gates(monkeypatch):
-    """The gates passed to apply_gate from now on, in order."""
+    """The gates passed to qsim's per-gate step from now on, in order."""
     calls = []
+    apply_gate = qsim._apply_gate
 
-    def counting(amps, gate):
+    def counting(amps, spare, gate):
         calls.append(gate)
-        apply_gate(amps, gate)
+        return apply_gate(amps, spare, gate)
 
-    monkeypatch.setattr(qsim, "apply_gate", counting)
+    monkeypatch.setattr(qsim, "_apply_gate", counting)
     return calls
 
 
 def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
-    # one apply_gate call per gate, in order: no run of gates is fused into one pass
+    # one per-gate step per gate, in order: no run of gates is fused into one pass
     vec = rng.standard_normal(2 ** 6)
     circuit = synth_state_prep(vec / np.linalg.norm(vec))
     calls = _applied_gates(monkeypatch)
@@ -235,15 +252,17 @@ def _cx_oracle(n, control, target):
             + on({control: np.diag([0.0, 1.0]), target: x}))
 
 
+def _one_gate(vec, gate):
+    """``vec`` after a circuit of the one gate ``gate``."""
+    n = len(vec).bit_length() - 1
+    return apply_circuit(StateVector(vec, n), Circuit(n, (gate,))).amplitudes
+
+
 @given(st.integers(1, 13), _ANGLES, _SEEDS)
 def test_ry_kernel_matches_the_kron_oracle_on_every_target(n, theta, seed):
     vec = _random_state(np.random.default_rng(seed), n)
     for q in range(n):
-        buffer = vec.copy()
-        alias = buffer[:]
-        assert apply_gate(buffer, ry(q, theta)) is None
-        # written into the caller's buffer, seen through every view of it
-        assert np.max(np.abs(alias - _ry_oracle(vec, q, theta))) <= 1e-14
+        assert np.max(np.abs(_one_gate(vec, ry(q, theta)) - _ry_oracle(vec, q, theta))) <= 1e-14
 
 
 @settings(max_examples=20)
@@ -254,16 +273,57 @@ def test_cx_kernel_matches_the_kron_oracle_on_every_pair(n, seed):
         for target in range(n):
             if control == target:
                 continue
-            buffer = vec.copy()
-            alias = buffer[:]
-            assert apply_gate(buffer, cx(control, target)) is None
-            assert np.max(np.abs(alias - _cx_oracle(n, control, target) @ vec)) <= 1e-14
+            expected = _cx_oracle(n, control, target) @ vec
+            assert np.max(np.abs(_one_gate(vec, cx(control, target)) - expected)) <= 1e-14
+
+
+def _cx_tensor_oracle(vec, control, target):
+    """CX as the dense 4x4 kron(|0><0|, I) + kron(|1><1|, X) on the
+    (control, target) axes of the state as an n-axis tensor, axis n-1-q
+    holding qubit q: the 2^n x 2^n :func:`_cx_oracle` is too big at 13 qubits."""
+    n = len(vec).bit_length() - 1
+    op = (np.kron(np.diag([1.0, 0.0]), np.eye(2))
+          + np.kron(np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])))
+    axes = [n - 1 - control, n - 1 - target]
+    front = np.moveaxis(vec.reshape((2,) * n), axes, [0, 1])
+    out = (op @ front.reshape(4, -1)).reshape(front.shape)
+    return np.moveaxis(out, [0, 1], axes).reshape(-1)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+@settings(max_examples=10, deadline=None)
+@given(seed=_SEEDS, edge=st.sampled_from([0.0, math.pi, -math.pi, 2 * math.pi]))
+def test_random_circuits_match_the_kron_oracle(n, seed, edge):
+    # every target and every ordered CX pair, in a random order; each
+    # parity of n runs the in-place layout reversal with and without a middle bit
+    rng = np.random.default_rng(seed)
+    angles = np.append(rng.uniform(-4 * math.pi, 4 * math.pi, n - 1), edge)
+    gates = [ry(q, a) for q, a in zip(range(n), rng.permutation(angles))]
+    gates += [cx(c, t) for c in range(n) for t in range(n) if c != t]
+    gates = [gates[i] for i in rng.permutation(len(gates))]
+    vec = _random_state(rng, n)
+    out = apply_circuit(StateVector(vec, n), Circuit(n, tuple(gates))).amplitudes
+    expected = vec
+    for gate in gates:
+        expected = (_ry_oracle(expected, gate.qubits[0], gate.angle) if gate.kind == "ry"
+                    else _cx_tensor_oracle(expected, *gate.qubits))
+    assert np.max(np.abs(out - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_qubit_order_reversal_matches_a_transpose_and_undoes_itself(n):
+    vec = np.arange(2.0 ** n)
+    amps = vec.copy()
+    qsim._reverse_qubit_order(amps, n)
+    assert np.array_equal(amps, vec.reshape((2,) * n).transpose().reshape(-1))
+    qsim._reverse_qubit_order(amps, n)
+    assert np.array_equal(amps, vec)
 
 
 # --- non-finite values never pass a check -------------------------------------------
 
 def test_apply_circuit_rejects_a_kernel_that_writes_nan(monkeypatch):
-    monkeypatch.setattr(qsim, "_apply_1q", lambda amps, q, c, s: amps.fill(np.nan))
+    monkeypatch.setattr(qsim, "_apply_ry", lambda amps, out, bit, c, s: out.fill(np.nan))
     with pytest.raises(ArithmeticError, match="norm drifted"):
         apply_circuit(zero_state(3), Circuit(3, (ry(0, 0.5),)))
     with pytest.raises(ArithmeticError, match="norm drifted"):

@@ -103,6 +103,36 @@ def test_multiplexed_ry_scattered_qubits(rng):
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("skip_zero", [False, True])
+def test_multiplexed_ry_gates_equal_validated_ones(rng, skip_zero):
+    # angles set by the top control alone: 6 of the 8 chain angles are exactly 0
+    angles = np.repeat(rng.uniform(-3, 3, 2), 4)
+    gates = lower_multiplexed_ry(angles, [3, 2, 1], 0, skip_zero=skip_zero, tag="state_prep")
+    expected = [ry(0, theta, tag="state_prep") for theta in multiplexed_ry_angles(angles)
+                if not (skip_zero and abs(theta) <= 1e-12)]
+    rotations = [g for g in gates if g.kind == "ry"]
+    assert len(rotations) == (2 if skip_zero else 8)
+    assert [(g.kind, g.qubits, g.angle, g.tag) for g in rotations] == [
+        (g.kind, g.qubits, g.angle, g.tag) for g in expected]
+    assert all(type(g.angle) is float for g in rotations)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rotations[0].angle = 0.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_multiplexed_ry_and_state_prep_reject_a_non_finite_angle(bad, monkeypatch):
+    for skip_zero in (False, True):
+        with pytest.raises(ValueError, match="ry angle must be finite"):
+            lower_multiplexed_ry([0.1, bad, 0.3, 0.4], [2, 1], 0, skip_zero=skip_zero)
+        with pytest.raises(ValueError, match="ry angle must be finite"):
+            lower_multiplexed_ry([bad], [], 0, skip_zero=skip_zero)
+    # angles of a normalized vector are always finite: feed the cascade one that is not
+    monkeypatch.setattr(synth, "state_prep_angles",
+                        lambda vector: [np.array([0.5]), np.array([0.2, bad])])
+    with pytest.raises(ValueError, match="ry angle must be finite"):
+        synth_state_prep([0.6, 0.0, 0.0, 0.8])
+
+
 # --- state preparation ---------------------------------------------------------
 
 def test_state_prep_trivial_basis_vector():
