@@ -11,7 +11,7 @@ Subcommands:
 Every command takes one classical path per image: the image is encoded by
 :func:`~jqpie.pipeline.encode_image` (once per method in a sweep), and the
 JPEG baseline and the sparsity statistics read that encoding's quantized
-rows (:meth:`~jqpie.pipeline.ImageEncoding.jpeg_coefficients`), decoded by
+coefficient plane (:meth:`~jqpie.pipeline.ImageEncoding.jpeg_coefficients`), decoded by
 :func:`~jqpie.jpegcore.classical_reference_decode`. ``simulate`` scores its
 run as a sweep scores a cell, against the same baseline.
 
@@ -175,7 +175,7 @@ def _sweep_one_image(args) -> tuple[list[dict], SparsityStats | None]:
     stats = baseline = None
     reference = metrics.prepare(img, moments=True)
     for method in cfg.methods:
-        encoding = None   # at most one coefficient matrix alive at a time
+        encoding = None   # at most one coefficient plane alive at a time
         encoding = encode_image(img, method_scale(method, cfg.scale))
         if baseline is None:
             try:
@@ -192,19 +192,20 @@ def _sweep_one_image(args) -> tuple[list[dict], SparsityStats | None]:
 def _jpeg_baseline(reference: metrics.PreparedImage, encoding: ImageEncoding, scale: float,
                    ssim_mode: str) -> tuple[np.ndarray, metrics.QualityReport]:
     """The scored JPEG baseline of an encoded image at S, and the quantized
-    matrix it decodes (:meth:`~jqpie.pipeline.ImageEncoding.jpeg_coefficients`)."""
-    zz = encoding.jpeg_coefficients(scale)
-    decoded = metrics.prepare(classical_reference_decode(zz, QuantTable(scale), encoding.image))
-    return zz, metrics.baseline_report(reference, decoded, f"jpeg S={scale:g}",
+    plane it decodes (:meth:`~jqpie.pipeline.ImageEncoding.jpeg_coefficients`)."""
+    plane = encoding.jpeg_coefficients(scale)
+    decoded = metrics.prepare(classical_reference_decode(plane, QuantTable(scale),
+                                                         encoding.image))
+    return plane, metrics.baseline_report(reference, decoded, f"jpeg S={scale:g}",
                                        ssim_mode=ssim_mode)
 
 
 def _stats_and_baseline(label: str, reference: metrics.PreparedImage, encoding: ImageEncoding,
                         cfg: SweepConfig) -> tuple[SparsityStats | None, metrics.QualityReport]:
     """Sparsity statistics and the scored JPEG baseline, from one encoding."""
-    zz, baseline = _jpeg_baseline(reference, encoding, cfg.scale, cfg.ssim_mode)
+    plane, baseline = _jpeg_baseline(reference, encoding, cfg.scale, cfg.ssim_mode)
     try:
-        stats = sparsity_stats(zz)
+        stats = sparsity_stats(plane)
     except ValueError as exc:
         log.warning("skipping %s in the statistics: %s", label, exc)
         stats = None
@@ -221,7 +222,7 @@ def _sweep_cell(label: str, reference: metrics.PreparedImage, encoding: ImageEnc
     try:
         run = HybridRun(encoding, r, cfg.backend, cfg.norm_mode)
         scores = metrics.Scores(reference, cfg.ssim_mode)
-        for first_row, _, _, pixels in run.strips():
+        for first_row, pixels in run.strips():
             np.clip(pixels, 0.0, reference.peak, out=pixels)
             scores.add(first_row, pixels)
         report = scores.report(baseline)
@@ -292,15 +293,15 @@ def collect_stats(images: list[tuple[str, GrayscaleImage]],
                   scale: float) -> list[tuple[str, SparsityStats]]:
     """Sparsity statistics per image, computed once for every report.
 
-    Each image's statistics count the matrix a sweep counts: the quantized
-    rows of its encoding at ``scale``. An image whose quantized coefficients
+    Each image's statistics count the plane a sweep counts: the quantized
+    plane of its encoding at ``scale``. An image whose quantized coefficients
     are all zero has no compression ratio; it is skipped with a warning.
     """
     stats = []
     for label, img in images:
         try:
-            zz = encode_image(img, scale).jpeg_coefficients(scale)
-            stats.append((label, sparsity_stats(zz)))
+            plane = encode_image(img, scale).jpeg_coefficients(scale)
+            stats.append((label, sparsity_stats(plane)))
         except ValueError as exc:
             log.warning("skipping %s in the statistics: %s", label, exc)
     return stats

@@ -10,15 +10,20 @@ uses the separable matrix form and is validated elsewhere against the naive
 quadruple-sum definition. Entropy coding is out of scope: the pipeline needs
 fixed-dimensional coefficient vectors, not variable-length bitstreams.
 
-Both production transforms work in the padded image's own (H, W) layout and
-never cut it into a stack of blocks. :func:`zigzag_coefficients` contracts
-the pixel rows (x) of each tile row first and then each run of 8 columns
-(y), the order the block path's ``einsum`` in :func:`dct2_blocks` uses, so
-its values are bit for bit those of the block path; its (n_blocks, 64)
-result is slot-major (F-contiguous), so one zigzag slot of every block is
-contiguous memory. :func:`classical_reference_decode`, the JPEG baseline
-every CLI command scores against, undoes it the same way from that matrix,
-and :func:`sparsity_stats` counts the same matrix. The classical oracles
+The production path never cuts the image into a stack of blocks. Its unit
+is the coefficient plane: the transform of the padded (H, W) image in the
+image's own layout, where frequency (u, v) of block (i, j) sits at pixel
+(8i+u, 8j+v). :func:`zigzag_coefficients` makes it by contracting the pixel
+rows (x) of each tile row first and then each run of 8 columns (y), the
+order the block path's ``einsum`` in :func:`dct2_blocks` uses, so its values
+are bit for bit those of the block path; it quantizes the plane in place by
+a tiled Q (:func:`quantize_plane`), and gives the zigzag matrix only when
+asked for it. :func:`idct_strips` is the one decode kernel: 8 block rows at
+a time it weights the plane by a tiled 8x8 weight and runs the separable
+inverse DCT in place. :func:`classical_reference_decode`, the JPEG baseline
+every CLI command scores against, runs it with Q as the weight; the
+pipeline's operator backend runs it with the decompression's weights.
+:func:`sparsity_stats` counts the same plane. The classical oracles
 (:func:`reference_decode_pixels`) keep the block path of
 :func:`~jqpie.imagio.pad_and_partition`, :func:`dct2_blocks` and
 :func:`quantize_zigzag`, so they stay an independent reference.
@@ -27,6 +32,7 @@ and :func:`sparsity_stats` counts the same matrix. The classical oracles
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,9 +160,9 @@ def zigzag_permutation() -> np.ndarray:
 
 _ZIGZAG = zigzag_permutation()
 _ZIGZAG.flags.writeable = False
-#: Zigzag slot of each frequency index 8u+v.
-_ZIGZAG_SLOT = np.argsort(_ZIGZAG)
-_ZIGZAG_SLOT.flags.writeable = False
+
+#: Output layouts of :func:`zigzag_coefficients`.
+LAYOUTS = ("zigzag", "image")
 
 
 def check_truncation(r: int) -> None:
@@ -176,49 +182,71 @@ def truncate_zigzag(values: np.ndarray, r: int) -> np.ndarray:
 
 
 def zigzag_coefficients(source: GrayscaleImage | BlockGrid,
-                        table: QuantTable | None = None) -> np.ndarray:
-    """Per-block zigzag-ordered DCT coefficients, shape (n_blocks, 64).
+                        table: QuantTable | None = None, layout: str = "zigzag") -> np.ndarray:
+    """Per-block DCT coefficients: the zigzag matrix or the coefficient plane.
 
     ``source`` is an image, zero-padded here to multiples of 8, or the block
     grid :func:`~jqpie.imagio.pad_and_partition` makes of one, which is laid
-    back out as its padded image; rows follow the row-major block order
-    either way. With a table the coefficients are quantized first; without
-    one they are the raw transform values. Pixels are transformed as raw
-    intensities, without JPEG's 128 level shift, which keeps quantum readout
-    scaling simple.
+    back out as its padded image. With a table the coefficients are
+    quantized; without one they are the raw transform values. Pixels are
+    transformed as raw intensities, without JPEG's 128 level shift, which
+    keeps quantum readout scaling simple.
 
     The transform works in the padded (H, W) layout: one product contracts
     the 8 pixel rows (x) of every tile row, a second each run of 8 columns
     (y). Rows go first, as in :func:`dct2_blocks`, so every value is bit for
-    bit the block path's. One transposed copy, dividing by Q when
-    quantizing, makes a frequency-major (64, n_blocks) array; a take of its
-    rows in zigzag order fills the second buffer, where the quotients are
-    rounded half away from zero in place as trunc(x + copysign(0.5, x)),
-    bit for bit :func:`round_half_away`. The result is that buffer
-    transposed: slot-major (F-contiguous), so a slot of every block, the
-    unit the pipeline and the decoder gather, is contiguous memory.
+    bit the block path's. The second product's (H, W) result is the
+    coefficient plane, frequency (u, v) of block (i, j) at (8i+u, 8j+v),
+    quantized in place by :func:`quantize_plane`. ``layout="image"``
+    returns it. The default ``"zigzag"`` reorders it into the (n_blocks, 64)
+    matrix of zigzag rows, blocks in row-major order: one transposed copy
+    makes it frequency-major, a take of its rows in zigzag order fills the
+    plane's buffer, and the result is that buffer transposed, slot-major
+    (F-contiguous).
     """
+    if layout not in LAYOUTS:
+        raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
     if isinstance(source, BlockGrid):
         pixels = assemble_image(source, source.padded_dims, clamp=False).pixels
     else:
         pixels = pad_to_multiple(source).pixels
     nbx, nby = pixels.shape[0] // BLOCK, pixels.shape[1] // BLOCK
     rows = np.matmul(_DCT, pixels.reshape(nbx, BLOCK, -1))
-    coeffs = np.matmul(rows.reshape(-1, BLOCK), _DCT.T)
-    # rows is spent: its buffer takes the frequency-major copy
-    freq = rows.reshape(BLOCK, BLOCK, nbx, nby)
-    tiles = coeffs.reshape(nbx, BLOCK, nby, BLOCK).transpose(1, 3, 0, 2)
-    if table is None:
-        np.copyto(freq, tiles)
-    else:
-        np.divide(tiles, table.values[:, :, None, None], out=freq)
-    freq = freq.reshape(BLOCK * BLOCK, -1)
-    # an unbuffered take (mode="clip"; every index is in range) into coeffs
-    zz = np.take(freq, _ZIGZAG, axis=0, out=coeffs.reshape(freq.shape), mode="clip")
+    plane = np.matmul(rows.reshape(-1, BLOCK), _DCT.T).reshape(pixels.shape)
+    spare = rows.reshape(pixels.shape)   # rows is spent: its buffer is scratch
     if table is not None:
-        zz += np.copysign(0.5, zz, out=freq)
-        np.trunc(zz, out=zz)
+        quantize_plane(plane, table, spare)
+    if layout == "image":
+        return plane
+    freq = spare.reshape(BLOCK, BLOCK, nbx, nby)
+    np.copyto(freq, plane.reshape(nbx, BLOCK, nby, BLOCK).transpose(1, 3, 0, 2))
+    # an unbuffered take (mode="clip"; every index is in range) into the plane
+    zz = np.take(freq.reshape(BLOCK * BLOCK, -1), _ZIGZAG, axis=0,
+                 out=plane.reshape(BLOCK * BLOCK, -1), mode="clip")
     return zz.T
+
+
+def _tiled(weight: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """An 8x8 weight repeated over ``rows`` x ``cols`` pixels (multiples of 8)."""
+    tiled = np.empty((rows, cols))
+    tiled.reshape(rows // BLOCK, BLOCK, cols // BLOCK, BLOCK)[...] = weight[:, None, :]
+    return tiled
+
+
+def quantize_plane(plane: np.ndarray, table: QuantTable,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
+    """Quantize a coefficient plane in place at ``table`` and return it.
+
+    Each 8-row band is divided by Q tiled along it, and the quotients are
+    rounded half away from zero as trunc(x + copysign(0.5, x)), bit for bit
+    :func:`round_half_away`: the same division and rounding as
+    :func:`quantize_zigzag`, element for element. ``scratch``, a spare
+    array of the plane's shape, takes the copysign.
+    """
+    bands = plane.reshape(-1, BLOCK, plane.shape[1])
+    np.divide(bands, _tiled(table.values, BLOCK, plane.shape[1]), out=bands)
+    plane += np.copysign(0.5, plane, out=scratch)
+    return np.trunc(plane, out=plane)
 
 
 def _block_zigzag(grid: BlockGrid, table: QuantTable | None) -> np.ndarray:
@@ -278,43 +306,52 @@ def reference_decode_pixels(img: GrayscaleImage, mode: str, r: int = 6,
     return assemble_image(recon, clamp=False).pixels
 
 
-def classical_reference_decode(zz: np.ndarray, table: QuantTable,
-                               img: GrayscaleImage) -> GrayscaleImage:
-    """The classical JPEG baseline: decode ``img`` from its quantized zigzag matrix.
+def idct_strips(plane: np.ndarray, weight: np.ndarray,
+                dims: tuple[int, int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Decode a coefficient plane 8 block rows at a time: the one decode kernel.
 
-    ``zz`` holds the quantized rows of ``img``'s own block grid
-    (:func:`zigzag_coefficients` of ``img``); they are dequantized,
-    inverse transformed, cropped to the original dimensions and clamped.
-    The same steps as :func:`reference_decode_pixels` in ``jpeg`` mode,
-    which stays a separate oracle that computes its own coefficients and
-    leaves the pixels unclamped.
-
-    The decode works in the image's own layout, 8 block rows
-    (:data:`~jqpie.imagio.STRIP_ROWS` pixel rows) at a time: a strip's
-    dequantized coefficients fill a strip of 8x8 tiles, each tile row is
-    contracted over u (the pixel rows), then each run of 8 values over v
-    into the same strip, which is clamped into the output's rows. So the
-    decode holds the output and strip-sized temporaries besides ``zz``.
-    Block rows below the original height are not decoded.
+    Each strip of 8 block rows (:data:`~jqpie.imagio.STRIP_ROWS` pixel rows)
+    of ``plane`` is multiplied by the 8x8 ``weight`` tiled over it, then
+    every tile row is contracted over u (the pixel rows) and every run of 8
+    values over v, in place. Only the block rows and columns that hold the
+    top-left ``dims`` pixels are decoded. Yields the first pixel row of each
+    strip and its pixels cropped to ``dims``; the pixel array is overwritten
+    by the next strip, and a caller may change it. The kernel holds the
+    tiled weight and two strip-sized buffers.
     """
-    nbx, nby = -(-img.height // BLOCK), -(-img.width // BLOCK)
-    oh, ow = img.original_dims
+    oh, ow = dims
+    height, cols = -(-oh // BLOCK) * BLOCK, -(-ow // BLOCK) * BLOCK
+    rows = min(STRIP_ROWS, height)
+    tiled = _tiled(weight, rows, cols)
+    strip, spare = np.empty((rows, cols)), np.empty((rows, cols))
+    for first in range(0, height, STRIP_ROWS):
+        n = min(STRIP_ROWS, height - first)
+        pixels, half = strip[:n], spare[:n]
+        np.multiply(plane[first:first + n, :cols], tiled[:n], out=pixels)
+        np.matmul(_DCT.T, pixels.reshape(-1, BLOCK, cols), out=half.reshape(-1, BLOCK, cols))
+        np.matmul(half.reshape(-1, BLOCK), _DCT, out=pixels.reshape(-1, BLOCK))
+        yield first, pixels[:min(n, oh - first), :ow]
+
+
+def classical_reference_decode(plane: np.ndarray, table: QuantTable,
+                               img: GrayscaleImage) -> GrayscaleImage:
+    """The classical JPEG baseline: decode ``img`` from its quantized plane.
+
+    ``plane`` is the quantized coefficient plane of ``img``'s own block grid
+    (:func:`zigzag_coefficients` of ``img`` with ``layout="image"``). It
+    goes through :func:`idct_strips` with Q as the weight, which
+    dequantizes and inverse transforms it, and each strip is cropped to the
+    original dimensions and clamped into the output. The same steps as
+    :func:`reference_decode_pixels` in ``jpeg`` mode, which stays a
+    separate oracle that computes its own coefficients and leaves the
+    pixels unclamped. The decode holds the output and strip-sized
+    temporaries besides ``plane``.
+    """
     peak = float(2 ** img.bit_depth - 1)
-    out = np.empty((oh, ow))
-    per_strip = STRIP_ROWS // BLOCK
-    strip = np.empty((min(per_strip, nbx) * BLOCK, nby * BLOCK))
-    for first in range(0, -(-oh // BLOCK), per_strip):
-        k = min(per_strip, nbx - first)
-        pixels = strip[:k * BLOCK]
-        coefficients = zz[first * nby:(first + k) * nby][:, _ZIGZAG_SLOT]
-        np.multiply(coefficients.reshape(k, nby, BLOCK, BLOCK), table.values,
-                    out=pixels.reshape(k, BLOCK, nby, BLOCK).transpose(0, 2, 1, 3))
-        rows = np.matmul(_DCT.T, pixels.reshape(k, BLOCK, -1))
-        np.matmul(rows.reshape(-1, BLOCK), _DCT, out=pixels.reshape(-1, BLOCK))
-        row = first * BLOCK
-        n = min(k * BLOCK, oh - row)
-        np.clip(pixels[:n, :ow], 0.0, peak, out=out[row:row + n])
-    return GrayscaleImage._owning(out, img.bit_depth, (oh, ow))
+    out = np.empty(img.original_dims)
+    for row, pixels in idct_strips(plane, table.values, img.original_dims):
+        np.clip(pixels, 0.0, peak, out=out[row:row + len(pixels)])
+    return GrayscaleImage._owning(out, img.bit_depth, img.original_dims)
 
 
 @dataclass(frozen=True)
@@ -333,16 +370,20 @@ class SparsityStats:
     block_count: int
 
 
-def sparsity_stats(zz: np.ndarray) -> SparsityStats:
+def sparsity_stats(plane: np.ndarray) -> SparsityStats:
     """Count nonzero quantized coefficients and their zigzag occupancy.
 
-    ``zz`` is the (n_blocks, 64) quantized zigzag matrix of an image's own
-    block grid (:func:`zigzag_coefficients` of the image at a table).
+    ``plane`` is the quantized coefficient plane of an image's own block
+    grid (:func:`zigzag_coefficients` of the image at a table, with
+    ``layout="image"``).
     """
-    nonzero = zz != 0
-    d = int(nonzero.sum())
+    nonzero = plane != 0
+    # nonzero blocks per frequency: summed over block rows, then block columns
+    bands = nonzero.reshape(-1, BLOCK * plane.shape[1]).sum(axis=0)
+    counts = bands.reshape(BLOCK, -1, BLOCK).sum(axis=1).reshape(-1)[_ZIGZAG]
+    d = int(counts.sum())
     n = nonzero.size
     if d == 0:
         raise ValueError("all quantized coefficients are zero; compression ratio undefined")
-    hist = nonzero.mean(axis=0)
-    return SparsityStats(d, n / d, hist, n, nonzero.shape[0])
+    n_blocks = n // (BLOCK * BLOCK)
+    return SparsityStats(d, n / d, counts / n_blocks, n, n_blocks)

@@ -91,8 +91,22 @@ def prepare(img, peak: float | None = None, moments: bool = False) -> PreparedIm
 
 
 def _moments(pixels: np.ndarray) -> tuple[float, float]:
-    """The global-SSIM mean and population variance of prepared pixels."""
-    return pixels.mean(), pixels.var()
+    """The global-SSIM mean and population variance of prepared pixels.
+
+    Both are summed in strips of :data:`~jqpie.imagio.STRIP_ROWS` rows,
+    the variance over the deviations from the mean (two passes), so no
+    image-sized temporary is made.
+    """
+    starts = range(0, len(pixels), STRIP_ROWS)
+    mean = sum(float(pixels[row:row + STRIP_ROWS].sum()) for row in starts) / pixels.size
+    scratch = np.empty(min(STRIP_ROWS, len(pixels)) * pixels.shape[1])
+    squares = 0.0
+    for row in starts:
+        strip = pixels[row:row + STRIP_ROWS]
+        deviation = scratch[:strip.size]
+        np.subtract(strip, mean, out=deviation.reshape(strip.shape))
+        squares += float(deviation @ deviation)
+    return mean, squares / pixels.size
 
 
 def _peak(*images) -> float:
@@ -127,6 +141,8 @@ class Scores:
     measured once), their squares and their products with the reference:
     the covariance is (sum a*d - mu * sum d) / N, so no deviation array of
     the reference is made. Windowed SSIM sums the statistic of each window.
+    The differences and deviations go into one strip-sized scratch array,
+    kept for every strip.
     """
 
     def __init__(self, reference: PreparedImage, ssim_mode: str | None):
@@ -142,14 +158,18 @@ class Scores:
         self._deviation = self._deviation_sq = self._cross = 0.0
         self._window_sum = 0.0
         self._windows = 0
+        self._scratch = np.empty(0)
 
     def add(self, row: int, pixels: np.ndarray) -> None:
         """Score the reconstruction's rows from ``row`` on."""
         ref = self.reference.pixels[row:row + len(pixels)]
         if ref.shape != pixels.shape:
             raise ValueError(f"dimension mismatch: {ref.shape} vs {pixels.shape}")
-        scratch = ref - pixels
-        flat = scratch.reshape(-1)
+        if self._scratch.size < pixels.size:
+            self._scratch = np.empty(pixels.size)
+        flat = self._scratch[:pixels.size]
+        scratch = flat.reshape(pixels.shape)
+        np.subtract(ref, pixels, out=scratch)
         self._squared_error += float(flat @ flat)
         if self.ssim_mode == "global":
             np.subtract(pixels, self._moments[0], out=scratch)

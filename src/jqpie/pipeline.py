@@ -3,9 +3,10 @@
 Entry points:
 
   * :func:`encode_image` - the classical front end of one image (pad to
-    powers of two, block, 2D DCT, quantize at S or not, zigzag) as a
-    reusable :class:`ImageEncoding`; a sweep encodes each image once per
-    method and hands the encoding to every r;
+    powers of two, 2D DCT of every block, quantize at S or not) as a
+    reusable :class:`ImageEncoding`, whose coefficient plane keeps the
+    image's layout; a sweep encodes each image once per method and hands
+    the encoding to every r;
   * :func:`run_qpie_direct` - plain amplitude encoding of the padded image;
   * :func:`run_jqpie` - quantized truncated coefficients loaded on the active
     qubits in the load order of :func:`~jqpie.synth.load_order`, then the
@@ -17,15 +18,14 @@ Entry points:
   * :class:`HybridRun` - one hybrid run of an encoding whose reconstruction
     is walked in strips of 8 block rows (64 pixel rows), the strips a sweep
     scores (:class:`~jqpie.metrics.Scores`) without making an image-sized
-    array; the runs above assemble their state and reconstruction from the
-    same strips, and :func:`readout_image` reads a state out through them;
+    array; :func:`readout_image` reads a state out in the same strips;
   * :func:`hybrid_circuit` - the full gate-level circuit of either hybrid
     method (state-preparation cascade plus decompression, all RY/CX), built
     without simulating it, for export.
 
 The two hybrid methods run through one body. They share the classical front
-end (:func:`encode_image`, then gather and normalize per run), the state
-load, the decompression and the readout; passing a quantization scale is the
+end (:func:`encode_image`, then normalize per run), the state load, the
+decompression and the readout; passing a quantization scale is the
 only difference, and it adds the quantization step, the ancilla with the
 block-encoded rescaler, and the post-selection. Either run takes the image
 or its encoding; given the image, it encodes it first.
@@ -35,16 +35,20 @@ Backends:
   * ``operator`` - the decompression touches only the 6 data qubits and the
     ancilla, and only the 2^r low slots of a block are loaded, so its
     ancilla-0 branch is one real 64 x 2^r matrix M(r, S), read off the
-    decompression circuit once and cached. A run takes the normalized
-    (n_blocks, 2^r) coefficients as the amplitudes on the h + w image
-    qubits, exactly what the state-preparation cascade would load, without
-    building it, and decompresses them 8 block rows at a time: each strip's
-    kept coefficients are gathered, divided by the norms known up front
-    and multiplied by M, ``strip @ M.T``, then read out into the strip's
-    pixel rows. The success probability is the squared norm of all the
-    strips' products, checked after the last one, and the ancilla-1 branch
-    is never built. Block rows below the original height hold only zero
-    padding and are skipped.
+    decompression circuit once and cached. M must be kron(D^T, D^T)[:, f]
+    d_f, the inverse 2D DCT of each loaded frequency f scaled by the
+    rescaler's d_f, within 1e-12, or the run is refused. A run's loaded
+    amplitudes are the normalized (n_blocks, 2^r) coefficients, exactly
+    what the state-preparation cascade would load, so none is built; their
+    readout, lambda M times the coefficients, is the plane weighted by
+    lambda d_f on the loaded frequencies (zero elsewhere) and inverse
+    transformed, 8 block rows at a time, by the JPEG baseline's kernel
+    :func:`~jqpie.jpegcore.idct_strips`. Since the inverse DCT is
+    orthonormal, the success probability is the sum of d_f^2 times the
+    loaded amplitudes' energies per frequency, and the ancilla-1 branch is
+    never built. The state is the decoded padded strips divided by the
+    readout factor. Block rows below the original height hold only zero
+    padding; a sweep cell skips them.
   * ``gate_exact`` - the reference and the only backend that builds and
     runs the state-preparation cascade: every gate of the cascade and the
     decompression circuit, once and in order. The cascade never touches
@@ -86,7 +90,7 @@ from functools import lru_cache
 import numpy as np
 
 from .imagio import BLOCK, STRIP_ROWS, GrayscaleImage, pad_to_pow2
-from .jpegcore import _ZIGZAG_SLOT, QuantTable, quantize_zigzag, zigzag_coefficients
+from .jpegcore import _DCT, QuantTable, idct_strips, quantize_plane, zigzag_coefficients
 from .qcircuit import Circuit, ResourceReport, compose
 from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
                    postselect_ancilla, zero_state)
@@ -177,61 +181,59 @@ def _normalize_rows(zz: np.ndarray, mode: str) -> tuple[np.ndarray, float, np.nd
 class ImageEncoding:
     """The classical front end of one image, shared by every run on it.
 
-    ``coefficients`` is the read-only (n_blocks, 64) zigzag matrix of the
-    image zero-padded to 2^h x 2^w pixels, blocks in row-major order:
-    quantized at ``scale`` for JQPIE, unquantized (``scale`` None) for
-    QF-JQPIE. It depends on neither r nor the normalization mode, so a run
-    at any of them only gathers its kept coefficients and normalizes them.
-    It is slot-major (F-contiguous), as :func:`~jqpie.jpegcore.zigzag_coefficients`
-    makes it: the column gathers of a run and of the JPEG baseline read
-    contiguous slots, and the norms of the gathered matrix sum in the same
-    order on every run.
+    ``plane`` is the read-only coefficient plane of the image zero-padded to
+    2^h x 2^w pixels: frequency (u, v) of block (i, j) at pixel
+    (8i+u, 8j+v), quantized at ``scale`` for JQPIE, unquantized (``scale``
+    None) for QF-JQPIE. It depends on neither r nor the normalization mode:
+    the operator backend decodes it with weights that zero the frequencies
+    a run does not load, and :func:`_amplitudes` gathers a run's load-ordered
+    rows from it for the cascade.
     """
 
     image: GrayscaleImage
     scale: float | None
     h: int
     w: int
-    coefficients: np.ndarray
+    plane: np.ndarray
 
     def __post_init__(self):
-        self.coefficients.flags.writeable = False
+        self.plane.flags.writeable = False
 
     @property
     def table(self) -> QuantTable | None:
         return None if self.scale is None else QuantTable(self.scale)
 
     def jpeg_coefficients(self, scale: float) -> np.ndarray:
-        """Quantized zigzag rows of the image's own block grid.
+        """The quantized coefficient plane of the image's own block grid.
 
-        The rows of the blocks of the image padded to multiples of 8 only,
-        as :func:`~jqpie.jpegcore.zigzag_coefficients` pads it, quantized at
-        ``scale``: unquantized coefficients are quantized here, quantized
-        ones must already be at ``scale``. This is the input of the classical JPEG
-        baseline and of the sparsity statistics.
+        The part of the plane that covers the image padded to multiples of
+        8 only, as :func:`~jqpie.jpegcore.zigzag_coefficients` pads it,
+        quantized at ``scale``: an unquantized plane is quantized into a
+        copy here, a quantized one must already be at ``scale``. This is the
+        input of the classical JPEG baseline and of the sparsity statistics.
         """
-        nbx, nby = -(-self.image.height // BLOCK), -(-self.image.width // BLOCK)
-        grid = self.coefficients.reshape(2 ** self.h // BLOCK, 2 ** self.w // BLOCK, -1)
-        rows = grid[:nbx, :nby].reshape(nbx * nby, -1)
+        rows, cols = (-(-n // BLOCK) * BLOCK for n in (self.image.height, self.image.width))
+        plane = self.plane[:rows, :cols]
         if self.scale is None:
-            return quantize_zigzag(rows, QuantTable(scale))
+            return quantize_plane(plane.copy(), QuantTable(scale))
         _check_scale(self, scale)
-        return rows
+        return plane
 
 
 def encode_image(img: GrayscaleImage, scale: float | None) -> ImageEncoding:
-    """The classical front end: pad to powers of two, block, 2D DCT, zigzag.
+    """The classical front end: pad to powers of two, 2D DCT of every block.
 
     Quantizes at ``scale`` (JQPIE); ``scale=None`` keeps the raw transform
-    values (QF-JQPIE). The result feeds :func:`run_jqpie` or
+    values (QF-JQPIE). The coefficients stay in the image layout
+    (``layout="image"``). The result feeds :func:`run_jqpie` or
     :func:`run_qf_jqpie` at every r and normalization mode.
     """
     padded = pad_to_pow2(img)
     h = log2_exact(padded.height, "padded height")
     w = log2_exact(padded.width, "padded width")
     table = None if scale is None else QuantTable(scale)
-    coefficients = zigzag_coefficients(padded, table=table)
-    return ImageEncoding(img, scale, h, w, coefficients)
+    plane = zigzag_coefficients(padded, table=table, layout="image")
+    return ImageEncoding(img, scale, h, w, plane)
 
 
 def _check_scale(encoding: ImageEncoding, scale: float | None) -> None:
@@ -262,48 +264,67 @@ def _amplitudes(encoding: ImageEncoding, r: int,
     """Gather an encoding's first 2^r zigzag coefficients in load order and normalize.
 
     Column s of the returned (n_blocks, 2^r) amplitude matrix holds the
-    coefficient of frequency ``load_order(r)[s]``; the record undoes the
-    scaling. This is the cascade's input (``gate_exact``, export); the
-    operator backend gathers and normalizes the same rows strip by strip
-    (:func:`_load_norms`).
+    coefficient of frequency ``load_order(r)[s]`` of each block, gathered
+    from the plane; the record undoes the scaling. This is the cascade's
+    input (``gate_exact``, export).
     """
-    zz = encoding.coefficients[:, _ZIGZAG_SLOT[load_order(r)]]
+    f = load_order(r)
+    plane = encoding.plane
+    blocks = plane.reshape(plane.shape[0] // BLOCK, BLOCK, -1, BLOCK)
+    zz = blocks[:, f // BLOCK, :, f % BLOCK].reshape(len(f), -1).T
     amp_matrix, global_norm, per_block = _normalize_rows(zz, norm_mode)
     return amp_matrix, _record(encoding, global_norm, norm_mode, per_block)
 
 
+@lru_cache(maxsize=None)
+def _kept(r: int) -> np.ndarray:
+    """1 at the frequencies (u, v) a run at r loads, 0 elsewhere (8 x 8)."""
+    kept = np.zeros(BLOCK * BLOCK)
+    kept[load_order(r)] = 1.0
+    kept.flags.writeable = False
+    return kept.reshape(BLOCK, BLOCK)
+
+
 def _load_norms(encoding: ImageEncoding, r: int,
                 mode: str) -> tuple[NormalizationRecord, np.ndarray]:
-    """The normalization of :func:`_amplitudes`, read off the encoding
-    before any kept coefficient is gathered.
+    """The normalization of :func:`_amplitudes`, read off the plane
+    without gathering a coefficient.
 
-    Returns the record and the divisor that turns a block's gathered
-    coefficients into its loaded amplitudes, as an (n_blocks, 1) column: the
-    global norm for every block, or a block's norm times sqrt(n_active),
-    infinite for a block whose kept coefficients vanish (its amplitudes are
-    zeros). The block norms are those of :func:`_amplitudes`, taken over
-    chunks of 8 block rows. The global norm sums the slots' energies in one
-    pass over the matrix, so it may differ from the gathered matrix's norm
-    in the last bit.
+    Returns the record and the energies of the loaded amplitudes per
+    frequency, an 8 x 8 array that is zero off the kept frequencies: the
+    sum over blocks of each amplitude squared. Under ``global`` they are the
+    plane's energies per frequency over the squared norm; under
+    ``per_block`` each block's squares over its squared norm, summed and
+    divided by n_active. They sum to 1. The norms sum in another order than
+    :func:`_amplitudes`, so they may differ from its in the last bits.
     """
     if mode not in NORM_MODES:
         raise ValueError(f"norm_mode must be one of {NORM_MODES}")
-    coefficients, slots = encoding.coefficients, _ZIGZAG_SLOT[load_order(r)]
-    n_blocks = len(coefficients)
+    plane, kept = encoding.plane, _kept(r)
     per_block = None
     if mode == "global":
-        norm = math.sqrt(np.einsum("ij,ij->j", coefficients, coefficients)[slots].sum())
-        divisor = np.full((n_blocks, 1), norm)
+        bands = plane.reshape(-1, BLOCK * plane.shape[1])
+        energies = np.einsum("ij,ij->j", bands, bands).reshape(BLOCK, -1, BLOCK).sum(axis=1)
+        energies *= kept
+        total = float(energies.sum())   # the squared norm
     else:
-        chunk = STRIP_ROWS * 2 ** encoding.w // (BLOCK * BLOCK)
-        per_block = np.concatenate([np.linalg.norm(coefficients[first:first + chunk, slots],
-                                                   axis=1)
-                                    for first in range(0, n_blocks, chunk)])
-        norm = math.sqrt(np.count_nonzero(per_block))
-        divisor = np.where(per_block > 0.0, per_block * norm, np.inf)[:, None]
-    if norm == 0.0:
+        nby = plane.shape[1] // BLOCK
+        chunks, energies = [], np.zeros((BLOCK, BLOCK))
+        for first in range(0, plane.shape[0], STRIP_ROWS):
+            strip = plane[first:first + STRIP_ROWS]
+            squares = (strip * strip).reshape(-1, BLOCK, nby, BLOCK)
+            block_energy = np.einsum("iujv,uv->ij", squares, kept)
+            inverse = np.divide(1.0, block_energy, out=np.zeros_like(block_energy),
+                                where=block_energy > 0.0)
+            energies += np.einsum("iujv,ij->uv", squares, inverse)
+            chunks.append(block_energy.reshape(-1))
+        per_block = np.sqrt(np.concatenate(chunks))
+        energies *= kept
+        total = np.count_nonzero(per_block)   # n_active
+    if total == 0:
         raise ValueError("truncated coefficient vector is identically zero")
-    return _record(encoding, norm, mode, per_block), divisor
+    energies /= total
+    return _record(encoding, math.sqrt(total), mode, per_block), energies
 
 
 def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
@@ -367,19 +388,38 @@ def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
     return matrix
 
 
-def _fused_decompression(loaded: np.ndarray, r: int, scale: float | None) -> np.ndarray:
-    """Decompress some blocks with one product: their ancilla-0 branch.
+#: kron(D^T, D^T): column 8u+v is the inverse 2D DCT of frequency (u, v) as a
+#: block of the data register, pixel (x, y) at 8x+y.
+_INVERSE_DCT = np.kron(_DCT.T, _DCT.T)
+_INVERSE_DCT.flags.writeable = False
 
-    ``loaded`` holds the blocks' rows of the (n_blocks, 2^r) unit-norm
-    amplitudes, unchanged: their gathered coefficients over the divisor of
-    :func:`_load_norms`. The branch is not renormalized and the ancilla-1
-    branch is never built.
+
+@lru_cache(maxsize=64)
+def _decompression_weights(r: int, scale: float | None) -> np.ndarray:
+    """The decompression's diagonal d_f as an 8 x 8 weight, zero off the kept
+    frequencies, read off :func:`_decompression_operator`.
+
+    The ancilla-0 branch of the inverse zigzag, the rescaler and the inverse
+    2D DCT is the inverse DCT of each loaded frequency f scaled by d_f
+    (Q_f / lambda for JQPIE, 1 for QF-JQPIE), so M = kron(D^T, D^T)[:, f] d_f.
+    Each d_f is column f of the operator projected onto its inverse DCT;
+    an operator that is not that product within 1e-12 is refused.
     """
-    return loaded @ _decompression_operator(r, scale).T
+    operator, f = _decompression_operator(r, scale), load_order(r)
+    columns = _INVERSE_DCT[:, f]
+    d = np.einsum("ks,ks->s", columns, operator)
+    if not np.max(np.abs(operator - columns * d)) <= 1e-12:   # NaN fails too
+        raise ArithmeticError("decompression operator is not the inverse DCT of its "
+                              "loaded frequencies times d_f within 1e-12")
+    weights = np.zeros(BLOCK * BLOCK)
+    weights[f] = d
+    weights = weights.reshape(BLOCK, BLOCK)
+    weights.flags.writeable = False
+    return weights
 
 
 def _branch_probability(squared_norm: float, n_image_qubits: int, scale: float | None) -> float:
-    """The success probability of a fused decompression, from the squared
+    """The success probability of the operator backend, from the squared
     norm of its whole ancilla-0 branch; 1 for QF-JQPIE, which has no ancilla."""
     if not math.isfinite(squared_norm):
         raise ArithmeticError(f"decompressed branch has squared norm {squared_norm}")
@@ -405,35 +445,38 @@ class HybridRun:
     :meth:`strips` walks the block rows that hold original pixels, 8 at a
     time (:data:`~jqpie.imagio.STRIP_ROWS` pixel rows); the block rows below
     the original height hold only zero padding and are skipped. For each
-    strip it yields the first pixel row, the strip's blocks (a slice of the
-    row-major block index), their decompressed amplitudes and the strip's
-    pixels, cropped to the original width and not clamped. The pixel array
-    is overwritten by the next strip; a caller may change it.
+    strip it yields the first pixel row and the strip's pixels, cropped to
+    the original width and not clamped. The pixel array is overwritten by
+    the next strip; a caller may change it.
 
-    Under ``operator`` the run is made strip by strip: each strip's kept
-    coefficients are gathered in load order, divided by the norms known up
-    front (:func:`_load_norms`) and decompressed with one product. Its
-    amplitudes are the ancilla-0 branch before the renormalization, and its
-    readout multiplies them by the norms and lambda alone: post-selection's
-    1/sqrt(p) and the readout's sqrt(p) cancel. ``success_probability`` is
-    the branch's squared norm summed over the strips, set and checked once
-    the last strip is done. Under ``gate_exact`` the circuit runs gate by
-    gate when the run is made: the cascade on the h + w image qubits, then,
-    with the ancilla joined in |0> above them for JQPIE, the decompression
-    on h + w + 1. The strips read the post-selected ``state`` as
-    :func:`readout_image` does.
+    Under ``operator`` the plane itself is decoded:
+    :func:`~jqpie.jpegcore.idct_strips` weights it by lambda d_f on the
+    loaded frequencies and zero elsewhere (``weight``,
+    :func:`_decompression_weights`) and inverse transforms it, which is the
+    readout of the ancilla-0 branch: the loading norms, post-selection's
+    1/sqrt(p) and the readout's sqrt(p) all cancel. Because the inverse DCT
+    is orthonormal, ``success_probability`` is the sum of d_f^2 times the
+    loaded amplitudes' energies per frequency (:func:`_load_norms`), known
+    and checked before any strip is decoded. Under ``gate_exact`` the
+    circuit runs gate by gate when the run is made: the cascade on the
+    h + w image qubits, then, with the ancilla joined in |0> above them for
+    JQPIE, the decompression on h + w + 1. The strips read the
+    post-selected ``state`` as :func:`readout_image` does.
     """
 
     def __init__(self, encoding: ImageEncoding, r: int, backend: str, norm_mode: str):
         _check_backend(backend)
         self.encoding, self.r = encoding, r
         self.state: StateVector | None = None
-        self.success_probability: float | None = None
+        h, w, scale = encoding.h, encoding.w, encoding.scale
         if backend == "operator":
-            self.record, self._divisor = _load_norms(encoding, r, norm_mode)
+            self.record, energies = _load_norms(encoding, r, norm_mode)
+            d = _decompression_weights(r, scale)
+            self.weight = d if scale is None else d * self.record.lam
+            self.success_probability = _branch_probability(float(np.sum(d * d * energies)),
+                                                           h + w, scale)
             return
         amp_matrix, self.record = _amplitudes(encoding, r, norm_mode)
-        h, w, scale = encoding.h, encoding.w, encoding.scale
         prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=False)
         sv = apply_circuit(zero_state(h + w), prep)
         if scale is not None:   # the ancilla joins in |0>: a zero ancilla-1 half
@@ -446,31 +489,12 @@ class HybridRun:
             sv, probability = post.state, post.probability
         self.state, self.success_probability = sv, probability
 
-    def strips(self) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
-        """(first pixel row, blocks, amplitudes, pixels) of each strip, in order."""
+    def strips(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(first pixel row, pixels) of each strip, in order."""
+        dims = self.encoding.image.original_dims
         if self.state is not None:
-            return _state_strips(self.state, self.record, self.encoding.image.original_dims,
-                                 self.success_probability)
-        return self._operator_strips()
-
-    def _operator_strips(self):
-        encoding, r, scale = self.encoding, self.r, self.encoding.scale
-        slots, divisor = _ZIGZAG_SLOT[load_order(r)], self._divisor
-        squared_norm = 0.0
-
-        def decompressed(blocks: slice) -> np.ndarray:
-            nonlocal squared_norm
-            loaded = encoding.coefficients[blocks, slots]
-            loaded /= divisor[blocks]
-            out = _fused_decompression(loaded, r, scale)
-            flat = out.reshape(-1)
-            squared_norm += float(flat @ flat)
-            return out
-
-        yield from _readout_strips(self.record, encoding.image.original_dims,
-                                   self.record.global_norm, decompressed)
-        self.success_probability = _branch_probability(squared_norm, encoding.h + encoding.w,
-                                                       scale)
+            return _state_strips(self.state, self.record, dims, self.success_probability)
+        return idct_strips(self.encoding.plane, self.weight, dims)
 
     def resources(self) -> ResourceReport:
         """The run's resource model, :func:`~jqpie.synth.closed_form_resources`."""
@@ -478,30 +502,53 @@ class HybridRun:
         return closed_form_resources(self.encoding.h, self.encoding.w, self.r, method=method)
 
 
+def _operator_state(run: HybridRun) -> tuple[StateVector, GrayscaleImage]:
+    """The post-selected state and the reconstruction of an operator run.
+
+    The whole padded plane is decoded; each strip's tiles are the blocks'
+    ancilla-0 branch times the readout factor (lambda, the norms and
+    sqrt(p)), which is divided out per block, and its top-left part is the
+    reconstruction.
+    """
+    encoding, record = run.encoding, run.record
+    (ph, pw), (oh, ow) = record.padded_dims, encoding.image.original_dims
+    branch = np.empty((ph // BLOCK, pw // BLOCK, BLOCK, BLOCK))
+    pixels = np.empty((oh, ow))
+    for row, strip in idct_strips(encoding.plane, run.weight, (ph, pw)):
+        first = row // BLOCK
+        tiles = strip.reshape(-1, BLOCK, pw // BLOCK, BLOCK).transpose(0, 2, 1, 3)
+        branch[first:first + len(tiles)] = tiles
+        pixels[row:row + len(strip)] = strip[:max(0, oh - row), :ow]
+    factor = record.global_norm * math.sqrt(run.success_probability)
+    if record.lam is not None:
+        factor *= record.lam
+    blocks = branch.reshape(-1, DATA_DIM)
+    if record.per_block_norms is None:
+        blocks /= factor
+    else:
+        divisor = record.per_block_norms[:, None] * factor
+        np.divide(blocks, divisor, out=blocks, where=divisor > 0.0)
+    state = StateVector._owning(blocks.reshape(-1), encoding.h + encoding.w)
+    return state, GrayscaleImage._owning(pixels, encoding.image.bit_depth, (oh, ow))
+
+
 def _run_hybrid(source: GrayscaleImage | ImageEncoding, r: int, scale: float | None,
                 backend: str, norm_mode: str) -> PipelineResult:
     """Both hybrid methods; a quantization scale selects JQPIE.
 
-    Under ``operator`` the state and the reconstruction are assembled from
-    the strips of one :class:`HybridRun`: the state is the strips' ancilla-0
-    branch, renormalized once the success probability is known. Under
-    ``gate_exact`` the run's post-selected state is read out by
-    :func:`readout_image`, which reads the same strips.
+    Under ``operator`` the state and the reconstruction come from the
+    decoded padded strips (:func:`_operator_state`). Under ``gate_exact``
+    the run's post-selected state is read out by :func:`readout_image`.
     """
     _check_backend(backend)
     run = HybridRun(_encoding(source, scale), r, backend, norm_mode)
-    image, h, w = run.encoding.image, run.encoding.h, run.encoding.w
-    if run.state is not None:
-        state, probability = run.state, run.success_probability
-        recon = readout_image(state, run.record, image.original_dims, probability)
+    if run.state is None:
+        state, recon = _operator_state(run)
     else:
-        branch = np.zeros((len(run.encoding.coefficients), DATA_DIM))
-        recon = _assemble(run.strips(), image.original_dims, image.bit_depth, branch)
-        probability = run.success_probability
-        if scale is not None:
-            branch /= math.sqrt(probability)
-        state = StateVector._owning(branch.reshape(-1), h + w)
-    return PipelineResult(state, probability, run.record, run.resources(), recon)
+        state = run.state
+        recon = readout_image(state, run.record, run.encoding.image.original_dims,
+                              run.success_probability)
+    return PipelineResult(state, run.success_probability, run.record, run.resources(), recon)
 
 
 def run_jqpie(source: GrayscaleImage | ImageEncoding, r: int, scale: float = 1.0,
@@ -515,8 +562,9 @@ def run_jqpie(source: GrayscaleImage | ImageEncoding, r: int, scale: float = 1.0
     success probability is the simulated branch weight.
 
     The ``operator`` backend takes the normalized coefficients as the loaded
-    amplitudes and evaluates the decompression as one fused 64 x 2^r
-    product per block on the image qubits; ``gate_exact`` builds the
+    amplitudes and evaluates the decompression as the inverse DCT of the
+    coefficient plane weighted by the decompression's diagonal, read off its
+    64 x 2^r per-block operator (:class:`HybridRun`); ``gate_exact`` builds the
     state-preparation cascade and applies the full gate-level circuit gate
     by gate, the reference the operator backend is checked against.
     ``source`` is the image or its :func:`encode_image` at ``scale``, which
@@ -607,57 +655,39 @@ def _tile(padded_dims: tuple[int, int]) -> tuple[int, int]:
     return (BLOCK, BLOCK) if ph >= BLOCK and pw >= BLOCK else (ph, pw)
 
 
-def _readout_strips(record: NormalizationRecord, original_dims: tuple[int, int], factor: float,
-                    amplitudes) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
-    """The readout, 8 block rows at a time: the strips of :meth:`HybridRun.strips`.
+def _state_strips(state: StateVector, record: NormalizationRecord,
+                  original_dims: tuple[int, int],
+                  success_probability: float) -> Iterator[tuple[int, np.ndarray]]:
+    """The readout of a post-selected state, 8 block rows at a time.
 
-    ``amplitudes(blocks)`` gives the (blocks, tile) amplitudes of a slice of
-    the row-major block index. They are multiplied by ``factor``, then by
-    lambda and the block norms when the record has them, straight into the
-    tiles of the strip's pixel rows, and cropped to the original dimensions.
+    Checks the state's size first. Each strip's amplitudes are multiplied by
+    sqrt(p) and the global norm, then by lambda and the block norms when
+    the record has them, straight into the tiles of the strip's pixel rows,
+    and cropped to the original dimensions; block rows below the original
+    height are skipped.
     """
+    ph, pw = record.padded_dims
+    if state.n != log2_exact(ph, "padded height") + log2_exact(pw, "padded width"):
+        raise ValueError("state size does not match the recorded padded dimensions")
     th, tw = _tile(record.padded_dims)
-    nby = record.padded_dims[1] // tw
+    amplitudes = state.amplitudes.reshape(-1, th * tw)
+    factor = math.sqrt(success_probability) * record.global_norm
+    nby = pw // tw
     oh, ow = original_dims
     used = -(-oh // th)   # block rows that hold original pixels
     per_strip = STRIP_ROWS // BLOCK
-    pixels = np.empty((min(per_strip, used) * th, record.padded_dims[1]))
+    pixels = np.empty((min(per_strip, used) * th, pw))
     for first in range(0, used, per_strip):
         k = min(per_strip, used - first)
         blocks = slice(first * nby, (first + k) * nby)
-        amps = amplitudes(blocks)
         tiles = pixels[:k * th].reshape(k, th, nby, tw).transpose(0, 2, 1, 3)
-        np.multiply(amps.reshape(k, nby, th, tw), factor, out=tiles)
+        np.multiply(amplitudes[blocks].reshape(k, nby, th, tw), factor, out=tiles)
         if record.lam is not None:
             tiles *= record.lam
         if record.per_block_norms is not None:
             tiles *= record.per_block_norms[blocks].reshape(k, nby, 1, 1)
         row = first * th
-        yield row, blocks, amps, pixels[:min(k * th, oh - row), :ow]
-
-
-def _state_strips(state: StateVector, record: NormalizationRecord,
-                  original_dims: tuple[int, int], success_probability: float):
-    """The readout strips of a post-selected state; checks its size first."""
-    ph, pw = record.padded_dims
-    if state.n != log2_exact(ph, "padded height") + log2_exact(pw, "padded width"):
-        raise ValueError("state size does not match the recorded padded dimensions")
-    th, tw = _tile(record.padded_dims)
-    factor = math.sqrt(success_probability) * record.global_norm
-    return _readout_strips(record, original_dims, factor,
-                           state.amplitudes.reshape(-1, th * tw).__getitem__)
-
-
-def _assemble(strips, original_dims: tuple[int, int], bit_depth: int,
-              branch: np.ndarray | None = None) -> GrayscaleImage:
-    """One image of every strip's pixels; ``branch``, when given, receives
-    each strip's amplitudes by block."""
-    pixels = np.empty(original_dims)
-    for row, blocks, amps, rows in strips:
-        pixels[row:row + len(rows)] = rows
-        if branch is not None:
-            branch[blocks] = amps
-    return GrayscaleImage._owning(pixels, bit_depth, original_dims)
+        yield row, pixels[:min(k * th, oh - row), :ow]
 
 
 def readout_image(state: StateVector, norm_record: NormalizationRecord,
@@ -672,5 +702,7 @@ def readout_image(state: StateVector, norm_record: NormalizationRecord,
     clamping is left to metric/file-writing time. The pixels are assembled
     from the strips a sweep scores (:meth:`HybridRun.strips`).
     """
-    return _assemble(_state_strips(state, norm_record, original_dims, success_probability),
-                     original_dims, norm_record.bit_depth)
+    pixels = np.empty(original_dims)
+    for row, rows in _state_strips(state, norm_record, original_dims, success_probability):
+        pixels[row:row + len(rows)] = rows
+    return GrayscaleImage._owning(pixels, norm_record.bit_depth, original_dims)

@@ -34,7 +34,7 @@ cascade nor the decompression here over the whole image state:
 :mod:`jqpie.pipeline` takes the normalized coefficients as the loaded
 amplitudes, and simulates the decompression once, on a probe register of
 one block per loaded slot, to read off its 64 x 2^r per-block operator,
-then applies that operator to every block with one matrix product. The
+whose diagonal then weights a classical inverse DCT of every block. The
 ``gate_exact`` pipeline backend runs every gate of the circuit, cascade
 included, through :func:`apply_circuit` and is the reference: the cascade
 on the image qubits, the decompression with the ancilla joined above them.

@@ -265,7 +265,7 @@ def test_emit_report_requires_rows(tmp_path):
 def test_histogram_matches_sparsity_convention(tmp_path, rng):
     img = random_image(rng, 16, 16)
     hist = aggregate_histogram(collect_stats([("i", img)], 1.0))
-    stats = sparsity_stats(zigzag_coefficients(img, QuantTable(1.0)))
+    stats = sparsity_stats(zigzag_coefficients(img, QuantTable(1.0), layout="image"))
     assert np.allclose(hist, stats.histogram)
     assert np.sum(hist) == pytest.approx(stats.nonzero_count / stats.block_count)
 
@@ -569,9 +569,9 @@ def test_sweep_peak_memory_1024(tmp_path, rng):
     float64 arrays at once, 0.5 above its measured peak of 3.3. Encoding
     holds 3.0: the image and the transform's two buffers. The JPEG
     baseline decode holds about 3.3: the loaded image (also the prepared
-    reference), the coefficient matrix, the decoded baseline and a few
+    reference), the coefficient plane, the decoded baseline and a few
     strips of 8 block rows. A cell holds about 2.3: the image, the
-    coefficient matrix and one strip of 8 block rows at a time (2.1 MiB at
+    coefficient plane and one strip of 8 block rows at a time (2.1 MiB at
     r = 6), and no earlier cell's result is alive."""
     import tracemalloc
     path = tmp_path / "big.pgm"

@@ -300,7 +300,7 @@ def test_made_images_and_grids_are_read_only(tmp_path, rng, shape):
         "assemble_image": assemble_image(grid).pixels,
         "assemble_image (unclamped)": assemble_image(grid, clamp=False).pixels,
         "classical_reference_decode": classical_reference_decode(
-            zigzag_coefficients(grid, table), table, img).pixels,
+            zigzag_coefficients(grid, table, layout="image"), table, img).pixels,
         "readout_image": run_jqpie(img, 6).reconstructed.pixels,
     }
     for name, array in made.items():

@@ -198,6 +198,28 @@ def test_zigzag_matches_published_table_and_is_bijective():
     assert sorted(pi.tolist()) == list(range(64))
 
 
+@pytest.mark.parametrize("size", [(1, 64), (8, 8), (37, 61), (57, 33)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_image_layout_is_the_zigzag_matrix_bit_for_bit(rng, size):
+    """Frequency (u, v) of block (i, j) sits at pixel (8i+u, 8j+v) of the
+    plane, with the zigzag matrix's bits (signed zeros included), for an
+    image and its block grid, quantized and raw."""
+    img = GrayscaleImage(rng.uniform(-300.0, 600.0, size))
+    for source in (img, pad_and_partition(img)):
+        for table in (None, QuantTable(0.25), QuantTable(1.0), QuantTable(50.0)):
+            zz = zigzag_coefficients(source, table)
+            plane = zigzag_coefficients(source, table, layout="image")
+            assert plane.shape == (-(-size[0] // 8) * 8, -(-size[1] // 8) * 8)
+            nbx, nby = plane.shape[0] // 8, plane.shape[1] // 8
+            blocks = plane.reshape(nbx, 8, nby, 8).transpose(0, 2, 1, 3).reshape(-1, 64)
+            assert blocks[:, zigzag_permutation()].tobytes() == np.ascontiguousarray(zz).tobytes()
+
+
+def test_zigzag_coefficients_rejects_an_unknown_layout():
+    with pytest.raises(ValueError, match="layout must be one of"):
+        zigzag_coefficients(GrayscaleImage(np.ones((8, 8))), layout="blocks")
+
+
 def test_zigzag_inverse_is_identity(rng):
     grid = pad_and_partition(GrayscaleImage(rng.uniform(-10, 10, (16, 8))))
     assert np.array_equal(blocks_from_zigzag(zigzag_coefficients(grid)),
@@ -259,7 +281,7 @@ def test_decode_unknown_mode():
 def test_decode_clamps_by_default(rng):
     img = GrayscaleImage(255.0 * rng.integers(0, 2, (16, 16)))   # ringing overshoots [0, L]
     table = QuantTable(8.0)
-    out = classical_reference_decode(zigzag_coefficients(img, table), table, img)
+    out = classical_reference_decode(zigzag_coefficients(img, table, layout="image"), table, img)
     raw = reference_decode_pixels(img, "jpeg", scale=8.0)
     assert raw.min() < 0.0 and raw.max() > 255.0
     assert np.array_equal(out.pixels, np.clip(raw, 0.0, 255.0))
@@ -273,10 +295,10 @@ def test_decode_holds_strip_sized_temporaries(rng):
     import tracemalloc
     img = random_image(rng, 1024, 1024)
     table = QuantTable(1.0)
-    zz = zigzag_coefficients(img, table)
+    plane = zigzag_coefficients(img, table, layout="image")
     tracemalloc.start()
     try:
-        out = classical_reference_decode(zz, table, img)
+        out = classical_reference_decode(plane, table, img)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -291,7 +313,7 @@ def test_decode_converges_as_scale_vanishes(rng):
 
 
 def _stats(img, scale=1.0):
-    return sparsity_stats(zigzag_coefficients(img, QuantTable(scale)))
+    return sparsity_stats(zigzag_coefficients(img, QuantTable(scale), layout="image"))
 
 
 def test_sparsity_dc_only_image_reaches_cr_64():

@@ -172,6 +172,49 @@ def test_prepare_shares_an_in_range_image_and_copies_the_rest(rng):
     assert from_array.pixels[0, 0] == img.pixels[0, 0] + 1.0
 
 
+def test_prepare_takes_the_moments_in_strips(rng):
+    """The global-SSIM mean and population variance are summed in strips of
+    64 rows: they match the whole-array ``mean`` and ``var`` to 1e-12, and
+    on a 1024x1024 image the peak stays under a tenth of one image-sized
+    float64 array (``var`` made a whole one)."""
+    import tracemalloc
+    for size in ((1, 37), (57, 33), (200, 130)):
+        img = random_image(rng, *size)
+        mean, var = prepare(img, moments=True).moments
+        assert abs(mean - img.pixels.mean()) <= 1e-12 * img.pixels.mean()
+        assert abs(var - img.pixels.var()) <= 1e-12 * img.pixels.var()
+    img = random_image(rng, 1024, 1024)
+    tracemalloc.start()
+    try:
+        prepare(img, moments=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * img.pixels.nbytes, peak / img.pixels.nbytes
+
+
+@pytest.mark.parametrize("mode", [None, "global"])
+def test_scores_reuse_one_scratch_array(rng, mode):
+    """After its first strip a :class:`Scores` adds another without making
+    a strip-sized array, and its scores are those of the whole images to
+    the bit."""
+    import tracemalloc
+    reference = prepare(random_image(rng, 128, 1024), moments=True)
+    recon = np.clip(reference.pixels + rng.normal(0.0, 20.0, (128, 1024)), 0.0, 255.0)
+    scores = metrics.Scores(reference, mode)
+    scores.add(0, recon[:64])
+    tracemalloc.start()
+    try:
+        scores.add(64, recon[64:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * recon[64:].nbytes, peak / recon[64:].nbytes
+    assert _bits(scores.psnr()) == _bits(psnr(reference, recon))
+    if mode is not None:
+        assert _bits(scores.ssim()) == _bits(ssim(reference, recon, mode=mode))
+
+
 def test_prepared_image_keeps_its_peak(rng):
     four_bit = random_image(rng, 8, 8, bit_depth=4)
     assert prepare(four_bit).peak == 15.0

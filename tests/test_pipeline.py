@@ -1,5 +1,6 @@
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from jqpie import pipeline
 from jqpie.bench import SweepConfig, main, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
-from jqpie.jpegcore import (_ZIGZAG_SLOT, TRUNCATION_LEVELS, QuantTable, _block_zigzag,
-                            blocks_from_zigzag, classical_reference_decode, dct2_block,
-                            dct_matrix, idct2_block, reference_decode_pixels, sparsity_stats,
-                            truncate_zigzag, zigzag_coefficients)
+from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, _block_zigzag, blocks_from_zigzag,
+                            classical_reference_decode, dct2_block, dct_matrix, idct2_block,
+                            reference_decode_pixels, sparsity_stats, truncate_zigzag,
+                            zigzag_coefficients, zigzag_permutation)
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
 from jqpie.qcircuit import Circuit, export_qasm, resource_counts
@@ -244,7 +245,7 @@ def test_zigzag_stage_moves_amplitudes_exhaustively(rng):
         amps[:, :2 ** r] = amp_matrix
         circ = Circuit(8, synth_truncated_zigzag(r).gates)
         out = apply_circuit(from_amplitudes(amps.reshape(-1)), circ)
-        zz = truncate_zigzag(encoding.coefficients, r)
+        zz = truncate_zigzag(_zigzag(encoding.plane), r)
         expected = blocks_from_zigzag(zz).reshape(4, 64) / record.global_norm
         assert np.max(np.abs(out.amplitudes.reshape(4, 64) - expected)) <= 1e-12
 
@@ -329,18 +330,18 @@ def test_runs_reject_an_unknown_backend(rng, monkeypatch):
 
 
 def test_large_image_operator_backend(rng):
-    # the fused per-block product keeps large cases fast
+    # the operator backend decodes the plane in strips, which keeps large cases fast
     img = random_image(rng, 128, 128)
     result = run_qf_jqpie(img, r=4)
     oracle = reference_decode_pixels(img, "qf_oracle", r=4)
     assert np.max(np.abs(result.reconstructed.pixels - oracle)) <= 1e-6
 
 
-# --- fused per-block decompression (operator backend) -------------------------------
+# --- operator-backend decompression ----------------------------------------------------
 
 def _gate_by_gate_reference(img, r, scale, norm_mode):
     """The decompression circuit applied gate by gate to the full register,
-    ancilla included, then post-selected: what the fused product replaces."""
+    ancilla included, then post-selected: what the operator backend replaces."""
     encoding = pipeline.encode_image(img, scale)
     amp_matrix, _ = pipeline._amplitudes(encoding, r, norm_mode)
     h, w = encoding.h, encoding.w
@@ -370,9 +371,16 @@ def test_fused_decompression_matches_gate_by_gate(rng, size):
                 assert abs(result.success_probability - probability) <= 1e-12
 
 
+def _substitute_operator(monkeypatch, operator):
+    """Runs read ``operator(r, scale)`` as the decompression operator, through
+    weights cached apart from the real ones."""
+    monkeypatch.setattr(pipeline, "_decompression_operator", operator)
+    monkeypatch.setattr(pipeline, "_decompression_weights",
+                        lru_cache(maxsize=None)(pipeline._decompression_weights.__wrapped__))
+
+
 def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
-    monkeypatch.setattr(pipeline, "_decompression_operator",
-                        lambda r, scale: np.zeros((64, 2 ** r)))
+    _substitute_operator(monkeypatch, lambda r, scale: np.zeros((64, 2 ** r)))
     img = random_image(rng, 16, 16)
     with pytest.raises(ValueError, match="zero-probability branch: qubit 8 never reads 0"):
         run_jqpie(img, r=4)
@@ -380,6 +388,53 @@ def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
     rows = run_sweep(SweepConfig(inputs=(str(tmp_path / "img.pgm"),), methods=("jqpie",),
                                  r_set=(4,)))
     assert "zero-probability branch" in rows[0]["error"]
+
+
+def test_operator_that_is_not_the_scaled_inverse_dct_is_refused(tmp_path, rng, monkeypatch):
+    # the weights are read off the operator only when it is kron(D^T, D^T)
+    # times d_f on the loaded frequencies within 1e-12; 1e-9 off is refused
+    operator = pipeline._decompression_operator
+
+    def perturbed(r, scale):
+        matrix = operator(r, scale).copy()
+        matrix[5, 1] += 1e-9
+        return matrix
+
+    _substitute_operator(monkeypatch, perturbed)
+    img = random_image(rng, 16, 16)
+    for run in (lambda: run_jqpie(img, r=4), lambda: run_qf_jqpie(img, r=6)):
+        with pytest.raises(ArithmeticError, match="not the inverse DCT of its loaded "
+                                                  "frequencies times d_f within 1e-12"):
+            run()
+    write_pgm(img, tmp_path / "img.pgm")
+    rows = run_sweep(SweepConfig(inputs=(str(tmp_path / "img.pgm"),), r_set=(4,)))
+    assert all("not the inverse DCT" in row["error"] for row in rows) and len(rows) == 2
+
+
+@pytest.mark.parametrize("size", [(1, 64), (8, 8), (37, 61), (57, 33)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_operator_reconstructions_match_the_oracles(rng, size):
+    """The decoded plane, whole (the run's reconstruction) and in the strips
+    a sweep scores, is the classical oracle's reconstruction to 1e-9 L."""
+    img = random_image(rng, *size)
+    peak = img.max_value
+    for norm_mode in NORM_MODES:
+        for r in TRUNCATION_LEVELS:
+            for scale in (None, 0.25, 1.0, 8.0):
+                if scale is None:
+                    result = run_qf_jqpie(img, r, norm_mode=norm_mode)
+                    oracle = reference_decode_pixels(img, "qf_oracle", r=r)
+                else:
+                    result = run_jqpie(img, r, scale=scale, norm_mode=norm_mode)
+                    oracle = reference_decode_pixels(img, "jqpie_oracle", r=r, scale=scale)
+                run = pipeline.HybridRun(pipeline.encode_image(img, scale), r, "operator",
+                                         norm_mode)
+                strips = np.full(size, np.nan)
+                for row, pixels in run.strips():
+                    strips[row:row + len(pixels)] = pixels
+                assert run.success_probability == result.success_probability
+                for got in (result.reconstructed.pixels, strips):
+                    assert np.max(np.abs(got - oracle)) <= 1e-9 * peak, (norm_mode, r, scale)
 
 
 @pytest.mark.parametrize("scale", [None, 1.0], ids=["qf_jqpie", "jqpie"])
@@ -440,16 +495,16 @@ def test_state_prep_cascade_loads_the_vector(vec):
 
 
 def test_operator_load_builds_no_circuit(rng, monkeypatch):
-    # the operator backend hands the normalized coefficients, unrounded, to
-    # the fused decompression; only gate_exact builds and runs the cascade.
-    # Each image here is one strip of 8 block rows, so one product. The
-    # block norms are the cascade's to the bit; the global norm sums the
-    # slots' energies, in another order than the gathered matrix's norm, so
-    # it may differ from the cascade's in the last bits.
+    # the operator backend decodes the encoding's plane itself: one call of
+    # the decode kernel per run, over the whole padded plane, weighted by
+    # lambda d_f = Q_f (1 for QF-JQPIE) on the loaded frequencies and zero
+    # elsewhere; only gate_exact builds and runs the cascade. Its norms are
+    # the cascade's; they sum in another order than the gathered matrix's
+    # norms, so they may differ from them in the last bits.
     images = (random_image(rng, 16, 16), random_image(rng, 57, 33))
     for r in (2, 6):
         for scale in (None, 1.0):
-            pipeline._decompression_operator(r, scale)   # the cached operator build
+            pipeline._decompression_weights(r, scale)   # the cached operator build
     calls = []
 
     def spy(name):
@@ -460,22 +515,29 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(pipeline, name, wrapped)
 
-    for name in ("synth_state_prep", "apply_circuit", "_fused_decompression"):
+    for name in ("synth_state_prep", "apply_circuit", "idct_strips"):
         spy(name)
+    eps = np.finfo(float).eps
     for img in images:
         for scale, run_method in ((None, run_qf_jqpie), (1.0, run_jqpie)):
             encoding = pipeline.encode_image(img, scale)
+            q = np.ones(64) if scale is None else QuantTable(scale).values.reshape(-1)
             for norm_mode in NORM_MODES:
                 for r in (2, 6):
                     calls.clear()
-                    norm = run_method(img, r, norm_mode=norm_mode).norm_record.global_norm
-                    [(name, (loaded, *_))] = calls
-                    assert name == "_fused_decompression"
-                    expected, record = pipeline._amplitudes(encoding, r, norm_mode)
-                    if norm_mode == "global":
-                        assert abs(norm - record.global_norm) <= 2 * np.finfo(float).eps * norm
-                        expected = encoding.coefficients[:, _ZIGZAG_SLOT[load_order(r)]] / norm
-                    assert np.array_equal(loaded, expected)
+                    record = run_method(encoding, r, norm_mode=norm_mode).norm_record
+                    [(name, (plane, weight, dims))] = calls
+                    assert name == "idct_strips" and plane is encoding.plane
+                    assert dims == (2 ** encoding.h, 2 ** encoding.w)
+                    expected = np.zeros(64)
+                    expected[load_order(r)] = q[load_order(r)]
+                    assert np.max(np.abs(weight.reshape(-1) - expected)) <= 1e-12 * q.max()
+                    _, cascade = pipeline._amplitudes(encoding, r, norm_mode)
+                    assert abs(record.global_norm - cascade.global_norm) <= (
+                        2 * eps * cascade.global_norm)
+                    if norm_mode == "per_block":
+                        norms = cascade.per_block_norms
+                        assert np.all(np.abs(record.per_block_norms - norms) <= 4 * eps * norms)
     calls.clear()
     run_qpie_direct(images[0])
     assert calls == []
@@ -548,13 +610,14 @@ def test_encoding_holds_the_jpeg_grid_exactly(rng, size):
     img = random_image(rng, *size)
     for scale in (1.0, 3.5):
         table = QuantTable(scale)
-        expected = zigzag_coefficients(pad_and_partition(img), table)
+        expected = zigzag_coefficients(pad_and_partition(img), table, layout="image")
         for encoding in (pipeline.encode_image(img, scale), pipeline.encode_image(img, None)):
-            zz = encoding.jpeg_coefficients(scale)
-            assert np.array_equal(zz, expected)
+            plane = encoding.jpeg_coefficients(scale)
+            assert np.array_equal(plane, expected)
         oracle = np.clip(reference_decode_pixels(img, "jpeg", scale=scale), 0.0, img.max_value)
-        assert np.array_equal(classical_reference_decode(zz, table, img).pixels, oracle)
-        from_matrix, from_oracle = sparsity_stats(zz), sparsity_stats(_block_path(img, table))
+        assert np.array_equal(classical_reference_decode(plane, table, img).pixels, oracle)
+        from_matrix = sparsity_stats(plane)
+        from_oracle = sparsity_stats(_plane(_block_path(img, table), plane.shape))
         assert np.array_equal(from_matrix.histogram, from_oracle.histogram)
         assert ((from_matrix.nonzero_count, from_matrix.compression_ratio,
                  from_matrix.pixel_count, from_matrix.block_count)
@@ -565,6 +628,19 @@ def test_encoding_holds_the_jpeg_grid_exactly(rng, size):
 def _block_path(img, table):
     """The oracles' zigzag matrix of ``img``, from its block stack."""
     return _block_zigzag(pad_and_partition(img), table)
+
+
+def _plane(zz, shape):
+    """The coefficient plane of ``shape`` whose blocks' zigzag rows are ``zz``."""
+    nbx, nby = shape[0] // 8, shape[1] // 8
+    return blocks_from_zigzag(zz).reshape(nbx, nby, 8, 8).transpose(0, 2, 1, 3).reshape(shape)
+
+
+def _zigzag(plane):
+    """The zigzag rows of a coefficient plane's blocks, in row-major block order."""
+    nbx, nby = plane.shape[0] // 8, plane.shape[1] // 8
+    blocks = plane.reshape(nbx, 8, nby, 8).transpose(0, 2, 1, 3).reshape(-1, 64)
+    return blocks[:, zigzag_permutation()]
 
 
 def _tie_image():
@@ -588,16 +664,17 @@ def _same_bits(a, b):
 def test_front_end_is_bit_for_bit_the_block_path(rng, size):
     """The image-layout transform gives the oracles' block-path values exactly,
     signed zeros included, for the encoding, the image's own grid and a
-    grid passed in; the encoding is read-only and slot-major."""
+    grid passed in; the encoding's plane is read-only and C-contiguous."""
     images = [random_image(rng, *size, bit_depth=bits) for bits in (1, 8)]
     images.append(GrayscaleImage(rng.uniform(-300.0, 600.0, size)))   # out of range
     for img in images:
         for scale in (None, 0.25, 1.0, 50.0):
             table = None if scale is None else QuantTable(scale)
-            coefficients = pipeline.encode_image(img, scale).coefficients
-            assert not coefficients.flags.writeable
-            assert coefficients.flags.f_contiguous
-            assert _same_bits(coefficients, _block_path(pad_to_pow2(img), table))
+            plane = pipeline.encode_image(img, scale).plane
+            assert not plane.flags.writeable
+            assert plane.flags.c_contiguous
+            padded = pad_to_pow2(img)
+            assert _same_bits(plane, _plane(_block_path(padded, table), padded.pixels.shape))
             expected = _block_path(img, table)
             assert _same_bits(zigzag_coefficients(img, table), expected)
             assert _same_bits(zigzag_coefficients(pad_and_partition(img), table), expected)
@@ -607,7 +684,7 @@ def test_front_end_rounds_ties_like_the_block_path():
     img = _tie_image()
     dc = _block_path(img, None)[:, 0] / 16.0
     assert np.all(np.abs(dc) % 1.0 == 0.5) and np.any(dc < 0) and np.any(dc > 0)
-    coefficients = pipeline.encode_image(img, 1.0).coefficients
+    coefficients = _zigzag(pipeline.encode_image(img, 1.0).plane)
     assert _same_bits(coefficients, _block_path(img, QuantTable(1.0)))
     assert np.array_equal(coefficients[:, 0], np.sign(dc) * np.floor(np.abs(dc) + 0.5))
 
@@ -677,7 +754,7 @@ def test_readout_multiplies_in_the_image_layout(rng):
 def test_runs_from_an_encoding_match_runs_from_the_image(rng):
     img = random_image(rng, 37, 61)
     quantized, raw = pipeline.encode_image(img, 3.5), pipeline.encode_image(img, None)
-    assert not quantized.coefficients.flags.writeable
+    assert not quantized.plane.flags.writeable
     for r in (2, 5):
         for norm_mode in NORM_MODES:
             pairs = [(run_jqpie(img, r, scale=3.5, norm_mode=norm_mode),
