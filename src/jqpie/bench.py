@@ -167,7 +167,8 @@ def _sweep_one_image(args) -> tuple[list[dict], SparsityStats | None]:
     quantized coefficients that the JPEG baseline and the statistics read,
     so no other transform of the image is made. The reference is prepared
     for scoring once (:func:`~jqpie.metrics.prepare`), with its global-SSIM
-    moments. Statistics are None (with a warning) when every quantized
+    moments; the JPEG baseline's decode, clamped as it is made, is scored
+    as it is. Statistics are None (with a warning) when every quantized
     coefficient is zero.
     """
     label, img, cfg = args
@@ -192,10 +193,13 @@ def _sweep_one_image(args) -> tuple[list[dict], SparsityStats | None]:
 def _jpeg_baseline(reference: metrics.PreparedImage, encoding: ImageEncoding, scale: float,
                    ssim_mode: str) -> tuple[np.ndarray, metrics.QualityReport]:
     """The scored JPEG baseline of an encoded image at S, and the quantized
-    plane it decodes (:meth:`~jqpie.pipeline.ImageEncoding.jpeg_coefficients`)."""
+    plane it decodes (:meth:`~jqpie.pipeline.ImageEncoding.jpeg_coefficients`).
+
+    The decode clamps every strip into [0, L] as it writes it, so its
+    pixels are scored as they are, without another scan for their range."""
     plane = encoding.jpeg_coefficients(scale)
-    decoded = metrics.prepare(classical_reference_decode(plane, QuantTable(scale),
-                                                         encoding.image))
+    decoded = classical_reference_decode(plane, QuantTable(scale), encoding.image)
+    decoded = metrics.PreparedImage(decoded.pixels, decoded.max_value)
     return plane, metrics.baseline_report(reference, decoded, f"jpeg S={scale:g}",
                                        ssim_mode=ssim_mode)
 

@@ -202,10 +202,13 @@ def _load_pnm(data: bytes) -> GrayscaleImage:
         # Binary payload starts after exactly one whitespace byte.
         if not data[pos:pos + 1].isspace():
             raise ImageFormatError("corrupt header: maxval not followed by whitespace")
-        payload = data[pos + 1:]
-        if len(payload) < n_values:
+        if len(data) - (pos + 1) < n_values:
             raise ImageFormatError("corrupt payload: truncated pixel data")
-        values = np.frombuffer(payload[:n_values], dtype=np.uint8).astype(np.float64)
+        samples = np.frombuffer(data, dtype=np.uint8, count=n_values, offset=pos + 1)
+        # a byte can only exceed a maxval below 255
+        if maxval < 255 and np.any(samples > maxval):
+            raise ImageFormatError("corrupt payload: sample exceeds maxval")
+        values = samples.astype(np.float64)
     else:
         body = re.sub(rb"#[^\n]*", b"", data[pos:])
         fields = body.split()
@@ -214,9 +217,8 @@ def _load_pnm(data: bytes) -> GrayscaleImage:
         if not all(f.isdigit() for f in fields[:n_values]):
             raise ImageFormatError("corrupt payload: sample is not an unsigned integer")
         values = np.array([int(f) for f in fields[:n_values]], dtype=np.float64)
-
-    if np.any(values > maxval):
-        raise ImageFormatError("corrupt payload: sample exceeds maxval")
+        if np.any(values > maxval):
+            raise ImageFormatError("corrupt payload: sample exceeds maxval")
     if channels == 3:
         pixels = luminance(values.reshape(h, w, 3))
     else:

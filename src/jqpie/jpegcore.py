@@ -13,16 +13,19 @@ fixed-dimensional coefficient vectors, not variable-length bitstreams.
 The production path never cuts the image into a stack of blocks. Its unit
 is the coefficient plane: the transform of the padded (H, W) image in the
 image's own layout, where frequency (u, v) of block (i, j) sits at pixel
-(8i+u, 8j+v). :func:`zigzag_coefficients` makes it by contracting the pixel
-rows (x) of each tile row first and then each run of 8 columns (y), the
-order the block path's ``einsum`` in :func:`dct2_blocks` uses, so its values
-are bit for bit those of the block path; it quantizes the plane in place by
-a tiled Q (:func:`quantize_plane`), and gives the zigzag matrix only when
-asked for it. :func:`idct_strips` is the one decode kernel: 8 block rows at
-a time it weights the plane by a tiled 8x8 weight and runs the separable
-inverse DCT in place. :func:`classical_reference_decode`, the JPEG baseline
-every CLI command scores against, runs it with Q as the weight; the
-pipeline's operator backend runs it with the decompression's weights.
+(8i+u, 8j+v). :func:`zigzag_coefficients` makes it 8 block rows at a time
+by contracting the pixel rows (x) of each tile row first and then each run
+of 8 columns (y), the order the block path's ``einsum`` in
+:func:`dct2_blocks` uses, so its values are bit for bit those of the block
+path; it quantizes each strip in place by a tiled Q while the strip is in
+cache (as :func:`quantize_plane` does), and gives the zigzag matrix only
+when asked for it. The plane is decoded 8 block rows at a time by one strip
+loop with two first stages. :func:`idct_strips`, the pipeline's operator
+backend, folds an 8x8 weight into the inverse DCT's first product
+(:func:`fold_weight`), as fast decoders fold dequantization into their
+IDCT's multipliers. :func:`classical_reference_decode`, the JPEG baseline
+every CLI command scores against, dequantizes first by a tiled Q and then
+transforms, because its pixels are pinned bit for bit to the oracle's.
 :func:`sparsity_stats` counts the same plane. The classical oracles
 (:func:`reference_decode_pixels`) keep the block path of
 :func:`~jqpie.imagio.pad_and_partition`, :func:`dct2_blocks` and
@@ -192,17 +195,20 @@ def zigzag_coefficients(source: GrayscaleImage | BlockGrid,
     transformed as raw intensities, without JPEG's 128 level shift, which
     keeps quantum readout scaling simple.
 
-    The transform works in the padded (H, W) layout: one product contracts
-    the 8 pixel rows (x) of every tile row, a second each run of 8 columns
-    (y). Rows go first, as in :func:`dct2_blocks`, so every value is bit for
-    bit the block path's. The second product's (H, W) result is the
-    coefficient plane, frequency (u, v) of block (i, j) at (8i+u, 8j+v),
-    quantized in place by :func:`quantize_plane`. ``layout="image"``
-    returns it. The default ``"zigzag"`` reorders it into the (n_blocks, 64)
-    matrix of zigzag rows, blocks in row-major order: one transposed copy
-    makes it frequency-major, a take of its rows in zigzag order fills the
-    plane's buffer, and the result is that buffer transposed, slot-major
-    (F-contiguous).
+    The transform works in the padded (H, W) layout, 8 block rows
+    (:data:`~jqpie.imagio.STRIP_ROWS` pixel rows) at a time: one product
+    contracts the 8 pixel rows (x) of every tile row into a strip buffer, a
+    second each run of 8 columns (y) into the plane. Rows go first, as in
+    :func:`dct2_blocks`, so every value is bit for bit the block path's.
+    The second product's (H, W) result is the coefficient plane, frequency
+    (u, v) of block (i, j) at (8i+u, 8j+v); with a table each strip of it
+    is quantized in place while it is still in cache, as
+    :func:`quantize_plane` does, with the spent strip buffer as scratch.
+    ``layout="image"`` returns it. The default ``"zigzag"`` reorders it into
+    the (n_blocks, 64) matrix of zigzag rows, blocks in row-major order: one
+    transposed copy makes it frequency-major, a take of its rows in zigzag
+    order fills the plane's buffer, and the result is that buffer
+    transposed, slot-major (F-contiguous).
     """
     if layout not in LAYOUTS:
         raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
@@ -210,15 +216,22 @@ def zigzag_coefficients(source: GrayscaleImage | BlockGrid,
         pixels = assemble_image(source, source.padded_dims, clamp=False).pixels
     else:
         pixels = pad_to_multiple(source).pixels
-    nbx, nby = pixels.shape[0] // BLOCK, pixels.shape[1] // BLOCK
-    rows = np.matmul(_DCT, pixels.reshape(nbx, BLOCK, -1))
-    plane = np.matmul(rows.reshape(-1, BLOCK), _DCT.T).reshape(pixels.shape)
-    spare = rows.reshape(pixels.shape)   # rows is spent: its buffer is scratch
-    if table is not None:
-        quantize_plane(plane, table, spare)
+    height, width = pixels.shape
+    plane = np.empty(pixels.shape)
+    rows = np.empty((min(STRIP_ROWS, height), width))
+    divisors = None if table is None else _tiled(table.values, BLOCK, width)
+    for first in range(0, height, STRIP_ROWS):
+        strip = plane[first:first + STRIP_ROWS]
+        half = rows[:len(strip)]
+        np.matmul(_DCT, pixels[first:first + STRIP_ROWS].reshape(-1, BLOCK, width),
+                  out=half.reshape(-1, BLOCK, width))
+        np.matmul(half.reshape(-1, BLOCK), _DCT.T, out=strip.reshape(-1, BLOCK))
+        if divisors is not None:
+            _quantize_strip(strip, divisors, half)
     if layout == "image":
         return plane
-    freq = spare.reshape(BLOCK, BLOCK, nbx, nby)
+    nbx, nby = height // BLOCK, width // BLOCK
+    freq = np.empty((BLOCK, BLOCK, nbx, nby))
     np.copyto(freq, plane.reshape(nbx, BLOCK, nby, BLOCK).transpose(1, 3, 0, 2))
     # an unbuffered take (mode="clip"; every index is in range) into the plane
     zz = np.take(freq.reshape(BLOCK * BLOCK, -1), _ZIGZAG, axis=0,
@@ -233,20 +246,30 @@ def _tiled(weight: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return tiled
 
 
-def quantize_plane(plane: np.ndarray, table: QuantTable,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
+def quantize_plane(plane: np.ndarray, table: QuantTable) -> np.ndarray:
     """Quantize a coefficient plane in place at ``table`` and return it.
 
     Each 8-row band is divided by Q tiled along it, and the quotients are
     rounded half away from zero as trunc(x + copysign(0.5, x)), bit for bit
     :func:`round_half_away`: the same division and rounding as
-    :func:`quantize_zigzag`, element for element. ``scratch``, a spare
-    array of the plane's shape, takes the copysign.
+    :func:`quantize_zigzag`, element for element. The plane is walked 8
+    block rows at a time, so each strip's four passes run in cache, and a
+    strip-sized scratch array takes the copysign.
     """
-    bands = plane.reshape(-1, BLOCK, plane.shape[1])
-    np.divide(bands, _tiled(table.values, BLOCK, plane.shape[1]), out=bands)
-    plane += np.copysign(0.5, plane, out=scratch)
-    return np.trunc(plane, out=plane)
+    divisors = _tiled(table.values, BLOCK, plane.shape[1])
+    scratch = np.empty((min(STRIP_ROWS, len(plane)), plane.shape[1]))
+    for first in range(0, len(plane), STRIP_ROWS):
+        _quantize_strip(plane[first:first + STRIP_ROWS], divisors, scratch)
+    return plane
+
+
+def _quantize_strip(strip: np.ndarray, divisors: np.ndarray, scratch: np.ndarray) -> None:
+    """Quantize whole 8-row bands in place by ``divisors``, Q tiled over one
+    band; ``scratch`` holds at least the strip's rows."""
+    bands = strip.reshape(-1, BLOCK, strip.shape[1])
+    np.divide(bands, divisors, out=bands)
+    strip += np.copysign(0.5, strip, out=scratch[:len(strip)])
+    np.trunc(strip, out=strip)
 
 
 def _block_zigzag(grid: BlockGrid, table: QuantTable | None) -> np.ndarray:
@@ -306,31 +329,69 @@ def reference_decode_pixels(img: GrayscaleImage, mode: str, r: int = 6,
     return assemble_image(recon, clamp=False).pixels
 
 
-def idct_strips(plane: np.ndarray, weight: np.ndarray,
-                dims: tuple[int, int]) -> Iterator[tuple[int, np.ndarray]]:
-    """Decode a coefficient plane 8 block rows at a time: the one decode kernel.
+def fold_weight(weight: np.ndarray) -> np.ndarray:
+    """The 8x8 ``weight`` folded into the inverse DCT's product over v.
 
-    Each strip of 8 block rows (:data:`~jqpie.imagio.STRIP_ROWS` pixel rows)
-    of ``plane`` is multiplied by the 8x8 ``weight`` tiled over it, then
-    every tile row is contracted over u (the pixel rows) and every run of 8
-    values over v, in place. Only the block rows and columns that hold the
-    top-left ``dims`` pixels are decoded. Yields the first pixel row of each
-    strip and its pixels cropped to ``dims``; the pixel array is overwritten
-    by the next strip, and a caller may change it. The kernel holds the
-    tiled weight and two strip-sized buffers.
+    Row class u of a tile gets N_u = diag(weight[u, :]) D, so a row of 8
+    coefficients times N_u is the row weighted and contracted over v in
+    one product. Returns the read-only stack of the eight N_u, (8, 8, 8).
+    """
+    folded = weight[:, :, None] * _DCT
+    folded.flags.writeable = False
+    return folded
+
+
+def _by_row_class(strip: np.ndarray) -> np.ndarray:
+    """A strip of whole tile rows viewed as (u, tile row, tile column, v)."""
+    return strip.reshape(-1, BLOCK, strip.shape[1] // BLOCK, BLOCK).transpose(1, 0, 2, 3)
+
+
+def _decode_strips(plane: np.ndarray, dims: tuple[int, int], folded: np.ndarray | None,
+                   weight: np.ndarray | None) -> Iterator[tuple[int, np.ndarray]]:
+    """The strip loop both decodes share; only their first stage differs.
+
+    Folded (:func:`idct_strips`): one batched product of each row class u
+    with its N_u contracts v with the weight inside it, then the product
+    with D^T contracts u. Multiply-first (``weight``, the JPEG baseline):
+    the weight tiled over the strip multiplies it, then the product with
+    D^T contracts u and the product with D contracts v, the order and the
+    rounding of :func:`idct2_blocks`. Both hold two strip-sized buffers,
+    and the baseline its tiled weight too.
     """
     oh, ow = dims
     height, cols = -(-oh // BLOCK) * BLOCK, -(-ow // BLOCK) * BLOCK
     rows = min(STRIP_ROWS, height)
-    tiled = _tiled(weight, rows, cols)
+    tiled = None if weight is None else _tiled(weight, rows, cols)
     strip, spare = np.empty((rows, cols)), np.empty((rows, cols))
     for first in range(0, height, STRIP_ROWS):
         n = min(STRIP_ROWS, height - first)
-        pixels, half = strip[:n], spare[:n]
-        np.multiply(plane[first:first + n, :cols], tiled[:n], out=pixels)
-        np.matmul(_DCT.T, pixels.reshape(-1, BLOCK, cols), out=half.reshape(-1, BLOCK, cols))
-        np.matmul(half.reshape(-1, BLOCK), _DCT, out=pixels.reshape(-1, BLOCK))
+        coefficients, pixels, half = plane[first:first + n, :cols], strip[:n], spare[:n]
+        if tiled is None:
+            np.matmul(_by_row_class(coefficients), folded[:, None], out=_by_row_class(half))
+        else:
+            np.multiply(coefficients, tiled[:n], out=half)
+        np.matmul(_DCT.T, half.reshape(-1, BLOCK, cols), out=pixels.reshape(-1, BLOCK, cols))
+        if tiled is not None:
+            np.matmul(pixels.reshape(-1, BLOCK), _DCT, out=half.reshape(-1, BLOCK))
+            pixels = half
         yield first, pixels[:min(n, oh - first), :ow]
+
+
+def idct_strips(plane: np.ndarray, folded: np.ndarray,
+                dims: tuple[int, int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Decode a weighted coefficient plane 8 block rows at a time.
+
+    ``folded`` is a weight folded into the inverse DCT by
+    :func:`fold_weight`. Each strip of 8 block rows
+    (:data:`~jqpie.imagio.STRIP_ROWS` pixel rows) of ``plane`` is weighted
+    and contracted over v in one batched product, then contracted over u;
+    no weighted copy of the plane is made. Only the block rows and columns
+    that hold the top-left ``dims`` pixels are decoded. Yields the first
+    pixel row of each strip and its pixels cropped to ``dims``; the pixel
+    array is overwritten by the next strip, and a caller may change it.
+    The kernel holds two strip-sized buffers.
+    """
+    return _decode_strips(plane, dims, folded, None)
 
 
 def classical_reference_decode(plane: np.ndarray, table: QuantTable,
@@ -338,18 +399,21 @@ def classical_reference_decode(plane: np.ndarray, table: QuantTable,
     """The classical JPEG baseline: decode ``img`` from its quantized plane.
 
     ``plane`` is the quantized coefficient plane of ``img``'s own block grid
-    (:func:`zigzag_coefficients` of ``img`` with ``layout="image"``). It
-    goes through :func:`idct_strips` with Q as the weight, which
-    dequantizes and inverse transforms it, and each strip is cropped to the
-    original dimensions and clamped into the output. The same steps as
-    :func:`reference_decode_pixels` in ``jpeg`` mode, which stays a
-    separate oracle that computes its own coefficients and leaves the
-    pixels unclamped. The decode holds the output and strip-sized
-    temporaries besides ``plane``.
+    (:func:`zigzag_coefficients` of ``img`` with ``layout="image"``). Each
+    strip of 8 block rows is dequantized by Q tiled over it and then
+    inverse transformed, u first, and cropped to the original dimensions
+    and clamped into the output: the same steps, in the same order, as
+    :func:`reference_decode_pixels` in ``jpeg`` mode, which stays a separate
+    oracle that computes its own coefficients and leaves the pixels
+    unclamped, so the two agree bit for bit. That is why the baseline does
+    not fold Q into the product over v as :func:`idct_strips` does: a
+    folded product rounds differently. It shares the strip loop, its
+    buffers, the product over u and the crop with :func:`idct_strips`. The
+    decode holds the output and strip-sized temporaries besides ``plane``.
     """
     peak = float(2 ** img.bit_depth - 1)
     out = np.empty(img.original_dims)
-    for row, pixels in idct_strips(plane, table.values, img.original_dims):
+    for row, pixels in _decode_strips(plane, img.original_dims, None, table.values):
         np.clip(pixels, 0.0, peak, out=out[row:row + len(pixels)])
     return GrayscaleImage._owning(out, img.bit_depth, img.original_dims)
 

@@ -2,8 +2,10 @@
 
 Scores are computed on clamped pixels at the original (cropped) dimensions.
 SSIM defaults to the single global statistic; ``mode="windowed"`` averages
-the statistic over non-overlapping 8x8 windows for comparability with common
-tooling. Variances use the population (1/N) convention so results are
+the statistic over non-overlapping 8x8 tiles. That is not the
+Gaussian-window SSIM of Wang et al. (2004), which slides an 11x11 window,
+so windowed scores are not comparable with tools that compute it.
+Variances use the population (1/N) convention so results are
 bit-comparable across implementations.
 
 Every score is finished from one accumulator, :class:`Scores`, fed row
@@ -12,6 +14,10 @@ strips of a reconstruction (:data:`~jqpie.imagio.STRIP_ROWS` rows, whole
 image-sized temporary. ``psnr`` and ``ssim`` walk two whole images through
 it; a sweep feeds it each strip of a run's reconstruction as the run
 decodes it (:class:`~jqpie.pipeline.HybridRun`), so both give the same bits.
+Global SSIM is summed from the difference d = a - b of each strip, which
+PSNR needs anyway: with the reference's mean and variance, the sums of d,
+d*d and a*d give the reconstruction's mean and variance and the
+covariance, four passes over a strip and none that subtracts a mean.
 
 Every score reads :class:`PreparedImage` values: pixels clamped into
 [0, L] and the peak L. :func:`prepare` makes one; ``psnr`` and ``ssim``
@@ -20,12 +26,13 @@ themselves, so both paths give the same bits. An image scored against many
 others is prepared once: ``sweep`` and ``simulate`` prepare their reference
 once per image, with the global-SSIM moments (mean, population variance),
 score the JPEG baseline once with :func:`baseline_report` and each
-reconstruction against it. A
-:class:`~jqpie.imagio.GrayscaleImage` already inside [0, L], as every loaded
-image and clamped decode is, is not clipped: the prepared image shares its
-array. That is safe because an image's array is read-only and nothing else
-writes it: a caller's array is copied, and the library's makers hand their
-fresh arrays over uncopied.
+reconstruction against it. The baseline decode clamps every strip itself,
+so the harness wraps its pixels in a :class:`PreparedImage` without a
+scan. A :class:`~jqpie.imagio.GrayscaleImage` already inside [0, L], as
+every loaded image and clamped decode is, is not clipped: the prepared
+image shares its array. That is safe because an image's array is
+read-only and nothing else writes it: a caller's array is copied, and the
+library's makers hand their fresh arrays over uncopied.
 """
 
 from __future__ import annotations
@@ -136,13 +143,14 @@ class Scores:
     pixels clamped into [0, peak]; then read :meth:`psnr`, :meth:`ssim` or
     :meth:`report`. ``ssim_mode`` None sums for PSNR alone.
 
-    PSNR sums the squared differences. Global SSIM sums the reconstruction's
-    deviations d = b - mu from the reference's mean mu (its ``moments``, or
-    measured once), their squares and their products with the reference:
-    the covariance is (sum a*d - mu * sum d) / N, so no deviation array of
-    the reference is made. Windowed SSIM sums the statistic of each window.
-    The differences and deviations go into one strip-sized scratch array,
-    kept for every strip.
+    Every strip's difference d = a - b goes into one strip-sized scratch
+    array, kept for every strip, and PSNR sums d*d. Global SSIM also sums d
+    and a*d. With the reference's mean mu and population variance var (its
+    ``moments``, or measured once), and cov(a, d) and var(d) from those
+    sums, the reconstruction's mean is mu - mean(d), the covariance
+    var - cov(a, d) and the reconstruction's variance
+    var - 2 cov(a, d) + var(d); an exact reconstruction gives var for both.
+    Windowed SSIM sums the statistic of each window.
     """
 
     def __init__(self, reference: PreparedImage, ssim_mode: str | None):
@@ -154,8 +162,7 @@ class Scores:
         self._c2 = (0.03 * reference.peak) ** 2
         if ssim_mode == "global":
             self._moments = reference.moments or _moments(reference.pixels)
-        self._squared_error = 0.0
-        self._deviation = self._deviation_sq = self._cross = 0.0
+        self._squared_error = self._difference = self._cross = 0.0
         self._window_sum = 0.0
         self._windows = 0
         self._scratch = np.empty(0)
@@ -172,9 +179,7 @@ class Scores:
         np.subtract(ref, pixels, out=scratch)
         self._squared_error += float(flat @ flat)
         if self.ssim_mode == "global":
-            np.subtract(pixels, self._moments[0], out=scratch)
-            self._deviation += float(flat.sum())
-            self._deviation_sq += float(flat @ flat)
+            self._difference += float(flat.sum())
             self._cross += float(ref.reshape(-1) @ flat)
         elif self.ssim_mode == "windowed":
             statistics = _window_statistics(ref, pixels, self._c1, self._c2)
@@ -195,10 +200,12 @@ class Scores:
             return self._window_sum / self._windows
         n = self.reference.pixels.size
         mu, var = self._moments
-        shift = self._deviation / n
-        var_b = self._deviation_sq / n - shift * shift
-        cov = (self._cross - mu * self._deviation) / n
-        return float(_ssim_statistic(mu, mu + shift, var, var_b, cov, self._c1, self._c2))
+        mean_d = self._difference / n
+        cov_ad = self._cross / n - mu * mean_d
+        var_d = self._squared_error / n - mean_d * mean_d
+        cov = var - cov_ad
+        var_b = cov - cov_ad + var_d
+        return float(_ssim_statistic(mu, mu - mean_d, var, var_b, cov, self._c1, self._c2))
 
     def report(self, baseline: QualityReport) -> QualityReport:
         """The scores and their deltas against a scored baseline.

@@ -42,8 +42,9 @@ Backends:
     what the state-preparation cascade would load, so none is built; their
     readout, lambda M times the coefficients, is the plane weighted by
     lambda d_f on the loaded frequencies (zero elsewhere) and inverse
-    transformed, 8 block rows at a time, by the JPEG baseline's kernel
-    :func:`~jqpie.jpegcore.idct_strips`. Since the inverse DCT is
+    transformed, 8 block rows at a time, by
+    :func:`~jqpie.jpegcore.idct_strips`, which folds the weight into the
+    inverse DCT's first product. Since the inverse DCT is
     orthonormal, the success probability is the sum of d_f^2 times the
     loaded amplitudes' energies per frequency, and the ancilla-1 branch is
     never built. The state is the decoded padded strips divided by the
@@ -85,12 +86,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .imagio import BLOCK, STRIP_ROWS, GrayscaleImage, pad_to_pow2
-from .jpegcore import _DCT, QuantTable, idct_strips, quantize_plane, zigzag_coefficients
+from .jpegcore import (_DCT, QuantTable, fold_weight, idct_strips, quantize_plane,
+                       zigzag_coefficients)
 from .qcircuit import Circuit, ResourceReport, compose
 from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
                    postselect_ancilla, zero_state)
@@ -187,7 +189,8 @@ class ImageEncoding:
     None) for QF-JQPIE. It depends on neither r nor the normalization mode:
     the operator backend decodes it with weights that zero the frequencies
     a run does not load, and :func:`_amplitudes` gathers a run's load-ordered
-    rows from it for the cascade.
+    rows from it for the cascade. :attr:`energies` is computed on first use
+    and kept on the encoding, so it lives and dies with the plane.
     """
 
     image: GrayscaleImage
@@ -198,6 +201,12 @@ class ImageEncoding:
 
     def __post_init__(self):
         self.plane.flags.writeable = False
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """The plane's energies per frequency, read-only 8 x 8: the sum over
+        blocks of each coefficient squared (:func:`_plane_energies`)."""
+        return _plane_energies(self.plane)
 
     @property
     def table(self) -> QuantTable | None:
@@ -241,6 +250,15 @@ def _check_scale(encoding: ImageEncoding, scale: float | None) -> None:
         def kind(s):
             return "unquantized" if s is None else f"quantized at S={s:g}"
         raise ValueError(f"encoding is {kind(encoding.scale)}, not {kind(scale)}")
+
+
+def _plane_energies(plane: np.ndarray) -> np.ndarray:
+    """The sum over blocks of each frequency's coefficient squared (8 x 8):
+    one pass over the plane's 8-row bands."""
+    bands = plane.reshape(-1, BLOCK * plane.shape[1])
+    energies = np.einsum("ij,ij->j", bands, bands).reshape(BLOCK, -1, BLOCK).sum(axis=1)
+    energies.flags.writeable = False
+    return energies
 
 
 def _encoding(source: GrayscaleImage | ImageEncoding, scale: float | None) -> ImageEncoding:
@@ -293,7 +311,8 @@ def _load_norms(encoding: ImageEncoding, r: int,
     Returns the record and the energies of the loaded amplitudes per
     frequency, an 8 x 8 array that is zero off the kept frequencies: the
     sum over blocks of each amplitude squared. Under ``global`` they are the
-    plane's energies per frequency over the squared norm; under
+    plane's energies per frequency (:attr:`ImageEncoding.energies`, computed
+    once per encoding) over the squared norm; under
     ``per_block`` each block's squares over its squared norm, summed and
     divided by n_active. They sum to 1. The norms sum in another order than
     :func:`_amplitudes`, so they may differ from its in the last bits.
@@ -303,9 +322,7 @@ def _load_norms(encoding: ImageEncoding, r: int,
     plane, kept = encoding.plane, _kept(r)
     per_block = None
     if mode == "global":
-        bands = plane.reshape(-1, BLOCK * plane.shape[1])
-        energies = np.einsum("ij,ij->j", bands, bands).reshape(BLOCK, -1, BLOCK).sum(axis=1)
-        energies *= kept
+        energies = encoding.energies * kept
         total = float(energies.sum())   # the squared norm
     else:
         nby = plane.shape[1] // BLOCK
@@ -418,6 +435,16 @@ def _decompression_weights(r: int, scale: float | None) -> np.ndarray:
     return weights
 
 
+@lru_cache(maxsize=64)
+def _folded_decompression(r: int, scale: float | None) -> np.ndarray:
+    """A run's decode weight, folded into the inverse DCT by
+    :func:`~jqpie.jpegcore.fold_weight`: lambda d_f (d_f for QF-JQPIE,
+    which has no lambda) on the kept frequencies and zero elsewhere, from
+    :func:`_decompression_weights`. Built once per (r, S)."""
+    d = _decompression_weights(r, scale)
+    return fold_weight(d if scale is None else d * QuantTable(scale).max_entry)
+
+
 def _branch_probability(squared_norm: float, n_image_qubits: int, scale: float | None) -> float:
     """The success probability of the operator backend, from the squared
     norm of its whole ancilla-0 branch; 1 for QF-JQPIE, which has no ancilla."""
@@ -451,8 +478,8 @@ class HybridRun:
 
     Under ``operator`` the plane itself is decoded:
     :func:`~jqpie.jpegcore.idct_strips` weights it by lambda d_f on the
-    loaded frequencies and zero elsewhere (``weight``,
-    :func:`_decompression_weights`) and inverse transforms it, which is the
+    loaded frequencies and zero elsewhere inside the inverse DCT's first
+    product (``folded``, :func:`_folded_decompression`), which is the
     readout of the ancilla-0 branch: the loading norms, post-selection's
     1/sqrt(p) and the readout's sqrt(p) all cancel. Because the inverse DCT
     is orthonormal, ``success_probability`` is the sum of d_f^2 times the
@@ -472,7 +499,7 @@ class HybridRun:
         if backend == "operator":
             self.record, energies = _load_norms(encoding, r, norm_mode)
             d = _decompression_weights(r, scale)
-            self.weight = d if scale is None else d * self.record.lam
+            self.folded = _folded_decompression(r, scale)
             self.success_probability = _branch_probability(float(np.sum(d * d * energies)),
                                                            h + w, scale)
             return
@@ -494,7 +521,7 @@ class HybridRun:
         dims = self.encoding.image.original_dims
         if self.state is not None:
             return _state_strips(self.state, self.record, dims, self.success_probability)
-        return idct_strips(self.encoding.plane, self.weight, dims)
+        return idct_strips(self.encoding.plane, self.folded, dims)
 
     def resources(self) -> ResourceReport:
         """The run's resource model, :func:`~jqpie.synth.closed_form_resources`."""
@@ -514,7 +541,7 @@ def _operator_state(run: HybridRun) -> tuple[StateVector, GrayscaleImage]:
     (ph, pw), (oh, ow) = record.padded_dims, encoding.image.original_dims
     branch = np.empty((ph // BLOCK, pw // BLOCK, BLOCK, BLOCK))
     pixels = np.empty((oh, ow))
-    for row, strip in idct_strips(encoding.plane, run.weight, (ph, pw)):
+    for row, strip in idct_strips(encoding.plane, run.folded, (ph, pw)):
         first = row // BLOCK
         tiles = strip.reshape(-1, BLOCK, pw // BLOCK, BLOCK).transpose(0, 2, 1, 3)
         branch[first:first + len(tiles)] = tiles

@@ -64,6 +64,32 @@ def test_truncated_p5_payload_errors(tmp_path):
         load_image(path)
 
 
+@pytest.mark.parametrize("maxval", [1, 15, 255])
+def test_truncated_p5_payload_errors_at_every_maxval(maxval):
+    # one byte short of the raster, at maxvals with and without a range check
+    with pytest.raises(ImageFormatError, match="truncated pixel data"):
+        _load_pnm(f"P5\n3 2\n{maxval}\n".encode() + bytes(5))
+
+
+@pytest.mark.parametrize("magic", [b"P5", b"P2"])
+def test_sample_above_maxval_errors(magic):
+    samples = [0, 15, 16, 3]
+    raster = bytes(samples) if magic == b"P5" else b" ".join(b"%d" % v for v in samples)
+    with pytest.raises(ImageFormatError, match="sample exceeds maxval"):
+        _load_pnm(magic + b"\n2 2\n15\n" + raster)
+
+
+@pytest.mark.parametrize("maxval", [1, 15, 255])
+def test_p5_loads_each_byte_as_its_value(rng, maxval):
+    # the raster is read in place from the file's bytes; each sample loads
+    # as its own value in float64, at the bit depth of maxval
+    samples = rng.integers(0, maxval + 1, (13, 9)).astype(np.uint8)
+    samples.flat[:2] = (0, maxval)
+    img = _load_pnm(f"P5\n9 13\n{maxval}\n".encode() + samples.tobytes() + b"\xff")
+    assert img.pixels.tobytes() == samples.astype(np.float64).tobytes()
+    assert img.bit_depth == maxval.bit_length()
+
+
 @pytest.mark.parametrize("data", [b"P2\n2 1\n255\n-7 +3\n", b"P2\n2 1\n255\n1_0 3\n",
                                   b"P23 1\n255\n1 2 3\n", b"P6", b"P5 ",
                                   b"P5\n2 1\n255#xy\n\x01\x02"],

@@ -306,6 +306,28 @@ def test_decode_holds_strip_sized_temporaries(rng):
     assert peak <= 1.5 * img.pixels.nbytes, peak / img.pixels.nbytes
 
 
+@pytest.mark.parametrize("scale", [None, 1.0], ids=["raw", "quantized"])
+def test_transform_holds_one_strip_buffer(rng, scale):
+    """The 1024x1024 forward transform (and its quantization) works 8 block
+    rows at a time: besides the plane it returns it holds one 64-row strip
+    buffer (0.0625 of the image), so its peak stays under 1.15 image-sized
+    float64 arrays; a whole-image transform held 2. The plane is the block
+    path's, bit for bit."""
+    import tracemalloc
+    img = random_image(rng, 1024, 1024)
+    table = None if scale is None else QuantTable(scale)
+    tracemalloc.start()
+    try:
+        plane = zigzag_coefficients(img, table, layout="image")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = zigzag_coefficients(pad_and_partition(img), table)
+    assert np.array_equal(blocks_from_zigzag(expected).reshape(128, 128, 8, 8),
+                          plane.reshape(128, 8, 128, 8).transpose(0, 2, 1, 3))
+    assert peak <= 1.15 * img.pixels.nbytes, peak / img.pixels.nbytes
+
+
 def test_decode_converges_as_scale_vanishes(rng):
     img = random_image(rng, 16, 16)
     out = reference_decode_pixels(img, "jpeg", scale=1e-4)

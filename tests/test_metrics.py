@@ -241,15 +241,29 @@ def test_sweep_clamps_each_image_once(tmp_path, rng, monkeypatch):
             prepared.append((img, out))
         return out
 
+    scored = []
+
+    def spy(fn):
+        def wrapped(a, b, *args, **kwargs):
+            scored.append((a, b))
+            return fn(a, b, *args, **kwargs)
+        return wrapped
+
     monkeypatch.setattr(metrics, "prepare", counted_prepare)
+    for name in ("psnr", "ssim"):
+        monkeypatch.setattr(metrics, name, spy(getattr(metrics, name)))
     rows = bench.run_sweep(cfg)
     assert not any(row["error"] for row in rows)
-    # per image: the reference and the JPEG baseline, each prepared once;
-    # psnr and ssim only ever see prepared images, and the cells clamp each
-    # strip of their reconstruction in place instead of preparing it
+    # per image: the reference is prepared once; the JPEG baseline, clamped
+    # as it is decoded, is handed to scoring as a prepared image without
+    # another pass; psnr and ssim only ever see prepared images, and the
+    # cells clamp each strip of their reconstruction in place instead of
+    # preparing it
     assert len(rows) == 8
-    assert len(prepared) == 2 * 2
+    assert len(prepared) == 2
     assert len({id(img) for img, _ in prepared}) == len(prepared)
+    assert len(scored) == 2 * 2
+    assert all(isinstance(x, PreparedImage) for pair in scored for x in pair)
     references = [(img, out) for img, out in prepared if out.moments is not None]
     assert len(references) == 2
     # a loaded reference lies inside [0, L], so it is shared, never clipped

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -11,8 +13,8 @@ from jqpie.bench import SweepConfig, main, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
 from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, _block_zigzag, blocks_from_zigzag,
                             classical_reference_decode, dct2_block, dct_matrix, idct2_block,
-                            reference_decode_pixels, sparsity_stats, truncate_zigzag,
-                            zigzag_coefficients, zigzag_permutation)
+                            idct2_blocks, reference_decode_pixels, sparsity_stats,
+                            truncate_zigzag, zigzag_coefficients, zigzag_permutation)
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
 from jqpie.qcircuit import Circuit, export_qasm, resource_counts
@@ -373,10 +375,11 @@ def test_fused_decompression_matches_gate_by_gate(rng, size):
 
 def _substitute_operator(monkeypatch, operator):
     """Runs read ``operator(r, scale)`` as the decompression operator, through
-    weights cached apart from the real ones."""
+    weights and folded weights cached apart from the real ones."""
     monkeypatch.setattr(pipeline, "_decompression_operator", operator)
-    monkeypatch.setattr(pipeline, "_decompression_weights",
-                        lru_cache(maxsize=None)(pipeline._decompression_weights.__wrapped__))
+    for name in ("_decompression_weights", "_folded_decompression"):
+        monkeypatch.setattr(pipeline, name,
+                            lru_cache(maxsize=None)(getattr(pipeline, name).__wrapped__))
 
 
 def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
@@ -435,6 +438,78 @@ def test_operator_reconstructions_match_the_oracles(rng, size):
                 assert run.success_probability == result.success_probability
                 for got in (result.reconstructed.pixels, strips):
                     assert np.max(np.abs(got - oracle)) <= 1e-9 * peak, (norm_mode, r, scale)
+
+
+def _multiply_first(plane: np.ndarray, weight: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The plane weighted block by block, then inverse transformed by the
+    block path (:func:`idct2_blocks`), cropped to ``dims``."""
+    nbx, nby = plane.shape[0] // 8, plane.shape[1] // 8
+    blocks = plane.reshape(nbx, 8, nby, 8).transpose(0, 2, 1, 3) * weight
+    pixels = idct2_blocks(blocks.reshape(-1, 8, 8)).reshape(nbx, nby, 8, 8)
+    return pixels.transpose(0, 2, 1, 3).reshape(plane.shape)[:dims[0], :dims[1]]
+
+
+@pytest.mark.parametrize("size", [(1, 64), (8, 8), (37, 61), (57, 33), (256, 256)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_folded_decode_matches_multiply_first(rng, size):
+    """The operator decode, with lambda d_f folded into the inverse DCT's
+    first product, is the plane weighted first and then inverse transformed
+    to 1e-13 L; the strips a sweep scores are the run's reconstruction bit
+    for bit."""
+    img = random_image(rng, *size)
+    for scale in (None, 0.25, 1.0, 8.0):
+        encoding = pipeline.encode_image(img, scale)
+        for r in TRUNCATION_LEVELS:
+            weight = pipeline._decompression_weights(r, scale)
+            if scale is not None:
+                weight = weight * QuantTable(scale).max_entry
+            expected = _multiply_first(encoding.plane, weight, size)
+            for norm_mode in NORM_MODES:
+                if scale is None:
+                    result = run_qf_jqpie(encoding, r, norm_mode=norm_mode)
+                else:
+                    result = run_jqpie(encoding, r, scale=scale, norm_mode=norm_mode)
+                run = pipeline.HybridRun(encoding, r, "operator", norm_mode)
+                strips = np.full(size, np.nan)
+                for row, pixels in run.strips():
+                    strips[row:row + len(pixels)] = pixels
+                got = result.reconstructed.pixels
+                assert np.array_equal(strips, got), (norm_mode, r, scale)
+                assert np.max(np.abs(got - expected)) <= 1e-13 * img.max_value, (
+                    norm_mode, r, scale)
+
+
+def test_energies_are_computed_once_per_encoding(tmp_path, rng, monkeypatch):
+    # a global sweep at every r reads the plane's energies per frequency
+    # once per encoding (two images, two methods), and the energies live on
+    # the encoding: once it is dropped, nothing keeps its plane alive
+    for name in ("one.pgm", "two.pgm"):
+        write_pgm(random_image(rng, 24, 40), tmp_path / name)
+    calls = []
+    energies = pipeline._plane_energies
+
+    def spy(plane):
+        calls.append(plane)
+        return energies(plane)
+
+    monkeypatch.setattr(pipeline, "_plane_energies", spy)
+    rows = run_sweep(SweepConfig(inputs=(str(tmp_path),)))
+    assert len(rows) == 2 * 2 * len(TRUNCATION_LEVELS)
+    assert not any(row["error"] for row in rows)
+    assert len(calls) == 2 * 2
+    assert len({id(plane) for plane in calls}) == len(calls)
+    calls.clear()
+
+    encoding = pipeline.encode_image(random_image(rng, 64, 64), 1.0)
+    for r in TRUNCATION_LEVELS:
+        pipeline.HybridRun(encoding, r, "operator", "global")
+    assert len(calls) == 1 and calls[0] is encoding.plane
+    assert np.array_equal(encoding.energies, energies(encoding.plane))
+    plane = weakref.ref(encoding.plane)
+    calls.clear()
+    del encoding
+    gc.collect()
+    assert plane() is None
 
 
 @pytest.mark.parametrize("scale", [None, 1.0], ids=["qf_jqpie", "jqpie"])
@@ -498,9 +573,10 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
     # the operator backend decodes the encoding's plane itself: one call of
     # the decode kernel per run, over the whole padded plane, weighted by
     # lambda d_f = Q_f (1 for QF-JQPIE) on the loaded frequencies and zero
-    # elsewhere; only gate_exact builds and runs the cascade. Its norms are
-    # the cascade's; they sum in another order than the gathered matrix's
-    # norms, so they may differ from them in the last bits.
+    # elsewhere, folded into the inverse DCT as diag(weight[u, :]) D; only
+    # gate_exact builds and runs the cascade. Its norms are the cascade's;
+    # they sum in another order than the gathered matrix's norms, so they
+    # may differ from them in the last bits.
     images = (random_image(rng, 16, 16), random_image(rng, 57, 33))
     for r in (2, 6):
         for scale in (None, 1.0):
@@ -526,12 +602,13 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
                 for r in (2, 6):
                     calls.clear()
                     record = run_method(encoding, r, norm_mode=norm_mode).norm_record
-                    [(name, (plane, weight, dims))] = calls
+                    [(name, (plane, folded, dims))] = calls
                     assert name == "idct_strips" and plane is encoding.plane
                     assert dims == (2 ** encoding.h, 2 ** encoding.w)
                     expected = np.zeros(64)
                     expected[load_order(r)] = q[load_order(r)]
-                    assert np.max(np.abs(weight.reshape(-1) - expected)) <= 1e-12 * q.max()
+                    expected = expected.reshape(8, 8)[:, :, None] * dct_matrix()
+                    assert np.max(np.abs(folded - expected)) <= 1e-12 * q.max()
                     _, cascade = pipeline._amplitudes(encoding, r, norm_mode)
                     assert abs(record.global_norm - cascade.global_norm) <= (
                         2 * eps * cascade.global_norm)
