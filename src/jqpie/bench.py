@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .imagio import GrayscaleImage, ImageFormatError, load_image, pad_to_pow2, write_pgm
+from .imagio import GrayscaleImage, ImageFormatError, load_image, write_pgm
 from .jpegcore import (TRUNCATION_LEVELS, QuantTable, SparsityStats, check_scale,
                        check_truncation, classical_reference_decode, sparsity_stats)
 from .pipeline import (BACKENDS, METHODS, NORM_MODES, HybridRun, ImageEncoding,
@@ -132,8 +132,9 @@ def _collect_inputs(inputs, allow_png: bool) -> list[tuple[str, GrayscaleImage]]
 
 
 def _run_method(source: GrayscaleImage | ImageEncoding, method: str, r: int, scale: float,
-                backend: str, norm_mode: str) -> PipelineResult:
-    """One pipeline run; ``qpie`` is the direct-encoding baseline.
+                backend: str, norm_mode: str) -> HybridRun | PipelineResult:
+    """One pipeline run; ``qpie`` is the direct-encoding baseline, which
+    pads the image itself.
 
     The hybrid methods also take the image's encoding for the method.
     """
@@ -141,7 +142,7 @@ def _run_method(source: GrayscaleImage | ImageEncoding, method: str, r: int, sca
         return run_jqpie(source, r, scale=scale, backend=backend, norm_mode=norm_mode)
     if method == "qf_jqpie":
         return run_qf_jqpie(source, r, backend=backend, norm_mode=norm_mode)
-    return run_qpie_direct(pad_to_pow2(source), backend=backend)
+    return run_qpie_direct(source, backend=backend)
 
 
 def _fmt(value: float) -> str:
@@ -230,7 +231,7 @@ def _sweep_cell(label: str, reference: metrics.PreparedImage, encoding: ImageEnc
             np.clip(pixels, 0.0, reference.peak, out=pixels)
             scores.add(first_row, pixels)
         report = scores.report(baseline)
-        resources = run.resources()
+        resources = run.resources
         row.update({
             "psnr": report.psnr,
             "ssim": report.ssim,

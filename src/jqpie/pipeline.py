@@ -7,7 +7,8 @@ Entry points:
     reusable :class:`ImageEncoding`, whose coefficient plane keeps the
     image's layout; a sweep encodes each image once per method and hands
     the encoding to every r;
-  * :func:`run_qpie_direct` - plain amplitude encoding of the padded image;
+  * :func:`run_qpie_direct` - plain amplitude encoding of the image, which
+    it pads itself;
   * :func:`run_jqpie` - quantized truncated coefficients loaded on the active
     qubits in the load order of :func:`~jqpie.synth.load_order`, then the
     inverse zigzag (a few signed swaps), block-encoded inverse quantization
@@ -15,20 +16,23 @@ Entry points:
     branch;
   * :func:`run_qf_jqpie` - the quantization-free variant: unquantized
     truncated coefficients, no ancilla, no post-selection, fully unitary;
-  * :class:`HybridRun` - one hybrid run of an encoding whose reconstruction
-    is walked in strips of 8 block rows (64 pixel rows), the strips a sweep
+  * :class:`HybridRun` - what both hybrid runs return, and what a sweep
+    cell makes directly: one run of an encoding whose reconstruction is
+    walked in strips of 8 block rows (64 pixel rows), the strips a sweep
     scores (:class:`~jqpie.metrics.Scores`) without making an image-sized
-    array; :func:`readout_image` reads a state out in the same strips;
+    array; its ``state`` and ``reconstructed`` are built on first use, the
+    latter from the same strips as :func:`readout_image` reads a state out;
   * :func:`hybrid_circuit` - the full gate-level circuit of either hybrid
     method (state-preparation cascade plus decompression, all RY/CX), built
     without simulating it, for export.
 
 The two hybrid methods run through one body. They share the classical front
-end (:func:`encode_image`, then normalize per run), the state load, the
-decompression and the readout; passing a quantization scale is the
-only difference, and it adds the quantization step, the ancilla with the
-block-encoded rescaler, and the post-selection. Either run takes the image
-or its encoding; given the image, it encodes it first.
+end (:func:`encode_image`, then one normalization per run,
+:func:`_load_norms`), the state load, the decompression and the readout;
+passing a quantization scale is the only difference, and it adds the
+quantization step, the ancilla with the block-encoded rescaler, and the
+post-selection. Either run takes the image or its encoding; given the
+image, it encodes it first.
 
 Backends:
 
@@ -47,9 +51,10 @@ Backends:
     inverse DCT's first product. Since the inverse DCT is
     orthonormal, the success probability is the sum of d_f^2 times the
     loaded amplitudes' energies per frequency, and the ancilla-1 branch is
-    never built. The state is the decoded padded strips divided by the
-    readout factor. Block rows below the original height hold only zero
-    padding; a sweep cell skips them.
+    never built. The state, built only when it is asked for, is the loaded
+    amplitudes times M^T over sqrt(p), exactly the backend's definition.
+    Block rows below the original height hold only zero padding; a sweep
+    cell skips them.
   * ``gate_exact`` - the reference and the only backend that builds and
     runs the state-preparation cascade: every gate of the cascade and the
     decompression circuit, once and in order. The cascade never touches
@@ -130,19 +135,18 @@ class NormalizationRecord:
             raise ValueError(f"mode must be one of {NORM_MODES}")
         if (self.per_block_norms is not None) != (self.mode == "per_block"):
             raise ValueError("per_block_norms present iff mode == 'per_block'")
+        if not all(n >= BLOCK and n & (n - 1) == 0 for n in self.padded_dims):
+            raise ValueError("padded_dims must be powers of two of at least 8")
         if self.per_block_norms is not None:
             norms = np.asarray(self.per_block_norms, dtype=np.float64).copy()
             norms.flags.writeable = False
             object.__setattr__(self, "per_block_norms", norms)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    state: StateVector
-    success_probability: float
-    norm_record: NormalizationRecord
-    resources: ResourceReport
-    reconstructed: GrayscaleImage
+class _Report:
+    """The JSON report of a run, read off its ``success_probability``,
+    ``norm_record`` and ``resources``: one body for :class:`HybridRun` and
+    QPIE's :class:`PipelineResult`."""
 
     def to_json(self) -> dict:
         rec = self.norm_record
@@ -160,23 +164,15 @@ class PipelineResult:
         }
 
 
-def _normalize_rows(zz: np.ndarray, mode: str) -> tuple[np.ndarray, float, np.ndarray | None]:
-    """Scale a (n_blocks, 2^r) coefficient matrix into unit amplitudes."""
-    if mode not in NORM_MODES:
-        raise ValueError(f"norm_mode must be one of {NORM_MODES}")
-    if mode == "global":
-        norm = float(np.linalg.norm(zz))
-        if norm == 0.0:
-            raise ValueError("truncated coefficient vector is identically zero")
-        return zz / norm, norm, None
-    row_norms = np.linalg.norm(zz, axis=1)
-    active = row_norms > 0.0
-    n_active = int(active.sum())
-    if n_active == 0:
-        raise ValueError("truncated coefficient vector is identically zero")
-    amps = np.zeros_like(zz)
-    amps[active] = zz[active] / (row_norms[active, None] * math.sqrt(n_active))
-    return amps, math.sqrt(n_active), row_norms
+@dataclass(frozen=True)
+class PipelineResult(_Report):
+    """The result of :func:`run_qpie_direct`."""
+
+    state: StateVector
+    success_probability: float
+    norm_record: NormalizationRecord
+    resources: ResourceReport
+    reconstructed: GrayscaleImage
 
 
 @dataclass(frozen=True)
@@ -189,8 +185,9 @@ class ImageEncoding:
     None) for QF-JQPIE. It depends on neither r nor the normalization mode:
     the operator backend decodes it with weights that zero the frequencies
     a run does not load, and :func:`_amplitudes` gathers a run's load-ordered
-    rows from it for the cascade. :attr:`energies` is computed on first use
-    and kept on the encoding, so it lives and dies with the plane.
+    rows from it for the cascade and the operator state. :attr:`energies`
+    is computed on first use and kept on the encoding, so it lives and dies
+    with the plane.
     """
 
     image: GrayscaleImage
@@ -269,31 +266,6 @@ def _encoding(source: GrayscaleImage | ImageEncoding, scale: float | None) -> Im
     return encode_image(source, scale)
 
 
-def _record(encoding: ImageEncoding, global_norm: float, mode: str,
-            per_block_norms: np.ndarray | None) -> NormalizationRecord:
-    table = encoding.table
-    return NormalizationRecord(global_norm, None if table is None else table.max_entry, mode,
-                               per_block_norms, (2 ** encoding.h, 2 ** encoding.w),
-                               encoding.image.bit_depth)
-
-
-def _amplitudes(encoding: ImageEncoding, r: int,
-                norm_mode: str) -> tuple[np.ndarray, NormalizationRecord]:
-    """Gather an encoding's first 2^r zigzag coefficients in load order and normalize.
-
-    Column s of the returned (n_blocks, 2^r) amplitude matrix holds the
-    coefficient of frequency ``load_order(r)[s]`` of each block, gathered
-    from the plane; the record undoes the scaling. This is the cascade's
-    input (``gate_exact``, export).
-    """
-    f = load_order(r)
-    plane = encoding.plane
-    blocks = plane.reshape(plane.shape[0] // BLOCK, BLOCK, -1, BLOCK)
-    zz = blocks[:, f // BLOCK, :, f % BLOCK].reshape(len(f), -1).T
-    amp_matrix, global_norm, per_block = _normalize_rows(zz, norm_mode)
-    return amp_matrix, _record(encoding, global_norm, norm_mode, per_block)
-
-
 @lru_cache(maxsize=None)
 def _kept(r: int) -> np.ndarray:
     """1 at the frequencies (u, v) a run at r loads, 0 elsewhere (8 x 8)."""
@@ -305,8 +277,8 @@ def _kept(r: int) -> np.ndarray:
 
 def _load_norms(encoding: ImageEncoding, r: int,
                 mode: str) -> tuple[NormalizationRecord, np.ndarray]:
-    """The normalization of :func:`_amplitudes`, read off the plane
-    without gathering a coefficient.
+    """The one normalization of a run, read off the plane without gathering
+    a coefficient; :func:`_amplitudes` divides by it.
 
     Returns the record and the energies of the loaded amplitudes per
     frequency, an 8 x 8 array that is zero off the kept frequencies: the
@@ -314,8 +286,7 @@ def _load_norms(encoding: ImageEncoding, r: int,
     plane's energies per frequency (:attr:`ImageEncoding.energies`, computed
     once per encoding) over the squared norm; under
     ``per_block`` each block's squares over its squared norm, summed and
-    divided by n_active. They sum to 1. The norms sum in another order than
-    :func:`_amplitudes`, so they may differ from its in the last bits.
+    divided by n_active. They sum to 1.
     """
     if mode not in NORM_MODES:
         raise ValueError(f"norm_mode must be one of {NORM_MODES}")
@@ -341,7 +312,32 @@ def _load_norms(encoding: ImageEncoding, r: int,
     if total == 0:
         raise ValueError("truncated coefficient vector is identically zero")
     energies /= total
-    return _record(encoding, math.sqrt(total), mode, per_block), energies
+    table = encoding.table
+    record = NormalizationRecord(math.sqrt(total), None if table is None else table.max_entry,
+                                 mode, per_block, (2 ** encoding.h, 2 ** encoding.w),
+                                 encoding.image.bit_depth)
+    return record, energies
+
+
+def _amplitudes(encoding: ImageEncoding, r: int,
+                norm_mode: str) -> tuple[np.ndarray, NormalizationRecord]:
+    """Gather an encoding's first 2^r zigzag coefficients in load order and normalize.
+
+    Column s of the returned (n_blocks, 2^r) amplitude matrix holds the
+    coefficient of frequency ``load_order(r)[s]`` of each block, gathered
+    from the plane and divided by the norms of :func:`_load_norms`, whose
+    record undoes the scaling; a block whose norm is zero stays 0. This is
+    the cascade's input (``gate_exact``, export) and the operator state's.
+    """
+    record, _ = _load_norms(encoding, r, norm_mode)
+    f = load_order(r)
+    plane = encoding.plane
+    blocks = plane.reshape(plane.shape[0] // BLOCK, BLOCK, -1, BLOCK)
+    zz = blocks[:, f // BLOCK, :, f % BLOCK].reshape(len(f), -1).T
+    if record.per_block_norms is None:
+        return zz / record.global_norm, record
+    norms = record.per_block_norms[:, None] * record.global_norm
+    return np.divide(zz, norms, out=np.zeros_like(zz), where=norms > 0.0), record
 
 
 def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
@@ -466,15 +462,19 @@ def _check_backend(backend: str) -> None:
         raise ValueError(f"unknown backend {backend!r}")
 
 
-class HybridRun:
-    """One hybrid run of an encoding, its reconstruction decoded in strips.
+class HybridRun(_Report):
+    """One hybrid run of an encoding: what :func:`run_jqpie` and
+    :func:`run_qf_jqpie` return and what a sweep cell makes directly.
 
     :meth:`strips` walks the block rows that hold original pixels, 8 at a
     time (:data:`~jqpie.imagio.STRIP_ROWS` pixel rows); the block rows below
     the original height hold only zero padding and are skipped. For each
     strip it yields the first pixel row and the strip's pixels, cropped to
     the original width and not clamped. The pixel array is overwritten by
-    the next strip; a caller may change it.
+    the next strip; a caller may change it. ``reconstructed`` is the strips
+    assembled into an image, and ``state``, ``reconstructed`` and
+    ``resources`` are built on first use, so a sweep cell, which reads only
+    the strips, makes no image-sized array.
 
     Under ``operator`` the plane itself is decoded:
     :func:`~jqpie.jpegcore.idct_strips` weights it by lambda d_f on the
@@ -488,22 +488,21 @@ class HybridRun:
     circuit runs gate by gate when the run is made: the cascade on the
     h + w image qubits, then, with the ancilla joined in |0> above them for
     JQPIE, the decompression on h + w + 1. The strips read the
-    post-selected ``state`` as :func:`readout_image` does.
+    post-selected ``state`` out as :func:`readout_image` does.
     """
 
     def __init__(self, encoding: ImageEncoding, r: int, backend: str, norm_mode: str):
         _check_backend(backend)
-        self.encoding, self.r = encoding, r
-        self.state: StateVector | None = None
+        self.encoding, self.r, self.backend = encoding, r, backend
         h, w, scale = encoding.h, encoding.w, encoding.scale
         if backend == "operator":
-            self.record, energies = _load_norms(encoding, r, norm_mode)
+            self.norm_record, energies = _load_norms(encoding, r, norm_mode)
             d = _decompression_weights(r, scale)
             self.folded = _folded_decompression(r, scale)
             self.success_probability = _branch_probability(float(np.sum(d * d * energies)),
                                                            h + w, scale)
             return
-        amp_matrix, self.record = _amplitudes(encoding, r, norm_mode)
+        amp_matrix, self.norm_record = _amplitudes(encoding, r, norm_mode)
         prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=False)
         sv = apply_circuit(zero_state(h + w), prep)
         if scale is not None:   # the ancilla joins in |0>: a zero ancilla-1 half
@@ -514,72 +513,44 @@ class HybridRun:
         if scale is not None:
             post = postselect_ancilla(sv, qubit=h + w, outcome=0)
             sv, probability = post.state, post.probability
+        # the simulated state, set here, takes the place of the lazy one
         self.state, self.success_probability = sv, probability
+
+    @cached_property
+    def state(self) -> StateVector:
+        """The post-selected state. Under ``operator`` it is built on first
+        use: the load-ordered amplitudes (:func:`_amplitudes`) times M^T
+        (:func:`_decompression_operator`), over sqrt(p)."""
+        amp_matrix, _ = _amplitudes(self.encoding, self.r, self.norm_record.mode)
+        branch = amp_matrix @ _decompression_operator(self.r, self.encoding.scale).T
+        branch /= math.sqrt(self.success_probability)
+        return StateVector._owning(branch.reshape(-1), self.encoding.h + self.encoding.w)
 
     def strips(self) -> Iterator[tuple[int, np.ndarray]]:
         """(first pixel row, pixels) of each strip, in order."""
         dims = self.encoding.image.original_dims
-        if self.state is not None:
-            return _state_strips(self.state, self.record, dims, self.success_probability)
+        if self.backend == "gate_exact":
+            return _state_strips(self.state, self.norm_record, dims, self.success_probability)
         return idct_strips(self.encoding.plane, self.folded, dims)
 
+    @cached_property
+    def reconstructed(self) -> GrayscaleImage:
+        """The cropped, not clamped reconstruction: the strips assembled
+        into an image, under ``gate_exact`` by :func:`readout_image`."""
+        dims = self.encoding.image.original_dims
+        if self.backend == "gate_exact":
+            return readout_image(self.state, self.norm_record, dims, self.success_probability)
+        return _assemble(self.strips(), dims, self.norm_record.bit_depth)
+
+    @cached_property
     def resources(self) -> ResourceReport:
         """The run's resource model, :func:`~jqpie.synth.closed_form_resources`."""
         method = "qf_jqpie" if self.encoding.scale is None else "jqpie"
         return closed_form_resources(self.encoding.h, self.encoding.w, self.r, method=method)
 
 
-def _operator_state(run: HybridRun) -> tuple[StateVector, GrayscaleImage]:
-    """The post-selected state and the reconstruction of an operator run.
-
-    The whole padded plane is decoded; each strip's tiles are the blocks'
-    ancilla-0 branch times the readout factor (lambda, the norms and
-    sqrt(p)), which is divided out per block, and its top-left part is the
-    reconstruction.
-    """
-    encoding, record = run.encoding, run.record
-    (ph, pw), (oh, ow) = record.padded_dims, encoding.image.original_dims
-    branch = np.empty((ph // BLOCK, pw // BLOCK, BLOCK, BLOCK))
-    pixels = np.empty((oh, ow))
-    for row, strip in idct_strips(encoding.plane, run.folded, (ph, pw)):
-        first = row // BLOCK
-        tiles = strip.reshape(-1, BLOCK, pw // BLOCK, BLOCK).transpose(0, 2, 1, 3)
-        branch[first:first + len(tiles)] = tiles
-        pixels[row:row + len(strip)] = strip[:max(0, oh - row), :ow]
-    factor = record.global_norm * math.sqrt(run.success_probability)
-    if record.lam is not None:
-        factor *= record.lam
-    blocks = branch.reshape(-1, DATA_DIM)
-    if record.per_block_norms is None:
-        blocks /= factor
-    else:
-        divisor = record.per_block_norms[:, None] * factor
-        np.divide(blocks, divisor, out=blocks, where=divisor > 0.0)
-    state = StateVector._owning(blocks.reshape(-1), encoding.h + encoding.w)
-    return state, GrayscaleImage._owning(pixels, encoding.image.bit_depth, (oh, ow))
-
-
-def _run_hybrid(source: GrayscaleImage | ImageEncoding, r: int, scale: float | None,
-                backend: str, norm_mode: str) -> PipelineResult:
-    """Both hybrid methods; a quantization scale selects JQPIE.
-
-    Under ``operator`` the state and the reconstruction come from the
-    decoded padded strips (:func:`_operator_state`). Under ``gate_exact``
-    the run's post-selected state is read out by :func:`readout_image`.
-    """
-    _check_backend(backend)
-    run = HybridRun(_encoding(source, scale), r, backend, norm_mode)
-    if run.state is None:
-        state, recon = _operator_state(run)
-    else:
-        state = run.state
-        recon = readout_image(state, run.record, run.encoding.image.original_dims,
-                              run.success_probability)
-    return PipelineResult(state, run.success_probability, run.record, run.resources(), recon)
-
-
 def run_jqpie(source: GrayscaleImage | ImageEncoding, r: int, scale: float = 1.0,
-              backend: str = "operator", norm_mode: str = "global") -> PipelineResult:
+              backend: str = "operator", norm_mode: str = "global") -> HybridRun:
     """Quantized hybrid preparation with coherent decompression.
 
     Classical stage: pad, block, 2D DCT, quantize at ``scale``, zigzag, keep
@@ -591,29 +562,34 @@ def run_jqpie(source: GrayscaleImage | ImageEncoding, r: int, scale: float = 1.0
     The ``operator`` backend takes the normalized coefficients as the loaded
     amplitudes and evaluates the decompression as the inverse DCT of the
     coefficient plane weighted by the decompression's diagonal, read off its
-    64 x 2^r per-block operator (:class:`HybridRun`); ``gate_exact`` builds the
+    64 x 2^r per-block operator; ``gate_exact`` builds the
     state-preparation cascade and applies the full gate-level circuit gate
     by gate, the reference the operator backend is checked against.
     ``source`` is the image or its :func:`encode_image` at ``scale``, which
-    skips the classical transform. Raises ValueError for an unknown
-    backend, when the truncated coefficients are all zero or when the
-    encoding is not quantized at ``scale``.
+    skips the classical transform. Returns the :class:`HybridRun`, whose
+    ``state`` and ``reconstructed`` are built on first use. Raises
+    ValueError for an unknown backend (before encoding), when the truncated
+    coefficients are all zero or when the encoding is not quantized at
+    ``scale``.
     """
-    return _run_hybrid(source, r, scale, backend, norm_mode)
+    _check_backend(backend)
+    return HybridRun(_encoding(source, scale), r, backend, norm_mode)
 
 
 def run_qf_jqpie(source: GrayscaleImage | ImageEncoding, r: int, backend: str = "operator",
-                 norm_mode: str = "global") -> PipelineResult:
+                 norm_mode: str = "global") -> HybridRun:
     """Quantization-free hybrid preparation: truncation only, fully unitary.
 
     Loads the unquantized truncated zigzag coefficients, applies the
     truncated inverse zigzag and the inverse 2D DCT. No ancilla, no block
     encoding, and the success probability is exactly 1. ``source`` is the
-    image or its unquantized :func:`encode_image`. The backends load as in
-    :func:`run_jqpie`. Raises ValueError for an unknown backend, when the
+    image or its unquantized :func:`encode_image`. The backends load, and
+    the :class:`HybridRun` returned reads out, as in :func:`run_jqpie`.
+    Raises ValueError for an unknown backend (before encoding), when the
     truncated coefficients are all zero or when the encoding is quantized.
     """
-    return _run_hybrid(source, r, None, backend, norm_mode)
+    _check_backend(backend)
+    return HybridRun(_encoding(source, None), r, backend, norm_mode)
 
 
 def method_scale(method: str, scale: float) -> float | None:
@@ -641,45 +617,38 @@ def hybrid_circuit(source: GrayscaleImage | ImageEncoding, method: str, r: int,
 
 
 def run_qpie_direct(img: GrayscaleImage, backend: str = "operator") -> PipelineResult:
-    """Direct amplitude encoding of the (already power-of-two) pixel grid.
+    """Direct amplitude encoding of the image zero-padded to powers of two
+    (:func:`~jqpie.imagio.pad_to_pow2`, at least 8 a side; padding an
+    already padded image changes nothing).
 
-    For dimensions of at least 8 the state uses the project block-major
-    layout (index register = block, data register = intra-block position) so
-    it is directly comparable with the hybrid pipelines; smaller images fall
-    back to a plain row-major flattening. The operator backend takes the
-    normalized pixels as the state; ``gate_exact`` builds the
-    state-preparation cascade and runs it. Raises ValueError for an unknown
-    backend.
+    The state uses the project block-major layout (index register = block,
+    data register = intra-block position), so it is directly comparable
+    with the hybrid pipelines. The operator backend takes the normalized
+    pixels as the state; ``gate_exact`` builds the state-preparation
+    cascade and runs it. Raises ValueError for an unknown backend, before
+    padding, and for an all-zero image.
     """
     _check_backend(backend)
-    h = log2_exact(img.height, "image height")
-    w = log2_exact(img.width, "image width")
-    pixels = img.pixels
+    padded = pad_to_pow2(img)
+    h = log2_exact(padded.height, "padded height")
+    w = log2_exact(padded.width, "padded width")
+    pixels = padded.pixels
     norm = float(np.linalg.norm(pixels))
     if norm == 0.0:
         raise ValueError("cannot encode an all-zero image")
-    if img.height >= BLOCK and img.width >= BLOCK:
-        nbx, nby = img.height // BLOCK, img.width // BLOCK
-        flat = (pixels.reshape(nbx, BLOCK, nby, BLOCK)
-                .transpose(0, 2, 1, 3).reshape(-1)) / norm
-    else:
-        flat = pixels.reshape(-1) / norm
+    nbx, nby = padded.height // BLOCK, padded.width // BLOCK
+    flat = (pixels.reshape(nbx, BLOCK, nby, BLOCK)
+            .transpose(0, 2, 1, 3).reshape(-1)) / norm
     n = h + w
     if backend == "operator":
         sv = from_amplitudes(flat)
     else:
         sv = apply_circuit(zero_state(n), synth_state_prep(flat, n_qubits=n))
     record = NormalizationRecord(norm, None, "global", None,
-                                 (img.height, img.width), img.bit_depth)
+                                 (padded.height, padded.width), img.bit_depth)
     resources = closed_form_resources(h, w, r=6, method="qpie")
     recon = readout_image(sv, record, img.original_dims)
     return PipelineResult(sv, 1.0, record, resources, recon)
-
-
-def _tile(padded_dims: tuple[int, int]) -> tuple[int, int]:
-    """The pixel tile of one block: 8x8, or the whole image when a side is under 8."""
-    ph, pw = padded_dims
-    return (BLOCK, BLOCK) if ph >= BLOCK and pw >= BLOCK else (ph, pw)
 
 
 def _state_strips(state: StateVector, record: NormalizationRecord,
@@ -689,32 +658,40 @@ def _state_strips(state: StateVector, record: NormalizationRecord,
 
     Checks the state's size first. Each strip's amplitudes are multiplied by
     sqrt(p) and the global norm, then by lambda and the block norms when
-    the record has them, straight into the tiles of the strip's pixel rows,
-    and cropped to the original dimensions; block rows below the original
-    height are skipped.
+    the record has them, straight into the 8 x 8 tiles of the strip's pixel
+    rows, and cropped to the original dimensions; block rows below the
+    original height are skipped.
     """
     ph, pw = record.padded_dims
-    if state.n != log2_exact(ph, "padded height") + log2_exact(pw, "padded width"):
+    if 2 ** state.n != ph * pw:
         raise ValueError("state size does not match the recorded padded dimensions")
-    th, tw = _tile(record.padded_dims)
-    amplitudes = state.amplitudes.reshape(-1, th * tw)
+    amplitudes = state.amplitudes.reshape(-1, DATA_DIM)
     factor = math.sqrt(success_probability) * record.global_norm
-    nby = pw // tw
+    nby = pw // BLOCK
     oh, ow = original_dims
-    used = -(-oh // th)   # block rows that hold original pixels
+    used = -(-oh // BLOCK)   # block rows that hold original pixels
     per_strip = STRIP_ROWS // BLOCK
-    pixels = np.empty((min(per_strip, used) * th, pw))
+    pixels = np.empty((min(per_strip, used) * BLOCK, pw))
     for first in range(0, used, per_strip):
         k = min(per_strip, used - first)
         blocks = slice(first * nby, (first + k) * nby)
-        tiles = pixels[:k * th].reshape(k, th, nby, tw).transpose(0, 2, 1, 3)
-        np.multiply(amplitudes[blocks].reshape(k, nby, th, tw), factor, out=tiles)
+        tiles = pixels[:k * BLOCK].reshape(k, BLOCK, nby, BLOCK).transpose(0, 2, 1, 3)
+        np.multiply(amplitudes[blocks].reshape(k, nby, BLOCK, BLOCK), factor, out=tiles)
         if record.lam is not None:
             tiles *= record.lam
         if record.per_block_norms is not None:
             tiles *= record.per_block_norms[blocks].reshape(k, nby, 1, 1)
-        row = first * th
-        yield row, pixels[:min(k * th, oh - row), :ow]
+        row = first * BLOCK
+        yield row, pixels[:min(k * BLOCK, oh - row), :ow]
+
+
+def _assemble(strips: Iterator[tuple[int, np.ndarray]], original_dims: tuple[int, int],
+              bit_depth: int) -> GrayscaleImage:
+    """The image of a run's strips (:meth:`HybridRun.strips`), not clamped."""
+    pixels = np.empty(original_dims)
+    for row, rows in strips:
+        pixels[row:row + len(rows)] = rows
+    return GrayscaleImage._owning(pixels, bit_depth, original_dims)
 
 
 def readout_image(state: StateVector, norm_record: NormalizationRecord,
@@ -727,9 +704,7 @@ def readout_image(state: StateVector, norm_record: NormalizationRecord,
     probability undoes the renormalization applied when the ancilla branch
     was projected out. Pixels are cropped to the original dimensions;
     clamping is left to metric/file-writing time. The pixels are assembled
-    from the strips a sweep scores (:meth:`HybridRun.strips`).
+    from strips as :attr:`HybridRun.reconstructed` assembles them.
     """
-    pixels = np.empty(original_dims)
-    for row, rows in _state_strips(state, norm_record, original_dims, success_probability):
-        pixels[row:row + len(rows)] = rows
-    return GrayscaleImage._owning(pixels, norm_record.bit_depth, original_dims)
+    return _assemble(_state_strips(state, norm_record, original_dims, success_probability),
+                     original_dims, norm_record.bit_depth)

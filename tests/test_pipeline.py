@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jqpie import pipeline
+from jqpie import bench, pipeline
 from jqpie.bench import SweepConfig, main, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
 from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, _block_zigzag, blocks_from_zigzag,
@@ -29,10 +29,14 @@ from conftest import gradient_image, random_image
 # --- direct amplitude encoding -------------------------------------------------
 
 def test_qpie_two_by_two_amplitudes():
+    # padded to one 8 x 8 block: pixel (1, 1) sits at index 8 + 1
     img = GrayscaleImage(np.array([[3.0, 0.0], [0.0, 4.0]]))
     result = run_qpie_direct(img)
     assert np.allclose(result.reconstructed.pixels, img.pixels, atol=1e-12)
-    assert np.allclose(result.state.amplitudes.real, [0.6, 0.0, 0.0, 0.8], atol=1e-15)
+    expected = np.zeros(64)
+    expected[[0, 9]] = 0.6, 0.8
+    assert np.allclose(result.state.amplitudes, expected, atol=1e-15)
+    assert result.norm_record.padded_dims == (8, 8)
     assert result.success_probability == 1.0
 
 
@@ -48,10 +52,13 @@ def test_qpie_readout_roundtrip(rng):
     assert np.max(np.abs(result.reconstructed.pixels - img.pixels)) <= 1e-9
 
 
-def test_qpie_rejects_non_pow2_and_zero():
-    with pytest.raises(ValueError):
-        run_qpie_direct(GrayscaleImage(np.ones((12, 16))))
-    with pytest.raises(ValueError):
+def test_qpie_pads_its_input_and_rejects_zero():
+    # 12 x 16 pads to 16 x 16 and crops back; an all-zero image is refused
+    result = run_qpie_direct(GrayscaleImage(np.ones((12, 16))))
+    assert result.norm_record.padded_dims == (16, 16) and result.state.n == 8
+    assert np.max(np.abs(result.reconstructed.pixels - 1.0)) <= 1e-12
+    assert result.reconstructed.pixels.shape == (12, 16)
+    with pytest.raises(ValueError, match="all-zero"):
         run_qpie_direct(GrayscaleImage(np.zeros((8, 8))))
 
 
@@ -278,6 +285,9 @@ def test_normalization_record_validation():
         NormalizationRecord(1.0, None, "weird", None, (8, 8))
     with pytest.raises(ValueError):
         NormalizationRecord(1.0, None, "global", np.ones(4), (8, 8))
+    for dims in ((4, 8), (8, 12), (16, 0)):
+        with pytest.raises(ValueError, match="powers of two of at least 8"):
+            NormalizationRecord(1.0, None, "global", None, dims)
 
 
 def test_pipeline_result_serializes(rng):
@@ -312,6 +322,10 @@ def test_backend_equivalence_per_block(rng, r):
     for method in (run_jqpie, run_qf_jqpie):
         a = method(img, r, backend="gate_exact", norm_mode="per_block")
         b = method(img, r, backend="operator", norm_mode="per_block")
+        # one normalization: the records are equal, the zero block's norm 0
+        assert a.to_json()["normalization"] == b.to_json()["normalization"]
+        assert np.count_nonzero(b.norm_record.per_block_norms == 0.0) >= 1
+        assert np.max(np.abs(a.state.amplitudes - b.state.amplitudes)) <= 1e-12
         assert abs(a.success_probability - b.success_probability) <= 1e-12
         assert np.max(np.abs(a.reconstructed.pixels - b.reconstructed.pixels)) <= 1e-9
 
@@ -322,8 +336,9 @@ def test_runs_reject_an_unknown_backend(rng, monkeypatch):
     def encoded(*args, **kwargs):
         raise AssertionError("encoded before the backend was checked")
 
-    monkeypatch.setattr(pipeline, "encode_image", encoded)
-    monkeypatch.setattr(pipeline, "log2_exact", encoded)
+    # encoding a hybrid run, and QPIE's own padding, both start with pad_to_pow2
+    for name in ("encode_image", "pad_to_pow2", "log2_exact"):
+        monkeypatch.setattr(pipeline, name, encoded)
     for run in (lambda: run_jqpie(img, r=4, backend="bogus"),
                 lambda: run_qf_jqpie(img, r=4, backend="bogus"),
                 lambda: run_qpie_direct(img, backend="bogus")):
@@ -570,13 +585,13 @@ def test_state_prep_cascade_loads_the_vector(vec):
 
 
 def test_operator_load_builds_no_circuit(rng, monkeypatch):
-    # the operator backend decodes the encoding's plane itself: one call of
-    # the decode kernel per run, over the whole padded plane, weighted by
-    # lambda d_f = Q_f (1 for QF-JQPIE) on the loaded frequencies and zero
-    # elsewhere, folded into the inverse DCT as diag(weight[u, :]) D; only
-    # gate_exact builds and runs the cascade. Its norms are the cascade's;
-    # they sum in another order than the gathered matrix's norms, so they
-    # may differ from them in the last bits.
+    # the operator backend decodes the encoding's plane itself: making the
+    # run decodes nothing, and its state and reconstruction take one call of
+    # the decode kernel, over the plane cropped to the original dimensions,
+    # weighted by lambda d_f = Q_f (1 for QF-JQPIE) on the loaded
+    # frequencies and zero elsewhere, folded into the inverse DCT as
+    # diag(weight[u, :]) D; only gate_exact builds and runs the cascade.
+    # There is one normalization, so its norms are the cascade's exactly.
     images = (random_image(rng, 16, 16), random_image(rng, 57, 33))
     for r in (2, 6):
         for scale in (None, 1.0):
@@ -593,7 +608,6 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
 
     for name in ("synth_state_prep", "apply_circuit", "idct_strips"):
         spy(name)
-    eps = np.finfo(float).eps
     for img in images:
         for scale, run_method in ((None, run_qf_jqpie), (1.0, run_jqpie)):
             encoding = pipeline.encode_image(img, scale)
@@ -601,20 +615,21 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
             for norm_mode in NORM_MODES:
                 for r in (2, 6):
                     calls.clear()
-                    record = run_method(encoding, r, norm_mode=norm_mode).norm_record
+                    run = run_method(encoding, r, norm_mode=norm_mode)
+                    assert calls == []
+                    run.state, run.reconstructed
                     [(name, (plane, folded, dims))] = calls
                     assert name == "idct_strips" and plane is encoding.plane
-                    assert dims == (2 ** encoding.h, 2 ** encoding.w)
+                    assert dims == img.original_dims
                     expected = np.zeros(64)
                     expected[load_order(r)] = q[load_order(r)]
                     expected = expected.reshape(8, 8)[:, :, None] * dct_matrix()
                     assert np.max(np.abs(folded - expected)) <= 1e-12 * q.max()
                     _, cascade = pipeline._amplitudes(encoding, r, norm_mode)
-                    assert abs(record.global_norm - cascade.global_norm) <= (
-                        2 * eps * cascade.global_norm)
+                    record = run.norm_record
+                    assert record.global_norm == cascade.global_norm
                     if norm_mode == "per_block":
-                        norms = cascade.per_block_norms
-                        assert np.all(np.abs(record.per_block_norms - norms) <= 4 * eps * norms)
+                        assert np.array_equal(record.per_block_norms, cascade.per_block_norms)
     calls.clear()
     run_qpie_direct(images[0])
     assert calls == []
@@ -650,8 +665,9 @@ def test_gate_exact_cascade_runs_without_the_ancilla(rng, monkeypatch):
 
 def _hybrid_operator_runs(img):
     for r in (3, 6):
-        run_qf_jqpie(img, r)
-        run_jqpie(img, r)
+        for run in (run_qf_jqpie(img, r), run_jqpie(img, r)):
+            assert run.state.n == 12
+            run.reconstructed
 
 
 # "cascade": the hybrid runs, whose operator load stands in for the state-prep
@@ -677,6 +693,25 @@ def test_operator_path_stays_on_image_qubits(rng, monkeypatch, runs):
     monkeypatch.setattr(pipeline, "postselect_ancilla", no_postselect)
     runs(img)
     assert widths and max(widths) == 12
+
+
+def test_sweep_cells_build_no_state_or_image(tmp_path, rng, monkeypatch):
+    # a cell scores its run's strips only: under operator neither the
+    # image-sized state nor the reconstruction is ever built
+    write_pgm(random_image(rng, 37, 61), tmp_path / "img.pgm")
+    runs = []
+
+    class Recorded(pipeline.HybridRun):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(bench, "HybridRun", Recorded)
+    for norm_mode in NORM_MODES:
+        rows = run_sweep(SweepConfig(inputs=(str(tmp_path / "img.pgm"),), norm_mode=norm_mode))
+        assert len(rows) == 2 * len(TRUNCATION_LEVELS) and not any(row["error"] for row in rows)
+    assert len(runs) == 2 * len(rows)
+    assert not any({"state", "reconstructed"} & vars(run).keys() for run in runs)
 
 
 # --- one classical front end per image ----------------------------------------------
@@ -822,10 +857,9 @@ def test_readout_multiplies_in_the_image_layout(rng):
         expected = matrix.reshape(2, 4, 8, 8).transpose(0, 2, 1, 3).reshape(16, 32)[:13, :30]
         assert got.pixels.tobytes() == expected.tobytes()
         assert got.original_dims == (13, 30)
-    # a side under 8: one row-major tile
-    small = NormalizationRecord(3.7, 121.0, "global", None, (4, 2))
-    got = readout_image(StateVector(amps[:8], 3), small, (3, 2))
-    assert got.pixels.tobytes() == (amps[:8] * 3.7 * 121.0).reshape(4, 2)[:3].tobytes()
+    # a side under 8 has no 8 x 8 tile, and no record holds one
+    with pytest.raises(ValueError, match="powers of two of at least 8"):
+        NormalizationRecord(3.7, 121.0, "global", None, (4, 2))
 
 
 def test_runs_from_an_encoding_match_runs_from_the_image(rng):
