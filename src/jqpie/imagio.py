@@ -177,13 +177,6 @@ def _read_pnm_tokens(data: bytes, count: int, offset: int) -> tuple[list[int], i
     return tokens, i
 
 
-def _bit_depth_for(maxval: int) -> int:
-    bits = 1
-    while 2 ** bits - 1 < maxval:
-        bits += 1
-    return bits
-
-
 def _load_pnm(data: bytes) -> GrayscaleImage:
     magic = data[:2]
     if magic not in (b"P2", b"P5", b"P3", b"P6"):
@@ -223,7 +216,7 @@ def _load_pnm(data: bytes) -> GrayscaleImage:
         pixels = luminance(values.reshape(h, w, 3))
     else:
         pixels = values.reshape(h, w)
-    return GrayscaleImage._owning(pixels, bit_depth=_bit_depth_for(maxval))
+    return GrayscaleImage._owning(pixels, bit_depth=maxval.bit_length())
 
 
 def load_image(path, allow_png: bool = False) -> GrayscaleImage:

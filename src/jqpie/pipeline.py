@@ -21,7 +21,7 @@ Entry points:
     walked in strips of 8 block rows (64 pixel rows), the strips a sweep
     scores (:class:`~jqpie.metrics.Scores`) without making an image-sized
     array; its ``state`` and ``reconstructed`` are built on first use, the
-    latter from the same strips as :func:`readout_image` reads a state out;
+    latter from the strips;
   * :func:`hybrid_circuit` - the full gate-level circuit of either hybrid
     method (state-preparation cascade plus decompression, all RY/CX), built
     without simulating it, for export.
@@ -39,16 +39,16 @@ Backends:
   * ``operator`` - the decompression touches only the 6 data qubits and the
     ancilla, and only the 2^r low slots of a block are loaded, so its
     ancilla-0 branch is one real 64 x 2^r matrix M(r, S), read off the
-    decompression circuit once and cached. M must be kron(D^T, D^T)[:, f]
-    d_f, the inverse 2D DCT of each loaded frequency f scaled by the
-    rescaler's d_f, within 1e-12, or the run is refused. A run's loaded
-    amplitudes are the normalized (n_blocks, 2^r) coefficients, exactly
-    what the state-preparation cascade would load, so none is built; their
-    readout, lambda M times the coefficients, is the plane weighted by
-    lambda d_f on the loaded frequencies (zero elsewhere) and inverse
-    transformed, 8 block rows at a time, by
-    :func:`~jqpie.jpegcore.idct_strips`, which folds the weight into the
-    inverse DCT's first product. Since the inverse DCT is
+    decompression circuit once and cached with its d_f
+    (:func:`_decompression`). M must be kron(D^T, D^T)[:, f] d_f, the
+    inverse 2D DCT of each loaded frequency f scaled by the rescaler's d_f,
+    within 1e-12, or the run is refused. A run's loaded amplitudes are the
+    normalized (n_blocks, 2^r) coefficients, exactly what the
+    state-preparation cascade would load, so none is built; their readout,
+    lambda M times the coefficients, is the plane weighted by lambda d_f on
+    the loaded frequencies (zero elsewhere) and inverse transformed, 8 block
+    rows at a time, by :func:`~jqpie.jpegcore.idct_strips`, which folds the
+    weight into the inverse DCT's first product. Since the inverse DCT is
     orthonormal, the success probability is the sum of d_f^2 times the
     loaded amplitudes' energies per frequency, and the ancilla-1 branch is
     never built. The state, built only when it is asked for, is the loaded
@@ -64,7 +64,7 @@ Backends:
     which is post-selected. :func:`hybrid_circuit` and export keep the
     full-width circuit, the cascade with the ancilla idle.
 
-The decompression circuit is built once per (h, w, r, S) and cached; the
+The decompression circuit is built once per (h + w, r, S) and cached; the
 operator probe, ``gate_exact`` and export all read that one circuit.
 
 Images are zero-padded to power-of-two dimensions (at least 8) so pixels can
@@ -357,13 +357,14 @@ def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
 
 
 @lru_cache(maxsize=64)
-def _decompression_circuit(h: int, w: int, r: int, scale: float | None) -> Circuit:
+def _decompression_circuit(n_image: int, r: int, scale: float | None) -> Circuit:
     """Inverse zigzag, block-encoded rescaling at ``scale`` (none for None),
-    inverse 2D DCT, every stage built as RY/CX gates: the one circuit the
+    inverse 2D DCT, every stage built as RY/CX gates on ``n_image`` image
+    qubits (and the ancilla above them at a scale): the one circuit the
     operator probe, ``gate_exact`` and export read. It passes through
     :func:`~jqpie.synth.lower_circuit`, which returns it unchanged."""
     ancilla = scale is not None
-    n = h + w + (1 if ancilla else 0)
+    n = n_image + (1 if ancilla else 0)
     gates = list(synth_truncated_zigzag(r).gates)
     if ancilla:
         diag = block_encoded_rescaler(QuantTable(scale))
@@ -374,9 +375,21 @@ def _decompression_circuit(h: int, w: int, r: int, scale: float | None) -> Circu
     return lower_circuit(Circuit(n, tuple(gates)))
 
 
+@dataclass(frozen=True)
+class _Decompression:
+    """The decompression at one (r, S), read-only (:func:`_decompression`):
+    M as ``matrix``, d_f as 8 x 8 ``weights`` zero off the kept frequencies,
+    and a run's decode weight lambda d_f (d_f for QF-JQPIE, which has no
+    lambda) folded into the inverse DCT by :func:`~jqpie.jpegcore.fold_weight`."""
+
+    matrix: np.ndarray
+    weights: np.ndarray
+    folded: np.ndarray
+
+
 @lru_cache(maxsize=64)
-def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
-    """The ancilla-0 branch of the decompression as a real 64 x 2^r matrix M.
+def _decompression(r: int, scale: float | None) -> _Decompression:
+    """The decompression at (r, S), read off its circuit once and checked.
 
     The decompression acts only on the data register and the ancilla, and a
     block's 2^r loaded amplitudes a sit in its low slots, so they come out
@@ -384,11 +397,17 @@ def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
     2^r-block register whose block s holds the basis vector e_s, block s of
     the ancilla-0 branch is column s of M. The ancilla-0 and ancilla-1
     branches stacked must form a real isometry (for QF-JQPIE, with no
-    ancilla, M itself has orthonormal columns).
+    ancilla, M itself has orthonormal columns) within 1e-9.
+
+    The ancilla-0 branch of the inverse zigzag, the rescaler and the inverse
+    2D DCT is the inverse DCT of each loaded frequency f scaled by d_f
+    (Q_f / lambda for JQPIE, 1 for QF-JQPIE), so M = kron(D^T, D^T)[:, f] d_f.
+    Each d_f is column f of M projected onto its inverse DCT; an M that is
+    not that product within 1e-12 is refused.
     """
-    kept = 2 ** r
-    # h + w = 6 + r: an r-qubit index register, one block per loaded slot
-    circuit = _decompression_circuit(DATA_QUBITS, r, r, scale)
+    kept, f = 2 ** r, load_order(r)
+    # 6 + r image qubits: an r-qubit index register, one block per loaded slot
+    circuit = _decompression_circuit(DATA_QUBITS + r, r, scale)
     probe = np.zeros((1 if scale is None else 2, kept, DATA_DIM))
     probe[0, :, :kept] = np.eye(kept) / math.sqrt(kept)
     out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit)
@@ -397,48 +416,20 @@ def _decompression_operator(r: int, scale: float | None) -> np.ndarray:
     if not np.max(np.abs(stacked.T @ stacked - np.eye(kept))) <= 1e-9:   # NaN fails too
         raise ArithmeticError("decompression operator is not an isometry within 1e-9")
     matrix = np.ascontiguousarray(branches[0].T)
-    matrix.flags.writeable = False
-    return matrix
-
-
-#: kron(D^T, D^T): column 8u+v is the inverse 2D DCT of frequency (u, v) as a
-#: block of the data register, pixel (x, y) at 8x+y.
-_INVERSE_DCT = np.kron(_DCT.T, _DCT.T)
-_INVERSE_DCT.flags.writeable = False
-
-
-@lru_cache(maxsize=64)
-def _decompression_weights(r: int, scale: float | None) -> np.ndarray:
-    """The decompression's diagonal d_f as an 8 x 8 weight, zero off the kept
-    frequencies, read off :func:`_decompression_operator`.
-
-    The ancilla-0 branch of the inverse zigzag, the rescaler and the inverse
-    2D DCT is the inverse DCT of each loaded frequency f scaled by d_f
-    (Q_f / lambda for JQPIE, 1 for QF-JQPIE), so M = kron(D^T, D^T)[:, f] d_f.
-    Each d_f is column f of the operator projected onto its inverse DCT;
-    an operator that is not that product within 1e-12 is refused.
-    """
-    operator, f = _decompression_operator(r, scale), load_order(r)
-    columns = _INVERSE_DCT[:, f]
-    d = np.einsum("ks,ks->s", columns, operator)
-    if not np.max(np.abs(operator - columns * d)) <= 1e-12:   # NaN fails too
+    # kron(D^T, D^T): column 8u+v is the inverse 2D DCT of frequency (u, v) as a
+    # block of the data register, pixel (x, y) at 8x+y.
+    columns = np.kron(_DCT.T, _DCT.T)[:, f]
+    d = np.einsum("ks,ks->s", columns, matrix)
+    if not np.max(np.abs(matrix - columns * d)) <= 1e-12:   # NaN fails too
         raise ArithmeticError("decompression operator is not the inverse DCT of its "
                               "loaded frequencies times d_f within 1e-12")
     weights = np.zeros(BLOCK * BLOCK)
     weights[f] = d
     weights = weights.reshape(BLOCK, BLOCK)
+    folded = fold_weight(weights if scale is None else weights * QuantTable(scale).max_entry)
+    matrix.flags.writeable = False
     weights.flags.writeable = False
-    return weights
-
-
-@lru_cache(maxsize=64)
-def _folded_decompression(r: int, scale: float | None) -> np.ndarray:
-    """A run's decode weight, folded into the inverse DCT by
-    :func:`~jqpie.jpegcore.fold_weight`: lambda d_f (d_f for QF-JQPIE,
-    which has no lambda) on the kept frequencies and zero elsewhere, from
-    :func:`_decompression_weights`. Built once per (r, S)."""
-    d = _decompression_weights(r, scale)
-    return fold_weight(d if scale is None else d * QuantTable(scale).max_entry)
+    return _Decompression(matrix, weights, folded)
 
 
 def _branch_probability(squared_norm: float, n_image_qubits: int, scale: float | None) -> float:
@@ -479,7 +470,7 @@ class HybridRun(_Report):
     Under ``operator`` the plane itself is decoded:
     :func:`~jqpie.jpegcore.idct_strips` weights it by lambda d_f on the
     loaded frequencies and zero elsewhere inside the inverse DCT's first
-    product (``folded``, :func:`_folded_decompression`), which is the
+    product (the ``folded`` weight of :func:`_decompression`), which is the
     readout of the ancilla-0 branch: the loading norms, post-selection's
     1/sqrt(p) and the readout's sqrt(p) all cancel. Because the inverse DCT
     is orthonormal, ``success_probability`` is the sum of d_f^2 times the
@@ -488,7 +479,7 @@ class HybridRun(_Report):
     circuit runs gate by gate when the run is made: the cascade on the
     h + w image qubits, then, with the ancilla joined in |0> above them for
     JQPIE, the decompression on h + w + 1. The strips read the
-    post-selected ``state`` out as :func:`readout_image` does.
+    post-selected ``state`` out, times sqrt(p), by :func:`_state_strips`.
     """
 
     def __init__(self, encoding: ImageEncoding, r: int, backend: str, norm_mode: str):
@@ -497,8 +488,7 @@ class HybridRun(_Report):
         h, w, scale = encoding.h, encoding.w, encoding.scale
         if backend == "operator":
             self.norm_record, energies = _load_norms(encoding, r, norm_mode)
-            d = _decompression_weights(r, scale)
-            self.folded = _folded_decompression(r, scale)
+            d = _decompression(r, scale).weights
             self.success_probability = _branch_probability(float(np.sum(d * d * energies)),
                                                            h + w, scale)
             return
@@ -508,7 +498,7 @@ class HybridRun(_Report):
         if scale is not None:   # the ancilla joins in |0>: a zero ancilla-1 half
             sv = StateVector._owning(np.concatenate((sv.amplitudes, np.zeros(2 ** (h + w)))),
                                      h + w + 1)
-        sv = apply_circuit(sv, _decompression_circuit(h, w, r, scale))
+        sv = apply_circuit(sv, _decompression_circuit(h + w, r, scale))
         probability = 1.0
         if scale is not None:
             post = postselect_ancilla(sv, qubit=h + w, outcome=0)
@@ -520,9 +510,9 @@ class HybridRun(_Report):
     def state(self) -> StateVector:
         """The post-selected state. Under ``operator`` it is built on first
         use: the load-ordered amplitudes (:func:`_amplitudes`) times M^T
-        (:func:`_decompression_operator`), over sqrt(p)."""
+        (:func:`_decompression`), over sqrt(p)."""
         amp_matrix, _ = _amplitudes(self.encoding, self.r, self.norm_record.mode)
-        branch = amp_matrix @ _decompression_operator(self.r, self.encoding.scale).T
+        branch = amp_matrix @ _decompression(self.r, self.encoding.scale).matrix.T
         branch /= math.sqrt(self.success_probability)
         return StateVector._owning(branch.reshape(-1), self.encoding.h + self.encoding.w)
 
@@ -531,16 +521,15 @@ class HybridRun(_Report):
         dims = self.encoding.image.original_dims
         if self.backend == "gate_exact":
             return _state_strips(self.state, self.norm_record, dims, self.success_probability)
-        return idct_strips(self.encoding.plane, self.folded, dims)
+        return idct_strips(self.encoding.plane,
+                           _decompression(self.r, self.encoding.scale).folded, dims)
 
     @cached_property
     def reconstructed(self) -> GrayscaleImage:
         """The cropped, not clamped reconstruction: the strips assembled
-        into an image, under ``gate_exact`` by :func:`readout_image`."""
-        dims = self.encoding.image.original_dims
-        if self.backend == "gate_exact":
-            return readout_image(self.state, self.norm_record, dims, self.success_probability)
-        return _assemble(self.strips(), dims, self.norm_record.bit_depth)
+        into an image."""
+        return _assemble(self.strips(), self.encoding.image.original_dims,
+                         self.norm_record.bit_depth)
 
     @cached_property
     def resources(self) -> ResourceReport:
@@ -613,7 +602,7 @@ def hybrid_circuit(source: GrayscaleImage | ImageEncoding, method: str, r: int,
     amp_matrix, _ = _amplitudes(encoding, r, "global")
     h, w = encoding.h, encoding.w
     prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=scale is not None)
-    return compose(prep, _decompression_circuit(h, w, r, scale))
+    return compose(prep, _decompression_circuit(h + w, r, scale))
 
 
 def run_qpie_direct(img: GrayscaleImage, backend: str = "operator") -> PipelineResult:
@@ -695,16 +684,15 @@ def _assemble(strips: Iterator[tuple[int, np.ndarray]], original_dims: tuple[int
 
 
 def readout_image(state: StateVector, norm_record: NormalizationRecord,
-                  original_dims: tuple[int, int],
-                  success_probability: float = 1.0) -> GrayscaleImage:
-    """Convert a post-selected image state back into (pre-clamp) pixels.
+                  original_dims: tuple[int, int]) -> GrayscaleImage:
+    """Convert an image state that no post-selection renormalized back into
+    (pre-clamp) pixels: QPIE's state, whose success probability is 1.
 
     The signed amplitudes are rescaled by the recorded norms (and, when
-    present, the quantization constant lambda). The post-selection
-    probability undoes the renormalization applied when the ancilla branch
-    was projected out. Pixels are cropped to the original dimensions;
-    clamping is left to metric/file-writing time. The pixels are assembled
-    from strips as :attr:`HybridRun.reconstructed` assembles them.
+    present, the quantization constant lambda). Pixels are cropped to the
+    original dimensions; clamping is left to metric/file-writing time. The
+    pixels are assembled from strips as :attr:`HybridRun.reconstructed`
+    assembles them.
     """
-    return _assemble(_state_strips(state, norm_record, original_dims, success_probability),
+    return _assemble(_state_strips(state, norm_record, original_dims, 1.0),
                      original_dims, norm_record.bit_depth)

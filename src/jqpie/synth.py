@@ -314,7 +314,7 @@ def synth_inverse_qdct_gates() -> list[Gate]:
 
 # --- exact gate-level lowering --------------------------------------------------
 
-def _pattern_without_bit(index: int, bit: int, width: int) -> int:
+def _pattern_without_bit(index: int, bit: int) -> int:
     """Drop one bit position from an index, keeping the relative order."""
     high = index >> (bit + 1)
     low = index & ((1 << bit) - 1)
@@ -348,7 +348,7 @@ def lower_givens(i: int, j: int, theta: float, qubits, tag: str | None = None) -
     if (i >> pivot) & 1:
         theta = -theta
         i_star ^= 1 << pivot
-    pattern = _pattern_without_bit(i_star, pivot, t)
+    pattern = _pattern_without_bit(i_star, pivot)
     controls = [q for b, q in enumerate(qubits) if (t - 1 - b) != pivot]
     alphas = np.zeros(2 ** (t - 1))
     alphas[pattern] = theta

@@ -79,7 +79,7 @@ def test_sample_above_maxval_errors(magic):
         _load_pnm(magic + b"\n2 2\n15\n" + raster)
 
 
-@pytest.mark.parametrize("maxval", [1, 15, 255])
+@pytest.mark.parametrize("maxval", [1, 2, 3, 15, 127, 128, 255])
 def test_p5_loads_each_byte_as_its_value(rng, maxval):
     # the raster is read in place from the file's bytes; each sample loads
     # as its own value in float64, at the bit depth of maxval

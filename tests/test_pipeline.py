@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import weakref
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -12,8 +13,8 @@ from jqpie import bench, pipeline
 from jqpie.bench import SweepConfig, main, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
 from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, _block_zigzag, blocks_from_zigzag,
-                            classical_reference_decode, dct2_block, dct_matrix, idct2_block,
-                            idct2_blocks, reference_decode_pixels, sparsity_stats,
+                            classical_reference_decode, dct2_block, dct_matrix, fold_weight,
+                            idct2_block, idct2_blocks, reference_decode_pixels, sparsity_stats,
                             truncate_zigzag, zigzag_coefficients, zigzag_permutation)
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
@@ -365,7 +366,7 @@ def _gate_by_gate_reference(img, r, scale, norm_mode):
     ancilla = scale is not None
     amps = np.zeros((2 if ancilla else 1, len(amp_matrix), 64))
     amps[0, :, :2 ** r] = amp_matrix
-    circuit = pipeline._decompression_circuit(h, w, r, scale)
+    circuit = pipeline._decompression_circuit(h + w, r, scale)
     sv = apply_circuit(from_amplitudes(amps.reshape(-1)), circuit)
     if not ancilla:
         return sv.amplitudes, 1.0
@@ -388,17 +389,20 @@ def test_fused_decompression_matches_gate_by_gate(rng, size):
                 assert abs(result.success_probability - probability) <= 1e-12
 
 
-def _substitute_operator(monkeypatch, operator):
-    """Runs read ``operator(r, scale)`` as the decompression operator, through
-    weights and folded weights cached apart from the real ones."""
-    monkeypatch.setattr(pipeline, "_decompression_operator", operator)
-    for name in ("_decompression_weights", "_folded_decompression"):
+def _fresh_decompression(monkeypatch):
+    """Runs build their decompression circuit and record through caches
+    apart from the real ones, so a substituted stage reaches them."""
+    for name in ("_decompression_circuit", "_decompression"):
         monkeypatch.setattr(pipeline, name,
                             lru_cache(maxsize=None)(getattr(pipeline, name).__wrapped__))
 
 
 def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
-    _substitute_operator(monkeypatch, lambda r, scale: np.zeros((64, 2 ** r)))
+    # no RY/CX circuit has an exactly zero ancilla-0 branch in float64 (an
+    # all-RY(pi) rescaler leaves cos(pi/2) = 6e-17), so the record is zero
+    zero = np.zeros((8, 8))
+    record = pipeline._Decompression(np.zeros((64, 16)), zero, fold_weight(zero))
+    monkeypatch.setattr(pipeline, "_decompression", lambda r, scale: record)
     img = random_image(rng, 16, 16)
     with pytest.raises(ValueError, match="zero-probability branch: qubit 8 never reads 0"):
         run_jqpie(img, r=4)
@@ -410,15 +414,18 @@ def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
 
 def test_operator_that_is_not_the_scaled_inverse_dct_is_refused(tmp_path, rng, monkeypatch):
     # the weights are read off the operator only when it is kron(D^T, D^T)
-    # times d_f on the loaded frequencies within 1e-12; 1e-9 off is refused
-    operator = pipeline._decompression_operator
+    # times d_f on the loaded frequencies within 1e-12: an inverse QDCT
+    # whose first RY is 1e-9 off is still unitary, and is refused
+    qdct = pipeline.synth_inverse_qdct_gates
 
-    def perturbed(r, scale):
-        matrix = operator(r, scale).copy()
-        matrix[5, 1] += 1e-9
-        return matrix
+    def perturbed():
+        gates = qdct()
+        first = next(i for i, gate in enumerate(gates) if gate.kind == "ry")
+        gates[first] = replace(gates[first], angle=gates[first].angle + 1e-9)
+        return gates
 
-    _substitute_operator(monkeypatch, perturbed)
+    monkeypatch.setattr(pipeline, "synth_inverse_qdct_gates", perturbed)
+    _fresh_decompression(monkeypatch)
     img = random_image(rng, 16, 16)
     for run in (lambda: run_jqpie(img, r=4), lambda: run_qf_jqpie(img, r=6)):
         with pytest.raises(ArithmeticError, match="not the inverse DCT of its loaded "
@@ -475,7 +482,7 @@ def test_folded_decode_matches_multiply_first(rng, size):
     for scale in (None, 0.25, 1.0, 8.0):
         encoding = pipeline.encode_image(img, scale)
         for r in TRUNCATION_LEVELS:
-            weight = pipeline._decompression_weights(r, scale)
+            weight = pipeline._decompression(r, scale).weights
             if scale is not None:
                 weight = weight * QuantTable(scale).max_entry
             expected = _multiply_first(encoding.plane, weight, size)
@@ -542,21 +549,33 @@ def test_normalization_record_rejects_a_nan_norm():
 def test_decompression_operator_matches_lowered_gate_exact_circuit(r):
     # M read off the full decompression circuit under gate_exact. Column s
     # of M is also the inverse 2D DCT of frequency f = load_order(r)[s],
-    # rescaled by d_f.
+    # rescaled by d_f; the record's weights are those d_f, and its folded
+    # weight is lambda d_f (d_f without a scale) times D, row class by row
+    # class. Every array of the record is read-only.
     kept = 2 ** r
     inverse_dct = np.kron(dct_matrix().T, dct_matrix().T)
     for scale in (None, 0.25, 1.0, 8.0):
-        circuit = pipeline._decompression_circuit(6, 6, r, scale)
+        circuit = pipeline._decompression_circuit(12, r, scale)
         probe = np.zeros((1 if scale is None else 2, 64, 64))
         probe[0, :kept, :kept] = np.eye(kept) / np.sqrt(kept)
         out = apply_circuit(from_amplitudes(probe.reshape(-1)), circuit)
         matrix = out.amplitudes.reshape(-1, 64, 64)[0, :kept].T * np.sqrt(kept)
-        operator = pipeline._decompression_operator(r, scale)
+        record = pipeline._decompression(r, scale)
+        assert record is pipeline._decompression(r, scale)
+        operator = record.matrix
         assert operator.shape == (64, kept)
         assert np.max(np.abs(operator - matrix)) <= 1e-12
         d = np.ones(64) if scale is None else block_encoded_rescaler(QuantTable(scale)).diagonal
         f = load_order(r)
         assert np.max(np.abs(operator - inverse_dct[:, f] * d[f])) <= 1e-12
+        weights = np.zeros(64)
+        weights[f] = d[f]
+        assert np.max(np.abs(record.weights - weights.reshape(8, 8))) <= 1e-12
+        lam = 1.0 if scale is None else QuantTable(scale).max_entry
+        expected = lam * record.weights[:, :, None] * dct_matrix()
+        assert np.array_equal(record.folded, expected)
+        assert not any(a.flags.writeable for a in (record.matrix, record.weights,
+                                                   record.folded))
 
 
 # --- state load -------------------------------------------------------------------
@@ -595,7 +614,7 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
     images = (random_image(rng, 16, 16), random_image(rng, 57, 33))
     for r in (2, 6):
         for scale in (None, 1.0):
-            pipeline._decompression_weights(r, scale)   # the cached operator build
+            pipeline._decompression(r, scale)   # the cached operator build
     calls = []
 
     def spy(name):
@@ -678,7 +697,7 @@ def test_operator_path_stays_on_image_qubits(rng, monkeypatch, runs):
     img = random_image(rng, 64, 64)
     for r in (3, 6):
         for scale in (None, 1.0):
-            pipeline._decompression_operator(r, scale)   # the cached operator build
+            pipeline._decompression(r, scale)   # the cached operator build
     widths = []
     build = StateVector.__post_init__
 
@@ -806,7 +825,7 @@ def _whole_array_run(encoding, r, norm_mode):
     product, the branch renormalized, then read out in the pixel layout."""
     scale = encoding.scale
     amps, record = pipeline._amplitudes(encoding, r, norm_mode)
-    out = amps @ pipeline._decompression_operator(r, scale).T
+    out = amps @ pipeline._decompression(r, scale).matrix.T
     probability = 1.0 if scale is None else float(np.vdot(out, out))
     out /= math.sqrt(probability)
     (ph, pw), (oh, ow) = record.padded_dims, encoding.image.original_dims
@@ -841,22 +860,30 @@ def test_strip_runs_match_the_whole_array_run(rng, size):
 
 
 def test_readout_multiplies_in_the_image_layout(rng):
-    """Bit for bit the block-major product laid out by blocks, then cropped."""
+    """Bit for bit the block-major product laid out by blocks, then cropped:
+    :func:`readout_image` at p = 1, and the strips of a post-selected state
+    at p = 0.3, which ``gate_exact`` runs assemble."""
     amps = rng.normal(size=2 ** 9)
     norms = rng.uniform(0.5, 2.0, 8)
     for lam, per_block in ((None, None), (121.0, None), (242.0, norms)):
         mode = "global" if per_block is None else "per_block"
         record = NormalizationRecord(3.7, lam, mode, per_block, (16, 32))
-        got = readout_image(StateVector(amps, 9), record, (13, 30), success_probability=0.3)
-        values = amps * (math.sqrt(0.3) * 3.7)
-        if lam is not None:
-            values *= lam
-        matrix = values.reshape(8, 64)
-        if per_block is not None:
-            matrix = matrix * per_block[:, None]
-        expected = matrix.reshape(2, 4, 8, 8).transpose(0, 2, 1, 3).reshape(16, 32)[:13, :30]
-        assert got.pixels.tobytes() == expected.tobytes()
-        assert got.original_dims == (13, 30)
+        for p in (1.0, 0.3):
+            state = StateVector(amps, 9)
+            if p == 1.0:
+                got = readout_image(state, record, (13, 30))
+            else:
+                strips = pipeline._state_strips(state, record, (13, 30), p)
+                got = pipeline._assemble(strips, (13, 30), 8)
+            values = amps * (math.sqrt(p) * 3.7)
+            if lam is not None:
+                values *= lam
+            matrix = values.reshape(8, 64)
+            if per_block is not None:
+                matrix = matrix * per_block[:, None]
+            expected = matrix.reshape(2, 4, 8, 8).transpose(0, 2, 1, 3).reshape(16, 32)
+            assert got.pixels.tobytes() == expected[:13, :30].tobytes()
+            assert got.original_dims == (13, 30)
     # a side under 8 has no 8 x 8 tile, and no record holds one
     with pytest.raises(ValueError, match="powers of two of at least 8"):
         NormalizationRecord(3.7, 121.0, "global", None, (4, 2))
@@ -928,12 +955,13 @@ def test_r6_costs_qpie_plus_the_decompression_tail(height, width):
 
 def test_gate_exact_lowers_each_decompression_once(tmp_path, rng, monkeypatch):
     # the operator probe, gate_exact and export-circuit read one decompression
-    # circuit per (h, w, r, S); a 64 x 8 image at r = 3 has the probe's (6, 3)
-    paths = [str(tmp_path / name) for name in ("a.pgm", "b.pgm")]
-    for path in paths:
-        write_pgm(random_image(rng, 64, 8), path)
+    # circuit per (h + w, r, S): 64 x 8, 8 x 64 and 16 x 32 images at r = 3
+    # all have the probe's 6 + 3 image qubits, however they split
+    paths = [str(tmp_path / name) for name in ("a.pgm", "b.pgm", "c.pgm")]
+    for path, size in zip(paths, ((64, 8), (8, 64), (16, 32))):
+        write_pgm(random_image(rng, *size), path)
     pipeline._decompression_circuit.cache_clear()
-    pipeline._decompression_operator.cache_clear()
+    pipeline._decompression.cache_clear()
     builds = []
 
     def spy():
@@ -944,7 +972,7 @@ def test_gate_exact_lowers_each_decompression_once(tmp_path, rng, monkeypatch):
     monkeypatch.setattr(pipeline, "synth_inverse_qdct_gates", spy)
     for backend in ("operator", "gate_exact"):
         rows = run_sweep(SweepConfig(inputs=tuple(paths), r_set=(3,), backend=backend))
-        assert len(rows) == 4 and not any(row["error"] for row in rows)
+        assert len(rows) == 6 and not any(row["error"] for row in rows)
     for method in pipeline.METHODS:
         assert main(["export-circuit", paths[0], "--method", method, "--r", "3",
                      "--out", str(tmp_path / f"{method}.qasm")]) == 0

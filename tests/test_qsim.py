@@ -138,9 +138,9 @@ def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
 def test_operator_applies_every_elementary_gate_once(monkeypatch):
     # the operator backend's one simulation is the probe its per-block
     # decompression operator is read off: every gate of the circuit, once
-    circuit = pipeline._decompression_circuit(6, 3, 3, 1.0)
+    circuit = pipeline._decompression_circuit(9, 3, 1.0)
     calls = _applied_gates(monkeypatch)
-    pipeline._decompression_operator.__wrapped__(3, 1.0)
+    pipeline._decompression.__wrapped__(3, 1.0)
     assert calls == list(circuit.gates)
 
 
