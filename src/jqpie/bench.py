@@ -547,10 +547,17 @@ def _cmd_resources(args) -> int:
     return 0
 
 
+#: Characters of QASM text written to the file at a time.
+_WRITE_CHARS = 1 << 20
+
+
 def _cmd_export_circuit(args) -> int:
     img = load_image(args.input, args.png)
     circuit = hybrid_circuit(img, args.method, args.r, scale=args.scale)
-    Path(args.out).write_text(export_qasm(circuit))
+    text = export_qasm(circuit)
+    with open(args.out, "w") as fh:   # in slices: the text is never encoded whole
+        for start in range(0, len(text), _WRITE_CHARS):
+            fh.write(text[start:start + _WRITE_CHARS])
     print(f"wrote {args.out}: {circuit.n_qubits} qubits, {len(circuit.gates)} gates")
     return 0
 

@@ -99,8 +99,8 @@ from .imagio import BLOCK, STRIP_ROWS, GrayscaleImage, pad_to_pow2
 from .jpegcore import (_DCT, QuantTable, fold_weight, idct_strips, quantize_plane,
                        zigzag_coefficients)
 from .qcircuit import Circuit, ResourceReport, compose
-from .qsim import (StateVector, apply_circuit, from_amplitudes, log2_exact,
-                   postselect_ancilla, zero_state)
+from .qsim import (StateVector, _refuse_empty_branch, apply_circuit, from_amplitudes,
+                   log2_exact, postselect_ancilla, zero_state)
 from .synth import (DATA_DIM, DATA_QUBITS, block_encoded_rescaler, closed_form_resources,
                     load_order, lower_circuit, lower_multiplexed_ry, synth_inverse_qdct_gates,
                     synth_state_prep, synth_truncated_zigzag)
@@ -365,14 +365,14 @@ def _decompression_circuit(n_image: int, r: int, scale: float | None) -> Circuit
     :func:`~jqpie.synth.lower_circuit`, which returns it unchanged."""
     ancilla = scale is not None
     n = n_image + (1 if ancilla else 0)
-    gates = list(synth_truncated_zigzag(r).gates)
+    operations = list(synth_truncated_zigzag(r).operations)
     if ancilla:
         diag = block_encoded_rescaler(QuantTable(scale))
         controls = list(range(DATA_QUBITS - 1, -1, -1))
-        gates.extend(lower_multiplexed_ry(diag.angles, controls, n - 1,
-                                          tag="inverse_quantization"))
-    gates.extend(synth_inverse_qdct_gates())
-    return lower_circuit(Circuit(n, tuple(gates)))
+        operations.append(lower_multiplexed_ry(diag.angles, controls, n - 1,
+                                               tag="inverse_quantization"))
+    operations.extend(synth_inverse_qdct_gates())
+    return lower_circuit(Circuit(n, tuple(operations)))
 
 
 @dataclass(frozen=True)
@@ -434,15 +434,16 @@ def _decompression(r: int, scale: float | None) -> _Decompression:
 
 def _branch_probability(squared_norm: float, n_image_qubits: int, scale: float | None) -> float:
     """The success probability of the operator backend, from the squared
-    norm of its whole ancilla-0 branch; 1 for QF-JQPIE, which has no ancilla."""
+    norm of its whole ancilla-0 branch; 1 for QF-JQPIE, which has no ancilla.
+    A branch at rounding level is refused, as in
+    :func:`~jqpie.qsim.postselect_ancilla`."""
     if not math.isfinite(squared_norm):
         raise ArithmeticError(f"decompressed branch has squared norm {squared_norm}")
     if scale is None:
         if abs(math.sqrt(squared_norm) - 1.0) > 1e-9:
             raise ArithmeticError("statevector norm drifted beyond 1e-9")
         return 1.0
-    if squared_norm <= 0.0:
-        raise ValueError(f"zero-probability branch: qubit {n_image_qubits} never reads 0")
+    _refuse_empty_branch(squared_norm, n_image_qubits, 0)
     if squared_norm > 1.0 + 1e-9:
         raise ArithmeticError("post-selection probability exceeds 1 beyond 1e-9")
     return squared_norm

@@ -19,15 +19,22 @@ at memory bit n-1-q (:func:`_reverse_qubit_order`, n//2 slice swaps in
 place on entry and again on exit), so the low qubits, which carry most of
 the state-preparation cascade and the whole data register, have long
 contiguous pair rows. An RY is one BLAS matrix product written into a
-scratch state (:func:`_apply_ry`): the 2x2 rotation times each pair of
+scratch state (:func:`_rotate`): the 2x2 rotation times each pair of
 2^k-amplitude rows on memory bit k >= 4, or the state's rows of 2^(k+1)
 amplitudes times kron(R^T, I) on the short rows of memory bits 0..3. The
-scratch array is made at a circuit's first RY, and the two arrays swap
-roles after each RY, so no RY allocates a state. A CX swaps two
-quarter-state slices in place. Amplitudes are real float64: RY and CX map real
+scratch array is made once per circuit that rotates, and the two arrays
+swap roles after each RY, so no RY allocates a state. A CX swaps two
+quarter-state slices in place, through two quarters of the array that does
+not hold the state (:func:`_swap`), so no swap allocates either. A
+multiplexer (:class:`~jqpie.qcircuit.MultiplexedRY`) is applied from its
+arrays (:func:`_apply_multiplexer`): its rotation matrices, with c and s
+computed as for one RY, and its views of both arrays are made once, then
+its RYs and CXs run one by one, in chain order, through the same two
+kernels. Amplitudes are real float64: RY and CX map real
 states to real states, so the signed JPEG coefficients never need a
 complex type, and complex input is rejected rather than cast. Every norm
-and probability check also fails on NaN.
+and probability check also fails on NaN, and post-selection refuses a
+branch whose probability is rounding noise (:data:`MIN_BRANCH_PROBABILITY`).
 
 The pipelines' ``operator`` backend runs neither the state-preparation
 cascade nor the decompression here over the whole image state:
@@ -54,7 +61,7 @@ from functools import lru_cache
 import numpy as np
 
 from .imagio import _Handover, _owned
-from .qcircuit import Circuit, Gate
+from .qcircuit import Circuit, Gate, MultiplexedRY
 
 
 def _real_copy(values) -> np.ndarray:
@@ -132,21 +139,44 @@ def from_amplitudes(vector) -> StateVector:
 _SHORT_BITS = 4
 
 
-def _swap(a: np.ndarray, b: np.ndarray) -> None:
-    """Exchange the contents of two disjoint views of one array."""
-    held = a.copy()
-    a[...] = b
-    b[...] = held
+def _held(other: np.ndarray, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two buffers a swap of ``like`` (a quarter-state slice) and its
+    partner passes through: the first two quarters of ``other``, the
+    working array not holding the state, in the slice's shape."""
+    size = like.size
+    return other[:size].reshape(like.shape), other[size:2 * size].reshape(like.shape)
 
 
-def _reverse_qubit_order(amps: np.ndarray, n: int) -> None:
+def _swap(a: np.ndarray, b: np.ndarray, held_a: np.ndarray, held_b: np.ndarray) -> None:
+    """Exchange the contents of two disjoint views of one array through two
+    buffers of their shape. Both are read out first: numpy assigns a view
+    of an array to another view of it through a temporary copy of its own."""
+    held_a[...] = a
+    held_b[...] = b
+    a[...] = held_b
+    b[...] = held_a
+
+
+def _reverse_qubit_order(amps: np.ndarray, n: int, other: np.ndarray) -> None:
     """Reverse the bit order of the state's index in place, so the amplitude
     of qubit q moves from memory bit q to memory bit n-1-q: one slice swap
     per bit pair (b, n-1-b), b < n // 2, exchanging the amplitudes whose two
-    bits differ. The pairs are disjoint, so this is its own inverse."""
+    bits differ, through half of ``other`` (:func:`_held`). The pairs are
+    disjoint, so this is its own inverse."""
     for low in range(n // 2):
         view = amps.reshape(-1, 2, 1 << (n - 2 - 2 * low), 2, 1 << low)
-        _swap(view[:, 1, :, 0, :], view[:, 0, :, 1, :])
+        a, b = view[:, 1, :, 0, :], view[:, 0, :, 1, :]
+        _swap(a, b, *_held(other, a))
+
+
+def _cx_slices(amps: np.ndarray, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two quarter-state slices a CX on memory bits ``control`` and
+    ``target`` exchanges: control set, target clear and set."""
+    hi, lo = max(control, target), min(control, target)
+    view = amps.reshape(-1, 2, 1 << (hi - lo) >> 1, 2, 1 << lo)
+    if control == hi:
+        return view[:, 1, :, 0, :], view[:, 1, :, 1, :]
+    return view[:, 0, :, 1, :], view[:, 1, :, 1, :]
 
 
 @lru_cache(maxsize=None)
@@ -160,56 +190,101 @@ def _short_pair_basis(bit: int) -> tuple[np.ndarray, np.ndarray]:
     return identity, basis
 
 
-def _apply_ry(amps: np.ndarray, out: np.ndarray, bit: int, c: float, s: float) -> None:
-    """The rotation R = [[c, -s], [s, c]] on memory bit ``bit`` of ``amps``,
-    written into ``out``: one matrix product, one pass over the state.
-
-    With bit >= 4 the state viewed (-1, 2, 2^bit) is multiplied by R from
-    the left, one product per pair of 2^bit-amplitude rows. On a lower bit
-    those rows are too short for a fast product, so the state's rows of
-    2^(bit+1) amplitudes are multiplied from the right by kron(R^T, I)
-    (:func:`_short_pair_basis`). Either way each new amplitude is c*a - s*b
-    or s*a + c*b of its pair.
-    """
+def _pair_rows(amps: np.ndarray, bit: int) -> np.ndarray:
+    """The view of a state an RY on memory bit ``bit`` multiplies: its pairs
+    of 2^bit-amplitude rows, (-1, 2, 2^bit), for bit >= 4; on a lower bit,
+    where those rows are too short for a fast product, its rows of
+    2^(bit+1) amplitudes."""
     if bit >= _SHORT_BITS:
-        rows = amps.reshape(-1, 2, 1 << bit)
-        np.matmul(np.array(((c, -s), (s, c))), rows, out=out.reshape(rows.shape))
-        return
+        return amps.reshape(-1, 2, 1 << bit)
+    return amps.reshape(-1, 2 << bit)
+
+
+def _ry_matrix(bit: int, c: float, s: float) -> np.ndarray:
+    """What :func:`_rotate` multiplies the pair rows of memory bit ``bit``
+    by: R = [[c, -s], [s, c]], or kron(R^T, I) = c*I + s*J on a short bit
+    (:func:`_short_pair_basis`)."""
+    if bit >= _SHORT_BITS:
+        return np.array(((c, -s), (s, c)))
     identity, basis = _short_pair_basis(bit)
-    rows = amps.reshape(-1, 2 << bit)
-    np.matmul(rows, c * identity + s * basis, out=out.reshape(rows.shape))
+    return c * identity + s * basis
 
 
-def _apply_cx(amps: np.ndarray, control: int, target: int) -> None:
-    """CX on memory bits ``control`` and ``target`` in place, one pass over
-    the state: the slices with the control set and the target clear or set
-    are swapped."""
-    hi, lo = max(control, target), min(control, target)
-    view = amps.reshape(-1, 2, 1 << (hi - lo) >> 1, 2, 1 << lo)
-    if control == hi:
-        _swap(view[:, 1, :, 0, :], view[:, 1, :, 1, :])
+def _ry_matrices(bit: int, halves: list[float]) -> list[np.ndarray]:
+    """:func:`_ry_matrix` of each half-angle, element for element, with c and
+    s from ``math.cos`` and ``math.sin`` as for one gate, built in one pass."""
+    c = np.array([math.cos(half) for half in halves])
+    s = np.array([math.sin(half) for half in halves])
+    if bit >= _SHORT_BITS:
+        matrices = np.empty((len(halves), 2, 2))
+        matrices[:, 0, 0] = matrices[:, 1, 1] = c
+        matrices[:, 0, 1] = -s
+        matrices[:, 1, 0] = s
     else:
-        _swap(view[:, 0, :, 1, :], view[:, 1, :, 1, :])
+        identity, basis = _short_pair_basis(bit)
+        matrices = c[:, None, None] * identity + s[:, None, None] * basis
+    return list(matrices)
 
 
-def _apply_gate(amps: np.ndarray, spare: np.ndarray | None,
-                gate: Gate) -> tuple[np.ndarray, np.ndarray | None]:
-    """Apply one gate to a state in the working layout (qubit q at memory
-    bit n-1-q), with ``spare`` a state-sized scratch array or None.
+def _rotate(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
+    """One RY, one matrix product and one pass over the state, written into
+    ``out``: pair rows (:func:`_pair_rows`) times R from the left, or short
+    rows times kron(R^T, I) from the right. Either way each new amplitude is
+    c*a - s*b or s*a + c*b of its pair."""
+    if rows.ndim == 3:
+        np.matmul(matrix, rows, out=out)
+    else:
+        np.matmul(rows, matrix, out=out)
 
-    Returns (state, scratch): an RY writes its product into the scratch
-    array, made here on the first RY, and the two swap roles; a CX works in
-    place.
-    """
+
+def _apply_gate(buffers: tuple[np.ndarray, np.ndarray], current: int, gate: Gate) -> int:
+    """Apply one gate to the state in ``buffers[current]``, in the working
+    layout (qubit q at memory bit n-1-q), and return which buffer holds the
+    state after it: an RY writes its product into the other buffer, a CX
+    swaps in place through half of the other (:func:`_held`)."""
+    amps, other = buffers[current], buffers[1 - current]
     top = amps.size.bit_length() - 2   # n - 1
     if gate.kind == "cx":
-        _apply_cx(amps, top - gate.qubits[0], top - gate.qubits[1])
-        return amps, spare
-    if spare is None:
-        spare = np.empty_like(amps)
-    half = gate.angle / 2.0
-    _apply_ry(amps, spare, top - gate.qubits[0], math.cos(half), math.sin(half))
-    return spare, amps
+        a, b = _cx_slices(amps, top - gate.qubits[0], top - gate.qubits[1])
+        _swap(a, b, *_held(other, a))
+        return current
+    bit, half = top - gate.qubits[0], gate.angle / 2.0
+    _rotate(_pair_rows(amps, bit), _ry_matrix(bit, math.cos(half), math.sin(half)),
+            _pair_rows(other, bit))
+    return 1 - current
+
+
+def _apply_multiplexer(buffers: tuple[np.ndarray, np.ndarray], current: int,
+                       op: MultiplexedRY) -> int:
+    """Apply a multiplexer's chain from its arrays, gate by gate, as
+    :func:`_apply_gate` would apply its expansion, and return which buffer
+    holds the state after it.
+
+    The rotation matrices (:func:`_ry_matrices`), the target's pair rows
+    and each control's two CX slices and held buffer are made once for both
+    buffers. Then every kept RY is one :func:`_rotate` and every CX one
+    :func:`_swap`, in chain order.
+    """
+    top = buffers[0].size.bit_length() - 2
+    bit = top - op.target
+    # the state stays in one buffer when the chain rotates nothing
+    holders = (0, 1) if op.rotations else (current,)
+    rows = {i: _pair_rows(buffers[i], bit) for i in holders}
+    matrices = iter(_ry_matrices(bit, (op.angles[op.kept] / 2.0).tolist()))
+    swaps = {}
+    for control in op.controls:
+        for i in holders:
+            a, b = _cx_slices(buffers[i], top - control, bit)
+            swaps[control, i] = (a, b, *_held(buffers[1 - i], a))
+    steps = len(op.angles)
+    links = op.links(0, steps).tolist() if op.controls else [None] * steps
+    for kept, link in zip(op.kept.tolist(), links):
+        if kept:
+            _rotate(rows[current], next(matrices), rows[1 - current])
+            current = 1 - current
+        if link is not None:
+            _swap(*swaps[link, current])
+    return current
 
 
 # --- public operations ----------------------------------------------------------
@@ -221,22 +296,48 @@ def apply_circuit(sv: StateVector, circuit: Circuit) -> StateVector:
     """
     if sv.n != circuit.n_qubits:
         raise ValueError(f"state has {sv.n} qubits, circuit expects {circuit.n_qubits}")
-    amps, spare = sv.amplitudes.copy(), None
-    _reverse_qubit_order(amps, sv.n)
-    for gate in circuit.gates:
-        amps, spare = _apply_gate(amps, spare, gate)
-    del spare   # freed before the conversion back makes its temporaries
-    _reverse_qubit_order(amps, sv.n)
+    amps = sv.amplitudes.copy()
+    rotates = any(op.rotations if isinstance(op, MultiplexedRY) else op.kind == "ry"
+                  for op in circuit.operations)
+    # a state-sized scratch array for the RYs, else half of one for the swaps
+    buffers = (amps, np.empty(amps.size if rotates else amps.size // 2))
+    _reverse_qubit_order(amps, sv.n, buffers[1])
+    current = 0
+    for op in circuit.operations:
+        if isinstance(op, MultiplexedRY):
+            current = _apply_multiplexer(buffers, current, op)
+        else:
+            current = _apply_gate(buffers, current, op)
+    amps = buffers[current]
+    _reverse_qubit_order(amps, sv.n, buffers[1 - current])
     if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:   # NaN fails too
         raise ArithmeticError("statevector norm drifted beyond 1e-9")
     return StateVector._owning(amps, sv.n)
+
+
+#: Branch probabilities at or below this are rounding noise, not a branch.
+#: An RY/CX circuit never leaves an exactly empty branch in float64: a
+#: rescaler of RY(pi) alone, which flips the ancilla, leaves an ancilla-0
+#: branch of p about 4e-33. Every branch a JQPIE run can reach has p at
+#: least the smallest d_f^2 = (10/121)^2, about 6.8e-3, at any scale.
+MIN_BRANCH_PROBABILITY = 1e-12
+
+
+def _refuse_empty_branch(probability: float, qubit: int, outcome: int) -> None:
+    """Raise ValueError for a branch probability at or below
+    :data:`MIN_BRANCH_PROBABILITY`."""
+    if probability <= MIN_BRANCH_PROBABILITY:
+        raise ValueError(f"zero-probability branch: qubit {qubit} never reads {outcome} "
+                         f"(p = {probability:.3g}, at most the rounding floor "
+                         f"{MIN_BRANCH_PROBABILITY:g})")
 
 
 def postselect_ancilla(sv: StateVector, qubit: int, outcome: int) -> PostSelectResult:
     """Project a qubit onto an outcome, dropping it from the register.
 
     Returns the renormalized (n-1)-qubit state and the branch probability
-    (the squared norm of the branch before renormalization).
+    (the squared norm of the branch before renormalization). A branch at
+    rounding level (:data:`MIN_BRANCH_PROBABILITY`) is refused.
     """
     if not 0 <= qubit < sv.n:
         raise ValueError(f"qubit {qubit} out of range")
@@ -247,8 +348,7 @@ def postselect_ancilla(sv: StateVector, qubit: int, outcome: int) -> PostSelectR
     probability = float(np.vdot(branch, branch))
     if not math.isfinite(probability):
         raise ArithmeticError(f"branch probability is {probability}")
-    if probability <= 0.0:
-        raise ValueError(f"zero-probability branch: qubit {qubit} never reads {outcome}")
+    _refuse_empty_branch(probability, qubit, outcome)
     state = StateVector._owning(branch * (1.0 / np.sqrt(probability)), sv.n - 1)
     return PostSelectResult(state, probability)
 

@@ -8,7 +8,10 @@
 
 plus a resource model that counts the emitted stages (the image-sized
 cascade in closed form). Every stage is emitted directly as RY/CX gates
-from closed-form angles; no numerical decomposition is needed.
+from closed-form angles; no numerical decomposition is needed. A
+uniformly controlled RY is emitted as one operation,
+:class:`~jqpie.qcircuit.MultiplexedRY`, whose chain angles stand for its
+gates: the cascade's layers and the rescaler hold no object per gate.
 
 Everything here targets real signed amplitudes, so RY rotations suffice and
 the synthesized circuits are real orthogonal operators.
@@ -28,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .jpegcore import QuantTable, check_truncation, dct_matrix, zigzag_permutation
-from .qcircuit import (Circuit, Gate, PIPELINE_STAGES, ResourceReport, StageCost,
-                       cx, resource_counts, ry, rys)
+from .qcircuit import (Circuit, Gate, MultiplexedRY, Operation, PIPELINE_STAGES,
+                       ResourceReport, StageCost, cx, resource_counts, ry)
 
 DATA_QUBITS = 6           # 8x8 block -> 6-bit intra-block index
 DATA_DIM = 64
@@ -68,38 +71,22 @@ def multiplexed_ry_angles(alphas: np.ndarray) -> np.ndarray:
 
 
 def lower_multiplexed_ry(alphas, controls, target: int, skip_zero: bool = False,
-                         tag: str | None = None) -> list[Gate]:
+                         tag: str | None = None) -> MultiplexedRY:
     """Uniformly controlled RY, lowered to the standard interleaved RY/CX chain.
 
     ``alphas[c]`` is the rotation applied to ``target`` when the controls
     (listed most-significant first) hold the basis value c. A k-control
     multiplexer lowers to 2^k rotations and 2^k CX gates. With ``skip_zero``
     rotations of |angle| <= 1e-12, zero up to rounding, are dropped (the CX
-    skeleton always remains).
+    skeleton always remains). Returns the chain as one operation, its
+    angles :func:`multiplexed_ry_angles` of ``alphas``; iterating over it
+    yields the gates.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     k = len(controls)
     if len(alphas) != 2 ** k:
         raise ValueError(f"need {2 ** k} angles for {k} controls, got {len(alphas)}")
-    if k == 0:
-        if skip_zero and abs(alphas[0]) <= 1e-12:
-            return []
-        return [ry(target, alphas[0], tag=tag)]
-    links = [cx(control, target, tag=tag) for control in reversed(controls)]
-    gates: list[Gate] = []
-    for rotation, bit in zip(rys(target, multiplexed_ry_angles(alphas), tag), _chain_bits(k)):
-        if not (skip_zero and abs(rotation.angle) <= 1e-12):
-            gates.append(rotation)
-        gates.append(links[bit])
-    return gates
-
-
-@lru_cache(maxsize=None)
-def _chain_bits(k: int) -> tuple[int, ...]:
-    """Per RY of a k-control chain, the control bit of the CX after it: the
-    Gray-code bit that flips between step i and i + 1, and bit k - 1 for the
-    last CX, which closes the chain."""
-    return tuple(((i + 1) & -(i + 1)).bit_length() - 1 for i in range(2 ** k - 1)) + (k - 1,)
+    return MultiplexedRY(tuple(controls), target, multiplexed_ry_angles(alphas), tag, skip_zero)
 
 
 # --- amplitude-encoding state preparation ------------------------------------
@@ -149,10 +136,9 @@ def synth_state_prep(amplitudes, targets=None, n_qubits: int | None = None) -> C
         raise ValueError(f"need {m} target qubits for {2 ** m} amplitudes")
     if n_qubits is None:
         n_qubits = max(targets) + 1 if targets else 1
-    gates: list[Gate] = []
-    for k, alphas in enumerate(layers):
-        gates.extend(lower_multiplexed_ry(alphas, targets[:k], targets[k], tag="state_prep"))
-    return Circuit(n_qubits, tuple(gates))
+    return Circuit(n_qubits, tuple(
+        lower_multiplexed_ry(alphas, targets[:k], targets[k], tag="state_prep")
+        for k, alphas in enumerate(layers)))
 
 
 # --- truncated inverse zigzag -------------------------------------------------
@@ -226,9 +212,9 @@ def synth_truncated_zigzag(r: int) -> Circuit:
     order is the identity.
     """
     qubits = list(range(DATA_QUBITS - 1, -1, -1))
-    gates = [g for s, o in _swap_pairs(r)
-             for g in lower_givens(s, o, math.pi, qubits, tag="inverse_zigzag")]
-    return Circuit(DATA_QUBITS, tuple(gates))
+    operations = [op for s, o in _swap_pairs(r)
+                  for op in lower_givens(s, o, math.pi, qubits, tag="inverse_zigzag")]
+    return Circuit(DATA_QUBITS, tuple(operations))
 
 
 # --- block-encoded inverse quantization ---------------------------------------
@@ -276,8 +262,8 @@ def synth_inverse_quantization(table: QuantTable) -> tuple[Circuit, float]:
     diag = block_encoded_rescaler(table)
     ancilla = DATA_QUBITS
     controls = list(range(DATA_QUBITS - 1, -1, -1))
-    gates = lower_multiplexed_ry(diag.angles, controls, ancilla, tag="inverse_quantization")
-    return Circuit(DATA_QUBITS + 1, tuple(gates)), diag.lam
+    mux = lower_multiplexed_ry(diag.angles, controls, ancilla, tag="inverse_quantization")
+    return Circuit(DATA_QUBITS + 1, (mux,)), diag.lam
 
 
 # --- inverse DCT operator ------------------------------------------------------
@@ -321,14 +307,16 @@ def _pattern_without_bit(index: int, bit: int) -> int:
     return (high << bit) | low
 
 
-def lower_givens(i: int, j: int, theta: float, qubits, tag: str | None = None) -> list[Gate]:
+def lower_givens(i: int, j: int, theta: float, qubits,
+                 tag: str | None = None) -> list[Operation]:
     """Plane rotation between basis states i and j of a qubit subset.
 
     ``qubits`` lists the subset most-significant first; i and j index its
     2^t-dimensional subspace. The pair is first collapsed onto a single-bit
     difference with CX conjugation, then rotated with a one-hot uniformly
-    controlled RY, whose zero rotations are not emitted. Orientation:
-    amplitude at i transforms as cos(theta/2) a_i - sin(theta/2) a_j.
+    controlled RY, one operation whose zero rotations are not emitted.
+    Orientation: amplitude at i transforms as cos(theta/2) a_i -
+    sin(theta/2) a_j.
     """
     if i == j:
         raise ValueError("Givens rotation needs two distinct basis states")
@@ -354,7 +342,7 @@ def lower_givens(i: int, j: int, theta: float, qubits, tag: str | None = None) -
     alphas[pattern] = theta
     mux = lower_multiplexed_ry(alphas, controls, qubits[t - 1 - pivot],
                                skip_zero=True, tag=tag)
-    return conj + mux + conj[::-1]
+    return [*conj, mux, *conj[::-1]]
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -429,9 +417,9 @@ def _lower_multiplexed_so4(blocks, control: int, targets, tag: str) -> list[Gate
         thetas = [2.0 * math.atan2(g[1, 0], g[0, 0]) for g in rotations]
         return lower_multiplexed_ry(thetas, controls, target, skip_zero=True, tag=tag)
 
-    return (layer([v for _, _, vs in splits for v in vs], [control, a], b)
-            + layer([m for _, mids, _ in splits for m in mids], [control, b], a)
-            + layer([u for us, _, _ in splits for u in us], [control, a], b))
+    return [*layer([v for _, _, vs in splits for v in vs], [control, a], b),
+            *layer([m for _, mids, _ in splits for m in mids], [control, b], a),
+            *layer([u for us, _, _ in splits for u in us], [control, a], b)]
 
 
 def lower_circuit(circuit: Circuit) -> Circuit:

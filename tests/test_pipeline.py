@@ -1,9 +1,11 @@
 import gc
 import json
 import math
+import re
 import weakref
 from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, _block_zigzag, blocks
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
 from jqpie.qcircuit import Circuit, export_qasm, resource_counts
-from jqpie.qsim import (StateVector, apply_circuit, from_amplitudes, postselect_ancilla,
-                        state_fidelity, zero_state)
+from jqpie.qsim import (MIN_BRANCH_PROBABILITY, StateVector, apply_circuit, from_amplitudes,
+                        postselect_ancilla, state_fidelity, zero_state)
 from jqpie.synth import (block_encoded_rescaler, closed_form_resources, load_order,
                          synth_state_prep, synth_truncated_zigzag, truncated_zigzag_map)
 
@@ -409,6 +411,26 @@ def test_fused_decompression_zero_branch_raises(tmp_path, rng, monkeypatch):
     write_pgm(img, tmp_path / "img.pgm")
     rows = run_sweep(SweepConfig(inputs=(str(tmp_path / "img.pgm"),), methods=("jqpie",),
                                  r_set=(4,)))
+    assert "zero-probability branch" in rows[0]["error"]
+
+
+@pytest.mark.parametrize("backend", pipeline.BACKENDS)
+def test_a_rounding_level_branch_is_refused(tmp_path, rng, monkeypatch, backend):
+    # a rescaler of RY(pi) alone flips the ancilla: the ancilla-0 branch holds
+    # only rounding noise, p of about 4e-33 and not exactly 0, far under the
+    # floor and far under any branch a run can reach, (10/121)^2 ~ 6.8e-3
+    assert (10 / 121) ** 2 > 1e9 * MIN_BRANCH_PROBABILITY
+    monkeypatch.setattr(pipeline, "block_encoded_rescaler",
+                        lambda table: SimpleNamespace(angles=np.full(64, math.pi)))
+    _fresh_decompression(monkeypatch)
+    img = random_image(rng, 16, 16)
+    with pytest.raises(ValueError, match="zero-probability branch: qubit 8 never reads 0") as info:
+        run_jqpie(img, r=4, backend=backend)
+    p = float(re.search(r"p = (\S+),", str(info.value)).group(1))
+    assert 0.0 < p < 1e-30
+    write_pgm(img, tmp_path / "img.pgm")
+    rows = run_sweep(SweepConfig(inputs=(str(tmp_path / "img.pgm"),), methods=("jqpie",),
+                                 r_set=(4,), backend=backend))
     assert "zero-probability branch" in rows[0]["error"]
 
 

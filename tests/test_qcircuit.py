@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from jqpie import qcircuit
 from jqpie.jpegcore import QuantTable
-from jqpie.qcircuit import (Circuit, Gate, compose, cx, export_qasm, parse_qasm,
-                            resource_counts, ry, rys)
-from jqpie.synth import (closed_form_resources, synth_inverse_qdct_gates,
-                         synth_inverse_quantization, synth_state_prep)
+from jqpie.qcircuit import (Circuit, Gate, MultiplexedRY, compose, cx, export_qasm,
+                            parse_qasm, resource_counts, ry)
+from jqpie.qsim import StateVector, apply_circuit
+from jqpie.synth import (closed_form_resources, lower_multiplexed_ry, multiplexed_ry_angles,
+                         synth_inverse_qdct_gates, synth_inverse_quantization,
+                         synth_state_prep)
 
 
 def small_circuit():
@@ -36,10 +39,11 @@ def test_ry_rejects_a_non_finite_angle(angle):
         parse_qasm(f"OPENQASM 3.0;\nqubit[1] q;\nry({angle}) q[0];\n")
 
 
-def test_batched_rys_equal_validated_gates():
+def test_multiplexer_gates_equal_validated_gates():
     angles = np.array([0.5, -0.0, math.pi, 1e-300])
-    gates = rys(4, angles, "inverse_quantization")
-    for gate, angle in zip(gates, angles):
+    gates = list(MultiplexedRY((2, 7), 4, angles, "inverse_quantization", False))
+    rotations = [g for g in gates if g.kind == "ry"]
+    for gate, angle in zip(rotations, angles):
         expected = ry(4, angle, tag="inverse_quantization")
         assert (gate.kind, gate.qubits, gate.angle, gate.tag) == (
             expected.kind, expected.qubits, expected.angle, expected.tag)
@@ -52,7 +56,36 @@ def test_batched_rys_equal_validated_gates():
         gates[0].note = "none"
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="ry angle must be finite"):
-            rys(0, np.array([0.1, bad]), None)
+            MultiplexedRY((1,), 0, np.array([0.1, bad]), None, False)
+
+
+def test_multiplexer_checks_its_qubits_and_angles_once():
+    op = MultiplexedRY([np.int64(3), 1], np.int64(0), [0.1, 0.2, 0.3, 0.4], "t", False)
+    assert op.qubits == (3, 1, 0) and all(type(q) is int for q in op.qubits)
+    assert op.angles.dtype == np.float64 and not op.angles.flags.writeable
+    for bad in ((3, 0), (3, 3)):
+        with pytest.raises(ValueError, match="duplicate qubits in multiplexer"):
+            MultiplexedRY(bad, 0, np.zeros(4), None, False)
+    with pytest.raises(ValueError, match="need 4 chain angles for 2 controls"):
+        MultiplexedRY((2, 1), 0, np.zeros(3), None, False)
+    with pytest.raises(ValueError, match="outside 0..2"):
+        Circuit(3, (MultiplexedRY((3,), 0, np.zeros(2), None, False),))
+
+
+def test_circuit_gates_expand_lazily_and_count_without_expanding(monkeypatch):
+    op = MultiplexedRY((2, 1), 0, np.array([0.1, 0.0, 0.3, 0.4]), "state_prep", True)
+    circuit = Circuit(3, (ry(2, 0.5), op, cx(2, 1)))
+    expected = [ry(2, 0.5), *op, cx(2, 1)]
+    assert len(circuit.gates) == len(expected) == 9
+    assert [(g.kind, g.qubits, g.angle) for g in circuit.gates] == [
+        (g.kind, g.qubits, g.angle) for g in expected]
+    assert circuit.gates[-1] is cx(2, 1) and circuit.gates[2].kind == "cx"
+    assert [g.kind for g in circuit.gates[1:3]] == ["ry", "cx"]
+    with pytest.raises(IndexError):
+        circuit.gates[9]
+    # the count reads the operations' closed-form lengths: no gate is made
+    monkeypatch.setattr(MultiplexedRY, "__iter__", None)
+    assert len(circuit.gates) == 9
 
 
 def test_circuit_rejects_out_of_range_qubits():
@@ -200,3 +233,77 @@ def test_parse_rejects_garbage():
                       "cx q[0];"):                 # operand missing
         with pytest.raises(ValueError):
             parse_qasm(f"OPENQASM 3.0;\nqubit[2] q;\n{statement}")
+
+
+# --- a multiplexer as one operation against its gate-by-gate chain -----------------
+
+def _chain_gates(alphas, controls, target, skip_zero, tag):
+    """The uniformly controlled RY lowered gate by gate, one validated gate
+    per RY and CX: step i is RY(theta_i) on the target (dropped under
+    ``skip_zero`` when |theta_i| <= 1e-12), then CX from the control of the
+    Gray-code bit that flips after step i, or the top bit for the last."""
+    theta = multiplexed_ry_angles(np.asarray(alphas, dtype=np.float64))
+    k = len(controls)
+    links = [cx(control, target, tag=tag) for control in reversed(controls)]
+    bits = [((i + 1) & -(i + 1)).bit_length() - 1 for i in range(2 ** k - 1)] + [k - 1]
+    gates = []
+    for angle, bit in zip(theta.tolist(), bits):
+        if not (skip_zero and abs(angle) <= 1e-12):
+            gates.append(ry(target, angle, tag=tag))
+        if k:
+            gates.append(links[bit])
+    return gates
+
+
+def _fields(gates):
+    return [(g.kind, g.qubits, g.angle, g.tag, type(g.angle)) for g in gates]
+
+
+_N = 10   # qubits: a target, up to 7 controls, and room around them
+
+
+@pytest.mark.parametrize("k", range(8))
+@pytest.mark.parametrize("target_bit", [1, 4, 7], ids=lambda b: f"bit{b}")
+@pytest.mark.parametrize("skip_zero", [False, True], ids=["all", "skip"])
+@pytest.mark.parametrize("pattern", ["random", "repeated"])
+def test_multiplexer_equals_its_gate_by_gate_chain(k, target_bit, skip_zero, pattern,
+                                                   monkeypatch):
+    rng = np.random.default_rng([k, target_bit, skip_zero, pattern == "random"])
+    target = _N - 1 - target_bit          # memory bit n-1-q in the working layout
+    others = [q for q in range(_N) if q != target]
+    controls = [int(q) for q in rng.permutation(others)[:k]]
+    if pattern == "random":
+        alphas = rng.uniform(-2 * math.pi, 2 * math.pi, 2 ** k)
+    else:   # set by the top controls alone: most chain angles are exactly 0
+        alphas = np.repeat(rng.uniform(-3, 3, 2 ** (k // 2)), 2 ** (k - k // 2))
+        if k == 0:
+            alphas = np.zeros(1)
+    op = lower_multiplexed_ry(alphas, controls, target, skip_zero=skip_zero, tag="state_prep")
+    expected = _chain_gates(alphas, controls, target, skip_zero, "state_prep")
+    assert isinstance(op, MultiplexedRY)
+    # the expansion, field by field
+    assert _fields(op) == _fields(expected) and len(op) == len(expected)
+    # a prefix of gates of the same stage leaves the qubits' fronts uneven, so
+    # the closed-form schedule starts from a real front
+    prefix = [ry(int(q), float(rng.uniform(-3, 3)), tag="state_prep") for q in rng.permutation(_N)]
+    prefix += [cx(*map(int, rng.choice(_N, 2, replace=False)), tag="state_prep")
+               for _ in range(6)]
+    for head in ((), tuple(prefix)):
+        as_op, as_gates = Circuit(_N, head + (op,)), Circuit(_N, head + tuple(expected))
+        assert _fields(as_op.gates) == _fields(as_gates.gates)
+        # counts and depth
+        got, want = resource_counts(as_op), resource_counts(as_gates)
+        assert (got.cx_count, got.rotation_count, got.depth) == (
+            want.cx_count, want.rotation_count, want.depth)
+        assert dict(got.breakdown) == dict(want.breakdown)
+        # the state, bit for bit
+        vec = rng.standard_normal(2 ** _N)
+        sv = StateVector(vec / np.linalg.norm(vec), _N)
+        assert np.array_equal(apply_circuit(sv, as_op).amplitudes,
+                              apply_circuit(sv, as_gates).amplitudes)
+        # the text, byte for byte, also when a chain is written in many pieces
+        text = export_qasm(as_gates)
+        assert export_qasm(as_op) == text
+        monkeypatch.setattr(qcircuit, "_QASM_STEPS", 3)
+        assert export_qasm(as_op) == text
+        monkeypatch.undo()

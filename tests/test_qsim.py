@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from jqpie import pipeline, qsim
 from jqpie.jpegcore import QuantTable
-from jqpie.qcircuit import Circuit, cx, ry
+from jqpie.qcircuit import Circuit, MultiplexedRY, cx, ry
 from jqpie.qsim import (StateVector, apply_circuit, basis_state, from_amplitudes,
                         postselect_ancilla, state_fidelity, zero_state)
 from jqpie.synth import (BlockEncodedDiag, block_encoded_rescaler, lower_multiplexed_ry,
@@ -113,35 +113,55 @@ def _random_state(rng, n):
     return vec / np.linalg.norm(vec)
 
 
-def _applied_gates(monkeypatch):
-    """The gates passed to qsim's per-gate step from now on, in order."""
+def _applied_steps(monkeypatch):
+    """qsim's kernel calls from now on, in order: ("ry", c, s) per rotation
+    product, read off the matrix it multiplies by, and ("cx",) per swap."""
     calls = []
-    apply_gate = qsim._apply_gate
+    rotate, swap = qsim._rotate, qsim._swap
 
-    def counting(amps, spare, gate):
-        calls.append(gate)
-        return apply_gate(amps, spare, gate)
+    def rotating(rows, matrix, out):
+        # R = [[c, -s], [s, c]] on pair rows, kron(R^T, I) = c*I + s*J on short rows
+        s = matrix[1, 0] if rows.ndim == 3 else matrix[0, len(matrix) // 2]
+        calls.append(("ry", matrix[0, 0], s))
+        rotate(rows, matrix, out)
 
-    monkeypatch.setattr(qsim, "_apply_gate", counting)
+    def swapping(*args):
+        calls.append(("cx",))
+        swap(*args)
+
+    monkeypatch.setattr(qsim, "_rotate", rotating)
+    monkeypatch.setattr(qsim, "_swap", swapping)
     return calls
 
 
+def _expected_steps(circuit):
+    """One kernel call per gate of ``circuit``, in order, with c and s as
+    one RY computes them, between the n // 2 swaps of the layout reversal
+    on entry and on exit."""
+    reversal = [("cx",)] * (circuit.n_qubits // 2)
+    steps = [("ry", math.cos(g.angle / 2.0), math.sin(g.angle / 2.0)) if g.kind == "ry"
+             else ("cx",) for g in circuit.gates]
+    return reversal + steps + reversal
+
+
 def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
-    # one per-gate step per gate, in order: no run of gates is fused into one pass
+    # one kernel call per gate, in order: no run of gates is fused into one
+    # pass, though each multiplexer is applied from its arrays
     vec = rng.standard_normal(2 ** 6)
     circuit = synth_state_prep(vec / np.linalg.norm(vec))
-    calls = _applied_gates(monkeypatch)
+    assert all(isinstance(op, MultiplexedRY) for op in circuit.operations)
+    calls = _applied_steps(monkeypatch)
     apply_circuit(zero_state(6), circuit)
-    assert calls == list(circuit.gates)
+    assert calls == _expected_steps(circuit)
 
 
 def test_operator_applies_every_elementary_gate_once(monkeypatch):
     # the operator backend's one simulation is the probe its per-block
     # decompression operator is read off: every gate of the circuit, once
     circuit = pipeline._decompression_circuit(9, 3, 1.0)
-    calls = _applied_gates(monkeypatch)
+    calls = _applied_steps(monkeypatch)
     pipeline._decompression.__wrapped__(3, 1.0)
-    assert calls == list(circuit.gates)
+    assert calls == _expected_steps(circuit)
 
 
 def test_block_encoding_identity_branch():
@@ -193,6 +213,18 @@ def test_postselect_probabilities_sum_to_one(rng):
 def test_postselect_zero_probability_branch():
     with pytest.raises(ValueError, match="zero-probability"):
         postselect_ancilla(zero_state(2), qubit=1, outcome=1)
+
+
+def test_postselect_refuses_a_rounding_level_branch():
+    # a branch of amplitude 1e-17 is rounding noise, not a branch to renormalize
+    amps = np.array([1.0, 0.0, 1e-17, 0.0])
+    with pytest.raises(ValueError, match=r"zero-probability branch: qubit 1 never reads 1 "
+                                         r"\(p = 1e-34, at most the rounding floor 1e-12\)"):
+        postselect_ancilla(StateVector(amps, 2), qubit=1, outcome=1)
+    # the floor is far under any branch a JQPIE run reaches, (10/121)^2
+    small = math.sqrt(1e-6)
+    result = postselect_ancilla(StateVector([math.sqrt(1 - 1e-6), 0.0, small, 0.0], 2), 1, 1)
+    assert result.probability == pytest.approx(1e-6, rel=1e-12)
 
 
 def test_fidelity_examples(rng):
@@ -313,17 +345,17 @@ def test_random_circuits_match_the_kron_oracle(n, seed, edge):
 @pytest.mark.parametrize("n", range(1, 14))
 def test_qubit_order_reversal_matches_a_transpose_and_undoes_itself(n):
     vec = np.arange(2.0 ** n)
-    amps = vec.copy()
-    qsim._reverse_qubit_order(amps, n)
+    amps, other = vec.copy(), np.empty(2 ** n)
+    qsim._reverse_qubit_order(amps, n, other)
     assert np.array_equal(amps, vec.reshape((2,) * n).transpose().reshape(-1))
-    qsim._reverse_qubit_order(amps, n)
+    qsim._reverse_qubit_order(amps, n, other)
     assert np.array_equal(amps, vec)
 
 
 # --- non-finite values never pass a check -------------------------------------------
 
 def test_apply_circuit_rejects_a_kernel_that_writes_nan(monkeypatch):
-    monkeypatch.setattr(qsim, "_apply_ry", lambda amps, out, bit, c, s: out.fill(np.nan))
+    monkeypatch.setattr(qsim, "_rotate", lambda rows, matrix, out: out.fill(np.nan))
     with pytest.raises(ArithmeticError, match="norm drifted"):
         apply_circuit(zero_state(3), Circuit(3, (ry(0, 0.5),)))
     with pytest.raises(ArithmeticError, match="norm drifted"):
