@@ -13,9 +13,9 @@ state-preparation cascade and the rescaler (Mottonen, Vartiainen, Bergholm
 IEEE TCAD 25, 1000, 2006). A multiplexer holds its interleaved RY/CX chain
 as one array of chain angles, checked once, so a 2^20-gate cascade holds
 no Python object per gate. The simulator applies it, :func:`export_qasm`
-writes it and :func:`resource_counts` counts and schedules it from its
-arrays, each exactly as for its gates one by one; ``Circuit.gates`` yields
-those gates, expanded in order as they are read.
+writes it from its arrays and :func:`resource_counts` counts it from them,
+each exactly as for its gates one by one; ``Circuit.gates`` yields those
+gates, expanded in order as they are read.
 
 Convention (project-wide): qubit 0 is the least-significant bit of a basis
 index. The pipeline's register layout (data register in qubits 0..5, the
@@ -175,8 +175,9 @@ class GateSequence(Sequence):
     """The gates of a circuit's operations, each multiplexer expanded in
     order as it is read (:meth:`MultiplexedRY.__iter__`). Its length is
     counted from the operations without expanding them. It compares equal
-    to a tuple or gate sequence of the same gates (gates compare by
-    identity, so an expanded RY equals only itself)."""
+    to a gate sequence of the same operations, and to a tuple or gate
+    sequence of the same gates (gates compare by identity, so an expanded
+    RY equals only itself)."""
 
     __slots__ = ("_operations",)
 
@@ -206,6 +207,8 @@ class GateSequence(Sequence):
     def __eq__(self, other) -> bool:
         if not isinstance(other, (GateSequence, tuple)):
             return NotImplemented
+        if isinstance(other, GateSequence) and self._operations == other._operations:
+            return True
         return tuple(self) == tuple(other)
 
     __hash__ = None
@@ -288,50 +291,13 @@ def _schedule_gate(front: dict[int, int], gate: Gate) -> int:
     return end
 
 
-def _schedule_multiplexer(front: dict[int, int], op: MultiplexedRY) -> int:
-    """Schedule a multiplexer's chain as its gates would be scheduled one by
-    one, in closed form, and return the end of its last gate (the target's
-    front if it has none).
-
-    Every gate of the chain acts on the target, so the chain runs in
-    sequence: its gate at position p (1-based) ends at p + D(p), where D(p)
-    is the larger of the target's front and, over the controls whose first
-    CX is at or before p, that control's front + 1 - the first CX's
-    position. Each control's front becomes the end of its last CX."""
-    steps = len(op.angles)
-    if not op.controls:
-        if not op.rotations:
-            return front.get(op.target, 0)
-        front[op.target] = end = front.get(op.target, 0) + 1
-        return end
-    # position of the CX closing each step: the rotations up to it, plus the steps
-    positions = np.cumsum(op.kept) + np.arange(1, steps + 1)
-    k = len(op.controls)
-    firsts, lasts = {}, {}
-    for bit in range(k):
-        control = op.controls[k - 1 - bit]
-        firsts[control] = int(positions[2 ** bit - 1])
-        lasts[control] = int(positions[steps - 1 if bit == k - 1 else steps - 2 ** bit - 1])
-    start = front.get(op.target, 0)
-
-    def end_at(position: int) -> int:
-        return position + max([start] + [front.get(c, 0) + 1 - first
-                                         for c, first in firsts.items() if first <= position])
-
-    ends = {c: end_at(last) for c, last in lasts.items()}
-    end = end_at(int(positions[-1]))
-    front.update(ends)
-    front[op.target] = end
-    return end
-
-
 def resource_counts(circuit: Circuit) -> ResourceReport:
     """Exact gate counts and scheduled depth, broken down by stage tag.
 
     Stage segments (consecutive operations sharing a tag) are scheduled
     independently and act as barriers, so the total depth equals the
-    breakdown sum. A multiplexer is counted and scheduled in closed form
-    (:func:`_schedule_multiplexer`), as its expanded gates would be.
+    breakdown sum. A multiplexer is counted from its arrays and scheduled
+    gate by gate over its expansion.
     """
     totals: dict[str, StageCost] = {}
     tag = None
@@ -350,7 +316,8 @@ def resource_counts(circuit: Circuit) -> ResourceReport:
         if isinstance(op, MultiplexedRY):
             rot_n += op.rotations
             cx_n += len(op) - op.rotations
-            depth = max(depth, _schedule_multiplexer(front, op))
+            for gate in op:
+                depth = max(depth, _schedule_gate(front, gate))
         else:
             cx_n += op.kind == "cx"
             rot_n += op.kind == "ry"

@@ -210,9 +210,10 @@ def _ry_matrix(bit: int, c: float, s: float) -> np.ndarray:
     return c * identity + s * basis
 
 
-def _ry_matrices(bit: int, halves: list[float]) -> list[np.ndarray]:
+def _ry_matrices(bit: int, halves: list[float]) -> np.ndarray:
     """:func:`_ry_matrix` of each half-angle, element for element, with c and
-    s from ``math.cos`` and ``math.sin`` as for one gate, built in one pass."""
+    s from ``math.cos`` and ``math.sin`` as for one gate, built in one pass
+    as one (N, ...) array."""
     c = np.array([math.cos(half) for half in halves])
     s = np.array([math.sin(half) for half in halves])
     if bit >= _SHORT_BITS:
@@ -223,7 +224,7 @@ def _ry_matrices(bit: int, halves: list[float]) -> list[np.ndarray]:
     else:
         identity, basis = _short_pair_basis(bit)
         matrices = c[:, None, None] * identity + s[:, None, None] * basis
-    return list(matrices)
+    return matrices
 
 
 def _rotate(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:

@@ -88,6 +88,19 @@ def test_circuit_gates_expand_lazily_and_count_without_expanding(monkeypatch):
     assert len(circuit.gates) == 9
 
 
+def test_circuit_gates_equal_themselves():
+    # each expansion makes new RY gates, which compare by identity; the same
+    # operations still give equal gate sequences
+    vec = np.arange(1.0, 9.0) / np.linalg.norm(np.arange(1.0, 9.0))
+    circuit = synth_state_prep(vec)
+    assert any(isinstance(op, MultiplexedRY) and op.rotations for op in circuit.operations)
+    assert circuit.gates == circuit.gates
+    assert circuit.gates == Circuit(circuit.n_qubits, circuit.operations).gates
+    assert circuit.gates != synth_state_prep(vec).gates
+    plain = Circuit(2, (ry(0, 0.5), cx(0, 1)))
+    assert plain.gates == plain.operations and plain.gates == Circuit(2, plain.operations).gates
+
+
 def test_circuit_rejects_out_of_range_qubits():
     with pytest.raises(ValueError):
         Circuit(2, (ry(5, 0.1),))
@@ -284,7 +297,7 @@ def test_multiplexer_equals_its_gate_by_gate_chain(k, target_bit, skip_zero, pat
     # the expansion, field by field
     assert _fields(op) == _fields(expected) and len(op) == len(expected)
     # a prefix of gates of the same stage leaves the qubits' fronts uneven, so
-    # the closed-form schedule starts from a real front
+    # the multiplexer's schedule starts from a real front
     prefix = [ry(int(q), float(rng.uniform(-3, 3)), tag="state_prep") for q in rng.permutation(_N)]
     prefix += [cx(*map(int, rng.choice(_N, 2, replace=False)), tag="state_prep")
                for _ in range(6)]
