@@ -498,7 +498,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = SweepConfig(
         inputs=tuple(args.inputs),
-        methods=tuple(args.methods) if args.methods else METHODS,
+        # a repeated method runs once, in the order first given
+        methods=tuple(dict.fromkeys(args.methods)) if args.methods else METHODS,
         r_set=tuple(sorted(set(args.r_set))) if args.r_set else TRUNCATION_LEVELS,
         scale=args.scale,
         norm_mode=args.norm_mode,
@@ -541,7 +542,9 @@ def _cmd_resources(args) -> int:
         table[f"r={r}"] = entry
     text = json.dumps(table, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text + "\n")
     else:
         print(text)
     return 0
@@ -553,6 +556,7 @@ _WRITE_CHARS = 1 << 20
 
 def _cmd_export_circuit(args) -> int:
     img = load_image(args.input, args.png)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     circuit = hybrid_circuit(img, args.method, args.r, scale=args.scale)
     text = export_qasm(circuit)
     with open(args.out, "w") as fh:   # in slices: the text is never encoded whole

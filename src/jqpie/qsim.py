@@ -12,8 +12,9 @@ Project basis convention (single source of truth, consumed by every module):
   * the index register value is j = block_row * (padded_width / 8)
     + block_col, i.e. blocks enumerate row-major.
 
-:func:`apply_circuit` applies every gate, once and in order, one pass
-over the state each; no gate is fused or relabelled. While a circuit runs
+:func:`apply_circuit` applies every gate, once and in order, one kernel
+call each, over the amplitudes the gate can reach; no gate is fused or
+relabelled. While a circuit runs
 the state is held in a working layout with the bit order reversed, qubit q
 at memory bit n-1-q (:func:`_reverse_qubit_order`, n//2 slice swaps in
 place on entry and again on exit), so the low qubits, which carry most of
@@ -30,7 +31,19 @@ multiplexer (:class:`~jqpie.qcircuit.MultiplexedRY`) is applied from its
 arrays (:func:`_apply_multiplexer`): its rotation matrices, with c and s
 computed as for one RY, and its views of both arrays are made once, then
 its RYs and CXs run one by one, in chain order, through the same two
-kernels. Amplitudes are real float64: RY and CX map real
+kernels.
+
+Work follows the state's support. The simulator keeps a live prefix of the
+working layout, the smallest L such that every amplitude at index >= 2^L is
+exactly 0 (:func:`_live_bits`, read off the input after the entry
+reversal), and runs each gate on the first 2^L' entries of both arrays, L'
+the larger of L and the gate's highest memory bit plus one, which is the
+prefix of the gates after it. Both arrays are zero above the prefix (the scratch
+array is zeroed there after the entry reversal), so no gate reads a stale
+value. A cascade run from |0...0> touches memory bits 0..k in layer k, so
+that layer runs on 2^(k+1) amplitudes, not the whole state. A multiplexer
+grows the prefix where its expansion's gates would, so both give the same
+state bit for bit. Amplitudes are real float64: RY and CX map real
 states to real states, so the signed JPEG coefficients never need a
 complex type, and complex input is rejected rather than cast. Every norm
 and probability check also fails on NaN, and post-selection refuses a
@@ -44,7 +57,8 @@ one block per loaded slot, to read off its 64 x 2^r per-block operator,
 whose diagonal then weights a classical inverse DCT of every block. The
 ``gate_exact`` pipeline backend runs every gate of the circuit, cascade
 included, through :func:`apply_circuit` and is the reference: the cascade
-on the image qubits, the decompression with the ancilla joined above them.
+on the h + w - 6 + r qubits it loads, then the decompression on the image
+qubits, with the ancilla joined above them for JQPIE.
 
 A statevector is owned by one simulation at a time; all functions return new
 values and distinct simulations share nothing. Each state is copied once: a
@@ -238,45 +252,71 @@ def _rotate(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
         np.matmul(rows, matrix, out=out)
 
 
-def _apply_gate(buffers: tuple[np.ndarray, np.ndarray], current: int, gate: Gate) -> int:
+def _apply_gate(buffers: tuple[np.ndarray, np.ndarray], current: int, live: int,
+                gate: Gate) -> tuple[int, int]:
     """Apply one gate to the state in ``buffers[current]``, in the working
     layout (qubit q at memory bit n-1-q), and return which buffer holds the
-    state after it: an RY writes its product into the other buffer, a CX
-    swaps in place through half of the other (:func:`_held`)."""
+    state after it and the live prefix (:func:`_live_bits`) after it: an RY
+    writes its product into the other buffer, a CX swaps in place through
+    half of the other (:func:`_held`). Either acts on the first 2^L' entries
+    of both buffers, L' the larger of ``live`` and the gate's highest memory
+    bit plus one; every amplitude above them is 0 and stays 0."""
     amps, other = buffers[current], buffers[1 - current]
     top = amps.size.bit_length() - 2   # n - 1
+    if live <= top:   # part of the state is still zero: act on the prefix
+        live = max(live, top + 1 - min(gate.qubits))
+        amps, other = amps[:1 << live], other[:1 << live]
     if gate.kind == "cx":
         a, b = _cx_slices(amps, top - gate.qubits[0], top - gate.qubits[1])
         _swap(a, b, *_held(other, a))
-        return current
+        return current, live
     bit, half = top - gate.qubits[0], gate.angle / 2.0
     _rotate(_pair_rows(amps, bit), _ry_matrix(bit, math.cos(half), math.sin(half)),
             _pair_rows(other, bit))
-    return 1 - current
+    return 1 - current, live
 
 
-def _apply_multiplexer(buffers: tuple[np.ndarray, np.ndarray], current: int,
-                       op: MultiplexedRY) -> int:
+def _chain_views(buffers: tuple[np.ndarray, np.ndarray], holders: tuple[int, ...],
+                 live: int, bit: int, controls: tuple[int, ...]) -> tuple[dict, dict]:
+    """A multiplexer's views of the first 2^``live`` entries of both
+    buffers: the target's pair rows per buffer that can hold the state, and
+    the two CX slices and held buffers per (control, buffer) of each control
+    inside the prefix."""
+    top = buffers[0].size.bit_length() - 2
+    prefix = [b[:1 << live] for b in buffers]
+    rows = {i: _pair_rows(prefix[i], bit) for i in holders}
+    swaps = {}
+    for control in controls:
+        if top - control < live:
+            for i in holders:
+                a, b = _cx_slices(prefix[i], top - control, bit)
+                swaps[control, i] = (a, b, *_held(prefix[1 - i], a))
+    return rows, swaps
+
+
+def _apply_multiplexer(buffers: tuple[np.ndarray, np.ndarray], current: int, live: int,
+                       op: MultiplexedRY) -> tuple[int, int]:
     """Apply a multiplexer's chain from its arrays, gate by gate, as
     :func:`_apply_gate` would apply its expansion, and return which buffer
-    holds the state after it.
+    holds the state after it and the live prefix after it.
 
-    The rotation matrices (:func:`_ry_matrices`), the target's pair rows
-    and each control's two CX slices and held buffer are made once for both
-    buffers. Then every kept RY is one :func:`_rotate` and every CX one
-    :func:`_swap`, in chain order.
+    The rotation matrices (:func:`_ry_matrices`) are made once, and the
+    target's pair rows and each control's two CX slices and held buffer
+    once per live prefix (:func:`_chain_views`). Then every kept RY is one
+    :func:`_rotate` and every CX one :func:`_swap`, in chain order. The
+    prefix grows where the expansion's would: to the target's memory bit at
+    the first gate, and to a control's at its first CX above the prefix, so
+    the two give the same state bit for bit.
     """
+    if not len(op):
+        return current, live
     top = buffers[0].size.bit_length() - 2
     bit = top - op.target
+    live = max(live, bit + 1)
     # the state stays in one buffer when the chain rotates nothing
     holders = (0, 1) if op.rotations else (current,)
-    rows = {i: _pair_rows(buffers[i], bit) for i in holders}
+    rows, swaps = _chain_views(buffers, holders, live, bit, op.controls)
     matrices = iter(_ry_matrices(bit, (op.angles[op.kept] / 2.0).tolist()))
-    swaps = {}
-    for control in op.controls:
-        for i in holders:
-            a, b = _cx_slices(buffers[i], top - control, bit)
-            swaps[control, i] = (a, b, *_held(buffers[1 - i], a))
     steps = len(op.angles)
     links = op.links(0, steps).tolist() if op.controls else [None] * steps
     for kept, link in zip(op.kept.tolist(), links):
@@ -284,8 +324,21 @@ def _apply_multiplexer(buffers: tuple[np.ndarray, np.ndarray], current: int,
             _rotate(rows[current], next(matrices), rows[1 - current])
             current = 1 - current
         if link is not None:
+            if top - link >= live:
+                live = top - link + 1
+                rows, swaps = _chain_views(buffers, holders, live, bit, op.controls)
             _swap(*swaps[link, current])
-    return current
+    return current, live
+
+
+def _live_bits(amps: np.ndarray) -> int:
+    """The live prefix of a state: the smallest L such that every amplitude
+    at index >= 2^L is exactly 0. The halves [2^(L-1), 2^L) are read from
+    the top down, so no state-sized temporary is made."""
+    bits = amps.size.bit_length() - 1
+    while bits and not amps[1 << (bits - 1):1 << bits].any():
+        bits -= 1
+    return bits
 
 
 # --- public operations ----------------------------------------------------------
@@ -303,12 +356,14 @@ def apply_circuit(sv: StateVector, circuit: Circuit) -> StateVector:
     # a state-sized scratch array for the RYs, else half of one for the swaps
     buffers = (amps, np.empty(amps.size if rotates else amps.size // 2))
     _reverse_qubit_order(amps, sv.n, buffers[1])
+    live = _live_bits(amps)
+    buffers[1][1 << live:] = 0.0   # both buffers stay zero above the live prefix
     current = 0
     for op in circuit.operations:
         if isinstance(op, MultiplexedRY):
-            current = _apply_multiplexer(buffers, current, op)
+            current, live = _apply_multiplexer(buffers, current, live, op)
         else:
-            current = _apply_gate(buffers, current, op)
+            current, live = _apply_gate(buffers, current, live, op)
     amps = buffers[current]
     _reverse_qubit_order(amps, sv.n, buffers[1 - current])
     if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:   # NaN fails too

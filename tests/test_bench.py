@@ -465,6 +465,22 @@ def test_parallel_sweep_reports_match_serial(tmp_path, rng):
     assert json.loads(outputs[0][1])["compression_ratio"]["root"]["count"] == 2
 
 
+def test_cli_sweep_runs_a_repeated_method_once(tmp_path, rng):
+    directory = make_dataset(tmp_path, rng, names=("a.pgm",), size=8)
+    out = tmp_path / "rows"
+    assert main(["sweep", str(directory), "--method", "jqpie", "--method", "jqpie",
+                 "--r", "3", "--r", "3", "--out", str(out)]) == 0
+    lines = out.with_suffix(".csv").read_text().splitlines()[1:]
+    assert [tuple(line.split(",")[1:3]) for line in lines] == [("jqpie", "3")]
+    summary = json.loads(out.with_suffix(".json").read_text())
+    assert summary["tolerance"]["jqpie,r=3"]["count"] == 1
+    # the order of the first mentions is kept
+    assert main(["sweep", str(directory), "--method", "qf_jqpie", "--method", "jqpie",
+                 "--method", "qf_jqpie", "--r", "3", "--out", str(out)]) == 0
+    lines = out.with_suffix(".csv").read_text().splitlines()[1:]
+    assert [line.split(",")[1] for line in lines] == ["qf_jqpie", "jqpie"]
+
+
 def test_cli_calls_share_no_parser_state(tmp_path, rng):
     """The parser is built once per process; a second sweep without --r or
     --method gets the defaults, not the first call's repeatable options."""
@@ -598,6 +614,33 @@ def test_cli_resources(tmp_path, capsys):
     for height in ("100", "0", "-8"):
         assert main(["resources", "--height", height, "--width", "256"]) == 2
         assert "height and width must be powers of two" in capsys.readouterr().err
+
+
+def test_cli_resources_creates_the_output_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "deeper" / "table.json"
+    assert main(["resources", "--height", "64", "--width", "64", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["r=3"]["state_prep_cx_reduction_pct"] > 0
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_export_circuit_creates_the_output_directory(tmp_path, rng, monkeypatch):
+    from jqpie.qcircuit import parse_qasm
+
+    img_path = tmp_path / "img.pgm"
+    write_pgm(random_image(rng, 8, 8), img_path)
+    out = tmp_path / "missing" / "deeper" / "c.qasm"
+    build = bench.hybrid_circuit
+    made = []
+
+    def building(*args, **kwargs):   # the directory is there before the circuit is built
+        made.append(out.parent.is_dir())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "hybrid_circuit", building)
+    assert main(["export-circuit", str(img_path), "--method", "jqpie", "--r", "3",
+                 "--out", str(out)]) == 0
+    assert made == [True]
+    assert parse_qasm(out.read_text()).n_qubits == 7
 
 
 def test_cli_export_circuit_roundtrips(tmp_path, rng, monkeypatch):

@@ -20,7 +20,7 @@ from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, _block_zigzag, blocks
                             truncate_zigzag, zigzag_coefficients, zigzag_permutation)
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
-from jqpie.qcircuit import Circuit, export_qasm, resource_counts
+from jqpie.qcircuit import Circuit, compose, export_qasm, resource_counts
 from jqpie.qsim import (MIN_BRANCH_PROBABILITY, StateVector, apply_circuit, from_amplitudes,
                         postselect_ancilla, state_fidelity, zero_state)
 from jqpie.synth import (block_encoded_rescaler, closed_form_resources, load_order,
@@ -681,9 +681,10 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
 
 
 def test_gate_exact_cascade_runs_without_the_ancilla(rng, monkeypatch):
-    # the cascade acts on the h + w image qubits only; the ancilla joins as a
-    # zero upper half before the decompression, and the post-selected state
-    # is that of the exported full-width circuit run from |0...0>
+    # the cascade acts on the h + w - 6 + r qubits it loads only; data
+    # qubits r..5 and the ancilla join in |0> before the decompression, and
+    # the post-selected state is that of the exported full-width circuit run
+    # from |0...0>
     img = random_image(rng, 64, 64)
     apply = pipeline.apply_circuit
     widths = []
@@ -696,12 +697,35 @@ def test_gate_exact_cascade_runs_without_the_ancilla(rng, monkeypatch):
     for r in (3, 6):
         widths.clear()
         result = run_jqpie(img, r, backend="gate_exact")
-        assert widths == [(12, 12), (13, 13)]
+        assert widths == [(6 + r, 6 + r), (13, 13)]
         full = pipeline.hybrid_circuit(img, "jqpie", r)
         assert full.n_qubits == 13
         post = postselect_ancilla(apply(zero_state(13), full), qubit=12, outcome=0)
         assert np.max(np.abs(result.state.amplitudes - post.state.amplitudes)) <= 1e-12
         assert abs(result.success_probability - post.probability) <= 1e-12
+
+
+@pytest.mark.parametrize("norm_mode", NORM_MODES)
+def test_compact_cascade_matches_the_full_width_circuit(rng, norm_mode):
+    # 24 x 40 pads to 32 x 64 (h != w): the cascade on h + w - 6 + r qubits,
+    # written into the low slots of each block, gives the state of the
+    # full-width cascade and decompression run from |0...0>, at every r
+    img = random_image(rng, 24, 40)
+    for scale in (None, 1.0):
+        encoding = pipeline.encode_image(img, scale)
+        h, w = encoding.h, encoding.w
+        for r in range(2, 7):
+            run = pipeline.HybridRun(encoding, r, "gate_exact", norm_mode)
+            amp_matrix, _ = pipeline._amplitudes(encoding, r, norm_mode)
+            full = compose(pipeline._state_prep_circuit(amp_matrix, h, w, r, scale is not None),
+                           pipeline._decompression_circuit(h + w, r, scale))
+            out = apply_circuit(zero_state(full.n_qubits), full)
+            probability = 1.0
+            if scale is not None:
+                post = postselect_ancilla(out, qubit=h + w, outcome=0)
+                out, probability = post.state, post.probability
+            assert np.max(np.abs(run.state.amplitudes - out.amplitudes)) <= 1e-12, (scale, r)
+            assert abs(run.success_probability - probability) <= 1e-12, (scale, r)
 
 
 def _hybrid_operator_runs(img):

@@ -335,11 +335,22 @@ def test_random_circuits_match_the_kron_oracle(n, seed, edge):
     gates = [gates[i] for i in rng.permutation(len(gates))]
     vec = _random_state(rng, n)
     out = apply_circuit(StateVector(vec, n), Circuit(n, tuple(gates))).amplitudes
-    expected = vec
+    assert np.max(np.abs(out - _oracle_run(vec, gates))) <= 1e-13
+
+
+def _oracle_run(vec, gates):
+    """``vec`` after ``gates``, one dense kron oracle per gate."""
     for gate in gates:
-        expected = (_ry_oracle(expected, gate.qubits[0], gate.angle) if gate.kind == "ry"
-                    else _cx_tensor_oracle(expected, *gate.qubits))
-    assert np.max(np.abs(out - expected)) <= 1e-13
+        vec = (_ry_oracle(vec, gate.qubits[0], gate.angle) if gate.kind == "ry"
+               else _cx_tensor_oracle(vec, *gate.qubits))
+    return vec
+
+
+def _every_gate(rng, n):
+    """An RY on every qubit and a CX on every ordered pair, in a random order."""
+    gates = [ry(q, float(a)) for q, a in zip(range(n), rng.uniform(-4 * math.pi, 4 * math.pi, n))]
+    gates += [cx(c, t) for c in range(n) for t in range(n) if c != t]
+    return [gates[i] for i in rng.permutation(len(gates))]
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -350,6 +361,87 @@ def test_qubit_order_reversal_matches_a_transpose_and_undoes_itself(n):
     assert np.array_equal(amps, vec.reshape((2,) * n).transpose().reshape(-1))
     qsim._reverse_qubit_order(amps, n, other)
     assert np.array_equal(amps, vec)
+
+
+# --- the live prefix: each gate on the amplitudes it can reach ---------------------
+
+def _low_prefix_state(rng, n, live):
+    """A random unit state whose working-layout amplitudes at index >= 2^live
+    are 0: qubit q sits at memory bit n-1-q, so only qubits n-live..n-1 vary."""
+    vec = np.zeros(2 ** n)
+    vec[::2 ** (n - live)] = rng.standard_normal(2 ** live)
+    return vec / np.linalg.norm(vec)
+
+
+def _working_live_bits(vec):
+    """The live prefix of ``vec`` in the working layout, and whether the entry
+    reversal leaves a nonzero value in the scratch array above it."""
+    n = len(vec).bit_length() - 1
+    amps, other = vec.copy(), np.zeros(len(vec))
+    qsim._reverse_qubit_order(amps, n, other)
+    live = qsim._live_bits(amps)
+    return live, bool(other[1 << live:].any())
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_low_prefix_inputs_match_the_kron_oracle(n):
+    # zero_state, basis states and states with every live prefix, under an
+    # RY on every qubit and a CX on every pair in a random order
+    rng = np.random.default_rng(n)
+    states = [zero_state(n).amplitudes, basis_state(n, int(rng.integers(2 ** n))).amplitudes]
+    states += [_low_prefix_state(rng, n, live) for live in range(n + 1)]
+    assert [_working_live_bits(v)[0] for v in states[2:]] == list(range(n + 1))
+    for vec in states:
+        gates = _every_gate(rng, n)
+        out = apply_circuit(StateVector(vec, n), Circuit(n, tuple(gates))).amplitudes
+        assert np.max(np.abs(out - _oracle_run(vec, gates))) <= 1e-13
+
+
+def test_gates_first_touching_a_high_bit_late_match_the_kron_oracle():
+    # from |0...0> the prefix is one entry; RYs on qubits 7 and 6 grow it
+    # to memory bits 0..1, one on qubit 2 to bit 5, a CX whose control,
+    # qubit 0 at bit 7, reads 0 to the whole state without moving an
+    # amplitude, and the gates after it move amplitudes into the new part;
+    # the state after every gate is checked
+    n = 8
+    gates = [ry(7, 0.9), ry(6, -1.3), ry(2, 2.1), cx(0, 7), cx(2, 4), cx(6, 0),
+             ry(0, 0.4), cx(0, 3), ry(3, -2.5)]
+    for count in range(1, len(gates) + 1):
+        head = gates[:count]
+        vec = zero_state(n).amplitudes
+        out = apply_circuit(zero_state(n), Circuit(n, tuple(head))).amplitudes
+        assert np.max(np.abs(out - _oracle_run(vec, head))) <= 1e-14
+
+
+@pytest.mark.parametrize("target_bit", [0, 2, 3, 5])
+def test_a_multiplexer_grows_the_prefix_as_its_expansion(target_bit):
+    # the prefix just covers the target; controls above it are first
+    # reached by a CX of the chain. On the short rows of memory bits 2 and
+    # 3 the product rounds differently when its row count changes, so the
+    # multiplexer must grow the prefix where its gates would to give the
+    # same bits; both give the oracle's state
+    n = 10
+    target = n - 1 - target_bit
+    for seed in range(3):
+        rng = np.random.default_rng([target_bit, seed])
+        controls = [int(q) for q in rng.permutation([q for q in range(n) if q != target])[:3]]
+        op = lower_multiplexed_ry(rng.uniform(-3, 3, 8), controls, target, tag="state_prep")
+        vec = _low_prefix_state(rng, n, target_bit + 1)
+        sv = StateVector(vec, n)
+        as_op = apply_circuit(sv, Circuit(n, (op,))).amplitudes
+        assert np.array_equal(as_op, apply_circuit(sv, Circuit(n, tuple(op))).amplitudes)
+        assert np.max(np.abs(as_op - _oracle_run(vec, list(op)))) <= 1e-14
+
+
+def test_the_scratch_array_reads_no_stale_value_above_the_prefix():
+    # the entry reversal of |52> on 6 qubits leaves a 1 in the scratch array
+    # above the 2^4-entry prefix; an RY inside the prefix hands that array
+    # the state, and an RY on memory bit 5 then reads the whole of it
+    vec = basis_state(6, 52).amplitudes
+    assert _working_live_bits(vec) == (4, True)
+    gates = [ry(5, 0.7), ry(0, 1.1)]
+    out = apply_circuit(StateVector(vec, 6), Circuit(6, tuple(gates))).amplitudes
+    assert np.max(np.abs(out - _oracle_run(vec, gates))) <= 1e-15
 
 
 # --- non-finite values never pass a check -------------------------------------------
