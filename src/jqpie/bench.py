@@ -64,6 +64,10 @@ _IMAGE_SUFFIXES = (".pgm", ".ppm", ".pnm", ".png")
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's settings, checked when made. The one owner of the grid:
+    ``methods`` keep the order first given and ``r_set`` is sorted
+    ascending, each without repeats, so a repeated entry runs once."""
+
     inputs: tuple[str, ...]
     methods: tuple[str, ...] = METHODS
     r_set: tuple[int, ...] = TRUNCATION_LEVELS
@@ -90,6 +94,8 @@ class SweepConfig:
                                      ("ssim_mode", self.ssim_mode, metrics.SSIM_MODES)):
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}, expected one of {allowed}")
+        object.__setattr__(self, "methods", tuple(dict.fromkeys(self.methods)))
+        object.__setattr__(self, "r_set", tuple(sorted(set(self.r_set))))
 
 
 def ingest_dataset(directory, allow_png: bool = False) -> list[tuple[str, GrayscaleImage]]:
@@ -187,7 +193,7 @@ def _sweep_one_image(args) -> tuple[list[dict], SparsityStats | None]:
                          "error": f"baseline failed: {exc}"}
                         for m in cfg.methods for r in cfg.r_set], stats
         rows += [_sweep_cell(label, reference, encoding, method, r, baseline, cfg)
-                 for r in sorted(cfg.r_set)]
+                 for r in cfg.r_set]
     return rows, stats
 
 
@@ -269,7 +275,8 @@ def _sweep_images(images: list[tuple[str, GrayscaleImage]],
 
 
 def run_sweep(cfg: SweepConfig) -> list[dict]:
-    """One row per (image, method, r); failures become error rows."""
+    """One row per (image, method, r), r ascending (:class:`SweepConfig`);
+    failures become error rows."""
     return _sweep_images(_collect_inputs(cfg.inputs, cfg.allow_png), cfg)[0]
 
 
@@ -481,7 +488,7 @@ def _cmd_simulate(args) -> int:
                          args.backend, args.norm_mode)
     reference = metrics.prepare(img, moments=True)
     _, baseline = _jpeg_baseline(reference, encoding, args.scale, "global")
-    report = metrics.relative_report(reference, result.reconstructed, baseline, "global")
+    report = metrics.relative_report(reference, result.reconstructed, baseline)
     payload = result.to_json()
     payload["quality"] = report.to_json()
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -498,9 +505,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = SweepConfig(
         inputs=tuple(args.inputs),
-        # a repeated method runs once, in the order first given
-        methods=tuple(dict.fromkeys(args.methods)) if args.methods else METHODS,
-        r_set=tuple(sorted(set(args.r_set))) if args.r_set else TRUNCATION_LEVELS,
+        methods=tuple(args.methods or METHODS),
+        r_set=tuple(args.r_set or TRUNCATION_LEVELS),
         scale=args.scale,
         norm_mode=args.norm_mode,
         backend=args.backend,

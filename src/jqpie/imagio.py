@@ -301,13 +301,13 @@ def pad_and_partition(img: GrayscaleImage) -> BlockGrid:
     return BlockGrid._owning(blocks, nbx, nby, img.original_dims, img.bit_depth)
 
 
-def assemble_image(grid: BlockGrid, original_dims: tuple[int, int] | None = None,
-                   clamp: bool = True) -> GrayscaleImage:
+def assemble_image(grid: BlockGrid,
+                   original_dims: tuple[int, int] | None = None) -> GrayscaleImage:
     """Reassemble blocks into an image, cropping away the padding region.
 
-    Inverse of :func:`pad_and_partition` up to the cropped padding. Values are
-    clamped to [0, L] unless ``clamp`` is False (oracle comparisons need the
-    raw pre-clamp pixels).
+    Inverse of :func:`pad_and_partition` up to the cropped padding. Values
+    are not clamped: the decoders' oracles compare the raw pixels, and
+    clamping is left to scoring and file writing.
     """
     if original_dims is None:
         original_dims = grid.original_dims
@@ -319,8 +319,6 @@ def assemble_image(grid: BlockGrid, original_dims: tuple[int, int] | None = None
               .transpose(0, 2, 1, 3)
               .reshape(ph, pw))
     # A cropped image gets its own array rather than a view of the padded one.
-    if clamp:
-        pixels = np.clip(pixels[:oh, :ow], 0.0, float(2 ** grid.bit_depth - 1))
-    elif (oh, ow) != (ph, pw):
+    if (oh, ow) != (ph, pw):
         pixels = pixels[:oh, :ow].copy()
     return GrayscaleImage._owning(pixels, grid.bit_depth, (oh, ow))

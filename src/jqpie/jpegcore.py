@@ -213,7 +213,7 @@ def zigzag_coefficients(source: GrayscaleImage | BlockGrid,
     if layout not in LAYOUTS:
         raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
     if isinstance(source, BlockGrid):
-        pixels = assemble_image(source, source.padded_dims, clamp=False).pixels
+        pixels = assemble_image(source, source.padded_dims).pixels
     else:
         pixels = pad_to_multiple(source).pixels
     height, width = pixels.shape
@@ -326,7 +326,7 @@ def reference_decode_pixels(img: GrayscaleImage, mode: str, r: int = 6,
     pixels = idct2_blocks(coeffs)
     recon = BlockGrid._owning(pixels, grid.n_b_x, grid.n_b_y, grid.original_dims,
                               grid.bit_depth)
-    return assemble_image(recon, clamp=False).pixels
+    return assemble_image(recon).pixels
 
 
 def fold_weight(weight: np.ndarray) -> np.ndarray:

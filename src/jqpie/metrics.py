@@ -20,15 +20,15 @@ d*d and a*d give the reconstruction's mean and variance and the
 covariance, four passes over a strip and none that subtracts a mean.
 
 Every score reads :class:`PreparedImage` values: pixels clamped into
-[0, L] and the peak L. :func:`prepare` makes one; ``psnr`` and ``ssim``
-accept a prepared or a raw image on either side and prepare a raw one
-themselves, so both paths give the same bits. An image scored against many
-others is prepared once: ``sweep`` and ``simulate`` prepare their reference
-once per image, with the global-SSIM moments (mean, population variance),
-score the JPEG baseline once with :func:`baseline_report` and each
-reconstruction against it. The baseline decode clamps every strip itself,
-so the harness wraps its pixels in a :class:`PreparedImage` without a
-scan. A :class:`~jqpie.imagio.GrayscaleImage` already inside [0, L], as
+[0, L] and the peak L. :func:`prepare` makes one from a
+:class:`~jqpie.imagio.GrayscaleImage`; ``psnr`` and ``ssim`` take either
+on each side and prepare an image themselves, so both paths give the same
+bits. An image scored against many others is prepared once: ``sweep`` and
+``simulate`` prepare their reference once per image, with the global-SSIM
+moments (mean, population variance), score the JPEG baseline once with
+:func:`baseline_report` and each reconstruction against it. The baseline
+decode clamps every strip itself, so the harness wraps its pixels in a
+:class:`PreparedImage` without a scan. An image already inside [0, L], as
 every loaded image and clamped decode is, is not clipped: the prepared
 image shares its array. That is safe because an image's array is
 read-only and nothing else writes it: a caller's array is copied, and the
@@ -42,7 +42,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .imagio import STRIP_ROWS, GrayscaleImage
+from .imagio import STRIP_ROWS
 
 SSIM_MODES = ("global", "windowed")
 
@@ -74,25 +74,23 @@ class PreparedImage:
 
 
 def prepare(img, peak: float | None = None, moments: bool = False) -> PreparedImage:
-    """Clamp an image (or a pixel array) into [0, peak] once, for scoring.
+    """Clamp a :class:`~jqpie.imagio.GrayscaleImage` into [0, peak] once,
+    for scoring.
 
-    ``peak`` defaults to the image's L, or 255 for an array; a prepared
-    image is returned as it is, and scoring it at another peak is an
-    error. ``moments`` also measures the global-SSIM mean and variance,
-    for an image that is scored against many others.
+    ``peak`` defaults to the image's L; a prepared image is returned as it
+    is, and scoring it at another peak is an error. ``moments`` also
+    measures the global-SSIM mean and variance, for an image that is
+    scored against many others.
     """
     if isinstance(img, PreparedImage):
         if peak is not None and peak != img.peak:
             raise ValueError(f"image prepared at peak {img.peak:g}, scored at {peak:g}")
         return img
     if peak is None:
-        peak = _peak(img)
-    if isinstance(img, GrayscaleImage):
-        pixels = img.pixels
-        if not (0.0 <= pixels.min() and pixels.max() <= peak):
-            pixels = np.clip(pixels, 0.0, peak)
-    else:
-        pixels = np.clip(np.asarray(img, dtype=np.float64), 0.0, peak)
+        peak = img.max_value
+    pixels = img.pixels
+    if not (0.0 <= pixels.min() and pixels.max() <= peak):
+        pixels = np.clip(pixels, 0.0, peak)
     pixels.flags.writeable = False
     return PreparedImage(pixels, peak, _moments(pixels) if moments else None)
 
@@ -116,19 +114,9 @@ def _moments(pixels: np.ndarray) -> tuple[float, float]:
     return mean, squares / pixels.size
 
 
-def _peak(*images) -> float:
-    """The peak of the first image that carries one, else 255."""
-    for img in images:
-        if isinstance(img, GrayscaleImage):
-            return img.max_value
-        if isinstance(img, PreparedImage):
-            return img.peak
-    return 255.0
-
-
 def _prepared_pair(a, b) -> tuple[PreparedImage, PreparedImage]:
-    peak = _peak(a, b)
-    pa, pb = prepare(a, peak), prepare(b, peak)
+    pa = prepare(a)
+    pb = prepare(b, pa.peak)
     if pa.pixels.shape != pb.pixels.shape:
         raise ValueError(f"dimension mismatch: {pa.pixels.shape} vs {pb.pixels.shape}")
     return pa, pb
@@ -290,8 +278,7 @@ def baseline_report(reference, baseline, baseline_id: str,
                          0.0, 0.0, baseline_id)
 
 
-def relative_report(reference, reconstruction, baseline: QualityReport,
-                    ssim_mode: str = "global") -> QualityReport:
-    """Score a reconstruction and its deltas against a scored baseline
-    (:meth:`Scores.report`), in one walk over both images."""
-    return _scores(reference, reconstruction, ssim_mode).report(baseline)
+def relative_report(reference, reconstruction, baseline: QualityReport) -> QualityReport:
+    """Score a reconstruction, with global SSIM, and its deltas against a
+    scored baseline (:meth:`Scores.report`), in one walk over both images."""
+    return _scores(reference, reconstruction, "global").report(baseline)

@@ -70,7 +70,8 @@ def test_sweep_config_validation():
 
 def _oracle_baseline(img, scale, ssim_mode="global"):
     """The JPEG baseline scored from the block-path oracle, clipped to [0, L]."""
-    oracle = np.clip(reference_decode_pixels(img, "jpeg", scale=scale), 0.0, img.max_value)
+    oracle = GrayscaleImage(np.clip(reference_decode_pixels(img, "jpeg", scale=scale),
+                                    0.0, img.max_value), img.bit_depth)
     return metrics.baseline_report(img, oracle, f"jpeg S={scale:g}", ssim_mode=ssim_mode)
 
 
@@ -102,10 +103,12 @@ def test_sweep_scores_baseline_once_per_image(tmp_path, rng, monkeypatch):
         baseline = _oracle_baseline(img, cfg.scale, "windowed")
         for method in cfg.methods:
             for r in cfg.r_set:
-                result = bench._run_method(img, method, r, cfg.scale, cfg.backend,
-                                           cfg.norm_mode)
-                expected[label, method, r] = metrics.relative_report(
-                    img, result.reconstructed, baseline, ssim_mode="windowed")
+                recon = bench._run_method(img, method, r, cfg.scale, cfg.backend,
+                                          cfg.norm_mode).reconstructed
+                psnr = metrics.psnr(img, recon)
+                ssim = metrics.ssim(img, recon, mode="windowed")
+                expected[label, method, r] = (psnr, ssim, psnr - baseline.psnr,
+                                              ssim - baseline.ssim)
     calls = {"psnr": 0, "ssim": 0}
 
     def counted(name):
@@ -123,9 +126,8 @@ def test_sweep_scores_baseline_once_per_image(tmp_path, rng, monkeypatch):
     # strip by strip through metrics.Scores, which psnr and ssim also use
     assert calls == {"psnr": 2, "ssim": 2}
     for row in rows:
-        report = expected[row["image"], row["method"], row["r"]]
         assert (row["psnr"], row["ssim"], row["delta_psnr"], row["delta_ssim"]) == (
-            report.psnr, report.ssim, report.delta_psnr, report.delta_ssim)
+            expected[row["image"], row["method"], row["r"]])
 
 
 def test_fmt_prints_rounding_noise_unsigned():
@@ -479,6 +481,34 @@ def test_cli_sweep_runs_a_repeated_method_once(tmp_path, rng):
                  "--method", "qf_jqpie", "--r", "3", "--out", str(out)]) == 0
     lines = out.with_suffix(".csv").read_text().splitlines()[1:]
     assert [line.split(",")[1] for line in lines] == ["qf_jqpie", "jqpie"]
+
+
+def test_run_sweep_runs_each_cell_once_in_ascending_r(tmp_path, rng):
+    """The library decides the grid as the CLI does: one row per (method,
+    r), r ascending, and the summary counts each combination once."""
+    directory = make_dataset(tmp_path, rng, names=("a.pgm",), size=8)
+    cfg = SweepConfig(inputs=(str(directory),), methods=("jqpie", "jqpie"), r_set=(5, 3, 3))
+    rows = run_sweep(cfg)
+    assert [(row["method"], row["r"], row["error"]) for row in rows] == [
+        ("jqpie", 3, ""), ("jqpie", 5, "")]
+    summary = summarize(rows, [])
+    assert summary["total_rows"] == 2
+    assert {key: value["count"] for key, value in summary["tolerance"].items()} == {
+        "jqpie,r=3": 1, "jqpie,r=5": 1}
+    assert (cfg.methods, cfg.r_set) == (("jqpie",), (3, 5))
+
+
+def test_a_failed_baseline_gives_error_rows_in_ascending_r(tmp_path, rng, monkeypatch):
+    directory = make_dataset(tmp_path, rng, names=("a.pgm",), size=8)
+
+    def failing(*args):
+        raise ValueError("no decode")
+
+    monkeypatch.setattr(bench, "classical_reference_decode", failing)
+    rows = run_sweep(SweepConfig(inputs=(str(directory),), r_set=(5, 3)))
+    assert [(row["method"], row["r"]) for row in rows] == [
+        (m, r) for m in METHODS for r in (3, 5)]
+    assert all(row["error"] == "baseline failed: no decode" for row in rows)
 
 
 def test_cli_calls_share_no_parser_state(tmp_path, rng):

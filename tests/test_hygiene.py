@@ -4,7 +4,6 @@ import ast
 import importlib
 import importlib.util
 import inspect
-import math
 import sys
 from pathlib import Path
 
@@ -20,6 +19,11 @@ CALLERS = [Path(__file__).parent / "test_acceptance.py",
            *sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))]
 #: Entry points that are called from outside Python.
 ENTRY_POINTS = {"bench.main"}
+#: Defaulted parameters whose callers all pass one literal, and why each
+#: is still a parameter.
+ONE_VALUE_PARAMETERS = {
+    "synth.lower_givens(tag)": "a label naming its one caller's stage, not a switch of behaviour",
+}
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 #: Leading parameters the benchmark tracer's hooks read by name.
 HOOK_PARAMETERS = {("jqpie.bench", "load_image"): ("path",),
@@ -178,23 +182,37 @@ def _defaulted_parameters(tree: ast.Module):
     yield from visit(tree.body, "", False)
 
 
-def _calls(tree: ast.Module) -> dict[str, list[tuple[float, set[str] | None]]]:
-    """For each called name (a plain name or an attribute): per call, the
-    number of positional arguments and the keywords passed. A ``*`` argument
-    counts as every position, a ``**`` argument (None) as every keyword."""
-    calls: dict[str, list[tuple[float, set[str] | None]]] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name is None:
-            continue
-        n_positional = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
-                        else len(node.args))
-        keywords = {k.arg for k in node.keywords}
-        calls.setdefault(name, []).append((n_positional, None if None in keywords else keywords))
+def _calls(sources) -> dict[str, list[ast.Call]]:
+    """The calls of each called name (a plain name or an attribute) in some
+    sources."""
+    calls: dict[str, list[ast.Call]] = {}
+    for src in sources:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
     return calls
+
+
+#: What a ``*`` or ``**`` argument may pass: any value.
+_HIDDEN = object()
+
+
+def _argument(call: ast.Call, param: str, position):
+    """The value a call passes for a parameter, by keyword or at its
+    position; None when it passes none, :data:`_HIDDEN` when a ``*`` or
+    ``**`` argument may pass it."""
+    value = next((k.value for k in call.keywords if k.arg == param), None)
+    if value is not None:
+        return value
+    if any(k.arg is None for k in call.keywords):
+        return _HIDDEN
+    if position is None:
+        return None
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return _HIDDEN
+    return call.args[position] if position < len(call.args) else None
 
 
 def unpassed_defaults(modules: dict[str, str], callers=()) -> list[str]:
@@ -205,16 +223,12 @@ def unpassed_defaults(modules: dict[str, str], callers=()) -> list[str]:
     its position. Matching is by name, not by type, as in
     :func:`unreachable_definitions`.
     """
-    calls: dict[str, list] = {}
-    for src in (*modules.values(), *callers):
-        for name, found in _calls(ast.parse(src)).items():
-            calls.setdefault(name, []).extend(found)
+    calls = _calls((*modules.values(), *callers))
     unpassed = []
     for mod, src in modules.items():
         for qualname, param, position in _defaulted_parameters(ast.parse(src)):
-            passed = any((position is not None and n_positional > position)
-                         or keywords is None or param in keywords
-                         for n_positional, keywords in calls.get(qualname.rsplit(".", 1)[-1], ()))
+            passed = any(_argument(call, param, position) is not None
+                         for call in calls.get(qualname.rsplit(".", 1)[-1], ()))
             if not passed:
                 unpassed.append(f"{mod}.{qualname}({param})")
     return sorted(unpassed)
@@ -243,6 +257,64 @@ def test_defaulted_parameters_are_passed():
     """A default that no caller overrides is a constant, not a parameter."""
     modules = {p.stem: p.read_text() for p in SOURCES if p.name != "__init__.py"}
     assert unpassed_defaults(modules, [p.read_text() for p in CALLERS]) == []
+
+
+def _literal(value) -> str | None:
+    """The repr of a literal argument; None for anything else."""
+    try:
+        return repr(ast.literal_eval(value))
+    except ValueError:
+        return None
+
+
+def one_value_parameters(modules: dict[str, str], callers=(), exempt=()) -> list[str]:
+    """Defaulted parameters of ``modules`` (name -> source) to which every
+    call of their function's name, in one of ``modules`` or in a
+    ``callers`` source, passes one and the same literal: such a parameter
+    is a constant. Matching is by name, not by type, as in
+    :func:`unpassed_defaults`.
+    """
+    calls = _calls((*modules.values(), *callers))
+    constant = []
+    for mod, src in modules.items():
+        for qualname, param, position in _defaulted_parameters(ast.parse(src)):
+            values = {_literal(_argument(call, param, position))
+                      for call in calls.get(qualname.rsplit(".", 1)[-1], ())}
+            name = f"{mod}.{qualname}({param})"
+            if len(values) == 1 and None not in values and name not in exempt:
+                constant.append(name)
+    return sorted(constant)
+
+
+def test_scan_detects_one_value_parameters():
+    lib = ("def load(path, mode='r', *, strict=False, cache=True, size=None):\n"
+           "    return path\n\n"
+           "def spread(a, b=1, c=2):\n    return a\n\n"
+           "class Box:\n"
+           "    def fill(self, value=0, twice=False):\n        return value\n\n"
+           "def tagged(x, tag=None):\n    return x\n\n"
+           "def pick(a, kind='x'):\n    return a\n")
+    app = ("from lib import Box, load, pick, spread, tagged\n"
+           "load('p', 'w', strict=True, cache=False, size=3)\n"
+           "load('q', mode='w', strict=True, size=n)\n"
+           "spread(1, 5)\nspread(2, 5, c=3)\nspread(*[1, 2])\n"
+           "Box().fill(-1.0, twice=True)\nBox().fill(-1.0, True)\n"
+           "tagged(1, tag='first')\ntagged(2, tag='first')\npick(1, 'x')\npick(2)\n")
+    assert one_value_parameters({"lib": lib}, [app]) == [
+        "lib.Box.fill(twice)", "lib.Box.fill(value)", "lib.load(mode)", "lib.load(strict)",
+        "lib.tagged(tag)"]
+    assert "lib.tagged(tag)" not in one_value_parameters({"lib": lib}, [app],
+                                                         exempt={"lib.tagged(tag)"})
+    # one more caller with another value makes an option vary
+    assert one_value_parameters({"lib": lib}, [app, "load('r', 'a', strict=False)\n"]) == [
+        "lib.Box.fill(twice)", "lib.Box.fill(value)", "lib.tagged(tag)"]
+
+
+def test_defaulted_parameters_take_more_than_one_value():
+    """An option that every caller sets to the same literal is a constant."""
+    modules = {p.stem: p.read_text() for p in SOURCES if p.name != "__init__.py"}
+    assert one_value_parameters(modules, [p.read_text() for p in CALLERS],
+                                ONE_VALUE_PARAMETERS) == []
 
 
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -244,13 +244,13 @@ def test_partition_assemble_crops_padding(rng):
     assert np.array_equal(back.pixels, img.pixels)
 
 
-def test_assemble_clamps_out_of_range():
+def test_assemble_keeps_out_of_range_values():
+    """Reassembly returns the raw decode; clamping is left to scoring and
+    to writing a file."""
     blocks = np.full((1, 8, 8), 300.0)
-    grid = BlockGrid(blocks, 1, 1, (8, 8))
-    out = assemble_image(grid)
-    assert np.all(out.pixels == 255.0)
-    raw = assemble_image(grid, clamp=False)
-    assert np.all(raw.pixels == 300.0)
+    blocks[0, 0, 0] = -4.0
+    out = assemble_image(BlockGrid(blocks, 1, 1, (8, 8)))
+    assert np.array_equal(out.pixels, blocks[0])
 
 
 def test_assemble_dimension_mismatch():
@@ -324,7 +324,6 @@ def test_made_images_and_grids_are_read_only(tmp_path, rng, shape):
         "pad_to_pow2": pad_to_pow2(img).pixels,
         "pad_and_partition": grid.blocks,
         "assemble_image": assemble_image(grid).pixels,
-        "assemble_image (unclamped)": assemble_image(grid, clamp=False).pixels,
         "classical_reference_decode": classical_reference_decode(
             zigzag_coefficients(grid, table, layout="image"), table, img).pixels,
         "readout_image": run_jqpie(img, 6).reconstructed.pixels,

@@ -20,7 +20,7 @@ from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, _block_zigzag, blocks
                             truncate_zigzag, zigzag_coefficients, zigzag_permutation)
 from jqpie.pipeline import (NORM_MODES, NormalizationRecord, readout_image, run_jqpie,
                             run_qf_jqpie, run_qpie_direct)
-from jqpie.qcircuit import Circuit, compose, export_qasm, resource_counts
+from jqpie.qcircuit import Circuit, compose, export_qasm, parse_qasm, resource_counts
 from jqpie.qsim import (MIN_BRANCH_PROBABILITY, StateVector, apply_circuit, from_amplitudes,
                         postselect_ancilla, state_fidelity, zero_state)
 from jqpie.synth import (block_encoded_rescaler, closed_form_resources, load_order,
@@ -983,6 +983,35 @@ def test_resource_model_counts_the_emitted_circuit(rng, height, width):
                 assert emitted.breakdown == model.breakdown
                 assert ((emitted.cx_count, emitted.rotation_count, emitted.depth)
                         == (model.cx_count, model.rotation_count, model.depth))
+
+
+@pytest.mark.parametrize("r", TRUNCATION_LEVELS)
+@pytest.mark.parametrize("method", pipeline.METHODS)
+@pytest.mark.parametrize("height, width", [(8, 8), (16, 16), (12, 20), (32, 16)])
+def test_exported_circuit_computes_the_oracle_decode(rng, height, width, method, r):
+    """The QASM text ``export-circuit`` writes, parsed back and simulated
+    from |0...0>, prepares the oracle's unclamped decode: its gates are the
+    circuit's, field by field; its post-selected branch, read out with the
+    operator run's normalization record, is the oracle's pixels within
+    1e-9 L, and its success probability the operator run's within 1e-12."""
+    img = random_image(rng, height, width)
+    circuit = pipeline.hybrid_circuit(img, method, r)
+    parsed = parse_qasm(export_qasm(circuit))
+    assert parsed.n_qubits == circuit.n_qubits
+    assert ([(g.kind, g.qubits, g.angle) for g in parsed.gates]
+            == [(g.kind, g.qubits, g.angle) for g in circuit.gates])
+    state = apply_circuit(zero_state(parsed.n_qubits), parsed)
+    probability = 1.0
+    if method == "jqpie":
+        post = postselect_ancilla(state, qubit=parsed.n_qubits - 1, outcome=0)
+        state, probability = post.state, post.probability
+        run, oracle = run_jqpie(img, r), reference_decode_pixels(img, "jqpie_oracle", r)
+    else:
+        run, oracle = run_qf_jqpie(img, r), reference_decode_pixels(img, "qf_oracle", r)
+    branch = StateVector(state.amplitudes * math.sqrt(probability), state.n)
+    pixels = readout_image(branch, run.norm_record, img.original_dims).pixels
+    assert np.max(np.abs(pixels - oracle)) <= 1e-9 * img.max_value
+    assert abs(probability - run.success_probability) <= 1e-12
 
 
 @pytest.mark.parametrize("height, width", [(64, 64), (256, 512)])
