@@ -56,17 +56,12 @@ Backends:
     Block rows below the original height hold only zero padding; a sweep
     cell skips them.
   * ``gate_exact`` - the reference and the only backend that builds and
-    runs the state-preparation cascade: every gate of the cascade and the
-    decompression circuit, once and in order. The cascade touches only the
-    index register and the low r data qubits, so it is built and run on
-    those m = h + w - 6 + r qubits alone, block j's slot s at index
-    j * 2^r + s: 2^m amplitudes, 2^(6-r) times fewer than the image
-    register. Its 2^m amplitudes are written into the low 2^r slots of
-    each block of the full register, allocated once at its final width, so
-    data qubits r..5 and, for JQPIE, the ancilla join in |0>; the
-    decompression runs on that state, which is post-selected.
-    :func:`hybrid_circuit` and export keep the full-width circuit, the
-    cascade with data qubits r..5 and the ancilla idle.
+    runs the state-preparation cascade: every gate of the two circuits that
+    :func:`hybrid_circuit` composes and export writes, once and in order,
+    the cascade (:func:`_state_prep_circuit`) from |0...0> and then the
+    decompression, post-selected. The cascade names only the
+    m = h + w - 6 + r qubits it loads, so the simulator's live prefix
+    keeps it on 2^m amplitudes, 2^(6-r) times fewer than the image register.
 
 The decompression circuit is built once per (h + w, r, S) and cached; the
 operator probe, ``gate_exact`` and export all read that one circuit.
@@ -350,10 +345,8 @@ def _state_prep_circuit(amp_matrix: np.ndarray, h: int, w: int, r: int,
 
     The circuit acts on the index register plus the low r data qubits; the
     remaining data qubits stay |0>. It is declared on the h + w image
-    qubits, plus the ancilla idle above them with ``ancilla``: the cascade
-    of :func:`hybrid_circuit` and export. The ``gate_exact`` run builds the
-    same gates on the m = h + w - 6 + r loaded qubits alone
-    (:class:`HybridRun`).
+    qubits, plus the ancilla idle above them with ``ancilla``: the one
+    cascade of :func:`hybrid_circuit`, export and the ``gate_exact`` run.
     """
     index_qubits = list(range(h + w - 1, DATA_QUBITS - 1, -1))
     data_low = list(range(r - 1, -1, -1))
@@ -483,12 +476,11 @@ class HybridRun(_Report):
     is orthonormal, ``success_probability`` is the sum of d_f^2 times the
     loaded amplitudes' energies per frequency (:func:`_load_norms`), known
     and checked before any strip is decoded. Under ``gate_exact`` the
-    circuit runs gate by gate when the run is made: the cascade on the
-    m = h + w - 6 + r qubits it loads, from |0...0>, its 2^m amplitudes
-    written into the low 2^r slots of each block of the full register, then
-    the decompression on the h + w image qubits, with the ancilla joined in
-    |0> above them for JQPIE. The strips read the post-selected ``state``
-    out, times sqrt(p), by :func:`_state_strips`.
+    circuit runs gate by gate when the run is made, in the two applies of
+    the circuits :func:`hybrid_circuit` composes: the cascade
+    (:func:`_state_prep_circuit`) from |0...0>, then the decompression
+    (:func:`_decompression_circuit`) on its output. The strips read the
+    post-selected ``state`` out, times sqrt(p), by :func:`_state_strips`.
     """
 
     def __init__(self, encoding: ImageEncoding, r: int, backend: str, norm_mode: str):
@@ -502,17 +494,9 @@ class HybridRun(_Report):
                                                            h + w, scale)
             return
         amp_matrix, self.norm_record = _amplitudes(encoding, r, norm_mode)
-        # the cascade on the m = h + w - 6 + r qubits it loads, block j's
-        # slot s at index j * 2^r + s
-        m = h + w - DATA_QUBITS + r
-        loaded = apply_circuit(zero_state(m), synth_state_prep(amp_matrix.reshape(-1)))
-        # data qubits r..5 and the ancilla join in |0>: the loaded slots are
-        # the low 2^r of each block of the ancilla-0 half, the rest is zero
-        n = h + w + (0 if scale is None else 1)
-        amps = np.zeros(2 ** n)
-        blocks = amps[:2 ** (h + w)].reshape(-1, DATA_DIM)
-        blocks[:, :2 ** r] = loaded.amplitudes.reshape(-1, 2 ** r)
-        sv = apply_circuit(StateVector._owning(amps, n), _decompression_circuit(h + w, r, scale))
+        prep = _state_prep_circuit(amp_matrix, h, w, r, ancilla=scale is not None)
+        loaded = apply_circuit(zero_state(prep.n_qubits), prep)
+        sv = apply_circuit(loaded, _decompression_circuit(h + w, r, scale))
         probability = 1.0
         if scale is not None:
             post = postselect_ancilla(sv, qubit=h + w, outcome=0)

@@ -14,36 +14,37 @@ Project basis convention (single source of truth, consumed by every module):
 
 :func:`apply_circuit` applies every gate, once and in order, one kernel
 call each, over the amplitudes the gate can reach; no gate is fused or
-relabelled. While a circuit runs
-the state is held in a working layout with the bit order reversed, qubit q
-at memory bit n-1-q (:func:`_reverse_qubit_order`, n//2 slice swaps in
-place on entry and again on exit), so the low qubits, which carry most of
-the state-preparation cascade and the whole data register, have long
-contiguous pair rows. An RY is one BLAS matrix product written into a
-scratch state (:func:`_rotate`): the 2x2 rotation times each pair of
-2^k-amplitude rows on memory bit k >= 4, or the state's rows of 2^(k+1)
-amplitudes times kron(R^T, I) on the short rows of memory bits 0..3. The
-scratch array is made once per circuit that rotates, and the two arrays
-swap roles after each RY, so no RY allocates a state. A CX swaps two
-quarter-state slices in place, through two quarters of the array that does
-not hold the state (:func:`_swap`), so no swap allocates either. A
-multiplexer (:class:`~jqpie.qcircuit.MultiplexedRY`) is applied from its
-arrays (:func:`_apply_multiplexer`): its rotation matrices, with c and s
-computed as for one RY, and its views of both arrays are made once, then
-its RYs and CXs run one by one, in chain order, through the same two
-kernels.
+relabelled. While a circuit runs the state is held in a working layout
+(:func:`_layout`): first the qubits some nonzero amplitude of the input
+sets, highest first; then the others in the order the circuit first names
+them, an operation its controls before its target; last, highest first,
+those it never names. It is made in place on entry and undone on exit by
+the fewest exchanges of two memory bits, each one slice swap
+(:func:`_swap_bits`). A dense input is held bit-reversed, so the data
+register has long contiguous pair rows. An RY is one BLAS matrix product
+written into a scratch state (:func:`_rotate`): the 2x2 rotation times each
+pair of 2^k-amplitude rows on memory bit k >= 4, or the state's rows of
+2^(k+1) amplitudes times kron(R^T, I) on the short rows of memory bits
+0..3. The scratch array is made once per circuit that rotates, and the two
+arrays swap roles after each RY. A CX swaps two quarter-state slices in
+place, through two quarters of the array that does not hold the state
+(:func:`_swap`), so no gate allocates. A multiplexer
+(:class:`~jqpie.qcircuit.MultiplexedRY`) is applied from its arrays
+(:func:`_apply_multiplexer`): its rotation matrices, with c and s computed
+as for one RY, and its views of both arrays are made once, then its RYs and
+CXs run one by one, in chain order, through the same two kernels.
 
-Work follows the state's support. The simulator keeps a live prefix of the
-working layout, the smallest L such that every amplitude at index >= 2^L is
-exactly 0 (:func:`_live_bits`, read off the input after the entry
-reversal), and runs each gate on the first 2^L' entries of both arrays, L'
-the larger of L and the gate's highest memory bit plus one, which is the
-prefix of the gates after it. Both arrays are zero above the prefix (the scratch
-array is zeroed there after the entry reversal), so no gate reads a stale
-value. A cascade run from |0...0> touches memory bits 0..k in layer k, so
-that layer runs on 2^(k+1) amplitudes, not the whole state. A multiplexer
-grows the prefix where its expansion's gates would, so both give the same
-state bit for bit. Amplitudes are real float64: RY and CX map real
+Work follows the state's support. The live prefix is the smallest L such
+that every amplitude at index >= 2^L is exactly 0: at entry, the number of
+qubits the input sets. Each gate runs on the first 2^L' entries of both
+arrays, L' the larger of L and the gate's highest memory bit plus one,
+which is the prefix of the gates after it. Both arrays are zero above the
+prefix (the scratch array is zeroed there after the entry exchanges), so
+no gate reads a stale value. A cascade run from |0...0> puts layer k's
+target at memory bit k, so that layer runs on 2^(k+1) amplitudes, and the
+qubits it never names stay above the prefix. A multiplexer grows the
+prefix where its expansion's gates would, so in one layout both give the
+same state bit for bit. Amplitudes are real float64: RY and CX map real
 states to real states, so the signed JPEG coefficients never need a
 complex type, and complex input is rejected rather than cast. Every norm
 and probability check also fails on NaN, and post-selection refuses a
@@ -55,10 +56,9 @@ cascade nor the decompression here over the whole image state:
 amplitudes, and simulates the decompression once, on a probe register of
 one block per loaded slot, to read off its 64 x 2^r per-block operator,
 whose diagonal then weights a classical inverse DCT of every block. The
-``gate_exact`` pipeline backend runs every gate of the circuit, cascade
-included, through :func:`apply_circuit` and is the reference: the cascade
-on the h + w - 6 + r qubits it loads, then the decompression on the image
-qubits, with the ancilla joined above them for JQPIE.
+``gate_exact`` backend is the reference: it runs the circuit that export
+writes, the cascade from |0...0> and then the decompression, through
+:func:`apply_circuit`.
 
 A statevector is owned by one simulation at a time; all functions return new
 values and distinct simulations share nothing. Each state is copied once: a
@@ -71,6 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -171,14 +172,36 @@ def _swap(a: np.ndarray, b: np.ndarray, held_a: np.ndarray, held_b: np.ndarray) 
     b[...] = held_a
 
 
-def _reverse_qubit_order(amps: np.ndarray, n: int, other: np.ndarray) -> None:
-    """Reverse the bit order of the state's index in place, so the amplitude
-    of qubit q moves from memory bit q to memory bit n-1-q: one slice swap
-    per bit pair (b, n-1-b), b < n // 2, exchanging the amplitudes whose two
-    bits differ, through half of ``other`` (:func:`_held`). The pairs are
-    disjoint, so this is its own inverse."""
-    for low in range(n // 2):
-        view = amps.reshape(-1, 2, 1 << (n - 2 - 2 * low), 2, 1 << low)
+def _layout(amps: np.ndarray, circuit: Circuit) -> tuple[list[int], int]:
+    """The working layout of a run of ``circuit`` on the state ``amps``: the
+    qubit at each memory bit, as the module describes it, and the live
+    prefix, the number of qubits some nonzero amplitude sets."""
+    n = amps.size.bit_length() - 1
+    occupied = int(np.bitwise_or.reduce(np.flatnonzero(amps)))
+    live = [q for q in range(n - 1, -1, -1) if occupied >> q & 1]
+    named = (q for op in circuit.operations for q in op.qubits)
+    return list(dict.fromkeys(chain(live, named, range(n - 1, -1, -1)))), len(live)
+
+
+def _transpositions(order: list[int]) -> list[tuple[int, int]]:
+    """The fewest memory bit pairs (low, high) whose exchanges, in turn,
+    take each qubit q from memory bit q to the bit b with ``order[b]`` = q:
+    n // 2 for the reversal. Exchanged in reverse order, they undo it."""
+    at = list(range(len(order)))   # the qubit at each memory bit
+    pairs = []
+    for low, qubit in enumerate(order):
+        high = at.index(qubit)
+        if high != low:
+            pairs.append((low, high))
+            at[low], at[high] = qubit, at[low]
+    return pairs
+
+
+def _swap_bits(amps: np.ndarray, pairs: list[tuple[int, int]], other: np.ndarray) -> None:
+    """Exchange memory bits low < high of each pair in turn, in place: one
+    slice swap through half of ``other`` (:func:`_held`) per pair."""
+    for low, high in pairs:
+        view = amps.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
         a, b = view[:, 1, :, 0, :], view[:, 0, :, 1, :]
         _swap(a, b, *_held(other, a))
 
@@ -253,49 +276,48 @@ def _rotate(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
 
 
 def _apply_gate(buffers: tuple[np.ndarray, np.ndarray], current: int, live: int,
-                gate: Gate) -> tuple[int, int]:
+                gate: Gate, bits: list[int]) -> tuple[int, int]:
     """Apply one gate to the state in ``buffers[current]``, in the working
-    layout (qubit q at memory bit n-1-q), and return which buffer holds the
-    state after it and the live prefix (:func:`_live_bits`) after it: an RY
-    writes its product into the other buffer, a CX swaps in place through
-    half of the other (:func:`_held`). Either acts on the first 2^L' entries
-    of both buffers, L' the larger of ``live`` and the gate's highest memory
-    bit plus one; every amplitude above them is 0 and stays 0."""
+    layout (qubit q at memory bit ``bits[q]``), and return which buffer holds
+    the state after it and the live prefix after it: an RY writes its
+    product into the other buffer, a CX swaps in place through half of the
+    other (:func:`_held`). Either acts on the first 2^L' entries of both
+    buffers, L' the larger of ``live`` and the gate's highest memory bit
+    plus one; every amplitude above them is 0 and stays 0."""
     amps, other = buffers[current], buffers[1 - current]
-    top = amps.size.bit_length() - 2   # n - 1
-    if live <= top:   # part of the state is still zero: act on the prefix
-        live = max(live, top + 1 - min(gate.qubits))
+    memory = [bits[q] for q in gate.qubits]
+    if live < len(bits):   # part of the state is still zero: act on the prefix
+        live = max(live, max(memory) + 1)
         amps, other = amps[:1 << live], other[:1 << live]
     if gate.kind == "cx":
-        a, b = _cx_slices(amps, top - gate.qubits[0], top - gate.qubits[1])
+        a, b = _cx_slices(amps, *memory)
         _swap(a, b, *_held(other, a))
         return current, live
-    bit, half = top - gate.qubits[0], gate.angle / 2.0
+    bit, half = memory[0], gate.angle / 2.0
     _rotate(_pair_rows(amps, bit), _ry_matrix(bit, math.cos(half), math.sin(half)),
             _pair_rows(other, bit))
     return 1 - current, live
 
 
 def _chain_views(buffers: tuple[np.ndarray, np.ndarray], holders: tuple[int, ...],
-                 live: int, bit: int, controls: tuple[int, ...]) -> tuple[dict, dict]:
+                 live: int, bit: int, controls: list[int]) -> tuple[dict, dict]:
     """A multiplexer's views of the first 2^``live`` entries of both
     buffers: the target's pair rows per buffer that can hold the state, and
     the two CX slices and held buffers per (control, buffer) of each control
-    inside the prefix."""
-    top = buffers[0].size.bit_length() - 2
+    inside the prefix, the target and controls as memory bits."""
     prefix = [b[:1 << live] for b in buffers]
     rows = {i: _pair_rows(prefix[i], bit) for i in holders}
     swaps = {}
     for control in controls:
-        if top - control < live:
+        if control < live:
             for i in holders:
-                a, b = _cx_slices(prefix[i], top - control, bit)
+                a, b = _cx_slices(prefix[i], control, bit)
                 swaps[control, i] = (a, b, *_held(prefix[1 - i], a))
     return rows, swaps
 
 
 def _apply_multiplexer(buffers: tuple[np.ndarray, np.ndarray], current: int, live: int,
-                       op: MultiplexedRY) -> tuple[int, int]:
+                       op: MultiplexedRY, bits: list[int]) -> tuple[int, int]:
     """Apply a multiplexer's chain from its arrays, gate by gate, as
     :func:`_apply_gate` would apply its expansion, and return which buffer
     holds the state after it and the live prefix after it.
@@ -306,39 +328,29 @@ def _apply_multiplexer(buffers: tuple[np.ndarray, np.ndarray], current: int, liv
     :func:`_rotate` and every CX one :func:`_swap`, in chain order. The
     prefix grows where the expansion's would: to the target's memory bit at
     the first gate, and to a control's at its first CX above the prefix, so
-    the two give the same state bit for bit.
+    in one layout the two give the same state bit for bit.
     """
     if not len(op):
         return current, live
-    top = buffers[0].size.bit_length() - 2
-    bit = top - op.target
+    bit = bits[op.target]
     live = max(live, bit + 1)
     # the state stays in one buffer when the chain rotates nothing
     holders = (0, 1) if op.rotations else (current,)
-    rows, swaps = _chain_views(buffers, holders, live, bit, op.controls)
+    controls = [bits[c] for c in op.controls]
+    rows, swaps = _chain_views(buffers, holders, live, bit, controls)
     matrices = iter(_ry_matrices(bit, (op.angles[op.kept] / 2.0).tolist()))
     steps = len(op.angles)
-    links = op.links(0, steps).tolist() if op.controls else [None] * steps
+    links = np.asarray(bits)[op.links(0, steps)].tolist() if op.controls else [None] * steps
     for kept, link in zip(op.kept.tolist(), links):
         if kept:
             _rotate(rows[current], next(matrices), rows[1 - current])
             current = 1 - current
         if link is not None:
-            if top - link >= live:
-                live = top - link + 1
-                rows, swaps = _chain_views(buffers, holders, live, bit, op.controls)
+            if link >= live:
+                live = link + 1
+                rows, swaps = _chain_views(buffers, holders, live, bit, controls)
             _swap(*swaps[link, current])
     return current, live
-
-
-def _live_bits(amps: np.ndarray) -> int:
-    """The live prefix of a state: the smallest L such that every amplitude
-    at index >= 2^L is exactly 0. The halves [2^(L-1), 2^L) are read from
-    the top down, so no state-sized temporary is made."""
-    bits = amps.size.bit_length() - 1
-    while bits and not amps[1 << (bits - 1):1 << bits].any():
-        bits -= 1
-    return bits
 
 
 # --- public operations ----------------------------------------------------------
@@ -350,22 +362,24 @@ def apply_circuit(sv: StateVector, circuit: Circuit) -> StateVector:
     """
     if sv.n != circuit.n_qubits:
         raise ValueError(f"state has {sv.n} qubits, circuit expects {circuit.n_qubits}")
+    order, live = _layout(sv.amplitudes, circuit)
+    bits = np.argsort(order).tolist()   # the memory bit of each qubit
     amps = sv.amplitudes.copy()
     rotates = any(op.rotations if isinstance(op, MultiplexedRY) else op.kind == "ry"
                   for op in circuit.operations)
     # a state-sized scratch array for the RYs, else half of one for the swaps
     buffers = (amps, np.empty(amps.size if rotates else amps.size // 2))
-    _reverse_qubit_order(amps, sv.n, buffers[1])
-    live = _live_bits(amps)
+    pairs = _transpositions(order)
+    _swap_bits(amps, pairs, buffers[1])
     buffers[1][1 << live:] = 0.0   # both buffers stay zero above the live prefix
     current = 0
     for op in circuit.operations:
         if isinstance(op, MultiplexedRY):
-            current, live = _apply_multiplexer(buffers, current, live, op)
+            current, live = _apply_multiplexer(buffers, current, live, op, bits)
         else:
-            current, live = _apply_gate(buffers, current, live, op)
+            current, live = _apply_gate(buffers, current, live, op, bits)
     amps = buffers[current]
-    _reverse_qubit_order(amps, sv.n, buffers[1 - current])
+    _swap_bits(amps, pairs[::-1], buffers[1 - current])
     if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:   # NaN fails too
         raise ArithmeticError("statevector norm drifted beyond 1e-9")
     return StateVector._owning(amps, sv.n)

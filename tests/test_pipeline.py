@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jqpie import bench, pipeline
+from jqpie import bench, pipeline, qsim
 from jqpie.bench import SweepConfig, main, run_sweep
 from jqpie.imagio import GrayscaleImage, pad_and_partition, pad_to_pow2, write_pgm
 from jqpie.jpegcore import (TRUNCATION_LEVELS, QuantTable, _block_zigzag, blocks_from_zigzag,
@@ -681,23 +681,46 @@ def test_operator_load_builds_no_circuit(rng, monkeypatch):
 
 
 def test_gate_exact_cascade_runs_without_the_ancilla(rng, monkeypatch):
-    # the cascade acts on the h + w - 6 + r qubits it loads only; data
-    # qubits r..5 and the ancilla join in |0> before the decompression, and
-    # the post-selected state is that of the exported full-width circuit run
-    # from |0...0>
+    # the run applies the exported cascade, declared on all 13 qubits, then
+    # the decompression. Every kernel call of the cascade acts on at most
+    # the 2^m amplitudes of the m = h + w - 6 + r qubits it loads: data
+    # qubits r..5 and the ancilla stay above the live prefix. The layout
+    # exchanges around a circuit are not its gates. The post-selected state
+    # is that of the exported full-width circuit run from |0...0>
     img = random_image(rng, 64, 64)
-    apply = pipeline.apply_circuit
-    widths = []
+    apply, swap_bits = pipeline.apply_circuit, qsim._swap_bits
+    rotate, swap = qsim._rotate, qsim._swap
+    calls, laying_out = [], []   # the amplitudes each kernel call acts on, per apply
 
-    def spy(sv, circuit):
-        widths.append((sv.n, circuit.n_qubits))
+    def applying(sv, circuit):
+        calls.append((sv.n, circuit.n_qubits, []))
         return apply(sv, circuit)
 
-    monkeypatch.setattr(pipeline, "apply_circuit", spy)
+    def exchanging(*args):
+        laying_out.append(True)
+        swap_bits(*args)
+        laying_out.pop()
+
+    def rotating(rows, matrix, out):
+        if not laying_out:
+            calls[-1][2].append(rows.size)
+        rotate(rows, matrix, out)
+
+    def swapping(a, b, held_a, held_b):
+        if not laying_out:
+            calls[-1][2].append(4 * a.size)   # two quarters of the prefix
+        swap(a, b, held_a, held_b)
+
+    monkeypatch.setattr(pipeline, "apply_circuit", applying)
+    monkeypatch.setattr(qsim, "_swap_bits", exchanging)
+    monkeypatch.setattr(qsim, "_rotate", rotating)
+    monkeypatch.setattr(qsim, "_swap", swapping)
     for r in (3, 6):
-        widths.clear()
+        calls.clear()
         result = run_jqpie(img, r, backend="gate_exact")
-        assert widths == [(6 + r, 6 + r), (13, 13)]
+        (*cascade_widths, cascade), (*decompression_widths, decompression) = calls
+        assert cascade_widths == decompression_widths == [13, 13]
+        assert max(cascade) == 2 ** (6 + r) and max(decompression) == 2 ** 13
         full = pipeline.hybrid_circuit(img, "jqpie", r)
         assert full.n_qubits == 13
         post = postselect_ancilla(apply(zero_state(13), full), qubit=12, outcome=0)
@@ -707,9 +730,9 @@ def test_gate_exact_cascade_runs_without_the_ancilla(rng, monkeypatch):
 
 @pytest.mark.parametrize("norm_mode", NORM_MODES)
 def test_compact_cascade_matches_the_full_width_circuit(rng, norm_mode):
-    # 24 x 40 pads to 32 x 64 (h != w): the cascade on h + w - 6 + r qubits,
-    # written into the low slots of each block, gives the state of the
-    # full-width cascade and decompression run from |0...0>, at every r
+    # 24 x 40 pads to 32 x 64 (h != w): the run's two applies, the cascade
+    # and then the decompression, give the state of the composed full-width
+    # circuit run from |0...0> in one apply, at every r
     img = random_image(rng, 24, 40)
     for scale in (None, 1.0):
         encoding = pipeline.encode_image(img, scale)
@@ -726,6 +749,33 @@ def test_compact_cascade_matches_the_full_width_circuit(rng, norm_mode):
                 out, probability = post.state, post.probability
             assert np.max(np.abs(run.state.amplitudes - out.amplitudes)) <= 1e-12, (scale, r)
             assert abs(run.success_probability - probability) <= 1e-12, (scale, r)
+
+
+@pytest.mark.parametrize("height, width", [(16, 32), (32, 16)])
+def test_gate_exact_checks_the_exported_index_layout(rng, monkeypatch, height, width):
+    # gate_exact runs the cascade that export writes, so a fault in its
+    # qubit map shows: unpatched it gives the operator state, and with the
+    # row and column parts of the index targets swapped (h != w) its state
+    # moves off the operator's by far more than rounding
+    img = random_image(rng, height, width)
+
+    def swapped(amp_matrix, h, w, r, ancilla):
+        rows, cols = list(range(h + w - 1, w + 2, -1)), list(range(w + 2, 5, -1))
+        return synth_state_prep(amp_matrix.reshape(-1),
+                                targets=cols + rows + list(range(r - 1, -1, -1)),
+                                n_qubits=h + w + ancilla)
+
+    def gaps():
+        for method in pipeline.METHODS:
+            encoding = pipeline.encode_image(img, pipeline.method_scale(method, 1.0))
+            for r in (2, 6):
+                operator, exact = (pipeline.HybridRun(encoding, r, backend, "global").state
+                                   for backend in pipeline.BACKENDS)
+                yield np.max(np.abs(exact.amplitudes - operator.amplitudes))
+
+    assert max(gaps()) <= 1e-12
+    monkeypatch.setattr(pipeline, "_state_prep_circuit", swapped)
+    assert min(gaps()) > 1e-6
 
 
 def _hybrid_operator_runs(img):
@@ -983,6 +1033,21 @@ def test_resource_model_counts_the_emitted_circuit(rng, height, width):
                 assert emitted.breakdown == model.breakdown
                 assert ((emitted.cx_count, emitted.rotation_count, emitted.depth)
                         == (model.cx_count, model.rotation_count, model.depth))
+
+
+@pytest.mark.parametrize("height, width", [(64, 128), (128, 64)])
+def test_resource_model_counts_the_emitted_circuit_at_unequal_sides(rng, height, width):
+    # h != w, with index registers of unequal row and column parts: every
+    # stage the runs report is the count of the gates export-circuit writes
+    img = random_image(rng, height, width)
+    for method in pipeline.METHODS:
+        encoding = pipeline.encode_image(img, pipeline.method_scale(method, 1.0))
+        for r in TRUNCATION_LEVELS:
+            model = closed_form_resources(encoding.h, encoding.w, r, method)
+            emitted = resource_counts(pipeline.hybrid_circuit(encoding, method, r))
+            assert emitted.breakdown == model.breakdown, (method, r)
+            assert ((emitted.cx_count, emitted.rotation_count, emitted.depth)
+                    == (model.cx_count, model.rotation_count, model.depth))
 
 
 @pytest.mark.parametrize("r", TRUNCATION_LEVELS)

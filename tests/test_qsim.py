@@ -134,14 +134,42 @@ def _applied_steps(monkeypatch):
     return calls
 
 
-def _expected_steps(circuit):
+def _layout(vec, circuit):
+    """The working layout of a run of ``circuit`` on ``vec`` by its rule, as
+    the qubit at each memory bit: the qubits a nonzero amplitude sets,
+    highest first, then the others in the order the circuit first names
+    them, then the rest, highest first."""
+    n = circuit.n_qubits
+    support = np.flatnonzero(vec)
+    order = [q for q in range(n - 1, -1, -1) if any(int(i) >> q & 1 for i in support)]
+    named = [q for op in circuit.operations for q in op.qubits]
+    for q in named + list(range(n - 1, -1, -1)):
+        if q not in order:
+            order.append(q)
+    return order
+
+
+def _fewest_exchanges(order):
+    """The fewest bit exchanges that make the layout ``order``: n minus the
+    number of cycles of the permutation."""
+    seen, cycles = set(), 0
+    for start in range(len(order)):
+        cycles += start not in seen
+        q = start
+        while q not in seen:
+            seen.add(q)
+            q = order[q]
+    return len(order) - cycles
+
+
+def _expected_steps(circuit, vec):
     """One kernel call per gate of ``circuit``, in order, with c and s as
-    one RY computes them, between the n // 2 swaps of the layout reversal
-    on entry and on exit."""
-    reversal = [("cx",)] * (circuit.n_qubits // 2)
+    one RY computes them, between the swaps that lay ``vec`` out on entry
+    and back on exit, the fewest the layout needs."""
+    layout = [("cx",)] * _fewest_exchanges(_layout(vec, circuit))
     steps = [("ry", math.cos(g.angle / 2.0), math.sin(g.angle / 2.0)) if g.kind == "ry"
              else ("cx",) for g in circuit.gates]
-    return reversal + steps + reversal
+    return layout + steps + layout
 
 
 def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
@@ -152,16 +180,24 @@ def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
     assert all(isinstance(op, MultiplexedRY) for op in circuit.operations)
     calls = _applied_steps(monkeypatch)
     apply_circuit(zero_state(6), circuit)
-    assert calls == _expected_steps(circuit)
+    assert calls == _expected_steps(circuit, zero_state(6).amplitudes)
 
 
 def test_operator_applies_every_elementary_gate_once(monkeypatch):
     # the operator backend's one simulation is the probe its per-block
     # decompression operator is read off: every gate of the circuit, once
     circuit = pipeline._decompression_circuit(9, 3, 1.0)
+    inputs = []
+
+    def spy(sv, circuit):
+        inputs.append(sv.amplitudes)
+        return apply_circuit(sv, circuit)
+
+    monkeypatch.setattr(pipeline, "apply_circuit", spy)
     calls = _applied_steps(monkeypatch)
     pipeline._decompression.__wrapped__(3, 1.0)
-    assert calls == _expected_steps(circuit)
+    [probe] = inputs
+    assert calls == _expected_steps(circuit, probe)
 
 
 def test_block_encoding_identity_branch():
@@ -353,44 +389,97 @@ def _every_gate(rng, n):
     return [gates[i] for i in rng.permutation(len(gates))]
 
 
+def _permuted(vec, order):
+    """``vec`` laid out as ``order`` and, second, laid back: the entry and
+    exit exchanges of :func:`~jqpie.qsim.apply_circuit`, through a scratch
+    array."""
+    amps, other = vec.copy(), np.empty(len(vec))
+    pairs = qsim._transpositions(order)
+    qsim._swap_bits(amps, pairs, other)
+    entry = amps.copy()
+    qsim._swap_bits(amps, pairs[::-1], other)
+    return entry, amps, len(pairs)
+
+
+def _transposed(vec, order):
+    """``vec`` with qubit order[b] at bit b, by a transpose of its n axes,
+    axis n-1-q holding qubit q."""
+    n = len(order)
+    axes = [n - 1 - order[n - 1 - axis] for axis in range(n)]
+    return vec.reshape((2,) * n).transpose(axes).reshape(-1)
+
+
 @pytest.mark.parametrize("n", range(1, 14))
 def test_qubit_order_reversal_matches_a_transpose_and_undoes_itself(n):
     vec = np.arange(2.0 ** n)
-    amps, other = vec.copy(), np.empty(2 ** n)
-    qsim._reverse_qubit_order(amps, n, other)
-    assert np.array_equal(amps, vec.reshape((2,) * n).transpose().reshape(-1))
-    qsim._reverse_qubit_order(amps, n, other)
+    order = list(range(n - 1, -1, -1))
+    entry, back, swaps = _permuted(vec, order)
+    assert np.array_equal(entry, vec.reshape((2,) * n).transpose().reshape(-1))
+    assert np.array_equal(back, vec) and swaps == n // 2
+    # its exchanges are disjoint, so the entry exchanges undo themselves
+    amps, other = entry.copy(), np.empty(2 ** n)
+    qsim._swap_bits(amps, qsim._transpositions(order), other)
     assert np.array_equal(amps, vec)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_bit_permutation_matches_a_transpose_and_exit_undoes_entry(n):
+    # random layouts, in place through half of the scratch array, with the
+    # fewest exchanges each
+    rng = np.random.default_rng(n)
+    vec = np.arange(2.0 ** n)
+    for _ in range(4):
+        order = [int(q) for q in rng.permutation(n)]
+        entry, back, swaps = _permuted(vec, order)
+        assert np.array_equal(entry, _transposed(vec, order))
+        assert np.array_equal(back, vec)
+        assert swaps == _fewest_exchanges(order)
 
 
 # --- the live prefix: each gate on the amplitudes it can reach ---------------------
 
 def _low_prefix_state(rng, n, live):
-    """A random unit state whose working-layout amplitudes at index >= 2^live
-    are 0: qubit q sits at memory bit n-1-q, so only qubits n-live..n-1 vary."""
+    """A random unit state whose nonzero amplitudes set qubits n-live..n-1,
+    which the working layout puts at memory bits live-1..0, so its
+    amplitudes at index >= 2^live are 0."""
     vec = np.zeros(2 ** n)
     vec[::2 ** (n - live)] = rng.standard_normal(2 ** live)
     return vec / np.linalg.norm(vec)
 
 
-def _working_live_bits(vec):
-    """The live prefix of ``vec`` in the working layout, and whether the entry
-    reversal leaves a nonzero value in the scratch array above it."""
-    n = len(vec).bit_length() - 1
+def _support_state(rng, n, qubits):
+    """A random unit state whose nonzero amplitudes set exactly ``qubits``."""
+    vec = np.zeros(2 ** n)
+    index = np.zeros(1, dtype=np.int64)
+    for q in qubits:
+        index = np.concatenate([index, index + (1 << q)])
+    vec[index] = rng.uniform(0.5, 1.0, len(index)) * rng.choice([-1.0, 1.0], len(index))
+    return vec / np.linalg.norm(vec)
+
+
+def _working_live_bits(vec, circuit):
+    """The live prefix of ``vec`` laid out for ``circuit``, and whether the
+    entry exchanges leave a nonzero value in the scratch array above it."""
+    order, live = qsim._layout(vec, circuit)
+    assert order == _layout(vec, circuit)
     amps, other = vec.copy(), np.zeros(len(vec))
-    qsim._reverse_qubit_order(amps, n, other)
-    live = qsim._live_bits(amps)
+    qsim._swap_bits(amps, qsim._transpositions(order), other)
+    assert not amps[1 << live:].any() and (live == 0 or amps[1 << (live - 1):].any())
     return live, bool(other[1 << live:].any())
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_low_prefix_inputs_match_the_kron_oracle(n):
-    # zero_state, basis states and states with every live prefix, under an
-    # RY on every qubit and a CX on every pair in a random order
+    # zero_state, basis states, states with every live prefix and states
+    # whose nonzero amplitudes set a random set of qubits, under an RY on
+    # every qubit and a CX on every pair in a random order
     rng = np.random.default_rng(n)
     states = [zero_state(n).amplitudes, basis_state(n, int(rng.integers(2 ** n))).amplitudes]
     states += [_low_prefix_state(rng, n, live) for live in range(n + 1)]
-    assert [_working_live_bits(v)[0] for v in states[2:]] == list(range(n + 1))
+    sets = [sorted(int(q) for q in rng.choice(n, size=k, replace=False)) for k in range(n + 1)]
+    states += [_support_state(rng, n, qubits) for qubits in sets]
+    live = [_working_live_bits(v, Circuit(n))[0] for v in states[2:]]
+    assert live == list(range(n + 1)) * 2
     for vec in states:
         gates = _every_gate(rng, n)
         out = apply_circuit(StateVector(vec, n), Circuit(n, tuple(gates))).amplitudes
@@ -434,14 +523,17 @@ def test_a_multiplexer_grows_the_prefix_as_its_expansion(target_bit):
 
 
 def test_the_scratch_array_reads_no_stale_value_above_the_prefix():
-    # the entry reversal of |52> on 6 qubits leaves a 1 in the scratch array
-    # above the 2^4-entry prefix; an RY inside the prefix hands that array
-    # the state, and an RY on memory bit 5 then reads the whole of it
-    vec = basis_state(6, 52).amplitudes
-    assert _working_live_bits(vec) == (4, True)
-    gates = [ry(5, 0.7), ry(0, 1.1)]
-    out = apply_circuit(StateVector(vec, 6), Circuit(6, tuple(gates))).amplitudes
-    assert np.max(np.abs(out - _oracle_run(vec, gates))) <= 1e-15
+    # (|1> + |2>)/sqrt(2) sets qubits 1 and 0, which the entry exchange of
+    # memory bits 0 and 1 lays out in the 2^2-entry prefix; it leaves the
+    # amplitude of |1> in the scratch array above the prefix. An RY inside
+    # the prefix hands that array the state, and an RY on memory bit 2
+    # then reads it
+    vec = (basis_state(4, 1).amplitudes + basis_state(4, 2).amplitudes) / math.sqrt(2)
+    circuit = Circuit(4, (ry(1, 0.7), ry(2, 1.1)))
+    assert _layout(vec, circuit) == [1, 0, 2, 3]
+    assert _working_live_bits(vec, circuit) == (2, True)
+    out = apply_circuit(StateVector(vec, 4), circuit).amplitudes
+    assert np.max(np.abs(out - _oracle_run(vec, list(circuit.gates)))) <= 1e-15
 
 
 # --- non-finite values never pass a check -------------------------------------------
