@@ -76,11 +76,11 @@ class SweepConfig:
     backend: str = "operator"
     ssim_mode: str = "global"
     jobs: int = 1
-    allow_png: bool = False
 
     def __post_init__(self):
-        if not self.r_set:
-            raise ValueError("r_set must be non-empty")
+        for name in ("inputs", "methods", "r_set"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         for r in self.r_set:
             check_truncation(r)
         if self.jobs < 1:
@@ -98,7 +98,7 @@ class SweepConfig:
         object.__setattr__(self, "r_set", tuple(sorted(set(self.r_set))))
 
 
-def ingest_dataset(directory, allow_png: bool = False) -> list[tuple[str, GrayscaleImage]]:
+def ingest_dataset(directory) -> list[tuple[str, GrayscaleImage]]:
     """Load every readable image under a directory, lexicographically.
 
     Labels are paths relative to the directory. Unreadable or non-image
@@ -115,7 +115,7 @@ def ingest_dataset(directory, allow_png: bool = False) -> list[tuple[str, Graysc
             log.warning("skipping non-image file %s", path)
             continue
         try:
-            images.append((str(path.relative_to(directory)), load_image(path, allow_png)))
+            images.append((str(path.relative_to(directory)), load_image(path)))
         except ImageFormatError as exc:
             skipped += 1
             log.warning("skipping %s: %s", path, exc)
@@ -126,14 +126,14 @@ def ingest_dataset(directory, allow_png: bool = False) -> list[tuple[str, Graysc
     return images
 
 
-def _collect_inputs(inputs, allow_png: bool) -> list[tuple[str, GrayscaleImage]]:
+def _collect_inputs(inputs) -> list[tuple[str, GrayscaleImage]]:
     images = []
     for entry in inputs:
         path = Path(entry)
         if path.is_dir():
-            images.extend(ingest_dataset(path, allow_png))
+            images.extend(ingest_dataset(path))
         else:
-            images.append((path.name, load_image(path, allow_png)))
+            images.append((path.name, load_image(path)))
     return images
 
 
@@ -277,7 +277,7 @@ def _sweep_images(images: list[tuple[str, GrayscaleImage]],
 def run_sweep(cfg: SweepConfig) -> list[dict]:
     """One row per (image, method, r), r ascending (:class:`SweepConfig`);
     failures become error rows."""
-    return _sweep_images(_collect_inputs(cfg.inputs, cfg.allow_png), cfg)[0]
+    return _sweep_images(_collect_inputs(cfg.inputs), cfg)[0]
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -410,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--scale", "-S", type=float, default=1.0,
                        help="quantization scale S (default 1)")
-        p.add_argument("--png", action="store_true", help="enable PNG ingestion")
 
     p_stats = sub.add_parser("stats", help="compression ratio and zigzag histogram")
     p_stats.add_argument("input", help="image file or dataset directory")
@@ -458,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stats(args) -> int:
-    stats = collect_stats(_collect_inputs([args.input], args.png), args.scale)
+    stats = collect_stats(_collect_inputs([args.input]), args.scale)
     histogram = aggregate_histogram(stats)
     payload = {
         label: {
@@ -481,7 +480,7 @@ def _cmd_stats(args) -> int:
 def _cmd_simulate(args) -> int:
     """One run, scored as a sweep cell is. The image is encoded once; for
     ``qpie`` the encoding, at S, serves only the JPEG baseline."""
-    img = load_image(args.input, args.png)
+    img = load_image(args.input)
     hybrid = args.method in METHODS
     encoding = encode_image(img, method_scale(args.method, args.scale) if hybrid else args.scale)
     result = _run_method(encoding if hybrid else img, args.method, args.r, args.scale,
@@ -512,9 +511,8 @@ def _cmd_sweep(args) -> int:
         backend=args.backend,
         ssim_mode=args.ssim_mode,
         jobs=args.jobs,
-        allow_png=args.png,
     )
-    rows, stats = _sweep_images(_collect_inputs(cfg.inputs, cfg.allow_png), cfg)
+    rows, stats = _sweep_images(_collect_inputs(cfg.inputs), cfg)
     summary = summarize(rows, stats)
     try:
         histogram = aggregate_histogram(stats)
@@ -561,7 +559,7 @@ _WRITE_CHARS = 1 << 20
 
 
 def _cmd_export_circuit(args) -> int:
-    img = load_image(args.input, args.png)
+    img = load_image(args.input)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     circuit = hybrid_circuit(img, args.method, args.r, scale=args.scale)
     text = export_qasm(circuit)

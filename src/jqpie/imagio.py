@@ -6,8 +6,8 @@ everything in between stays in floating point because the downstream quantum
 amplitudes are continuous.
 
 Supported formats: PGM (P2 ascii / P5 binary, maxval <= 255) and PPM
-(P3 / P6, reduced to luminance with BT.601 weights). PNG ingestion is
-available behind the ``allow_png`` switch and uses Pillow when installed.
+(P3 / P6, reduced to luminance with BT.601 weights). PNG is decoded
+through Pillow, the optional ``png`` extra, when it is installed.
 
 All types are immutable after construction and all operations are pure,
 so images can be processed in parallel without shared state. Each pixel
@@ -219,11 +219,12 @@ def _load_pnm(data: bytes) -> GrayscaleImage:
     return GrayscaleImage._owning(pixels, bit_depth=maxval.bit_length())
 
 
-def load_image(path, allow_png: bool = False) -> GrayscaleImage:
-    """Load a grayscale image from a PGM/PPM file (or PNG when enabled).
+def load_image(path) -> GrayscaleImage:
+    """Load a grayscale image from a PGM/PPM file, or a PNG through Pillow.
 
     Multi-channel inputs are reduced to luminance. Raises
-    :class:`ImageFormatError` for unreadable or corrupt files.
+    :class:`ImageFormatError` for unreadable or corrupt files, and for a PNG
+    when Pillow is not installed.
     """
     path = Path(path)
     try:
@@ -233,14 +234,14 @@ def load_image(path, allow_png: bool = False) -> GrayscaleImage:
     if data[:2] in (b"P2", b"P5", b"P3", b"P6"):
         return _load_pnm(data)
     if data[:8] == b"\x89PNG\r\n\x1a\n":
-        if not allow_png:
-            raise ImageFormatError("PNG support is disabled (pass allow_png=True)")
         try:
             from PIL import Image
+            with Image.open(path) as im:
+                arr = np.asarray(im.convert("RGB"), dtype=np.float64)
         except ImportError as exc:
             raise ImageFormatError("PNG support requires Pillow") from exc
-        with Image.open(path) as im:
-            arr = np.asarray(im.convert("RGB"), dtype=np.float64)
+        except OSError as exc:   # Pillow's error for data it cannot decode
+            raise ImageFormatError(f"undecodable PNG: {exc}") from exc
         return GrayscaleImage._owning(luminance(arr), bit_depth=8)
     raise ImageFormatError(f"unsupported format: {path}")
 

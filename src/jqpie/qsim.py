@@ -12,43 +12,43 @@ Project basis convention (single source of truth, consumed by every module):
   * the index register value is j = block_row * (padded_width / 8)
     + block_col, i.e. blocks enumerate row-major.
 
-:func:`apply_circuit` applies every gate, once and in order, one kernel
-call each, over the amplitudes the gate can reach; no gate is fused or
+:func:`apply_circuit` applies every gate, once and in order, one kernel call
+each, over the amplitudes the gate can reach; no gate is fused or
 relabelled. While a circuit runs the state is held in a working layout
 (:func:`_layout`): first the qubits some nonzero amplitude of the input
 sets, highest first; then the others in the order the circuit first names
 them, an operation its controls before its target; last, highest first,
-those it never names. It is made in place on entry and undone on exit by
-the fewest exchanges of two memory bits, each one slice swap
+those it never names. It is made in place on entry and undone on exit by the
+fewest exchanges of two memory bits, each one slice swap
 (:func:`_swap_bits`). A dense input is held bit-reversed, so the data
-register has long contiguous pair rows. An RY is one BLAS matrix product
-written into a scratch state (:func:`_rotate`): the 2x2 rotation times each
-pair of 2^k-amplitude rows on memory bit k >= 4, or the state's rows of
-2^(k+1) amplitudes times kron(R^T, I) on the short rows of memory bits
-0..3. The scratch array is made once per circuit that rotates, and the two
-arrays swap roles after each RY. A CX swaps two quarter-state slices in
-place, through two quarters of the array that does not hold the state
-(:func:`_swap`), so no gate allocates. A multiplexer
-(:class:`~jqpie.qcircuit.MultiplexedRY`) is applied from its arrays
-(:func:`_apply_multiplexer`): its rotation matrices, with c and s computed
-as for one RY, and its views of both arrays are made once, then its RYs and
-CXs run one by one, in chain order, through the same two kernels.
+register has long contiguous pair rows. An RY is one matrix product written
+into a scratch state (:func:`_rotate`): the 2x2 rotation times each pair of
+2^k-amplitude rows on memory bit k, whatever k is. The scratch array is made
+once per circuit that rotates, and the two arrays swap roles after each RY.
+A CX swaps two quarter-state slices in place, through two quarters of the
+array that does not hold the state (:func:`_swap`), so no gate allocates. A
+multiplexer (:class:`~jqpie.qcircuit.MultiplexedRY`) is applied from its
+arrays (:func:`_apply_multiplexer`): its rotation matrices, with c and s
+computed as for one RY, and its views of both arrays are made once, then its
+RYs and CXs run one by one, in chain order, through the same two kernels.
 
 Work follows the state's support. The live prefix is the smallest L such
 that every amplitude at index >= 2^L is exactly 0: at entry, the number of
 qubits the input sets. Each gate runs on the first 2^L' entries of both
-arrays, L' the larger of L and the gate's highest memory bit plus one,
-which is the prefix of the gates after it. Both arrays are zero above the
-prefix (the scratch array is zeroed there after the entry exchanges), so
-no gate reads a stale value. A cascade run from |0...0> puts layer k's
-target at memory bit k, so that layer runs on 2^(k+1) amplitudes, and the
-qubits it never names stay above the prefix. A multiplexer grows the
-prefix where its expansion's gates would, so in one layout both give the
-same state bit for bit. Amplitudes are real float64: RY and CX map real
-states to real states, so the signed JPEG coefficients never need a
-complex type, and complex input is rejected rather than cast. Every norm
-and probability check also fails on NaN, and post-selection refuses a
-branch whose probability is rounding noise (:data:`MIN_BRANCH_PROBABILITY`).
+arrays, L' the larger of L and the gate's highest memory bit plus one, which
+is the prefix of the gates after it. Both arrays are zero above the prefix
+(the scratch array is zeroed there after the entry exchanges), so no gate
+reads a stale value. A cascade run from |0...0> puts layer k's target at
+memory bit k, so that layer runs on 2^(k+1) amplitudes, and the qubits it
+never names stay above the prefix. A multiplexer grows the prefix once, when
+it starts, to its highest memory bit, as one gate does. An RY's bits do not
+depend on the number of rows it multiplies, so in one layout a multiplexer
+and its expansion give the same state bit for bit. Amplitudes are real
+float64: RY and CX map real states to real states, so the signed JPEG
+coefficients never need a complex type, and complex input is rejected rather
+than cast. Every norm and probability check also fails on NaN, and
+post-selection refuses a branch whose probability is rounding noise
+(:data:`MIN_BRANCH_PROBABILITY`).
 
 The pipelines' ``operator`` backend runs neither the state-preparation
 cascade nor the decompression here over the whole image state:
@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -149,11 +148,6 @@ def from_amplitudes(vector) -> StateVector:
 
 # --- kernels on the working layout ---------------------------------------------
 
-#: Pair rows shorter than 2^_SHORT_BITS amplitudes are too short for a fast
-#: product of the 2x2 rotation with each pair.
-_SHORT_BITS = 4
-
-
 def _held(other: np.ndarray, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two buffers a swap of ``like`` (a quarter-state slice) and its
     partner passes through: the first two quarters of ``other``, the
@@ -216,63 +210,30 @@ def _cx_slices(amps: np.ndarray, control: int, target: int) -> tuple[np.ndarray,
     return view[:, 0, :, 1, :], view[:, 1, :, 1, :]
 
 
-@lru_cache(maxsize=None)
-def _short_pair_basis(bit: int) -> tuple[np.ndarray, np.ndarray]:
-    """I and J, 2^(bit+1) square, with J = kron([[0, 1], [-1, 0]], I):
-    c*I + s*J is kron(R^T, I) for the rotation R = [[c, -s], [s, c]], the
-    matrix that applies R to memory bit ``bit`` of each row it multiplies."""
-    basis = np.kron(np.array(((0.0, 1.0), (-1.0, 0.0))), np.eye(1 << bit))
-    identity = np.eye(2 << bit)
-    identity.flags.writeable = basis.flags.writeable = False
-    return identity, basis
-
-
 def _pair_rows(amps: np.ndarray, bit: int) -> np.ndarray:
     """The view of a state an RY on memory bit ``bit`` multiplies: its pairs
-    of 2^bit-amplitude rows, (-1, 2, 2^bit), for bit >= 4; on a lower bit,
-    where those rows are too short for a fast product, its rows of
-    2^(bit+1) amplitudes."""
-    if bit >= _SHORT_BITS:
-        return amps.reshape(-1, 2, 1 << bit)
-    return amps.reshape(-1, 2 << bit)
+    of 2^bit-amplitude rows, (-1, 2, 2^bit)."""
+    return amps.reshape(-1, 2, 1 << bit)
 
 
-def _ry_matrix(bit: int, c: float, s: float) -> np.ndarray:
-    """What :func:`_rotate` multiplies the pair rows of memory bit ``bit``
-    by: R = [[c, -s], [s, c]], or kron(R^T, I) = c*I + s*J on a short bit
-    (:func:`_short_pair_basis`)."""
-    if bit >= _SHORT_BITS:
-        return np.array(((c, -s), (s, c)))
-    identity, basis = _short_pair_basis(bit)
-    return c * identity + s * basis
-
-
-def _ry_matrices(bit: int, halves: list[float]) -> np.ndarray:
-    """:func:`_ry_matrix` of each half-angle, element for element, with c and
-    s from ``math.cos`` and ``math.sin`` as for one gate, built in one pass
-    as one (N, ...) array."""
+def _ry_matrices(halves: list[float]) -> np.ndarray:
+    """The rotation R = [[c, -s], [s, c]] of each half-angle, with c and s
+    from ``math.cos`` and ``math.sin``, as one (N, 2, 2) array."""
     c = np.array([math.cos(half) for half in halves])
     s = np.array([math.sin(half) for half in halves])
-    if bit >= _SHORT_BITS:
-        matrices = np.empty((len(halves), 2, 2))
-        matrices[:, 0, 0] = matrices[:, 1, 1] = c
-        matrices[:, 0, 1] = -s
-        matrices[:, 1, 0] = s
-    else:
-        identity, basis = _short_pair_basis(bit)
-        matrices = c[:, None, None] * identity + s[:, None, None] * basis
+    matrices = np.empty((len(halves), 2, 2))
+    matrices[:, 0, 0] = matrices[:, 1, 1] = c
+    matrices[:, 0, 1] = -s
+    matrices[:, 1, 0] = s
     return matrices
 
 
 def _rotate(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> None:
     """One RY, one matrix product and one pass over the state, written into
-    ``out``: pair rows (:func:`_pair_rows`) times R from the left, or short
-    rows times kron(R^T, I) from the right. Either way each new amplitude is
-    c*a - s*b or s*a + c*b of its pair."""
-    if rows.ndim == 3:
-        np.matmul(matrix, rows, out=out)
-    else:
-        np.matmul(rows, matrix, out=out)
+    ``out``: R times each pair of rows (:func:`_pair_rows`), so each new
+    amplitude is c*a - s*b or s*a + c*b of its pair, whatever the number
+    of rows."""
+    np.matmul(matrix, rows, out=out)
 
 
 def _apply_gate(buffers: tuple[np.ndarray, np.ndarray], current: int, live: int,
@@ -293,27 +254,9 @@ def _apply_gate(buffers: tuple[np.ndarray, np.ndarray], current: int, live: int,
         a, b = _cx_slices(amps, *memory)
         _swap(a, b, *_held(other, a))
         return current, live
-    bit, half = memory[0], gate.angle / 2.0
-    _rotate(_pair_rows(amps, bit), _ry_matrix(bit, math.cos(half), math.sin(half)),
-            _pair_rows(other, bit))
+    bit = memory[0]
+    _rotate(_pair_rows(amps, bit), _ry_matrices([gate.angle / 2.0])[0], _pair_rows(other, bit))
     return 1 - current, live
-
-
-def _chain_views(buffers: tuple[np.ndarray, np.ndarray], holders: tuple[int, ...],
-                 live: int, bit: int, controls: list[int]) -> tuple[dict, dict]:
-    """A multiplexer's views of the first 2^``live`` entries of both
-    buffers: the target's pair rows per buffer that can hold the state, and
-    the two CX slices and held buffers per (control, buffer) of each control
-    inside the prefix, the target and controls as memory bits."""
-    prefix = [b[:1 << live] for b in buffers]
-    rows = {i: _pair_rows(prefix[i], bit) for i in holders}
-    swaps = {}
-    for control in controls:
-        if control < live:
-            for i in holders:
-                a, b = _cx_slices(prefix[i], control, bit)
-                swaps[control, i] = (a, b, *_held(prefix[1 - i], a))
-    return rows, swaps
 
 
 def _apply_multiplexer(buffers: tuple[np.ndarray, np.ndarray], current: int, live: int,
@@ -322,23 +265,30 @@ def _apply_multiplexer(buffers: tuple[np.ndarray, np.ndarray], current: int, liv
     :func:`_apply_gate` would apply its expansion, and return which buffer
     holds the state after it and the live prefix after it.
 
-    The rotation matrices (:func:`_ry_matrices`) are made once, and the
-    target's pair rows and each control's two CX slices and held buffer
-    once per live prefix (:func:`_chain_views`). Then every kept RY is one
-    :func:`_rotate` and every CX one :func:`_swap`, in chain order. The
-    prefix grows where the expansion's would: to the target's memory bit at
-    the first gate, and to a control's at its first CX above the prefix, so
-    in one layout the two give the same state bit for bit.
+    The prefix grows once, at the start, to the highest memory bit of the
+    target and controls, as for one gate. The rotation matrices
+    (:func:`_ry_matrices`), the target's pair rows and each control's two
+    CX slices and held buffers are made once. Then every kept RY is one
+    :func:`_rotate` and every CX one :func:`_swap`, in chain order. An RY's
+    bits do not depend on the prefix it runs on, and above the expansion's
+    prefix the chain moves only zeros, so in one layout the two give the
+    same state bit for bit.
     """
     if not len(op):
         return current, live
     bit = bits[op.target]
-    live = max(live, bit + 1)
+    controls = [bits[c] for c in op.controls]
+    live = max(live, max([bit, *controls]) + 1)
+    prefix = [b[:1 << live] for b in buffers]
     # the state stays in one buffer when the chain rotates nothing
     holders = (0, 1) if op.rotations else (current,)
-    controls = [bits[c] for c in op.controls]
-    rows, swaps = _chain_views(buffers, holders, live, bit, controls)
-    matrices = iter(_ry_matrices(bit, (op.angles[op.kept] / 2.0).tolist()))
+    rows = {i: _pair_rows(prefix[i], bit) for i in holders}
+    swaps = {}
+    for control in controls:
+        for i in holders:
+            a, b = _cx_slices(prefix[i], control, bit)
+            swaps[control, i] = (a, b, *_held(prefix[1 - i], a))
+    matrices = iter(_ry_matrices((op.angles[op.kept] / 2.0).tolist()))
     steps = len(op.angles)
     links = np.asarray(bits)[op.links(0, steps)].tolist() if op.controls else [None] * steps
     for kept, link in zip(op.kept.tolist(), links):
@@ -346,9 +296,6 @@ def _apply_multiplexer(buffers: tuple[np.ndarray, np.ndarray], current: int, liv
             _rotate(rows[current], next(matrices), rows[1 - current])
             current = 1 - current
         if link is not None:
-            if link >= live:
-                live = link + 1
-                rows, swaps = _chain_views(buffers, holders, live, bit, controls)
             _swap(*swaps[link, current])
     return current, live
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,6 +44,25 @@ def test_ingest_skips_non_images(tmp_path, rng, caplog):
     assert sum("skipping" in r.message for r in caplog.records) == 2
 
 
+def _undecodable(path):
+    raise OSError("cannot identify image file")
+
+
+@pytest.mark.parametrize("pil, reason", [
+    (None, "PNG support requires Pillow"),
+    (SimpleNamespace(Image=SimpleNamespace(open=_undecodable)),
+     "undecodable PNG: cannot identify image file")], ids=["no_pillow", "pillow_fails"])
+def test_ingest_skips_a_png_it_cannot_decode(tmp_path, rng, caplog, monkeypatch, pil, reason):
+    directory = make_dataset(tmp_path, rng)
+    (directory / "image.png").write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(8))
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+    with caplog.at_level("WARNING"):
+        images = ingest_dataset(directory)
+    assert len(images) == 3
+    assert [r.message for r in caplog.records if "image.png" in r.message] == [
+        f"skipping {directory / 'image.png'}: {reason}"]
+
+
 def test_ingest_empty_directory_errors(tmp_path):
     empty = tmp_path / "void"
     empty.mkdir()
@@ -66,6 +86,18 @@ def test_sweep_config_validation():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             SweepConfig(inputs=("x",), jobs=jobs)
+
+
+def test_sweep_config_refuses_empty_methods(tmp_path, rng):
+    # no method would run no cell: an error, not an empty sweep
+    directory = make_dataset(tmp_path, rng, names=("a.pgm",))
+    with pytest.raises(ValueError, match="methods must be non-empty"):
+        run_sweep(SweepConfig(inputs=(str(directory / "a.pgm"),), methods=()))
+
+
+def test_sweep_config_refuses_empty_inputs():
+    with pytest.raises(ValueError, match="inputs must be non-empty"):
+        run_sweep(SweepConfig(inputs=()))
 
 
 def _oracle_baseline(img, scale, ssim_mode="global"):
@@ -199,7 +231,7 @@ def test_sweep_starts_no_more_workers_than_images(tmp_path, rng, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     directory = make_dataset(tmp_path, rng, size=8)
-    images = bench._collect_inputs((str(directory),), False)
+    images = bench._collect_inputs((str(directory),))
     for n_images, jobs, expected in ((1, 4, []), (2, 4, [2]), (3, 2, [2]), (3, 1, [])):
         pools.clear()
         cfg = SweepConfig(inputs=(str(directory),), methods=("qf_jqpie",), r_set=(2,),

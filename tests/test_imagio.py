@@ -1,3 +1,7 @@
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -46,15 +50,45 @@ def test_rgb_bt601_weights(tmp_path):
     assert img.pixels[0, 0] == pytest.approx(0.299 * 100 + 0.587 * 50 + 0.114 * 200)
 
 
-def test_png_behind_feature_switch(tmp_path):
-    PIL = pytest.importorskip("PIL.Image")
+_PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+
+def test_png_loads_through_pillow_to_luminance(tmp_path, monkeypatch):
+    # a stand-in Pillow: the PNG decodes to one RGB raster, which loads as
+    # its BT.601 luminance
     path = tmp_path / "im.png"
-    arr = np.full((4, 4, 3), 10, dtype=np.uint8)
-    PIL.fromarray(arr).save(path)
-    with pytest.raises(ImageFormatError):
+    path.write_bytes(_PNG_SIGNATURE + bytes(8))
+    rgb = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3) * 13
+    opened = []
+
+    class Decoded:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def convert(self, mode):
+            assert mode == "RGB"
+            return rgb
+
+    def open_image(where):
+        opened.append(Path(where))
+        return Decoded()
+
+    monkeypatch.setitem(sys.modules, "PIL", SimpleNamespace(Image=SimpleNamespace(open=open_image)))
+    img = load_image(path)
+    assert opened == [path]
+    assert img.bit_depth == 8
+    assert np.allclose(img.pixels, rgb.astype(np.float64) @ np.array(BT601_WEIGHTS))
+
+
+def test_png_without_pillow_names_pillow(tmp_path, monkeypatch):
+    path = tmp_path / "im.png"
+    path.write_bytes(_PNG_SIGNATURE + bytes(8))
+    monkeypatch.setitem(sys.modules, "PIL", None)   # import of PIL fails
+    with pytest.raises(ImageFormatError, match="PNG support requires Pillow"):
         load_image(path)
-    img = load_image(path, allow_png=True)
-    assert np.allclose(img.pixels, 10.0)
 
 
 def test_truncated_p5_payload_errors(tmp_path):

@@ -120,8 +120,8 @@ def _applied_steps(monkeypatch):
     rotate, swap = qsim._rotate, qsim._swap
 
     def rotating(rows, matrix, out):
-        # R = [[c, -s], [s, c]] on pair rows, kron(R^T, I) = c*I + s*J on short rows
-        s = matrix[1, 0] if rows.ndim == 3 else matrix[0, len(matrix) // 2]
+        # R = [[c, -s], [s, c]]
+        s = matrix[1, 0]
         calls.append(("ry", matrix[0, 0], s))
         rotate(rows, matrix, out)
 
@@ -505,10 +505,11 @@ def test_gates_first_touching_a_high_bit_late_match_the_kron_oracle():
 @pytest.mark.parametrize("target_bit", [0, 2, 3, 5])
 def test_a_multiplexer_grows_the_prefix_as_its_expansion(target_bit):
     # the prefix just covers the target; controls above it are first
-    # reached by a CX of the chain. On the short rows of memory bits 2 and
-    # 3 the product rounds differently when its row count changes, so the
-    # multiplexer must grow the prefix where its gates would to give the
-    # same bits; both give the oracle's state
+    # reached by a CX of the chain. The multiplexer grows the prefix to
+    # them at its start, where its expansion grows it at that CX; an RY's
+    # bits do not depend on the prefix it runs on, and the chain moves only
+    # zeros above the expansion's prefix, so both give the same bits and
+    # the oracle's state
     n = 10
     target = n - 1 - target_bit
     for seed in range(3):
@@ -520,6 +521,52 @@ def test_a_multiplexer_grows_the_prefix_as_its_expansion(target_bit):
         as_op = apply_circuit(sv, Circuit(n, (op,))).amplitudes
         assert np.array_equal(as_op, apply_circuit(sv, Circuit(n, tuple(op))).amplitudes)
         assert np.max(np.abs(as_op - _oracle_run(vec, list(op)))) <= 1e-14
+
+
+def test_a_multiplexer_makes_its_views_once_on_the_grown_prefix(monkeypatch):
+    # the input sets only qubit 9, at memory bit 0; the controls 0, 3 and 5
+    # are laid out at bits 1..3, so the chain's views span 2^4 amplitudes
+    # from its start: pair rows per buffer and two CX slices per control
+    # and buffer, each made once
+    n = 10
+    op = lower_multiplexed_ry(np.linspace(-2, 2, 8), [0, 3, 5], 9, tag="state_prep")
+    vec = _low_prefix_state(np.random.default_rng(4), n, 1)
+    views = []
+    pair_rows, cx_slices = qsim._pair_rows, qsim._cx_slices
+
+    def rows_of(amps, bit):
+        views.append(("rows", amps.size))
+        return pair_rows(amps, bit)
+
+    def slices_of(amps, control, target):
+        views.append(("cx", amps.size))
+        return cx_slices(amps, control, target)
+
+    monkeypatch.setattr(qsim, "_pair_rows", rows_of)
+    monkeypatch.setattr(qsim, "_cx_slices", slices_of)
+    out = apply_circuit(StateVector(vec, n), Circuit(n, (op,))).amplitudes
+    assert views == [("rows", 16)] * 2 + [("cx", 16)] * 6
+    assert np.max(np.abs(out - _oracle_run(vec, list(op)))) <= 1e-14
+
+
+@pytest.mark.parametrize("bit", range(8))
+def test_an_ry_gives_the_same_bits_on_every_prefix(bit):
+    # an RY on memory bit ``bit`` of a state that is zero above 2^L, run on
+    # the live prefix L and on the whole register: the product rounds each
+    # pair alone, so the number of rows it multiplies moves no bit
+    n = 12
+    bits = list(range(n))
+    gate = ry(bit, 0.7 + bit)
+    for live in range(bit + 1, n + 1):
+        rng = np.random.default_rng([bit, live])
+        vec = np.zeros(2 ** n)
+        vec[:1 << live] = rng.standard_normal(1 << live)
+        outs = []
+        for prefix in (live, n):
+            buffers = (vec.copy(), np.zeros(2 ** n))
+            current, _ = qsim._apply_gate(buffers, 0, prefix, gate, bits)
+            outs.append(buffers[current][:1 << live])
+        assert np.array_equal(*outs), (bit, live)
 
 
 def test_the_scratch_array_reads_no_stale_value_above_the_prefix():
