@@ -6,7 +6,10 @@
   SSIM modes (``gate_exact`` on the smallest image at r = 2, 4, 6 only);
 * ``resources`` JSON for all three methods at two sizes;
 * the SHA-256 of ``export-circuit`` QASM for both methods at r = 2, 4, 6;
-* the ``stats`` report and histogram.
+* the ``stats`` report and histogram;
+* ``simulate`` JSON on the smallest image for every method under both
+  backends, each hybrid method under both normalization modes at r = 2, 4,
+  6.
 
 Integers, strings and hashes must match exactly and floats within 1e-9.
 Where both PSNR values of a row are at least 120 dB, the reconstruction is
@@ -39,7 +42,9 @@ QASM_LEVELS = (2, 4, 6)
 RESOURCE_SIZES = ((64, 64), (256, 512))
 FLOAT_TOLERANCE = 1e-9
 PSNR_NOISE_FLOOR_DB = 120.0
-SECTIONS = ("sweep", "resources", "qasm_sha256", "stats")
+SIMULATE_IMAGE = "c_16x24.pgm"
+SIMULATE_LEVELS = (2, 4, 6)
+SECTIONS = ("sweep", "resources", "qasm_sha256", "stats", "simulate")
 
 
 def write_inputs(directory: Path) -> Path:
@@ -100,13 +105,33 @@ def _stats(inputs: Path, workdir: Path) -> dict:
             "histogram": [float(line.split(",")[1]) for line in histogram]}
 
 
+def _simulate(inputs: Path, workdir: Path) -> dict:
+    out = {}
+    base = workdir / "simulate"
+
+    def run(key: str, *options: str) -> None:
+        assert bench.main(["simulate", str(inputs / SIMULATE_IMAGE), *options,
+                           "--out", str(base)]) == 0
+        out[key] = json.loads(base.with_suffix(".json").read_text())
+
+    for backend in BACKENDS:
+        for method in METHODS:
+            for norm_mode in NORM_MODES:
+                for r in SIMULATE_LEVELS:
+                    run(f"{method}/{backend}/{norm_mode}/r={r}", "--method", method,
+                        "--r", str(r), "--backend", backend, "--norm-mode", norm_mode)
+        run(f"qpie/{backend}", "--method", "qpie", "--backend", backend)
+    return out
+
+
 def golden_outputs(workdir: Path, sections=SECTIONS) -> dict:
     """The pinned outputs, computed from the current source in ``workdir``."""
     inputs = write_inputs(workdir / "inputs")
     make = {"sweep": lambda: _sweep(inputs),
             "resources": lambda: _resources(workdir),
             "qasm_sha256": lambda: _qasm_sha256(inputs, workdir),
-            "stats": lambda: _stats(inputs, workdir)}
+            "stats": lambda: _stats(inputs, workdir),
+            "simulate": lambda: _simulate(inputs, workdir)}
     return {name: make[name]() for name in sections}
 
 
@@ -146,13 +171,15 @@ def mismatches(expected, actual, path: str = "") -> list[str]:
 def merged(expected, actual):
     """``actual`` with the committed ``expected`` value kept in every cell
     that :func:`mismatches` does not report, so a regeneration rewrites only
-    the cells that moved."""
+    the cells that moved; a key new to a dict takes its value from
+    ``actual``, and a key gone from it is dropped."""
     if not mismatches(expected, actual):
         return expected
-    if (isinstance(expected, dict) and isinstance(actual, dict)
-            and expected.keys() == actual.keys()):
+    if isinstance(expected, dict) and isinstance(actual, dict):
         skip = _noise_keys(expected, actual)
-        return {key: expected[key] if key in skip else merged(expected[key], actual[key])
+        return {key: expected[key] if key in skip
+                else merged(expected[key], actual[key]) if key in expected
+                else actual[key]
                 for key in actual}
     if isinstance(expected, list) and isinstance(actual, list) and len(expected) == len(actual):
         return [merged(e, a) for e, a in zip(expected, actual)]
@@ -181,6 +208,9 @@ def test_merge_rewrites_only_the_cells_that_moved():
     assert (merged(exact, dict(exact, psnr=301.7, delta_psnr=261.6, ssim=0.5))
             == dict(exact, ssim=0.5))
     assert merged({"h": "ab"}, {"h": "ab", "x": 1}) == {"h": "ab", "x": 1}
+    # a new section leaves the committed ones as they are
+    both = merged({"a": [row]}, {"a": [dict(row, ssim=0.9 + 5e-10)], "b": [exact]})
+    assert both["a"][0] is row and both["b"] == [exact]
     assert merged([1, 2], [1, 2, 3]) == [1, 2, 3]
 
 
