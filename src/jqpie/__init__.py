@@ -12,7 +12,7 @@ from .imagio import GrayscaleImage, BlockGrid, load_image, pad_and_partition, as
 from .jpegcore import (QuantTable, classical_reference_decode, dct2_block, idct2_block,
                        sparsity_stats, truncate_zigzag, zigzag_permutation)
 from .metrics import QualityReport, psnr, ssim
-from .pipeline import (NormalizationRecord, PipelineResult, readout_image,
+from .pipeline import (NormalizationRecord, QpieRun, readout_image,
                        run_jqpie, run_qf_jqpie, run_qpie_direct)
 from .qcircuit import Circuit, Gate, ResourceReport, compose, export_qasm, resource_counts
 from .qsim import StateVector, apply_circuit, postselect_ancilla, state_fidelity
@@ -26,7 +26,7 @@ __all__ = [
     "QuantTable", "classical_reference_decode", "dct2_block", "idct2_block",
     "sparsity_stats", "truncate_zigzag", "zigzag_permutation",
     "QualityReport", "psnr", "ssim",
-    "NormalizationRecord", "PipelineResult", "readout_image",
+    "NormalizationRecord", "QpieRun", "readout_image",
     "run_jqpie", "run_qf_jqpie", "run_qpie_direct",
     "Circuit", "Gate", "ResourceReport", "compose", "export_qasm", "resource_counts",
     "StateVector", "apply_circuit", "postselect_ancilla", "state_fidelity",

@@ -13,7 +13,8 @@ Every command takes one classical path per image: the image is encoded by
 JPEG baseline and the sparsity statistics read that encoding's quantized
 coefficient plane (:meth:`~jqpie.pipeline.ImageEncoding.jpeg_coefficients`), decoded by
 :func:`~jqpie.jpegcore.classical_reference_decode`. ``simulate`` scores its
-run as a sweep scores a cell, against the same baseline.
+run's strips as a sweep scores a cell (:func:`~jqpie.metrics.score_strips`),
+against the same baseline, and assembles the image only for ``--out``.
 
 Sweep outputs are deterministic: images are processed in lexicographic
 order, CSV floats are fixed at six decimals, and rows are merged in input
@@ -43,7 +44,7 @@ from .imagio import GrayscaleImage, ImageFormatError, load_image, write_pgm
 from .jpegcore import (TRUNCATION_LEVELS, QuantTable, SparsityStats, check_scale,
                        check_truncation, classical_reference_decode, sparsity_stats)
 from .pipeline import (BACKENDS, METHODS, NORM_MODES, HybridRun, ImageEncoding,
-                       PipelineResult, encode_image, hybrid_circuit, method_scale, run_jqpie,
+                       QpieRun, encode_image, hybrid_circuit, method_scale, run_jqpie,
                        run_qf_jqpie, run_qpie_direct)
 from .qcircuit import export_qasm
 from .qsim import log2_exact
@@ -138,12 +139,9 @@ def _collect_inputs(inputs) -> list[tuple[str, GrayscaleImage]]:
 
 
 def _run_method(source: GrayscaleImage | ImageEncoding, method: str, r: int, scale: float,
-                backend: str, norm_mode: str) -> HybridRun | PipelineResult:
-    """One pipeline run; ``qpie`` is the direct-encoding baseline, which
-    pads the image itself.
-
-    The hybrid methods also take the image's encoding for the method.
-    """
+                backend: str, norm_mode: str) -> HybridRun | QpieRun:
+    """One pipeline run of the image or, for a hybrid method, its encoding
+    for the method; ``qpie``, the direct-encoding baseline, pads the image."""
     if method == "jqpie":
         return run_jqpie(source, r, scale=scale, backend=backend, norm_mode=norm_mode)
     if method == "qf_jqpie":
@@ -225,18 +223,12 @@ def _stats_and_baseline(label: str, reference: metrics.PreparedImage, encoding: 
 
 def _sweep_cell(label: str, reference: metrics.PreparedImage, encoding: ImageEncoding,
                 method: str, r: int, baseline: metrics.QualityReport, cfg: SweepConfig) -> dict:
-    """One row, scored strip by strip: each strip of the run's
-    reconstruction (:meth:`~jqpie.pipeline.HybridRun.strips`) is clamped in
-    place and added to the scores (:class:`~jqpie.metrics.Scores`), so the
-    cell makes no image-sized array under the operator backend."""
+    """One row, scored strip by strip (:func:`~jqpie.metrics.score_strips`),
+    so the cell makes no image-sized array under the operator backend."""
     row = {"image": label, "method": method, "r": r, "S": cfg.scale, "error": ""}
     try:
         run = HybridRun(encoding, r, cfg.backend, cfg.norm_mode)
-        scores = metrics.Scores(reference, cfg.ssim_mode)
-        for first_row, pixels in run.strips():
-            np.clip(pixels, 0.0, reference.peak, out=pixels)
-            scores.add(first_row, pixels)
-        report = scores.report(baseline)
+        report = metrics.score_strips(reference, run.strips(), baseline, cfg.ssim_mode)
         resources = run.resources
         row.update({
             "psnr": report.psnr,
@@ -483,19 +475,19 @@ def _cmd_simulate(args) -> int:
     img = load_image(args.input)
     hybrid = args.method in METHODS
     encoding = encode_image(img, method_scale(args.method, args.scale) if hybrid else args.scale)
-    result = _run_method(encoding if hybrid else img, args.method, args.r, args.scale,
-                         args.backend, args.norm_mode)
+    run = _run_method(encoding if hybrid else img, args.method, args.r, args.scale,
+                      args.backend, args.norm_mode)
     reference = metrics.prepare(img, moments=True)
     _, baseline = _jpeg_baseline(reference, encoding, args.scale, "global")
-    report = metrics.relative_report(reference, result.reconstructed, baseline)
-    payload = result.to_json()
-    payload["quality"] = report.to_json()
+    payload = run.to_json()
+    payload["quality"] = metrics.score_strips(reference, run.strips(), baseline,
+                                              "global").to_json()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         out_base = Path(args.out)
         out_base.parent.mkdir(parents=True, exist_ok=True)
         _out_path(out_base, ".json").write_text(text + "\n")
-        write_pgm(result.reconstructed, _out_path(out_base, ".pgm"))
+        write_pgm(run.reconstructed, _out_path(out_base, ".pgm"))
     else:
         print(text)
     return 0

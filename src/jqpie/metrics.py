@@ -12,8 +12,8 @@ Every score is finished from one accumulator, :class:`Scores`, fed row
 strips of a reconstruction (:data:`~jqpie.imagio.STRIP_ROWS` rows, whole
 8x8 windows) with the matching rows of the reference, so no score makes an
 image-sized temporary. ``psnr`` and ``ssim`` walk two whole images through
-it; a sweep feeds it each strip of a run's reconstruction as the run
-decodes it (:class:`~jqpie.pipeline.HybridRun`), so both give the same bits.
+it; :func:`score_strips`, which scores every run, feeds it a run's strips
+as the run gives them, clamped in place, so both give the same bits.
 Global SSIM is summed from the difference d = a - b of each strip, which
 PSNR needs anyway: with the reference's mean and variance, the sums of d,
 d*d and a*d give the reconstruction's mean and variance and the
@@ -26,7 +26,7 @@ on each side and prepare an image themselves, so both paths give the same
 bits. An image scored against many others is prepared once: ``sweep`` and
 ``simulate`` prepare their reference once per image, with the global-SSIM
 moments (mean, population variance), score the JPEG baseline once with
-:func:`baseline_report` and each reconstruction against it. The baseline
+:func:`baseline_report` and each run against it. The baseline
 decode clamps every strip itself, so the harness wraps its pixels in a
 :class:`PreparedImage` without a scan. An image already inside [0, L], as
 every loaded image and clamped decode is, is not clipped: the prepared
@@ -278,7 +278,12 @@ def baseline_report(reference, baseline, baseline_id: str,
                          0.0, 0.0, baseline_id)
 
 
-def relative_report(reference, reconstruction, baseline: QualityReport) -> QualityReport:
-    """Score a reconstruction, with global SSIM, and its deltas against a
-    scored baseline (:meth:`Scores.report`), in one walk over both images."""
-    return _scores(reference, reconstruction, "global").report(baseline)
+def score_strips(reference: PreparedImage, strips, baseline: QualityReport,
+                 ssim_mode: str) -> QualityReport:
+    """A run's scores and deltas against a scored baseline from its strips,
+    each clamped into [0, L] in place: how ``simulate`` and sweep cells score."""
+    scores = Scores(reference, ssim_mode)
+    for row, pixels in strips:
+        np.clip(pixels, 0.0, reference.peak, out=pixels)
+        scores.add(row, pixels)
+    return scores.report(baseline)

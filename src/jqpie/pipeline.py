@@ -16,12 +16,11 @@ Entry points:
     branch;
   * :func:`run_qf_jqpie` - the quantization-free variant: unquantized
     truncated coefficients, no ancilla, no post-selection, fully unitary;
-  * :class:`HybridRun` - what both hybrid runs return, and what a sweep
-    cell makes directly: one run of an encoding whose reconstruction is
-    walked in strips of 8 block rows (64 pixel rows), the strips a sweep
-    scores (:class:`~jqpie.metrics.Scores`) without making an image-sized
-    array; its ``state`` and ``reconstructed`` are built on first use, the
-    latter from the strips;
+  * :class:`HybridRun` - what both hybrid runs return and a sweep cell
+    makes directly, and :class:`QpieRun`, what :func:`run_qpie_direct`
+    returns: one interface, whose ``strips()`` walk the reconstruction 8
+    block rows (64 pixel rows) at a time for ``simulate`` and sweep cells to
+    score (:func:`~jqpie.metrics.score_strips`); ``reconstructed`` is lazy;
   * :func:`hybrid_circuit` - the full gate-level circuit of either hybrid
     method (state-preparation cascade plus decompression, all RY/CX), built
     without simulating it, for export.
@@ -145,7 +144,7 @@ class NormalizationRecord:
 class _Report:
     """The JSON report of a run, read off its ``success_probability``,
     ``norm_record`` and ``resources``: one body for :class:`HybridRun` and
-    QPIE's :class:`PipelineResult`."""
+    :class:`QpieRun`."""
 
     def to_json(self) -> dict:
         rec = self.norm_record
@@ -161,17 +160,6 @@ class _Report:
             },
             "resources": self.resources.to_json(),
         }
-
-
-@dataclass(frozen=True)
-class PipelineResult(_Report):
-    """The result of :func:`run_qpie_direct`."""
-
-    state: StateVector
-    success_probability: float
-    norm_record: NormalizationRecord
-    resources: ResourceReport
-    reconstructed: GrayscaleImage
 
 
 @dataclass(frozen=True)
@@ -603,7 +591,27 @@ def hybrid_circuit(source: GrayscaleImage | ImageEncoding, method: str, r: int,
     return compose(prep, _decompression_circuit(h + w, r, scale))
 
 
-def run_qpie_direct(img: GrayscaleImage, backend: str = "operator") -> PipelineResult:
+class QpieRun(_Report):
+    """The run of :func:`run_qpie_direct`, with :class:`HybridRun`'s interface:
+    its state, made with the run, read out at p = 1 by :meth:`strips` and, on
+    first use, by ``reconstructed`` (:func:`readout_image`), neither clamped."""
+
+    success_probability = 1.0
+
+    def __init__(self, state: StateVector, norm_record: NormalizationRecord,
+                 resources: ResourceReport, original_dims: tuple[int, int]):
+        self.state, self.norm_record, self.resources = state, norm_record, resources
+        self._original_dims = original_dims
+
+    def strips(self) -> Iterator[tuple[int, np.ndarray]]:
+        return _state_strips(self.state, self.norm_record, self._original_dims, 1.0)
+
+    @cached_property
+    def reconstructed(self) -> GrayscaleImage:
+        return readout_image(self.state, self.norm_record, self._original_dims)
+
+
+def run_qpie_direct(img: GrayscaleImage, backend: str = "operator") -> QpieRun:
     """Direct amplitude encoding of the image zero-padded to powers of two
     (:func:`~jqpie.imagio.pad_to_pow2`, at least 8 a side; padding an
     already padded image changes nothing).
@@ -633,9 +641,8 @@ def run_qpie_direct(img: GrayscaleImage, backend: str = "operator") -> PipelineR
         sv = apply_circuit(zero_state(n), synth_state_prep(flat, n_qubits=n))
     record = NormalizationRecord(norm, None, "global", None,
                                  (padded.height, padded.width), img.bit_depth)
-    resources = closed_form_resources(h, w, r=6, method="qpie")
-    recon = readout_image(sv, record, img.original_dims)
-    return PipelineResult(sv, 1.0, record, resources, recon)
+    return QpieRun(sv, record, closed_form_resources(h, w, r=6, method="qpie"),
+                   img.original_dims)
 
 
 def _state_strips(state: StateVector, record: NormalizationRecord,
@@ -683,14 +690,9 @@ def _assemble(strips: Iterator[tuple[int, np.ndarray]], original_dims: tuple[int
 
 def readout_image(state: StateVector, norm_record: NormalizationRecord,
                   original_dims: tuple[int, int]) -> GrayscaleImage:
-    """Convert an image state that no post-selection renormalized back into
-    (pre-clamp) pixels: QPIE's state, whose success probability is 1.
-
-    The signed amplitudes are rescaled by the recorded norms (and, when
-    present, the quantization constant lambda). Pixels are cropped to the
-    original dimensions; clamping is left to metric/file-writing time. The
-    pixels are assembled from strips as :attr:`HybridRun.reconstructed`
-    assembles them.
-    """
+    """QPIE's readout (:attr:`QpieRun.reconstructed`): a state that no
+    post-selection renormalized, rescaled by the recorded norms (and lambda
+    when present) into pixels cropped to the original dimensions, not
+    clamped, and assembled from its strips as :class:`HybridRun` assembles."""
     return _assemble(_state_strips(state, norm_record, original_dims, 1.0),
                      original_dims, norm_record.bit_depth)

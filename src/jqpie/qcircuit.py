@@ -174,10 +174,8 @@ Operation = Gate | MultiplexedRY
 class GateSequence(Sequence):
     """The gates of a circuit's operations, each multiplexer expanded in
     order as it is read (:meth:`MultiplexedRY.__iter__`). Its length is
-    counted from the operations without expanding them. It compares equal
-    to a gate sequence of the same operations, and to a tuple or gate
-    sequence of the same gates (gates compare by identity, so an expanded
-    RY equals only itself)."""
+    counted from the operations without expanding them; an integer index
+    expands the operations up to that gate."""
 
     __slots__ = ("_operations",)
 
@@ -194,24 +192,13 @@ class GateSequence(Sequence):
             else:
                 yield op
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
+    def __getitem__(self, index: int) -> Gate:
         size = len(self)
         if index < 0:
             index += size
         if not 0 <= index < size:
             raise IndexError("gate index out of range")
         return next(itertools.islice(self, index, None))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (GateSequence, tuple)):
-            return NotImplemented
-        if isinstance(other, GateSequence) and self._operations == other._operations:
-            return True
-        return tuple(self) == tuple(other)
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)

@@ -290,12 +290,14 @@ def _inverse_qdct_pass(qubits, tag: str) -> list[Gate]:
     return gates
 
 
-def synth_inverse_qdct_gates() -> list[Gate]:
+@lru_cache(maxsize=None)
+def synth_inverse_qdct_gates() -> tuple[Gate, ...]:
     """Inverse 2D DCT on the data register as RY/CX gates: one 8-point pass
     (:func:`_inverse_qdct_pass`) on the row qubits (5, 4, 3) of u, one on the
-    column qubits (2, 1, 0) of v. Every angle is closed form."""
-    return (_inverse_qdct_pass((5, 4, 3), "inverse_qdct")
-            + _inverse_qdct_pass((2, 1, 0), "inverse_qdct"))
+    column qubits (2, 1, 0) of v. Every angle is closed form; the gates,
+    which are immutable, are built once per process."""
+    return tuple(_inverse_qdct_pass((5, 4, 3), "inverse_qdct")
+                 + _inverse_qdct_pass((2, 1, 0), "inverse_qdct"))
 
 
 # --- exact gate-level lowering --------------------------------------------------
@@ -441,7 +443,7 @@ def _emitted_stage_cost(stage: str, r: int | None = None) -> StageCost:
     elif stage == "inverse_quantization":
         circuit, _ = synth_inverse_quantization(QuantTable())
     else:
-        circuit = Circuit(DATA_QUBITS, tuple(synth_inverse_qdct_gates()))
+        circuit = Circuit(DATA_QUBITS, synth_inverse_qdct_gates())
     return resource_counts(circuit).breakdown[stage]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from jqpie import bench, metrics
 from jqpie.imagio import GrayscaleImage, write_pgm
-from jqpie.metrics import PreparedImage, baseline_report, prepare, psnr, relative_report, ssim
+from jqpie.metrics import PreparedImage, baseline_report, prepare, psnr, score_strips, ssim
 
 from conftest import random_image
 
@@ -114,16 +114,33 @@ def test_windowed_ssim_matches_window_by_window(rng, size):
         assert windowed == pytest.approx(_windowed_ssim_loop(a, b), rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", metrics.SSIM_MODES)
+def test_score_strips_clamps_each_strip_in_place(rng, mode):
+    # a run's strips leave [0, L]; they are scored as the clamped image is,
+    # to the bit, and clamped where they are
+    ref = random_image(rng, 70, 9)
+    recon = ref.pixels + rng.normal(0.0, 60.0, ref.pixels.shape)
+    assert recon.min() < 0.0 and recon.max() > 255.0
+    strips = [(row, recon[row:row + 64].copy()) for row in (0, 64)]
+    baseline = baseline_report(ref, GrayscaleImage(np.clip(ref.pixels + 3.0, 0, 255)), "b")
+    report = score_strips(prepare(ref, moments=True), strips, baseline, mode)
+    clamped = GrayscaleImage(np.clip(recon, 0.0, 255.0))
+    assert (report.psnr, report.ssim) == (psnr(ref, clamped), ssim(ref, clamped, mode=mode))
+    assert report.delta_ssim == report.ssim - baseline.ssim
+    assert np.array_equal(np.concatenate([pixels for _, pixels in strips]), clamped.pixels)
+
+
 def test_quality_report_deltas(rng):
     ref = random_image(rng, 16, 16)
     recon = GrayscaleImage(ref.pixels + 2.0, original_dims=ref.original_dims)
     baseline = GrayscaleImage(ref.pixels + 4.0, original_dims=ref.original_dims)
     scored = baseline_report(ref, baseline, "jpeg S=1")
     assert (scored.delta_psnr, scored.delta_ssim) == (0.0, 0.0)
-    report = relative_report(ref, recon, scored)
+    report = score_strips(prepare(ref), [(0, recon.pixels.copy())], scored, "global")
     assert report.delta_psnr > 0
     assert report.baseline_id == "jpeg S=1"
-    same = relative_report(ref, ref, baseline_report(ref, ref, "self"))
+    same = score_strips(prepare(ref), [(0, ref.pixels.copy())],
+                        baseline_report(ref, ref, "self"), "global")
     assert same.delta_psnr == 0.0 and same.delta_ssim == 0.0
     payload = report.to_json()
     assert set(payload) == {"psnr", "ssim", "delta_psnr", "delta_ssim", "baseline_id"}

@@ -43,6 +43,24 @@ def test_qpie_two_by_two_amplitudes():
     assert result.success_probability == 1.0
 
 
+@pytest.mark.parametrize("backend", ["operator", "gate_exact"])
+def test_qpie_run_has_the_hybrid_run_interface(rng, backend):
+    # strips of 8 block rows read the state out at p = 1, not clamped; the
+    # reconstruction is assembled only when read, from the same pixels
+    img = GrayscaleImage(random_image(rng, 70, 21).pixels * 3.0 - 200.0)
+    run = run_qpie_direct(img, backend=backend)
+    assert "reconstructed" not in vars(run)
+    strips = [(row, pixels.copy()) for row, pixels in run.strips()]
+    assert [row for row, _ in strips] == [0, 64]
+    assert np.array_equal(np.concatenate([pixels for _, pixels in strips]),
+                          run.reconstructed.pixels)
+    assert np.max(np.abs(run.reconstructed.pixels - img.pixels)) <= 1e-9
+    payload = run.to_json()
+    assert payload.keys() == run_jqpie(img, 3).to_json().keys()
+    assert payload["success_probability"] == 1.0
+    assert payload["resources"] == closed_form_resources(7, 5, 6, method="qpie").to_json()
+
+
 def test_qpie_uniform_image_gives_uniform_superposition(rng):
     img = GrayscaleImage(np.full((8, 8), 37.0))
     result = run_qpie_direct(img)
@@ -441,7 +459,7 @@ def test_operator_that_is_not_the_scaled_inverse_dct_is_refused(tmp_path, rng, m
     qdct = pipeline.synth_inverse_qdct_gates
 
     def perturbed():
-        gates = qdct()
+        gates = list(qdct())
         first = next(i for i, gate in enumerate(gates) if gate.kind == "ry")
         gates[first] = replace(gates[first], angle=gates[first].angle + 1e-9)
         return gates
