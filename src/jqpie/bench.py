@@ -479,9 +479,9 @@ def _cmd_simulate(args) -> int:
                       args.backend, args.norm_mode)
     reference = metrics.prepare(img, moments=True)
     _, baseline = _jpeg_baseline(reference, encoding, args.scale, "global")
+    report = metrics.score_strips(reference, run.strips(), baseline, "global")
     payload = run.to_json()
-    payload["quality"] = metrics.score_strips(reference, run.strips(), baseline,
-                                              "global").to_json()
+    payload["quality"] = report.to_json()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         out_base = Path(args.out)

@@ -354,6 +354,9 @@ def test_emitted_qdct_pass_is_the_inverse_dct():
     assert np.max(np.abs(got - dct_matrix().T)) <= 1e-12
     both = circuit_matrix(synth_inverse_qdct_gates(), 6).real
     assert np.max(np.abs(both - np.kron(dct_matrix().T, dct_matrix().T))) <= 1e-12
+    # built once per process: every call returns the same immutable gates
+    assert synth_inverse_qdct_gates() is synth_inverse_qdct_gates()
+    assert isinstance(synth_inverse_qdct_gates(), tuple)
 
 
 def test_qdct_angles_are_closed_form(monkeypatch):
