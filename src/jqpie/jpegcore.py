@@ -442,8 +442,9 @@ def sparsity_stats(plane: np.ndarray) -> SparsityStats:
     ``layout="image"``).
     """
     nonzero = plane != 0
-    # nonzero blocks per frequency: summed over block rows, then block columns
-    bands = nonzero.reshape(-1, BLOCK * plane.shape[1]).sum(axis=0)
+    # nonzero blocks per frequency: over block rows, in the narrowest exact type, then columns
+    rows = nonzero.reshape(-1, BLOCK * plane.shape[1])
+    bands = rows.sum(axis=0, dtype=np.min_scalar_type(len(rows)))
     counts = bands.reshape(BLOCK, -1, BLOCK).sum(axis=1).reshape(-1)[_ZIGZAG]
     d = int(counts.sum())
     n = nonzero.size

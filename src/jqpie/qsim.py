@@ -14,34 +14,35 @@ Project basis convention (single source of truth, consumed by every module):
 
 :func:`apply_circuit` applies every gate, once and in order, one kernel call
 each, over the amplitudes the gate can reach; no gate is fused or
-relabelled. While a circuit runs the state is held in a working layout
-(:func:`_layout`): first the qubits some nonzero amplitude of the input
-sets, highest first; then the others in the order the circuit first names
-them, an operation its controls before its target; last, highest first,
-those it never names. It is made in place on entry and undone on exit by the
-fewest exchanges of two memory bits, each one slice swap
-(:func:`_swap_bits`). A dense input is held bit-reversed, so the data
-register has long contiguous pair rows. An RY is one matrix product written
-into a scratch state (:func:`_rotate`): the 2x2 rotation times each pair of
-2^k-amplitude rows on memory bit k, whatever k is. The scratch array is made
-once per circuit that rotates, and the two arrays swap roles after each RY.
-A CX swaps two quarter-state slices in place, through two quarters of the
-array that does not hold the state (:func:`_swap`), so no gate allocates. A
-multiplexer (:class:`~jqpie.qcircuit.MultiplexedRY`) is applied from its
-arrays (:func:`_apply_multiplexer`): its rotation matrices, with c and s
-computed as for one RY, and its views of both arrays are made once, then its
-RYs and CXs run one by one, in chain order, through the same two kernels.
+relabelled. While a circuit that rotates runs, the state is held in a
+working layout (:func:`_layout`): first the qubits some nonzero amplitude of
+the input sets, highest first; then the others in the order the circuit
+first names them, an operation its controls before its target; last,
+highest first, those it never names. One transposed copy each way makes it
+on entry and undoes it on exit (:func:`_enter`, :func:`_leave`); a circuit
+that rotates nothing runs in the input's own layout. A dense input is held
+bit-reversed, so the data register has long contiguous pair rows. An RY is
+one matrix product written into a scratch state (:func:`_rotate`): the 2x2
+rotation times each pair of 2^k-amplitude rows on memory bit k, whatever k
+is. The scratch array is made once per circuit that rotates, and the two
+arrays swap roles after each RY. A CX swaps two quarter-state slices in
+place, through two quarters of the array that does not hold the state
+(:func:`_swap`), so no gate allocates. A multiplexer
+(:class:`~jqpie.qcircuit.MultiplexedRY`) is applied from its arrays
+(:func:`_apply_multiplexer`): its rotation matrices, with c and s computed
+as for one RY, and its views of both arrays are made once, then its RYs and
+CXs run one by one, in chain order, through the same two kernels.
 
 Work follows the state's support. The live prefix is the smallest L such
 that every amplitude at index >= 2^L is exactly 0: at entry, the number of
 qubits the input sets. Each gate runs on the first 2^L' entries of both
 arrays, L' the larger of L and the gate's highest memory bit plus one, which
-is the prefix of the gates after it. Both arrays are zero above the prefix
-(the scratch array is zeroed there after the entry exchanges), so no gate
-reads a stale value. A cascade run from |0...0> puts layer k's target at
-memory bit k, so that layer runs on 2^(k+1) amplitudes, and the qubits it
-never names stay above the prefix. A multiplexer grows the prefix once, when
-it starts, to its highest memory bit, as one gate does. An RY's bits do not
+is the prefix of the gates after it. Both arrays are made zeroed and the
+entry copy writes only the prefix, so no gate reads a stale value. A
+cascade run from |0...0> puts layer k's target at memory bit k, so that
+layer runs on 2^(k+1) amplitudes, and the qubits it never names stay above
+the prefix. A multiplexer grows the prefix once, when it starts, to its
+highest memory bit, as one gate does. An RY's bits do not
 depend on the number of rows it multiplies, so in one layout a multiplexer
 and its expansion give the same state bit for bit. Amplitudes are real
 float64: RY and CX map real states to real states, so the signed JPEG
@@ -177,27 +178,26 @@ def _layout(amps: np.ndarray, circuit: Circuit) -> tuple[list[int], int]:
     return list(dict.fromkeys(chain(live, named, range(n - 1, -1, -1)))), len(live)
 
 
-def _transpositions(order: list[int]) -> list[tuple[int, int]]:
-    """The fewest memory bit pairs (low, high) whose exchanges, in turn,
-    take each qubit q from memory bit q to the bit b with ``order[b]`` = q:
-    n // 2 for the reversal. Exchanged in reverse order, they undo it."""
-    at = list(range(len(order)))   # the qubit at each memory bit
-    pairs = []
-    for low, qubit in enumerate(order):
-        high = at.index(qubit)
-        if high != low:
-            pairs.append((low, high))
-            at[low], at[high] = qubit, at[low]
-    return pairs
+def _working_view(amps: np.ndarray, order: list[int]) -> np.ndarray:
+    """``amps`` as n axes of size 2, axis b holding qubit ``order[b]``, the
+    qubit at memory bit b of the working layout (``.T`` puts qubit q at q)."""
+    return amps.reshape((2,) * len(order)).T.transpose(order)
 
 
-def _swap_bits(amps: np.ndarray, pairs: list[tuple[int, int]], other: np.ndarray) -> None:
-    """Exchange memory bits low < high of each pair in turn, in place: one
-    slice swap through half of ``other`` (:func:`_held`) per pair."""
-    for low, high in pairs:
-        view = amps.reshape(-1, 2, 1 << (high - low - 1), 2, 1 << low)
-        a, b = view[:, 1, :, 0, :], view[:, 0, :, 1, :]
-        _swap(a, b, *_held(other, a))
+def _enter(amps: np.ndarray, order: list[int], live: int) -> np.ndarray:
+    """``amps`` laid out as ``order`` in a new zeroed array: its entries at 0
+    on memory bits ``live`` and up, copied into the first 2^live."""
+    work = np.zeros(amps.size)
+    live_part = _working_view(amps, order)[(...,) + (0,) * (len(order) - live)]
+    work[:1 << live].reshape(live_part.shape).T[...] = live_part
+    return work
+
+
+def _leave(work: np.ndarray, order: list[int], out: np.ndarray) -> np.ndarray:
+    """``out`` overwritten with ``work``, laid out as ``order``, in the
+    input's own layout."""
+    _working_view(out, order)[...] = work.reshape((2,) * len(order)).T
+    return out
 
 
 def _cx_slices(amps: np.ndarray, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,30 +303,28 @@ def _apply_multiplexer(buffers: tuple[np.ndarray, np.ndarray], current: int, liv
 # --- public operations ----------------------------------------------------------
 
 def apply_circuit(sv: StateVector, circuit: Circuit) -> StateVector:
-    """Apply a circuit to a state gate by gate, returning the new state.
+    """Apply a circuit to a state gate by gate, returning the new state: one
+    transposed copy lays the state out on entry (:func:`_enter`) and, if
+    the circuit rotates, one undoes it on exit (:func:`_leave`).
 
     Raises ArithmeticError if the norm drifts beyond 1e-9.
     """
     if sv.n != circuit.n_qubits:
         raise ValueError(f"state has {sv.n} qubits, circuit expects {circuit.n_qubits}")
-    order, live = _layout(sv.amplitudes, circuit)
-    bits = np.argsort(order).tolist()   # the memory bit of each qubit
-    amps = sv.amplitudes.copy()
     rotates = any(op.rotations if isinstance(op, MultiplexedRY) else op.kind == "ry"
                   for op in circuit.operations)
-    # a state-sized scratch array for the RYs, else half of one for the swaps
-    buffers = (amps, np.empty(amps.size if rotates else amps.size // 2))
-    pairs = _transpositions(order)
-    _swap_bits(amps, pairs, buffers[1])
-    buffers[1][1 << live:] = 0.0   # both buffers stay zero above the live prefix
+    size = sv.amplitudes.size
+    order, live = _layout(sv.amplitudes, circuit) if rotates else (list(range(sv.n)), sv.n)
+    bits = np.argsort(order).tolist()   # the memory bit of each qubit
+    # a state-sized scratch array for the RYs and the exit, else half of one for the swaps
+    buffers = (_enter(sv.amplitudes, order, live), np.zeros(size if rotates else size // 2))
     current = 0
     for op in circuit.operations:
         if isinstance(op, MultiplexedRY):
             current, live = _apply_multiplexer(buffers, current, live, op, bits)
         else:
             current, live = _apply_gate(buffers, current, live, op, bits)
-    amps = buffers[current]
-    _swap_bits(amps, pairs[::-1], buffers[1 - current])
+    amps = _leave(buffers[current], order, buffers[1 - current]) if rotates else buffers[current]
     if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:   # NaN fails too
         raise ArithmeticError("statevector norm drifted beyond 1e-9")
     return StateVector._owning(amps, sv.n)

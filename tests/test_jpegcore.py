@@ -373,6 +373,19 @@ def test_sparsity_monotone_in_scale(rng):
     assert counts == sorted(counts, reverse=True)
 
 
+def test_sparsity_counts_past_255_block_rows(rng):
+    # 300 block rows, each block's DC nonzero: a count past the range of a
+    # byte, which must equal the zigzag matrix's count per slot
+    plane = np.where(rng.random((8 * 300, 16)) < 0.3, rng.integers(-9, 10, (8 * 300, 16)), 0.0)
+    plane[::8, ::8] = 1.0
+    stats = sparsity_stats(plane)
+    zz = plane.reshape(300, 8, 2, 8).transpose(0, 2, 1, 3).reshape(-1, 64)[:, ZIGZAG_TABLE]
+    counts = np.count_nonzero(zz, axis=0)
+    assert counts[0] == stats.block_count == 600
+    assert np.array_equal(stats.histogram, counts / stats.block_count)
+    assert stats.nonzero_count == np.count_nonzero(plane)
+
+
 def test_smooth_image_compresses_harder_than_noise(rng):
     noise = random_image(rng, 32, 32)
     smooth = gradient_image(32, 32)

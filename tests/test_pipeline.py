@@ -702,35 +702,27 @@ def test_gate_exact_cascade_runs_without_the_ancilla(rng, monkeypatch):
     # the run applies the exported cascade, declared on all 13 qubits, then
     # the decompression. Every kernel call of the cascade acts on at most
     # the 2^m amplitudes of the m = h + w - 6 + r qubits it loads: data
-    # qubits r..5 and the ancilla stay above the live prefix. The layout
-    # exchanges around a circuit are not its gates. The post-selected state
-    # is that of the exported full-width circuit run from |0...0>
+    # qubits r..5 and the ancilla stay above the live prefix. The
+    # post-selected state is that of the exported full-width circuit run
+    # from |0...0>
     img = random_image(rng, 64, 64)
-    apply, swap_bits = pipeline.apply_circuit, qsim._swap_bits
+    apply = pipeline.apply_circuit
     rotate, swap = qsim._rotate, qsim._swap
-    calls, laying_out = [], []   # the amplitudes each kernel call acts on, per apply
+    calls = []   # the amplitudes each kernel call acts on, per apply
 
     def applying(sv, circuit):
         calls.append((sv.n, circuit.n_qubits, []))
         return apply(sv, circuit)
 
-    def exchanging(*args):
-        laying_out.append(True)
-        swap_bits(*args)
-        laying_out.pop()
-
     def rotating(rows, matrix, out):
-        if not laying_out:
-            calls[-1][2].append(rows.size)
+        calls[-1][2].append(rows.size)
         rotate(rows, matrix, out)
 
     def swapping(a, b, held_a, held_b):
-        if not laying_out:
-            calls[-1][2].append(4 * a.size)   # two quarters of the prefix
+        calls[-1][2].append(4 * a.size)   # two quarters of the prefix
         swap(a, b, held_a, held_b)
 
     monkeypatch.setattr(pipeline, "apply_circuit", applying)
-    monkeypatch.setattr(qsim, "_swap_bits", exchanging)
     monkeypatch.setattr(qsim, "_rotate", rotating)
     monkeypatch.setattr(qsim, "_swap", swapping)
     for r in (3, 6):

@@ -149,27 +149,11 @@ def _layout(vec, circuit):
     return order
 
 
-def _fewest_exchanges(order):
-    """The fewest bit exchanges that make the layout ``order``: n minus the
-    number of cycles of the permutation."""
-    seen, cycles = set(), 0
-    for start in range(len(order)):
-        cycles += start not in seen
-        q = start
-        while q not in seen:
-            seen.add(q)
-            q = order[q]
-    return len(order) - cycles
-
-
-def _expected_steps(circuit, vec):
+def _expected_steps(circuit):
     """One kernel call per gate of ``circuit``, in order, with c and s as
-    one RY computes them, between the swaps that lay ``vec`` out on entry
-    and back on exit, the fewest the layout needs."""
-    layout = [("cx",)] * _fewest_exchanges(_layout(vec, circuit))
-    steps = [("ry", math.cos(g.angle / 2.0), math.sin(g.angle / 2.0)) if g.kind == "ry"
-             else ("cx",) for g in circuit.gates]
-    return layout + steps + layout
+    one RY computes them, and no other: laying the state out is a copy."""
+    return [("ry", math.cos(g.angle / 2.0), math.sin(g.angle / 2.0)) if g.kind == "ry"
+            else ("cx",) for g in circuit.gates]
 
 
 def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
@@ -180,7 +164,7 @@ def test_gate_exact_applies_every_gate_and_never_folds(rng, monkeypatch):
     assert all(isinstance(op, MultiplexedRY) for op in circuit.operations)
     calls = _applied_steps(monkeypatch)
     apply_circuit(zero_state(6), circuit)
-    assert calls == _expected_steps(circuit, zero_state(6).amplitudes)
+    assert calls == _expected_steps(circuit)
 
 
 def test_operator_applies_every_elementary_gate_once(monkeypatch):
@@ -197,7 +181,7 @@ def test_operator_applies_every_elementary_gate_once(monkeypatch):
     calls = _applied_steps(monkeypatch)
     pipeline._decompression.__wrapped__(3, 1.0)
     [probe] = inputs
-    assert calls == _expected_steps(circuit, probe)
+    assert calls == _expected_steps(circuit)
 
 
 def test_block_encoding_identity_branch():
@@ -362,8 +346,8 @@ def _cx_tensor_oracle(vec, control, target):
 @settings(max_examples=10, deadline=None)
 @given(seed=_SEEDS, edge=st.sampled_from([0.0, math.pi, -math.pi, 2 * math.pi]))
 def test_random_circuits_match_the_kron_oracle(n, seed, edge):
-    # every target and every ordered CX pair, in a random order; each
-    # parity of n runs the in-place layout reversal with and without a middle bit
+    # every target and every ordered CX pair, in a random order, on a dense
+    # input, which the working layout holds bit-reversed
     rng = np.random.default_rng(seed)
     angles = np.append(rng.uniform(-4 * math.pi, 4 * math.pi, n - 1), edge)
     gates = [ry(q, a) for q, a in zip(range(n), rng.permutation(angles))]
@@ -389,18 +373,6 @@ def _every_gate(rng, n):
     return [gates[i] for i in rng.permutation(len(gates))]
 
 
-def _permuted(vec, order):
-    """``vec`` laid out as ``order`` and, second, laid back: the entry and
-    exit exchanges of :func:`~jqpie.qsim.apply_circuit`, through a scratch
-    array."""
-    amps, other = vec.copy(), np.empty(len(vec))
-    pairs = qsim._transpositions(order)
-    qsim._swap_bits(amps, pairs, other)
-    entry = amps.copy()
-    qsim._swap_bits(amps, pairs[::-1], other)
-    return entry, amps, len(pairs)
-
-
 def _transposed(vec, order):
     """``vec`` with qubit order[b] at bit b, by a transpose of its n axes,
     axis n-1-q holding qubit q."""
@@ -409,31 +381,41 @@ def _transposed(vec, order):
     return vec.reshape((2,) * n).transpose(axes).reshape(-1)
 
 
+def _entered_and_left(vec, order, live):
+    """``vec`` laid out as ``order`` with ``live`` live bits, as
+    :func:`~jqpie.qsim.apply_circuit` enters it, and that laid back out
+    into a scratch array of stale values, as it leaves."""
+    entry = qsim._enter(vec, order, live)
+    back = qsim._leave(entry, order, np.full(len(vec), np.nan))
+    return entry, back
+
+
 @pytest.mark.parametrize("n", range(1, 14))
 def test_qubit_order_reversal_matches_a_transpose_and_undoes_itself(n):
+    # a dense input under a circuit that rotates is held bit-reversed
     vec = np.arange(2.0 ** n)
-    order = list(range(n - 1, -1, -1))
-    entry, back, swaps = _permuted(vec, order)
+    order, live = qsim._layout(vec, Circuit(n, (ry(0, 0.1),)))
+    assert order == list(range(n - 1, -1, -1)) and live == n
+    entry, back = _entered_and_left(vec, order, n)
     assert np.array_equal(entry, vec.reshape((2,) * n).transpose().reshape(-1))
-    assert np.array_equal(back, vec) and swaps == n // 2
-    # its exchanges are disjoint, so the entry exchanges undo themselves
-    amps, other = entry.copy(), np.empty(2 ** n)
-    qsim._swap_bits(amps, qsim._transpositions(order), other)
-    assert np.array_equal(amps, vec)
+    assert np.array_equal(back, vec)
+    # the reversal is its own inverse: entering it twice gives the input back
+    assert np.array_equal(qsim._enter(entry, order, n), vec)
 
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_bit_permutation_matches_a_transpose_and_exit_undoes_entry(n):
-    # random layouts, in place through half of the scratch array, with the
-    # fewest exchanges each
+    # random layouts and live sets: the input sets only the qubits at the
+    # live memory bits, which the entry copies below 2^live, leaving zeros
+    # above; the exit restores the input bit for bit
     rng = np.random.default_rng(n)
-    vec = np.arange(2.0 ** n)
-    for _ in range(4):
+    for live in range(n + 1):
         order = [int(q) for q in rng.permutation(n)]
-        entry, back, swaps = _permuted(vec, order)
+        vec = _support_state(rng, n, order[:live])
+        entry, back = _entered_and_left(vec, order, live)
         assert np.array_equal(entry, _transposed(vec, order))
+        assert not entry[1 << live:].any()
         assert np.array_equal(back, vec)
-        assert swaps == _fewest_exchanges(order)
 
 
 # --- the live prefix: each gate on the amplitudes it can reach ---------------------
@@ -457,15 +439,14 @@ def _support_state(rng, n, qubits):
     return vec / np.linalg.norm(vec)
 
 
-def _working_live_bits(vec, circuit):
-    """The live prefix of ``vec`` laid out for ``circuit``, and whether the
-    entry exchanges leave a nonzero value in the scratch array above it."""
+def _working_live(vec, circuit):
+    """The live prefix of ``vec`` laid out for ``circuit``, checked: the
+    entry leaves a nonzero value on its top bit and none above it."""
     order, live = qsim._layout(vec, circuit)
     assert order == _layout(vec, circuit)
-    amps, other = vec.copy(), np.zeros(len(vec))
-    qsim._swap_bits(amps, qsim._transpositions(order), other)
+    amps = qsim._enter(vec, order, live)
     assert not amps[1 << live:].any() and (live == 0 or amps[1 << (live - 1):].any())
-    return live, bool(other[1 << live:].any())
+    return live
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -478,7 +459,7 @@ def test_low_prefix_inputs_match_the_kron_oracle(n):
     states += [_low_prefix_state(rng, n, live) for live in range(n + 1)]
     sets = [sorted(int(q) for q in rng.choice(n, size=k, replace=False)) for k in range(n + 1)]
     states += [_support_state(rng, n, qubits) for qubits in sets]
-    live = [_working_live_bits(v, Circuit(n))[0] for v in states[2:]]
+    live = [_working_live(v, Circuit(n)) for v in states[2:]]
     assert live == list(range(n + 1)) * 2
     for vec in states:
         gates = _every_gate(rng, n)
@@ -570,15 +551,14 @@ def test_an_ry_gives_the_same_bits_on_every_prefix(bit):
 
 
 def test_the_scratch_array_reads_no_stale_value_above_the_prefix():
-    # (|1> + |2>)/sqrt(2) sets qubits 1 and 0, which the entry exchange of
-    # memory bits 0 and 1 lays out in the 2^2-entry prefix; it leaves the
-    # amplitude of |1> in the scratch array above the prefix. An RY inside
-    # the prefix hands that array the state, and an RY on memory bit 2
-    # then reads it
+    # (|1> + |2>)/sqrt(2) sets qubits 1 and 0, which the entry lays out in
+    # the 2^2-entry prefix. An RY inside the prefix hands the scratch array
+    # the state, and an RY on memory bit 2 then reads that array above the
+    # prefix, where it must hold zeros
     vec = (basis_state(4, 1).amplitudes + basis_state(4, 2).amplitudes) / math.sqrt(2)
     circuit = Circuit(4, (ry(1, 0.7), ry(2, 1.1)))
     assert _layout(vec, circuit) == [1, 0, 2, 3]
-    assert _working_live_bits(vec, circuit) == (2, True)
+    assert _working_live(vec, circuit) == 2
     out = apply_circuit(StateVector(vec, 4), circuit).amplitudes
     assert np.max(np.abs(out - _oracle_run(vec, list(circuit.gates)))) <= 1e-15
 
