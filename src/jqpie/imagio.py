@@ -270,8 +270,7 @@ def pad_to_multiple(img: GrayscaleImage) -> GrayscaleImage:
     pw = (BLOCK - w % BLOCK) % BLOCK
     if ph == 0 and pw == 0:
         return img
-    padded = np.pad(img.pixels, ((0, ph), (0, pw)), mode="constant")
-    return GrayscaleImage._owning(padded, img.bit_depth, img.original_dims)
+    return _zero_padded(img, h + ph, w + pw)
 
 
 def pad_to_pow2(img: GrayscaleImage) -> GrayscaleImage:
@@ -287,7 +286,16 @@ def pad_to_pow2(img: GrayscaleImage) -> GrayscaleImage:
     tw = max(BLOCK, 1 << (w - 1).bit_length())
     if th == h and tw == w:
         return img
-    padded = np.pad(img.pixels, ((0, th - h), (0, tw - w)), mode="constant")
+    return _zero_padded(img, th, tw)
+
+
+def _zero_padded(img: GrayscaleImage, height: int, width: int) -> GrayscaleImage:
+    """``img`` zero-padded along the bottom and right edges to height x width,
+    in one zeroed array with the pixels copied into its top-left corner; the
+    original dimensions are kept."""
+    padded = np.zeros((height, width))
+    h, w = img.pixels.shape
+    padded[:h, :w] = img.pixels
     return GrayscaleImage._owning(padded, img.bit_depth, img.original_dims)
 
 

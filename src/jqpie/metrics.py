@@ -80,7 +80,10 @@ def prepare(img, peak: float | None = None, moments: bool = False) -> PreparedIm
     ``peak`` defaults to the image's L; a prepared image is returned as it
     is, and scoring it at another peak is an error. ``moments`` also
     measures the global-SSIM mean and variance, for an image that is
-    scored against many others.
+    scored against many others; the range is then checked strip by strip
+    in the moments' first walk (:func:`_moments`), not in two whole-image
+    passes for the minimum and the maximum. Either way an image inside
+    [0, peak] is shared and any other is clipped into a new array.
     """
     if isinstance(img, PreparedImage):
         if peak is not None and peak != img.peak:
@@ -89,21 +92,39 @@ def prepare(img, peak: float | None = None, moments: bool = False) -> PreparedIm
     if peak is None:
         peak = img.max_value
     pixels = img.pixels
-    if not (0.0 <= pixels.min() and pixels.max() <= peak):
-        pixels = np.clip(pixels, 0.0, peak)
+    if moments:
+        pixels, measured = _moments(pixels, peak)
+    else:
+        measured = None
+        if not (0.0 <= pixels.min() and pixels.max() <= peak):
+            pixels = np.clip(pixels, 0.0, peak)
     pixels.flags.writeable = False
-    return PreparedImage(pixels, peak, _moments(pixels) if moments else None)
+    return PreparedImage(pixels, peak, measured)
 
 
-def _moments(pixels: np.ndarray) -> tuple[float, float]:
-    """The global-SSIM mean and population variance of prepared pixels.
+def _moments(pixels: np.ndarray,
+             peak: float | None = None) -> tuple[np.ndarray, tuple[float, float]]:
+    """The global-SSIM mean and population variance of prepared pixels,
+    and the pixels they were taken of.
 
     Both are summed in strips of :data:`~jqpie.imagio.STRIP_ROWS` rows,
     the variance over the deviations from the mean (two passes), so no
-    image-sized temporary is made.
+    image-sized temporary is made. With a ``peak`` the pixels are prepared
+    on the way: the first walk checks each strip's range while the strip
+    is in cache, and the first strip outside [0, peak] clips the whole
+    image into a new array, whose strips the walk goes on with. The strips
+    before it were in range, so their sums are those of the clipped
+    pixels, and the moments are bit for bit those of the clipped image.
     """
     starts = range(0, len(pixels), STRIP_ROWS)
-    mean = sum(float(pixels[row:row + STRIP_ROWS].sum()) for row in starts) / pixels.size
+    total = 0.0
+    for row in starts:
+        strip = pixels[row:row + STRIP_ROWS]
+        if peak is not None and not (0.0 <= strip.min() and strip.max() <= peak):
+            pixels = np.clip(pixels, 0.0, peak)
+            strip, peak = pixels[row:row + STRIP_ROWS], None
+        total += float(strip.sum())
+    mean = total / pixels.size
     scratch = np.empty(min(STRIP_ROWS, len(pixels)) * pixels.shape[1])
     squares = 0.0
     for row in starts:
@@ -111,7 +132,7 @@ def _moments(pixels: np.ndarray) -> tuple[float, float]:
         deviation = scratch[:strip.size]
         np.subtract(strip, mean, out=deviation.reshape(strip.shape))
         squares += float(deviation @ deviation)
-    return mean, squares / pixels.size
+    return pixels, (mean, squares / pixels.size)
 
 
 def _prepared_pair(a, b) -> tuple[PreparedImage, PreparedImage]:
@@ -149,7 +170,7 @@ class Scores:
         self._c1 = (0.01 * reference.peak) ** 2
         self._c2 = (0.03 * reference.peak) ** 2
         if ssim_mode == "global":
-            self._moments = reference.moments or _moments(reference.pixels)
+            self._moments = reference.moments or _moments(reference.pixels)[1]
         self._squared_error = self._difference = self._cross = 0.0
         self._window_sum = 0.0
         self._windows = 0

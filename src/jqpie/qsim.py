@@ -18,13 +18,17 @@ relabelled. While a circuit that rotates runs, the state is held in a
 working layout (:func:`_layout`): first the qubits some nonzero amplitude of
 the input sets, highest first; then the others in the order the circuit
 first names them, an operation its controls before its target; last,
-highest first, those it never names. One transposed copy each way makes it
-on entry and undoes it on exit (:func:`_enter`, :func:`_leave`); a circuit
-that rotates nothing runs in the input's own layout. A dense input is held
-bit-reversed, so the data register has long contiguous pair rows. An RY is
-one matrix product written into a scratch state (:func:`_rotate`): the 2x2
-rotation times each pair of 2^k-amplitude rows on memory bit k, whatever k
-is. The scratch array is made once per circuit that rotates, and the two
+highest first, those it never names. The set qubits are read off the
+state as a matrix of 2^(n - n//2) rows by 2^(n//2) columns: the OR of the
+indices of its rows that hold a nonzero amplitude gives the high bits and
+that of such columns the low bits, so no index is made per amplitude. One
+transposed copy each way makes the layout on entry and undoes it on exit
+(:func:`_enter`, :func:`_leave`); a circuit that rotates nothing runs in
+the input's own layout. A dense input is held bit-reversed, so the data
+register has long contiguous pair rows. An RY is one matrix product
+written into a scratch state (:func:`_rotate`): the 2x2 rotation times
+each pair of 2^k-amplitude rows on memory bit k, whatever k is. The
+scratch array is made once per circuit that rotates, and the two
 arrays swap roles after each RY. A CX swaps two quarter-state slices in
 place, through two quarters of the array that does not hold the state
 (:func:`_swap`), so no gate allocates. A multiplexer
@@ -172,7 +176,11 @@ def _layout(amps: np.ndarray, circuit: Circuit) -> tuple[list[int], int]:
     qubit at each memory bit, as the module describes it, and the live
     prefix, the number of qubits some nonzero amplitude sets."""
     n = amps.size.bit_length() - 1
-    occupied = int(np.bitwise_or.reduce(np.flatnonzero(amps)))
+    low = n // 2
+    nonzero = amps.reshape(-1, 1 << low) != 0
+    rows, columns = (int(np.bitwise_or.reduce(np.flatnonzero(nonzero.any(axis=axis))))
+                     for axis in (1, 0))
+    occupied = rows << low | columns
     live = [q for q in range(n - 1, -1, -1) if occupied >> q & 1]
     named = (q for op in circuit.operations for q in op.qubits)
     return list(dict.fromkeys(chain(live, named, range(n - 1, -1, -1)))), len(live)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jqpie import jpegcore
 from jqpie.imagio import GrayscaleImage, pad_and_partition
 from jqpie.jpegcore import (QuantTable, blocks_from_zigzag, classical_reference_decode,
                             dct2_block, dct2_blocks, idct2_block, idct2_blocks,
@@ -190,6 +191,45 @@ def test_zigzag_anchor_values():
     pi = zigzag_permutation()
     assert pi[:5].tolist() == [0, 1, 8, 16, 9]
     assert pi[63] == 63
+
+
+def test_quantize_strip_is_round_half_away_bit_for_bit(rng):
+    """The strip quantizer's sign-bit copysign rounds as
+    :func:`round_half_away` does, bit for bit: on ties, signed zeros,
+    subnormals and magnitudes of 2^52 and above, where x + 0.5 itself
+    rounds, at unit divisors; and on random quotients at a random Q."""
+    big = 2.0 ** 52
+    tiny = np.finfo(np.float64).smallest_subnormal
+    ties = np.arange(40) + 0.5
+    special = [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 0.49999999999999994,
+               -0.49999999999999994, big, -big, big + 1.0, -(big + 1.0), big - 0.5,
+               -(big - 0.5), 2.0 * big + 2.0, -(2.0 * big + 2.0), 1e300, -1e300]
+    values = np.concatenate([ties, -ties, special])
+    x = np.concatenate([values, rng.normal(0, 50, 16 * 16 - len(values))]).reshape(16, 16)
+    for divisors in (np.ones((8, 16)), rng.uniform(0.5, 200.0, (8, 16))):
+        strip = x.copy()
+        jpegcore._quantize_strip(strip, divisors, np.empty((16, 16)))
+        expected = round_half_away(x / np.tile(divisors, (2, 1)))
+        assert np.array_equal(strip.view(np.uint64), expected.view(np.uint64))
+    assert np.signbit(strip.reshape(-1)[81]) and not np.signbit(strip.reshape(-1)[80])
+
+
+@pytest.mark.parametrize("size", [(1, 64), (8, 8), (37, 61), (57, 33), (200, 72)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_forward_transform_is_the_block_path_bit_for_bit(rng, size):
+    """The strip transform, with its product by a contiguous D^T and its
+    sign-bit quantization, gives the block path's zigzag matrix as uint64
+    words, so the sign of every zero counts: noise, a smooth ramp and a
+    constant image, raw and at S = 0.25, 1 and 8."""
+    y, x = np.mgrid[0:size[0], 0:size[1]]
+    images = (random_image(rng, *size), GrayscaleImage(40.0 + 150.0 * (x + y) / sum(size)),
+              GrayscaleImage(np.full(size, 128.0)))
+    for img in images:
+        grid = pad_and_partition(img)
+        for table in (None, QuantTable(0.25), QuantTable(1.0), QuantTable(8.0)):
+            got = np.ascontiguousarray(zigzag_coefficients(img, table))
+            expected = jpegcore._block_zigzag(grid, table)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_zigzag_matches_published_table_and_is_bijective():

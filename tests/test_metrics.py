@@ -188,6 +188,33 @@ def test_prepare_shares_an_in_range_image_and_copies_the_rest(rng):
     assert not clipped.pixels.flags.writeable and clipped.moments is None
 
 
+def test_prepare_with_moments_shares_an_in_range_image(rng):
+    """Over several strips, an in-range image is not copied, and its
+    moments are :func:`metrics._moments`' bits."""
+    img = random_image(rng, 200, 130)
+    prepared = prepare(img, moments=True)
+    assert prepared.pixels is img.pixels
+    pixels, moments = metrics._moments(img.pixels)
+    assert pixels is img.pixels
+    assert [_bits(m) for m in prepared.moments] == [_bits(m) for m in moments]
+
+
+@pytest.mark.parametrize("value", [-0.5, 255.5, 1e6])
+def test_prepare_with_moments_clips_at_the_last_strip(rng, value):
+    """The only pixel outside [0, L] sits in the last strip: the range check
+    in the moments' walk clips the image there, and the moments are those
+    of the clipped pixels, bit for bit."""
+    img = random_image(rng, 200, 130)
+    pixels = img.pixels.copy()
+    pixels[197, 5] = value
+    prepared = prepare(GrayscaleImage(pixels), moments=True)
+    clipped = np.clip(pixels, 0.0, 255.0)
+    assert np.array_equal(prepared.pixels, clipped) and not prepared.pixels.flags.writeable
+    assert [_bits(m) for m in prepared.moments] == [_bits(m) for m in
+                                                    metrics._moments(clipped)[1]]
+    assert prepared.moments != metrics._moments(pixels)[1]
+
+
 def test_prepare_takes_the_moments_in_strips(rng):
     """The global-SSIM mean and population variance are summed in strips of
     64 rows: they match the whole-array ``mean`` and ``var`` to 1e-12, and

@@ -390,6 +390,22 @@ def _entered_and_left(vec, order, live):
     return entry, back
 
 
+def test_layout_finds_the_set_qubits_of_sparse_and_dense_states():
+    """The set qubits, read off the state's nonzero rows and columns, are
+    those of the OR of every nonzero amplitude's index, for n = 0..16 at
+    three densities and for the zero state."""
+    rng = np.random.default_rng(7)
+    for n in range(17):
+        circuit = Circuit(n, ())
+        for density in (0.001, 0.1, 1.0):
+            vec = rng.standard_normal(2 ** n) * (rng.random(2 ** n) < density)
+            occupied = int(np.bitwise_or.reduce(np.flatnonzero(vec)))
+            live = [q for q in range(n - 1, -1, -1) if occupied >> q & 1]
+            order, got = qsim._layout(vec, circuit)
+            assert order[:got] == live and got == len(live), (n, density)
+        assert qsim._layout(np.zeros(2 ** n), circuit)[1] == 0
+
+
 @pytest.mark.parametrize("n", range(1, 14))
 def test_qubit_order_reversal_matches_a_transpose_and_undoes_itself(n):
     # a dense input under a circuit that rotates is held bit-reversed
